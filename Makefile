@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-check perf soak kill-resume daemon-chaos experiments tables examples cover clean ci docs-check
+.PHONY: all build test race bench bench-suite-test bench-check perf soak kill-resume daemon-chaos experiments tables examples cover clean ci docs-check
 
 all: build test
 
@@ -20,6 +20,12 @@ race:
 # Full benchmark pass (see docs/PERFORMANCE.md).
 bench:
 	go test -bench=. -benchmem ./...
+
+# The repository benchmark under bench/ is its own module (repro/bench), so
+# the root `go vet ./...` and `go test ./...` never see it; this runs its
+# vet and tests (every workload at -quick size, ~10 s). Blocking in CI.
+bench-suite-test:
+	cd bench && go vet ./... && go test ./...
 
 # Regenerate the experiment headlines the benchmarks record and compare
 # them against the committed baseline (deterministic exp.* series: ±20%;
@@ -60,8 +66,9 @@ soak:
 # -metrics byte-identical to an uninterrupted run — the crash-safety
 # contract of docs/RESILIENCE.md exercised with a real SIGKILL. If the
 # run happens to finish before the kill lands, the resume of a completed
-# journal is checked instead (an equally valid identity).
-KILL_EXPS ?= faults,failover,saturation
+# journal is checked instead (an equally valid identity); the whole suite,
+# journaled, outlasts the longest delay on the machines this has run on.
+KILL_EXPS ?= all
 KILL_DIR ?= /tmp/kill-resume
 kill-resume:
 	go build -o $(KILL_DIR).bin ./cmd/adcpsim
@@ -125,6 +132,7 @@ ci:
 	go vet ./...
 	go build ./...
 	go test ./...
+	$(MAKE) bench-suite-test
 	go run ./cmd/docscheck
 	go run ./cmd/adcpsim -exp table1 -metrics /tmp/m.json > /dev/null
 	@python3 -c 'import json; s = json.load(open("/tmp/m.json")); \

@@ -124,13 +124,16 @@ func getBody(t *testing.T, url string) (int, []byte) {
 // The daemon-plane golden crash test: SIGKILL the daemon mid-job at a
 // randomized (logged) delay, restart it on the same directory, and demand
 // (a) the job recovers and completes, and (b) its result and metrics are
-// byte-identical to a plain batch CLI run of the same selection.
+// byte-identical to a plain batch CLI run of the same selection. The job is
+// the whole suite and the delay counts from the moment the job is seen
+// running: single experiments finish in milliseconds, faster than a fixed
+// sleep after the submit can aim for.
 func TestDaemonKillRecoverByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess daemon kill test")
 	}
 	dir := t.TempDir()
-	sel := "faults,failover"
+	sel := "all"
 	wantM := filepath.Join(dir, "want.json")
 
 	golden := execSelf(t, "-exp", sel, "-metrics", wantM)
@@ -143,11 +146,21 @@ func TestDaemonKillRecoverByteIdentity(t *testing.T) {
 
 	svcDir := filepath.Join(dir, "svc")
 	d1, base := startDaemon(t, svcDir)
-	id := submitJob(t, base, `{"exps":["faults","failover"]}`)
+	id := submitJob(t, base, `{"exps":["all"]}`)
+	for state := any(nil); state != "running"; {
+		code, body := getBody(t, base+"/jobs/"+id)
+		var doc map[string]any
+		if code != 200 || json.Unmarshal(body, &doc) != nil {
+			t.Fatalf("GET job = %d: %s", code, body)
+		}
+		if state = doc["state"]; state == "done" || state == "failed" {
+			t.Fatalf("job ended %v before it was seen running", state)
+		}
+	}
 
 	seed := time.Now().UnixNano()
-	delay := time.Duration(20+rand.New(rand.NewSource(seed)).Intn(150)) * time.Millisecond
-	t.Logf("kill seed=%d delay=%v", seed, delay)
+	delay := time.Duration(rand.New(rand.NewSource(seed)).Intn(40)) * time.Millisecond
+	t.Logf("kill seed=%d delay=%v after the job started", seed, delay)
 	time.Sleep(delay)
 	if err := d1.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Logf("kill: %v", err)

@@ -106,6 +106,63 @@ func TestPerfPlaneGoldenByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPerfEventsEqualEngineFired: the dispatch meters flush their tail
+// window when an engine's run returns, so over the `make perf` reference
+// run the failover phase sees its events (none of its engines fills a meter
+// window; cachehit drives its switches without an engine and stays at 0)
+// and the perf plane's totals equal what the engines fired, as the sim-time
+// plane's net.engine.fired_events counts it.
+func TestPerfEventsEqualEngineFired(t *testing.T) {
+	dir := t.TempDir()
+	mPath, pPath := filepath.Join(dir, "m.json"), filepath.Join(dir, "p.json")
+	code, _, errw := runCLI(t, "-exp", "saturation,failover,cachehit", "-parallel", "1",
+		"-metrics", mPath, "-perf-json", pPath)
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr = %q", code, errw)
+	}
+	type series struct {
+		Name   string            `json:"name"`
+		Labels map[string]string `json:"labels"`
+		Value  float64           `json:"value"`
+	}
+	load := func(path string) []series {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Metrics []series `json:"metrics"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return doc.Metrics
+	}
+	var fired float64
+	for _, m := range load(mPath) {
+		if m.Name == "net.engine.fired_events" {
+			fired += m.Value
+		}
+	}
+	var metered, phases float64
+	for _, m := range load(pPath) {
+		switch m.Name {
+		case "perf.engine.events":
+			metered = m.Value
+		case "perf.phase.events":
+			if m.Value == 0 && m.Labels["phase"] != "cachehit" {
+				t.Errorf("perf.phase.events{phase=%s} = 0", m.Labels["phase"])
+			}
+			phases += m.Value
+		}
+	}
+	if fired == 0 || metered != fired || phases != fired {
+		t.Errorf("engines fired %g events; perf.engine.events = %g, sum of perf.phase.events = %g",
+			fired, metered, phases)
+	}
+}
+
 // -perf-json - streams the document to stdout and moves the tables to
 // stderr, like every other '-' export.
 func TestPerfJSONToStdout(t *testing.T) {

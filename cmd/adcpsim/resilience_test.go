@@ -101,7 +101,9 @@ func TestResumeReplaysCompletedRun(t *testing.T) {
 
 // The golden crash test: SIGKILL the run at a randomized (logged) delay,
 // resume it, and demand stdout and -metrics byte-identical to an
-// uninterrupted run — at sequential and wide parallelism.
+// uninterrupted run — at sequential and wide parallelism. The run is the
+// whole suite: journaled, it lasts longer than the longest delay, so the
+// kill lands mid-run (a sweep or two finishes in tens of milliseconds).
 func TestKillResumeByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess kill-resume test")
@@ -110,7 +112,7 @@ func TestKillResumeByteIdentity(t *testing.T) {
 		width := width
 		t.Run(fmt.Sprintf("parallel-%d", width), func(t *testing.T) {
 			dir := t.TempDir()
-			sel := "faults,failover,saturation"
+			sel := "all"
 			wantM := filepath.Join(dir, "want.json")
 
 			golden := execSelf(t, "-exp", sel, "-parallel", fmt.Sprint(width), "-metrics", wantM)

@@ -1,10 +1,13 @@
 package apps
 
 import (
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/packet"
 	"repro/internal/rmt"
 )
 
@@ -240,6 +243,52 @@ func TestParamServerScale(t *testing.T) {
 	for p := 0; p < cfg.CentralPipelines; p++ {
 		if sw.Central(p).Packets() == 0 {
 			t.Errorf("central %d idle", p)
+		}
+	}
+}
+
+// tamperedSwitch rewrites the first result packet a switch emits.
+type tamperedSwitch struct {
+	netsim.SwitchModel
+	tamper func(body []byte) // the ML header and values, after the base header
+	done   bool
+}
+
+func (s *tamperedSwitch) Process(pkt *packet.Packet) ([]*packet.Packet, error) {
+	outs, err := s.SwitchModel.Process(pkt)
+	if len(outs) > 0 && !s.done {
+		s.done = true
+		s.tamper(outs[0].Data[packet.BaseHeaderLen:])
+	}
+	return outs, err
+}
+
+// TestParamServerVerificationRejects: the per-worker check catches a wrong
+// sum, a weight delivered twice in place of another, and a weight index
+// outside the model.
+func TestParamServerVerificationRejects(t *testing.T) {
+	ps := PSConfig{Workers: 6, ModelSize: 64, Width: 16}
+	cases := []struct {
+		name    string
+		tamper  func(body []byte)
+		wantErr string
+	}{
+		{"wrong sum", func(b []byte) { b[packet.MLHeaderFixedLen] ^= 0x80 }, " = "},
+		{"duplicate chunk", func(b []byte) {
+			base := binary.BigEndian.Uint32(b[0:4])
+			binary.BigEndian.PutUint32(b[0:4], (base+16)%64)
+		}, "received 48 of 64 weights"},
+		{"index outside the model", func(b []byte) { binary.BigEndian.PutUint32(b[0:4], 60) },
+			"received weight 64 of a 64-weight model"},
+	}
+	for _, tc := range cases {
+		sw, err := NewParamServerADCP(smallADCP(), ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RunParamServer(&tamperedSwitch{SwitchModel: sw, tamper: tc.tamper}, netsim.DefaultConfig(8), ps, 1, 42)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
 		}
 	}
 }

@@ -119,25 +119,41 @@ func RunParamServer(sw netsim.SwitchModel, netCfg netsim.Config, ps PSConfig, co
 	if err != nil {
 		return res, err
 	}
-	// Correctness: every worker holds the full aggregated model.
+	// Correctness: every worker holds the full aggregated model. got is
+	// indexed by weight and seen marks the weights a worker received, both
+	// reused across workers.
+	got := make([]uint32, ps.ModelSize)
+	want := make([]uint32, ps.ModelSize)
+	for idx := range want {
+		want[idx] = workload.MLExpectedSum(seed, ps.Workers, idx)
+	}
+	seen := make([]uint64, (ps.ModelSize+63)/64)
+	var d packet.Decoded
 	for w := 0; w < ps.Workers; w++ {
-		got := make(map[int]uint32)
-		var d packet.Decoded
+		clear(seen)
+		distinct := 0
 		for _, p := range n.Host(w).Received {
 			if err := d.DecodePacket(p); err != nil {
 				return res, err
 			}
 			for i, v := range d.ML.Values {
-				got[int(d.ML.Base)+i] = v
+				idx := int(d.ML.Base) + i
+				if idx >= ps.ModelSize {
+					return res, fmt.Errorf("apps: worker %d received weight %d of a %d-weight model", w, idx, ps.ModelSize)
+				}
+				if seen[idx/64]&(1<<(idx%64)) == 0 {
+					seen[idx/64] |= 1 << (idx % 64)
+					distinct++
+				}
+				got[idx] = v
 			}
 		}
-		if len(got) != ps.ModelSize {
-			return res, fmt.Errorf("apps: worker %d received %d of %d weights", w, len(got), ps.ModelSize)
+		if distinct != ps.ModelSize {
+			return res, fmt.Errorf("apps: worker %d received %d of %d weights", w, distinct, ps.ModelSize)
 		}
 		for idx, v := range got {
-			want := workload.MLExpectedSum(seed, ps.Workers, idx)
-			if v != want {
-				return res, fmt.Errorf("apps: worker %d weight %d = %d, want %d", w, idx, v, want)
+			if v != want[idx] {
+				return res, fmt.Errorf("apps: worker %d weight %d = %d, want %d", w, idx, v, want[idx])
 			}
 		}
 	}

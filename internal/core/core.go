@@ -174,25 +174,13 @@ func New(cfg Config, progs Programs) (*Switch, error) {
 	if progs.Egress != nil && progs.Egress.Layout != nil {
 		layout = progs.Egress.Layout
 	}
-	mk := func(n int, dst *[]*pipeline.Pipeline) error {
-		for i := 0; i < n; i++ {
-			p, err := pipeline.New(cfg.Pipe, parser, layout)
-			if err != nil {
-				return err
-			}
-			*dst = append(*dst, p)
-		}
-		return nil
-	}
-	if err := mk(cfg.Ports*cfg.DemuxFactor, &s.ingress); err != nil {
+	nIn := cfg.Ports * cfg.DemuxFactor
+	ps, err := pipeline.NewN(nIn+cfg.CentralPipelines+cfg.EgressPipelines, cfg.Pipe, parser, layout)
+	if err != nil {
 		return nil, err
 	}
-	if err := mk(cfg.CentralPipelines, &s.central); err != nil {
-		return nil, err
-	}
-	if err := mk(cfg.EgressPipelines, &s.egress); err != nil {
-		return nil, err
-	}
+	s.ingress, ps = ps[:nIn], ps[nIn:]
+	s.central, s.egress = ps[:cfg.CentralPipelines], ps[cfg.CentralPipelines:]
 	return s, nil
 }
 

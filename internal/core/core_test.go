@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -731,4 +732,30 @@ func TestTolerateReorderingCountsLateDrops(t *testing.T) {
 	if s.LateDrops() != 1 {
 		t.Fatalf("late drops = %d, want 1", s.LateDrops())
 	}
+}
+
+// TestConstructionBudget pins what building a switch costs at the
+// benchmark's geometry (16 ports, demux 2, 4+4 pipelines, 6 stages, 4096
+// table entries and 1024 register cells per stage): table maps and register
+// cells are made on first use, so an idle switch is headers only.
+func TestConstructionBudget(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CentralPipelines = 4
+	cfg.Pipe.Stages = 6
+	cfg.Pipe.TableEntriesPerStage = 4096
+	cfg.Pipe.RegisterCellsPerStage = 1024
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sw, err := New(cfg, Programs{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 1 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %d bytes", got)
+	if got > budget {
+		t.Errorf("core.New allocated %d bytes, budget %d", got, budget)
+	}
+	runtime.KeepAlive(sw)
 }

@@ -125,6 +125,42 @@ func TestCaptureRestoreByteIdentical(t *testing.T) {
 	}
 }
 
+// Register cells exist only in stages a packet has written, so checkpoints
+// must not care which side of a capture or restore ever made them: an idle
+// switch (no stage touched) and a driven one exchange state both ways.
+func TestCaptureRestoreUntouchedStages(t *testing.T) {
+	idle, err := core.New(snapConfig(), snapPrograms())
+	if err != nil {
+		t.Fatal(err)
+	}
+	idleSnap, err := ha.Capture(idle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driven := drivenSwitch(t)
+	drivenSnap, err := ha.Capture(driven)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(idleSnap, drivenSnap) {
+		t.Fatal("driving the switch left no state to tell apart")
+	}
+	// Empty state into written register files clears them.
+	if err := ha.Restore(driven, idleSnap); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ha.Capture(driven); err != nil || !bytes.Equal(got, idleSnap) {
+		t.Fatalf("driven switch restored from the idle snapshot differs from it (err %v)", err)
+	}
+	// Written state into untouched register files creates them.
+	if err := ha.Restore(idle, drivenSnap); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ha.Capture(idle); err != nil || !bytes.Equal(got, drivenSnap) {
+		t.Fatalf("idle switch restored from the driven snapshot differs from it (err %v)", err)
+	}
+}
+
 func TestRestoreRejectsFingerprintMismatch(t *testing.T) {
 	snap, err := ha.Capture(drivenSwitch(t))
 	if err != nil {

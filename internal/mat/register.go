@@ -42,27 +42,43 @@ func (op RegisterOp) String() string {
 // register files permit exactly one RMW per packet per file; the pipeline
 // enforces that constraint, this type just provides the storage and ops.
 type RegisterFile struct {
+	// cells is nil until the first Execute or Restore: most stages of most
+	// switches never run an RMW, and an untouched file reads as n zeroes
+	// without holding them.
 	cells []uint64
+	n     int
 	ops   uint64 // RMW operations executed (for accounting)
 }
 
 // NewRegisterFile returns a file of n zeroed cells.
 func NewRegisterFile(n int) *RegisterFile {
-	return &RegisterFile{cells: make([]uint64, n)}
+	if n < 0 {
+		panic(fmt.Sprintf("mat: register file of %d cells", n))
+	}
+	return &RegisterFile{n: n}
 }
 
 // Size returns the number of cells.
-func (f *RegisterFile) Size() int { return len(f.cells) }
+func (f *RegisterFile) Size() int { return f.n }
 
 // Ops returns the number of RMW operations executed.
 func (f *RegisterFile) Ops() uint64 { return f.ops }
 
 // Peek reads a cell without counting as an RMW (test/inspection use).
-func (f *RegisterFile) Peek(idx int) uint64 { return f.cells[idx] }
+// Out-of-range indexes panic, as in Execute.
+func (f *RegisterFile) Peek(idx int) uint64 {
+	if f.cells == nil && uint(idx) < uint(f.n) {
+		return 0
+	}
+	return f.cells[idx]
+}
 
 // Execute performs op on cell idx with argument arg and returns the result.
 // Out-of-range indexes panic: the compiler layer is responsible for bounds.
 func (f *RegisterFile) Execute(op RegisterOp, idx int, arg uint64) uint64 {
+	if f.cells == nil {
+		f.cells = make([]uint64, f.n)
+	}
 	f.ops++
 	cell := &f.cells[idx]
 	switch op {
@@ -98,7 +114,7 @@ func (f *RegisterFile) Execute(op RegisterOp, idx int, arg uint64) uint64 {
 
 // Snapshot copies the cells (tests and result extraction).
 func (f *RegisterFile) Snapshot() []uint64 {
-	out := make([]uint64, len(f.cells))
+	out := make([]uint64, f.n)
 	copy(out, f.cells)
 	return out
 }
@@ -106,8 +122,11 @@ func (f *RegisterFile) Snapshot() []uint64 {
 // Restore overwrites the file's cells and RMW count from a checkpoint.
 // The cell count must match the file's geometry.
 func (f *RegisterFile) Restore(cells []uint64, ops uint64) error {
-	if len(cells) != len(f.cells) {
-		return fmt.Errorf("mat: restore %d cells into a %d-cell file", len(cells), len(f.cells))
+	if len(cells) != f.n {
+		return fmt.Errorf("mat: restore %d cells into a %d-cell file", len(cells), f.n)
+	}
+	if f.cells == nil {
+		f.cells = make([]uint64, f.n)
 	}
 	copy(f.cells, cells)
 	f.ops = ops

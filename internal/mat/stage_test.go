@@ -252,6 +252,59 @@ func TestRegisterOps(t *testing.T) {
 	}
 }
 
+// An untouched file holds no cells yet reads as all zeroes, keeps its
+// bounds, and takes a checkpoint; cells appear with the first RMW.
+func TestRegisterFileUntouched(t *testing.T) {
+	f := NewRegisterFile(8)
+	if f.cells != nil {
+		t.Fatal("fresh file holds cells")
+	}
+	if f.Size() != 8 || f.Ops() != 0 || f.Peek(0) != 0 || f.Peek(7) != 0 {
+		t.Errorf("Size %d, Ops %d, Peek(0) %d, Peek(7) %d", f.Size(), f.Ops(), f.Peek(0), f.Peek(7))
+	}
+	snap := f.Snapshot()
+	if len(snap) != 8 {
+		t.Fatalf("Snapshot has %d cells", len(snap))
+	}
+	for i, v := range snap {
+		if v != 0 {
+			t.Errorf("Snapshot[%d] = %d", i, v)
+		}
+	}
+	f.Reset()
+	if f.cells != nil {
+		t.Error("Peek, Snapshot or Reset made the cells")
+	}
+	for name, fn := range map[string]func(){
+		"Peek(-1)":    func() { f.Peek(-1) },
+		"Peek(8)":     func() { f.Peek(8) },
+		"Execute(-1)": func() { f.Execute(RegAdd, -1, 1) },
+		"Execute(8)":  func() { f.Execute(RegAdd, 8, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on an untouched file did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+	if err := f.Restore(make([]uint64, 7), 0); err == nil {
+		t.Error("Restore accepted 7 cells into an 8-cell file")
+	}
+	if err := f.Restore([]uint64{0, 1, 2, 3, 4, 5, 6, 7}, 9); err != nil {
+		t.Fatal(err)
+	}
+	if f.Peek(5) != 5 || f.Ops() != 9 {
+		t.Errorf("after Restore: Peek(5) %d, Ops %d", f.Peek(5), f.Ops())
+	}
+	g := NewRegisterFile(8)
+	if got := g.Execute(RegAdd, 3, 4); got != 4 || g.Peek(3) != 4 || g.Peek(2) != 0 || g.Ops() != 1 {
+		t.Errorf("first RMW: got %d, Peek(3) %d, Peek(2) %d, Ops %d", got, g.Peek(3), g.Peek(2), g.Ops())
+	}
+}
+
 func TestRegisterOpStrings(t *testing.T) {
 	ops := []RegisterOp{RegRead, RegWrite, RegAdd, RegMax, RegMin, RegCAS, RegisterOp(99)}
 	for _, op := range ops {

@@ -45,19 +45,22 @@ var ErrTableFull = fmt.Errorf("mat: table full")
 // ExactTable is a hash-based exact-match table with a hard entry capacity
 // (SRAM entries in a real stage).
 type ExactTable struct {
-	m   map[uint64]Result
+	m   map[uint64]Result // nil until the first Insert
 	cap int
 }
 
-// NewExactTable returns an exact table holding up to capacity entries. The
-// backing map grows on demand (most simulated tables stay far below the
-// modeled SRAM capacity, and switches instantiate hundreds of them).
+// exactTableHint caps the size the backing map is first made with; beyond
+// it the map grows on demand (most simulated tables stay far below the
+// modeled SRAM capacity).
+const exactTableHint = 1024
+
+// NewExactTable returns an empty exact table holding up to capacity
+// entries. It allocates no storage: switches instantiate hundreds of
+// tables and fill few, so the backing map is made by the first Insert
+// (sized min(capacity, exactTableHint)) and a never-filled table costs
+// only its header.
 func NewExactTable(capacity int) *ExactTable {
-	hint := capacity
-	if hint > 1024 {
-		hint = 1024
-	}
-	return &ExactTable{m: make(map[uint64]Result, hint), cap: capacity}
+	return &ExactTable{cap: capacity}
 }
 
 // Lookup implements Table.
@@ -70,6 +73,9 @@ func (t *ExactTable) Lookup(key uint64) (Result, bool) {
 func (t *ExactTable) Insert(key uint64, r Result) error {
 	if _, exists := t.m[key]; !exists && len(t.m) >= t.cap {
 		return ErrTableFull
+	}
+	if t.m == nil {
+		t.m = make(map[uint64]Result, min(t.cap, exactTableHint))
 	}
 	t.m[key] = r
 	return nil

@@ -44,6 +44,36 @@ func TestExactTableCapacity(t *testing.T) {
 	}
 }
 
+// A table nobody inserted into holds no map, and every read-side operation
+// behaves as on an empty one; the map appears with the first entry.
+func TestExactTableNeverInserted(t *testing.T) {
+	tb := NewExactTable(4096)
+	if got := testing.AllocsPerRun(10, func() { NewExactTable(4096) }); got > 1 {
+		t.Errorf("NewExactTable allocates %v objects, want the header only", got)
+	}
+	if _, ok := tb.Lookup(7); ok {
+		t.Error("empty table hit")
+	}
+	tb.Delete(7)
+	if tb.Len() != 0 || tb.Capacity() != 4096 || tb.m != nil {
+		t.Errorf("Len %d, Capacity %d, map made %v", tb.Len(), tb.Capacity(), tb.m != nil)
+	}
+	// Full at capacity from the start: nothing fits, nothing is allocated.
+	zero := NewExactTable(0)
+	if err := zero.Insert(1, Result{}); err != ErrTableFull {
+		t.Errorf("insert into a 0-entry table: err = %v, want ErrTableFull", err)
+	}
+	if zero.Len() != 0 || zero.m != nil {
+		t.Errorf("0-entry table: Len %d, map made %v", zero.Len(), zero.m != nil)
+	}
+	if err := tb.Insert(7, Result{ActionID: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if r, ok := tb.Lookup(7); !ok || r.ActionID != 3 || tb.Len() != 1 {
+		t.Errorf("after first insert: Lookup = %+v, %v; Len %d", r, ok, tb.Len())
+	}
+}
+
 func TestLPMLongestWins(t *testing.T) {
 	tb := NewLPMTable(10)
 	if err := tb.InsertPrefix(0x0A000000, 8, Result{ActionID: 1}); err != nil { // 10/8

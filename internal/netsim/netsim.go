@@ -161,8 +161,18 @@ type Network struct {
 	// txBusyUntil serializes each host's uplink; rxBusyUntil each downlink.
 	txBusyUntil []sim.Time
 	rxBusyUntil []sim.Time
-	// swBusyUntil models the switch's service capacity (ServiceRatePPS).
-	swBusyUntil sim.Time
+	// swBusyUntil models the switch's service capacity (ServiceRatePPS):
+	// counter is the switch's traversal count and perTraversal the time one
+	// traversal occupies it, both resolved once in New (counter stays nil
+	// when no rate is configured or the switch cannot report traversals).
+	swBusyUntil  sim.Time
+	counter      TraversalCounter
+	perTraversal sim.Time
+
+	// freeEv recycles the per-packet event records (see pktEvent); scratch
+	// is coflowOf's reusable decode target.
+	freeEv  *pktEvent
+	scratch packet.Decoded
 
 	// OnDeliver, when set, observes every host delivery.
 	OnDeliver func(host int, pkt *packet.Packet, now sim.Time)
@@ -232,6 +242,10 @@ func New(cfg Config, sw SwitchModel) (*Network, error) {
 	}
 	for i := 0; i < cfg.Hosts; i++ {
 		n.hosts = append(n.hosts, &Host{ID: i})
+	}
+	if cfg.ServiceRatePPS > 0 {
+		n.counter, _ = sw.(TraversalCounter)
+		n.perTraversal = sim.Time(1e12 / cfg.ServiceRatePPS)
 	}
 	if cfg.Faults != nil {
 		n.inj = faults.NewInjector(cfg.Faults)
@@ -414,13 +428,82 @@ func (n *Network) serialization(host int, p *packet.Packet) sim.Time {
 }
 
 // coflowOf decodes a packet's coflow id (0 when undecodable), matching the
-// tracker's keying of send/deliver events.
-func coflowOf(p *packet.Packet) uint32 {
-	var d packet.Decoded
-	if err := d.DecodePacket(p); err != nil {
+// tracker's keying of send/deliver events. The decode is a full one, into
+// the network's scratch, so a packet whose body is malformed reads as 0.
+func (n *Network) coflowOf(p *packet.Packet) uint32 {
+	if err := n.scratch.DecodePacket(p); err != nil {
 		return 0
 	}
-	return d.Base.CoflowID
+	return n.scratch.Base.CoflowID
+}
+
+// pktEvent is one packet's pending hop: the state the event needs when it
+// fires, in a recycled record instead of a fresh closure per event. fire is
+// the record's run method, bound once when the record is first made, so
+// posting a hop — and re-posting the same record while the switch is busy —
+// allocates nothing. A record returns to the network's free list once its
+// event has run (an arrival's as soon as the switch admits it).
+type pktEvent struct {
+	n    *Network
+	fire func()
+	next *pktEvent // free list
+
+	pkt    *packet.Packet
+	ts     *txState         // evArrive: sender's retransmission state
+	ch     *telemetry.Chain // causal account, advanced when the event fires
+	sentAt sim.Time         // transmission start, for the latency histogram
+	host   int              // source (evSend) or destination (evDeliver) host
+	cf     uint32           // evDeliver
+	kind   evKind
+	bucket telemetry.Bucket // evArrive: what the wait before firing is charged to
+}
+
+type evKind uint8
+
+const (
+	evSend    evKind = iota // host starts (or, after a crash, restarts) a send
+	evArrive                // packet reaches the switch, or retries admission
+	evDeliver               // packet reaches its destination host
+)
+
+// event returns a blank record of the given kind. Records are made a slab
+// at a time: harnesses post every send of a round up front, so the pool
+// grows to the round's size before the first record comes back.
+func (n *Network) event(kind evKind) *pktEvent {
+	if n.freeEv == nil {
+		slab := make([]pktEvent, 64)
+		for i := range slab {
+			e := &slab[i]
+			e.n, e.fire, e.next = n, e.run, n.freeEv
+			n.freeEv = e
+		}
+	}
+	e := n.freeEv
+	n.freeEv, e.next = e.next, nil
+	e.kind = kind
+	return e
+}
+
+// recycle clears the record's references and returns it to the free list.
+func (n *Network) recycle(e *pktEvent) {
+	*e = pktEvent{n: n, fire: e.fire, next: n.freeEv}
+	n.freeEv = e
+}
+
+func (e *pktEvent) run() {
+	n := e.n
+	switch e.kind {
+	case evSend:
+		n.startSend(e.host, e.pkt)
+		n.recycle(e)
+	case evArrive:
+		e.ch.Advance(n.eng.Now(), e.bucket)
+		n.arriveAtSwitch(e)
+	case evDeliver:
+		e.ch.Advance(n.eng.Now(), telemetry.BucketPropagation)
+		n.deliver(e.host, e.pkt, e.cf, e.sentAt, e.ch)
+		n.recycle(e)
+	}
 }
 
 // SendAt schedules host src to transmit pkt at time at (or when its uplink
@@ -431,7 +514,13 @@ func (n *Network) SendAt(src int, pkt *packet.Packet, at sim.Time) {
 		panic(fmt.Sprintf("netsim: host %d out of range", src))
 	}
 	pkt.IngressPort = src
-	n.eng.Post(at, func() { n.startSend(src, pkt) })
+	n.postSend(src, pkt, at)
+}
+
+func (n *Network) postSend(src int, pkt *packet.Packet, at sim.Time) {
+	e := n.event(evSend)
+	e.host, e.pkt = src, pkt
+	n.eng.Post(at, e.fire)
 }
 
 // startSend is a packet's entry into the network: a crashed (or cut-off)
@@ -442,11 +531,11 @@ func (n *Network) startSend(src int, pkt *packet.Packet) {
 	if n.inj != nil {
 		if up := n.inj.ResumeAt(src, now); up > now {
 			n.led.SendDeferrals++
-			n.eng.Post(up, func() { n.startSend(src, pkt) })
+			n.postSend(src, pkt, up)
 			return
 		}
 	}
-	cf := coflowOf(pkt)
+	cf := n.coflowOf(pkt)
 	n.tracker.Send(cf, now, pkt.WireLen())
 	n.injected++
 	n.fr.Record(now, "send", int64(cf), int64(src))
@@ -461,26 +550,35 @@ func (n *Network) startSend(src int, pkt *packet.Packet) {
 
 // arriveAtSwitch runs the switch synchronously and schedules deliveries.
 // With a service rate configured, arrivals wait for the switch to free up
-// and each traversal (including recirculated passes) occupies it. sentAt
-// is the packet's transmission start, threaded through to delivery so the
-// end-to-end latency histogram sees the full path. ts is the sender's
-// retransmission state (nil without recovery): the first copy to arrive is
-// acknowledged, later copies are suppressed here, before the switch
-// program, so stateful switch programs never see duplicates.
-func (n *Network) arriveAtSwitch(pkt *packet.Packet, sentAt sim.Time, ts *txState, ch *telemetry.Chain) {
+// and each traversal (including recirculated passes) occupies it: a waiting
+// arrival re-posts its own record for the time the switch frees, as often as
+// it loses that race. e.sentAt is the packet's transmission start, threaded
+// through to delivery so the end-to-end latency histogram sees the full
+// path. e.ts is the sender's retransmission state (nil without recovery):
+// the first copy to arrive is acknowledged, later copies are suppressed
+// here, before the switch program, so stateful switch programs never see
+// duplicates.
+func (n *Network) arriveAtSwitch(e *pktEvent) {
 	if n.inj != nil {
 		if end, stalled := n.inj.StallEnd(n.eng.Now()); stalled {
 			// Switch stall window: the arrival is held (input buffering)
 			// and replayed when the switch resumes.
 			n.led.StallDeferrals++
-			n.fr.Record(n.eng.Now(), "stall.defer", int64(coflowOf(pkt)), int64(end))
-			n.eng.Post(end, func() {
-				ch.Advance(n.eng.Now(), telemetry.BucketFailoverStall)
-				n.arriveAtSwitch(pkt, sentAt, ts, ch)
-			})
+			n.fr.Record(n.eng.Now(), "stall.defer", int64(n.coflowOf(e.pkt)), int64(end))
+			e.bucket = telemetry.BucketFailoverStall
+			n.eng.Post(end, e.fire)
 			return
 		}
 	}
+	// A replicated switch never waits here: Validate rejects a standby
+	// together with a service rate, so counter is nil whenever pair is set.
+	if n.counter != nil && !n.swCrashed && n.swBusyUntil > n.eng.Now() {
+		e.bucket = telemetry.BucketQueueing
+		n.eng.Post(n.swBusyUntil, e.fire)
+		return
+	}
+	pkt, sentAt, ts, ch := e.pkt, e.sentAt, e.ts, e.ch
+	n.recycle(e)
 	if n.pair != nil {
 		n.haArrival(pkt, sentAt, ts, ch)
 		return
@@ -488,18 +586,6 @@ func (n *Network) arriveAtSwitch(pkt *packet.Packet, sentAt sim.Time, ts *txStat
 	if n.swCrashed {
 		n.led.SwitchArrivals++
 		n.crashDrop(pkt, ts)
-		return
-	}
-	var counter TraversalCounter
-	if n.cfg.ServiceRatePPS > 0 {
-		counter, _ = n.sw.(TraversalCounter)
-	}
-	if counter != nil && n.swBusyUntil > n.eng.Now() {
-		at := n.swBusyUntil
-		n.eng.Post(at, func() {
-			ch.Advance(n.eng.Now(), telemetry.BucketQueueing)
-			n.arriveAtSwitch(pkt, sentAt, ts, ch)
-		})
 		return
 	}
 	n.led.SwitchArrivals++
@@ -523,10 +609,10 @@ func (n *Network) arriveAtSwitch(pkt *packet.Packet, sentAt sim.Time, ts *txStat
 		// not disturb the accepted copy's history.
 		ch = ch.Fork()
 	}
-	n.fr.Record(n.eng.Now(), "switch.arrive", int64(coflowOf(pkt)), int64(pkt.IngressPort))
+	n.fr.Record(n.eng.Now(), "switch.arrive", int64(n.coflowOf(pkt)), int64(pkt.IngressPort))
 	var before uint64
-	if counter != nil {
-		before = counter.IngressTraversals()
+	if n.counter != nil {
+		before = n.counter.IngressTraversals()
 	}
 	outs, err := n.sw.Process(pkt)
 	if err != nil {
@@ -534,8 +620,8 @@ func (n *Network) arriveAtSwitch(pkt *packet.Packet, sentAt sim.Time, ts *txStat
 		// must leave the books as a drop, not vanish.
 		n.errs = append(n.errs, err)
 		n.led.SwitchErrors++
-		n.tracker.Drop(coflowOf(pkt))
-		n.fr.Record(n.eng.Now(), "switch.error", int64(coflowOf(pkt)), 0)
+		n.tracker.Drop(n.coflowOf(pkt))
+		n.fr.Record(n.eng.Now(), "switch.error", int64(n.coflowOf(pkt)), 0)
 		if n.tr != nil {
 			n.tr.Instant(n.eng.Now(), "switch.error", "net", n.pid, n.swTID,
 				map[string]any{"error": err.Error()})
@@ -547,13 +633,12 @@ func (n *Network) arriveAtSwitch(pkt *packet.Packet, sentAt sim.Time, ts *txStat
 		n.tr.Instant(n.eng.Now(), "switch.process", "net", n.pid, n.swTID,
 			map[string]any{"ingress_port": pkt.IngressPort, "outs": len(outs)})
 	}
-	if counter != nil {
-		delta := counter.IngressTraversals() - before
+	if n.counter != nil {
+		delta := n.counter.IngressTraversals() - before
 		if delta == 0 {
 			delta = 1
 		}
-		perTraversal := sim.Time(1e12 / n.cfg.ServiceRatePPS)
-		n.swBusyUntil = n.eng.Now() + sim.Time(delta)*perTraversal
+		n.swBusyUntil = n.eng.Now() + sim.Time(delta)*n.perTraversal
 	}
 	n.scheduleOutputs(outs, sentAt, ch)
 }
@@ -579,10 +664,10 @@ func (n *Network) scheduleOutputs(outs []*packet.Packet, sentAt sim.Time, ch *te
 			// drop (and an error for tests) instead of vanishing.
 			n.errs = append(n.errs, fmt.Errorf("netsim: delivery on hostless port %d", dst))
 			n.led.HostlessDrops++
-			n.tracker.Drop(coflowOf(out))
+			n.tracker.Drop(n.coflowOf(out))
 			continue
 		}
-		cf := coflowOf(out)
+		cf := n.coflowOf(out)
 		c := ch
 		if i < len(outs)-1 {
 			c = ch.Fork() // the last output continues on the parent account
@@ -603,7 +688,7 @@ func (n *Network) scheduleOutputs(outs []*packet.Packet, sentAt sim.Time, ch *te
 // budget); without recovery the packet drops terminally.
 func (n *Network) crashDrop(pkt *packet.Packet, ts *txState) {
 	n.led.CrashDrops++
-	cf := coflowOf(pkt)
+	cf := n.coflowOf(pkt)
 	n.tracker.Lose(cf)
 	n.fr.Record(n.eng.Now(), "crash.drop", int64(cf), int64(pkt.IngressPort))
 	if ts == nil {
@@ -644,7 +729,7 @@ func (n *Network) haArrival(pkt *packet.Packet, sentAt sim.Time, ts *txState, ch
 	if ts != nil {
 		uid = ts.uid
 	}
-	n.fr.Record(n.eng.Now(), "switch.arrive", int64(coflowOf(pkt)), int64(pkt.IngressPort))
+	n.fr.Record(n.eng.Now(), "switch.arrive", int64(n.coflowOf(pkt)), int64(pkt.IngressPort))
 	// Detach the committed account from the sender's (see arriveAtSwitch);
 	// the commit closure runs at the delta's ship time, possibly after
 	// spurious retransmissions have advanced ts.chain.
@@ -665,8 +750,8 @@ func (n *Network) haArrival(pkt *packet.Packet, sentAt sim.Time, ts *txState, ch
 		}
 		n.errs = append(n.errs, err)
 		n.led.SwitchErrors++
-		n.tracker.Drop(coflowOf(pkt))
-		n.fr.Record(n.eng.Now(), "switch.error", int64(coflowOf(pkt)), 0)
+		n.tracker.Drop(n.coflowOf(pkt))
+		n.fr.Record(n.eng.Now(), "switch.error", int64(n.coflowOf(pkt)), 0)
 		if n.tr != nil {
 			n.tr.Instant(n.eng.Now(), "switch.error", "net", n.pid, n.swTID,
 				map[string]any{"error": err.Error()})

@@ -151,10 +151,9 @@ func (n *Network) transmit(src int, pkt *packet.Packet, ts *txState, ch *telemet
 	}
 	switch out {
 	case faults.OK:
-		n.eng.Post(arrive, func() {
-			ch.Advance(n.eng.Now(), telemetry.BucketPropagation)
-			n.arriveAtSwitch(pkt, start, ts, ch)
-		})
+		e := n.event(evArrive)
+		e.pkt, e.sentAt, e.ts, e.ch, e.bucket = pkt, start, ts, ch, telemetry.BucketPropagation
+		n.eng.Post(arrive, e.fire)
 	case faults.Lost:
 		n.countTxFault(out, ts, pkt)
 	case faults.Corrupt:
@@ -220,7 +219,7 @@ func (n *Network) countTxFault(out faults.Outcome, ts *txState, pkt *packet.Pack
 	case faults.HostDown:
 		n.led.TxHostDown++
 	}
-	cf := coflowOf(pkt)
+	cf := n.coflowOf(pkt)
 	n.tracker.Lose(cf)
 	if ts == nil {
 		n.tracker.Drop(cf)
@@ -325,10 +324,9 @@ func (n *Network) attemptDeliver(dst int, p *packet.Packet, cf uint32, earliest,
 		n.redeliver(rs, done)
 		return
 	}
-	n.eng.Post(arrive, func() {
-		ch.Advance(n.eng.Now(), telemetry.BucketPropagation)
-		n.deliver(dst, p, cf, sentAt, ch)
-	})
+	e := n.event(evDeliver)
+	e.host, e.pkt, e.cf, e.sentAt, e.ch = dst, p, cf, sentAt, ch
+	n.eng.Post(arrive, e.fire)
 }
 
 // countRxFault books one faulted downlink attempt; without recovery the

@@ -39,6 +39,8 @@ type FlatResult struct {
 	Arrays        []FlatArray
 	StatesVisited int
 	BytesConsumed int
+
+	vals []uint64 // per-state extract scratch (selector and count values)
 }
 
 func (r *FlatResult) addArray(slot, n int) []uint32 {
@@ -87,13 +89,13 @@ type boundState struct {
 }
 
 // BoundParser is a ParseGraph resolved against one consumer's field
-// mapping (see ParseGraph.Bind). It owns a scratch buffer for selector
-// and count values, so a BoundParser serves one goroutine at a time —
-// the same single-goroutine contract every pipeline already has.
+// mapping (see ParseGraph.Bind). It is immutable once bound — all per-run
+// scratch lives in the caller's FlatResult — so every pipeline of a switch
+// shares one.
 type BoundParser struct {
-	states []boundState
-	start  int
-	vals   []uint64 // per-state extract scratch
+	states      []boundState
+	start       int
+	maxExtracts int // widest state: sizes FlatResult's scratch
 }
 
 // Bind validates the graph and resolves it against a consumer mapping:
@@ -123,7 +125,6 @@ func (g *ParseGraph) Bind(lookup func(name string, array bool) int) (*BoundParse
 		return index[name]
 	}
 	b := &BoundParser{start: index[g.start]}
-	maxExtracts := 0
 	for _, name := range names {
 		s := g.states[name]
 		// Last extract of each name wins, exactly like the map the
@@ -181,12 +182,11 @@ func (g *ParseGraph) Bind(lookup func(name string, array bool) int) (*BoundParse
 				maxCount: maxN,
 			})
 		}
-		if len(bs.extracts) > maxExtracts {
-			maxExtracts = len(bs.extracts)
+		if len(bs.extracts) > b.maxExtracts {
+			b.maxExtracts = len(bs.extracts)
 		}
 		b.states = append(b.states, bs)
 	}
-	b.vals = make([]uint64, maxExtracts)
 	return b, nil
 }
 
@@ -202,6 +202,9 @@ func (b *BoundParser) Run(data []byte, maxStates int, res *FlatResult) error {
 	res.Arrays = res.Arrays[:0]
 	res.StatesVisited = 0
 	res.BytesConsumed = 0
+	if cap(res.vals) < b.maxExtracts {
+		res.vals = make([]uint64, b.maxExtracts)
+	}
 	cur := b.start
 	for cur >= 0 {
 		if res.StatesVisited >= maxStates {
@@ -211,7 +214,7 @@ func (b *BoundParser) Run(data []byte, maxStates int, res *FlatResult) error {
 		if len(data) < s.hdrLen {
 			return ErrTruncated
 		}
-		vals := b.vals[:len(s.extracts)]
+		vals := res.vals[:len(s.extracts)]
 		for i := range s.extracts {
 			f := &s.extracts[i]
 			var v uint64

@@ -38,15 +38,22 @@ func (p *Packet) Clone() *Packet {
 
 // Build assembles a packet from a base header and an optional application
 // header. The base header's Proto and Length fields are overwritten to match
-// the body. Pass a nil body for ProtoRaw packets with an empty payload.
-func Build(h Header, body interface{ Encode([]byte) []byte }) *Packet {
-	var payload []byte
+// the body. Pass a nil body for ProtoRaw packets with an empty payload. The
+// body is encoded straight into the packet's one buffer, sized up front
+// from its EncodedLen.
+func Build(h Header, body interface {
+	EncodedLen() int
+	Encode([]byte) []byte
+}) *Packet {
+	n := 0
 	if body != nil {
-		payload = body.Encode(nil)
+		n = body.EncodedLen()
 	}
-	h.Length = uint16(len(payload))
-	data := h.Encode(make([]byte, 0, BaseHeaderLen+len(payload)))
-	data = append(data, payload...)
+	h.Length = uint16(n)
+	data := h.Encode(make([]byte, 0, BaseHeaderLen+n))
+	if body != nil {
+		data = body.Encode(data)
+	}
 	return &Packet{Data: data, EgressPort: -1}
 }
 

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -166,6 +167,41 @@ func TestBuildAndDecode(t *testing.T) {
 	}
 	if d.GoodputBytes() != 12 {
 		t.Errorf("GoodputBytes = %d, want 12", d.GoodputBytes())
+	}
+}
+
+// TestBuildSizesOneBuffer: Build trusts each body's EncodedLen to size the
+// packet's only buffer, so the two must agree for every header type, and a
+// build costs exactly the buffer and the Packet.
+func TestBuildSizesOneBuffer(t *testing.T) {
+	bodies := map[Proto]interface {
+		EncodedLen() int
+		Encode([]byte) []byte
+	}{
+		ProtoML:    &MLHeader{Base: 64, Worker: 2, Values: []uint32{9, 8, 7, 6, 5}},
+		ProtoKV:    &KVHeader{Op: KVPut, Pairs: []KVPair{{1, 2}, {3, 4}, {5, 6}}},
+		ProtoDB:    &DBHeader{Query: 3, Stage: 1, Tuples: []DBTuple{{1, 2}, {3, 4}}},
+		ProtoGraph: &GraphHeader{Round: 2, Edges: []Edge{{1, 2}}},
+		ProtoGroup: &GroupHeader{GroupID: 1, Chunk: 2, Total: 3, Payload: []byte("payload")},
+	}
+	for proto, body := range bodies {
+		p := Build(sampleHeader(proto), body)
+		payload := body.Encode(nil)
+		h := sampleHeader(proto)
+		h.Length = uint16(len(payload))
+		want := append(h.Encode(nil), payload...)
+		if !bytes.Equal(p.Data, want) {
+			t.Errorf("%v: Build = %x, want %x", proto, p.Data, want)
+		}
+		if cap(p.Data) != len(p.Data) {
+			t.Errorf("%v: buffer cap %d for %d bytes (EncodedLen %d)", proto, cap(p.Data), len(p.Data), body.EncodedLen())
+		}
+		if got := testing.AllocsPerRun(100, func() { Build(sampleHeader(proto), body) }); got != 2 {
+			t.Errorf("%v: Build allocates %v objects, want 2", proto, got)
+		}
+	}
+	if p := Build(sampleHeader(ProtoRaw), nil); len(p.Data) != BaseHeaderLen {
+		t.Errorf("nil body: %d bytes", len(p.Data))
 	}
 }
 

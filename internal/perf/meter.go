@@ -15,12 +15,13 @@ const MeterWindow = 1024
 
 // Meter is a low-overhead throughput probe on one engine's dispatch loop.
 // It is engine-local (the engine is single-goroutine by contract) and only
-// touches shared plane state at window boundaries, via atomics. Events in
-// an unfinished tail window when the engine stops are never flushed —
-// both the event count and the wall time exclude them, so events/s stays
-// unbiased and the flushed totals stay deterministic for a deterministic
-// simulation (floor(fired/window)·window per engine, independent of
-// worker scheduling).
+// touches shared plane state at window boundaries, via atomics. The
+// unfinished tail window is flushed when the engine's Run or RunUntil
+// returns, with the clock sampled then, so an engine that fires fewer
+// events than a window still counts and the flushed total of a run is
+// exactly the events its engines fired — deterministic for a deterministic
+// simulation, independent of worker scheduling. Only an engine driven by
+// bare Step calls keeps an unflushed tail.
 type Meter struct {
 	plane *Plane
 
@@ -46,6 +47,7 @@ func (p *Plane) AttachMeter(eng *sim.Engine) {
 	}
 	m := &Meter{plane: p}
 	eng.AddDispatchHook(m.hook)
+	eng.AddRunEndHook(m.endRun)
 }
 
 // Attach installs a meter for the active plane; no-op when the plane is
@@ -69,6 +71,19 @@ func (m *Meter) hook(at sim.Time, pending int, fired uint64) {
 	if m.n >= MeterWindow {
 		m.flush()
 	}
+}
+
+// endRun flushes the tail window and stops the clock: time until the
+// engine's next event belongs to whoever runs between two Run calls.
+func (m *Meter) endRun() {
+	if m.batch > 0 {
+		m.closeBatch()
+		m.batch = 0
+	}
+	if m.n > 0 {
+		m.flush()
+	}
+	m.haveLast = false
 }
 
 func (m *Meter) closeBatch() {

@@ -98,9 +98,10 @@ func TestMeterWindowing(t *testing.T) {
 	}
 }
 
-// TestMeterOnEngine pins the end-to-end contract: an engine that fires N
-// events flushes exactly floor(N/window)*window of them, regardless of
-// wall-clock behavior.
+// TestMeterOnEngine pins the end-to-end contract: whatever an engine fires
+// under Run or RunUntil is flushed when that call returns — full windows,
+// the tail window, and engines too short to fill one — so the plane's
+// event and batch totals are exact, regardless of wall-clock behavior.
 func TestMeterOnEngine(t *testing.T) {
 	p := New()
 	eng := sim.NewEngine()
@@ -109,15 +110,32 @@ func TestMeterOnEngine(t *testing.T) {
 	for i := 0; i < total; i++ {
 		eng.Schedule(sim.Time(i), func() {})
 	}
+	eng.RunUntil(sim.Time(MeterWindow / 2))
+	if got, want := p.events.Load(), eng.Fired(); got != want || want != MeterWindow/2+1 {
+		t.Errorf("metered events after RunUntil = %d, engine fired %d", got, want)
+	}
 	eng.Run()
 	if eng.Fired() != uint64(total) {
 		t.Fatalf("engine fired %d, want %d", eng.Fired(), total)
 	}
-	if got := p.events.Load(); got != 2*MeterWindow {
-		t.Errorf("metered events = %d, want %d", got, 2*MeterWindow)
+	short := sim.NewEngine() // never completes a window
+	p.AttachMeter(short)
+	for i := 0; i < 7; i++ {
+		short.Post(5, func() {})
 	}
-	if v, ok := snapshotValue(t, p, "perf.engine.events", nil); !ok || v != 2*MeterWindow {
-		t.Errorf("perf.engine.events = %v (present %v), want %d", v, ok, 2*MeterWindow)
+	short.Run()
+	if got := p.events.Load(); got != uint64(total+7) {
+		t.Errorf("metered events = %d, want %d", got, total+7)
+	}
+	if v, ok := snapshotValue(t, p, "perf.engine.events", nil); !ok || v != float64(total+7) {
+		t.Errorf("perf.engine.events = %v (present %v), want %d", v, ok, total+7)
+	}
+	// Distinct timestamps on the first engine, one 7-event batch on the second.
+	if got := p.batches.Load(); got != uint64(total+1) {
+		t.Errorf("batches = %d, want %d", got, total+1)
+	}
+	if got := p.batchMax.Load(); got != 7 {
+		t.Errorf("batch max = %d, want 7", got)
 	}
 }
 

@@ -255,40 +255,57 @@ type Pipeline struct {
 // New builds a pipeline. The layout must be allocated from cfg.PHVBudget
 // (the program compiler guarantees this; direct users must too).
 func New(cfg Config, parser *packet.ParseGraph, layout *phv.Layout) (*Pipeline, error) {
+	ps, err := NewN(1, cfg, parser, layout)
+	if err != nil {
+		return nil, err
+	}
+	return ps[0], nil
+}
+
+// NewN builds n identical pipelines, as a switch does: the parse graph is
+// bound against the layout once and the (immutable) bound parser shared.
+func NewN(n int, cfg Config, parser *packet.ParseGraph, layout *phv.Layout) ([]*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Pipeline{
-		cfg:    cfg,
-		parser: parser,
-		layout: layout,
-		pool:   phv.NewPool(layout),
-	}
+	var bound *packet.BoundParser
 	if parser != nil && layout != nil {
 		// Best effort: a graph that fails validation keeps the legacy
 		// map-based parse path (identical behavior, slower).
-		if bound, err := parser.Bind(func(name string, array bool) int {
+		if b, err := parser.Bind(func(name string, array bool) int {
 			id := layout.Lookup(name)
 			if id == phv.Invalid || layout.IsArray(id) != array {
 				return -1
 			}
 			return int(id)
 		}); err == nil {
-			p.bound = bound
+			bound = b
 		}
 	}
-	for i := 0; i < cfg.Stages; i++ {
-		st := &Stage{
-			Index: i,
-			Mem:   mat.NewStageMemory(cfg.MemoryMode, cfg.MAUsPerStage, cfg.TableEntriesPerStage, cfg.MemoryClockMult),
-			Regs:  mat.NewRegisterFile(cfg.RegisterCellsPerStage),
+	ps := make([]*Pipeline, n)
+	for i := range ps {
+		p := &Pipeline{
+			cfg:    cfg,
+			parser: parser,
+			layout: layout,
+			pool:   phv.NewPool(layout),
+			bound:  bound,
+			stages: make([]*Stage, cfg.Stages),
 		}
-		if cfg.TCAMEntriesPerStage > 0 {
-			st.TCAM = mat.NewTernaryTable(cfg.TCAMEntriesPerStage)
+		for j := range p.stages {
+			st := &Stage{
+				Index: j,
+				Mem:   mat.NewStageMemory(cfg.MemoryMode, cfg.MAUsPerStage, cfg.TableEntriesPerStage, cfg.MemoryClockMult),
+				Regs:  mat.NewRegisterFile(cfg.RegisterCellsPerStage),
+			}
+			if cfg.TCAMEntriesPerStage > 0 {
+				st.TCAM = mat.NewTernaryTable(cfg.TCAMEntriesPerStage)
+			}
+			p.stages[j] = st
 		}
-		p.stages = append(p.stages, st)
+		ps[i] = p
 	}
-	return p, nil
+	return ps, nil
 }
 
 // Config returns the pipeline's configuration.

@@ -115,18 +115,11 @@ func New(cfg Config, ingressProg, egressProg *pipeline.Program) (*Switch, error)
 	}
 	parser := packet.StandardGraph()
 	layout := pipeline.LayoutOf(ingressProg, egressProg, cfg.Pipe.PHVBudget)
-	for i := 0; i < cfg.Pipelines; i++ {
-		in, err := pipeline.New(cfg.Pipe, parser, layout)
-		if err != nil {
-			return nil, err
-		}
-		out, err := pipeline.New(cfg.Pipe, parser, layout)
-		if err != nil {
-			return nil, err
-		}
-		s.ingress = append(s.ingress, in)
-		s.egress = append(s.egress, out)
+	ps, err := pipeline.NewN(2*cfg.Pipelines, cfg.Pipe, parser, layout)
+	if err != nil {
+		return nil, err
 	}
+	s.ingress, s.egress = ps[:cfg.Pipelines], ps[cfg.Pipelines:]
 	return s, nil
 }
 

@@ -1,6 +1,7 @@
 package rmt
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -504,4 +505,30 @@ func TestEgressEmissionOutOfRangePortMisroutes(t *testing.T) {
 	if s.Misrouted() != 1 {
 		t.Errorf("Misrouted = %d", s.Misrouted())
 	}
+}
+
+// TestConstructionBudget pins what building a switch costs at the
+// benchmark's geometry (16 ports, 4 pipelines, 6 stages, 4096 table entries
+// and 1024 register cells per stage): table maps and register cells are
+// made on first use, so an idle switch is headers only.
+func TestConstructionBudget(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Ports = 16
+	cfg.Pipe.Stages = 6
+	cfg.Pipe.TableEntriesPerStage = 4096
+	cfg.Pipe.RegisterCellsPerStage = 1024
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sw, err := New(cfg, nil, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 256 << 10
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("allocated %d bytes", got)
+	if got > budget {
+		t.Errorf("rmt.New allocated %d bytes, budget %d", got, budget)
+	}
+	runtime.KeepAlive(sw)
 }

@@ -185,6 +185,7 @@ type Engine struct {
 	fired   uint64
 	stopped bool
 	hooks   []DispatchHook
+	runEnd  []func()
 
 	qmode int
 
@@ -300,6 +301,23 @@ func (e *Engine) AddDispatchHook(h DispatchHook) {
 		return
 	}
 	e.hooks = append(e.hooks, h)
+}
+
+// AddRunEndHook appends h to the hooks called, in installation order, each
+// time Run or RunUntil returns — whether the queue drained, Stop was
+// called, the deadline passed or the event budget ran out. Observers that
+// batch per-event work (the perf plane's dispatch meter) settle their
+// partial batch here.
+func (e *Engine) AddRunEndHook(h func()) {
+	if h != nil {
+		e.runEnd = append(e.runEnd, h)
+	}
+}
+
+func (e *Engine) endRun() {
+	for _, h := range e.runEnd {
+		h()
+	}
 }
 
 // Schedule registers fn to run at absolute time at and returns a handle
@@ -639,6 +657,7 @@ func (e *Engine) Step() bool {
 // between them, and events a callback schedules for the current timestamp
 // join the tail of the same batch.
 func (e *Engine) Run() {
+	defer e.endRun()
 	e.ensureMode()
 	e.stopped = false
 	if e.qmode == modeHeap {
@@ -662,6 +681,7 @@ func (e *Engine) Run() {
 // RunUntil dispatches events with time ≤ deadline, then sets the clock to
 // the deadline (if it is later than the last event).
 func (e *Engine) RunUntil(deadline Time) {
+	defer e.endRun()
 	e.ensureMode()
 	e.stopped = false
 	if e.qmode == modeHeap {
