@@ -33,7 +33,7 @@ bench-suite-test:
 # underlying experiments are deterministic, so in practice any exp.* drift
 # means the model changed; refresh the baseline intentionally with:
 #   BENCH_JSON=bench_baseline.json go test -run '^$$' -bench '$(BENCH_SUBSET)' -benchtime 1x .
-BENCH_SUBSET := BenchmarkEngine|BenchmarkTable1Apps|BenchmarkFig4Walk|BenchmarkTensionSweep|BenchmarkCacheHit|BenchmarkFig6ArrayWidth|BenchmarkSpanOverhead|BenchmarkPerfOverhead|BenchmarkDaemonJob
+BENCH_SUBSET := BenchmarkEngine|BenchmarkTable1Apps|BenchmarkFig4Walk|BenchmarkTensionSweep|BenchmarkCacheHit|BenchmarkSaturation|BenchmarkFig6ArrayWidth|BenchmarkSpanOverhead|BenchmarkPerfOverhead|BenchmarkDaemonJob
 bench-check:
 	BENCH_JSON=/tmp/bench_current.json go test -run '^$$' -bench '$(BENCH_SUBSET)' -benchtime 1x .
 	go run ./cmd/benchcheck -baseline bench_baseline.json -current /tmp/bench_current.json -tol 0.20 -perf-tol 0.5

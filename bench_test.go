@@ -19,6 +19,7 @@
 //	BenchmarkCoflowSched       — §5 scheduling extension (E12)
 //	BenchmarkDemuxSweep        — §3.3 ablation (E13)
 //	BenchmarkCacheHit          — Zipf caching effectiveness (E15)
+//	BenchmarkSaturation        — §2 recirculation tax as CCT (E16)
 package repro
 
 import (
@@ -328,28 +329,33 @@ func BenchmarkADCPForwarding(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
 }
 
+// adcpParamServerRound builds a 16-port ADCP parameter server with the given
+// register cells per stage and runs one aggregation round through netsim at
+// line rate.
+func adcpParamServerRound(b *testing.B, ps apps.PSConfig, regCells int) {
+	cfg := core.DefaultConfig()
+	cfg.Ports = 16
+	cfg.DemuxFactor = 2
+	cfg.CentralPipelines = 4
+	cfg.EgressPipelines = 4
+	cfg.Pipe.Stages = 6
+	cfg.Pipe.RegisterCellsPerStage = regCells
+	sw, err := apps.NewParamServerADCP(cfg, ps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := apps.RunParamServer(sw, netsim.DefaultConfig(16), ps, 1, 5); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkParamServerRound measures a full aggregation round end-to-end
 // on both architectures (the Table 1 headline app at benchmark scale).
 func BenchmarkParamServerRound(b *testing.B) {
 	ps := apps.PSConfig{Workers: 12, ModelSize: 64, Width: 4}
 	b.Run("adcp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cfg := core.DefaultConfig()
-			cfg.Ports = 16
-			cfg.DemuxFactor = 2
-			cfg.CentralPipelines = 4
-			cfg.EgressPipelines = 4
-			pipe := cfg.Pipe
-			pipe.Stages = 6
-			pipe.RegisterCellsPerStage = 1024
-			cfg.Pipe = pipe
-			sw, err := apps.NewParamServerADCP(cfg, ps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := apps.RunParamServer(sw, netsim.DefaultConfig(16), ps, 1, 5); err != nil {
-				b.Fatal(err)
-			}
+			adcpParamServerRound(b, ps, 1024)
 		}
 	})
 	b.Run("rmt", func(b *testing.B) {
@@ -425,6 +431,20 @@ func BenchmarkCacheHit(b *testing.B) {
 		}
 	}
 	b.ReportMetric(rows[0].HitRate, "hit-rate@256:zipf1.2")
+}
+
+// BenchmarkSaturation runs parameter aggregation with the switch as the
+// bottleneck (E16) and reports how much longer RMT's recirculated passes
+// make the coflow.
+func BenchmarkSaturation(b *testing.B) {
+	var rows []experiments.SaturationRow
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, rows, err = experiments.Saturation(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rows[1].CCT)/float64(rows[0].CCT), "cct-ratio:rmt/adcp")
 }
 
 // BenchmarkDemuxSweep runs the §3.3 ablation (E13) and reports the clock
@@ -676,8 +696,12 @@ func BenchmarkDaemonJob(b *testing.B) {
 	}
 }
 
-// BenchmarkPerfOverhead pins the cost of the wall-clock perf plane on the
-// saturation workload. "off" is the default: netsim asks for the active
+// BenchmarkPerfOverhead pins the cost of the wall-clock perf plane on a
+// parameter-server round large enough to fill the meter's windows: 12
+// workers × 4096 chunks is 49 152 packets and three events each (send,
+// arrival, delivery). E16, the earlier workload, fires four events for each
+// of its 192 packets now that a busy switch queues its arrivals, which is
+// less than two windows. "off" is the default: netsim asks for the active
 // plane once per network build, no dispatch hook is installed, and the
 // per-event cost is zero; "on" enables the plane, so every engine carries
 // a dispatch meter that counts events and samples the clock once per
@@ -688,16 +712,13 @@ func BenchmarkDaemonJob(b *testing.B) {
 // deterministic (window-granular, independent of machine and pool width)
 // and is pinned exactly as exp.perfoverhead.meter_events.
 func BenchmarkPerfOverhead(b *testing.B) {
-	sat := func() {
-		if _, _, err := experiments.Saturation(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	ps := apps.PSConfig{Workers: 12, ModelSize: 16384, Width: 4}
+	round := func() { adcpParamServerRound(b, ps, 16384) }
 	var offS, onS float64
 	b.Run("off", func(b *testing.B) {
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			sat()
+			round()
 		}
 		offS = time.Since(start).Seconds() / float64(b.N)
 	})
@@ -706,7 +727,7 @@ func BenchmarkPerfOverhead(b *testing.B) {
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			p := perf.Enable()
-			sat()
+			round()
 			totals = p.Totals()
 			perf.Disable()
 		}

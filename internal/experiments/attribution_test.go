@@ -122,3 +122,33 @@ func TestAttributionByteIdenticalAcrossParallelWidths(t *testing.T) {
 		t.Fatalf("export carries no %s* series", telemetry.AttrSeriesPrefix)
 	}
 }
+
+// TestSaturationEventsLinear keeps E16's event count proportional to its
+// packets: a send, an arrival, an admission wake-up and a delivery each,
+// whatever the queue at the switch. The busy-switch requeue herd this
+// replaced fired ~100 events per packet here and grew with the square of the
+// burst, which only a benchmark used to notice.
+func TestSaturationEventsLinear(t *testing.T) {
+	tel := withRegistryHub(t, func() {
+		if _, _, err := Saturation(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	fired, injected := map[string]float64{}, map[string]float64{}
+	for _, m := range tel.Metrics.Snapshot().Metrics {
+		switch m.Name {
+		case "net.engine.fired_events":
+			fired[m.Labels["net"]] = m.Value
+		case "net.injected_pkts":
+			injected[m.Labels["net"]] = m.Value
+		}
+	}
+	if len(fired) != 2 {
+		t.Fatalf("saturation built %d networks, want one per architecture", len(fired))
+	}
+	for net, f := range fired {
+		if pkts := injected[net]; pkts == 0 || f > 8*pkts {
+			t.Errorf("net %s fired %v events for %v injected packets, want at most 8 per packet", net, f, pkts)
+		}
+	}
+}

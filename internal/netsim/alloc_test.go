@@ -18,13 +18,13 @@ func (s *sinkSwitch) Process(*packet.Packet) ([]*packet.Packet, error) {
 
 func (s *sinkSwitch) IngressTraversals() uint64 { return s.traversals }
 
-// TestBusyRequeueAllocsSteadyState pins the admission path: a herd of
-// arrivals at a busy switch re-posts itself every time the switch frees
-// (one wins, the rest wait again), and once the record and event pools are
-// warm that costs no allocation — not per requeue event, and not for the
-// send and arrival events around it either.
-func TestBusyRequeueAllocsSteadyState(t *testing.T) {
-	const herd = 64
+// TestAdmissionQueueSteadyState pins the cost of waiting for a busy switch:
+// a burst queues its own arrival records and one wake-up event per admission
+// drains them, so a round fires a send, an arrival and at most one wake-up
+// per packet — no event per lost race — and once the record and event pools
+// are warm none of it allocates.
+func TestAdmissionQueueSteadyState(t *testing.T) {
+	const burst = 64
 	cfg := DefaultConfig(4)
 	cfg.ServiceRatePPS = 1e6
 	sw := &sinkSwitch{}
@@ -32,7 +32,7 @@ func TestBusyRequeueAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkts := make([]*packet.Packet, herd)
+	pkts := make([]*packet.Packet, burst)
 	for i := range pkts {
 		pkts[i] = rawPkt(i%4, 0, 1)
 	}
@@ -45,13 +45,11 @@ func TestBusyRequeueAllocsSteadyState(t *testing.T) {
 	round() // warm the pools
 	fired := n.Engine().Fired()
 	round()
-	// Two events per packet without contention; the herd adds a requeue
-	// event for every lost race, of the order of herd²/2.
-	if events := n.Engine().Fired() - fired; events < herd*herd/4 {
-		t.Fatalf("a round fired %d events: no requeue herd formed", events)
+	if events := n.Engine().Fired() - fired; events > 3*burst {
+		t.Errorf("a %d-packet round fired %d events, want at most 3 per packet", burst, events)
 	}
 	if got := testing.AllocsPerRun(20, round); got != 0 {
-		t.Errorf("a %d-packet round through a busy switch allocates %v objects, want 0", herd, got)
+		t.Errorf("a %d-packet round through a busy switch allocates %v objects, want 0", burst, got)
 	}
 	if len(n.Errors()) != 0 || sw.traversals != n.Injected() {
 		t.Errorf("errors %v; %d of %d packets processed", n.Errors(), sw.traversals, n.Injected())

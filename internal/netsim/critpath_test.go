@@ -118,6 +118,46 @@ func TestSpanEventsCoverCCT(t *testing.T) {
 	}
 }
 
+// TestSwitchWaitIsOneQueueingSpan: eight packets reach a 1 µs-per-packet
+// switch together on idle links, so the k-th waits k µs at the switch and
+// nowhere else. Each wait is one span.queueing segment of exactly that
+// length — the admission queue charges it in a single advance — and the
+// attribution still tiles the CCT.
+func TestSwitchWaitIsOneQueueingSpan(t *testing.T) {
+	const hosts = 8
+	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Tracer: telemetry.NewTracer()}
+	cfg := DefaultConfig(hosts)
+	cfg.ServiceRatePPS = 1e6
+	n := runUnderHub(t, tel, cfg, &busyCountingSwitch{costEach: 1}, func(n *Network) {
+		n.Tracker().Expect(5, hosts)
+		for h := 0; h < hosts; h++ {
+			n.SendAt(h, rawPkt(h, (h+1)%hosts, 5), 0)
+		}
+		n.Run()
+	})
+	var waits []sim.Time
+	for _, ev := range tel.Tracer.Events() {
+		if ev.Cat == "span" && ev.Name == "span.queueing" {
+			waits = append(waits, ev.Dur)
+		}
+	}
+	if len(waits) != hosts-1 {
+		t.Fatalf("%d span.queueing segments %v, want one per waiting packet (%d)", len(waits), waits, hosts-1)
+	}
+	for i, w := range waits {
+		if want := sim.Time(i+1) * sim.Microsecond; w != want {
+			t.Errorf("wait %d lasted %v, want %v", i, w, want)
+		}
+	}
+	bd, ok := n.Attribution(5)
+	if st := n.Tracker().Status(5); !ok || bd.Sum() != st.CCT() {
+		t.Fatalf("attribution %v (ok %v) does not sum to CCT %v", bd, ok, st.CCT())
+	}
+	if got, want := bd.Get(telemetry.BucketQueueing), sim.Time(hosts-1)*sim.Microsecond; got != want {
+		t.Errorf("critical path queued %v, want %v", got, want)
+	}
+}
+
 // TestFlightRecorderDumpsOnBudgetExhaustion pins the tentpole's triage
 // path: a run that trips a run-level invariant (here the event budget)
 // dumps the flight-recorder ring, including the most recent packet events.

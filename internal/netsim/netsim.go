@@ -14,6 +14,7 @@ package netsim
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/coflow"
@@ -50,10 +51,14 @@ type Config struct {
 	// ServiceRatePPS, when positive, models the switch's aggregate
 	// ingress service rate: each pipeline traversal occupies the switch
 	// for 1/rate seconds, so recirculated passes consume real capacity
-	// and back-pressure later arrivals. Zero = infinitely fast switch
-	// (the default; experiments that only need functional behavior).
-	// Requires the switch to implement TraversalCounter; ignored
-	// otherwise.
+	// and back-pressure later arrivals. The switch is a single-server
+	// FIFO queue: packets are admitted in the order they first reach it
+	// (by time, then by event sequence), and an arrival never passes a
+	// packet already waiting — not even one that lands in the exact
+	// picosecond the switch frees. Zero = infinitely fast switch (the
+	// default; experiments that only need functional behavior); negative
+	// or NaN is rejected. Requires the switch to implement
+	// TraversalCounter; ignored otherwise.
 	ServiceRatePPS float64
 	// Faults, when non-nil, injects the plan's link loss/corruption, link
 	// down windows, switch stalls, and host crashes into the run. The
@@ -120,6 +125,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("netsim: link %v Gbps", c.LinkGbps)
 	case c.PropDelay < 0 || c.SwitchLatency < 0:
 		return fmt.Errorf("netsim: negative delay")
+	case c.ServiceRatePPS < 0 || math.IsNaN(c.ServiceRatePPS):
+		return fmt.Errorf("netsim: service rate %v pps", c.ServiceRatePPS)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {
@@ -168,6 +175,12 @@ type Network struct {
 	swBusyUntil  sim.Time
 	counter      TraversalCounter
 	perTraversal sim.Time
+	// Arrivals that found the switch busy wait in an intrusive FIFO (linked
+	// through pktEvent.next); wake is the one pending event that admits
+	// them, posted for swBusyUntil whenever the queue is non-empty.
+	waitHead, waitTail *pktEvent
+	waiting            int
+	wake               func()
 
 	// freeEv recycles the per-packet event records (see pktEvent); scratch
 	// is coflowOf's reusable decode target.
@@ -246,6 +259,7 @@ func New(cfg Config, sw SwitchModel) (*Network, error) {
 	if cfg.ServiceRatePPS > 0 {
 		n.counter, _ = sw.(TraversalCounter)
 		n.perTraversal = sim.Time(1e12 / cfg.ServiceRatePPS)
+		n.wake = n.admitWaiters
 	}
 	if cfg.Faults != nil {
 		n.inj = faults.NewInjector(cfg.Faults)
@@ -294,6 +308,9 @@ func (n *Network) instrument(tel *telemetry.Telemetry) {
 		reg.ObserveFunc("net.delivered_pkts", func() float64 { return float64(n.delivered) }, ls...)
 		reg.ObserveFunc("net.errors", func() float64 { return float64(len(n.errs)) }, ls...)
 		reg.ObserveFunc("net.engine.fired_events", func() float64 { return float64(n.eng.Fired()) }, ls...)
+		if n.counter != nil {
+			reg.ObserveFunc("net.switch.waiting_pkts", func() float64 { return float64(n.waiting) }, ls...)
+		}
 		pending := reg.Gauge("net.engine.pending_events", ls...)
 		n.eng.AddDispatchHook(func(at sim.Time, p int, fired uint64) { pending.Set(int64(p)) })
 		n.e2eLat = make([]*telemetry.Histogram, n.cfg.Hosts)
@@ -440,13 +457,13 @@ func (n *Network) coflowOf(p *packet.Packet) uint32 {
 // pktEvent is one packet's pending hop: the state the event needs when it
 // fires, in a recycled record instead of a fresh closure per event. fire is
 // the record's run method, bound once when the record is first made, so
-// posting a hop — and re-posting the same record while the switch is busy —
-// allocates nothing. A record returns to the network's free list once its
-// event has run (an arrival's as soon as the switch admits it).
+// posting a hop allocates nothing, and an arrival that has to wait for a
+// busy switch queues its own record. A record returns to the network's free
+// list once its event has run (an arrival's as soon as the switch admits it).
 type pktEvent struct {
 	n    *Network
 	fire func()
-	next *pktEvent // free list
+	next *pktEvent // free list, or the switch's wait queue
 
 	pkt    *packet.Packet
 	ts     *txState         // evArrive: sender's retransmission state
@@ -462,7 +479,7 @@ type evKind uint8
 
 const (
 	evSend    evKind = iota // host starts (or, after a crash, restarts) a send
-	evArrive                // packet reaches the switch, or retries admission
+	evArrive                // packet reaches the switch, or returns to it after a stall
 	evDeliver               // packet reaches its destination host
 )
 
@@ -498,7 +515,7 @@ func (e *pktEvent) run() {
 		n.recycle(e)
 	case evArrive:
 		e.ch.Advance(n.eng.Now(), e.bucket)
-		n.arriveAtSwitch(e)
+		n.arriveAtSwitch(e, false)
 	case evDeliver:
 		e.ch.Advance(n.eng.Now(), telemetry.BucketPropagation)
 		n.deliver(e.host, e.pkt, e.cf, e.sentAt, e.ch)
@@ -549,16 +566,17 @@ func (n *Network) startSend(src int, pkt *packet.Packet) {
 }
 
 // arriveAtSwitch runs the switch synchronously and schedules deliveries.
-// With a service rate configured, arrivals wait for the switch to free up
-// and each traversal (including recirculated passes) occupies it: a waiting
-// arrival re-posts its own record for the time the switch frees, as often as
-// it loses that race. e.sentAt is the packet's transmission start, threaded
-// through to delivery so the end-to-end latency histogram sees the full
-// path. e.ts is the sender's retransmission state (nil without recovery):
-// the first copy to arrive is acknowledged, later copies are suppressed
-// here, before the switch program, so stateful switch programs never see
-// duplicates.
-func (n *Network) arriveAtSwitch(e *pktEvent) {
+// With a service rate configured the switch is a single-server FIFO queue:
+// each traversal (recirculated passes included) occupies it, and an arrival
+// that finds it busy — or finds anyone already waiting, so a tie at the
+// instant the switch frees cannot jump the line — links its record onto the
+// wait queue, to come back through here with queued set when admitWaiters
+// reaches it. e.sentAt is the packet's transmission start, threaded through
+// to delivery so the end-to-end latency histogram sees the full path. e.ts is
+// the sender's retransmission state (nil without recovery): the first copy
+// to arrive is acknowledged, later copies are suppressed here, before the
+// switch program, so stateful switch programs never see duplicates.
+func (n *Network) arriveAtSwitch(e *pktEvent, queued bool) {
 	if n.inj != nil {
 		if end, stalled := n.inj.StallEnd(n.eng.Now()); stalled {
 			// Switch stall window: the arrival is held (input buffering)
@@ -572,9 +590,16 @@ func (n *Network) arriveAtSwitch(e *pktEvent) {
 	}
 	// A replicated switch never waits here: Validate rejects a standby
 	// together with a service rate, so counter is nil whenever pair is set.
-	if n.counter != nil && !n.swCrashed && n.swBusyUntil > n.eng.Now() {
-		e.bucket = telemetry.BucketQueueing
-		n.eng.Post(n.swBusyUntil, e.fire)
+	// A dead switch drops at the port, queue or no queue.
+	if n.counter != nil && !queued && !n.swCrashed && (n.waitHead != nil || n.swBusyUntil > n.eng.Now()) {
+		if n.waitHead == nil {
+			n.waitHead = e
+			n.eng.Post(n.swBusyUntil, n.wake)
+		} else {
+			n.waitTail.next = e
+		}
+		n.waitTail = e
+		n.waiting++
 		return
 	}
 	pkt, sentAt, ts, ch := e.pkt, e.sentAt, e.ts, e.ch
@@ -641,6 +666,25 @@ func (n *Network) arriveAtSwitch(e *pktEvent) {
 		n.swBusyUntil = n.eng.Now() + sim.Time(delta)*n.perTraversal
 	}
 	n.scheduleOutputs(outs, sentAt, ch)
+}
+
+// admitWaiters is the wake-up event, the only one pending however many
+// packets wait: it fires when the switch frees, charges the head's whole
+// wait to queueing and admits it, keeps going while the switch stays free (a
+// suppressed duplicate, a crash drop or a stall deferral does not occupy
+// it), and re-arms itself for the new swBusyUntil if waiters remain.
+func (n *Network) admitWaiters() {
+	now := n.eng.Now()
+	for n.waitHead != nil && n.swBusyUntil <= now {
+		e := n.waitHead
+		n.waitHead, e.next = e.next, nil
+		n.waiting--
+		e.ch.Advance(now, telemetry.BucketQueueing)
+		n.arriveAtSwitch(e, true)
+	}
+	if n.waitHead != nil {
+		n.eng.Post(n.swBusyUntil, n.wake)
+	}
 }
 
 // scheduleOutputs books the switch's output packets and schedules their

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -36,6 +37,9 @@ func TestConfigValidation(t *testing.T) {
 		{Hosts: 0, LinkGbps: 1},
 		{Hosts: 1, LinkGbps: 0},
 		{Hosts: 1, LinkGbps: 1, PropDelay: -1},
+		// These two used to run silently without a service model.
+		{Hosts: 1, LinkGbps: 1, ServiceRatePPS: -1},
+		{Hosts: 1, LinkGbps: 1, ServiceRatePPS: math.NaN()},
 	}
 	for i, c := range bads {
 		if err := c.Validate(); err == nil {

@@ -13,8 +13,11 @@ import (
 )
 
 // soakSeed runs one chaos seed and returns an error describing any
-// violated property, so seeds can fan out across the parallel pool.
-func soakSeed(seed int) error {
+// violated property, so seeds can fan out across the parallel pool. With
+// saturated set the switch serves 2 µs per packet against one arrival per
+// µs, so the plan's stall, crash and retransmissions hit packets standing in
+// the admission queue. The run's ledger is left in *led.
+func soakSeed(seed int, saturated bool, led *Ledger) error {
 	const (
 		hosts   = 8
 		pkts    = 64
@@ -29,12 +32,19 @@ func soakSeed(seed int) error {
 	rec := faults.DefaultRecovery()
 	rec.MaxRetries = 64
 	cfg := faultyConfig(hosts, plan, &rec)
-	if plan.SwitchCrashAt > 0 {
-		// A quarter of random plans kill the switch; those runs get
-		// a warm standby so completion survives the failover.
+	var sw SwitchModel = echoSwitch{}
+	// A quarter of random plans kill the switch; those runs get a warm
+	// standby so completion survives the failover — except saturated ones
+	// (a standby excludes a service rate), whose senders abort instead.
+	dies := saturated && plan.SwitchCrashAt > 0
+	switch {
+	case saturated:
+		cfg.ServiceRatePPS = 5e5
+		sw = &busyCountingSwitch{costEach: 1}
+	case plan.SwitchCrashAt > 0:
 		cfg.Standby = echoSwitch{}
 	}
-	n, err := New(cfg, echoSwitch{})
+	n, err := New(cfg, sw)
 	if err != nil {
 		return err
 	}
@@ -47,13 +57,14 @@ func soakSeed(seed int) error {
 	if errs := n.Errors(); len(errs) != 0 {
 		return fmt.Errorf("plan %+v\nerrors: %v\nledger: %+v", plan, errs, n.Ledger())
 	}
-	if !n.Tracker().Done(1) {
+	if !dies && !n.Tracker().Done(1) {
 		return fmt.Errorf("coflow incomplete\nplan %+v\nstatus %+v\nledger %+v",
 			plan, n.Tracker().Status(1), n.Ledger())
 	}
 	if err := n.CheckConservation(); err != nil {
 		return fmt.Errorf("conservation: %v", err)
 	}
+	*led = n.Ledger()
 	return nil
 }
 
@@ -61,7 +72,10 @@ func soakSeed(seed int) error {
 // link-down windows, host crashes, switch stalls) at the network with
 // recovery enabled and asserts the two properties the fault plane
 // guarantees: the conservation ledger balances (auto-asserted by Run) and
-// the coflow completes despite everything the plan did to it.
+// the coflow completes despite everything the plan did to it. Every seed
+// runs twice: at line rate, and with the switch as the bottleneck, where the
+// same faults land on a standing admission queue (and a crashed switch has
+// no standby, so the ledger must balance around aborted senders instead).
 //
 // Seeds fan out across the parallel worker pool — each seed builds its own
 // network, so seeds share nothing. Short mode runs a handful of seeds; set
@@ -88,15 +102,30 @@ func TestChaosSoak(t *testing.T) {
 		workers = v
 	}
 
-	pts := make([]parallel.Point, seeds)
+	var pts []parallel.Point
+	leds := make([]Ledger, seeds) // the saturated arm's, one per point: nothing shared
 	for seed := 0; seed < seeds; seed++ {
 		seed := seed
-		pts[seed] = parallel.Point{
+		pts = append(pts, parallel.Point{
 			Name: fmt.Sprintf("seed %d", seed),
-			Run:  func() error { return soakSeed(seed) },
-		}
+			Run:  func() error { return soakSeed(seed, false, new(Ledger)) },
+		}, parallel.Point{
+			Name: fmt.Sprintf("seed %d saturated", seed),
+			Run:  func() error { return soakSeed(seed, true, &leds[seed]) },
+		})
 	}
 	if err := parallel.Run(pts, parallel.Options{Workers: workers}); err != nil {
 		t.Fatal(err)
+	}
+	var sum Ledger
+	for _, l := range leds {
+		sum.StallDeferrals += l.StallDeferrals
+		sum.CrashDrops += l.CrashDrops
+		sum.DupSuppressed += l.DupSuppressed
+	}
+	t.Logf("saturated arm: %d stall deferrals, %d crash drops, %d suppressed duplicates",
+		sum.StallDeferrals, sum.CrashDrops, sum.DupSuppressed)
+	if sum.StallDeferrals == 0 || sum.CrashDrops == 0 || sum.DupSuppressed == 0 {
+		t.Errorf("saturated arm never exercised one of stall deferral, crash drop, duplicate suppression")
 	}
 }
