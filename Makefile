@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-suite-test bench-check perf soak kill-resume daemon-chaos experiments tables examples cover clean ci docs-check
+.PHONY: all build test race fuzz-smoke loc bench bench-suite-test bench-check perf soak kill-resume daemon-chaos experiments tables examples cover clean ci docs-check
 
 all: build test
 
@@ -16,6 +16,26 @@ test:
 # the experiment watchdog, so keep this green before merging.
 race:
 	go test -race ./...
+
+# Every native fuzzer in the tree (found by name, so a new one is picked
+# up without editing this file), FUZZTIME each; `go test -fuzz` takes one
+# package and one target per invocation. Blocking in CI. The minimizer is
+# capped because its default budget is a minute per new input, which on
+# the file-backed FuzzReplayFrames would eat the whole smoke window.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@set -e; for f in $$(grep -r --include='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build \
+			-o '^func Fuzz[A-Za-z0-9_]*' . | sed 's|/[^/]*:func |:|'); do \
+		echo "== $$f"; \
+		go test "$${f%%:*}" -run '^$$' -fuzz "^$${f##*:}\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s; \
+	done
+
+# Line counts by the ROADMAP's rule: every *.go outside bench/ (the
+# benchmark is its own module), _test.go files counted apart.
+loc:
+	@count() { find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' "$$@" -print0 | xargs -0 cat | wc -l; }; \
+	echo "source $$(count -not -name '*_test.go')"; \
+	echo "test   $$(count -name '*_test.go')"
 
 # Full benchmark pass (see docs/PERFORMANCE.md).
 bench:

@@ -568,18 +568,17 @@ func BenchmarkSpanOverhead(b *testing.B) {
 // saturation-shaped event mix: mostly short timers (wheel level 0), a
 // slice of same-timestamp batch members, mid-range timers that exercise
 // the cascade levels, and occasional long timers. The "saturation"
-// sub-benchmark runs the default hierarchical timing wheel with pooled
-// events and records `sim.events_per_s` (benchcheck floor) and
-// `sim.allocs_per_event` (benchcheck ceiling); "legacy-heap" runs the same
-// workload on the retired container/heap queue for comparison, reporting
-// the wheel/heap speedup as a metric. The committed bench_baseline.json
-// value for sim.events_per_s is the legacy-heap throughput measured at the
-// queue swap, so the gate both proves the gain and catches any future
-// collapse; regenerating the baseline tightens the floor to current wheel
-// throughput.
+// sub-benchmark runs the hierarchical timing wheel with pooled events and
+// records `sim.events_per_s` (benchcheck floor) and `sim.allocs_per_event`
+// (benchcheck ceiling). The committed bench_baseline.json value for
+// sim.events_per_s is the throughput of the binary heap the wheel replaced,
+// measured at the queue swap, so the gate catches any collapse back to it;
+// regenerating the baseline tightens the floor to current wheel throughput.
+// (That heap now lives on only as the differential oracle in
+// internal/sim/wheel_test.go.)
 func BenchmarkEngine(b *testing.B) {
 	// 8192 concurrent self-reposting chains keep the queue at
-	// saturation-like depth, so the structures are compared where it
+	// saturation-like depth, so the queue is measured where it
 	// matters: hundreds of pending events, not a near-empty queue.
 	const runEvents = 1 << 17
 	const chains = 8192
@@ -608,7 +607,7 @@ func BenchmarkEngine(b *testing.B) {
 		}
 		e.Run()
 	}
-	measure := func(b *testing.B) (evps, allocsPerEvent float64) {
+	b.Run("saturation", func(b *testing.B) {
 		e := sim.NewEngine()
 		drive(e) // warm the event free list and wheel
 		var m0, m1 runtime.MemStats
@@ -622,30 +621,13 @@ func BenchmarkEngine(b *testing.B) {
 		b.StopTimer()
 		runtime.ReadMemStats(&m1)
 		events := float64(b.N) * runEvents
-		evps = events / wall
-		allocsPerEvent = float64(m1.Mallocs-m0.Mallocs) / events
+		evps := events / wall
+		allocsPerEvent := float64(m1.Mallocs-m0.Mallocs) / events
 		b.ReportMetric(evps, "events/s")
 		b.ReportMetric(allocsPerEvent, "allocs/event")
-		return evps, allocsPerEvent
-	}
-	var wheelEvps float64
-	b.Run("saturation", func(b *testing.B) {
-		evps, ape := measure(b)
-		wheelEvps = evps
 		if reg := telemetry.Hub().Reg(); reg != nil {
 			reg.Set("sim.events_per_s", evps)
-			reg.Set("sim.allocs_per_event", ape)
-		}
-	})
-	b.Run("legacy-heap", func(b *testing.B) {
-		prev := sim.SetLegacyHeap(true)
-		defer sim.SetLegacyHeap(prev)
-		evps, _ := measure(b)
-		if wheelEvps > 0 && evps > 0 {
-			b.ReportMetric(wheelEvps/evps, "wheel/heap-speedup")
-			if reg := telemetry.Hub().Reg(); reg != nil {
-				reg.Set("perf.bench.engine_speedup", wheelEvps/evps)
-			}
+			reg.Set("sim.allocs_per_event", allocsPerEvent)
 		}
 	})
 }

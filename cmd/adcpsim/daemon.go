@@ -47,13 +47,9 @@ func runDaemon(exps []experiment, opt daemonOptions, stderr io.Writer) int {
 	perf.Enable()
 	defer perf.Disable()
 
-	svcExps := make([]service.Experiment, 0, len(exps))
-	for _, e := range exps {
-		svcExps = append(svcExps, service.Experiment{Name: e.name, Desc: e.desc, Run: e.run})
-	}
 	d, err := service.New(service.Config{
 		Dir:          opt.dir,
-		Experiments:  svcExps,
+		Experiments:  serviceExperiments(exps),
 		QueueCap:     opt.queueCap,
 		MaxAttempts:  opt.jobRetries,
 		EventBudget:  opt.eventBudget,

@@ -50,6 +50,7 @@ import (
 	"repro/internal/runstate"
 	"repro/internal/service"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -59,27 +60,73 @@ type experiment struct {
 	run  func(w io.Writer) error
 }
 
+// table adapts an experiment entry point to an experiment body: produce
+// the table, print it.
+func table(produce func() (*stats.Table, error)) func(io.Writer) error {
+	return func(w io.Writer) error {
+		t, err := produce()
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, t)
+		return nil
+	}
+}
+
 func defaultExperiments() []experiment {
 	return []experiment{
-		{"table1", "Table 1: coflow applications end-to-end, RMT vs ADCP", runTable1},
-		{"table2", "Table 2: port multiplexing poor scalability", runTable2},
-		{"table3", "Table 3: port demultiplexing examples", runTable3},
-		{"convergence", "Figures 1+2: coflow convergence cost", runConvergence},
-		{"replication", "Figure 3: table replication under scalar processing", runReplication},
-		{"walk", "Figure 4: ADCP architecture walkthrough", runWalk},
-		{"globalarea", "Figure 5: global partitioned area properties", runGlobalArea},
-		{"keyrate", "Figure 6 / §3.2: key rate vs array width", runKeyRate},
+		{"table1", "Table 1: coflow applications end-to-end, RMT vs ADCP",
+			table(func() (*stats.Table, error) { t, _, err := experiments.Table1(); return t, err })},
+		{"table2", "Table 2: port multiplexing poor scalability",
+			table(func() (*stats.Table, error) { t, _ := experiments.Table2(); return t, nil })},
+		{"table3", "Table 3: port demultiplexing examples",
+			table(func() (*stats.Table, error) { t, _ := experiments.Table3(); return t, nil })},
+		{"convergence", "Figures 1+2: coflow convergence cost",
+			table(func() (*stats.Table, error) {
+				t, _, err := experiments.Convergence(experiments.DefaultConvergenceConfig(), nil)
+				return t, err
+			})},
+		{"replication", "Figure 3: table replication under scalar processing",
+			table(func() (*stats.Table, error) { t, _, err := experiments.Replication(nil); return t, err })},
+		{"walk", "Figure 4: ADCP architecture walkthrough",
+			table(func() (*stats.Table, error) { t, _, err := experiments.Walk(); return t, err })},
+		{"globalarea", "Figure 5: global partitioned area properties",
+			table(func() (*stats.Table, error) { t, _, err := experiments.GlobalArea(); return t, err })},
+		{"keyrate", "Figure 6 / §3.2: key rate vs array width",
+			table(func() (*stats.Table, error) { t, _, err := experiments.KeyRate(nil); return t, err })},
 		{"feasibility", "§4: multi-clock memory + g-cell congestion", runFeasibility},
-		{"tension", "§1: line rate vs run-to-completion", runTension},
-		{"landscape", "§1/§2: the four architecture models compared", runLandscape},
-		{"coflowsched", "§5 extension: coflow-aware scheduling", runCoflowSched},
-		{"demux", "§3.3 ablation: demux factor sweep", runDemux},
-		{"buffer", "TM buffer sizing under incast", runBuffer},
-		{"cachehit", "cache hit rate vs size under Zipf GETs", runCacheHit},
-		{"saturation", "recirculation tax as completion time under load", runSaturation},
-		{"faults", "fault/recovery loss sweep: CCT inflation RMT vs ADCP", runFaults},
-		{"failover", "switch crash + warm-standby failover: recovery time, CCT, replication overhead", runFailover},
+		{"tension", "§1: line rate vs run-to-completion",
+			table(func() (*stats.Table, error) { t, _, err := experiments.Tension(nil); return t, err })},
+		{"landscape", "§1/§2: the four architecture models compared",
+			table(func() (*stats.Table, error) { t, _, err := experiments.Landscape(); return t, err })},
+		{"coflowsched", "§5 extension: coflow-aware scheduling",
+			table(func() (*stats.Table, error) {
+				t, _, err := experiments.CoflowSched(experiments.DefaultCoflowSchedConfig())
+				return t, err
+			})},
+		{"demux", "§3.3 ablation: demux factor sweep",
+			table(func() (*stats.Table, error) { t, _, err := experiments.DemuxSweep(nil); return t, err })},
+		{"buffer", "TM buffer sizing under incast",
+			table(func() (*stats.Table, error) { t, _, err := experiments.BufferSweep(nil); return t, err })},
+		{"cachehit", "cache hit rate vs size under Zipf GETs",
+			table(func() (*stats.Table, error) { t, _, err := experiments.CacheHit(nil, nil); return t, err })},
+		{"saturation", "recirculation tax as completion time under load",
+			table(func() (*stats.Table, error) { t, _, err := experiments.Saturation(); return t, err })},
+		{"faults", "fault/recovery loss sweep: CCT inflation RMT vs ADCP",
+			table(func() (*stats.Table, error) { t, _, err := experiments.Faults(nil); return t, err })},
+		{"failover", "switch crash + warm-standby failover: recovery time, CCT, replication overhead",
+			table(func() (*stats.Table, error) { t, _, err := experiments.Failover(nil, nil); return t, err })},
 	}
+}
+
+// serviceExperiments hands the experiment table to internal/service, which
+// owns the run loop (batch and daemon) and cannot import this package.
+func serviceExperiments(exps []experiment) []service.Experiment {
+	out := make([]service.Experiment, len(exps))
+	for i, e := range exps {
+		out[i] = service.Experiment{Name: e.name, Desc: e.desc, Run: e.run}
+	}
+	return out
 }
 
 func main() {
@@ -252,9 +299,11 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 	}()
 
 	var selected []string
-	for _, e := range exps {
-		if all || want[e.name] {
-			selected = append(selected, e.name)
+	var selectedExps []service.Experiment
+	for _, e := range serviceExperiments(exps) {
+		if all || want[e.Name] {
+			selected = append(selected, e.Name)
+			selectedExps = append(selectedExps, e)
 		}
 	}
 
@@ -275,8 +324,6 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 		}
 		journal = j
 		sd.journal = j
-		experiments.SetJournal(j)
-		defer experiments.SetJournal(nil)
 	}
 	if *pointRetries > 1 {
 		experiments.SetRetryPolicy(parallel.RetryPolicy{
@@ -338,92 +385,59 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 
 	// Run every selected experiment even when an earlier one fails: a broken
 	// table must not hide whether the rest still reproduce. Failures are
-	// reported per experiment id and make the whole run exit non-zero.
+	// reported per experiment id and make the whole run exit non-zero. The
+	// loop itself — restore, run, persist, merge — is the daemon's
+	// (service.RunExperiments); what follows is what the CLI does on each
+	// state change.
 	ran := 0
 	restored := 0
 	watchdogKilled := false
 	var failed []string
-	runSelected := func() {
-		for _, e := range exps {
-			if !all && !want[e.name] {
-				continue
-			}
-			if runCtx.Err() != nil {
-				fmt.Fprintf(stderr, "experiment %s skipped: -exp-timeout expired for the run\n", e.name)
-				failed = append(failed, e.name)
-				ran++
-				continue
-			}
-			if journal != nil {
-				if out, hub, ok := restoreExperiment(journal, e.name, needReg); ok {
-					// A resumed, already-completed experiment replays from
-					// the journal: its captured output and telemetry land
-					// exactly as if it had just run.
-					if *progress {
-						fmt.Fprintf(stderr, "restored %s from the run journal\n", e.name)
-					}
-					fmt.Fprint(tableOut, out)
-					if hub != nil {
-						telemetry.Merge(tel, hub)
-					}
-					srv.markRunning(e.name)
-					srv.markDone(e.name, false)
-					srv.publish(tel.Reg())
-					fmt.Fprintln(tableOut)
-					perf.Active().ResumeRestored()
-					ran++
-					restored++
-					continue
-				}
-			}
+	onState := func(name string, st service.ExpState, err error) {
+		switch st {
+		case service.ExpRunning:
 			if *progress {
-				fmt.Fprintf(stderr, "running %s...\n", e.name)
+				fmt.Fprintf(stderr, "running %s...\n", name)
 			}
-			srv.markRunning(e.name)
-			var err error
-			if journal != nil {
-				// The experiment runs in a mirror hub with its output teed
-				// through a capture buffer: on success both persist as one
-				// journal unit; either way the mirror merges back, so the
-				// live hub matches a journal-less run byte for byte.
-				unit := expUnit(e.name)
-				attempt := journal.Status(unit).Attempts + 1
-				journal.Begin(unit, e.desc, 0, attempt)
-				mirror := telemetry.Mirror(tel)
-				capt := service.NewCaptureOut(tableOut)
-				telemetry.WithDefault(mirror, func() {
-					err = runWatched(runCtx, e, capt, stderr, *expBudget, tel.Rec(), prof)
-				})
-				// Persist BEFORE merging: Merge adopts the mirror's metric
-				// objects and renumbers their instance labels in place to
-				// the live hub's sequence, so an encode after the merge
-				// would journal global numbering and double-shift on
-				// restore.
-				if err == nil {
-					persistExperiment(journal, e.name, capt.String(), mirror, needReg, stderr)
-				} else {
-					journal.Fail(unit, attempt, parallel.Classify(err), err.Error())
-				}
-				telemetry.Merge(tel, mirror)
-			} else {
-				err = runWatched(runCtx, e, tableOut, stderr, *expBudget, tel.Rec(), prof)
+			srv.markRunning(name)
+			return
+		case service.ExpSkipped:
+			fmt.Fprintf(stderr, "experiment %s skipped: -exp-timeout expired for the run\n", name)
+		case service.ExpRestored:
+			if *progress {
+				fmt.Fprintf(stderr, "restored %s from the run journal\n", name)
 			}
-			srv.markDone(e.name, err != nil)
-			srv.publish(tel.Reg())
-			if err != nil {
-				var we *experiments.WatchdogError
-				if errors.As(err, &we) {
-					watchdogKilled = true
-				}
-				fmt.Fprintf(stderr, "experiment %s failed: %v\n", e.name, err)
-				failed = append(failed, e.name)
-			} else {
-				fmt.Fprintln(tableOut)
+			srv.markRunning(name)
+			restored++
+		case service.ExpFailed:
+			var we *experiments.WatchdogError
+			if errors.As(err, &we) {
+				// A tripped watchdog abandoned the experiment goroutine
+				// mid-write; flag the output as truncated so a partial table
+				// is not mistaken for a complete one. Flush the profiles
+				// first — a watchdog kill is usually followed by the harness
+				// tearing the process down, and a CPU profile of the hang is
+				// exactly the artifact worth keeping — then dump the
+				// flight-recorder ring so the last simulation events before
+				// the kill are on record.
+				watchdogKilled = true
+				fmt.Fprintf(tableOut, "\n[experiment %s killed by watchdog: output above may be truncated]\n", name)
+				prof.stopCPU()
+				prof.writeMem()
+				tel.Rec().Dump(stderr, we.Error())
 			}
-			ran++
+			fmt.Fprintf(stderr, "experiment %s failed: %v\n", name, err)
 		}
+		if st != service.ExpSkipped {
+			srv.markDone(name, err != nil)
+			srv.publish(tel.Reg())
+		}
+		if err != nil {
+			failed = append(failed, name)
+		}
+		ran++
 	}
-	telemetry.WithDefault(tel, runSelected)
+	service.RunExperiments(runCtx, selectedExps, journal, tel, *expBudget, tableOut, stderr, onState)
 	if ran == 0 {
 		fmt.Fprintln(stderr, "no experiments selected")
 		return 2
@@ -455,29 +469,6 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// runWatched runs one experiment under the watchdog, sharing the run-wide
-// deadline context. With a background context and no event budget it
-// degenerates to a plain call (experiments.Run never trips), so the
-// default CLI behavior is unchanged.
-func runWatched(ctx context.Context, e experiment, stdout, stderr io.Writer, budget uint64, fr *telemetry.FlightRecorder, prof *profiler) error {
-	err := experiments.Run(ctx, e.name, budget, func() error { return e.run(stdout) })
-	var we *experiments.WatchdogError
-	if errors.As(err, &we) {
-		// A tripped watchdog abandoned the experiment goroutine mid-write;
-		// flag the output as truncated so a partial table is not mistaken
-		// for a complete one. Flush the profiles first — a watchdog kill is
-		// usually followed by the harness tearing the process down, and a
-		// CPU profile of the hang is exactly the artifact worth keeping —
-		// then dump the flight-recorder ring so the last simulation events
-		// before the kill are on record.
-		fmt.Fprintf(stdout, "\n[experiment %s killed by watchdog: output above may be truncated]\n", e.name)
-		prof.stopCPU()
-		prof.writeMem()
-		fr.Dump(stderr, we.Error())
-	}
-	return err
 }
 
 // profiler owns the -cpuprofile/-memprofile lifecycle. Stop and write are
@@ -629,72 +620,6 @@ func writeOutputs(tel *telemetry.Telemetry, plane *perf.Plane, p outputPaths, st
 	return 0
 }
 
-func runTable1(w io.Writer) error {
-	t, _, err := experiments.Table1()
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runTable2(w io.Writer) error {
-	t, _ := experiments.Table2()
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runTable3(w io.Writer) error {
-	t, _ := experiments.Table3()
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runConvergence(w io.Writer) error {
-	t, _, err := experiments.Convergence(experiments.DefaultConvergenceConfig(), nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runReplication(w io.Writer) error {
-	t, _, err := experiments.Replication(nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runWalk(w io.Writer) error {
-	t, _, err := experiments.Walk()
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runGlobalArea(w io.Writer) error {
-	t, _, err := experiments.GlobalArea()
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runKeyRate(w io.Writer) error {
-	t, _, err := experiments.KeyRate(nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
-	return nil
-}
-
 func runFeasibility(w io.Writer) error {
 	t, _, err := experiments.MultiClock(nil)
 	if err != nil {
@@ -719,86 +644,5 @@ func runFeasibility(w io.Writer) error {
 		return err
 	}
 	fmt.Fprint(w, pc)
-	return nil
-}
-
-func runTension(w io.Writer) error {
-	t, _, err := experiments.Tension(nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runLandscape(w io.Writer) error {
-	t, _, err := experiments.Landscape()
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runCoflowSched(w io.Writer) error {
-	t, _, err := experiments.CoflowSched(experiments.DefaultCoflowSchedConfig())
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runDemux(w io.Writer) error {
-	t, _, err := experiments.DemuxSweep(nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runBuffer(w io.Writer) error {
-	t, _, err := experiments.BufferSweep(nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runCacheHit(w io.Writer) error {
-	t, _, err := experiments.CacheHit(nil, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runSaturation(w io.Writer) error {
-	t, _, err := experiments.Saturation()
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runFaults(w io.Writer) error {
-	t, _, err := experiments.Faults(nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
-	return nil
-}
-
-func runFailover(w io.Writer) error {
-	t, _, err := experiments.Failover(nil, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, t)
 	return nil
 }

@@ -14,6 +14,18 @@ import (
 	"repro/internal/telemetry"
 )
 
+// defaultExperiment returns the shipped experiment with the given id.
+func defaultExperiment(t *testing.T, name string) experiment {
+	t.Helper()
+	for _, e := range defaultExperiments() {
+		if e.name == name {
+			return e
+		}
+	}
+	t.Fatalf("no default experiment %q", name)
+	return experiment{}
+}
+
 // Every experiment runner must execute cleanly — this is the CLI's
 // contract (the experiments' numeric assertions live in
 // internal/experiments).

@@ -273,7 +273,7 @@ func TestServePerfEndpoint(t *testing.T) {
 	}
 
 	exps := []experiment{
-		{"saturation", "", runSaturation},
+		defaultExperiment(t, "saturation"),
 		{"probe", "", probe},
 	}
 	code, _, errw := func() (int, string, string) {

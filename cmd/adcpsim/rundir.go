@@ -9,29 +9,8 @@ import (
 	"time"
 
 	"repro/internal/runstate"
-	"repro/internal/service"
 	"repro/internal/telemetry"
 )
-
-// The per-experiment persistence vocabulary (payload schema, unit names,
-// restore/persist rules, output capture) lives in internal/service, shared
-// verbatim with the job daemon so both planes journal experiments
-// identically. The CLI keeps thin aliases.
-
-// expUnit names an experiment's journal unit (sweep points inside it
-// journal separately as "point:<sweep>[i]" units).
-func expUnit(name string) string { return service.ExpUnit(name) }
-
-// restoreExperiment replays a completed experiment from the journal.
-func restoreExperiment(j *runstate.Journal, name string, wantHub bool) (string, *telemetry.Telemetry, bool) {
-	return service.RestoreExperiment(j, name, wantHub)
-}
-
-// persistExperiment commits a completed experiment's output and telemetry
-// to the journal.
-func persistExperiment(j *runstate.Journal, name, output string, hub *telemetry.Telemetry, withHub bool, stderr io.Writer) {
-	service.PersistExperiment(j, name, output, hub, withHub, stderr)
-}
 
 // configDigest canonicalizes the flags that change a run's deterministic
 // output — the experiment selection and every knob that shapes tables,

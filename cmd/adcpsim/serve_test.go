@@ -98,7 +98,7 @@ func TestServeLiveDuringRun(t *testing.T) {
 	}
 
 	exps := []experiment{
-		{"saturation", "", runSaturation},
+		defaultExperiment(t, "saturation"),
 		{"probe", "", probe},
 	}
 	var out, errw bytes.Buffer
@@ -156,7 +156,7 @@ func TestServeMetricsParsesAsPrometheus(t *testing.T) {
 		return nil
 	}
 	exps := []experiment{
-		{"cachehit", "", runCacheHit},
+		defaultExperiment(t, "cachehit"),
 		{"probe", "", probe},
 	}
 	var out, errw bytes.Buffer

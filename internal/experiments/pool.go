@@ -54,8 +54,9 @@ func SetPointProgress(fn func(sweep string, done, total int)) {
 
 // SetJournal installs the run journal every sweep records into: completed
 // points persist their result slot and telemetry, and a resumed process
-// replays them instead of re-running. nil uninstalls. The CLI sets it
-// when -run-dir is given.
+// replays them instead of re-running. nil uninstalls.
+// service.RunExperiments installs its run journal for the duration of a
+// selection (the CLI's -run-dir, a daemon job's run directory).
 func SetJournal(j parallel.Journal) { poolJournal.Store(journalBox{j: j}) }
 
 // Journal returns the installed run journal, or nil.

@@ -98,63 +98,67 @@ func TestReleaseIsIdempotent(t *testing.T) {
 	p.Release(b)
 }
 
-// TestBoundParseMatchesMapParse runs the same packets through the bound
-// (flat) parser and the legacy map path and demands identical PHV
-// contents, cycle counts, and decode results.
+// TestBoundParseMatchesMapParse runs the same packets through a pipeline
+// (whose parser is the bound, flat one) and through the name-keyed
+// ParseGraph.Run it was bound from, applying the map result to a PHV the
+// way a layout consumes it: scalars into scalar containers, arrays into
+// array containers, everything else dropped. PHV contents and parse cycle
+// counts must be identical.
 func TestBoundParseMatchesMapParse(t *testing.T) {
 	cfg := DefaultADCPConfig()
-	build := func(bound bool) (*Pipeline, *phv.Layout) {
-		layout := testLayout(t, cfg.PHVBudget)
-		for _, name := range []string{"kv_keys", "kv_values"} {
-			if _, err := layout.AllocArray(name); err != nil {
-				t.Fatal(err)
-			}
-		}
-		p, err := New(cfg, packet.StandardGraph(), layout)
-		if err != nil {
+	layout := testLayout(t, cfg.PHVBudget)
+	for _, name := range []string{"kv_keys", "kv_values"} {
+		if _, err := layout.AllocArray(name); err != nil {
 			t.Fatal(err)
 		}
-		if !bound {
-			p.bound = nil // force the legacy map path
-		}
-		return p, layout
 	}
-	flat, flatLayout := build(true)
-	legacy, legacyLayout := build(false)
-	if flat.bound == nil {
-		t.Fatal("standard graph did not bind")
+	graph := packet.StandardGraph()
+	p, err := New(cfg, graph, layout)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, n := range []int{0, 1, 3, 8} {
 		pkt := kvPacket(n)
-		fc, err := flat.Process(pkt, nil)
+		fc, err := p.Process(pkt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lc, err := legacy.Process(pkt, nil)
+		res, err := graph.Run(pkt.Data, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fc.Cycles != lc.Cycles {
-			t.Fatalf("n=%d: bound cycles %d, legacy %d", n, fc.Cycles, lc.Cycles)
+		want := phv.NewVector(layout)
+		for name, val := range res.Fields {
+			if id := layout.Lookup(name); id != phv.Invalid && !layout.IsArray(id) {
+				want.Set(id, val)
+			}
+		}
+		for name, vals := range res.Arrays {
+			if id := layout.Lookup(name); id != phv.Invalid && layout.IsArray(id) {
+				want.SetArray(id, vals)
+			}
+		}
+		// An empty program pays one cycle per stage on top of the parse.
+		if got := fc.Cycles - p.NumStages(); got != res.StatesVisited {
+			t.Fatalf("n=%d: bound parse took %d cycles, map parse %d", n, got, res.StatesVisited)
 		}
 		for _, name := range []string{"dst_port", "proto", "coflow_id", "kv_op", "kv_count"} {
-			fv := fc.PHV.Get(flatLayout.Lookup(name))
-			lv := lc.PHV.Get(legacyLayout.Lookup(name))
-			if fv != lv {
-				t.Fatalf("n=%d: field %s: bound %d, legacy %d", n, name, fv, lv)
+			id := layout.Lookup(name)
+			if fv, lv := fc.PHV.Get(id), want.Get(id); fv != lv || fc.PHV.Valid(id) != want.Valid(id) {
+				t.Fatalf("n=%d: field %s: bound %d, map %d", n, name, fv, lv)
 			}
 		}
-		fk := fc.PHV.Array(flatLayout.Lookup("kv_keys"))
-		lk := lc.PHV.Array(legacyLayout.Lookup("kv_keys"))
-		if len(fk) != len(lk) {
-			t.Fatalf("n=%d: kv_keys len: bound %d, legacy %d", n, len(fk), len(lk))
-		}
-		for i := range fk {
-			if fk[i] != lk[i] {
-				t.Fatalf("n=%d: kv_keys[%d]: bound %d, legacy %d", n, i, fk[i], lk[i])
+		for _, name := range []string{"kv_keys", "kv_values"} {
+			fk, lk := fc.PHV.Array(layout.Lookup(name)), want.Array(layout.Lookup(name))
+			if len(fk) != len(lk) {
+				t.Fatalf("n=%d: %s len: bound %d, map %d", n, name, len(fk), len(lk))
+			}
+			for i := range fk {
+				if fk[i] != lk[i] {
+					t.Fatalf("n=%d: %s[%d]: bound %d, map %d", n, name, i, fk[i], lk[i])
+				}
 			}
 		}
-		flat.Release(fc)
-		legacy.Release(lc)
+		p.Release(fc)
 	}
 }

@@ -17,6 +17,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/mat"
@@ -231,14 +232,11 @@ type Program struct {
 type Pipeline struct {
 	cfg    Config
 	stages []*Stage
-	parser *packet.ParseGraph
 	pool   *phv.Pool
-	layout *phv.Layout
 
-	// bound is the parse graph pre-resolved against the layout (nil when
-	// the graph does not validate; then runInto falls back to the map
-	// path). flat is its reusable result and ctxFree the context free
-	// list: together they make the steady-state traversal allocation-free.
+	// bound is the parse graph pre-resolved against the layout, flat its
+	// reusable result and ctxFree the context free list: together they
+	// make the steady-state traversal allocation-free.
 	bound   *packet.BoundParser
 	flat    packet.FlatResult
 	ctxFree []*Context
@@ -264,30 +262,28 @@ func New(cfg Config, parser *packet.ParseGraph, layout *phv.Layout) (*Pipeline, 
 
 // NewN builds n identical pipelines, as a switch does: the parse graph is
 // bound against the layout once and the (immutable) bound parser shared.
+// A graph that does not validate is an error.
 func NewN(n int, cfg Config, parser *packet.ParseGraph, layout *phv.Layout) ([]*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var bound *packet.BoundParser
-	if parser != nil && layout != nil {
-		// Best effort: a graph that fails validation keeps the legacy
-		// map-based parse path (identical behavior, slower).
-		if b, err := parser.Bind(func(name string, array bool) int {
-			id := layout.Lookup(name)
-			if id == phv.Invalid || layout.IsArray(id) != array {
-				return -1
-			}
-			return int(id)
-		}); err == nil {
-			bound = b
+	if parser == nil || layout == nil {
+		return nil, errors.New("pipeline: a parse graph and a PHV layout are required")
+	}
+	bound, err := parser.Bind(func(name string, array bool) int {
+		id := layout.Lookup(name)
+		if id == phv.Invalid || layout.IsArray(id) != array {
+			return -1
 		}
+		return int(id)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: bind parse graph: %w", err)
 	}
 	ps := make([]*Pipeline, n)
 	for i := range ps {
 		p := &Pipeline{
 			cfg:    cfg,
-			parser: parser,
-			layout: layout,
 			pool:   phv.NewPool(layout),
 			bound:  bound,
 			stages: make([]*Stage, cfg.Stages),
@@ -358,43 +354,23 @@ func (p *Pipeline) Resume(ctx *Context, prog *Program) error {
 
 func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
 	// Parse. The bound parser writes slot-keyed flat results into a
-	// reusable buffer; the map path remains for unvalidatable graphs and
-	// is behaviorally identical.
-	if p.bound != nil {
-		res := &p.flat
-		if err := p.bound.Run(ctx.Pkt.Data, 0, res); err != nil {
-			p.parseErrors++
-			return fmt.Errorf("pipeline: parse: %w", err)
-		}
-		for i := range res.Fields {
-			ctx.PHV.Set(phv.FieldID(res.Fields[i].Slot), res.Fields[i].Val)
-		}
-		// Array extractions land in array containers when the layout has
-		// them (ADCP §3.2: arrays as first-class parse outputs). RMT
-		// layouts have no array containers, so the data stays packet-only
-		// there (the binder drops them to bounds-check-only).
-		for i := range res.Arrays {
-			ctx.PHV.SetArray(phv.FieldID(res.Arrays[i].Slot), res.Arrays[i].Vals)
-		}
-		ctx.Cycles += res.StatesVisited
-	} else {
-		res, err := p.parser.Run(ctx.Pkt.Data, 0)
-		if err != nil {
-			p.parseErrors++
-			return fmt.Errorf("pipeline: parse: %w", err)
-		}
-		for name, val := range res.Fields {
-			if id := p.layout.Lookup(name); id != phv.Invalid && !p.layout.IsArray(id) {
-				ctx.PHV.Set(id, val)
-			}
-		}
-		for name, vals := range res.Arrays {
-			if id := p.layout.Lookup(name); id != phv.Invalid && p.layout.IsArray(id) {
-				ctx.PHV.SetArray(id, vals)
-			}
-		}
-		ctx.Cycles += res.StatesVisited
+	// reusable buffer.
+	res := &p.flat
+	if err := p.bound.Run(ctx.Pkt.Data, 0, res); err != nil {
+		p.parseErrors++
+		return fmt.Errorf("pipeline: parse: %w", err)
 	}
+	for i := range res.Fields {
+		ctx.PHV.Set(phv.FieldID(res.Fields[i].Slot), res.Fields[i].Val)
+	}
+	// Array extractions land in array containers when the layout has
+	// them (ADCP §3.2: arrays as first-class parse outputs). RMT
+	// layouts have no array containers, so the data stays packet-only
+	// there (the binder drops them to bounds-check-only).
+	for i := range res.Arrays {
+		ctx.PHV.SetArray(phv.FieldID(res.Arrays[i].Slot), res.Arrays[i].Vals)
+	}
+	ctx.Cycles += res.StatesVisited
 	if err := ctx.Decoded.DecodePacket(ctx.Pkt); err != nil {
 		p.parseErrors++
 		return fmt.Errorf("pipeline: decode: %w", err)

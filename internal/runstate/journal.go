@@ -4,11 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -47,122 +44,32 @@ const unitsDir = "units"
 // quarantineDir holds one flight-recorder dump per quarantined unit.
 const quarantineDir = "quarantine"
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// errLogClosed is returned by appends to a closed Log or Journal.
-var errLogClosed = errors.New("runstate: journal closed")
-
-// frameBody encodes one record line: "<len> <crc32c-hex> <json>\n". The
-// length and checksum cover the JSON bytes, so replay detects both torn
-// tails (short final line) and bit rot (checksum mismatch mid-file).
-func frameBody(body []byte) []byte {
-	return []byte(fmt.Sprintf("%d %08x %s\n", len(body), crc32.Checksum(body, crcTable), body))
-}
-
-// frame encodes one run-journal record line.
-func frame(rec Record) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	return frameBody(body), nil
-}
-
-// parseFrame validates one framed line (without trailing newline) and
-// returns its body bytes.
-func parseFrame(line []byte) ([]byte, error) {
-	s := string(line)
-	sp1 := strings.IndexByte(s, ' ')
-	if sp1 < 0 {
-		return nil, errors.New("missing length field")
-	}
-	sp2 := strings.IndexByte(s[sp1+1:], ' ')
-	if sp2 < 0 {
-		return nil, errors.New("missing checksum field")
-	}
-	sp2 += sp1 + 1
-	n, err := strconv.Atoi(s[:sp1])
-	if err != nil {
-		return nil, fmt.Errorf("bad length: %w", err)
-	}
-	wantCRC, err := strconv.ParseUint(s[sp1+1:sp2], 16, 32)
-	if err != nil {
-		return nil, fmt.Errorf("bad checksum: %w", err)
-	}
-	body := line[sp2+1:]
-	if len(body) != n {
-		return nil, fmt.Errorf("length %d, frame says %d", len(body), n)
-	}
-	if got := crc32.Checksum(body, crcTable); uint32(wantCRC) != got {
-		return nil, fmt.Errorf("checksum %08x, frame says %08x", got, wantCRC)
-	}
-	return body, nil
-}
-
-// parseLine decodes one framed run-journal line (without trailing newline).
-func parseLine(line []byte) (Record, error) {
-	var rec Record
-	body, err := parseFrame(line)
-	if err != nil {
-		return rec, err
-	}
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return rec, fmt.Errorf("bad record JSON: %w", err)
-	}
-	return rec, nil
-}
-
-// replayFrames walks data's framed lines, calling emit with each committed
-// body. A frame (or emit) error on the *final* line — the only damage an
-// append-only crash can inflict — is tolerated and reported via torn:
-// each record commits as one write+fsync including its newline, so a
-// damaged or unterminated final record never committed. Damage anywhere
-// earlier is corruption and returns an error.
-func replayFrames(data []byte, emit func(body []byte) error) (torn bool, err error) {
-	off := 0
-	for off < len(data) {
-		nl := -1
-		for i := off; i < len(data); i++ {
-			if data[i] == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			return true, nil
-		}
-		body, perr := parseFrame(data[off:nl])
-		if perr == nil {
-			perr = emit(body)
-		}
-		if perr != nil {
-			if nl == len(data)-1 {
-				return true, nil
-			}
-			return false, fmt.Errorf("runstate: journal corrupt at byte %d: %v", off, perr)
-		}
-		off = nl + 1
-	}
-	return false, nil
-}
-
-// Replay parses a run-journal byte stream into its committed records. A
-// torn tail — an invalid or incomplete *final* line — is tolerated and
-// reported via torn; damage anywhere earlier is corruption and returns an
-// error.
+// Replay parses a run-journal byte stream into its committed records:
+// ReplayRaw's frames, decoded as Records. A torn tail — an invalid or
+// incomplete *final* line — is tolerated and reported via torn; damage
+// anywhere earlier, or a committed body that is not a Record, is
+// corruption and returns an error.
 func Replay(data []byte) (recs []Record, torn bool, err error) {
-	torn, err = replayFrames(data, func(body []byte) error {
-		var rec Record
-		if uerr := json.Unmarshal(body, &rec); uerr != nil {
-			return fmt.Errorf("bad record JSON: %w", uerr)
-		}
-		recs = append(recs, rec)
-		return nil
-	})
+	bodies, torn, err := ReplayRaw(data)
+	if err != nil {
+		return nil, false, err
+	}
+	recs, err = decodeRecords(bodies)
 	if err != nil {
 		return nil, false, err
 	}
 	return recs, torn, nil
+}
+
+// decodeRecords unmarshals committed bodies into run-journal records.
+func decodeRecords(bodies [][]byte) ([]Record, error) {
+	recs := make([]Record, len(bodies))
+	for i, body := range bodies {
+		if err := json.Unmarshal(body, &recs[i]); err != nil {
+			return nil, fmt.Errorf("runstate: journal corrupt at record %d: bad record JSON: %v", i, err)
+		}
+	}
+	return recs, nil
 }
 
 // UnitStatus summarizes what the journal knows about one unit after replay.
@@ -173,17 +80,17 @@ type UnitStatus struct {
 	Quarantined bool
 }
 
-// Journal is the append-only run journal inside a run directory. One
-// process opens it for the duration of a run; records append with
-// length+checksum framing and an fsync per record, so a kill -9 loses at
-// most the record being written — which replay then drops as a torn tail.
-// All methods are safe for concurrent use by pool workers.
+// Journal is the run journal inside a run directory: a typed view over
+// the directory's Log. The Log owns the file — framing, fsync per record,
+// torn-tail truncation on open — and the Journal owns what the records
+// mean: the unit map folded from them, the config-digest check, and the
+// payload files next to the log. One process opens it for the duration of
+// a run. All methods are safe for concurrent use by pool workers.
 type Journal struct {
 	dir     string
-	mu      sync.Mutex
-	f       *os.File
-	closed  bool
+	log     *Log
 	resumed bool
+	mu      sync.Mutex // guards units, and orders appends with their fold
 	units   map[string]*UnitStatus
 }
 
@@ -224,8 +131,7 @@ func Open(dir string, opt OpenOptions) (*Journal, error) {
 	removeTempFiles(filepath.Join(dir, quarantineDir))
 
 	path := filepath.Join(dir, journalFile)
-	j := &Journal{dir: dir, units: make(map[string]*UnitStatus), resumed: opt.Resume}
-	data, err := os.ReadFile(path)
+	_, err := os.Stat(path)
 	switch {
 	case err == nil && !opt.Resume:
 		return nil, ErrFreshDirHasJournal
@@ -235,45 +141,44 @@ func Open(dir string, opt OpenOptions) (*Journal, error) {
 		return nil, err
 	}
 
-	if opt.Resume {
-		recs, torn, rerr := Replay(data)
-		if rerr != nil {
-			return nil, rerr
-		}
-		if len(recs) == 0 || recs[0].Op != OpRun {
-			return nil, fmt.Errorf("runstate: journal in %s has no run record", dir)
-		}
-		if opt.Config != "" && recs[0].Config != opt.Config {
-			return nil, fmt.Errorf("runstate: resume configuration mismatch: journal was recorded with config %s, this invocation digests to %s (same flags required)",
-				short(recs[0].Config), short(opt.Config))
-		}
-		for _, rec := range recs {
-			j.apply(rec)
-		}
-		if torn {
-			// Re-terminate the file at the last committed record so the
-			// resumed process appends framed records on a clean boundary.
-			keep := committedLen(data)
-			if werr := os.Truncate(path, int64(keep)); werr != nil {
-				return nil, werr
-			}
-		}
-	}
-
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
+	log, bodies, _, err := OpenLog(path)
 	if err != nil {
 		return nil, err
 	}
-	j.f = f
+	j := &Journal{dir: dir, log: log, units: make(map[string]*UnitStatus), resumed: opt.Resume}
 	first := Record{Op: OpRun, Config: opt.Config, Argv: opt.Argv}
 	if opt.Resume {
-		first = Record{Op: OpResume, Config: opt.Config, Argv: opt.Argv}
+		first.Op = OpResume
+		err = j.replay(bodies, opt.Config)
 	}
-	if err := j.append(first); err != nil {
-		f.Close()
+	if err == nil {
+		err = j.append(first)
+	}
+	if err != nil {
+		log.Close()
 		return nil, err
 	}
 	return j, nil
+}
+
+// replay folds a resumed journal's committed records into the unit map,
+// refusing a journal without a run record or with another configuration.
+func (j *Journal) replay(bodies [][]byte, config string) error {
+	recs, err := decodeRecords(bodies)
+	if err != nil {
+		return err
+	}
+	if len(recs) == 0 || recs[0].Op != OpRun {
+		return fmt.Errorf("runstate: journal in %s has no run record", j.dir)
+	}
+	if config != "" && recs[0].Config != config {
+		return fmt.Errorf("runstate: resume configuration mismatch: journal was recorded with config %s, this invocation digests to %s (same flags required)",
+			short(recs[0].Config), short(config))
+	}
+	for _, rec := range recs {
+		j.apply(rec)
+	}
+	return nil
 }
 
 // short abbreviates a digest for error text.
@@ -285,30 +190,6 @@ func short(d string) string {
 		return "(empty)"
 	}
 	return d
-}
-
-// committedLen returns the byte length of data's committed prefix — the
-// bytes up to and including the last record that replays cleanly.
-func committedLen(data []byte) int {
-	off, last := 0, 0
-	for off < len(data) {
-		nl := -1
-		for i := off; i < len(data); i++ {
-			if data[i] == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			break
-		}
-		if _, err := parseLine(data[off:nl]); err != nil {
-			break
-		}
-		last = nl + 1
-		off = nl + 1
-	}
-	return last
 }
 
 // apply folds one replayed record into the unit map.
@@ -356,22 +237,16 @@ func (j *Journal) Status(unit string) UnitStatus {
 	return UnitStatus{}
 }
 
-// append frames and durably writes one record. Caller must not hold j.mu.
+// append durably commits one record through the log and folds it into
+// the unit map. Caller must not hold j.mu.
 func (j *Journal) append(rec Record) error {
-	line, err := frame(rec)
-	if err != nil {
-		return err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return errLogClosed
-	}
-	j.apply(rec)
-	if _, err := j.f.Write(line); err != nil {
+	if err := j.log.Append(rec); err != nil {
 		return err
 	}
-	return j.f.Sync()
+	j.apply(rec)
+	return nil
 }
 
 // unitPath returns the payload file for unit.
@@ -435,22 +310,15 @@ func (j *Journal) LookupDone(unit string) ([]byte, bool) {
 	return b, true
 }
 
-// Close commits an end record and closes the journal file. Idempotent:
-// the shutdown path and the normal exit path may both call it.
+// Close commits an end record and closes the log. Idempotent: the
+// shutdown path and the normal exit path may both call it.
 func (j *Journal) Close() error {
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
+	err := j.append(Record{Op: OpEnd})
+	if errors.Is(err, errLogClosed) {
 		return nil
 	}
-	j.mu.Unlock()
-	err := j.append(Record{Op: OpEnd})
-	j.mu.Lock()
-	j.closed = true
-	cerr := j.f.Close()
-	j.mu.Unlock()
-	if err != nil {
-		return err
+	if cerr := j.log.Close(); err == nil {
+		err = cerr
 	}
-	return cerr
+	return err
 }

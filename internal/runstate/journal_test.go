@@ -2,6 +2,7 @@ package runstate
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"os"
@@ -17,26 +18,22 @@ func frameRecords(t *testing.T, recs ...Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, r := range recs {
-		line, err := frame(r)
+		body, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf.Write(line)
+		buf.Write(frameBody(body))
 	}
 	return buf.Bytes()
 }
 
 func TestFrameRoundTrip(t *testing.T) {
 	rec := Record{Op: OpBegin, Unit: "point:faults[3]", Spec: "rmt loss=0.01", Seed: 42, Attempt: 2}
-	line, err := frame(rec)
-	if err != nil {
-		t.Fatal(err)
+	got, torn, err := Replay(frameRecords(t, rec))
+	if err != nil || torn {
+		t.Fatalf("Replay: torn=%v err=%v", torn, err)
 	}
-	got, err := parseLine(bytes.TrimSuffix(line, []byte("\n")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rec) {
+	if len(got) != 1 || !reflect.DeepEqual(got[0], rec) {
 		t.Fatalf("round trip: got %+v, want %+v", got, rec)
 	}
 }
@@ -238,7 +235,7 @@ func TestResumeTruncatesTornTail(t *testing.T) {
 	}
 	committed := len(data)
 	// Simulate a torn append: half a record at the tail.
-	line, _ := frame(Record{Op: OpDone, Unit: "point:a", Digest: "d"})
+	line := frameRecords(t, Record{Op: OpDone, Unit: "point:a", Digest: "d"})
 	if err := os.WriteFile(path, append(data, line[:len(line)/2]...), 0o666); err != nil {
 		t.Fatal(err)
 	}

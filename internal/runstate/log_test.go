@@ -1,14 +1,20 @@
 package runstate
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
+// logRec is deliberately not a run-journal Record: its "spec" is an
+// object where Record's is a string, as in the daemon's submit records. A
+// log must commit such bodies exactly as it commits the run journal's.
 type logRec struct {
-	N int    `json:"n"`
-	S string `json:"s"`
+	N    int            `json:"n"`
+	S    string         `json:"s"`
+	Spec map[string]int `json:"spec,omitempty"`
 }
 
 func TestLogAppendReplay(t *testing.T) {
@@ -45,9 +51,11 @@ func TestLogAppendReplay(t *testing.T) {
 }
 
 // TestLogKillAtEveryByteOffset is the generic-log version of the journal
-// crash test: a log truncated at ANY byte offset must either replay some
-// committed prefix (dropping at most the torn tail) or — never — error or
-// invent records.
+// crash test: a log truncated at ANY byte offset must reopen to exactly
+// its committed prefix — on disk as well as in the replay — and take
+// appends from there. It must never error, invent records, or (the PR 9
+// bug: a 239-byte job journal truncated to its 47-byte header) cut
+// committed records off the file because of what their bodies hold.
 func TestLogKillAtEveryByteOffset(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.jsonl")
@@ -56,10 +64,16 @@ func TestLogKillAtEveryByteOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 8
+	var ends []int // ends[i] = file length once record i committed
 	for i := 0; i < n; i++ {
-		if err := l.Append(logRec{N: i, S: "payload-with-some-width"}); err != nil {
+		if err := l.Append(logRec{N: i, S: "payload-with-some-width", Spec: map[string]int{"exps": i}}); err != nil {
 			t.Fatal(err)
 		}
+		st, err := os.Stat(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, int(st.Size()))
 	}
 	l.Close()
 	data, err := os.ReadFile(full)
@@ -67,29 +81,46 @@ func TestLogKillAtEveryByteOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	path := filepath.Join(dir, "cut.jsonl")
 	for cut := 0; cut <= len(data); cut++ {
-		path := filepath.Join(dir, "cut.jsonl")
+		wantRecs, wantLen := 0, 0
+		for wantRecs < n && ends[wantRecs] <= cut {
+			wantLen = ends[wantRecs]
+			wantRecs++
+		}
 		if err := os.WriteFile(path, data[:cut], 0o666); err != nil {
 			t.Fatal(err)
 		}
-		l2, bodies, _, err := OpenLog(path)
+		l2, bodies, torn, err := OpenLog(path)
 		if err != nil {
 			t.Fatalf("cut at %d/%d: OpenLog: %v", cut, len(data), err)
 		}
-		// A reopened cut log must append cleanly on the record boundary.
+		if len(bodies) != wantRecs || torn != (cut != wantLen) {
+			t.Fatalf("cut at %d: replayed %d bodies torn=%v, want %d torn=%v", cut, len(bodies), torn, wantRecs, cut != wantLen)
+		}
+		if onDisk, _ := os.ReadFile(path); !bytes.Equal(onDisk, data[:wantLen]) {
+			t.Fatalf("cut at %d: reopen left %d bytes on disk, want the %d-byte committed prefix", cut, len(onDisk), wantLen)
+		}
 		if err := l2.Append(logRec{N: 99, S: "after"}); err != nil {
 			t.Fatalf("cut at %d: append after reopen: %v", cut, err)
 		}
 		l2.Close()
-		_, bodies2, torn2, err := OpenLog(path)
+		l3, bodies2, torn2, err := OpenLog(path)
 		if err != nil {
 			t.Fatalf("cut at %d: re-reopen: %v", cut, err)
 		}
-		if torn2 {
-			t.Fatalf("cut at %d: torn after truncate+append", cut)
+		l3.Close()
+		if torn2 || len(bodies2) != wantRecs+1 {
+			t.Fatalf("cut at %d: second reopen replayed %d bodies torn=%v, want %d untorn", cut, len(bodies2), torn2, wantRecs+1)
 		}
-		if len(bodies2) != len(bodies)+1 {
-			t.Fatalf("cut at %d: %d bodies after append, want %d", cut, len(bodies2), len(bodies)+1)
+		for i, b := range bodies {
+			if !bytes.Equal(bodies2[i], b) {
+				t.Fatalf("cut at %d: record %d changed across the append: %s → %s", cut, i, b, bodies2[i])
+			}
+		}
+		var last logRec
+		if err := json.Unmarshal(bodies2[wantRecs], &last); err != nil || last.N != 99 {
+			t.Fatalf("cut at %d: appended record replayed as %s (%v)", cut, bodies2[wantRecs], err)
 		}
 		os.Remove(path)
 	}

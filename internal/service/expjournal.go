@@ -2,21 +2,115 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
 
+	"repro/internal/experiments"
+	"repro/internal/parallel"
+	"repro/internal/perf"
 	"repro/internal/runstate"
 	"repro/internal/telemetry"
 )
 
-// This file is the shared persistence vocabulary for completed
-// experiments. It moved here from cmd/adcpsim so the batch CLI and the
-// job daemon journal experiments identically — same schema, same unit
-// names, same restore rules — which is what lets a job killed under one
-// plane resume under the other tooling (and what keeps daemon output
-// byte-identical to the CLI's).
+// ExpState is a step of RunExperiments' per-experiment sequence, reported
+// to the caller as it happens.
+type ExpState string
+
+// Every selected experiment reports exactly one of ExpSkipped, ExpRestored
+// or ExpRunning first; ExpRunning is followed by ExpDone or ExpFailed.
+const (
+	ExpSkipped  ExpState = "skipped"  // ctx was already done; not run, counts as failed
+	ExpRestored ExpState = "restored" // replayed whole from the run journal
+	ExpRunning  ExpState = "running"  // about to run
+	ExpDone     ExpState = "done"     // ran; output framed, journal unit committed
+	ExpFailed   ExpState = "failed"   // ran and returned err (watchdog and budget trips included)
+)
+
+// RunExperiments is the one experiment run loop: `adcpsim -exp` and every
+// daemon job attempt run their selection through it, which is what keeps a
+// job's output byte-identical to the CLI's and lets either resume the
+// other's run directory. It runs exps in order under ctx, writing their
+// tables to out — each followed by a blank line — and folding their
+// telemetry into tel. A failed experiment does not stop the ones after it;
+// once ctx is done the remaining ones are skipped. on, called
+// synchronously for every state change, is where a plane does its own
+// bookkeeping (progress, publication, failure lists); err is non-nil for
+// ExpFailed and ExpSkipped.
+//
+// Without a journal each experiment runs directly in tel and writes
+// straight to out. With one the run is durable: a unit the journal already
+// holds is replayed instead of run, and a fresh experiment runs in a
+// mirror hub with its output teed through a capture buffer — on success
+// both persist as one journal unit, a failure is journaled with its class,
+// and either way the mirror merges into tel, so tel and out match a
+// journal-less run byte for byte. The journal is also the sweep layer's
+// for the duration (experiments.SetJournal is process-global, which is why
+// callers run one selection at a time), and is cleared before returning so
+// a goroutine an expired watchdog abandoned cannot journal into whatever
+// runs next.
+func RunExperiments(ctx context.Context, exps []Experiment, jr *runstate.Journal, tel *telemetry.Telemetry,
+	budget uint64, out, stderr io.Writer, on func(name string, st ExpState, err error)) {
+	if jr != nil {
+		experiments.SetJournal(jr)
+		defer experiments.SetJournal(nil)
+	}
+	withHub := tel.Metrics != nil
+	for _, e := range exps {
+		if ctx.Err() != nil {
+			on(e.Name, ExpSkipped, &experiments.WatchdogError{Name: e.Name, Err: ctx.Err()})
+			continue
+		}
+		hub, w := tel, out
+		var capt *CaptureOut
+		unit, attempt := ExpUnit(e.Name), 0
+		if jr != nil {
+			if output, restored, ok := RestoreExperiment(jr, e.Name, withHub); ok {
+				io.WriteString(out, output)
+				if restored != nil {
+					telemetry.Merge(tel, restored)
+				}
+				fmt.Fprintln(out)
+				perf.Active().ResumeRestored()
+				on(e.Name, ExpRestored, nil)
+				continue
+			}
+			attempt = jr.Status(unit).Attempts + 1
+			jr.Begin(unit, e.Desc, 0, attempt)
+			hub = telemetry.Mirror(tel)
+			capt = NewCaptureOut(out)
+			w = capt
+		}
+		on(e.Name, ExpRunning, nil)
+		var err error
+		telemetry.WithDefault(hub, func() {
+			err = experiments.Run(ctx, e.Name, budget, func() error { return e.Run(w) })
+		})
+		if jr != nil {
+			// A tripped watchdog abandons the experiment's goroutine; from
+			// here on whatever it still writes stays in the capture buffer.
+			capt.Seal()
+			// Persist BEFORE merging: Merge adopts the mirror's metric
+			// objects and renumbers their instance labels in place to the
+			// live hub's sequence, so an encode after the merge would
+			// journal global numbering and double-shift on restore.
+			if err == nil {
+				PersistExperiment(jr, e.Name, capt.String(), hub, withHub, stderr)
+			} else {
+				jr.Fail(unit, attempt, parallel.Classify(err), err.Error())
+			}
+			telemetry.Merge(tel, hub)
+		}
+		if err != nil {
+			on(e.Name, ExpFailed, err)
+			continue
+		}
+		fmt.Fprintln(out)
+		on(e.Name, ExpDone, nil)
+	}
+}
 
 // ExpPayloadSchema identifies the persisted per-experiment payload layout.
 const ExpPayloadSchema = "adcp-exp/1"
@@ -98,9 +192,17 @@ func NewCaptureOut(live io.Writer) *CaptureOut { return &CaptureOut{live: live} 
 
 func (c *CaptureOut) Write(p []byte) (int, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.buf.Write(p)
-	c.mu.Unlock()
 	return c.live.Write(p)
+}
+
+// Seal detaches the live writer: once Seal returns no write, in flight or
+// later, reaches it.
+func (c *CaptureOut) Seal() {
+	c.mu.Lock()
+	c.live = io.Discard
+	c.mu.Unlock()
 }
 
 // String returns everything written so far.

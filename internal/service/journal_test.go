@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/runstate"
@@ -57,9 +59,13 @@ func seedJournal(t *testing.T) []byte {
 // TestJobJournalKillAtEveryByteOffset is the durability core of the job
 // queue: for EVERY byte prefix of a valid journal — every instant a kill
 // -9 could strike — reopening must succeed, replay a committed prefix of
-// the record sequence, and fold it into valid FSM states.
+// the record sequence, and fold it into valid FSM states. The file the
+// reopen leaves behind must be that committed prefix too (a cut inside the
+// header leaves a fresh header, which is the same bytes), so the next
+// append and the next restart see the queue the replay saw.
 func TestJobJournalKillAtEveryByteOffset(t *testing.T) {
 	data := seedJournal(t)
+	header := bytes.IndexByte(data, '\n') + 1
 	dir := t.TempDir()
 	var lastCommitted int
 	for cut := 0; cut <= len(data); cut++ {
@@ -74,10 +80,38 @@ func TestJobJournalKillAtEveryByteOffset(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at %d/%d: open: %v", cut, len(data), err)
 		}
-		jj.close()
+		committed := bytes.LastIndexByte(data[:cut], '\n') + 1
+		if committed < header {
+			committed = header
+		}
+		if onDisk, _ := os.ReadFile(filepath.Join(jdir, jobJournalFile)); !bytes.Equal(onDisk, data[:committed]) {
+			t.Fatalf("cut at %d/%d: reopen left %d bytes on disk, want the %d-byte committed prefix", cut, len(data), len(onDisk), committed)
+		}
 		jobs, err := replayJobs(recs)
 		if err != nil {
 			t.Fatalf("cut at %d/%d: replay: %v", cut, len(data), err)
+		}
+		// One more record and one more restart: every earlier record and
+		// the new one must come back.
+		if err := jj.append(jobRecord{Op: opSubmit, ID: "j9999", Spec: &Spec{Exps: []string{"alpha"}}}); err != nil {
+			t.Fatalf("cut at %d: append after reopen: %v", cut, err)
+		}
+		jj.close()
+		jj2, recs2, err := openJobJournal(jdir)
+		if err != nil {
+			t.Fatalf("cut at %d: second reopen: %v", cut, err)
+		}
+		jj2.close()
+		if len(recs2) != len(recs)+1 || recs2[len(recs)].ID != "j9999" {
+			t.Fatalf("cut at %d: second reopen replayed %d records, want the first %d plus j9999", cut, len(recs2), len(recs))
+		}
+		for i := range recs {
+			if !reflect.DeepEqual(recs2[i], recs[i]) {
+				t.Fatalf("cut at %d: record %d changed across the append: %+v → %+v", cut, i, recs[i], recs2[i])
+			}
+		}
+		if jobs2, err := replayJobs(recs2); err != nil || len(jobs2) != len(jobs)+1 {
+			t.Fatalf("cut at %d: second replay: %d jobs (want %d), err %v", cut, len(jobs2), len(jobs)+1, err)
 		}
 		// Record count must be monotone in the cut — a longer prefix can
 		// never recover fewer committed records.

@@ -8,9 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/experiments"
 	"repro/internal/parallel"
-	"repro/internal/perf"
 	"repro/internal/runstate"
 	"repro/internal/telemetry"
 )
@@ -48,15 +46,15 @@ func classRank(class string) int {
 }
 
 // executeAttempt runs one attempt of a job: open (or resume) the job's
-// private run journal, run the spec's experiments exactly as the batch CLI
-// does — restored units replay, fresh ones run in a mirror hub and persist
-// before merging — then commit out.txt and metrics.json atomically.
+// private run journal, run the spec's experiments through RunExperiments —
+// the batch CLI's own loop — then commit out.txt and metrics.json
+// atomically.
 //
 // The output contract is the whole point: a done job's out.txt is
 // byte-identical to `adcpsim -exp <sel>` stdout and its metrics.json to
 // the CLI's -metrics export, at any attempt count and across any number of
-// daemon crashes, because both planes share the same journal schema,
-// restore rules, and table framing.
+// daemon crashes. The one place out.txt parts from the CLI's stream is a
+// failed experiment: its partial output is rolled back out of the buffer.
 func (d *Daemon) executeAttempt(ctx context.Context, j *job, attempt int) attemptOutcome {
 	jobDir := d.jobDir(j.id)
 	if err := os.MkdirAll(jobDir, 0o777); err != nil {
@@ -67,13 +65,9 @@ func (d *Daemon) executeAttempt(ctx context.Context, j *job, attempt int) attemp
 	if err != nil {
 		return attemptOutcome{err: err, class: "error"}
 	}
-	// The experiment layer's journal knob is process-global; serial job
-	// execution (see package comment) is what makes this safe. Clearing it
-	// and closing the journal before returning fences off any goroutine a
+	// Closing the journal before returning fences off any goroutine a
 	// tripped watchdog abandoned — its late unit writes fail on the closed
 	// journal instead of landing in the next job's.
-	experiments.SetJournal(jr)
-	defer experiments.SetJournal(nil)
 	defer jr.Close()
 
 	budget := j.spec.EventBudget
@@ -89,65 +83,37 @@ func (d *Daemon) executeAttempt(ctx context.Context, j *job, attempt int) attemp
 	var failed []string
 	var firstErr error
 	worst := ""
-	for _, e := range d.resolve(j.spec) {
-		if ctx.Err() != nil {
-			// Deadline or cancellation mid-job: remaining experiments are
-			// skipped-as-failed, exactly like the CLI under -exp-timeout.
-			d.setProgress(j, e.Name, "failed")
-			failed = append(failed, e.Name)
+	mark := 0 // out's length when the running experiment started
+	RunExperiments(ctx, d.resolve(j.spec), jr, tel, budget, &out, d.cfg.Stderr, func(name string, st ExpState, err error) {
+		switch st {
+		case ExpRunning:
+			mark = out.Len()
+		case ExpSkipped:
+			// Deadline or cancellation mid-job: the remaining experiments
+			// are skipped-as-failed, exactly like the CLI's -exp-timeout.
 			if firstErr == nil {
-				firstErr = &experiments.WatchdogError{Name: e.Name, Err: ctx.Err()}
-				worst = "watchdog"
+				firstErr, worst = err, "watchdog"
 			}
-			continue
-		}
-		if restored, hub, ok := RestoreExperiment(jr, e.Name, true); ok {
-			out.WriteString(restored)
-			if hub != nil {
-				telemetry.Merge(tel, hub)
-			}
-			out.WriteByte('\n')
-			perf.Active().ResumeRestored()
-			d.setProgress(j, e.Name, "restored")
-			d.publishSnapshot(j, tel)
-			continue
-		}
-		d.setProgress(j, e.Name, "running")
-		unit := ExpUnit(e.Name)
-		expAttempt := jr.Status(unit).Attempts + 1
-		jr.Begin(unit, e.Desc, 0, expAttempt)
-		// Run in a mirror hub with captured output, and persist BEFORE
-		// merging: Merge renumbers the mirror's instance labels in place to
-		// the live hub's sequence, so a later encode would journal global
-		// numbering and double-shift on restore.
-		mirror := telemetry.Mirror(tel)
-		capt := NewCaptureOut(io.Discard)
-		var runErr error
-		telemetry.WithDefault(mirror, func() {
-			runErr = experiments.Run(ctx, e.Name, budget, func() error { return e.Run(capt) })
-		})
-		if runErr == nil {
-			PersistExperiment(jr, e.Name, capt.String(), mirror, true, d.cfg.Stderr)
-			telemetry.Merge(tel, mirror)
-			out.WriteString(capt.String())
-			out.WriteByte('\n')
-			d.setProgress(j, e.Name, "done")
-		} else {
-			class := parallel.Classify(runErr)
-			jr.Fail(unit, expAttempt, class, runErr.Error())
-			telemetry.Merge(tel, mirror)
-			d.setProgress(j, e.Name, "failed")
-			failed = append(failed, e.Name)
+		case ExpFailed:
+			out.Truncate(mark)
+			class := parallel.Classify(err)
 			if firstErr == nil {
-				firstErr = runErr
+				firstErr = err
 			}
 			if worst == "" || classRank(class) > classRank(worst) {
 				worst = class
 			}
-			fmt.Fprintf(d.cfg.Stderr, "service: job %s experiment %s failed: %v\n", j.id, e.Name, runErr)
+			fmt.Fprintf(d.cfg.Stderr, "service: job %s experiment %s failed: %v\n", j.id, name, err)
 		}
-		d.publishSnapshot(j, tel)
-	}
+		if err != nil {
+			st = ExpFailed
+			failed = append(failed, name)
+		}
+		d.setProgress(j, name, string(st))
+		if st != ExpRunning {
+			d.publishSnapshot(j, tel)
+		}
+	})
 
 	// Commit outputs even on a failed attempt: partial tables and metrics
 	// are exactly what a human debugging the failure wants, and the final

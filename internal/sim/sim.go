@@ -32,10 +32,9 @@
 // loop. Events posted through the handle-free path are free-listed and
 // recycled at dispatch, so steady-state dispatch allocates nothing.
 //
-// SetLegacyHeap switches engines built afterwards back to the original
-// binary-heap scheduler; the two are ordering-equivalent (the golden
-// heap-vs-wheel test pins byte-identical experiment output) and the
-// switch exists only so that equivalence stays testable.
+// The ordering contract is checked against a reference binary heap kept
+// beside the tests (wheel_test.go: TestWheelHeapEquivalence and
+// FuzzWheelOps demand identical dispatch traces).
 package sim
 
 import (
@@ -83,8 +82,8 @@ func (t Time) String() string {
 // Seconds converts t to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Event index sentinels: idx ≥ 0 means the event sits in a binary heap
-// (the legacy queue or the far-future overflow) at that position.
+// Event index sentinels: idx ≥ 0 means the event sits in the far-future
+// overflow heap at that position.
 const (
 	idxUnqueued = -1 // popped, fired, or eagerly removed
 	idxWheel    = -2 // linked into a timing-wheel slot list
@@ -95,7 +94,7 @@ type Event struct {
 	at   Time
 	seq  uint64 // insertion order; breaks ties deterministically
 	fn   func()
-	next *Event // intrusive slot-list link (wheel mode) / free-list link
+	next *Event // intrusive slot-list link / free-list link
 	idx  int    // heap index, or an idx* sentinel
 	dead bool
 
@@ -152,23 +151,6 @@ const (
 	wheelSpanBits = wheelLevels * wheelBits
 )
 
-// queue mode, resolved per engine on first use from the process switch.
-const (
-	modeUnset = iota
-	modeWheel
-	modeHeap
-)
-
-// legacyHeap selects the original binary-heap scheduler for engines built
-// (or first used) afterwards. See SetLegacyHeap.
-var legacyHeap atomic.Bool
-
-// SetLegacyHeap switches subsequently built engines to the legacy binary
-// heap (true) or the timing wheel (false), returning the previous value.
-// The two schedulers are ordering-equivalent; this switch exists so the
-// golden determinism test can compare their outputs byte for byte.
-func SetLegacyHeap(v bool) bool { return legacyHeap.Swap(v) }
-
 // slot is one timing-wheel bucket: an intrusive FIFO of events. Appending
 // at the tail preserves scheduling order, which together with in-order
 // cascades realizes the (timestamp, sequence) dispatch contract.
@@ -187,12 +169,7 @@ type Engine struct {
 	hooks   []DispatchHook
 	runEnd  []func()
 
-	qmode int
-
-	// Legacy binary-heap queue (qmode == modeHeap).
-	queue eventHeap
-
-	// Timing wheel (qmode == modeWheel). pos is the cursor: no pending
+	// Timing wheel. pos is the cursor: no pending
 	// event is earlier than pos, and pos never exceeds the time of the
 	// next event to dispatch (it is rewound to now when the queue drains,
 	// so late schedules behind a speculatively advanced cursor cannot be
@@ -240,21 +217,7 @@ func SetDefaultEventBudget(n uint64) uint64 {
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	e := &Engine{budget: defaultEventBudget.Load()}
-	e.ensureMode()
-	return e
-}
-
-// ensureMode resolves the queue implementation on first use, so zero-value
-// engines keep working and the legacy switch binds at construction time.
-func (e *Engine) ensureMode() {
-	if e.qmode == modeUnset {
-		if legacyHeap.Load() {
-			e.qmode = modeHeap
-		} else {
-			e.qmode = modeWheel
-		}
-	}
+	return &Engine{budget: defaultEventBudget.Load()}
 }
 
 // SetEventBudget bounds the total events this engine may dispatch
@@ -274,12 +237,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still scheduled (canceled events
 // excluded).
-func (e *Engine) Pending() int {
-	if e.qmode == modeHeap {
-		return len(e.queue)
-	}
-	return e.live
-}
+func (e *Engine) Pending() int { return e.live }
 
 // SetDispatchHook installs h as the only dispatch hook, discarding any
 // hooks added earlier; nil removes all hooks. The hook chain costs one
@@ -333,13 +291,8 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	e.ensureMode()
 	ev := &Event{at: at, seq: e.seq, fn: fn, retained: true}
 	e.seq++
-	if e.qmode == modeHeap {
-		heap.Push(&e.queue, ev)
-		return ev
-	}
 	e.place(ev)
 	e.live++
 	return ev
@@ -361,13 +314,6 @@ func (e *Engine) After(d Time, fn func()) *Event {
 func (e *Engine) Post(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	e.ensureMode()
-	if e.qmode == modeHeap {
-		ev := &Event{at: at, seq: e.seq, fn: fn}
-		e.seq++
-		heap.Push(&e.queue, ev)
-		return
 	}
 	ev := e.free
 	if ev != nil {
@@ -395,15 +341,6 @@ func (e *Engine) PostAfter(d Time, fn func()) {
 // already-canceled event is a no-op.
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.dead {
-		return
-	}
-	if e.qmode == modeHeap {
-		if ev.idx < 0 {
-			ev.dead = true
-			return
-		}
-		ev.dead = true
-		heap.Remove(&e.queue, ev.idx)
 		return
 	}
 	if ev.idx == idxUnqueued { // already fired
@@ -626,23 +563,6 @@ func (e *Engine) Step() bool {
 		e.exceeded = true
 		return false
 	}
-	e.ensureMode()
-	if e.qmode == modeHeap {
-		for len(e.queue) > 0 {
-			ev := heap.Pop(&e.queue).(*Event)
-			if ev.dead {
-				continue
-			}
-			e.now = ev.at
-			e.fired++
-			for _, h := range e.hooks {
-				h(ev.at, len(e.queue), e.fired)
-			}
-			ev.fn()
-			return true
-		}
-		return false
-	}
 	ev := e.popWheel()
 	if ev == nil {
 		return false
@@ -651,20 +571,14 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run dispatches events until the queue is empty or Stop is called. In
-// wheel mode this is the batched hot loop: consecutive same-timestamp
-// events pop from the cached current slot in O(1) with no queue reshaping
-// between them, and events a callback schedules for the current timestamp
-// join the tail of the same batch.
+// Run dispatches events until the queue is empty or Stop is called. This
+// is the batched hot loop: consecutive same-timestamp events pop from the
+// cached current slot in O(1) with no queue reshaping between them, and
+// events a callback schedules for the current timestamp join the tail of
+// the same batch.
 func (e *Engine) Run() {
 	defer e.endRun()
-	e.ensureMode()
 	e.stopped = false
-	if e.qmode == modeHeap {
-		for !e.stopped && e.Step() {
-		}
-		return
-	}
 	for !e.stopped {
 		if e.budget > 0 && e.fired >= e.budget {
 			e.exceeded = true
@@ -682,26 +596,7 @@ func (e *Engine) Run() {
 // the deadline (if it is later than the last event).
 func (e *Engine) RunUntil(deadline Time) {
 	defer e.endRun()
-	e.ensureMode()
 	e.stopped = false
-	if e.qmode == modeHeap {
-		for !e.stopped {
-			if len(e.queue) == 0 {
-				break
-			}
-			// Peek.
-			if e.queue[0].at > deadline {
-				break
-			}
-			if !e.Step() {
-				break
-			}
-		}
-		if e.now < deadline {
-			e.now = deadline
-		}
-		return
-	}
 	for !e.stopped {
 		t, ok := e.peekTime()
 		if !ok || t > deadline {

@@ -457,31 +457,27 @@ func TestEngineDispatchHook(t *testing.T) {
 // Run-end hooks fire once per Run/RunUntil return, however the call ends,
 // and see everything that call dispatched; Step alone never fires them.
 func TestEngineRunEndHook(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		prev := SetLegacyHeap(legacy)
-		e := NewEngine()
-		SetLegacyHeap(prev)
-		var firedAtEnd []uint64
-		e.AddRunEndHook(func() { firedAtEnd = append(firedAtEnd, e.Fired()) })
-		e.AddRunEndHook(nil) // ignored
-		for i := 1; i <= 6; i++ {
-			e.Schedule(Time(i*10), func() {})
-		}
-		e.Schedule(45, e.Stop)
-		e.Step()       // t=10: no hook
-		e.RunUntil(25) // t=20
-		e.Run()        // t=30, 40, then Stop at 45
-		e.Run()        // t=50, 60: drained
-		e.Run()        // nothing to do, still one call
-		want := []uint64{2, 5, 7, 7}
-		if len(firedAtEnd) != len(want) {
-			t.Fatalf("legacy=%v: hook calls saw %v, want %v", legacy, firedAtEnd, want)
-		}
-		for i := range want {
-			if firedAtEnd[i] != want[i] {
-				t.Errorf("legacy=%v: hook calls saw %v, want %v", legacy, firedAtEnd, want)
-				break
-			}
+	e := NewEngine()
+	var firedAtEnd []uint64
+	e.AddRunEndHook(func() { firedAtEnd = append(firedAtEnd, e.Fired()) })
+	e.AddRunEndHook(nil) // ignored
+	for i := 1; i <= 6; i++ {
+		e.Schedule(Time(i*10), func() {})
+	}
+	e.Schedule(45, e.Stop)
+	e.Step()       // t=10: no hook
+	e.RunUntil(25) // t=20
+	e.Run()        // t=30, 40, then Stop at 45
+	e.Run()        // t=50, 60: drained
+	e.Run()        // nothing to do, still one call
+	want := []uint64{2, 5, 7, 7}
+	if len(firedAtEnd) != len(want) {
+		t.Fatalf("hook calls saw %v, want %v", firedAtEnd, want)
+	}
+	for i := range want {
+		if firedAtEnd[i] != want[i] {
+			t.Errorf("hook calls saw %v, want %v", firedAtEnd, want)
+			break
 		}
 	}
 }

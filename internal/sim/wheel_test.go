@@ -1,30 +1,96 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"testing"
 )
 
-// withLegacyHeap runs fn with the process queue switch set to the legacy
-// binary heap, restoring the previous mode afterwards.
-func withLegacyHeap(fn func()) {
-	prev := SetLegacyHeap(true)
-	defer SetLegacyHeap(prev)
-	fn()
+// scheduler is what the differential tests drive: the Engine's scheduling
+// surface, which the reference heap below implements too.
+type scheduler interface {
+	Now() Time
+	Pending() int
+	Schedule(at Time, fn func()) *Event
+	Post(at Time, fn func())
+	Cancel(ev *Event)
+	Run()
+	RunUntil(deadline Time)
 }
 
-// TestWheelHeapEquivalence drives the timing wheel and the legacy heap
+// refHeap is the differential oracle for the timing wheel: the scheduler
+// the wheel replaced, a plain binary heap ordered by (timestamp, sequence)
+// with eager removal on cancel. It is the ordering contract written down
+// in the most obvious way, and exists only for the wheel to be compared
+// against.
+type refHeap struct {
+	now   Time
+	seq   uint64
+	queue eventHeap
+}
+
+func (r *refHeap) Now() Time    { return r.now }
+func (r *refHeap) Pending() int { return len(r.queue) }
+
+func (r *refHeap) Schedule(at Time, fn func()) *Event {
+	if at < r.now {
+		panic(fmt.Sprintf("refHeap: schedule at %v before now %v", at, r.now))
+	}
+	ev := &Event{at: at, seq: r.seq, fn: fn}
+	r.seq++
+	heap.Push(&r.queue, ev)
+	return ev
+}
+
+func (r *refHeap) Post(at Time, fn func()) { r.Schedule(at, fn) }
+
+func (r *refHeap) Cancel(ev *Event) {
+	if !ev.dead && ev.idx >= 0 {
+		heap.Remove(&r.queue, ev.idx)
+	}
+	ev.dead = true
+}
+
+func (r *refHeap) Run() { r.drain(Forever) }
+
+func (r *refHeap) RunUntil(deadline Time) {
+	r.drain(deadline)
+	if r.now < deadline {
+		r.now = deadline
+	}
+}
+
+func (r *refHeap) drain(deadline Time) {
+	for len(r.queue) > 0 && r.queue[0].at <= deadline {
+		ev := heap.Pop(&r.queue).(*Event)
+		r.now = ev.at
+		ev.fn()
+	}
+}
+
+// sameTrace fails the test unless the wheel and the reference heap
+// dispatched the same events at the same times in the same order.
+func sameTrace(t *testing.T, what string, heapTrace, wheelTrace []string) {
+	t.Helper()
+	if len(heapTrace) != len(wheelTrace) {
+		t.Fatalf("%s: heap fired %d events, wheel %d", what, len(heapTrace), len(wheelTrace))
+	}
+	for i := range heapTrace {
+		if heapTrace[i] != wheelTrace[i] {
+			t.Fatalf("%s: dispatch %d diverged: heap %q wheel %q", what, i, heapTrace[i], wheelTrace[i])
+		}
+	}
+}
+
+// TestWheelHeapEquivalence drives the timing wheel and the reference heap
 // with the same randomized workload — bursty timestamps spanning all
 // wheel levels and the far-future overflow, same-time ties, cancels, and
 // callback-scheduled events — and demands identical dispatch traces.
-// This is the unit-level half of the ordering contract; the golden
-// experiment test pins the same equivalence end to end.
+// This is the unit-level half of the ordering contract; the committed
+// experiment goldens pin its consequences end to end.
 func TestWheelHeapEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		trace := func(legacy bool) []string {
-			prev := SetLegacyHeap(legacy)
-			defer SetLegacyHeap(prev)
-			e := NewEngine()
+		trace := func(e scheduler) []string {
 			rng := NewRNG(uint64(seed))
 			var got []string
 			var evs []*Event
@@ -76,17 +142,58 @@ func TestWheelHeapEquivalence(t *testing.T) {
 			e.Run()
 			return got
 		}
-		heapTrace := trace(true)
-		wheelTrace := trace(false)
-		if len(heapTrace) != len(wheelTrace) {
-			t.Fatalf("seed %d: heap fired %d events, wheel %d", seed, len(heapTrace), len(wheelTrace))
-		}
-		for i := range heapTrace {
-			if heapTrace[i] != wheelTrace[i] {
-				t.Fatalf("seed %d: dispatch %d diverged: heap %q wheel %q", seed, i, heapTrace[i], wheelTrace[i])
-			}
-		}
+		sameTrace(t, fmt.Sprintf("seed %d", seed), trace(&refHeap{}), trace(NewEngine()))
 	}
+}
+
+// FuzzWheelOps lets the fuzzer write the workload: the input is a program
+// of schedule / post / cancel / run-until / schedule-from-a-callback
+// opcodes, each with a delay whose magnitude the input picks anywhere from
+// an exact tie to far beyond the wheel span. The wheel and the reference
+// heap run the same program and must produce identical dispatch traces,
+// clocks and pending counts.
+func FuzzWheelOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 8, 3, 2, 0, 0, 3, 9, 0, 4, 33, 1, 4, 40, 0xff, 2, 1, 0, 3, 36, 7})
+	f.Add([]byte{1, 32, 1, 0, 32, 1, 4, 31, 2, 3, 31, 1, 1, 0, 0, 2, 0, 0})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		trace := func(e scheduler, prog []byte) []string {
+			var got []string
+			var evs []*Event
+			id := 0
+			fire := func() func() {
+				id++
+				n := id
+				return func() { got = append(got, fmt.Sprintf("%d@%d", n, e.Now())) }
+			}
+			for ; len(prog) >= 3; prog = prog[3:] {
+				// 255<<35 ps crosses the 2^32 ps wheel span many times over
+				// without ever overflowing Time.
+				d := Time(prog[2]) << (prog[1] % 36)
+				switch prog[0] % 5 {
+				case 0:
+					evs = append(evs, e.Schedule(e.Now()+d, fire()))
+				case 1:
+					e.Post(e.Now()+d, fire())
+				case 2:
+					if len(evs) > 0 {
+						e.Cancel(evs[int(prog[1])%len(evs)])
+					}
+				case 3:
+					e.RunUntil(e.Now() + d)
+					got = append(got, fmt.Sprintf("until@%d pending=%d", e.Now(), e.Pending()))
+				case 4: // fires, then schedules a follower d later (d = 0: same batch)
+					first, then := fire(), fire()
+					evs = append(evs, e.Schedule(e.Now()+d, func() {
+						first()
+						evs = append(evs, e.Schedule(e.Now()+d, then))
+					}))
+				}
+			}
+			e.Run()
+			return append(got, fmt.Sprintf("end@%d pending=%d", e.Now(), e.Pending()))
+		}
+		sameTrace(t, "program", trace(&refHeap{}, prog), trace(NewEngine(), prog))
+	})
 }
 
 // TestWheelFarFutureOrdering crosses the 2^32 ps wheel horizon several
@@ -253,23 +360,6 @@ func TestRunUntilAfterCancelAllBeforeDeadline(t *testing.T) {
 	}
 }
 
-// TestLegacyHeapSwitch: engines bind the queue mode at construction, and
-// the legacy engine still satisfies the basic contract.
-func TestLegacyHeapSwitch(t *testing.T) {
-	withLegacyHeap(func() {
-		e := NewEngine()
-		var got []int
-		e.Schedule(20, func() { got = append(got, 1) })
-		e.Post(10, func() { got = append(got, 0) })
-		ev := e.Schedule(15, func() { got = append(got, 99) })
-		e.Cancel(ev)
-		e.Run()
-		if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-			t.Fatalf("legacy trace %v, want [0 1]", got)
-		}
-	})
-}
-
 // TestDispatchAllocsSteadyState pins the tentpole claim at the engine
 // layer: once the free list is warm, posting and dispatching events
 // allocates nothing.
@@ -311,17 +401,4 @@ func BenchmarkEngineWheelPost(b *testing.B) {
 		e.Post(e.Now(), step)
 		e.Run()
 	}
-}
-
-func BenchmarkEngineHeapScheduleRun(b *testing.B) {
-	b.ReportAllocs()
-	withLegacyHeap(func() {
-		for i := 0; i < b.N; i++ {
-			e := NewEngine()
-			for j := 0; j < 100; j++ {
-				e.Schedule(Time(j), func() {})
-			}
-			e.Run()
-		}
-	})
 }
