@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race fuzz-smoke loc bench bench-suite-test bench-check perf soak kill-resume daemon-chaos experiments tables examples cover clean ci docs-check
+.PHONY: all build test race fuzz-smoke loc bench bench-suite-test bench-allocs bench-check perf soak kill-resume daemon-chaos experiments tables examples cover clean ci docs-check
 
 all: build test
 
@@ -46,6 +46,23 @@ bench:
 # vet and tests (every workload at -quick size, ~10 s). Blocking in CI.
 bench-suite-test:
 	cd bench && go vet ./... && go test ./...
+
+# The repository benchmark's allocation numbers on one screen: the six
+# gated workloads at two seconds each, untraced, one row per workload. The
+# two counts repeat exactly from run to run (they are counts), so two
+# seconds is enough; setup_s is there because work moved out of the
+# per-packet path must not reappear in construction. Builds via
+# bench/run.sh like every other benchmark run. See "A packet's allocation
+# ledger" in docs/PERFORMANCE.md.
+BENCH_WORKLOADS := agg-line agg-saturated kv-get kv-mixed lossy-failover sweep-build
+bench-allocs:
+	@printf '%-15s %14s %19s %12s\n' workload allocs_per_op alloc_bytes_per_op setup_s
+	@set -e; for w in $(BENCH_WORKLOADS); do \
+		bash bench/run.sh -workload $$w -seconds 2 -trace 0 | tail -n 1 | W=$$w python3 -c 'import json, os, sys; \
+			r = json.load(sys.stdin); m = {k: v["value"] for k, v in r["metrics"].items()}; \
+			print("%-15s %14.4f %19.1f %12.6f%s" % (os.environ["W"], m["allocs_per_op"], m["alloc_bytes_per_op"], m["setup_s"], \
+			"" if r["correct"] else "   FAILED %d of %d" % (r["failed"], r["attempted"])))'; \
+	done
 
 # Regenerate the experiment headlines the benchmarks record and compare
 # them against the committed baseline (deterministic exp.* series: ±20%;

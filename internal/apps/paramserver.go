@@ -43,7 +43,8 @@ func (c PSConfig) Validate(ports int) error {
 	return nil
 }
 
-// workerPorts lists the result fan-out.
+// workerPorts lists the result fan-out. A program computes it once when
+// it is built: the list is read per completed chunk and never written.
 func (c PSConfig) workerPorts() []int {
 	ports := make([]int, c.Workers)
 	for i := range ports {
@@ -72,6 +73,7 @@ func NewParamServerADCP(cfg core.Config, ps PSConfig) (*core.Switch, error) {
 			needCells, cfg.Pipe.RegisterCellsPerStage)
 	}
 
+	fanout := ps.workerPorts()
 	central := &pipeline.Program{
 		Name: "paramserver-central",
 		Funcs: []pipeline.StageFunc{
@@ -112,7 +114,7 @@ func NewParamServerADCP(cfg core.Config, ps PSConfig) (*core.Switch, error) {
 						CoflowID: ctx.Decoded.Base.CoflowID,
 						Flags:    packet.FlagFromSwch,
 					}, &packet.MLHeader{Base: ml.Base, Values: ml.Values})
-					ctx.Emit(res, ps.workerPorts()...)
+					ctx.Emit(res, fanout...)
 				}
 				ctx.Verdict = pipeline.VerdictConsume
 				return nil
@@ -175,6 +177,7 @@ func NewParamServerRMT(cfg rmt.Config, ps PSConfig) (*rmt.Switch, error) {
 		return nil, fmt.Errorf("apps: %d workers leave no loopback port (need ≤ %d)", ps.Workers, loopback)
 	}
 
+	fanout := ps.workerPorts()
 	funcs := make([]pipeline.StageFunc, stages)
 	// Stage 0: steer to the aggregation pipeline, count contributions.
 	funcs[0] = func(st *pipeline.Stage, ctx *pipeline.Context) error {
@@ -236,7 +239,7 @@ func NewParamServerRMT(cfg rmt.Config, ps PSConfig) (*rmt.Switch, error) {
 						CoflowID: ctx.Decoded.Base.CoflowID,
 						Flags:    packet.FlagFromSwch,
 					}, &packet.MLHeader{Base: ml.Base, Values: ml.Values})
-					ctx.Emit(res, ps.workerPorts()...)
+					ctx.Emit(res, fanout...)
 				}
 				ctx.Verdict = pipeline.VerdictConsume
 			}

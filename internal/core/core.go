@@ -152,6 +152,10 @@ type Switch struct {
 	coflowEvictions    uint64
 	coflowReadmissions uint64
 	lateDrops          uint64
+
+	// replicas backs the copies multicast makes of an emission: one per
+	// output port beyond the first.
+	replicas packet.Arena
 }
 
 // New builds an ADCP switch. Any program may be nil (pure forwarding).
@@ -339,7 +343,7 @@ func (s *Switch) intoTM1(ctx *pipeline.Context) error {
 		for i := range em.Ports {
 			p := em.Pkt
 			if i > 0 {
-				p = em.Pkt.Clone()
+				p = s.replicas.Clone(em.Pkt)
 			}
 			// Ingress emissions re-enter at TM1 using the partitioner on
 			// the emitting context.
@@ -403,7 +407,7 @@ func (s *Switch) routeToTM2(ctx *pipeline.Context) error {
 			for i, port := range ctx.Multicast {
 				p := ctx.Pkt
 				if i > 0 {
-					p = ctx.Pkt.Clone()
+					p = s.replicas.Clone(ctx.Pkt)
 				}
 				if err := s.enqueueTM2(port, p); err != nil {
 					return err
@@ -425,7 +429,7 @@ func (s *Switch) routeToTM2(ctx *pipeline.Context) error {
 		for i, port := range em.Ports {
 			p := em.Pkt
 			if i > 0 {
-				p = em.Pkt.Clone()
+				p = s.replicas.Clone(em.Pkt)
 			}
 			if err := s.enqueueTM2(port, p); err != nil {
 				return err
@@ -470,6 +474,12 @@ func (s *Switch) drainTM2() ([]*packet.Packet, error) {
 				// As in RMT, an egress pipeline is wired to its own ports.
 				if s.EgressPipelineOfPort(port) == ep {
 					ctx.Pkt.EgressPort = port
+					if out == nil {
+						// One slice per call, made at the first delivery
+						// and sized for it plus everything still in TM2;
+						// the caller keeps it.
+						out = make([]*packet.Packet, 0, 1+s.tm2.Pending())
+					}
 					out = append(out, ctx.Pkt)
 					s.delivered++
 					s.deliveredBytes += uint64(ctx.Pkt.WireLen())

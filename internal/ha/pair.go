@@ -43,6 +43,15 @@ func DefaultOptions() Options {
 // packet UID (8) + capture timestamp (8) + length (4).
 const deltaHeaderBytes = 20
 
+// Committer is the caller's half of output commit: Submit hands it the
+// packet's outputs once the packet's delta is on the sync channel, which is
+// when the caller may acknowledge the packet and forward what it produced.
+// It is an interface rather than a func so that a caller with a record per
+// packet passes the record and builds no closure.
+type Committer interface {
+	Commit(outs []*packet.Packet)
+}
+
 // delta is one logged state mutation: the packet that caused it, captured
 // pristine so the standby can re-execute it.
 type delta struct {
@@ -50,8 +59,28 @@ type delta struct {
 	pkt    *packet.Packet
 	at     sim.Time
 	outs   []*packet.Packet
-	commit func(outs []*packet.Packet)
+	commit Committer
+	next   *delta // free list
 }
+
+// batch is one shipment on the sync channel and the handler of its arrival
+// at the standby. Batches are the pair's own records: once applied, a batch
+// and its deltas go back on the pair's free lists, buffer included, so the
+// log stops allocating once it has reached the depth the channel needs.
+type batch struct {
+	p      *Pair
+	deltas []*delta
+	next   *batch // free list
+}
+
+// Fire applies the batch at the standby (sim.Handler).
+func (b *batch) Fire() { b.p.applyBatch(b) }
+
+// shipTimer is the pair as the handler of its own ship timer.
+type shipTimer Pair
+
+// Fire ships the pending log (sim.Handler).
+func (s *shipTimer) Fire() { (*Pair)(s).ship() }
 
 type phase uint8
 
@@ -93,9 +122,19 @@ type Pair struct {
 	standby Replica
 	opt     Options
 
-	phase   phase
-	pending []*delta
-	shipEv  *sim.Event
+	phase phase
+	// pending is the batch being filled (nil when nothing is logged);
+	// shipAt is armed while it waits for its sync boundary.
+	pending *batch
+	shipAt  sim.Timer
+
+	// Free lists of applied batches and deltas, the unissued end of the
+	// current delta chunk, and the arena the logged packet copies come
+	// from. All nil until the first Submit.
+	freeBatch *batch
+	freeDelta *delta
+	slab      []delta
+	arena     packet.Arena
 
 	// seenPrimary/seenStandby are each replica's processed-packet sets;
 	// committed holds packets whose delta has shipped (safe to ack).
@@ -155,15 +194,17 @@ func (p *Pair) Committed(uid uint64) bool {
 }
 
 // Submit executes one intact arrival on the active replica. On the
-// primary, outputs and the commit callback are withheld until the delta
-// ships; on a promoted standby they fire synchronously. A processing error
-// is returned immediately (it is deterministic, so the standby's replay
-// reproduces it and the replicas stay identical); the caller books and
-// acks errored packets as it would without replication.
-func (p *Pair) Submit(uid uint64, pkt *packet.Packet, commit func(outs []*packet.Packet)) error {
+// primary, outputs and the commit are withheld until the delta ships; on a
+// promoted standby the commit runs synchronously. A processing error is
+// returned immediately (it is deterministic, so the standby's replay
+// reproduces it and the replicas stay identical) and the committer is
+// dropped unused; the caller books and acks errored packets as it would
+// without replication.
+func (p *Pair) Submit(uid uint64, pkt *packet.Packet, commit Committer) error {
 	switch p.phase {
 	case phasePrimary:
-		d := &delta{uid: uid, pkt: pkt.Clone(), at: p.eng.Now()}
+		d := p.newDelta()
+		d.uid, d.pkt, d.at = uid, p.arena.Clone(pkt), p.eng.Now()
 		outs, err := p.primary.Process(pkt)
 		p.seenPrimary[uid] = struct{}{}
 		if err != nil {
@@ -182,25 +223,50 @@ func (p *Pair) Submit(uid uint64, pkt *packet.Packet, commit func(outs []*packet
 		if err != nil {
 			return err
 		}
-		commit(outs)
+		commit.Commit(outs)
 		return nil
 	default:
 		panic("ha: submit while no replica is serving (check Alive first)")
 	}
 }
 
+// deltaSlab is how many delta records one chunk holds.
+const deltaSlab = 64
+
+// newDelta returns a blank delta: an applied one if there is one, else the
+// next of the current chunk.
+func (p *Pair) newDelta() *delta {
+	if d := p.freeDelta; d != nil {
+		p.freeDelta, d.next = d.next, nil
+		return d
+	}
+	if len(p.slab) == 0 {
+		p.slab = make([]delta, deltaSlab)
+	}
+	d := &p.slab[0]
+	p.slab = p.slab[1:]
+	return d
+}
+
 // log appends a delta to the pending batch and arms the ship timer: now
 // for immediate mode, the next sync boundary otherwise.
 func (p *Pair) log(d *delta) {
-	p.pending = append(p.pending, d)
-	if p.shipEv != nil {
+	if p.pending == nil {
+		if p.pending = p.freeBatch; p.pending != nil {
+			p.freeBatch = p.pending.next
+		} else {
+			p.pending = &batch{p: p}
+		}
+	}
+	p.pending.deltas = append(p.pending.deltas, d)
+	if p.shipAt.Armed() {
 		return
 	}
 	at := p.eng.Now()
 	if p.opt.SyncInterval > 0 {
 		at = (at/p.opt.SyncInterval + 1) * p.opt.SyncInterval
 	}
-	p.shipEv = p.eng.Schedule(at, p.ship)
+	p.eng.Arm(&p.shipAt, at, (*shipTimer)(p))
 }
 
 // ship puts the pending batch on the sync channel. Shipping is the commit
@@ -209,12 +275,11 @@ func (p *Pair) log(d *delta) {
 // the standby even if the primary dies meanwhile — so the only loss window
 // is the pending log, which dies with the primary unacked.
 func (p *Pair) ship() {
-	p.shipEv = nil
-	batch := p.pending
+	b := p.pending
 	p.pending = nil
 	now := p.eng.Now()
 	p.stats.Batches++
-	for _, d := range batch {
+	for _, d := range b.deltas {
 		p.stats.DeltasShipped++
 		p.stats.DeltaBytes += uint64(d.pkt.WireLen()) + deltaHeaderBytes
 		stale := int64(now - d.at)
@@ -226,28 +291,35 @@ func (p *Pair) ship() {
 		}
 		p.committed[d.uid] = struct{}{}
 		if d.commit != nil {
-			d.commit(d.outs)
+			d.commit.Commit(d.outs)
 		}
 	}
 	arrive := now + p.opt.ReplDelay
 	if arrive > p.lastArrival {
 		p.lastArrival = arrive
 	}
-	p.eng.Post(arrive, func() { p.applyBatch(batch) })
+	p.eng.PostHandler(arrive, b)
 }
 
 // applyBatch re-executes a shipped batch on the standby, in the primary's
 // processing order. Outputs are discarded (the primary already delivered
-// them) and errors are expected to reproduce the primary's.
-func (p *Pair) applyBatch(batch []*delta) {
-	for _, d := range batch {
+// them) and errors are expected to reproduce the primary's. The batch's
+// records are then free: nobody outside the pair ever saw them. The packets
+// they pointed at are not — the standby was handed each one and may keep it.
+func (p *Pair) applyBatch(b *batch) {
+	for i, d := range b.deltas {
 		p.stats.DeltasApplied++
 		if p.phase == phaseFailover {
 			p.stats.ReplayDepth++
 		}
 		p.seenStandby[d.uid] = struct{}{}
 		p.standby.Process(d.pkt)
+		*d = delta{next: p.freeDelta}
+		p.freeDelta = d
+		b.deltas[i] = nil
 	}
+	b.deltas = b.deltas[:0]
+	b.next, p.freeBatch = p.freeBatch, b
 }
 
 // Crash kills the serving replica. A primary crash discards the unshipped
@@ -261,12 +333,11 @@ func (p *Pair) Crash() {
 	case phasePrimary:
 		p.phase = phaseFailover
 		p.stats.CrashAt = now
-		p.stats.DiscardedDeltas += uint64(len(p.pending))
-		p.pending = nil
-		if p.shipEv != nil {
-			p.eng.Cancel(p.shipEv)
-			p.shipEv = nil
+		if p.pending != nil {
+			p.stats.DiscardedDeltas += uint64(len(p.pending.deltas))
+			p.pending = nil
 		}
+		p.eng.Disarm(&p.shipAt)
 		at := now + p.opt.FailoverDelay
 		if p.lastArrival > at {
 			at = p.lastArrival

@@ -47,6 +47,11 @@ func newTestPair(t *testing.T, opt ha.Options) (*sim.Engine, *ha.Pair, *memRepli
 	return eng, pair, pri, sby
 }
 
+// commitFunc adapts a test's closure to the pair's Committer.
+type commitFunc func(outs []*packet.Packet)
+
+func (f commitFunc) Commit(outs []*packet.Packet) { f(outs) }
+
 func TestPairRejectsBadArguments(t *testing.T) {
 	eng := sim.NewEngine()
 	if _, err := ha.NewPair(eng, nil, newMemReplica(), ha.Options{}); err == nil {
@@ -61,7 +66,7 @@ func TestImmediateShipCommitsAndReplicates(t *testing.T) {
 	opt := ha.DefaultOptions() // SyncInterval 0: ship immediately
 	eng, pair, pri, sby := newTestPair(t, opt)
 	var commitAt sim.Time = -1
-	if err := pair.Submit(1, seqPkt(1), func([]*packet.Packet) { commitAt = eng.Now() }); err != nil {
+	if err := pair.Submit(1, seqPkt(1), commitFunc(func([]*packet.Packet) { commitAt = eng.Now() })); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -89,7 +94,7 @@ func TestSyncIntervalBatchesAndBoundsStaleness(t *testing.T) {
 	commits := map[uint64]sim.Time{}
 	submit := func(uid uint64, at sim.Time) {
 		eng.Schedule(at, func() {
-			if err := pair.Submit(uid, seqPkt(uint32(uid)), func([]*packet.Packet) { commits[uid] = eng.Now() }); err != nil {
+			if err := pair.Submit(uid, seqPkt(uint32(uid)), commitFunc(func([]*packet.Packet) { commits[uid] = eng.Now() })); err != nil {
 				t.Error(err)
 			}
 		})
@@ -128,7 +133,7 @@ func TestCrashDiscardsPendingAndStandbyServesFresh(t *testing.T) {
 	opt.FailoverDelay = 5 * sim.Microsecond
 	eng, pair, pri, sby := newTestPair(t, opt)
 	committed := false
-	if err := pair.Submit(1, seqPkt(1), func([]*packet.Packet) { committed = true }); err != nil {
+	if err := pair.Submit(1, seqPkt(1), commitFunc(func([]*packet.Packet) { committed = true })); err != nil {
 		t.Fatal(err)
 	}
 	eng.Schedule(sim.Microsecond, pair.Crash)
@@ -151,7 +156,7 @@ func TestCrashDiscardsPendingAndStandbyServesFresh(t *testing.T) {
 	if pair.Seen(1) {
 		t.Fatal("discarded packet reported as seen")
 	}
-	if err := pair.Submit(1, seqPkt(1), func([]*packet.Packet) { committed = true }); err != nil {
+	if err := pair.Submit(1, seqPkt(1), commitFunc(func([]*packet.Packet) { committed = true })); err != nil {
 		t.Fatal(err)
 	}
 	if !committed || !pair.Seen(1) || !pair.Committed(1) {
@@ -165,7 +170,7 @@ func TestCrashDiscardsPendingAndStandbyServesFresh(t *testing.T) {
 func TestPromotionWaitsForInFlightDeltas(t *testing.T) {
 	opt := ha.Options{ReplDelay: sim.Microsecond} // FailoverDelay 0: barrier is the in-flight log
 	eng, pair, _, sby := newTestPair(t, opt)
-	if err := pair.Submit(1, seqPkt(1), func([]*packet.Packet) {}); err != nil {
+	if err := pair.Submit(1, seqPkt(1), commitFunc(func([]*packet.Packet) {})); err != nil {
 		t.Fatal(err)
 	}
 	// Crash after the ship (t=0) but before the delta lands (t=1us).
@@ -213,7 +218,7 @@ func TestErroredSubmitBooksImmediately(t *testing.T) {
 	eng, pair, pri, _ := newTestPair(t, ha.DefaultOptions())
 	pri.err = errFake
 	commitCalled := false
-	err := pair.Submit(1, seqPkt(1), func([]*packet.Packet) { commitCalled = true })
+	err := pair.Submit(1, seqPkt(1), commitFunc(func([]*packet.Packet) { commitCalled = true }))
 	if err == nil {
 		t.Fatal("replica error swallowed")
 	}

@@ -51,11 +51,19 @@ type RegisterFile struct {
 }
 
 // NewRegisterFile returns a file of n zeroed cells.
-func NewRegisterFile(n int) *RegisterFile {
+func NewRegisterFile(n int) *RegisterFile { return &NewRegisterFiles(1, n)[0] }
+
+// NewRegisterFiles returns count files of n zeroed cells each, in one
+// allocation: the register files of a pipeline's stages.
+func NewRegisterFiles(count, n int) []RegisterFile {
 	if n < 0 {
 		panic(fmt.Sprintf("mat: register file of %d cells", n))
 	}
-	return &RegisterFile{n: n}
+	fs := make([]RegisterFile, count)
+	for i := range fs {
+		fs[i].n = n
+	}
+	return fs
 }
 
 // Size returns the number of cells.

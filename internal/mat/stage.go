@@ -46,6 +46,12 @@ type StageMemory struct {
 	shared   *ExactTable   // ModeArray / ModeMultiClock
 	replicas []*ExactTable // ModeScalar
 
+	// Without replication a stage has exactly one table, so it carries
+	// that table's header (and the one-entry replica list a scalar stage
+	// points at it) itself: shared or replicas[0] is then &table.
+	table ExactTable
+	one   [1]*ExactTable
+
 	lookups uint64
 	cycles  uint64
 }
@@ -58,31 +64,46 @@ const StageMAUs = 16
 // NewStageMemory builds a stage memory. numMAUs and capacity must be
 // positive; clockMult is only consulted in ModeMultiClock (minimum 1).
 func NewStageMemory(mode MemoryMode, numMAUs, capacity, clockMult int) *StageMemory {
+	return &NewStageMemories(1, mode, numMAUs, capacity, clockMult)[0]
+}
+
+// NewStageMemories builds the n identical stage memories of a pipeline (or
+// of a whole switch) in one allocation. The memories point into themselves
+// and must be used in place, through pointers into the returned slice.
+func NewStageMemories(n int, mode MemoryMode, numMAUs, capacity, clockMult int) []StageMemory {
 	if numMAUs <= 0 || capacity <= 0 {
 		panic("mat: non-positive stage geometry")
 	}
 	if clockMult < 1 {
 		clockMult = 1
 	}
-	s := &StageMemory{mode: mode, numMAUs: numMAUs, capacity: capacity, clockMult: clockMult}
-	s.configure(1)
-	return s
+	ms := make([]StageMemory, n)
+	for i := range ms {
+		s := &ms[i]
+		s.mode, s.numMAUs, s.capacity, s.clockMult = mode, numMAUs, capacity, clockMult
+		s.configure(1)
+	}
+	return ms
 }
 
 // configure lays out the SRAM for a given replication factor.
 func (s *StageMemory) configure(replication int) {
 	s.replication = replication
-	switch s.mode {
-	case ModeScalar:
+	s.shared, s.replicas = nil, nil
+	switch {
+	case s.mode != ModeScalar:
+		s.table = ExactTable{cap: s.capacity}
+		s.shared = &s.table
+	case replication == 1:
+		s.table = ExactTable{cap: s.capacity}
+		s.one[0] = &s.table
+		s.replicas = s.one[:]
+	default:
 		per := s.capacity / replication
 		s.replicas = make([]*ExactTable, replication)
 		for i := range s.replicas {
 			s.replicas[i] = NewExactTable(per)
 		}
-		s.shared = nil
-	default:
-		s.shared = NewExactTable(s.capacity)
-		s.replicas = nil
 	}
 }
 

@@ -204,8 +204,16 @@ type TernaryTable struct {
 }
 
 // NewTernaryTable returns a ternary table holding up to capacity rules.
-func NewTernaryTable(capacity int) *TernaryTable {
-	return &TernaryTable{cap: capacity}
+func NewTernaryTable(capacity int) *TernaryTable { return &NewTernaryTables(1, capacity)[0] }
+
+// NewTernaryTables returns count ternary tables of the given capacity in
+// one allocation: the TCAMs of a pipeline's stages.
+func NewTernaryTables(count, capacity int) []TernaryTable {
+	ts := make([]TernaryTable, count)
+	for i := range ts {
+		ts[i].cap = capacity
+	}
+	return ts
 }
 
 // InsertRule adds a value/mask rule with a priority (higher wins).

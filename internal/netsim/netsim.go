@@ -180,11 +180,16 @@ type Network struct {
 	// them, posted for swBusyUntil whenever the queue is non-empty.
 	waitHead, waitTail *pktEvent
 	waiting            int
-	wake               func()
 
-	// freeEv recycles the per-packet event records (see pktEvent); scratch
-	// is coflowOf's reusable decode target.
+	// freeEv recycles the per-packet event records (see pktEvent); txSlab
+	// and rxSlab are the unissued ends of the chunks the per-packet
+	// recovery states are cut from, and arena backs the packet copies a
+	// sender keeps and retransmits. All are nil until a packet needs them.
+	// scratch is coflowOf's reusable decode target.
 	freeEv  *pktEvent
+	txSlab  []txState
+	rxSlab  []rxState
+	arena   packet.Arena
 	scratch packet.Decoded
 
 	// OnDeliver, when set, observes every host delivery.
@@ -259,7 +264,6 @@ func New(cfg Config, sw SwitchModel) (*Network, error) {
 	if cfg.ServiceRatePPS > 0 {
 		n.counter, _ = sw.(TraversalCounter)
 		n.perTraversal = sim.Time(1e12 / cfg.ServiceRatePPS)
-		n.wake = n.admitWaiters
 	}
 	if cfg.Faults != nil {
 		n.inj = faults.NewInjector(cfg.Faults)
@@ -454,19 +458,25 @@ func (n *Network) coflowOf(p *packet.Packet) uint32 {
 	return n.scratch.Base.CoflowID
 }
 
-// pktEvent is one packet's pending hop: the state the event needs when it
-// fires, in a recycled record instead of a fresh closure per event. fire is
-// the record's run method, bound once when the record is first made, so
-// posting a hop allocates nothing, and an arrival that has to wait for a
-// busy switch queues its own record. A record returns to the network's free
-// list once its event has run (an arrival's as soon as the switch admits it).
+// pktEvent is one packet's pending step: the state an event needs when it
+// fires, in a recycled record instead of a fresh closure per event. The
+// record is the event's sim.Handler (and, for an arrival a replicated switch
+// withholds, the pair's ha.Committer), so posting a step allocates nothing,
+// and an arrival that has to wait for a busy switch queues its own record. A
+// record returns to the network's free list once its event has run (an
+// arrival's as soon as the switch admits it).
+//
+// Records are the network's own and never leave it, which is what makes
+// recycling them safe. Packets are the opposite: once one has been handed
+// to the switch model, a host, OnDeliver or a caller, netsim neither writes
+// nor reuses it.
 type pktEvent struct {
 	n    *Network
-	fire func()
 	next *pktEvent // free list, or the switch's wait queue
 
 	pkt    *packet.Packet
-	ts     *txState         // evArrive: sender's retransmission state
+	ts     *txState         // sender's retransmission state (nil without recovery)
+	rs     *rxState         // evRedeliver
 	ch     *telemetry.Chain // causal account, advanced when the event fires
 	sentAt sim.Time         // transmission start, for the latency histogram
 	host   int              // source (evSend) or destination (evDeliver) host
@@ -478,21 +488,29 @@ type pktEvent struct {
 type evKind uint8
 
 const (
-	evSend    evKind = iota // host starts (or, after a crash, restarts) a send
-	evArrive                // packet reaches the switch, or returns to it after a stall
-	evDeliver               // packet reaches its destination host
+	evSend      evKind = iota // host starts (or, after a crash, restarts) a send
+	evArrive                  // packet reaches the switch, or returns to it after a stall
+	evDeliver                 // packet reaches its destination host
+	evCorrupt                 // corrupted frame reaches the switch port
+	evResend                  // sender retransmits its pristine copy
+	evAck                     // switch's acknowledgement reaches the sender
+	evRedeliver               // egress port retries a failed delivery
+	evCommit                  // replicated switch releases an arrival's ack and outputs
+	evWake                    // the switch frees with arrivals waiting (see admitWaiters)
 )
 
-// event returns a blank record of the given kind. Records are made a slab
-// at a time: harnesses post every send of a round up front, so the pool
-// grows to the round's size before the first record comes back.
+// eventSlab is how many records one refill of the free list makes:
+// harnesses post every send of a round up front, so the pool grows to the
+// round's size before the first record comes back.
+const eventSlab = 64
+
+// event returns a blank record of the given kind.
 func (n *Network) event(kind evKind) *pktEvent {
 	if n.freeEv == nil {
-		slab := make([]pktEvent, 64)
+		slab := make([]pktEvent, eventSlab)
 		for i := range slab {
-			e := &slab[i]
-			e.n, e.fire, e.next = n, e.run, n.freeEv
-			n.freeEv = e
+			slab[i].n, slab[i].next = n, n.freeEv
+			n.freeEv = &slab[i]
 		}
 	}
 	e := n.freeEv
@@ -503,24 +521,49 @@ func (n *Network) event(kind evKind) *pktEvent {
 
 // recycle clears the record's references and returns it to the free list.
 func (n *Network) recycle(e *pktEvent) {
-	*e = pktEvent{n: n, fire: e.fire, next: n.freeEv}
+	*e = pktEvent{n: n, next: n.freeEv}
 	n.freeEv = e
 }
 
-func (e *pktEvent) run() {
+// Fire runs the record's step (sim.Handler).
+func (e *pktEvent) Fire() {
 	n := e.n
 	switch e.kind {
 	case evSend:
 		n.startSend(e.host, e.pkt)
-		n.recycle(e)
 	case evArrive:
 		e.ch.Advance(n.eng.Now(), e.bucket)
 		n.arriveAtSwitch(e, false)
+		return // the record is the arrival: admission recycles it
 	case evDeliver:
 		e.ch.Advance(n.eng.Now(), telemetry.BucketPropagation)
 		n.deliver(e.host, e.pkt, e.cf, e.sentAt, e.ch)
-		n.recycle(e)
+	case evCorrupt:
+		n.corruptArrival(e.ts, e.pkt)
+	case evResend:
+		ts := e.ts
+		n.transmit(ts.src, n.arena.Clone(ts.pristine), ts, ts.chain, true)
+	case evAck:
+		e.ts.acked = true
+		n.eng.Disarm(&e.ts.timer)
+	case evRedeliver:
+		rs := e.rs
+		n.attemptDeliver(rs.dst, rs.pkt, rs.cf, n.eng.Now(), rs.sentAt, rs, rs.chain, true)
+	case evWake:
+		n.admitWaiters()
 	}
+	n.recycle(e)
+}
+
+// Commit is an arrival's output commit (ha.Committer): its delta is on the
+// sync channel, so the ack and the withheld outputs may go.
+func (e *pktEvent) Commit(outs []*packet.Packet) {
+	n := e.n
+	if e.ts != nil {
+		n.sendAck(e.ts)
+	}
+	n.scheduleOutputs(outs, e.sentAt, e.ch)
+	n.recycle(e)
 }
 
 // SendAt schedules host src to transmit pkt at time at (or when its uplink
@@ -537,7 +580,7 @@ func (n *Network) SendAt(src int, pkt *packet.Packet, at sim.Time) {
 func (n *Network) postSend(src int, pkt *packet.Packet, at sim.Time) {
 	e := n.event(evSend)
 	e.host, e.pkt = src, pkt
-	n.eng.Post(at, e.fire)
+	n.eng.PostHandler(at, e)
 }
 
 // startSend is a packet's entry into the network: a crashed (or cut-off)
@@ -559,7 +602,8 @@ func (n *Network) startSend(src int, pkt *packet.Packet) {
 	ch := n.newChain(cf, now)
 	var ts *txState
 	if n.rec != nil {
-		ts = &txState{src: src, cf: cf, uid: n.txSeq, pristine: pkt.Clone(), rto: n.rec.Timeout, chain: ch}
+		ts = cut(&n.txSlab)
+		*ts = txState{n: n, src: src, cf: cf, uid: n.txSeq, pristine: n.arena.Clone(pkt), rto: n.rec.Timeout, chain: ch}
 		n.txSeq++
 	}
 	n.transmit(src, pkt, ts, ch, false)
@@ -584,7 +628,7 @@ func (n *Network) arriveAtSwitch(e *pktEvent, queued bool) {
 			n.led.StallDeferrals++
 			n.fr.Record(n.eng.Now(), "stall.defer", int64(n.coflowOf(e.pkt)), int64(end))
 			e.bucket = telemetry.BucketFailoverStall
-			n.eng.Post(end, e.fire)
+			n.eng.PostHandler(end, e)
 			return
 		}
 	}
@@ -594,7 +638,7 @@ func (n *Network) arriveAtSwitch(e *pktEvent, queued bool) {
 	if n.counter != nil && !queued && !n.swCrashed && (n.waitHead != nil || n.swBusyUntil > n.eng.Now()) {
 		if n.waitHead == nil {
 			n.waitHead = e
-			n.eng.Post(n.swBusyUntil, n.wake)
+			n.eng.PostHandler(n.swBusyUntil, n.event(evWake))
 		} else {
 			n.waitTail.next = e
 		}
@@ -683,7 +727,7 @@ func (n *Network) admitWaiters() {
 		n.arriveAtSwitch(e, true)
 	}
 	if n.waitHead != nil {
-		n.eng.Post(n.swBusyUntil, n.wake)
+		n.eng.PostHandler(n.swBusyUntil, n.event(evWake))
 	}
 }
 
@@ -720,7 +764,8 @@ func (n *Network) scheduleOutputs(outs []*packet.Packet, sentAt sim.Time, ch *te
 		c.Advance(base, telemetry.BucketRecirculation)
 		var rs *rxState
 		if n.rec != nil {
-			rs = &rxState{dst: dst, cf: cf, pkt: out, sentAt: sentAt, rto: n.rec.Timeout, chain: c}
+			rs = cut(&n.rxSlab)
+			*rs = rxState{dst: dst, cf: cf, pkt: out, sentAt: sentAt, rto: n.rec.Timeout, chain: c}
 		}
 		n.attemptDeliver(dst, out, cf, base, sentAt, rs, c, false)
 	}
@@ -775,17 +820,12 @@ func (n *Network) haArrival(pkt *packet.Packet, sentAt sim.Time, ts *txState, ch
 	}
 	n.fr.Record(n.eng.Now(), "switch.arrive", int64(n.coflowOf(pkt)), int64(pkt.IngressPort))
 	// Detach the committed account from the sender's (see arriveAtSwitch);
-	// the commit closure runs at the delta's ship time, possibly after
-	// spurious retransmissions have advanced ts.chain.
-	ch = ch.Fork()
-	start := sentAt
-	err := n.pair.Submit(uid, pkt, func(outs []*packet.Packet) {
-		if ts != nil {
-			n.sendAck(ts)
-		}
-		n.scheduleOutputs(outs, start, ch)
-	})
-	if err != nil {
+	// the commit runs at the delta's ship time, possibly after spurious
+	// retransmissions have advanced ts.chain.
+	commit := n.event(evCommit)
+	commit.ts, commit.sentAt, commit.ch = ts, sentAt, ch.Fork()
+	if err := n.pair.Submit(uid, pkt, commit); err != nil {
+		n.recycle(commit)
 		// Deterministic processing error: the standby's replay reproduces
 		// it, so the packet is booked (and acked, stopping retransmission)
 		// exactly as on an unreplicated switch.

@@ -74,14 +74,17 @@ type Ledger struct {
 }
 
 // txState is the sender-side retransmission state of one original packet.
+// It is its own ack timer's handler: the timer is embedded, so arming it
+// per attempt allocates nothing.
 type txState struct {
+	n        *Network
 	src      int
 	cf       uint32
 	uid      uint64         // network-wide unique packet id (HA dup suppression)
 	pristine *packet.Packet // untouched copy; the switch mutates what it gets
 	rto      sim.Time
 	retx     int
-	timer    *sim.Event
+	timer    sim.Timer
 	// firstSent is the wire start of the first attempt (end-to-end latency
 	// baseline); arrived flips when a copy reaches the switch intact;
 	// acked stops the retransmission loop; aborted marks budget exhaustion.
@@ -102,6 +105,32 @@ type rxState struct {
 	rto    sim.Time
 	retx   int
 	chain  *telemetry.Chain // causal account (nil when attribution is off)
+}
+
+// Fire is the ack timer running out (sim.Handler): the attempt's ack did
+// not arrive in time.
+func (ts *txState) Fire() {
+	if ts.acked || ts.aborted {
+		return
+	}
+	ts.n.resendOrAbort(ts, ts.n.eng.Now())
+}
+
+// stateSlab is how many recovery states one chunk holds. States are never
+// recycled — a late copy in flight may still point at one long after its
+// packet was acked — so a chunk lives until the last of its packets is
+// forgotten, like an arena's.
+const stateSlab = 64
+
+// cut returns the next unissued state of *slab, starting a new chunk when
+// the current one is used up.
+func cut[T any](slab *[]T) *T {
+	if len(*slab) == 0 {
+		*slab = make([]T, stateSlab)
+	}
+	s := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return s
 }
 
 // transmit makes one uplink wire attempt. retx marks attempts beyond the
@@ -153,16 +182,18 @@ func (n *Network) transmit(src int, pkt *packet.Packet, ts *txState, ch *telemet
 	case faults.OK:
 		e := n.event(evArrive)
 		e.pkt, e.sentAt, e.ts, e.ch, e.bucket = pkt, start, ts, ch, telemetry.BucketPropagation
-		n.eng.Post(arrive, e.fire)
+		n.eng.PostHandler(arrive, e)
 	case faults.Lost:
 		n.countTxFault(out, ts, pkt)
 	case faults.Corrupt:
 		// The frame occupies the wire and reaches the switch port, where
 		// the CRC check discards it.
-		n.eng.Post(arrive, func() { n.corruptArrival(ts, pkt) })
+		e := n.event(evCorrupt)
+		e.ts, e.pkt = ts, pkt
+		n.eng.PostHandler(arrive, e)
 	}
 	if ts != nil {
-		ts.timer = n.eng.Schedule(done+ts.rto, func() { n.txTimeout(ts) })
+		n.eng.Arm(&ts.timer, done+ts.rto, ts)
 	}
 }
 
@@ -237,14 +268,6 @@ func (n *Network) corruptArrival(ts *txState, pkt *packet.Packet) {
 	}
 }
 
-// txTimeout fires when an attempt's ack did not arrive in time.
-func (n *Network) txTimeout(ts *txState) {
-	if ts.acked || ts.aborted {
-		return
-	}
-	n.resendOrAbort(ts, n.eng.Now())
-}
-
 // resendOrAbort schedules the next uplink attempt at `at` (pushed past any
 // crash/down window of the source) with backed-off timeout, or abandons the
 // packet once the retry budget is spent.
@@ -263,7 +286,9 @@ func (n *Network) resendOrAbort(ts *txState, at sim.Time) {
 			when = up
 		}
 	}
-	n.eng.Post(when, func() { n.transmit(ts.src, ts.pristine.Clone(), ts, ts.chain, true) })
+	e := n.event(evResend)
+	e.ts = ts
+	n.eng.PostHandler(when, e)
 }
 
 // sendAck launches the switch's acknowledgement of an intact arrival back
@@ -276,13 +301,9 @@ func (n *Network) sendAck(ts *txState) {
 		n.led.AcksLost++
 		return
 	}
-	n.eng.Post(now+n.cfg.PropDelay, func() {
-		ts.acked = true
-		if ts.timer != nil {
-			n.eng.Cancel(ts.timer)
-			ts.timer = nil
-		}
-	})
+	e := n.event(evAck)
+	e.ts = ts
+	n.eng.PostHandler(now+n.cfg.PropDelay, e)
 }
 
 // attemptDeliver makes one downlink wire attempt toward dst, no earlier
@@ -326,7 +347,7 @@ func (n *Network) attemptDeliver(dst int, p *packet.Packet, cf uint32, earliest,
 	}
 	e := n.event(evDeliver)
 	e.host, e.pkt, e.cf, e.sentAt, e.ch = dst, p, cf, sentAt, ch
-	n.eng.Post(arrive, e.fire)
+	n.eng.PostHandler(arrive, e)
 }
 
 // countRxFault books one faulted downlink attempt; without recovery the
@@ -370,9 +391,9 @@ func (n *Network) redeliver(rs *rxState, at sim.Time) {
 			when = up
 		}
 	}
-	n.eng.Post(when, func() {
-		n.attemptDeliver(rs.dst, rs.pkt, rs.cf, n.eng.Now(), rs.sentAt, rs, rs.chain, true)
-	})
+	e := n.event(evRedeliver)
+	e.rs = rs
+	n.eng.PostHandler(when, e)
 }
 
 // Ledger returns a copy of the packet ledger.

@@ -29,33 +29,16 @@ func (p *Packet) WireLen() int {
 // Len returns the encoded byte length.
 func (p *Packet) Len() int { return len(p.Data) }
 
-// Clone returns a deep copy (used by multicast replication).
-func (p *Packet) Clone() *Packet {
-	q := *p
-	q.Data = append([]byte(nil), p.Data...)
-	return &q
-}
+// Clone returns a deep copy with its own allocation. Code that copies a
+// packet per packet clones from an Arena instead.
+func (p *Packet) Clone() *Packet { return (*Arena)(nil).Clone(p) }
 
 // Build assembles a packet from a base header and an optional application
 // header. The base header's Proto and Length fields are overwritten to match
 // the body. Pass a nil body for ProtoRaw packets with an empty payload. The
 // body is encoded straight into the packet's one buffer, sized up front
 // from its EncodedLen.
-func Build(h Header, body interface {
-	EncodedLen() int
-	Encode([]byte) []byte
-}) *Packet {
-	n := 0
-	if body != nil {
-		n = body.EncodedLen()
-	}
-	h.Length = uint16(n)
-	data := h.Encode(make([]byte, 0, BaseHeaderLen+n))
-	if body != nil {
-		data = body.Encode(data)
-	}
-	return &Packet{Data: data, EgressPort: -1}
-}
+func Build(h Header, body encoder) *Packet { return (*Arena)(nil).Build(h, body) }
 
 // BuildRaw assembles a ProtoRaw packet with an opaque payload of the given
 // length (zero bytes).
@@ -132,26 +115,7 @@ func (d *Decoded) Elements() int {
 
 // Reencode rebuilds the packet bytes from the decoded headers, reflecting
 // any modifications (the deparser step).
-func (d *Decoded) Reencode() *Packet {
-	switch d.Base.Proto {
-	case ProtoML:
-		return Build(d.Base, &d.ML)
-	case ProtoKV:
-		return Build(d.Base, &d.KV)
-	case ProtoDB:
-		return Build(d.Base, &d.DB)
-	case ProtoGraph:
-		return Build(d.Base, &d.Graph)
-	case ProtoGroup:
-		return Build(d.Base, &d.Group)
-	default:
-		h := d.Base
-		h.Length = uint16(len(d.Payload))
-		data := h.Encode(make([]byte, 0, BaseHeaderLen+len(d.Payload)))
-		data = append(data, d.Payload...)
-		return &Packet{Data: data, EgressPort: -1}
-	}
-}
+func (d *Decoded) Reencode() *Packet { return (*Arena)(nil).Reencode(d) }
 
 // GoodputBytes returns the application-useful bytes in the packet: the data
 // elements themselves, excluding base and fixed app-header overhead. Used by

@@ -231,15 +231,17 @@ type Program struct {
 // Pipeline is a parser + stages + deparser with cycle accounting.
 type Pipeline struct {
 	cfg    Config
-	stages []*Stage
-	pool   *phv.Pool
+	stages []Stage
+	pool   phv.Pool
 
 	// bound is the parse graph pre-resolved against the layout, flat its
 	// reusable result and ctxFree the context free list: together they
-	// make the steady-state traversal allocation-free.
-	bound   *packet.BoundParser
-	flat    packet.FlatResult
-	ctxFree []*Context
+	// make the steady-state traversal allocation-free. deparsed backs the
+	// packets the deparser re-encodes.
+	bound    *packet.BoundParser
+	flat     packet.FlatResult
+	ctxFree  []*Context
+	deparsed packet.Arena
 
 	packets     uint64
 	drops       uint64
@@ -261,8 +263,11 @@ func New(cfg Config, parser *packet.ParseGraph, layout *phv.Layout) (*Pipeline, 
 }
 
 // NewN builds n identical pipelines, as a switch does: the parse graph is
-// bound against the layout once and the (immutable) bound parser shared.
-// A graph that does not validate is an error.
+// bound against the layout once and the (immutable) bound parser shared,
+// and the pipelines, their stages and the stages' table, TCAM and register
+// headers are each one slice for all n, filled in place — a handful of
+// allocations however many stages the switch has. A graph that does not
+// validate is an error.
 func NewN(n int, cfg Config, parser *packet.ParseGraph, layout *phv.Layout) ([]*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -280,25 +285,27 @@ func NewN(n int, cfg Config, parser *packet.ParseGraph, layout *phv.Layout) ([]*
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: bind parse graph: %w", err)
 	}
+	total := n * cfg.Stages
+	pipes := make([]Pipeline, n)
+	stages := make([]Stage, total)
+	mems := mat.NewStageMemories(total, cfg.MemoryMode, cfg.MAUsPerStage, cfg.TableEntriesPerStage, cfg.MemoryClockMult)
+	regs := mat.NewRegisterFiles(total, cfg.RegisterCellsPerStage)
+	var tcams []mat.TernaryTable
+	if cfg.TCAMEntriesPerStage > 0 {
+		tcams = mat.NewTernaryTables(total, cfg.TCAMEntriesPerStage)
+	}
+	for k := range stages {
+		st := &stages[k]
+		st.Index, st.Mem, st.Regs = k%cfg.Stages, &mems[k], &regs[k]
+		if tcams != nil {
+			st.TCAM = &tcams[k]
+		}
+	}
 	ps := make([]*Pipeline, n)
 	for i := range ps {
-		p := &Pipeline{
-			cfg:    cfg,
-			pool:   phv.NewPool(layout),
-			bound:  bound,
-			stages: make([]*Stage, cfg.Stages),
-		}
-		for j := range p.stages {
-			st := &Stage{
-				Index: j,
-				Mem:   mat.NewStageMemory(cfg.MemoryMode, cfg.MAUsPerStage, cfg.TableEntriesPerStage, cfg.MemoryClockMult),
-				Regs:  mat.NewRegisterFile(cfg.RegisterCellsPerStage),
-			}
-			if cfg.TCAMEntriesPerStage > 0 {
-				st.TCAM = mat.NewTernaryTable(cfg.TCAMEntriesPerStage)
-			}
-			p.stages[j] = st
-		}
+		p := &pipes[i]
+		p.cfg, p.pool, p.bound = cfg, *phv.NewPool(layout), bound
+		p.stages = stages[i*cfg.Stages : (i+1)*cfg.Stages : (i+1)*cfg.Stages]
 		ps[i] = p
 	}
 	return ps, nil
@@ -308,7 +315,7 @@ func NewN(n int, cfg Config, parser *packet.ParseGraph, layout *phv.Layout) ([]*
 func (p *Pipeline) Config() Config { return p.cfg }
 
 // Stage returns stage i for table/register installation.
-func (p *Pipeline) Stage(i int) *Stage { return p.stages[i] }
+func (p *Pipeline) Stage(i int) *Stage { return &p.stages[i] }
 
 // NumStages returns the stage count.
 func (p *Pipeline) NumStages() int { return len(p.stages) }
@@ -400,7 +407,7 @@ func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
 				}
 				ctx.Cycles += i - prev // skipped stages plus this one
 				prev = i
-				st := p.stages[i]
+				st := &p.stages[i]
 				st.rmwDone = false
 				if err := fn(st, ctx); err != nil {
 					// The failing stage's own cycle is already counted,
@@ -418,7 +425,8 @@ func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
 			ctx.Cycles += n - 1 - prev // trailing empty stages
 		}
 	} else {
-		for i, st := range p.stages {
+		for i := range p.stages {
+			st := &p.stages[i]
 			st.rmwDone = false
 			if prog != nil && i < len(prog.Funcs) && prog.Funcs[i] != nil {
 				if err := prog.Funcs[i](st, ctx); err != nil {
@@ -438,7 +446,7 @@ func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
 
 	// Deparse.
 	if ctx.Modified && ctx.Verdict != VerdictDrop && ctx.Verdict != VerdictConsume {
-		np := ctx.Decoded.Reencode()
+		np := p.deparsed.Reencode(&ctx.Decoded)
 		np.IngressPort = ctx.Pkt.IngressPort
 		np.EgressPort = ctx.Pkt.EgressPort
 		np.Recirculations = ctx.Pkt.Recirculations

@@ -95,6 +95,9 @@ type Switch struct {
 	delivered        uint64
 	deliveredBytes   uint64
 	txPerPort        []uint64
+
+	// replicas backs the copies multicast makes of a packet or an emission.
+	replicas packet.Arena
 }
 
 // New builds an RMT switch with the given programs. Programs may be nil
@@ -189,7 +192,7 @@ func (s *Switch) routeContext(ctx *pipeline.Context) error {
 	case pipeline.VerdictForward:
 		if len(ctx.Multicast) > 0 {
 			for _, port := range ctx.Multicast {
-				if err := s.enqueue(port, ctx.Pkt.Clone()); err != nil {
+				if err := s.enqueue(port, s.replicas.Clone(ctx.Pkt)); err != nil {
 					return err
 				}
 			}
@@ -210,7 +213,7 @@ func (s *Switch) routeContext(ctx *pipeline.Context) error {
 		for i, port := range em.Ports {
 			p := em.Pkt
 			if i > 0 {
-				p = em.Pkt.Clone()
+				p = s.replicas.Clone(em.Pkt)
 			}
 			if err := s.enqueue(port, p); err != nil {
 				return err
@@ -282,6 +285,12 @@ func (s *Switch) deliverOrRecirc(port int, p *packet.Packet, out *[]*packet.Pack
 		return s.routeContext(ctx)
 	}
 	p.EgressPort = port
+	if *out == nil {
+		// One slice per Process call, made at the first delivery and
+		// sized for it plus everything still in the TM; the caller keeps
+		// it.
+		*out = make([]*packet.Packet, 0, 1+s.tmgr.Pending())
+	}
 	*out = append(*out, p)
 	s.delivered++
 	s.deliveredBytes += uint64(p.WireLen())
@@ -330,7 +339,7 @@ func (s *Switch) drainTM() ([]*packet.Packet, error) {
 							s.misrouted++
 							continue
 						}
-						if err := s.deliverOrRecirc(port, em.Pkt.Clone(), &out); err != nil {
+						if err := s.deliverOrRecirc(port, s.replicas.Clone(em.Pkt), &out); err != nil {
 							eg.Release(ctx)
 							return nil, err
 						}

@@ -35,6 +35,31 @@
 // The ordering contract is checked against a reference binary heap kept
 // beside the tests (wheel_test.go: TestWheelHeapEquivalence and
 // FuzzWheelOps demand identical dispatch traces).
+//
+// # Handlers and timers
+//
+// What an event does when it fires is a Handler, a one-method interface.
+// A model that would otherwise build a closure per event keeps the state
+// the event needs in a record of its own, gives the record a Fire method
+// and posts the record (PostHandler): a pointer converts to an interface
+// without allocating. Post, Schedule and After take a plain func() and wrap
+// it in Func, which is free as well — a func value is pointer-shaped.
+//
+// There are three ways to queue an event, and they differ only in who owns
+// the Event object; all draw from the same sequence counter and the same
+// pending count, so they interleave in call order:
+//
+//   - Post / PostHandler: the engine owns it, takes it from a free list
+//     that is refilled a chunk at a time, and recycles it at dispatch. It
+//     cannot be canceled.
+//   - Schedule: the caller gets a handle to Cancel. The handle is never
+//     recycled, so it costs one allocation per call; use it for the few
+//     events of a run (a crash, a promotion), not for one per packet.
+//   - Timer: the caller owns the event, embedded by value in whatever
+//     record the timer belongs to (a sender's retransmission state, a
+//     replication pair). Arm queues it, Disarm cancels it, and arming it
+//     again once it has fired reuses the same memory, so a cancellable
+//     per-packet timer allocates nothing.
 package sim
 
 import (
@@ -82,25 +107,37 @@ func (t Time) String() string {
 // Seconds converts t to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Event index sentinels: idx ≥ 0 means the event sits in the far-future
-// overflow heap at that position.
-const (
-	idxUnqueued = -1 // popped, fired, or eagerly removed
-	idxWheel    = -2 // linked into a timing-wheel slot list
-)
+// Handler is what an event does when it fires.
+type Handler interface {
+	Fire()
+}
 
-// Event is a scheduled callback.
+// Func adapts a plain function to Handler. The conversion allocates
+// nothing: a func value is a pointer, and so is stored in the interface
+// as it is.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// Event is a scheduled callback. Its zero value is an event that is not
+// queued and not canceled.
 type Event struct {
 	at   Time
 	seq  uint64 // insertion order; breaks ties deterministically
-	fn   func()
+	h    Handler
 	next *Event // intrusive slot-list link / free-list link
-	idx  int    // heap index, or an idx* sentinel
-	dead bool
+	idx  int32  // position in the far-future overflow heap, -1 once popped
 
-	// retained marks events whose *Event handle escaped via Schedule:
-	// they are never recycled into the free list, so a late Cancel on an
-	// already-fired handle can never reach an unrelated pooled event.
+	// queued is set while the event is linked into a wheel slot or the far
+	// heap, canceled or not: a canceled event stays linked until the
+	// cursor reaches it.
+	queued bool
+	dead   bool
+
+	// retained marks events the engine does not own — Schedule handles and
+	// Timers: they are never recycled into the free list, so a late Cancel
+	// on an already-fired handle can never reach an unrelated pooled event.
 	retained bool
 }
 
@@ -121,12 +158,12 @@ func (h eventHeap) Less(i, j int) bool {
 }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+	h[i].idx = int32(i)
+	h[j].idx = int32(j)
 }
 func (h *eventHeap) Push(x any) {
 	e := x.(*Event)
-	e.idx = len(*h)
+	e.idx = int32(len(*h))
 	*h = append(*h, e)
 }
 func (h *eventHeap) Pop() any {
@@ -134,7 +171,7 @@ func (h *eventHeap) Pop() any {
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.idx = idxUnqueued
+	e.idx = -1
 	*h = old[:n-1]
 	return e
 }
@@ -176,14 +213,16 @@ type Engine struct {
 	// misfiled). live counts pending non-canceled events; canceled events
 	// stay linked and are collected lazily. cur caches the level-0 slot
 	// being drained so same-timestamp batches pop in O(1). free is the
-	// recycle list for handle-free (Post) events.
-	pos   Time
-	wheel [wheelLevels][wheelSlots]slot
-	occ   [wheelLevels][wheelSlots / 64]uint64
-	far   eventHeap
-	cur   *slot
-	live  int
-	free  *Event
+	// recycle list for handle-free (Post) events, refilled freeChunk
+	// events at a time.
+	pos       Time
+	wheel     [wheelLevels][wheelSlots]slot
+	occ       [wheelLevels][wheelSlots / 64]uint64
+	far       eventHeap
+	cur       *slot
+	live      int
+	free      *Event
+	freeChunk int
 
 	// budget, when non-zero, bounds how many events the engine will
 	// dispatch; exceeded flips once the bound is hit and the engine
@@ -288,14 +327,22 @@ func (e *Engine) endRun() {
 // should use Post, which reuses event objects and allocates nothing in
 // steady state.
 func (e *Engine) Schedule(at Time, fn func()) *Event {
+	ev := &Event{retained: true}
+	e.enqueue(ev, at, Func(fn))
+	return ev
+}
+
+// enqueue stamps ev with its time, the next sequence number and its
+// handler, and files it: the one step Post, Schedule and Arm share, which
+// is why the three interleave in call order.
+func (e *Engine) enqueue(ev *Event, at Time, h Handler) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	ev := &Event{at: at, seq: e.seq, fn: fn, retained: true}
+	ev.at, ev.seq, ev.h = at, e.seq, h
 	e.seq++
 	e.place(ev)
 	e.live++
-	return ev
 }
 
 // After schedules fn to run d after the current time.
@@ -311,22 +358,46 @@ func (e *Engine) After(d Time, fn func()) *Event {
 // and steady-state posting allocates nothing. Use Post wherever the
 // caller discards Schedule's handle (it cannot be canceled). Ordering is
 // identical to Schedule — Post draws from the same sequence counter.
-func (e *Engine) Post(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
+func (e *Engine) Post(at Time, fn func()) { e.PostHandler(at, Func(fn)) }
+
+// PostHandler is Post for a caller that keeps the event's state in a record
+// of its own: h.Fire runs at time at. Posting a pointer allocates nothing.
+func (e *Engine) PostHandler(at Time, h Handler) {
+	if e.free == nil {
+		e.refill()
 	}
 	ev := e.free
-	if ev != nil {
-		e.free = ev.next
-		ev.next = nil
-		ev.dead = false
-	} else {
-		ev = &Event{}
+	e.free = ev.next
+	ev.next = nil
+	ev.dead = false
+	e.enqueue(ev, at, h)
+}
+
+// Event chunks start at minEventChunk and double up to maxEventChunk. A
+// harness posts a whole round's sends before it runs a fresh engine, so
+// the list has to reach the round's size from nothing on every round: the
+// doubling gets there in a handful of allocations, the small start keeps
+// an engine that carries a dozen events from paying for hundreds, and the
+// cap (24 KiB, below the allocator's large-object threshold) bounds what
+// the last chunk can leave unused.
+const (
+	minEventChunk = 16
+	maxEventChunk = 512
+)
+
+// refill links a fresh chunk of events into the empty free list.
+func (e *Engine) refill() {
+	switch {
+	case e.freeChunk == 0:
+		e.freeChunk = minEventChunk
+	case e.freeChunk < maxEventChunk:
+		e.freeChunk *= 2
 	}
-	ev.at, ev.seq, ev.fn = at, e.seq, fn
-	e.seq++
-	e.place(ev)
-	e.live++
+	chunk := make([]Event, e.freeChunk)
+	for i := range chunk {
+		chunk[i].next = e.free
+		e.free = &chunk[i]
+	}
 }
 
 // PostAfter posts fn to run d after the current time (see Post).
@@ -343,15 +414,41 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.dead {
 		return
 	}
-	if ev.idx == idxUnqueued { // already fired
-		ev.dead = true
-		return
-	}
-	// Still queued (wheel slot or far heap): mark dead and collect
-	// lazily at pop/cascade time; only the live count updates now.
+	// A queued event (wheel slot or far heap) is only marked dead and
+	// collected lazily at pop/cascade time; the live count updates now.
 	ev.dead = true
-	e.live--
+	if ev.queued {
+		e.live--
+	}
 }
+
+// Timer is a cancellable event owned by its caller: embed one by value in
+// the record the timeout belongs to. The zero value is ready. Arm, fire,
+// Arm again reuses the same memory for ever.
+type Timer struct {
+	ev Event
+}
+
+// Armed reports whether the timer is pending: armed, and neither fired nor
+// disarmed since.
+func (t *Timer) Armed() bool { return t.ev.queued && !t.ev.dead }
+
+// Arm queues the timer to fire h at time at, with the ordering of a
+// Schedule call made at the same point. The timer must not be in the queue:
+// arming a pending timer panics, and so does arming one that was disarmed
+// before its time and has not been reached by the clock yet (a canceled
+// event stays linked until then). The timers of this repository are armed
+// once per attempt, after the previous attempt's has fired.
+func (e *Engine) Arm(t *Timer, at Time, h Handler) {
+	if t.ev.queued {
+		panic("sim: Arm on a timer still queued")
+	}
+	t.ev.dead, t.ev.retained = false, true
+	e.enqueue(&t.ev, at, h)
+}
+
+// Disarm cancels the timer if it is pending; otherwise it is a no-op.
+func (e *Engine) Disarm(t *Timer) { e.Cancel(&t.ev) }
 
 // place files ev into the wheel by the highest byte in which its time
 // differs from the cursor, or pushes it to the far heap beyond the wheel
@@ -359,6 +456,7 @@ func (e *Engine) Cancel(ev *Event) {
 // any single timestamp (far-heap migration happens before the cursor
 // enters a window, so it cannot append behind a later direct insert).
 func (e *Engine) place(ev *Event) {
+	ev.queued = true
 	at, pos := uint64(ev.at), uint64(e.pos)
 	diff := at ^ pos
 	var level int
@@ -376,7 +474,6 @@ func (e *Engine) place(ev *Event) {
 		return
 	}
 	idx := int(at>>(wheelBits*level)) & wheelMask
-	ev.idx = idxWheel
 	s := &e.wheel[level][idx]
 	if s.tail == nil {
 		s.head = ev
@@ -409,10 +506,11 @@ func (e *Engine) scanFrom(level, from int) (int, bool) {
 }
 
 // release returns a dispatched or dead event to the free list. Retained
-// events (Schedule handles) are only marked unqueued, never recycled.
+// events (Schedule handles, Timers) are only marked unqueued, never
+// recycled.
 func (e *Engine) release(ev *Event) {
-	ev.idx = idxUnqueued
-	ev.fn = nil
+	ev.queued = false
+	ev.h = nil
 	if ev.retained {
 		return
 	}
@@ -547,12 +645,12 @@ func (e *Engine) popWheel() *Event {
 func (e *Engine) dispatch(ev *Event) {
 	e.now = ev.at
 	e.fired++
-	fn := ev.fn
+	h := ev.h
 	e.release(ev)
-	for _, h := range e.hooks {
-		h(e.now, e.live, e.fired)
+	for _, hook := range e.hooks {
+		hook(e.now, e.live, e.fired)
 	}
-	fn()
+	h.Fire()
 }
 
 // Step dispatches the next event. It reports false when the queue is empty

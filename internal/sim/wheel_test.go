@@ -13,7 +13,10 @@ type scheduler interface {
 	Pending() int
 	Schedule(at Time, fn func()) *Event
 	Post(at Time, fn func())
+	PostHandler(at Time, h Handler)
 	Cancel(ev *Event)
+	Arm(t *Timer, at Time, h Handler)
+	Disarm(t *Timer)
 	Run()
 	RunUntil(deadline Time)
 }
@@ -22,7 +25,8 @@ type scheduler interface {
 // the wheel replaced, a plain binary heap ordered by (timestamp, sequence)
 // with eager removal on cancel. It is the ordering contract written down
 // in the most obvious way, and exists only for the wheel to be compared
-// against.
+// against. Every way of queueing an event — a posted function, a posted
+// handler, a handle, a timer — is one push with the next sequence number.
 type refHeap struct {
 	now   Time
 	seq   uint64
@@ -32,21 +36,34 @@ type refHeap struct {
 func (r *refHeap) Now() Time    { return r.now }
 func (r *refHeap) Pending() int { return len(r.queue) }
 
-func (r *refHeap) Schedule(at Time, fn func()) *Event {
+func (r *refHeap) push(ev *Event, at Time, h Handler) {
 	if at < r.now {
 		panic(fmt.Sprintf("refHeap: schedule at %v before now %v", at, r.now))
 	}
-	ev := &Event{at: at, seq: r.seq, fn: fn}
+	if ev.queued {
+		panic("refHeap: event already queued")
+	}
+	ev.at, ev.seq, ev.h = at, r.seq, h
+	ev.queued, ev.dead = true, false
 	r.seq++
 	heap.Push(&r.queue, ev)
+}
+
+func (r *refHeap) Schedule(at Time, fn func()) *Event {
+	ev := &Event{}
+	r.push(ev, at, Func(fn))
 	return ev
 }
 
-func (r *refHeap) Post(at Time, fn func()) { r.Schedule(at, fn) }
+func (r *refHeap) Post(at Time, fn func())          { r.push(&Event{}, at, Func(fn)) }
+func (r *refHeap) PostHandler(at Time, h Handler)   { r.push(&Event{}, at, h) }
+func (r *refHeap) Arm(t *Timer, at Time, h Handler) { r.push(&t.ev, at, h) }
+func (r *refHeap) Disarm(t *Timer)                  { r.Cancel(&t.ev) }
 
 func (r *refHeap) Cancel(ev *Event) {
-	if !ev.dead && ev.idx >= 0 {
-		heap.Remove(&r.queue, ev.idx)
+	if ev.queued {
+		heap.Remove(&r.queue, int(ev.idx))
+		ev.queued = false
 	}
 	ev.dead = true
 }
@@ -63,8 +80,9 @@ func (r *refHeap) RunUntil(deadline Time) {
 func (r *refHeap) drain(deadline Time) {
 	for len(r.queue) > 0 && r.queue[0].at <= deadline {
 		ev := heap.Pop(&r.queue).(*Event)
+		ev.queued = false
 		r.now = ev.at
-		ev.fn()
+		ev.h.Fire()
 	}
 }
 
@@ -146,30 +164,81 @@ func TestWheelHeapEquivalence(t *testing.T) {
 	}
 }
 
+// traceRec is a handler record as a model would write one: the event's
+// state lives in the record, and posting the record allocates no closure.
+type traceRec struct {
+	id   int
+	now  func() Time
+	into *[]string
+}
+
+func (r *traceRec) Fire() { *r.into = append(*r.into, fmt.Sprintf("h%d@%d", r.id, r.now())) }
+
+// fuzzTimer is one caller-owned timer of the fuzz program together with
+// what the program knows about it. pending is set by arming and cleared by
+// the timer's own handler; a timer disarmed while pending is retired,
+// because the wheel keeps a canceled event linked until the clock reaches
+// it (Arm would panic) while the oracle removes it at once, and the
+// program must not depend on which of the two is running it.
+type fuzzTimer struct {
+	t       *Timer
+	pending bool
+	rearm   Time // when positive, the handler re-arms the timer once, this much later
+	e       scheduler
+	id      int
+	into    *[]string
+}
+
+func (ft *fuzzTimer) Fire() {
+	ft.pending = false
+	*ft.into = append(*ft.into, fmt.Sprintf("t%d@%d", ft.id, ft.e.Now()))
+	if d := ft.rearm; d > 0 {
+		ft.rearm = 0
+		ft.pending = true
+		ft.e.Arm(ft.t, ft.e.Now()+d, ft)
+	}
+}
+
 // FuzzWheelOps lets the fuzzer write the workload: the input is a program
-// of schedule / post / cancel / run-until / schedule-from-a-callback
-// opcodes, each with a delay whose magnitude the input picks anywhere from
-// an exact tie to far beyond the wheel span. The wheel and the reference
-// heap run the same program and must produce identical dispatch traces,
-// clocks and pending counts.
+// of schedule / post / cancel / run-until / schedule-from-a-callback /
+// post-a-handler / arm / disarm / arm-with-re-arm-after-fire opcodes, each
+// with a delay whose magnitude the input picks anywhere from an exact tie
+// to far beyond the wheel span. The wheel and the reference heap run the
+// same program and must produce identical dispatch traces, clocks and
+// pending counts.
 func FuzzWheelOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 8, 3, 2, 0, 0, 3, 9, 0, 4, 33, 1, 4, 40, 0xff, 2, 1, 0, 3, 36, 7})
 	f.Add([]byte{1, 32, 1, 0, 32, 1, 4, 31, 2, 3, 31, 1, 1, 0, 0, 2, 0, 0})
+	// Handler posts tied with function posts; a timer armed, fired and armed
+	// again; one disarmed while pending; one that re-arms from its handler.
+	f.Add([]byte{5, 0, 4, 1, 0, 4, 6, 0, 9, 3, 0, 20, 6, 0, 9, 7, 0, 0, 6, 1, 5, 7, 1, 0, 6, 1, 5, 8, 2, 3, 5, 34, 1, 6, 34, 2, 3, 35, 9})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		trace := func(e scheduler, prog []byte) []string {
 			var got []string
 			var evs []*Event
+			var timers [4]fuzzTimer
+			for i := range timers {
+				timers[i] = fuzzTimer{t: &Timer{}, e: e, id: i, into: &got}
+			}
 			id := 0
 			fire := func() func() {
 				id++
 				n := id
 				return func() { got = append(got, fmt.Sprintf("%d@%d", n, e.Now())) }
 			}
+			arm := func(ft *fuzzTimer, d, rearm Time) {
+				if ft.pending {
+					return
+				}
+				ft.pending, ft.rearm = true, rearm
+				e.Arm(ft.t, e.Now()+d, ft)
+			}
 			for ; len(prog) >= 3; prog = prog[3:] {
 				// 255<<35 ps crosses the 2^32 ps wheel span many times over
 				// without ever overflowing Time.
 				d := Time(prog[2]) << (prog[1] % 36)
-				switch prog[0] % 5 {
+				ft := &timers[int(prog[1])%len(timers)]
+				switch prog[0] % 9 {
 				case 0:
 					evs = append(evs, e.Schedule(e.Now()+d, fire()))
 				case 1:
@@ -187,6 +256,18 @@ func FuzzWheelOps(f *testing.F) {
 						first()
 						evs = append(evs, e.Schedule(e.Now()+d, then))
 					}))
+				case 5:
+					id++
+					e.PostHandler(e.Now()+d, &traceRec{id: id, now: e.Now, into: &got})
+				case 6: // arm; on a timer that has fired this reuses its event
+					arm(ft, d, 0)
+				case 7:
+					e.Disarm(ft.t)
+					if ft.pending {
+						ft.pending, ft.t = false, &Timer{} // retired, see fuzzTimer
+					}
+				case 8: // arm a timer whose handler arms it again d+1 later
+					arm(ft, d, d+1)
 				}
 			}
 			e.Run()
@@ -194,6 +275,112 @@ func FuzzWheelOps(f *testing.F) {
 		}
 		sameTrace(t, "program", trace(&refHeap{}, prog), trace(NewEngine(), prog))
 	})
+}
+
+// TestTimerArmDisarm: a timer is a Schedule handle without the allocation
+// — it fires once per Arm, not at all once disarmed, and shares Schedule's
+// sequence numbers and pending count.
+func TestTimerArmDisarm(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	note := func(s string) Func { return func() { got = append(got, fmt.Sprintf("%s@%d", s, e.Now())) } }
+	var a, b Timer
+	e.Post(10, note("post"))
+	e.Arm(&a, 10, note("a"))
+	e.Schedule(10, note("sched"))
+	e.Arm(&b, 20, note("b"))
+	if !a.Armed() || !b.Armed() || e.Pending() != 4 {
+		t.Fatalf("armed %v %v, pending %d; want both armed, 4 pending", a.Armed(), b.Armed(), e.Pending())
+	}
+	e.Disarm(&b)
+	e.Disarm(&b) // twice is once
+	if b.Armed() || e.Pending() != 3 {
+		t.Fatalf("after Disarm: armed %v, pending %d; want disarmed, 3 pending", b.Armed(), e.Pending())
+	}
+	e.Run()
+	if a.Armed() {
+		t.Fatal("a fired timer still reports Armed")
+	}
+	e.Disarm(&a) // after the fact: a no-op that must not block the next Arm
+	e.Arm(&a, 30, note("a-again"))
+	e.Arm(&b, 30, note("b-again")) // b's canceled event was passed at 20
+	e.Run()
+	want := []string{"post@10", "a@10", "sched@10", "a-again@30", "b-again@30"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	var never Timer
+	e.Disarm(&never) // zero value: nothing to cancel, and the count must not move
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after disarming a timer that was never armed", e.Pending())
+	}
+}
+
+// TestArmQueuedTimerPanics: the timer's one event cannot be in the queue
+// twice, whether it is still pending or canceled and not yet reached.
+func TestArmQueuedTimerPanics(t *testing.T) {
+	for _, disarmFirst := range []bool{false, true} {
+		e := NewEngine()
+		var tm Timer
+		e.Arm(&tm, 100, Func(func() {}))
+		if disarmFirst {
+			e.Disarm(&tm)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Arm on a queued timer (disarmed first: %v) did not panic", disarmFirst)
+				}
+			}()
+			e.Arm(&tm, 200, Func(func() {}))
+		}()
+	}
+}
+
+type countRec struct{ fired int }
+
+func (r *countRec) Fire() { r.fired++ }
+
+// TestTimerAndHandlerAllocs: a handler post and a timer's arm-fire cycle
+// allocate nothing once the free list is warm, and Post's func() wrapper
+// costs nothing either.
+func TestTimerAndHandlerAllocs(t *testing.T) {
+	e := NewEngine()
+	rec := &countRec{}
+	var tm Timer
+	fn := func() {}
+	round := func() {
+		e.PostHandler(e.Now()+1, rec)
+		e.Post(e.Now()+1, fn)
+		e.Arm(&tm, e.Now()+2, rec)
+		e.Run()
+		e.Arm(&tm, e.Now()+2, rec)
+		e.Disarm(&tm)
+		e.Run()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a handler post, a func post and two timer cycles allocate %.1f objects, want 0", allocs)
+	}
+}
+
+// TestPostRefillsInChunks: a burst posted into a fresh engine, as every
+// harness does with a round's sends, costs a handful of chunk allocations
+// rather than one per event.
+func TestPostRefillsInChunks(t *testing.T) {
+	const burst = 6144 // an agg-saturated round
+	fn := func() {}
+	allocs := testing.AllocsPerRun(5, func() {
+		e := NewEngine()
+		for i := 0; i < burst; i++ {
+			e.Post(Time(i), fn)
+		}
+		e.Run()
+	})
+	// The engine itself, then chunks of 16, 32, … 512, 512, …
+	if want := float64(1 + 5 + (burst-496+511)/512); allocs > want {
+		t.Fatalf("posting %d events into a fresh engine allocates %.0f objects, want at most %.0f", burst, allocs, want)
+	}
 }
 
 // TestWheelFarFutureOrdering crosses the 2^32 ps wheel horizon several

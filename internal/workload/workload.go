@@ -45,12 +45,17 @@ func (p MLParams) Validate() error {
 
 // ML generates one aggregation round: every worker sends the full model,
 // chunked into ValuesPerPacket-wide packets. Weight w of worker k has value
-// derived from (seed, k, w) so tests can recompute expected sums.
+// derived from (seed, k, w) so tests can recompute expected sums. The
+// round's packets come out of one arena and share nothing else: the header
+// and its value buffer are encoded into each packet and reused for the next.
 func ML(p MLParams) ([]Injection, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	var injs []Injection
+	perWorker := (p.ModelSize + p.ValuesPerPacket - 1) / p.ValuesPerPacket
+	injs := make([]Injection, 0, p.Workers*perWorker)
+	var arena packet.Arena
+	ml := packet.MLHeader{Values: make([]uint32, p.ValuesPerPacket)}
 	for w := 0; w < p.Workers; w++ {
 		t := sim.Time(0)
 		for base := 0; base < p.ModelSize; base += p.ValuesPerPacket {
@@ -58,22 +63,22 @@ func ML(p MLParams) ([]Injection, error) {
 			if base+n > p.ModelSize {
 				n = p.ModelSize - base
 			}
-			vals := make([]uint32, n)
-			for i := range vals {
-				vals[i] = MLWeight(p.Seed, w, base+i)
+			ml.Base, ml.Worker, ml.Values = uint32(base), uint16(w), ml.Values[:n]
+			for i := range ml.Values {
+				ml.Values[i] = MLWeight(p.Seed, w, base+i)
 			}
 			flags := uint8(0)
 			if base+n >= p.ModelSize {
 				flags = packet.FlagLast
 			}
-			pkt := packet.Build(packet.Header{
+			pkt := arena.Build(packet.Header{
 				Proto:    packet.ProtoML,
 				SrcPort:  uint16(w),
 				CoflowID: p.CoflowID,
 				FlowID:   uint32(w),
 				Seq:      uint32(base),
 				Flags:    flags,
-			}, &packet.MLHeader{Base: uint32(base), Worker: uint16(w), Values: vals})
+			}, &ml)
 			injs = append(injs, Injection{Src: w, Pkt: pkt, At: t})
 			t += p.Gap
 		}
