@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race fuzz-smoke loc bench bench-suite-test bench-allocs bench-check perf soak kill-resume daemon-chaos experiments tables examples cover clean ci docs-check
+.PHONY: all build test race fuzz-smoke loc loc-check bench bench-suite-test bench-allocs bench-check perf soak kill-resume daemon-chaos experiments tables examples cover clean ci docs-check
 
 all: build test
 
@@ -36,6 +36,17 @@ loc:
 	@count() { find . -name '*.go' -not -path './bench/*' -not -path './.bench_build/*' "$$@" -print0 | xargs -0 cat | wc -l; }; \
 	echo "source $$(count -not -name '*_test.go')"; \
 	echo "test   $$(count -name '*_test.go')"
+
+# The ROADMAP's size target as a gate (blocking in CI): the source count
+# above must not exceed the ceiling. A PR that shrinks the tree lowers the
+# ceiling to its own result; one that has to raise it says why in
+# CHANGES.md.
+LOC_CEILING := 26098
+loc-check:
+	@src=$$($(MAKE) -s loc | awk '$$1 == "source" { print $$2 }'); \
+	if [ "$$src" -gt $(LOC_CEILING) ]; then \
+		echo "loc-check: $$src source lines, over the ceiling of $(LOC_CEILING)" >&2; exit 1; fi; \
+	echo "loc-check: $$src source lines (ceiling $(LOC_CEILING))"
 
 # Full benchmark pass (see docs/PERFORMANCE.md).
 bench:
@@ -161,7 +172,7 @@ examples:
 	go run ./examples/scheduler
 
 # What .github/workflows/ci.yml's main job runs: formatting, vet, build,
-# tests, and a smoke run of the experiment CLI's metrics export. The race
+# tests, the size gate, and a smoke run of the experiment CLI's metrics export. The race
 # detector runs as a separate blocking CI job (`make race`).
 ci:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -169,6 +180,7 @@ ci:
 	go vet ./...
 	go build ./...
 	go test ./...
+	$(MAKE) loc-check
 	$(MAKE) bench-suite-test
 	go run ./cmd/docscheck
 	go run ./cmd/adcpsim -exp table1 -metrics /tmp/m.json > /dev/null

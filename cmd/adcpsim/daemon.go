@@ -2,9 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -13,23 +10,6 @@ import (
 	"repro/internal/perf"
 	"repro/internal/service"
 )
-
-// daemonOptions collects the -daemon flag family.
-type daemonOptions struct {
-	addr         string
-	dir          string
-	queueCap     int
-	jobRetries   int
-	jobTimeout   time.Duration
-	drainTimeout time.Duration
-	eventBudget  uint64
-	parallel     int
-	retryBackoff time.Duration
-}
-
-// daemonReady, when non-nil, is invoked with the bound address right after
-// the listener opens — a test hook for -daemon 127.0.0.1:0.
-var daemonReady func(addr string)
 
 // runDaemon is the -daemon mode: a long-lived experiment job service. It
 // blocks until a shutdown signal and owns the exit code:
@@ -41,23 +21,14 @@ var daemonReady func(addr string)
 //
 // Every exit path leaves the service directory recoverable: starting a new
 // daemon on it resumes exactly where this one stopped.
-func runDaemon(exps []experiment, opt daemonOptions, stderr io.Writer) int {
+func runDaemon(addr string, drainTimeout time.Duration, cfg service.Config) int {
+	stderr := cfg.Stderr
 	// The perf plane meters the daemon for /perf and perf.job.* the same
 	// way -serve enables it for a batch run.
 	perf.Enable()
 	defer perf.Disable()
 
-	d, err := service.New(service.Config{
-		Dir:          opt.dir,
-		Experiments:  serviceExperiments(exps),
-		QueueCap:     opt.queueCap,
-		MaxAttempts:  opt.jobRetries,
-		EventBudget:  opt.eventBudget,
-		JobTimeout:   opt.jobTimeout,
-		Parallel:     opt.parallel,
-		RetryBackoff: opt.retryBackoff,
-		Stderr:       stderr,
-	})
+	d, err := service.New(cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -65,24 +36,14 @@ func runDaemon(exps []experiment, opt daemonOptions, stderr io.Writer) int {
 	d.Start()
 	defer d.Close()
 
-	ln, err := net.Listen("tcp", opt.addr)
+	srv, err := service.Serve(addr, d.Handler(), func(bound string) {
+		fmt.Fprintf(stderr, "daemon on http://%s (dir %s)\n", bound, cfg.Dir)
+	})
 	if err != nil {
 		fmt.Fprintf(stderr, "daemon: %v\n", err)
 		return 1
 	}
-	srv := &http.Server{
-		Handler:           d.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       time.Minute,
-	}
-	go srv.Serve(ln)
 	defer srv.Close()
-	fmt.Fprintf(stderr, "daemon on http://%s (dir %s)\n", ln.Addr().String(), opt.dir)
-	if daemonReady != nil {
-		daemonReady(ln.Addr().String())
-	}
 
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -94,8 +55,8 @@ func runDaemon(exps []experiment, opt daemonOptions, stderr io.Writer) int {
 		// running job until the deadline, checkpoint it if it blows
 		// through. The distinct exit code tells the operator whether a
 		// restart has resumption work to do.
-		fmt.Fprintf(stderr, "daemon: caught %v, draining (deadline %s)\n", sig, opt.drainTimeout)
-		clean := d.Drain(opt.drainTimeout)
+		fmt.Fprintf(stderr, "daemon: caught %v, draining (deadline %s)\n", sig, drainTimeout)
+		clean := d.Drain(drainTimeout)
 		srv.Close()
 		if err := d.Close(); err != nil {
 			fmt.Fprintf(stderr, "daemon: close: %v\n", err)

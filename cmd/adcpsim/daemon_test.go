@@ -13,8 +13,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 func TestDaemonUsageErrors(t *testing.T) {
@@ -265,37 +263,5 @@ func TestDaemonPoisonJobQuarantine(t *testing.T) {
 	code, body := getBody(t, base+"/readyz")
 	if code != 200 {
 		t.Fatalf("/readyz after quarantine = %d: %s", code, body)
-	}
-}
-
-// The -serve batch plane got the same liveness/readiness split: /readyz
-// answers 200 while the run is live and 503 once it starts draining,
-// while /healthz stays 200 throughout.
-func TestServeReadyzSplit(t *testing.T) {
-	tel := &telemetry.Telemetry{}
-	s, err := startServer("127.0.0.1:0", tel, []string{"tension"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	base := "http://" + s.Addr()
-
-	if code, body := getBody(t, base+"/readyz"); code != 200 ||
-		!strings.Contains(string(body), "ready") {
-		t.Fatalf("/readyz while live = %d: %s", code, body)
-	}
-	if code, _ := getBody(t, base+"/healthz"); code != 200 {
-		t.Fatalf("/healthz while live = %d", code)
-	}
-
-	// Flag the drain without tearing the listener down (Drain does both;
-	// the 503 window it creates is what in-flight probes observe).
-	s.draining.Store(true)
-	code, body := getBody(t, base+"/readyz")
-	if code != http.StatusServiceUnavailable || !strings.Contains(string(body), "draining") {
-		t.Fatalf("/readyz while draining = %d: %s", code, body)
-	}
-	if code, _ := getBody(t, base+"/healthz"); code != 200 {
-		t.Fatalf("/healthz while draining = %d", code)
 	}
 }

@@ -150,7 +150,7 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 	reportPath := fs.String("report", "", "write a self-contained HTML run report to this file")
 	samplesCSV := fs.String("samples-csv", "", "write sampled time series as CSV to this file ('-' = stdout)")
 	samplesJSON := fs.String("samples-json", "", "write sampled time series as JSON to this file ('-' = stdout)")
-	sampleIntervalUS := fs.Int("sample-interval-us", 10, "sampling period in simulated microseconds")
+	sampleIntervalUS := fs.Int("sample-interval-us", int(telemetry.DefaultSampleInterval/sim.Microsecond), "sampling period in simulated microseconds")
 	sampleCap := fs.Int("sample-cap", telemetry.DefaultSampleCapacity, "ring-buffer capacity per sampled series")
 	expTimeout := fs.Duration("exp-timeout", 0, "wall-clock watchdog deadline for the whole selected run (0 = none)")
 	expBudget := fs.Uint64("exp-event-budget", 0, "sim-event budget per experiment (0 = unbounded)")
@@ -187,13 +187,11 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "-daemon is incompatible with -exp/-run-dir/-serve (jobs are submitted over HTTP; see docs/SERVICE.md)")
 			return 2
 		}
-		return runDaemon(exps, daemonOptions{
-			addr: *daemonAddr, dir: *daemonDir,
-			queueCap: *queueCap, jobRetries: *jobRetries,
-			jobTimeout: *jobTimeout, drainTimeout: *drainTimeout,
-			eventBudget: *expBudget, parallel: *parallelN,
-			retryBackoff: *retryBackoff,
-		}, stderr)
+		return runDaemon(*daemonAddr, *drainTimeout, service.Config{
+			Dir: *daemonDir, Experiments: serviceExperiments(exps), Stderr: stderr,
+			QueueCap: *queueCap, MaxAttempts: *jobRetries, JobTimeout: *jobTimeout,
+			EventBudget: *expBudget, Parallel: *parallelN, RetryBackoff: *retryBackoff,
+		})
 	}
 	if *runDir != "" && (*tracePath != "" || *traceJSONLPath != "" || *spansPath != "") {
 		fmt.Fprintln(stderr, "-run-dir is incompatible with -trace/-trace-jsonl/-spans (traces are not journalable)")
@@ -216,25 +214,10 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	want := map[string]bool{}
-	all := false
-	for _, n := range strings.Split(*expFlag, ",") {
-		n = strings.TrimSpace(n)
-		if n == "all" {
-			all = true
-		} else if n != "" {
-			want[n] = true
-		}
-	}
-	known := map[string]bool{}
-	for _, e := range exps {
-		known[e.name] = true
-	}
-	for n := range want {
-		if !known[n] {
-			fmt.Fprintf(stderr, "unknown experiment %q (use -list)\n", n)
-			return 2
-		}
+	selected, err := service.Select(serviceExperiments(exps), strings.Split(*expFlag, ","))
+	if err != nil {
+		fmt.Fprintf(stderr, "%v (use -list)\n", err)
+		return 2
 	}
 
 	// Build the process-wide telemetry hub before any experiment builds a
@@ -298,26 +281,18 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 		os.Exit(3)
 	}()
 
-	var selected []string
-	var selectedExps []service.Experiment
-	for _, e := range serviceExperiments(exps) {
-		if all || want[e.Name] {
-			selected = append(selected, e.Name)
-			selectedExps = append(selectedExps, e)
-		}
-	}
-
 	// The run journal makes the run durable: every completed experiment
 	// and sweep point commits its output and telemetry under -run-dir, and
 	// -resume replays those units instead of re-running them. The journal
 	// refuses to resume under a different output-affecting configuration.
 	var journal *runstate.Journal
 	if *runDir != "" {
-		j, err := runstate.Open(*runDir, runstate.OpenOptions{
-			Config: configDigest(selected, *sampleIntervalUS, *sampleCap, *expBudget, needReg, needSampler, *traceDetail),
-			Argv:   args,
-			Resume: *resume,
-		})
+		cfg := service.RunConfig{
+			Selection: selected, EventBudget: *expBudget,
+			Registry: needReg, Sampler: needSampler, Detail: *traceDetail,
+			SampleIntervalUS: *sampleIntervalUS, SampleCap: *sampleCap,
+		}
+		j, err := runstate.Open(*runDir, runstate.OpenOptions{Config: cfg.Digest(), Argv: args, Resume: *resume})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -332,16 +307,14 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 		defer experiments.SetRetryPolicy(parallel.RetryPolicy{})
 	}
 
-	var srv *obsServer
+	var view *service.RunView // nil without -serve
 	if *serveAddr != "" {
-		var err error
-		srv, err = startServer(*serveAddr, tel, selected)
+		srv, err := startServer(*serveAddr, tel, selected, stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "serving on http://%s\n", srv.Addr())
-		sd.srv = srv
+		view, sd.srv = srv.view, srv
 	}
 
 	// Sweep parallelism: sweeps inside the experiments package fan their
@@ -389,17 +362,16 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 	// loop itself — restore, run, persist, merge — is the daemon's
 	// (service.RunExperiments); what follows is what the CLI does on each
 	// state change.
-	ran := 0
 	restored := 0
 	watchdogKilled := false
 	var failed []string
 	onState := func(name string, st service.ExpState, err error) {
+		view.Update(name, st, err, tel.Reg())
 		switch st {
 		case service.ExpRunning:
 			if *progress {
 				fmt.Fprintf(stderr, "running %s...\n", name)
 			}
-			srv.markRunning(name)
 			return
 		case service.ExpSkipped:
 			fmt.Fprintf(stderr, "experiment %s skipped: -exp-timeout expired for the run\n", name)
@@ -407,7 +379,6 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 			if *progress {
 				fmt.Fprintf(stderr, "restored %s from the run journal\n", name)
 			}
-			srv.markRunning(name)
 			restored++
 		case service.ExpFailed:
 			var we *experiments.WatchdogError
@@ -428,22 +399,13 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 			}
 			fmt.Fprintf(stderr, "experiment %s failed: %v\n", name, err)
 		}
-		if st != service.ExpSkipped {
-			srv.markDone(name, err != nil)
-			srv.publish(tel.Reg())
-		}
 		if err != nil {
 			failed = append(failed, name)
 		}
-		ran++
 	}
-	service.RunExperiments(runCtx, selectedExps, journal, tel, *expBudget, tableOut, stderr, onState)
-	if ran == 0 {
-		fmt.Fprintln(stderr, "no experiments selected")
-		return 2
-	}
+	service.RunExperiments(runCtx, selected, journal, tel, *expBudget, tableOut, stderr, onState)
 	if journal != nil && journal.Resumed() {
-		fmt.Fprintf(stderr, "resumed: %d of %d experiments restored whole from the run journal\n", restored, ran)
+		fmt.Fprintf(stderr, "resumed: %d of %d experiments restored whole from the run journal\n", restored, len(selected))
 	}
 
 	if code := prof.writeMem(); code != 0 {

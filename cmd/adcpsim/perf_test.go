@@ -221,13 +221,13 @@ func TestWatchdogFlushesProfiles(t *testing.T) {
 	}
 }
 
-// /perf and /healthz on the -serve plane: the endpoint serves the live
-// perf document (the plane is implicitly enabled by -serve), and the
-// health probe carries the build identity.
+// /perf on the -serve plane serves the live perf document: the plane is
+// implicitly enabled by -serve. (Status codes, /healthz and the rest of the
+// base plane are internal/service's TestHTTPContract.)
 func TestServePerfEndpoint(t *testing.T) {
 	var addr string
-	serveReady = func(a string) { addr = a }
-	defer func() { serveReady = nil }()
+	listenReady = func(a string) { addr = a }
+	defer func() { listenReady = nil }()
 
 	probe := func(w io.Writer) error {
 		base := "http://" + addr
@@ -250,24 +250,6 @@ func TestServePerfEndpoint(t *testing.T) {
 		}
 		if !found {
 			t.Error("/perf missing live perf.engine.events > 0 (saturation already ran)")
-		}
-
-		code, body = httpGet(t, base+"/healthz")
-		if code != 200 {
-			t.Errorf("/healthz = %d", code)
-		}
-		var hz struct {
-			Status string         `json:"status"`
-			Build  perf.BuildInfo `json:"build"`
-		}
-		if err := json.Unmarshal([]byte(body), &hz); err != nil {
-			t.Fatalf("/healthz not JSON: %v (%q)", err, body)
-		}
-		if hz.Status != "ok" {
-			t.Errorf("/healthz status = %q, want ok", hz.Status)
-		}
-		if hz.Build.GoVersion != runtime.Version() {
-			t.Errorf("/healthz build go version = %q, want %q", hz.Build.GoVersion, runtime.Version())
 		}
 		return nil
 	}

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/parallel"
+	"repro/internal/service"
 )
 
 // TestMain lets the test binary re-exec as the real CLI: the golden
@@ -184,6 +185,45 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 	code, _, errw := runCLI(t, "-exp", "failover", "-run-dir", dir, "-resume")
 	if code != 1 || !strings.Contains(errw, "mismatch") {
 		t.Fatalf("mismatched resume: exit=%d stderr=%q", code, errw)
+	}
+}
+
+// A daemon job and the CLI describe a run the same way, so the CLI can
+// resume a job's run directory: every experiment restores from the job's
+// journal and the bytes match what the job committed. The job selects
+// with "all" and the CLI by id — one resolved selection, one digest.
+func TestCLIResumesJobRunDirectory(t *testing.T) {
+	exps := []experiment{defaultExperiment(t, "faults"), defaultExperiment(t, "failover")}
+	dir := t.TempDir()
+	d, err := service.New(service.Config{Dir: dir, Experiments: serviceExperiments(exps)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	id, err := d.Submit(service.Spec{Exps: []string{"all"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := d.Wait(id)
+	if cerr := d.Close(); err != nil || cerr != nil || v.State != service.StateDone {
+		t.Fatalf("job ended %q (%s): wait %v, close %v", v.State, v.Error, err, cerr)
+	}
+
+	jobDir := filepath.Join(dir, "jobs", id)
+	m := filepath.Join(dir, "m.json")
+	var out, errw bytes.Buffer
+	code := run(exps, []string{"-exp", "faults,failover", "-metrics", m, "-run-dir", filepath.Join(jobDir, "run"), "-resume"}, &out, &errw)
+	if code != 0 {
+		t.Fatalf("resume of the job's run directory: exit %d: %s", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "2 of 2 experiments restored") {
+		t.Fatalf("resume re-ran experiments the job had journaled: %s", errw.String())
+	}
+	if !bytes.Equal(out.Bytes(), readFileT(t, filepath.Join(jobDir, "out.txt"))) {
+		t.Fatalf("resumed stdout != the job's out.txt:\n%s", out.String())
+	}
+	if !bytes.Equal(readFileT(t, m), readFileT(t, filepath.Join(jobDir, "metrics.json"))) {
+		t.Fatal("resumed -metrics != the job's metrics.json")
 	}
 }
 

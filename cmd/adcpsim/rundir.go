@@ -3,28 +3,12 @@ package main
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/runstate"
 	"repro/internal/telemetry"
 )
-
-// configDigest canonicalizes the flags that change a run's deterministic
-// output — the experiment selection and every knob that shapes tables,
-// metrics, or samples — into one digest. Scheduling and observation knobs
-// (-parallel, -progress, -serve, -exp-timeout, output paths) are
-// deliberately excluded: they never change output bytes, so a resume may
-// vary them. A resume whose digest differs is refused by runstate.Open.
-func configDigest(selected []string, sampleIntervalUS, sampleCap int, budget uint64, needReg, needSampler, detail bool) string {
-	s := append([]string(nil), selected...)
-	sort.Strings(s)
-	canon := fmt.Sprintf("adcp-config/1 exps=%s sample-interval-us=%d sample-cap=%d event-budget=%d registry=%v sampler=%v detail=%v",
-		strings.Join(s, ","), sampleIntervalUS, sampleCap, budget, needReg, needSampler, detail)
-	return runstate.Digest([]byte(canon))
-}
 
 // shutdownPlan is the one ordered teardown path every way out of the
 // process shares — normal return, SIGINT/SIGTERM, or a fatal export
@@ -38,7 +22,7 @@ type shutdownPlan struct {
 	prof    *profiler
 	tel     *telemetry.Telemetry
 	journal *runstate.Journal
-	srv     *obsServer
+	srv     *liveServer
 	stderr  io.Writer
 }
 

@@ -2,259 +2,80 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net"
+	"io"
 	"net/http"
-	"net/http/pprof"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/perf"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-// obsServer is the live observability plane behind -serve: an HTTP server
-// that exposes the run while it executes. The simulation stays
-// single-goroutine; the server goroutines only ever read immutable
-// Snapshots published by the simulation side (per experiment boundary, and
-// throttled per sampler tick), never the live registry — so no lock is
-// shared between a request handler and a packet's hot path.
-//
-// Endpoints:
-//
-//	/metrics   Prometheus text exposition of the latest published snapshot
-//	/healthz   liveness probe: JSON status plus the binary's build identity
-//	/readyz    readiness probe: 503 once the run starts draining
-//	/progress  JSON per-experiment state with wall and simulated time
-//	/perf      wall-clock perf plane document (events/s, allocations, pool)
-//	/debug/pprof/...  standard pprof handlers
-type obsServer struct {
-	ln      net.Listener
-	srv     *http.Server
-	sampler *telemetry.Sampler
-
-	snap     atomic.Pointer[telemetry.Snapshot]
+// liveServer is the plane behind -serve: internal/service's base mux
+// (/healthz, /readyz, /perf, pprof) with the run's RunView mounted at the
+// root (/progress, /metrics), served while the experiments execute. The
+// endpoint table is in docs/OBSERVABILITY.md. What is specific to a
+// foreground run lives here: publishing on sampler ticks, and draining.
+type liveServer struct {
+	view     *service.RunView
+	srv      *http.Server
 	draining atomic.Bool
-
-	mu      sync.Mutex
-	order   []string
-	states  map[string]*expState
-	started time.Time
-	lastPub time.Time
+	lastTick atomic.Int64 // unix nanos of the last tick-driven publish
 }
 
-type expState struct {
-	Name   string  `json:"name"`
-	State  string  `json:"state"` // pending | running | done | failed
-	WallMs float64 `json:"wall_ms"`
-
-	startedAt time.Time
-}
-
-// progressDoc is the /progress response body.
-type progressDoc struct {
-	WallMs      float64    `json:"wall_ms"`
-	SimRun      int        `json:"sim_run"`
-	SimTPs      int64      `json:"sim_t_ps"`
-	Experiments []expState `json:"experiments"`
-}
-
-// serveReady, when non-nil, is invoked with the bound address right after
+// listenReady, when non-nil, is invoked with the bound address right after
 // the listener opens — a test hook for -serve 127.0.0.1:0.
-var serveReady func(addr string)
+var listenReady func(addr string)
 
 // publishThrottle bounds how often sampler ticks re-snapshot the registry
 // for /metrics; experiment boundaries always publish.
 const publishThrottle = 100 * time.Millisecond
 
-// startServer binds addr and serves the observability plane for tel. The
-// caller must Close it when the run ends.
-func startServer(addr string, tel *telemetry.Telemetry, expNames []string) (*obsServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	s := &obsServer{
-		ln:      ln,
-		sampler: tel.Samp(),
-		states:  make(map[string]*expState),
-		started: time.Now(),
-	}
-	for _, n := range expNames {
-		s.order = append(s.order, n)
-		s.states[n] = &expState{Name: n, State: "pending"}
-	}
-	s.publish(tel.Reg())
-
+// startServer serves the run of sel, observed through tel, on addr. The
+// caller must Drain it when the run ends.
+func startServer(addr string, tel *telemetry.Telemetry, sel []service.Experiment, stderr io.Writer) (*liveServer, error) {
+	s := &liveServer{view: service.NewRunView(sel, tel.Samp())}
+	s.view.Publish(tel.Reg())
 	// Sampler ticks run on the simulation goroutine — the safe place to
 	// read the registry — so publishing from OnSample keeps /metrics fresh
 	// mid-experiment without the server ever touching live metrics.
 	if sp := tel.Samp(); sp != nil {
 		reg := tel.Reg()
-		sp.OnSample = func(run int, at sim.Time) {
-			s.mu.Lock()
-			due := time.Since(s.lastPub) >= publishThrottle
-			s.mu.Unlock()
-			if due {
-				s.publish(reg)
+		sp.OnSample = func(int, sim.Time) {
+			now := time.Now().UnixNano()
+			if last := s.lastTick.Load(); now-last >= int64(publishThrottle) && s.lastTick.CompareAndSwap(last, now) {
+				s.view.Publish(reg)
 			}
 		}
 	}
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct {
-			Status string         `json:"status"`
-			Build  perf.BuildInfo `json:"build"`
-		}{Status: "ok", Build: perf.Build()})
-	})
-	// Liveness (/healthz: the process is up) and readiness (/readyz: the
-	// run is still serving) split so an orchestrator can tell "restart me"
-	// from "stop sending traffic". The batch plane drains exactly once, at
-	// the end of the run; the job daemon's readiness also reflects
-	// admission state (see internal/service).
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
+	// The batch plane drains exactly once, at the end of the run.
+	mux := service.BaseMux(func() map[string]any {
 		if s.draining.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(struct {
-				Status string `json:"status"`
-			}{Status: "draining"})
-			return
+			return map[string]any{"status": "draining"}
 		}
-		json.NewEncoder(w).Encode(struct {
-			Status string `json:"status"`
-		}{Status: "ready"})
+		return map[string]any{"status": "ready"}
 	})
-	// The perf document is wall-clock data read from atomics and a
-	// mutex-guarded memstats cache, so unlike /metrics it can snapshot the
-	// live plane from the request goroutine while experiments run.
-	mux.HandleFunc("/perf", func(w http.ResponseWriter, r *http.Request) {
-		p := perf.Active()
-		if p == nil {
-			http.Error(w, "perf plane disabled", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		p.WriteJSON(w)
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if snap := s.snap.Load(); snap != nil {
-			telemetry.WritePrometheusSnapshot(w, *snap)
+	s.view.Mount(mux)
+	srv, err := service.Serve(addr, mux, func(bound string) {
+		fmt.Fprintf(stderr, "serving on http://%s\n", bound)
+		if listenReady != nil {
+			listenReady(bound)
 		}
 	})
-	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.progress())
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	// Timeouts bound every connection so a stalled or malicious client can
-	// never pin the server (or the run's shutdown drain) forever. The
-	// write timeout is generous on purpose: /debug/pprof/profile streams a
-	// 30-second CPU profile by default and longer on request.
-	s.srv = &http.Server{
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       time.Minute,
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	go s.srv.Serve(ln)
-	if serveReady != nil {
-		serveReady(ln.Addr().String())
-	}
+	s.srv = srv
 	return s, nil
 }
 
-// Addr returns the bound address (resolves ":0").
-func (s *obsServer) Addr() string { return s.ln.Addr().String() }
-
-// publish snapshots reg and swaps it in for /metrics. Called only from the
-// simulation/main goroutine. Nil-safe.
-func (s *obsServer) publish(reg *telemetry.Registry) {
-	if s == nil || reg == nil {
-		return
-	}
-	snap := reg.Snapshot()
-	s.snap.Store(&snap)
-	s.mu.Lock()
-	s.lastPub = time.Now()
-	s.mu.Unlock()
-}
-
-// markRunning flags an experiment as started. Nil-safe.
-func (s *obsServer) markRunning(name string) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, ok := s.states[name]; ok {
-		st.State = "running"
-		st.startedAt = time.Now()
-	}
-}
-
-// markDone records an experiment's outcome and wall time. Nil-safe.
-func (s *obsServer) markDone(name string, failed bool) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if st, ok := s.states[name]; ok {
-		st.State = "done"
-		if failed {
-			st.State = "failed"
-		}
-		st.WallMs = float64(time.Since(st.startedAt)) / float64(time.Millisecond)
-	}
-}
-
-// progress assembles the /progress document.
-func (s *obsServer) progress() progressDoc {
-	run, at := s.sampler.Last()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	doc := progressDoc{
-		WallMs: float64(time.Since(s.started)) / float64(time.Millisecond),
-		SimRun: run,
-		SimTPs: int64(at),
-	}
-	for _, n := range s.order {
-		st := *s.states[n]
-		if st.State == "running" {
-			st.WallMs = float64(time.Since(st.startedAt)) / float64(time.Millisecond)
-		}
-		doc.Experiments = append(doc.Experiments, st)
-	}
-	return doc
-}
-
-// Close stops accepting and tears down the listener. Nil-safe.
-func (s *obsServer) Close() {
-	if s == nil {
-		return
-	}
-	s.draining.Store(true)
-	s.srv.Close()
-}
-
-// Drain gracefully shuts the server down: the listener closes, in-flight
-// requests get up to d to finish, then any stragglers are cut. The
-// shutdown plan uses it so a scrape racing the end of the run completes
-// instead of seeing a reset. Nil-safe.
-func (s *obsServer) Drain(d time.Duration) {
+// Drain gracefully shuts the server down: readiness goes 503, the listener
+// closes, in-flight requests get up to d to finish, then any stragglers
+// are cut. The shutdown plan uses it so a scrape racing the end of the run
+// completes instead of seeing a reset. Nil-safe.
+func (s *liveServer) Drain(d time.Duration) {
 	if s == nil {
 		return
 	}

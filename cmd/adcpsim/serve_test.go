@@ -33,8 +33,8 @@ func httpGet(t *testing.T, url string) (int, string) {
 // (so real switch metrics exist) with the probe.
 func TestServeLiveDuringRun(t *testing.T) {
 	var addr string
-	serveReady = func(a string) { addr = a }
-	defer func() { serveReady = nil }()
+	listenReady = func(a string) { addr = a }
+	defer func() { listenReady = nil }()
 
 	probed := false
 	probe := func(w io.Writer) error {
@@ -130,8 +130,8 @@ func TestServeBadAddr(t *testing.T) {
 
 func TestServeMetricsParsesAsPrometheus(t *testing.T) {
 	var addr string
-	serveReady = func(a string) { addr = a }
-	defer func() { serveReady = nil }()
+	listenReady = func(a string) { addr = a }
+	defer func() { listenReady = nil }()
 
 	probe := func(w io.Writer) error {
 		_, body := httpGet(t, "http://"+addr+"/metrics")

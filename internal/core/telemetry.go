@@ -1,112 +1,32 @@
 package core
 
 import (
-	"fmt"
-
-	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-// Instrument attaches the ADCP switch to a telemetry sink: switch counters
-// become lazily-evaluated registry metrics, both traffic managers report
-// buffer occupancy, drops, and per-packet queueing delay (labeled tm=1 /
-// tm=2), pipeline traversal latency lands in bounded per-role histograms,
-// and — when a tracer is present — the ingress, central, and egress
-// pipelines route their Observer events into sim-time trace tracks. now
-// supplies the surrounding network's clock; nil means all trace events
-// land at t=0 and queueing delays read 0.
-//
-// Instrument installs pipeline and TM observers (and the TM clocks),
-// replacing any the caller set earlier; callers that need their own
-// observers should install them after Instrument.
+// Instrument attaches the ADCP switch to a telemetry sink through
+// telemetry.InstrumentSwitch, which documents what is exported and the
+// observers it installs: this is the ADCP switch's description — its
+// counters, both traffic managers (tm=1 / tm=2), and the ingress, central
+// and egress pipelines.
 func (s *Switch) Instrument(tel *telemetry.Telemetry, now func() sim.Time) {
-	if !tel.Enabled() {
-		return
-	}
-	if now == nil {
-		now = func() sim.Time { return 0 }
-	}
-	reg, tr := tel.Reg(), tel.Trace()
-	inst := "0"
-	if reg != nil {
-		inst = reg.InstanceLabel("instance").Value
-	}
-	ls := []telemetry.Label{telemetry.L("arch", "adcp"), telemetry.L("instance", inst)}
-	var occ1, occ2 *telemetry.Gauge
-	var wait1, wait2 *telemetry.Histogram
-	var lat map[string]*telemetry.Histogram
-	if reg != nil {
-		withLabel := func(k, v string) []telemetry.Label {
-			return append(append([]telemetry.Label(nil), ls...), telemetry.L(k, v))
-		}
-		reg.ObserveFunc("switch.delivered_pkts", func() float64 { return float64(s.delivered) }, ls...)
-		reg.ObserveFunc("switch.delivered_bytes", func() float64 { return float64(s.deliveredBytes) }, ls...)
-		reg.ObserveFunc("switch.consumed_pkts", func() float64 { return float64(s.consumed) }, ls...)
-		reg.ObserveFunc("switch.bad_routes", func() float64 { return float64(s.badRoutes) }, ls...)
-		reg.ObserveFunc("switch.ingress_traversals", func() float64 { return float64(s.IngressTraversals()) }, ls...)
-		reg.ObserveFunc("switch.central_traversals", func() float64 { return float64(s.CentralTraversals()) }, ls...)
-		reg.ObserveFunc("switch.active_coflows", func() float64 { return float64(len(s.coflowLast)) }, ls...)
-		reg.ObserveFunc("switch.coflow_evictions", func() float64 { return float64(s.coflowEvictions) }, ls...)
-		reg.ObserveFunc("switch.coflow_readmissions", func() float64 { return float64(s.coflowReadmissions) }, ls...)
-		reg.ObserveFunc("switch.late_drops", func() float64 { return float64(s.lateDrops) }, ls...)
-		occ1 = telemetry.InstrumentTM(reg, s.tm1, ls, "1")
-		occ2 = telemetry.InstrumentTM(reg, s.tm2, ls, "2")
-		wait1 = reg.Histogram("switch.tm.wait_ps", withLabel("tm", "1")...)
-		wait2 = reg.Histogram("switch.tm.wait_ps", withLabel("tm", "2")...)
-		lat = map[string]*telemetry.Histogram{
-			"ingress": reg.Histogram("switch.pipeline.latency_ps", withLabel("role", "ingress")...),
-			"central": reg.Histogram("switch.pipeline.latency_ps", withLabel("role", "central")...),
-			"egress":  reg.Histogram("switch.pipeline.latency_ps", withLabel("role", "egress")...),
-		}
-		instrumentPipelines(reg, ls, "ingress", s.ingress)
-		instrumentPipelines(reg, ls, "central", s.central)
-		instrumentPipelines(reg, ls, "egress", s.egress)
-	}
-	s.tm1.SetClock(now)
-	s.tm2.SetClock(now)
-	pid := tr.NewProcess("adcp/" + inst)
-	var sp *telemetry.Spans
-	if tr != nil {
-		sp = telemetry.NewSpans(tr, pid, tr.NewThread(pid, "spans"))
-	}
-	tm1TID := tr.NewThread(pid, "tm1")
-	tm2TID := tr.NewThread(pid, "tm2")
-	if obs := telemetry.TMObserver(occ1, wait1, tr, sp, tel.Detail, now, "tm1", pid, tm1TID); obs != nil {
-		s.tm1.SetObserver(obs)
-	}
-	if obs := telemetry.TMObserver(occ2, wait2, tr, sp, tel.Detail, now, "tm2", pid, tm2TID); obs != nil {
-		s.tm2.SetObserver(obs)
-	}
-	hz := s.cfg.Pipe.ClockHz
-	attach := func(role string, ps []*pipeline.Pipeline) {
-		for i, p := range ps {
-			tid := 0
-			if tr != nil {
-				tid = tr.NewThread(pid, fmt.Sprintf("%s%d", role, i))
-			}
-			var h *telemetry.Histogram
-			if lat != nil {
-				h = lat[role]
-			}
-			if obs := telemetry.PipelineObserver(h, tr, sp, tel.Detail, now, hz, pid, tid); obs != nil {
-				p.SetObserver(obs)
-			}
-		}
-	}
-	attach("ingress", s.ingress)
-	attach("central", s.central)
-	attach("egress", s.egress)
-}
-
-// instrumentPipelines exports each pipeline's cumulative traversal count as
-// a per-pipe series (role + pipe labels) — the sampler turns these into
-// stage-utilization time series.
-func instrumentPipelines(reg *telemetry.Registry, base []telemetry.Label, role string, ps []*pipeline.Pipeline) {
-	for i, p := range ps {
-		p := p
-		ls := append(append([]telemetry.Label(nil), base...),
-			telemetry.L("role", role), telemetry.L("pipe", fmt.Sprintf("%d", i)))
-		reg.ObserveFunc("switch.pipeline.traversals", func() float64 { return float64(p.Packets()) }, ls...)
-	}
+	telemetry.InstrumentSwitch(tel, now, telemetry.SwitchWiring{
+		Arch: "adcp",
+		Counters: func(reg *telemetry.Registry, ls []telemetry.Label) {
+			reg.ObserveFunc("switch.delivered_pkts", func() float64 { return float64(s.delivered) }, ls...)
+			reg.ObserveFunc("switch.delivered_bytes", func() float64 { return float64(s.deliveredBytes) }, ls...)
+			reg.ObserveFunc("switch.consumed_pkts", func() float64 { return float64(s.consumed) }, ls...)
+			reg.ObserveFunc("switch.bad_routes", func() float64 { return float64(s.badRoutes) }, ls...)
+			reg.ObserveFunc("switch.ingress_traversals", func() float64 { return float64(s.IngressTraversals()) }, ls...)
+			reg.ObserveFunc("switch.central_traversals", func() float64 { return float64(s.CentralTraversals()) }, ls...)
+			reg.ObserveFunc("switch.active_coflows", func() float64 { return float64(len(s.coflowLast)) }, ls...)
+			reg.ObserveFunc("switch.coflow_evictions", func() float64 { return float64(s.coflowEvictions) }, ls...)
+			reg.ObserveFunc("switch.coflow_readmissions", func() float64 { return float64(s.coflowReadmissions) }, ls...)
+			reg.ObserveFunc("switch.late_drops", func() float64 { return float64(s.lateDrops) }, ls...)
+		},
+		TMs:     []telemetry.NamedTM{{Label: "1", Name: "tm1", TM: s.tm1}, {Label: "2", Name: "tm2", TM: s.tm2}},
+		Roles:   []telemetry.NamedPipes{{Role: "ingress", Pipes: s.ingress}, {Role: "central", Pipes: s.central}, {Role: "egress", Pipes: s.egress}},
+		ClockHz: s.cfg.Pipe.ClockHz,
+	})
 }

@@ -2,8 +2,6 @@ package ha
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -24,9 +22,8 @@ const CheckpointMagic = "adcp-ckpt/1"
 // (temp file + rename): a crash mid-write leaves the previous checkpoint
 // intact, never a truncated one.
 func WriteCheckpoint(path string, snap []byte) error {
-	sum := sha256.Sum256(snap)
 	return runstate.AtomicWrite(path, func(w io.Writer) error {
-		if _, err := fmt.Fprintf(w, "%s %s\n", CheckpointMagic, hex.EncodeToString(sum[:])); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %s\n", CheckpointMagic, runstate.Digest(snap)); err != nil {
 			return err
 		}
 		_, err := w.Write(snap)
@@ -50,8 +47,7 @@ func ReadCheckpoint(path string) ([]byte, error) {
 		return nil, fmt.Errorf("ha: %s: not a %s checkpoint", path, CheckpointMagic)
 	}
 	snap := b[nl+1:]
-	sum := sha256.Sum256(snap)
-	if hex.EncodeToString(sum[:]) != fields[1] {
+	if runstate.Digest(snap) != fields[1] {
 		return nil, fmt.Errorf("ha: %s: checkpoint digest mismatch (torn write or bit rot)", path)
 	}
 	return snap, nil

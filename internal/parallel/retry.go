@@ -169,10 +169,10 @@ func restorePoint(j Journal, p Point, dst *telemetry.Telemetry) (*telemetry.Tele
 	return hub, true
 }
 
-// backoffDelay computes the exponential, seeded-jitter delay before the
-// retry following attempt (1-based). Deterministic in (policy seed, point
-// name, attempt).
-func backoffDelay(pol RetryPolicy, name string, attempt int) time.Duration {
+// Backoff computes the exponential, seeded-jitter delay before the retry
+// following attempt (1-based). Deterministic in (policy seed, name,
+// attempt); name is the sweep point's, or the daemon job's id.
+func (pol RetryPolicy) Backoff(name string, attempt int) time.Duration {
 	base := pol.BaseBackoff
 	if base <= 0 {
 		base = 100 * time.Millisecond
@@ -202,7 +202,7 @@ func backoffDelay(pol RetryPolicy, name string, attempt int) time.Duration {
 // sleepBackoff waits out the retry delay, via the policy's Sleep hook when
 // set.
 func sleepBackoff(pol RetryPolicy, name string, attempt int) {
-	d := backoffDelay(pol, name, attempt)
+	d := pol.Backoff(name, attempt)
 	if d <= 0 {
 		return
 	}

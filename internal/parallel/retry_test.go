@@ -142,8 +142,8 @@ func TestRetryExhaustionWithoutQuarantineFailsClassic(t *testing.T) {
 func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 	pol := RetryPolicy{BaseBackoff: 100 * time.Millisecond, MaxBackoff: time.Second, Seed: 7}
 	for attempt := 1; attempt <= 8; attempt++ {
-		a := backoffDelay(pol, "point:x", attempt)
-		b := backoffDelay(pol, "point:x", attempt)
+		a := pol.Backoff("point:x", attempt)
+		b := pol.Backoff("point:x", attempt)
 		if a != b {
 			t.Fatalf("attempt %d: delay not deterministic (%v vs %v)", attempt, a, b)
 		}
@@ -152,10 +152,10 @@ func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
 		}
 	}
 	// Jitter separates points; exponent grows the base.
-	if backoffDelay(pol, "point:x", 1) == backoffDelay(pol, "point:y", 1) {
+	if pol.Backoff("point:x", 1) == pol.Backoff("point:y", 1) {
 		t.Log("note: two points drew identical jitter (possible but unlikely)")
 	}
-	if backoffDelay(pol, "point:x", 5) < backoffDelay(pol, "point:x", 1)/2 {
+	if pol.Backoff("point:x", 5) < pol.Backoff("point:x", 1)/2 {
 		t.Fatal("later attempts did not back off")
 	}
 }

@@ -1,98 +1,26 @@
 package rmt
 
 import (
-	"fmt"
-
-	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-// Instrument attaches the switch to a telemetry sink: per-switch counters
-// become lazily-evaluated registry metrics (zero hot-path cost), the TM
-// reports buffer occupancy, drops, and per-packet queueing delay, pipeline
-// traversal latency lands in a bounded histogram, and — when a tracer is
-// present — every pipeline routes its Observer events into sim-time trace
-// tracks. now supplies the surrounding network's clock; nil means all
-// trace events land at t=0 (synchronous harnesses) and queueing delays
-// read 0.
-//
-// Instrument installs pipeline and TM observers (and the TM clock),
-// replacing any the caller set earlier; callers that need their own
-// observers should install them after Instrument (telemetry then loses
-// those streams, not vice versa).
+// Instrument attaches the switch to a telemetry sink through
+// telemetry.InstrumentSwitch, which documents what is exported and the
+// observers it installs: this is the RMT switch's description — its
+// counters, its one traffic manager, and the ingress and egress pipelines.
 func (s *Switch) Instrument(tel *telemetry.Telemetry, now func() sim.Time) {
-	if !tel.Enabled() {
-		return
-	}
-	if now == nil {
-		now = func() sim.Time { return 0 }
-	}
-	reg, tr := tel.Reg(), tel.Trace()
-	inst := "0"
-	if reg != nil {
-		inst = reg.InstanceLabel("instance").Value
-	}
-	ls := []telemetry.Label{telemetry.L("arch", "rmt"), telemetry.L("instance", inst)}
-	var occ *telemetry.Gauge
-	var tmWait *telemetry.Histogram
-	var lat map[string]*telemetry.Histogram
-	if reg != nil {
-		reg.ObserveFunc("switch.delivered_pkts", func() float64 { return float64(s.delivered) }, ls...)
-		reg.ObserveFunc("switch.delivered_bytes", func() float64 { return float64(s.deliveredBytes) }, ls...)
-		reg.ObserveFunc("switch.recirc_traversals", func() float64 { return float64(s.recircTraversals) }, ls...)
-		reg.ObserveFunc("switch.misrouted_pkts", func() float64 { return float64(s.misrouted) }, ls...)
-		reg.ObserveFunc("switch.ingress_traversals", func() float64 { return float64(s.IngressTraversals()) }, ls...)
-		withLabel := func(k, v string) []telemetry.Label {
-			return append(append([]telemetry.Label(nil), ls...), telemetry.L(k, v))
-		}
-		occ = telemetry.InstrumentTM(reg, s.tmgr, ls, "tm")
-		tmWait = reg.Histogram("switch.tm.wait_ps", withLabel("tm", "tm")...)
-		lat = map[string]*telemetry.Histogram{
-			"ingress": reg.Histogram("switch.pipeline.latency_ps", withLabel("role", "ingress")...),
-			"egress":  reg.Histogram("switch.pipeline.latency_ps", withLabel("role", "egress")...),
-		}
-		instrumentPipelines(reg, ls, "ingress", s.ingress)
-		instrumentPipelines(reg, ls, "egress", s.egress)
-	}
-	s.tmgr.SetClock(now)
-	pid := tr.NewProcess("rmt/" + inst)
-	var sp *telemetry.Spans
-	if tr != nil {
-		sp = telemetry.NewSpans(tr, pid, tr.NewThread(pid, "spans"))
-	}
-	tmTID := tr.NewThread(pid, "tm")
-	if obs := telemetry.TMObserver(occ, tmWait, tr, sp, tel.Detail, now, "tm", pid, tmTID); obs != nil {
-		s.tmgr.SetObserver(obs)
-	}
-	hz := s.cfg.Pipe.ClockHz
-	attach := func(role string, ps []*pipeline.Pipeline) {
-		for i, p := range ps {
-			tid := 0
-			if tr != nil {
-				tid = tr.NewThread(pid, fmt.Sprintf("%s%d", role, i))
-			}
-			var h *telemetry.Histogram
-			if lat != nil {
-				h = lat[role]
-			}
-			if obs := telemetry.PipelineObserver(h, tr, sp, tel.Detail, now, hz, pid, tid); obs != nil {
-				p.SetObserver(obs)
-			}
-		}
-	}
-	attach("ingress", s.ingress)
-	attach("egress", s.egress)
-}
-
-// instrumentPipelines exports each pipeline's cumulative traversal count as
-// a per-pipe series (role + pipe labels) — the sampler turns these into
-// stage-utilization time series.
-func instrumentPipelines(reg *telemetry.Registry, base []telemetry.Label, role string, ps []*pipeline.Pipeline) {
-	for i, p := range ps {
-		p := p
-		ls := append(append([]telemetry.Label(nil), base...),
-			telemetry.L("role", role), telemetry.L("pipe", fmt.Sprintf("%d", i)))
-		reg.ObserveFunc("switch.pipeline.traversals", func() float64 { return float64(p.Packets()) }, ls...)
-	}
+	telemetry.InstrumentSwitch(tel, now, telemetry.SwitchWiring{
+		Arch: "rmt",
+		Counters: func(reg *telemetry.Registry, ls []telemetry.Label) {
+			reg.ObserveFunc("switch.delivered_pkts", func() float64 { return float64(s.delivered) }, ls...)
+			reg.ObserveFunc("switch.delivered_bytes", func() float64 { return float64(s.deliveredBytes) }, ls...)
+			reg.ObserveFunc("switch.recirc_traversals", func() float64 { return float64(s.recircTraversals) }, ls...)
+			reg.ObserveFunc("switch.misrouted_pkts", func() float64 { return float64(s.misrouted) }, ls...)
+			reg.ObserveFunc("switch.ingress_traversals", func() float64 { return float64(s.IngressTraversals()) }, ls...)
+		},
+		TMs:     []telemetry.NamedTM{{Label: "tm", Name: "tm", TM: s.tmgr}},
+		Roles:   []telemetry.NamedPipes{{Role: "ingress", Pipes: s.ingress}, {Role: "egress", Pipes: s.egress}},
+		ClockHz: s.cfg.Pipe.ClockHz,
+	})
 }

@@ -4,18 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/parallel"
 	"repro/internal/perf"
-	"repro/internal/telemetry"
 )
 
 // Submission errors the HTTP layer maps to status codes.
@@ -102,8 +99,8 @@ func (c *Config) fill() error {
 }
 
 // job is one submission's runtime state. All mutable fields are guarded by
-// the daemon mutex; snap is atomic so the HTTP plane reads metrics without
-// touching the lock.
+// the daemon mutex; view is the job's live RunView, which the HTTP plane
+// reads without touching that lock.
 type job struct {
 	id        string
 	spec      Spec
@@ -127,10 +124,7 @@ type job struct {
 	cancelAttempt  context.CancelFunc
 	admitJournaled bool
 
-	progressOrder []string
-	progress      map[string]string // experiment → pending|running|restored|done|failed
-
-	snap atomic.Pointer[telemetry.Snapshot] // latest per-experiment metrics snapshot
+	view *RunView
 
 	done chan struct{} // closed when the job reaches a terminal state
 }
@@ -142,7 +136,6 @@ type job struct {
 type Daemon struct {
 	cfg     Config
 	journal *jobJournal
-	known   map[string]bool
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -155,7 +148,6 @@ type Daemon struct {
 	closed   bool
 
 	execDone    chan struct{}
-	started     time.Time
 	prevWorkers int
 	met         *svcMetrics
 }
@@ -181,16 +173,11 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:      cfg,
 		journal:  jj,
-		known:    map[string]bool{},
 		jobs:     map[string]*job{},
 		execDone: make(chan struct{}),
-		started:  time.Now(),
 		met:      newSvcMetrics(),
 	}
 	d.cond = sync.NewCond(&d.mu)
-	for _, e := range cfg.Experiments {
-		d.known[e.Name] = true
-	}
 	for _, r := range replayed {
 		j := &job{
 			id: r.id, spec: r.spec, state: r.state,
@@ -200,7 +187,9 @@ func New(cfg Config) (*Daemon, error) {
 			submitted: time.Now(),
 			done:      make(chan struct{}),
 		}
-		j.initProgress(d.resolve(j.spec))
+		// A selection the table no longer resolves fails in executeAttempt.
+		sel, _ := Select(cfg.Experiments, j.spec.Exps)
+		j.view = NewRunView(sel, nil)
 		d.jobs[j.id] = j
 		d.order = append(d.order, j)
 		d.seq++
@@ -248,8 +237,15 @@ func (d *Daemon) Start() {
 // Returns ErrDraining during shutdown and ErrOverCapacity when the queue
 // is full — in both cases nothing is journaled.
 func (d *Daemon) Submit(spec Spec) (string, error) {
-	if err := spec.Validate(d.known); err != nil {
-		return "", err
+	sel, err := Select(d.cfg.Experiments, spec.Exps)
+	if err != nil {
+		return "", fmt.Errorf("spec: exps: %w", err)
+	}
+	switch {
+	case spec.MaxAttempts < 0:
+		return "", errors.New("spec: max_attempts must be ≥ 0")
+	case spec.TimeoutMs < 0:
+		return "", errors.New("spec: timeout_ms must be ≥ 0")
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -275,8 +271,8 @@ func (d *Daemon) Submit(spec Spec) (string, error) {
 	j := &job{
 		id: id, spec: spec, state: StateQueued,
 		submitted: time.Now(), done: make(chan struct{}),
+		view: NewRunView(sel, nil),
 	}
-	j.initProgress(d.resolve(spec))
 	d.jobs[id] = j
 	d.order = append(d.order, j)
 	d.queue = append(d.queue, j)
@@ -379,13 +375,6 @@ func (d *Daemon) Close() error {
 	return d.journal.close()
 }
 
-// Draining reports whether the daemon has stopped admitting jobs.
-func (d *Daemon) Draining() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.draining || d.closed
-}
-
 // executor is the single job-execution loop: pop in FIFO order, run to a
 // terminal state (or checkpoint), repeat until drain or close.
 func (d *Daemon) executor() {
@@ -444,7 +433,9 @@ func (d *Daemon) runJob(j *job) {
 		if try > 1 {
 			perf.Active().JobAttempt()
 			d.met.retried.Add(1)
-			d.cfg.Sleep(backoffDelay(d.cfg.RetryBackoff, j.id, try-1, d.cfg.RetrySeed))
+			d.cfg.Sleep(parallel.RetryPolicy{
+				BaseBackoff: d.cfg.RetryBackoff, MaxBackoff: 30 * time.Second, Seed: int64(d.cfg.RetrySeed),
+			}.Backoff(j.id, try-1))
 		}
 
 		d.mu.Lock()
@@ -580,56 +571,5 @@ func (d *Daemon) setTerminal(j *job, st State, class, msg string) {
 	close(j.done)
 }
 
-// resolve expands a spec's selection against the experiment table, in
-// canonical table order (the CLI's order, which byte-identity depends on).
-func (d *Daemon) resolve(spec Spec) []Experiment {
-	all := false
-	want := map[string]bool{}
-	for _, n := range spec.Exps {
-		if n == "all" {
-			all = true
-		} else {
-			want[n] = true
-		}
-	}
-	var sel []Experiment
-	for _, e := range d.cfg.Experiments {
-		if all || want[e.Name] {
-			sel = append(sel, e)
-		}
-	}
-	return sel
-}
-
-func (j *job) initProgress(sel []Experiment) {
-	j.progress = map[string]string{}
-	for _, e := range sel {
-		j.progressOrder = append(j.progressOrder, e.Name)
-		j.progress[e.Name] = "pending"
-	}
-}
-
 // jobDir is the per-job directory under the service dir.
 func (d *Daemon) jobDir(id string) string { return filepath.Join(d.cfg.Dir, "jobs", id) }
-
-// backoffDelay computes the seeded retry backoff: base doubling per
-// attempt with deterministic ±50% jitter derived from the job id, the
-// attempt, and the seed (the same scheme the sweep-point retry plane
-// uses, so delays are reproducible run to run).
-func backoffDelay(base time.Duration, id string, attempt int, seed uint64) time.Duration {
-	h := fnv.New64a()
-	io.WriteString(h, id)
-	r := h.Sum64() ^ (uint64(attempt) * 0x9e3779b97f4a7c15) ^ seed
-	d := base << (attempt - 1)
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	// jitter in [0.5, 1.5): keep retries of simultaneously failing jobs
-	// from synchronizing.
-	frac := 0.5 + float64(r%1024)/1024.0
-	return time.Duration(float64(d) * frac)
-}
-
-// removeJobDir clears a job's directory (used by tests and by the damaged-
-// resume fallback in the runner).
-func removeJobDir(dir string) error { return os.RemoveAll(dir) }

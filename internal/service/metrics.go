@@ -50,6 +50,3 @@ func newSvcMetrics() *svcMetrics {
 	m.reg = reg
 	return m
 }
-
-// Registry exposes the service metrics registry (for /metrics and tests).
-func (d *Daemon) Registry() *telemetry.Registry { return d.met.reg }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/runstate"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -60,8 +61,24 @@ func (d *Daemon) executeAttempt(ctx context.Context, j *job, attempt int) attemp
 	if err := os.MkdirAll(jobDir, 0o777); err != nil {
 		return attemptOutcome{err: err, class: "error"}
 	}
-	runDir := filepath.Join(jobDir, jobRunDir)
-	jr, err := d.openRunJournal(runDir, j)
+	sel, err := Select(d.cfg.Experiments, j.spec.Exps)
+	if err != nil {
+		return attemptOutcome{err: err, class: "error"}
+	}
+	budget := j.spec.EventBudget
+	if budget == 0 {
+		budget = d.cfg.EventBudget
+	}
+	// The job's run is the one `adcpsim -exp <sel> -metrics FILE
+	// -exp-event-budget N` describes, every other flag at its default —
+	// so that command can resume this run directory, and a recovered job
+	// refuses to resume under a mutated spec.
+	cfg := RunConfig{
+		Selection: sel, EventBudget: budget, Registry: true,
+		SampleIntervalUS: int(telemetry.DefaultSampleInterval / sim.Microsecond),
+		SampleCap:        telemetry.DefaultSampleCapacity,
+	}
+	jr, err := d.openRunJournal(filepath.Join(jobDir, jobRunDir), j.id, cfg.Digest())
 	if err != nil {
 		return attemptOutcome{err: err, class: "error"}
 	}
@@ -70,10 +87,6 @@ func (d *Daemon) executeAttempt(ctx context.Context, j *job, attempt int) attemp
 	// journal instead of landing in the next job's.
 	defer jr.Close()
 
-	budget := j.spec.EventBudget
-	if budget == 0 {
-		budget = d.cfg.EventBudget
-	}
 	tel := &telemetry.Telemetry{
 		Metrics: telemetry.NewRegistry(),
 		Flight:  telemetry.NewFlightRecorder(0),
@@ -84,7 +97,7 @@ func (d *Daemon) executeAttempt(ctx context.Context, j *job, attempt int) attemp
 	var firstErr error
 	worst := ""
 	mark := 0 // out's length when the running experiment started
-	RunExperiments(ctx, d.resolve(j.spec), jr, tel, budget, &out, d.cfg.Stderr, func(name string, st ExpState, err error) {
+	RunExperiments(ctx, sel, jr, tel, budget, &out, d.cfg.Stderr, func(name string, st ExpState, err error) {
 		switch st {
 		case ExpRunning:
 			mark = out.Len()
@@ -106,23 +119,16 @@ func (d *Daemon) executeAttempt(ctx context.Context, j *job, attempt int) attemp
 			fmt.Fprintf(d.cfg.Stderr, "service: job %s experiment %s failed: %v\n", j.id, name, err)
 		}
 		if err != nil {
-			st = ExpFailed
 			failed = append(failed, name)
 		}
-		d.setProgress(j, name, string(st))
-		if st != ExpRunning {
-			d.publishSnapshot(j, tel)
-		}
+		j.view.Update(name, st, err, tel.Metrics)
 	})
 
 	// Commit outputs even on a failed attempt: partial tables and metrics
 	// are exactly what a human debugging the failure wants, and the final
 	// attempt's files are the job's post-mortem record.
 	outBytes := out.Bytes()
-	if err := runstate.AtomicWrite(filepath.Join(jobDir, jobOutFile), func(w io.Writer) error {
-		_, werr := w.Write(outBytes)
-		return werr
-	}); err != nil {
+	if err := runstate.WriteFileAtomic(filepath.Join(jobDir, jobOutFile), outBytes); err != nil {
 		return attemptOutcome{err: err, class: "error"}
 	}
 	var metBuf bytes.Buffer
@@ -130,10 +136,7 @@ func (d *Daemon) executeAttempt(ctx context.Context, j *job, attempt int) attemp
 		return attemptOutcome{err: err, class: "error"}
 	}
 	metBytes := metBuf.Bytes()
-	if err := runstate.AtomicWrite(filepath.Join(jobDir, jobMetricsFile), func(w io.Writer) error {
-		_, werr := w.Write(metBytes)
-		return werr
-	}); err != nil {
+	if err := runstate.WriteFileAtomic(filepath.Join(jobDir, jobMetricsFile), metBytes); err != nil {
 		return attemptOutcome{err: err, class: "error"}
 	}
 
@@ -152,7 +155,7 @@ func (d *Daemon) executeAttempt(ctx context.Context, j *job, attempt int) attemp
 			worst = "error"
 		}
 		return attemptOutcome{
-			err:   fmt.Errorf("%d of %d experiments failed (%s): first: %w", len(failed), len(j.progressOrder), worst, firstErr),
+			err:   fmt.Errorf("%d of %d experiments failed (%s): first: %w", len(failed), len(sel), worst, firstErr),
 			class: worst,
 		}
 	}
@@ -165,11 +168,8 @@ func (d *Daemon) executeAttempt(ctx context.Context, j *job, attempt int) attemp
 // openRunJournal opens the job's run journal, resuming when one exists. A
 // journal too damaged to resume is cleared and the job starts fresh — a
 // job must always be runnable from its submit record alone.
-func (d *Daemon) openRunJournal(runDir string, j *job) (*runstate.Journal, error) {
-	opts := runstate.OpenOptions{
-		Config: j.spec.configDigest(),
-		Argv:   []string{"daemon-job", j.id},
-	}
+func (d *Daemon) openRunJournal(runDir, id, config string) (*runstate.Journal, error) {
+	opts := runstate.OpenOptions{Config: config, Argv: []string{"daemon-job", id}}
 	if _, err := os.Stat(filepath.Join(runDir, "journal.jsonl")); err == nil {
 		opts.Resume = true
 	}
@@ -180,24 +180,10 @@ func (d *Daemon) openRunJournal(runDir string, j *job) (*runstate.Journal, error
 	if !opts.Resume {
 		return nil, err
 	}
-	fmt.Fprintf(d.cfg.Stderr, "service: job %s run journal unusable (%v), restarting it fresh\n", j.id, err)
-	if rerr := removeJobDir(runDir); rerr != nil {
+	fmt.Fprintf(d.cfg.Stderr, "service: job %s run journal unusable (%v), restarting it fresh\n", id, err)
+	if rerr := os.RemoveAll(runDir); rerr != nil {
 		return nil, rerr
 	}
 	opts.Resume = false
 	return runstate.Open(runDir, opts)
-}
-
-// setProgress updates a job's per-experiment progress map.
-func (d *Daemon) setProgress(j *job, exp, state string) {
-	d.mu.Lock()
-	j.progress[exp] = state
-	d.mu.Unlock()
-}
-
-// publishSnapshot stores the job's current metrics snapshot for the
-// lock-free /jobs/{id}/metrics endpoint.
-func (d *Daemon) publishSnapshot(j *job, tel *telemetry.Telemetry) {
-	snap := tel.Reg().Snapshot()
-	j.snap.Store(&snap)
 }

@@ -6,14 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"time"
 
-	"repro/internal/perf"
 	"repro/internal/runstate"
-	"repro/internal/telemetry"
 )
 
 // JobView is a job's externally visible state — what GET /jobs/{id}
@@ -81,63 +78,49 @@ func (d *Daemon) Wait(id string) (JobView, error) {
 	return d.Get(id)
 }
 
-// Handler returns the daemon's HTTP API. Job lifecycle under /jobs,
-// service observability at /metrics (service.* series), /healthz
-// (liveness: the process is up) and /readyz (readiness: admitting jobs —
-// 503 while draining or at capacity), plus /perf and pprof. Per-job
-// metrics and progress are scoped under /jobs/{id}/; see docs/SERVICE.md.
+// Handler returns the daemon's HTTP API: the base plane (/healthz, /readyz
+// — 503 while draining or at capacity — /perf, pprof), the daemon's own
+// service.* series at /metrics, the job lifecycle under /jobs, and each
+// job's RunView mounted under /jobs/{id}/. See docs/SERVICE.md.
 func (d *Daemon) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", d.handleSubmit)
-	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"jobs": d.List()})
-	})
-	mux.HandleFunc("GET /jobs/{id}", d.withJob(func(w http.ResponseWriter, r *http.Request, v JobView) {
-		writeJSON(w, http.StatusOK, v)
-	}))
-	mux.HandleFunc("DELETE /jobs/{id}", d.handleCancel)
-	mux.HandleFunc("GET /jobs/{id}/result", d.handleResult)
-	mux.HandleFunc("GET /jobs/{id}/metrics", d.handleJobMetrics)
-	mux.HandleFunc("GET /jobs/{id}/metrics.json", d.handleJobMetricsJSON)
-	mux.HandleFunc("GET /jobs/{id}/progress", d.handleProgress)
-	mux.HandleFunc("GET /jobs/{id}/events", d.handleEvents)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		telemetry.WritePrometheusSnapshot(w, d.met.reg.Snapshot())
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "alive", "build": perf.Build().String()})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+	mux := BaseMux(func() map[string]any {
 		d.mu.Lock()
-		draining := d.draining || d.closed
+		defer d.mu.Unlock()
 		live := len(d.queue)
 		if d.running != nil {
 			live++
 		}
-		capp := d.cfg.QueueCap
-		d.mu.Unlock()
-		switch {
-		case draining:
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
-		case live >= capp:
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "overloaded", "queue": live, "cap": capp})
-		default:
-			writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "queue": live, "cap": capp})
+		status := "ready"
+		if d.draining || d.closed {
+			return map[string]any{"status": "draining"}
+		} else if live >= d.cfg.QueueCap {
+			status = "overloaded"
 		}
+		return map[string]any{"status": status, "queue": live, "cap": d.cfg.QueueCap}
 	})
-	mux.HandleFunc("GET /perf", func(w http.ResponseWriter, r *http.Request) {
-		p := perf.Active()
-		if p == nil {
-			http.Error(w, "perf plane disabled", http.StatusNotFound)
-			return
+	mux.HandleFunc("POST /jobs", d.handleSubmit)
+	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]any{"jobs": d.List()})
+	})
+	mux.HandleFunc("GET /jobs/{id}", d.withJob(func(w http.ResponseWriter, v JobView) {
+		writeJSON(w, http.StatusOK, v)
+	}))
+	mux.HandleFunc("DELETE /jobs/{id}", d.handleCancel)
+	mux.HandleFunc("GET /jobs/{id}/result", d.withJob(d.handleResult))
+	mux.HandleFunc("GET /jobs/{id}/metrics.json", d.withJob(d.handleJobMetricsJSON))
+	mux.HandleFunc("GET /jobs/{id}/events", d.withJob(d.handleEvents))
+	mountRunView(mux, "/jobs/{id}", func(r *http.Request) (*RunView, string, State) {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		j := d.jobs[r.PathValue("id")]
+		if j == nil {
+			return nil, "", ""
 		}
-		w.Header().Set("Content-Type", "application/json")
-		p.WriteJSON(w)
+		return j.view, j.id, j.state
 	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		writePrometheus(w, d.met.reg.Snapshot())
+	})
 	return mux
 }
 
@@ -183,18 +166,12 @@ func (d *Daemon) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleResult serves a done job's out.txt, digest-verified against the
 // journal's done record so a tampered or torn file is a loud 500, never a
 // silently wrong result.
-func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	v, err := d.Get(id)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
-		return
-	}
+func (d *Daemon) handleResult(w http.ResponseWriter, v JobView) {
 	if v.State != StateDone {
 		writeJSON(w, http.StatusConflict, map[string]any{"error": "job not done", "state": v.State})
 		return
 	}
-	b, err := os.ReadFile(filepath.Join(d.jobDir(id), jobOutFile))
+	b, err := os.ReadFile(filepath.Join(d.jobDir(v.ID), jobOutFile))
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
 		return
@@ -209,36 +186,11 @@ func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Write(b)
 }
 
-// handleJobMetrics serves the job's latest telemetry snapshot in
-// Prometheus text format — live while the job runs, final afterwards.
-func (d *Daemon) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
-	d.mu.Lock()
-	j := d.jobs[r.PathValue("id")]
-	d.mu.Unlock()
-	if j == nil {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": ErrNotFound.Error()})
-		return
-	}
-	snap := j.snap.Load()
-	if snap == nil {
-		writeJSON(w, http.StatusConflict, map[string]any{"error": "job has not produced metrics yet"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	telemetry.WritePrometheusSnapshot(w, *snap)
-}
-
 // handleJobMetricsJSON serves the job's committed metrics.json — the same
 // deterministic document `adcpsim -metrics` writes — digest-verified for
 // done jobs.
-func (d *Daemon) handleJobMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	v, err := d.Get(id)
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
-		return
-	}
-	b, err := os.ReadFile(filepath.Join(d.jobDir(id), jobMetricsFile))
+func (d *Daemon) handleJobMetricsJSON(w http.ResponseWriter, v JobView) {
+	b, err := os.ReadFile(filepath.Join(d.jobDir(v.ID), jobMetricsFile))
 	if err != nil {
 		writeJSON(w, http.StatusConflict, map[string]any{"error": "job has not committed metrics yet", "state": v.State})
 		return
@@ -255,36 +207,10 @@ func (d *Daemon) handleJobMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	w.Write(b)
 }
 
-func (d *Daemon) handleProgress(w http.ResponseWriter, r *http.Request) {
-	d.mu.Lock()
-	j := d.jobs[r.PathValue("id")]
-	if j == nil {
-		d.mu.Unlock()
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": ErrNotFound.Error()})
-		return
-	}
-	type expState struct {
-		Name  string `json:"name"`
-		State string `json:"state"`
-	}
-	exps := make([]expState, 0, len(j.progressOrder))
-	for _, n := range j.progressOrder {
-		exps = append(exps, expState{Name: n, State: j.progress[n]})
-	}
-	state := j.state
-	d.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"id": r.PathValue("id"), "state": state, "experiments": exps})
-}
-
 // handleEvents serves a job's lifecycle records — its slice of the job
 // journal, re-read from disk so the response is exactly what a recovery
 // would replay.
-func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, err := d.Get(id); err != nil {
-		writeJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
-		return
-	}
+func (d *Daemon) handleEvents(w http.ResponseWriter, v JobView) {
 	data, err := os.ReadFile(filepath.Join(d.cfg.Dir, jobJournalFile))
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
@@ -298,28 +224,22 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 	events := []json.RawMessage{}
 	for _, b := range bodies {
 		var rec jobRecord
-		if json.Unmarshal(b, &rec) == nil && rec.ID == id {
+		if json.Unmarshal(b, &rec) == nil && rec.ID == v.ID {
 			events = append(events, json.RawMessage(b))
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "events": events})
+	writeJSON(w, http.StatusOK, map[string]any{"id": v.ID, "events": events})
 }
 
-func (d *Daemon) withJob(fn func(http.ResponseWriter, *http.Request, JobView)) http.HandlerFunc {
+// withJob resolves the request's {id} to the job's view for fn, or
+// answers 404.
+func (d *Daemon) withJob(fn func(http.ResponseWriter, JobView)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		v, err := d.Get(r.PathValue("id"))
 		if err != nil {
 			writeJSON(w, http.StatusNotFound, map[string]any{"error": err.Error()})
 			return
 		}
-		fn(w, r, v)
+		fn(w, v)
 	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

@@ -1,12 +1,21 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 func postJob(t *testing.T, srv *httptest.Server, body string) (*http.Response, map[string]any) {
@@ -200,30 +209,147 @@ func TestHTTPCancel(t *testing.T) {
 	}
 }
 
+// Draining is the daemon's own readiness verdict, and it refuses
+// submissions; what /healthz and /readyz answer around it is
+// TestHTTPContract's.
 func TestHTTPHealthAndReadiness(t *testing.T) {
 	d := newTestDaemon(t, t.TempDir(), nil)
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	if code, doc := getJSON(t, srv.URL+"/healthz"); code != 200 || doc["status"] != "alive" {
-		t.Fatalf("/healthz = %d %v", code, doc)
+	if code, doc := getJSON(t, srv.URL+"/readyz"); code != 200 || doc["queue"] != 0.0 || doc["cap"] != 8.0 {
+		t.Fatalf("/readyz = %d %v, want 200 with queue 0 of cap 8", code, doc)
 	}
-	if code, doc := getJSON(t, srv.URL+"/readyz"); code != 200 || doc["status"] != "ready" {
-		t.Fatalf("/readyz = %d %v", code, doc)
-	}
-
 	d.Drain(time.Second)
-
-	// Liveness stays green during drain — the process is healthy, it just
-	// isn't admitting. Readiness goes 503.
-	if code, doc := getJSON(t, srv.URL+"/healthz"); code != 200 || doc["status"] != "alive" {
-		t.Fatalf("/healthz during drain = %d %v", code, doc)
-	}
-	if code, doc := getJSON(t, srv.URL+"/readyz"); code != http.StatusServiceUnavailable || doc["status"] != "draining" {
-		t.Fatalf("/readyz during drain = %d %v, want 503 draining", code, doc)
-	}
 	if resp, _ := postJob(t, srv, `{"exps":["alpha"]}`); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit during drain = %d, want 503", resp.StatusCode)
+	}
+}
+
+// One HTTP contract, two mounts: the base plane and a RunView answer the
+// same way whether the view sits at the root (what `adcpsim -serve`
+// builds) or under /jobs/{id}/ of a daemon with one finished job.
+func TestHTTPContract(t *testing.T) {
+	measured := Experiment{Name: "measured", Run: func(w io.Writer) error {
+		telemetry.Hub().Reg().Set("exp.measured.answer", 42)
+		fmt.Fprintln(w, "MEASURED")
+		return nil
+	}}
+	type mount struct {
+		name, prefix string
+		handler      http.Handler
+		drain        func()
+		job          bool
+	}
+	var mounts []mount
+	{
+		var draining atomic.Bool
+		mux := BaseMux(func() map[string]any {
+			if draining.Load() {
+				return map[string]any{"status": "draining"}
+			}
+			return map[string]any{"status": "ready"}
+		})
+		view := NewRunView([]Experiment{measured}, nil)
+		view.Mount(mux)
+		tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}
+		RunExperiments(context.Background(), []Experiment{measured}, nil, tel, 0, io.Discard, io.Discard,
+			func(name string, st ExpState, err error) { view.Update(name, st, err, tel.Metrics) })
+		mounts = append(mounts, mount{name: "root", handler: mux, drain: func() { draining.Store(true) }})
+	}
+	{
+		d := newTestDaemon(t, t.TempDir(), func(c *Config) { c.Experiments = []Experiment{measured} })
+		id, err := d.Submit(Spec{Exps: []string{"all"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, d, id, StateDone)
+		mounts = append(mounts, mount{name: "job", prefix: "/jobs/" + id, handler: d.Handler(),
+			drain: func() { d.Drain(time.Second) }, job: true})
+	}
+
+	for _, m := range mounts {
+		t.Run(m.name, func(t *testing.T) {
+			srv := httptest.NewServer(m.handler)
+			defer srv.Close()
+			get := func(path string, wantCode int, wantType string) []byte {
+				t.Helper()
+				resp, err := http.Get(srv.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != wantCode {
+					t.Fatalf("GET %s = %d, want %d (%s)", path, resp.StatusCode, wantCode, body)
+				}
+				if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, wantType) {
+					t.Fatalf("GET %s Content-Type = %q, want %s…", path, ct, wantType)
+				}
+				return body
+			}
+			getDoc := func(path string, wantCode int, keys ...string) map[string]any {
+				t.Helper()
+				var doc map[string]any
+				if err := json.Unmarshal(get(path, wantCode, "application/json"), &doc); err != nil {
+					t.Fatalf("GET %s: not JSON: %v", path, err)
+				}
+				for _, k := range keys {
+					if _, ok := doc[k]; !ok {
+						t.Fatalf("GET %s: no %q in %v", path, k, doc)
+					}
+				}
+				return doc
+			}
+
+			hz := getDoc("/healthz", 200, "status", "build")
+			if build, _ := hz["build"].(map[string]any); hz["status"] != "ok" || build["go_version"] != runtime.Version() {
+				t.Fatalf("/healthz = %v, want status ok and the build identity", hz)
+			}
+			if doc := getDoc("/readyz", 200, "status"); doc["status"] != "ready" {
+				t.Fatalf("/readyz = %v, want ready", doc)
+			}
+			get("/perf", 404, "text/plain") // no perf plane in this process
+			if len(get("/debug/pprof/cmdline", 200, "text/plain")) == 0 {
+				t.Fatal("/debug/pprof/cmdline is empty")
+			}
+
+			prog := getDoc(m.prefix+"/progress", 200, "wall_ms", "sim_run", "sim_t_ps", "experiments")
+			exps, _ := prog["experiments"].([]any)
+			if len(exps) != 1 {
+				t.Fatalf("progress experiments = %v, want one", prog["experiments"])
+			}
+			if e, _ := exps[0].(map[string]any); e["name"] != "measured" || e["state"] != "done" || e["wall_ms"] == nil {
+				t.Fatalf("progress row = %v, want measured/done with wall_ms", exps[0])
+			}
+			if _, hasID := prog["id"]; hasID != m.job || (m.job && prog["state"] != "done") {
+				t.Fatalf("progress id/state = %v/%v on the %s mount", prog["id"], prog["state"], m.name)
+			}
+
+			// Prometheus text format 0.0.4: comment lines, then "name{labels} value".
+			metrics := string(get(m.prefix+"/metrics", 200, "text/plain; version=0.0.4"))
+			if !strings.Contains(metrics, "adcp_exp_measured_answer 42") {
+				t.Fatalf("/metrics lacks the experiment's series:\n%s", metrics)
+			}
+			for i, ln := range strings.Split(strings.TrimRight(metrics, "\n"), "\n") {
+				if strings.HasPrefix(ln, "# HELP ") || strings.HasPrefix(ln, "# TYPE ") {
+					continue
+				}
+				name, value, ok := strings.Cut(ln, " ")
+				if _, err := strconv.ParseFloat(value, 64); !ok || err != nil || !strings.HasPrefix(name, "adcp_") {
+					t.Fatalf("/metrics line %d: %q is not an adcp_ sample", i+1, ln)
+				}
+			}
+
+			m.drain()
+			if doc := getDoc("/readyz", 503, "status"); doc["status"] != "draining" {
+				t.Fatalf("/readyz while draining = %v", doc)
+			}
+			getDoc("/healthz", 200, "status", "build") // liveness stays green: the process is healthy, it just isn't admitting
+		})
 	}
 }
 
@@ -273,5 +399,50 @@ func TestHTTPServiceMetrics(t *testing.T) {
 	mj.Body.Close()
 	if mj.StatusCode != 200 {
 		t.Fatalf("GET /jobs/%s/metrics.json = %d", id, mj.StatusCode)
+	}
+}
+
+// Handlers read a RunView while the run side updates and publishes it.
+func TestRunViewConcurrentReaders(t *testing.T) {
+	sel := testExps(nil, nil)[:2]
+	view := NewRunView(sel, nil)
+	mux := http.NewServeMux()
+	view.Mount(mux)
+	reg := telemetry.NewRegistry()
+	hits := reg.Counter("test.hits")
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, path := range []string{"/progress", "/metrics"} {
+					rec := httptest.NewRecorder()
+					mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+					if rec.Code != 200 && !(path == "/metrics" && rec.Code == http.StatusConflict) {
+						t.Errorf("GET %s = %d", path, rec.Code)
+					}
+				}
+			}
+		}()
+	}
+	for round := 0; round < 200; round++ {
+		for _, e := range sel {
+			view.Update(e.Name, ExpRunning, nil, reg)
+			hits.Inc()
+			view.Update(e.Name, ExpDone, nil, reg)
+		}
+	}
+	close(stop)
+	readers.Wait()
+	if doc := view.progress(); doc.Experiments[1].State != "done" || doc.WallMs <= 0 {
+		t.Fatalf("final progress = %+v", doc)
 	}
 }

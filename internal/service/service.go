@@ -40,9 +40,16 @@
 // plane is fully concurrent, and each job's sweep points fan out across
 // the shared parallel worker pool (internal/parallel) under per-job
 // telemetry hubs. See docs/SERVICE.md.
+//
+// The package also owns what a foreground `adcpsim -exp` run shares with a
+// job, so each exists once: the run loop (RunExperiments), the selection
+// and run description (Select, RunConfig — one config digest, so either
+// side resumes the other's run directory), and the HTTP plane (BaseMux,
+// Serve, and RunView, the live record both `-serve` and /jobs/{id}/ serve).
 package service
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -118,35 +125,62 @@ type Spec struct {
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 
-// Validate checks the spec against the experiment table. known maps
-// experiment id → true; "all" is always accepted.
-func (s Spec) Validate(known map[string]bool) error {
-	if len(s.Exps) == 0 {
-		return fmt.Errorf("spec: exps is required (experiment ids, or \"all\")")
-	}
-	for _, e := range s.Exps {
-		if e != "all" && !known[e] {
-			return fmt.Errorf("spec: unknown experiment %q", e)
+// Select resolves an experiment selection — ids, or "all"; blank entries
+// are ignored — against the experiment table, in the table's canonical
+// order (which byte-identity depends on). `adcpsim -exp` and POST /jobs
+// both select through it.
+func Select(table []Experiment, ids []string) ([]Experiment, error) {
+	want := map[string]bool{}
+	for _, id := range ids {
+		if id = strings.TrimSpace(id); id != "" {
+			want[id] = true
 		}
 	}
-	if s.MaxAttempts < 0 {
-		return fmt.Errorf("spec: max_attempts must be ≥ 0")
+	all := want["all"]
+	delete(want, "all")
+	var sel []Experiment
+	for _, e := range table {
+		if all || want[e.Name] {
+			sel = append(sel, e)
+		}
+		delete(want, e.Name)
 	}
-	if s.TimeoutMs < 0 {
-		return fmt.Errorf("spec: timeout_ms must be ≥ 0")
+	for _, id := range ids { // in the caller's order, so the error is deterministic
+		if id = strings.TrimSpace(id); want[id] {
+			return nil, fmt.Errorf("unknown experiment %q", id)
+		}
 	}
-	return nil
+	if len(sel) == 0 {
+		return nil, errors.New("no experiments selected (experiment ids, or \"all\")")
+	}
+	return sel, nil
 }
 
-// configDigest canonicalizes the spec fields that change a job's
-// deterministic output — the selection and the event budget — into the
-// digest its run journal records, so a recovered job refuses to resume
-// under a mutated spec. Scheduling knobs (timeout, attempts, the daemon's
-// pool width) are excluded: they never change output bytes.
-func (s Spec) configDigest() string {
-	sel := append([]string(nil), s.Exps...)
-	sort.Strings(sel)
-	canon := fmt.Sprintf("adcp-jobcfg/1 exps=%s event-budget=%d", strings.Join(sel, ","), s.EventBudget)
+// RunConfig is the one description of what a run computes: the resolved
+// selection and every knob that shapes tables, metrics, or samples.
+// Scheduling and observation knobs (pool width, timeouts, attempts,
+// progress, serving, output paths) are deliberately not in it: they never
+// change output bytes, so a resume may vary them.
+type RunConfig struct {
+	Selection        []Experiment // as Select resolved it
+	EventBudget      uint64
+	Registry         bool // a metrics registry exists
+	Sampler          bool // a sampler exists
+	Detail           bool // per-stage trace events
+	SampleIntervalUS int
+	SampleCap        int
+}
+
+// Digest canonicalizes the configuration into the digest a run journal
+// records; runstate.Open refuses to resume a journal whose digest differs.
+func (c RunConfig) Digest() string {
+	names := make([]string, len(c.Selection))
+	for i, e := range c.Selection {
+		names[i] = e.Name
+	}
+	sort.Strings(names)
+	canon := fmt.Sprintf("adcp-config/1 exps=%s sample-interval-us=%d sample-cap=%d event-budget=%d registry=%v sampler=%v detail=%v",
+		strings.Join(names, ","), c.SampleIntervalUS, c.SampleCap, c.EventBudget, c.Registry, c.Sampler, c.Detail)
 	return runstate.Digest([]byte(canon))
 }
 

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"fmt"
+
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 	"repro/internal/tm"
@@ -66,23 +68,6 @@ func PipelineObserver(lat *Histogram, tr *Tracer, sp *Spans, detail bool, now fu
 	}
 }
 
-// InstrumentTM registers one shared-memory traffic manager's counters under
-// the base labels plus a tm=<which> dimension, all lazily evaluated at
-// snapshot time, and returns an occupancy gauge for a TMObserver to feed
-// (its peak then appears in the export). The pending-packet count is also
-// registered so the sampler can plot live queue depth.
-func InstrumentTM(reg *Registry, t *tm.SharedMemoryTM, base []Label, which string) *Gauge {
-	ls := make([]Label, 0, len(base)+1)
-	ls = append(ls, base...)
-	ls = append(ls, L("tm", which))
-	reg.ObserveFunc("switch.tm.enqueued_pkts", func() float64 { return float64(t.Enqueued()) }, ls...)
-	reg.ObserveFunc("switch.tm.dequeued_pkts", func() float64 { return float64(t.Dequeued()) }, ls...)
-	reg.ObserveFunc("switch.tm.dropped_pkts", func() float64 { return float64(t.Dropped()) }, ls...)
-	reg.ObserveFunc("switch.tm.peak_bytes", func() float64 { return float64(t.PeakOccupancy()) }, ls...)
-	reg.ObserveFunc("switch.tm.pending_pkts", func() float64 { return float64(t.Pending()) }, ls...)
-	return reg.Gauge("switch.tm.occupancy_bytes", ls...)
-}
-
 // TMObserver adapts a traffic manager's Observer stream into telemetry:
 // shared-buffer occupancy into gauge g (which then also tracks the peak),
 // per-packet queueing delay into histogram wait (valid dequeues only —
@@ -115,6 +100,114 @@ func TMObserver(g *Gauge, wait *Histogram, tr *Tracer, sp *Spans, detail bool, n
 		} else if detail {
 			tr.Counter(now(), name+".occupancy_bytes", pid,
 				map[string]float64{"bytes": float64(ev.OccupancyBytes)})
+		}
+	}
+}
+
+// SwitchWiring describes a switch model to InstrumentSwitch: what differs
+// between the architectures is only which counters, traffic managers and
+// pipeline roles a switch has.
+type SwitchWiring struct {
+	Arch string // arch label value, and the trace process prefix
+	// Counters registers the switch.* counters under ls, as lazily
+	// evaluated ObserveFuncs (literal names, so metricnames' source scan
+	// sees them).
+	Counters func(reg *Registry, ls []Label)
+	TMs      []NamedTM    // in traversal order
+	Roles    []NamedPipes // in traversal order
+	ClockHz  float64      // pipeline clock: converts modeled cycles into simulated time
+}
+
+// NamedTM is one traffic manager: Label is its tm= label value, Name its
+// trace track and event prefix.
+type NamedTM struct {
+	Label, Name string
+	TM          *tm.SharedMemoryTM
+}
+
+// NamedPipes is the pipelines that play one role (ingress, central,
+// egress).
+type NamedPipes struct {
+	Role  string
+	Pipes []*pipeline.Pipeline
+}
+
+// InstrumentSwitch attaches a switch to tel: its counters become
+// lazily-evaluated registry metrics (zero hot-path cost) under arch and
+// instance labels, every TM reports buffer occupancy, drops and per-packet
+// queueing delay, pipeline traversal latency lands in one bounded
+// histogram per role and traversal counts in one series per pipeline
+// (which the sampler turns into stage-utilization time series), and —
+// when a tracer is present — TMs and pipelines route their Observer events
+// into sim-time trace tracks. now supplies the surrounding network's
+// clock; nil means all trace events land at t=0 (synchronous harnesses)
+// and queueing delays read 0.
+//
+// It installs pipeline and TM observers and the TM clocks, replacing any
+// the caller set earlier; callers that need their own observers install
+// them afterwards (telemetry then loses those streams, not vice versa).
+func InstrumentSwitch(tel *Telemetry, now func() sim.Time, w SwitchWiring) {
+	if !tel.Enabled() {
+		return
+	}
+	if now == nil {
+		now = func() sim.Time { return 0 }
+	}
+	reg, tr := tel.Reg(), tel.Trace()
+	inst := "0"
+	if reg != nil {
+		inst = reg.InstanceLabel("instance").Value
+	}
+	ls := []Label{L("arch", w.Arch), L("instance", inst)}
+	with := func(extra ...Label) []Label { return append(append([]Label(nil), ls...), extra...) }
+	if reg != nil {
+		w.Counters(reg, ls)
+	}
+	pid := tr.NewProcess(w.Arch + "/" + inst)
+	var sp *Spans
+	if tr != nil {
+		sp = NewSpans(tr, pid, tr.NewThread(pid, "spans"))
+	}
+	for _, t := range w.TMs {
+		var occ *Gauge
+		var wait *Histogram
+		if reg != nil {
+			// The TM's own counters, read at snapshot time; pending_pkts is
+			// there so the sampler can plot live queue depth. The occupancy
+			// gauge is fed by the observer below, so its peak is exported.
+			q, tl := t.TM, with(L("tm", t.Label))
+			reg.ObserveFunc("switch.tm.enqueued_pkts", func() float64 { return float64(q.Enqueued()) }, tl...)
+			reg.ObserveFunc("switch.tm.dequeued_pkts", func() float64 { return float64(q.Dequeued()) }, tl...)
+			reg.ObserveFunc("switch.tm.dropped_pkts", func() float64 { return float64(q.Dropped()) }, tl...)
+			reg.ObserveFunc("switch.tm.peak_bytes", func() float64 { return float64(q.PeakOccupancy()) }, tl...)
+			reg.ObserveFunc("switch.tm.pending_pkts", func() float64 { return float64(q.Pending()) }, tl...)
+			occ = reg.Gauge("switch.tm.occupancy_bytes", tl...)
+			wait = reg.Histogram("switch.tm.wait_ps", tl...)
+		}
+		t.TM.SetClock(now)
+		tid := tr.NewThread(pid, t.Name)
+		if obs := TMObserver(occ, wait, tr, sp, tel.Detail, now, t.Name, pid, tid); obs != nil {
+			t.TM.SetObserver(obs)
+		}
+	}
+	for _, r := range w.Roles {
+		var lat *Histogram
+		if reg != nil {
+			lat = reg.Histogram("switch.pipeline.latency_ps", with(L("role", r.Role))...)
+		}
+		for k, p := range r.Pipes {
+			tid := 0
+			if tr != nil {
+				tid = tr.NewThread(pid, fmt.Sprintf("%s%d", r.Role, k))
+			}
+			if reg != nil {
+				p := p
+				reg.ObserveFunc("switch.pipeline.traversals", func() float64 { return float64(p.Packets()) },
+					with(L("role", r.Role), L("pipe", fmt.Sprint(k)))...)
+			}
+			if obs := PipelineObserver(lat, tr, sp, tel.Detail, now, w.ClockHz, pid, tid); obs != nil {
+				p.SetObserver(obs)
+			}
 		}
 	}
 }
