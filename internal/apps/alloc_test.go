@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/packet"
+	"repro/internal/sim"
 )
 
 // TestParamServerRoundAllocs puts a ceiling on a whole aggregation round —
@@ -39,6 +41,83 @@ func TestParamServerRoundAllocs(t *testing.T) {
 		t.Logf("%s: %.3f allocations per delivered packet", tc.name, perPkt)
 		if perPkt > 1.0 {
 			t.Errorf("%s: a round allocates %.3f objects per delivered packet, want at most 1.0", tc.name, perPkt)
+		}
+	}
+}
+
+// TestKVRoundAllocs is the same ceiling for the KV cache, per architecture:
+// a round of batched GETs with a PUT of cached keys every fourth packet
+// (request copies, netsim.New, injection, Run) on a prebuilt cache, as the
+// benchmark's kv-get and kv-mixed do. The stage programs look keys up in
+// scratch of their own and the switches cut their output slices from a
+// slab, so what is left is netsim's per-hop share.
+func TestKVRoundAllocs(t *testing.T) {
+	const clients, perClient, width, hot = 8, 256, 8, 512
+	kv := KVConfig{KeysPerPacket: width, CacheEntries: hot}
+	adcp, err := NewKVCacheADCP(benchADCP(), kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmtCfg := benchRMT()
+	rmtCfg.Pipe.TableEntriesPerStage *= width // k copies need k× the SRAM
+	rmtSw, err := NewKVCacheRMT(rmtCfg, kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint32(0); k < hot; k++ {
+		if err := adcp.Install(k, k); err != nil {
+			t.Fatal(err)
+		}
+		if err := rmtSw.Install(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every other key misses; ADCP gets its batches regrouped per partition.
+	var reqs [2][]*packet.Packet // adcp, rmt
+	var srcs [2][]int
+	for i := 0; i < clients*perClient; i++ {
+		op := packet.KVGet
+		pairs := make([]packet.KVPair, width)
+		for j := range pairs {
+			pairs[j] = packet.KVPair{Key: uint32((i*width+j)*7) % (2 * hot)}
+			if i%4 == 3 {
+				op, pairs[j].Key = packet.KVPut, pairs[j].Key%hot
+			}
+		}
+		add := func(arch int, batch []packet.KVPair) {
+			reqs[arch] = append(reqs[arch], packet.Build(packet.Header{
+				Proto: packet.ProtoKV, SrcPort: uint16(i % clients), CoflowID: 1, Seq: uint32(i),
+			}, &packet.KVHeader{Op: op, Pairs: batch}))
+			srcs[arch] = append(srcs[arch], i%clients)
+		}
+		add(1, pairs)
+		for _, batch := range PartitionKV(pairs, benchADCP().CentralPipelines, width) {
+			add(0, batch)
+		}
+	}
+	for arch, tc := range []struct {
+		name string
+		sw   netsim.SwitchModel
+	}{{"adcp", adcp}, {"rmt", rmtSw}} {
+		round := func() {
+			n, err := netsim.New(netsim.DefaultConfig(16), tc.sw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var copies packet.Arena
+			for i, p := range reqs[arch] {
+				n.SendAt(srcs[arch][i], copies.Clone(p), sim.Time(i)*100*sim.Nanosecond)
+			}
+			n.Run()
+			if errs := n.Errors(); len(errs) > 0 || int(n.Delivered()) != len(reqs[arch]) {
+				t.Fatalf("%s: %d of %d replies delivered, errors %v", tc.name, n.Delivered(), len(reqs[arch]), errs)
+			}
+		}
+		round()
+		perPkt := testing.AllocsPerRun(3, round) / float64(len(reqs[arch]))
+		t.Logf("%s: %.3f allocations per delivered packet", tc.name, perPkt)
+		if perPkt > 0.5 {
+			t.Errorf("%s: a round allocates %.3f objects per delivered packet, want at most 0.5", tc.name, perPkt)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mat"
 	"repro/internal/packet"
+	"repro/internal/phv"
 	"repro/internal/pipeline"
 	"repro/internal/rmt"
 	"repro/internal/tm"
@@ -27,6 +28,72 @@ func (c KVConfig) Validate() error {
 		return fmt.Errorf("apps: bad KV config %+v", c)
 	}
 	return nil
+}
+
+// kvStage is the cache's stage program on either architecture. Its lookup
+// buffers are made here, once, for the widest batch a stage can match:
+// traversals are synchronous and hit values are copied into the packet's
+// pairs before the stage returns, so one set serves every packet of the
+// switch. ADCP passes the array container the parser lifts the batch into
+// and counts per-key hits and misses in register cells 0 and 1; RMT passes
+// phv.Invalid, reads its keys from the decoded pairs and counts nothing.
+func kvStage(pipe pipeline.Config, keysID phv.FieldID) pipeline.StageFunc {
+	n := max(pipe.MAUsPerStage, pipe.MemoryClockMult)
+	keyBuf, results, hits := make([]uint64, n), make([]mat.Result, n), make([]bool, n)
+	return func(st *pipeline.Stage, ctx *pipeline.Context) error {
+		if ctx.Decoded.Base.Proto != packet.ProtoKV {
+			return nil
+		}
+		kvh := &ctx.Decoded.KV
+		switch kvh.Op {
+		case packet.KVGet:
+			if len(kvh.Pairs) > n {
+				return mat.ErrBatchTooWide
+			}
+			keys := keyBuf[:len(kvh.Pairs)]
+			for i, p := range kvh.Pairs {
+				keys[i] = uint64(p.Key)
+			}
+			if keysID != phv.Invalid {
+				// The stage consumes the batch from the PHV array (capped
+				// at the array width — wider batches would need another
+				// container).
+				for i, k := range ctx.PHV().Array(keysID) {
+					keys[i] = uint64(k)
+				}
+			}
+			if _, err := st.Mem.LookupBatch(keys, results, hits); err != nil {
+				return err
+			}
+			var hit, miss uint64
+			for i := range keys {
+				if hits[i] {
+					kvh.Pairs[i].Value = uint32(results[i].Params[0])
+					hit++
+				} else {
+					miss++
+				}
+			}
+			if keysID != phv.Invalid {
+				st.Regs.Execute(mat.RegAdd, 0, hit)
+				st.Regs.Execute(mat.RegAdd, 1, miss)
+			}
+			kvh.Op = packet.KVHit // a reply is a hit only when every key hit
+			if miss > 0 {
+				kvh.Op = packet.KVMiss
+			}
+		case packet.KVPut:
+			for _, p := range kvh.Pairs {
+				if err := st.Mem.Install(uint64(p.Key), mat.Result{Params: [2]uint64{uint64(p.Value), 0}}); err != nil {
+					return err
+				}
+			}
+			kvh.Op = packet.KVHit
+		}
+		ctx.Modified = true
+		ctx.Egress = int(ctx.Decoded.Base.SrcPort) // reply to client
+		return nil
+	}
 }
 
 // KVCacheADCP is an ADCP switch serving a partitioned multi-key cache.
@@ -55,62 +122,7 @@ func NewKVCacheADCP(cfg core.Config, kv KVConfig) (*KVCacheADCP, error) {
 	central := &pipeline.Program{
 		Name:   "kvcache-central",
 		Layout: layout,
-		Funcs: []pipeline.StageFunc{
-			func(st *pipeline.Stage, ctx *pipeline.Context) error {
-				if ctx.Decoded.Base.Proto != packet.ProtoKV {
-					return nil
-				}
-				kvh := &ctx.Decoded.KV
-				// The parser lifted the batch into the PHV array; the
-				// stage consumes it from there (capped at the array
-				// width — wider batches would need another container).
-				lifted := ctx.PHV.Array(keysID)
-				keys := make([]uint64, len(kvh.Pairs))
-				for i := range kvh.Pairs {
-					if i < len(lifted) {
-						keys[i] = uint64(lifted[i])
-					} else {
-						keys[i] = uint64(kvh.Pairs[i].Key)
-					}
-				}
-				switch kvh.Op {
-				case packet.KVGet:
-					results := make([]mat.Result, len(keys))
-					hits := make([]bool, len(keys))
-					if _, err := st.Mem.LookupBatch(keys, results, hits); err != nil {
-						return err
-					}
-					allHit := true
-					var hitKeys, missKeys uint64
-					for i := range kvh.Pairs {
-						if hits[i] {
-							kvh.Pairs[i].Value = uint32(results[i].Params[0])
-							hitKeys++
-						} else {
-							allHit = false
-							missKeys++
-						}
-					}
-					st.Regs.Execute(mat.RegAdd, 0, hitKeys)  // per-key hit counter
-					st.Regs.Execute(mat.RegAdd, 1, missKeys) // per-key miss counter
-					if allHit {
-						kvh.Op = packet.KVHit
-					} else {
-						kvh.Op = packet.KVMiss
-					}
-				case packet.KVPut:
-					for _, p := range kvh.Pairs {
-						if err := st.Mem.Install(uint64(p.Key), mat.Result{Params: [2]uint64{uint64(p.Value), 0}}); err != nil {
-							return err
-						}
-					}
-					kvh.Op = packet.KVHit
-				}
-				ctx.Modified = true
-				ctx.Egress = int(ctx.Decoded.Base.SrcPort) // reply to client
-				return nil
-			},
-		},
+		Funcs:  []pipeline.StageFunc{kvStage(cfg.Pipe, keysID)},
 	}
 	sw, err := core.New(cfg, core.Programs{Central: central})
 	if err != nil {
@@ -182,50 +194,8 @@ func NewKVCacheRMT(cfg rmt.Config, kv KVConfig) (*KVCacheRMT, error) {
 		return nil, fmt.Errorf("apps: %d keys/packet exceeds %d MAUs", kv.KeysPerPacket, cfg.Pipe.MAUsPerStage)
 	}
 	ingress := &pipeline.Program{
-		Name: "kvcache-rmt",
-		Funcs: []pipeline.StageFunc{
-			func(st *pipeline.Stage, ctx *pipeline.Context) error {
-				if ctx.Decoded.Base.Proto != packet.ProtoKV {
-					return nil
-				}
-				kvh := &ctx.Decoded.KV
-				switch kvh.Op {
-				case packet.KVGet:
-					keys := make([]uint64, len(kvh.Pairs))
-					for i, p := range kvh.Pairs {
-						keys[i] = uint64(p.Key)
-					}
-					results := make([]mat.Result, len(keys))
-					hits := make([]bool, len(keys))
-					if _, err := st.Mem.LookupBatch(keys, results, hits); err != nil {
-						return err
-					}
-					allHit := true
-					for i := range kvh.Pairs {
-						if hits[i] {
-							kvh.Pairs[i].Value = uint32(results[i].Params[0])
-						} else {
-							allHit = false
-						}
-					}
-					if allHit {
-						kvh.Op = packet.KVHit
-					} else {
-						kvh.Op = packet.KVMiss
-					}
-				case packet.KVPut:
-					for _, p := range kvh.Pairs {
-						if err := st.Mem.Install(uint64(p.Key), mat.Result{Params: [2]uint64{uint64(p.Value), 0}}); err != nil {
-							return err
-						}
-					}
-					kvh.Op = packet.KVHit
-				}
-				ctx.Modified = true
-				ctx.Egress = int(ctx.Decoded.Base.SrcPort)
-				return nil
-			},
-		},
+		Name:  "kvcache-rmt",
+		Funcs: []pipeline.StageFunc{kvStage(cfg.Pipe, phv.Invalid)},
 	}
 	sw, err := rmt.New(cfg, ingress, nil)
 	if err != nil {

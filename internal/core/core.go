@@ -153,8 +153,8 @@ type Switch struct {
 	coflowReadmissions uint64
 	lateDrops          uint64
 
-	// replicas backs the copies multicast makes of an emission: one per
-	// output port beyond the first.
+	// replicas backs the copies multicast makes of an emission (one per
+	// output port beyond the first) and the slices Process returns.
 	replicas packet.Arena
 }
 
@@ -475,10 +475,10 @@ func (s *Switch) drainTM2() ([]*packet.Packet, error) {
 				if s.EgressPipelineOfPort(port) == ep {
 					ctx.Pkt.EgressPort = port
 					if out == nil {
-						// One slice per call, made at the first delivery
-						// and sized for it plus everything still in TM2;
-						// the caller keeps it.
-						out = make([]*packet.Packet, 0, 1+s.tm2.Pending())
+						// One slice per call, cut at the first delivery and
+						// sized for it plus everything still in TM2; the
+						// caller keeps it.
+						out = s.replicas.Outs(1 + s.tm2.Pending())
 					}
 					out = append(out, ctx.Pkt)
 					s.delivered++

@@ -558,7 +558,7 @@ func TestPHVArrayContainerEndToEnd(t *testing.T) {
 					for i, p := range ctx.Decoded.KV.Pairs {
 						keys[i] = p.Key
 					}
-					ctx.PHV.SetArray(batchID, keys)
+					ctx.PHV().SetArray(batchID, keys)
 					return nil
 				},
 			},
@@ -567,10 +567,10 @@ func TestPHVArrayContainerEndToEnd(t *testing.T) {
 			Layout: layout,
 			Funcs: []pipeline.StageFunc{
 				func(st *pipeline.Stage, ctx *pipeline.Context) error {
-					if !ctx.PHV.Valid(batchID) {
+					if !ctx.PHV().Valid(batchID) {
 						return nil
 					}
-					centralSaw = append(centralSaw, ctx.PHV.Array(batchID)...)
+					centralSaw = append(centralSaw, ctx.PHV().Array(batchID)...)
 					ctx.Verdict = pipeline.VerdictConsume
 					return nil
 				},
@@ -607,11 +607,11 @@ func TestPHVArrayContainerEndToEnd(t *testing.T) {
 				for i, p := range ctx.Decoded.KV.Pairs {
 					keys[i] = p.Key
 				}
-				ctx.PHV.SetArray(batchID, keys)
+				ctx.PHV().SetArray(batchID, keys)
 				return nil
 			},
 			func(st *pipeline.Stage, ctx *pipeline.Context) error {
-				centralSaw = append(centralSaw, ctx.PHV.Array(batchID)...)
+				centralSaw = append(centralSaw, ctx.PHV().Array(batchID)...)
 				return nil
 			},
 		},

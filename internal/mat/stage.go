@@ -41,16 +41,13 @@ type StageMemory struct {
 	numMAUs     int
 	capacity    int // total entries of SRAM in the stage
 	clockMult   int // memory clock multiple (ModeMultiClock)
-	replication int // configured table copies (ModeScalar)
+	replication int // modelled table copies (1 outside ModeScalar)
 
-	shared   *ExactTable   // ModeArray / ModeMultiClock
-	replicas []*ExactTable // ModeScalar
-
-	// Without replication a stage has exactly one table, so it carries
-	// that table's header (and the one-entry replica list a scalar stage
-	// points at it) itself: shared or replicas[0] is then &table.
+	// One physical table in every mode. A scalar stage's k copies are
+	// identical by construction — Install writes all of them or none, and
+	// nothing addresses one alone — so the model keeps a single table of
+	// capacity/k entries and charges the k-fold SRAM arithmetically.
 	table ExactTable
-	one   [1]*ExactTable
 
 	lookups uint64
 	cycles  uint64
@@ -68,8 +65,8 @@ func NewStageMemory(mode MemoryMode, numMAUs, capacity, clockMult int) *StageMem
 }
 
 // NewStageMemories builds the n identical stage memories of a pipeline (or
-// of a whole switch) in one allocation. The memories point into themselves
-// and must be used in place, through pointers into the returned slice.
+// of a whole switch) in one allocation; use them in place, through pointers
+// into the returned slice.
 func NewStageMemories(n int, mode MemoryMode, numMAUs, capacity, clockMult int) []StageMemory {
 	if numMAUs <= 0 || capacity <= 0 {
 		panic("mat: non-positive stage geometry")
@@ -89,22 +86,7 @@ func NewStageMemories(n int, mode MemoryMode, numMAUs, capacity, clockMult int) 
 // configure lays out the SRAM for a given replication factor.
 func (s *StageMemory) configure(replication int) {
 	s.replication = replication
-	s.shared, s.replicas = nil, nil
-	switch {
-	case s.mode != ModeScalar:
-		s.table = ExactTable{cap: s.capacity}
-		s.shared = &s.table
-	case replication == 1:
-		s.table = ExactTable{cap: s.capacity}
-		s.one[0] = &s.table
-		s.replicas = s.one[:]
-	default:
-		per := s.capacity / replication
-		s.replicas = make([]*ExactTable, replication)
-		for i := range s.replicas {
-			s.replicas[i] = NewExactTable(per)
-		}
-	}
+	s.table = ExactTable{cap: s.capacity / replication}
 }
 
 // ConfigureReplication re-lays out a scalar stage for k table copies,
@@ -149,56 +131,24 @@ func (s *StageMemory) Parallelism() int {
 // EffectiveCapacity returns the number of distinct entries the logical
 // table can hold: total SRAM divided by the replication factor in scalar
 // mode (Figure 3), the full SRAM otherwise.
-func (s *StageMemory) EffectiveCapacity() int {
-	if s.mode == ModeScalar {
-		return s.capacity / s.replication
-	}
-	return s.capacity
-}
+func (s *StageMemory) EffectiveCapacity() int { return s.table.cap }
 
 // Install adds an entry to the logical table: once into shared memory, or
 // into every replica in scalar mode (consuming k× the SRAM).
-func (s *StageMemory) Install(key uint64, r Result) error {
-	if s.mode == ModeScalar {
-		for _, t := range s.replicas {
-			if err := t.Insert(key, r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return s.shared.Insert(key, r)
-}
+func (s *StageMemory) Install(key uint64, r Result) error { return s.table.Insert(key, r) }
 
 // Installed returns the number of distinct logical entries.
-func (s *StageMemory) Installed() int {
-	if s.mode == ModeScalar {
-		return s.replicas[0].Len()
-	}
-	return s.shared.Len()
-}
+func (s *StageMemory) Installed() int { return s.table.Len() }
 
 // SRAMUsed returns total SRAM entries consumed, including replication.
-func (s *StageMemory) SRAMUsed() int {
-	if s.mode == ModeScalar {
-		n := 0
-		for _, t := range s.replicas {
-			n += t.Len()
-		}
-		return n
-	}
-	return s.shared.Len()
-}
+func (s *StageMemory) SRAMUsed() int { return s.replication * s.table.Len() }
 
 // Lookup matches a single key (MAU 0 in scalar mode). Costs one pipeline
 // cycle.
 func (s *StageMemory) Lookup(key uint64) (Result, bool) {
 	s.lookups++
 	s.cycles++
-	if s.mode == ModeScalar {
-		return s.replicas[0].Lookup(key)
-	}
-	return s.shared.Lookup(key)
+	return s.table.Lookup(key)
 }
 
 // ErrBatchTooWide is returned when a batch exceeds the stage's parallelism;
@@ -217,15 +167,8 @@ func (s *StageMemory) LookupBatch(keys []uint64, results []Result, hits []bool) 
 	}
 	s.lookups += uint64(len(keys))
 	s.cycles++
-	switch s.mode {
-	case ModeScalar:
-		for i, k := range keys {
-			results[i], hits[i] = s.replicas[i].Lookup(k)
-		}
-	default:
-		for i, k := range keys {
-			results[i], hits[i] = s.shared.Lookup(k)
-		}
+	for i, k := range keys {
+		results[i], hits[i] = s.table.Lookup(k)
 	}
 	return 1, nil
 }

@@ -401,3 +401,53 @@ func BenchmarkStageModes16Keys(b *testing.B) {
 		})
 	}
 }
+
+// A scalar stage's modelled cost for k table copies, pinned for k ∈ {1, 2,
+// 8, 16} over 100 SRAM entries with the values a stage of k physical tables
+// gave: the insert that overflows, the SRAM charged, and the batch width
+// that is one too many. One table stands behind the k copies now; what the
+// model charges for them must not move.
+func TestScalarReplicaAccounting(t *testing.T) {
+	for _, tc := range []struct{ k, fits, sram int }{
+		{1, 100, 100}, {2, 50, 100}, {8, 12, 96}, {16, 6, 96},
+	} {
+		s := NewStageMemory(ModeScalar, StageMAUs, 100, 1)
+		if err := s.ConfigureReplication(tc.k); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tc.fits; i++ {
+			if err := s.Install(uint64(i), Result{Params: [2]uint64{uint64(i) + 1, 0}}); err != nil {
+				t.Fatalf("k=%d: install %d of %d: %v", tc.k, i, tc.fits, err)
+			}
+		}
+		if err := s.Install(uint64(tc.fits), Result{}); err != ErrTableFull {
+			t.Errorf("k=%d: install past %d entries = %v, want ErrTableFull", tc.k, tc.fits, err)
+		}
+		if err := s.Install(0, Result{Params: [2]uint64{1, 0}}); err != nil {
+			t.Errorf("k=%d: overwrite in a full table: %v", tc.k, err)
+		}
+		if s.Installed() != tc.fits || s.SRAMUsed() != tc.sram || s.EffectiveCapacity() != tc.fits || s.Parallelism() != tc.k {
+			t.Errorf("k=%d: installed %d sram %d capacity %d parallelism %d, want %d %d %d %d", tc.k,
+				s.Installed(), s.SRAMUsed(), s.EffectiveCapacity(), s.Parallelism(), tc.fits, tc.sram, tc.fits, tc.k)
+		}
+		keys := make([]uint64, tc.k+1)
+		for i := range keys {
+			keys[i] = uint64(i % tc.fits)
+		}
+		results, hits := make([]Result, len(keys)), make([]bool, len(keys))
+		if _, err := s.LookupBatch(keys, results, hits); err != ErrBatchTooWide {
+			t.Errorf("k=%d: batch of %d = %v, want ErrBatchTooWide", tc.k, len(keys), err)
+		}
+		if cyc, err := s.LookupBatch(keys[:tc.k], results, hits); err != nil || cyc != 1 {
+			t.Fatalf("k=%d: batch of %d = %d cycles, %v", tc.k, tc.k, cyc, err)
+		}
+		for i := 0; i < tc.k; i++ {
+			if !hits[i] || results[i].Params[0] != keys[i]+1 {
+				t.Errorf("k=%d: MAU %d looked up %d: hit %v value %d", tc.k, i, keys[i], hits[i], results[i].Params[0])
+			}
+		}
+		if s.Lookups() != uint64(tc.k) || s.Cycles() != 1 {
+			t.Errorf("k=%d: %d lookups in %d cycles, want %d in 1", tc.k, s.Lookups(), s.Cycles(), tc.k)
+		}
+	}
+}

@@ -480,7 +480,7 @@ type pktEvent struct {
 	ch     *telemetry.Chain // causal account, advanced when the event fires
 	sentAt sim.Time         // transmission start, for the latency histogram
 	host   int              // source (evSend) or destination (evDeliver) host
-	cf     uint32           // evDeliver
+	cf     uint32           // coflow id, decoded once where the packet entered (startSend) or left the switch
 	kind   evKind
 	bucket telemetry.Bucket // evArrive: what the wait before firing is charged to
 }
@@ -539,10 +539,10 @@ func (e *pktEvent) Fire() {
 		e.ch.Advance(n.eng.Now(), telemetry.BucketPropagation)
 		n.deliver(e.host, e.pkt, e.cf, e.sentAt, e.ch)
 	case evCorrupt:
-		n.corruptArrival(e.ts, e.pkt)
+		n.corruptArrival(e.ts, e.pkt, e.cf)
 	case evResend:
 		ts := e.ts
-		n.transmit(ts.src, n.arena.Clone(ts.pristine), ts, ts.chain, true)
+		n.transmit(ts.src, n.arena.Clone(ts.pristine), ts.cf, ts, ts.chain, true)
 	case evAck:
 		e.ts.acked = true
 		n.eng.Disarm(&e.ts.timer)
@@ -606,7 +606,7 @@ func (n *Network) startSend(src int, pkt *packet.Packet) {
 		*ts = txState{n: n, src: src, cf: cf, uid: n.txSeq, pristine: n.arena.Clone(pkt), rto: n.rec.Timeout, chain: ch}
 		n.txSeq++
 	}
-	n.transmit(src, pkt, ts, ch, false)
+	n.transmit(src, pkt, cf, ts, ch, false)
 }
 
 // arriveAtSwitch runs the switch synchronously and schedules deliveries.
@@ -626,7 +626,7 @@ func (n *Network) arriveAtSwitch(e *pktEvent, queued bool) {
 			// Switch stall window: the arrival is held (input buffering)
 			// and replayed when the switch resumes.
 			n.led.StallDeferrals++
-			n.fr.Record(n.eng.Now(), "stall.defer", int64(n.coflowOf(e.pkt)), int64(end))
+			n.fr.Record(n.eng.Now(), "stall.defer", int64(e.cf), int64(end))
 			e.bucket = telemetry.BucketFailoverStall
 			n.eng.PostHandler(end, e)
 			return
@@ -646,15 +646,15 @@ func (n *Network) arriveAtSwitch(e *pktEvent, queued bool) {
 		n.waiting++
 		return
 	}
-	pkt, sentAt, ts, ch := e.pkt, e.sentAt, e.ts, e.ch
+	pkt, cf, sentAt, ts, ch := e.pkt, e.cf, e.sentAt, e.ts, e.ch
 	n.recycle(e)
 	if n.pair != nil {
-		n.haArrival(pkt, sentAt, ts, ch)
+		n.haArrival(pkt, cf, sentAt, ts, ch)
 		return
 	}
 	if n.swCrashed {
 		n.led.SwitchArrivals++
-		n.crashDrop(pkt, ts)
+		n.crashDrop(pkt, cf, ts)
 		return
 	}
 	n.led.SwitchArrivals++
@@ -678,7 +678,7 @@ func (n *Network) arriveAtSwitch(e *pktEvent, queued bool) {
 		// not disturb the accepted copy's history.
 		ch = ch.Fork()
 	}
-	n.fr.Record(n.eng.Now(), "switch.arrive", int64(n.coflowOf(pkt)), int64(pkt.IngressPort))
+	n.fr.Record(n.eng.Now(), "switch.arrive", int64(cf), int64(pkt.IngressPort))
 	var before uint64
 	if n.counter != nil {
 		before = n.counter.IngressTraversals()
@@ -689,8 +689,8 @@ func (n *Network) arriveAtSwitch(e *pktEvent, queued bool) {
 		// must leave the books as a drop, not vanish.
 		n.errs = append(n.errs, err)
 		n.led.SwitchErrors++
-		n.tracker.Drop(n.coflowOf(pkt))
-		n.fr.Record(n.eng.Now(), "switch.error", int64(n.coflowOf(pkt)), 0)
+		n.tracker.Drop(cf)
+		n.fr.Record(n.eng.Now(), "switch.error", int64(cf), 0)
 		if n.tr != nil {
 			n.tr.Instant(n.eng.Now(), "switch.error", "net", n.pid, n.swTID,
 				map[string]any{"error": err.Error()})
@@ -775,9 +775,8 @@ func (n *Network) scheduleOutputs(outs []*packet.Packet, sentAt sim.Time, ch *te
 // the port. With recovery the sender's timer is still running, so it keeps
 // retransmitting (reaching the standby once promoted, or aborting on
 // budget); without recovery the packet drops terminally.
-func (n *Network) crashDrop(pkt *packet.Packet, ts *txState) {
+func (n *Network) crashDrop(pkt *packet.Packet, cf uint32, ts *txState) {
 	n.led.CrashDrops++
-	cf := n.coflowOf(pkt)
 	n.tracker.Lose(cf)
 	n.fr.Record(n.eng.Now(), "crash.drop", int64(cf), int64(pkt.IngressPort))
 	if ts == nil {
@@ -793,10 +792,10 @@ func (n *Network) crashDrop(pkt *packet.Packet, ts *txState) {
 // crash before the ship point therefore acks nothing: the sender times
 // out and retransmits to the promoted standby, which applies the packet
 // exactly once.
-func (n *Network) haArrival(pkt *packet.Packet, sentAt sim.Time, ts *txState, ch *telemetry.Chain) {
+func (n *Network) haArrival(pkt *packet.Packet, cf uint32, sentAt sim.Time, ts *txState, ch *telemetry.Chain) {
 	n.led.SwitchArrivals++
 	if !n.pair.Alive() {
-		n.crashDrop(pkt, ts)
+		n.crashDrop(pkt, cf, ts)
 		return
 	}
 	if ts != nil {
@@ -818,7 +817,7 @@ func (n *Network) haArrival(pkt *packet.Packet, sentAt sim.Time, ts *txState, ch
 	if ts != nil {
 		uid = ts.uid
 	}
-	n.fr.Record(n.eng.Now(), "switch.arrive", int64(n.coflowOf(pkt)), int64(pkt.IngressPort))
+	n.fr.Record(n.eng.Now(), "switch.arrive", int64(cf), int64(pkt.IngressPort))
 	// Detach the committed account from the sender's (see arriveAtSwitch);
 	// the commit runs at the delta's ship time, possibly after spurious
 	// retransmissions have advanced ts.chain.
@@ -834,8 +833,8 @@ func (n *Network) haArrival(pkt *packet.Packet, sentAt sim.Time, ts *txState, ch
 		}
 		n.errs = append(n.errs, err)
 		n.led.SwitchErrors++
-		n.tracker.Drop(n.coflowOf(pkt))
-		n.fr.Record(n.eng.Now(), "switch.error", int64(n.coflowOf(pkt)), 0)
+		n.tracker.Drop(cf)
+		n.fr.Record(n.eng.Now(), "switch.error", int64(cf), 0)
 		if n.tr != nil {
 			n.tr.Instant(n.eng.Now(), "switch.error", "net", n.pid, n.swTID,
 				map[string]any{"error": err.Error()})

@@ -137,7 +137,7 @@ func cut[T any](slab *[]T) *T {
 // first; an attempt whose packet was meanwhile acked (or abandoned) is
 // skipped without touching the ledger, so TxAttempts = Injected + UplinkRetx
 // holds exactly.
-func (n *Network) transmit(src int, pkt *packet.Packet, ts *txState, ch *telemetry.Chain, retx bool) {
+func (n *Network) transmit(src int, pkt *packet.Packet, cf uint32, ts *txState, ch *telemetry.Chain, retx bool) {
 	if ts != nil && (ts.acked || ts.aborted) {
 		return
 	}
@@ -163,7 +163,7 @@ func (n *Network) transmit(src int, pkt *packet.Packet, ts *txState, ch *telemet
 		// The wire never energizes: no serialization, no timer — the
 		// failure is locally visible, so recovery retries directly
 		// (restart-aware).
-		n.countTxFault(out, ts, pkt)
+		n.countTxFault(out, ts, cf)
 		if ts != nil {
 			n.resendOrAbort(ts, now+ts.rto)
 		}
@@ -181,15 +181,15 @@ func (n *Network) transmit(src int, pkt *packet.Packet, ts *txState, ch *telemet
 	switch out {
 	case faults.OK:
 		e := n.event(evArrive)
-		e.pkt, e.sentAt, e.ts, e.ch, e.bucket = pkt, start, ts, ch, telemetry.BucketPropagation
+		e.pkt, e.cf, e.sentAt, e.ts, e.ch, e.bucket = pkt, cf, start, ts, ch, telemetry.BucketPropagation
 		n.eng.PostHandler(arrive, e)
 	case faults.Lost:
-		n.countTxFault(out, ts, pkt)
+		n.countTxFault(out, ts, cf)
 	case faults.Corrupt:
 		// The frame occupies the wire and reaches the switch port, where
 		// the CRC check discards it.
 		e := n.event(evCorrupt)
-		e.ts, e.pkt = ts, pkt
+		e.ts, e.pkt, e.cf = ts, pkt, cf
 		n.eng.PostHandler(arrive, e)
 	}
 	if ts != nil {
@@ -239,7 +239,7 @@ func (n *Network) outageWindow(now sim.Time) (lo, hi sim.Time, ok bool) {
 
 // countTxFault books one faulted uplink attempt; without recovery the
 // packet is terminally dropped.
-func (n *Network) countTxFault(out faults.Outcome, ts *txState, pkt *packet.Packet) {
+func (n *Network) countTxFault(out faults.Outcome, ts *txState, cf uint32) {
 	switch out {
 	case faults.Lost:
 		n.led.TxLost++
@@ -250,7 +250,6 @@ func (n *Network) countTxFault(out faults.Outcome, ts *txState, pkt *packet.Pack
 	case faults.HostDown:
 		n.led.TxHostDown++
 	}
-	cf := n.coflowOf(pkt)
 	n.tracker.Lose(cf)
 	if ts == nil {
 		n.tracker.Drop(cf)
@@ -260,8 +259,8 @@ func (n *Network) countTxFault(out faults.Outcome, ts *txState, pkt *packet.Pack
 // corruptArrival is a corrupted frame reaching the switch port: the CRC
 // check discards it there, so it never counts as a switch arrival. The
 // sender only learns via its ack timer.
-func (n *Network) corruptArrival(ts *txState, pkt *packet.Packet) {
-	n.countTxFault(faults.Corrupt, ts, pkt)
+func (n *Network) corruptArrival(ts *txState, pkt *packet.Packet, cf uint32) {
+	n.countTxFault(faults.Corrupt, ts, cf)
 	if n.tr != nil && n.detail {
 		n.tr.Instant(n.eng.Now(), "switch.corrupt_discard", "net", n.pid, n.swTID,
 			map[string]any{"ingress_port": pkt.IngressPort})

@@ -15,11 +15,12 @@ package packet
 // running into its neighbour. What an arena changes is the garbage
 // collector's granularity: a chunk is freed when the last packet in it is.
 type Arena struct {
-	pkts []Packet // structs of the current chunk not handed out yet
-	buf  []byte   // bytes of the current chunk not handed out yet
-	// Size of the chunk in use of either kind; the next one is twice that,
+	pkts []Packet  // structs of the current chunk not handed out yet
+	buf  []byte    // bytes of the current chunk not handed out yet
+	outs []*Packet // pointers of the current chunk not handed out yet (Outs)
+	// Size of the chunk in use of each kind; the next one is twice that,
 	// up to the cap.
-	pktChunk, bufChunk int
+	pktChunk, bufChunk, outChunk int
 }
 
 // Chunks start small and double up to a cap. What a chunk leaves unused
@@ -74,6 +75,25 @@ func (a *Arena) alloc(n int) *Packet {
 	p.Data = a.buf[:n:n]
 	a.buf = a.buf[n:]
 	return p
+}
+
+// Outs returns an empty slice with room for n packets — the list a switch
+// returns from Process — cut from a chunk of pointers as Data is cut from a
+// chunk of bytes: cap == n, so appending past it reallocates instead of
+// running into the next list, and nothing is ever taken back.
+func (a *Arena) Outs(n int) []*Packet {
+	if n > len(a.outs) {
+		size := nextChunk(a.outChunk, minArenaPackets, maxArenaPackets)
+		if n > size {
+			// Larger than a chunk (a wide fan-out's list): its own, as in alloc.
+			return make([]*Packet, 0, n)
+		}
+		a.outChunk = size
+		a.outs = make([]*Packet, size)
+	}
+	out := a.outs[:0:n]
+	a.outs = a.outs[n:]
+	return out
 }
 
 // Clone returns a deep copy of p.

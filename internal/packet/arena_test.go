@@ -156,3 +156,46 @@ func TestArenaAmortisesAllocations(t *testing.T) {
 		t.Fatalf("an arena allocates %.3f objects per packet, want at most 0.05", perPkt)
 	}
 }
+
+// TestArenaOutsNeverAlias is the same argument for the output lists a
+// switch cuts from its arena: each has exactly the room asked for, so
+// filling one, or appending past its end, never writes into another, and
+// the lists are amortised (a unicast reply's costs a 64th of an allocation).
+func TestArenaOutsNeverAlias(t *testing.T) {
+	var a Arena
+	var lists [][]*Packet
+	marks := make([]*Packet, 300)
+	for i := range marks {
+		marks[i] = &Packet{IngressPort: i}
+		n := 1 + i%3
+		if i == 100 {
+			n = maxArenaPackets + 1 // larger than any chunk
+		}
+		out := a.Outs(n)
+		if len(out) != 0 || cap(out) != n {
+			t.Fatalf("Outs(%d): len %d cap %d", n, len(out), cap(out))
+		}
+		for j := 0; j < n; j++ {
+			out = append(out, marks[i])
+		}
+		lists = append(lists, out)
+	}
+	for _, out := range lists {
+		_ = append(out, &Packet{IngressPort: -1}) // one past the end: must move, not spill
+	}
+	for i, out := range lists {
+		for _, p := range out {
+			if p != marks[i] {
+				t.Fatalf("list %d holds packet %d: lists share storage", i, p.IngressPort)
+			}
+		}
+	}
+	var b Arena
+	if per := testing.AllocsPerRun(10, func() {
+		for i := 0; i < maxArenaPackets; i++ {
+			_ = b.Outs(1)
+		}
+	}); per > 1 {
+		t.Errorf("%d one-packet lists took %.1f allocations, want at most 1", maxArenaPackets, per)
+	}
+}

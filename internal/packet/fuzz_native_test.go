@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -48,10 +49,36 @@ func FuzzParseGraph(f *testing.F) {
 		f.Add(s)
 	}
 	g := StandardGraph()
+	// The bound forms, every name mapped: Run stores, Check only checks, and
+	// both must accept, reject and cost exactly what the unbound walk does.
+	slots := map[string]int{}
+	bound, err := g.Bind(func(name string, _ bool) int {
+		if _, ok := slots[name]; !ok {
+			slots[name] = len(slots)
+		}
+		return slots[name]
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := g.Run(data, 0)
+		var stored, checked FlatResult
+		errRun, errCheck := bound.Run(data, 0, &stored), bound.Check(data, 0, &checked)
+		if fmt.Sprint(errRun) != fmt.Sprint(err) || fmt.Sprint(errCheck) != fmt.Sprint(err) {
+			t.Fatalf("errors differ: unbound %v, Run %v, Check %v", err, errRun, errCheck)
+		}
 		if err != nil {
 			return
+		}
+		for _, r := range []*FlatResult{&stored, &checked} {
+			if r.StatesVisited != res.StatesVisited || r.BytesConsumed != res.BytesConsumed || r.Path == 0 || r.Path != stored.Path {
+				t.Fatalf("bound walk %+v, unbound visited %d states over %d bytes", *r, res.StatesVisited, res.BytesConsumed)
+			}
+		}
+		if len(checked.Fields)+len(checked.Arrays) != 0 || len(stored.Fields) != len(res.Fields) || len(stored.Arrays) != len(res.Arrays) {
+			t.Fatalf("Check stored %d+%d, Run %d+%d of the unbound walk's %d+%d", len(checked.Fields), len(checked.Arrays),
+				len(stored.Fields), len(stored.Arrays), len(res.Fields), len(res.Arrays))
 		}
 		if res.BytesConsumed > len(data) {
 			t.Fatalf("parser consumed %d of %d bytes", res.BytesConsumed, len(data))

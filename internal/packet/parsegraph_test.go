@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -224,5 +225,44 @@ func TestArrayValidation(t *testing.T) {
 	})
 	if err := g4.Validate(); err == nil {
 		t.Error("unnamed array accepted")
+	}
+}
+
+// FlatResult.Path names the states a walk went through, or is zero when it
+// cannot: pipelines treat zero as "may differ from any other walk".
+func TestBoundPathIdentifiesWalk(t *testing.T) {
+	bound, err := StandardGraph().Bind(func(string, bool) int { return -1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := func(p *Packet) uint64 {
+		var r FlatResult
+		if err := bound.Check(p.Data, 0, &r); err != nil {
+			t.Fatal(err)
+		}
+		return r.Path
+	}
+	ml := path(Build(Header{Proto: ProtoML}, &MLHeader{Values: []uint32{1}}))
+	if other := path(Build(Header{Proto: ProtoML, Seq: 9}, &MLHeader{Base: 4, Values: []uint32{2, 3}})); ml == 0 || other != ml {
+		t.Errorf("two ML packets walked paths %#x and %#x", ml, other)
+	}
+	if kv := path(Build(Header{Proto: ProtoKV}, &KVHeader{})); kv == 0 || kv == ml {
+		t.Errorf("a KV packet walked path %#x, an ML packet %#x", kv, ml)
+	}
+	chain := NewParseGraph("s0")
+	for i := 0; i < 9; i++ {
+		next := fmt.Sprintf("s%d", i+1)
+		if i == 8 {
+			next = ""
+		}
+		chain.Add(&ParseState{Name: fmt.Sprintf("s%d", i), HdrLen: 1, Default: next})
+	}
+	long, err := chain.Bind(func(string, bool) int { return -1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r FlatResult
+	if err := long.Check(make([]byte, 9), 0, &r); err != nil || r.StatesVisited != 9 || r.Path != 0 {
+		t.Errorf("nine-state walk: %d states, path %#x, %v; want 9, 0, nil", r.StatesVisited, r.Path, err)
 	}
 }

@@ -9,8 +9,9 @@
 // being serialized into scalar containers (or worse, separate packets).
 //
 // A Layout is the compile-time allocation of named fields to containers; a
-// Vector is the run-time instance flowing between stages. Vectors are
-// pooled by the pipelines to keep the per-packet hot path allocation-free.
+// Vector is the run-time instance flowing between stages. Pipelines fill one
+// only for a traversal that reads it, and pool them to keep the per-packet
+// hot path allocation-free.
 package phv
 
 import (

@@ -48,7 +48,7 @@ func TestTraversalAllocsSteadyState(t *testing.T) {
 			}
 			id := layout.Lookup("coflow_id")
 			prog.Funcs[5] = func(s *Stage, ctx *Context) error {
-				ctx.Egress = int(ctx.PHV.Get(id) % 4)
+				ctx.Egress = int(ctx.PHV().Get(id) % 4)
 				return nil
 			}
 			pkt := kvPacket(4)
@@ -144,12 +144,12 @@ func TestBoundParseMatchesMapParse(t *testing.T) {
 		}
 		for _, name := range []string{"dst_port", "proto", "coflow_id", "kv_op", "kv_count"} {
 			id := layout.Lookup(name)
-			if fv, lv := fc.PHV.Get(id), want.Get(id); fv != lv || fc.PHV.Valid(id) != want.Valid(id) {
+			if fv, lv := fc.PHV().Get(id), want.Get(id); fv != lv || fc.PHV().Valid(id) != want.Valid(id) {
 				t.Fatalf("n=%d: field %s: bound %d, map %d", n, name, fv, lv)
 			}
 		}
 		for _, name := range []string{"kv_keys", "kv_values"} {
-			fk, lk := fc.PHV.Array(layout.Lookup(name)), want.Array(layout.Lookup(name))
+			fk, lk := fc.PHV().Array(layout.Lookup(name)), want.Array(layout.Lookup(name))
 			if len(fk) != len(lk) {
 				t.Fatalf("n=%d: %s len: bound %d, map %d", n, name, len(fk), len(lk))
 			}

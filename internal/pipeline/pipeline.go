@@ -9,6 +9,11 @@
 // sees the stage's table memory and register files plus the per-packet
 // context (PHV, decoded headers, verdict).
 //
+// A traversal always validates, and stores only what is read: every pass
+// walks the parse graph and decodes the packet (same errors, cycles and
+// counters whoever is looking), but the PHV is filled from those bytes the
+// first time Context.PHV is called.
+//
 // The same Pipeline type serves as RMT ingress/egress pipeline and as ADCP
 // ingress/central/egress pipeline — the architectures differ in how many
 // pipelines they instantiate, how ports map onto them, what memory mode the
@@ -157,7 +162,6 @@ func (v Verdict) String() string {
 type Context struct {
 	Pkt     *packet.Packet
 	Decoded packet.Decoded
-	PHV     *phv.Vector
 
 	Verdict   Verdict
 	Egress    int   // output port (or central pipeline index at TM1)
@@ -189,6 +193,28 @@ type Context struct {
 	// released context is owned by the pipeline until Process hands it
 	// out again.
 	released bool
+
+	// The PHV is built on first use (see PHV): parsed is the bytes the
+	// latest pass began with (nil once released), path the parse states
+	// that pass visited (FlatResult.Path), vec the vector once someone has asked for it.
+	pipe   *Pipeline
+	parsed []byte
+	path   uint64
+	vec    *phv.Vector
+}
+
+// PHV returns the traversal's packet header vector: what the parser
+// extracts from the bytes the pass began with, plus whatever programs have
+// written since. It is filled on the first call — a traversal nobody asks
+// never builds one — and from then on refreshed by every Resume, so reads
+// are what a vector filled at parse time would hold. Those bytes must not
+// have been rewritten in place in between.
+func (c *Context) PHV() *phv.Vector {
+	if c.vec == nil && c.parsed != nil {
+		c.vec = c.pipe.pool.Get()
+		c.pipe.store(c.vec, c.parsed)
+	}
+	return c.vec
 }
 
 // Emission is a packet generated inside the switch, destined to one or more
@@ -340,9 +366,8 @@ func (p *Pipeline) Process(pkt *packet.Packet, prog *Program) (*Context, error) 
 		ctx.Scratch = [4]uint64{}
 		ctx.released = false
 	} else {
-		ctx = &Context{Pkt: pkt, Egress: -1}
+		ctx = &Context{Pkt: pkt, Egress: -1, pipe: p}
 	}
-	ctx.PHV = p.pool.Get()
 	if err := p.runInto(ctx, prog); err != nil {
 		p.Release(ctx)
 		return nil, err
@@ -359,25 +384,43 @@ func (p *Pipeline) Resume(ctx *Context, prog *Program) error {
 	return p.runInto(ctx, prog)
 }
 
-func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
-	// Parse. The bound parser writes slot-keyed flat results into a
-	// reusable buffer.
+// store fills v with what the bound parser extracts from data: scalars, and
+// arrays where the layout has array containers (ADCP §3.2: arrays as
+// first-class parse outputs; RMT layouts have none, so the binder drops them
+// to bounds-check-only). A walk has already accepted these bytes.
+func (p *Pipeline) store(v *phv.Vector, data []byte) {
 	res := &p.flat
-	if err := p.bound.Run(ctx.Pkt.Data, 0, res); err != nil {
+	_ = p.bound.Run(data, 0, res)
+	for i := range res.Fields {
+		v.Set(phv.FieldID(res.Fields[i].Slot), res.Fields[i].Val)
+	}
+	for i := range res.Arrays {
+		v.SetArray(phv.FieldID(res.Arrays[i].Slot), res.Arrays[i].Vals)
+	}
+}
+
+func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
+	// Parse: walk the bound graph for its checks and its cost.
+	res := &p.flat
+	data := ctx.Pkt.Data
+	if err := p.bound.Check(data, 0, res); err != nil {
 		p.parseErrors++
 		return fmt.Errorf("pipeline: parse: %w", err)
 	}
-	for i := range res.Fields {
-		ctx.PHV.Set(phv.FieldID(res.Fields[i].Slot), res.Fields[i].Val)
-	}
-	// Array extractions land in array containers when the layout has
-	// them (ADCP §3.2: arrays as first-class parse outputs). RMT
-	// layouts have no array containers, so the data stays packet-only
-	// there (the binder drops them to bounds-check-only).
-	for i := range res.Arrays {
-		ctx.PHV.SetArray(phv.FieldID(res.Arrays[i].Slot), res.Arrays[i].Vals)
-	}
 	ctx.Cycles += res.StatesVisited
+	// A recirculated pass parses into the PHV the earlier passes left. A
+	// vector already built is refreshed; one nobody has asked for yet owes
+	// those passes nothing as long as this one took the same path through
+	// the graph (same states, same fields, all overwritten), and is built
+	// from their bytes first when it did not.
+	if res.Path == 0 || res.Path != ctx.path {
+		ctx.PHV()
+	}
+	ctx.path = res.Path
+	ctx.parsed = data
+	if ctx.vec != nil {
+		p.store(ctx.vec, data)
+	}
 	if err := ctx.Decoded.DecodePacket(ctx.Pkt); err != nil {
 		p.parseErrors++
 		return fmt.Errorf("pipeline: decode: %w", err)
@@ -478,10 +521,11 @@ func (p *Pipeline) Release(ctx *Context) {
 	if ctx == nil || ctx.released {
 		return
 	}
-	if ctx.PHV != nil {
-		p.pool.Put(ctx.PHV)
-		ctx.PHV = nil
+	if ctx.vec != nil {
+		p.pool.Put(ctx.vec)
+		ctx.vec = nil
 	}
+	ctx.parsed = nil
 	ctx.released = true
 	ctx.Pkt = nil
 	ctx.Multicast = nil

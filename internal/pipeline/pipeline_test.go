@@ -76,10 +76,10 @@ func TestProcessFillsPHVAndDecodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Release(ctx)
-	if got := ctx.PHV.Get(layout.Lookup("coflow_id")); got != 9 {
+	if got := ctx.PHV().Get(layout.Lookup("coflow_id")); got != 9 {
 		t.Errorf("coflow_id = %d, want 9", got)
 	}
-	if got := ctx.PHV.Get(layout.Lookup("kv_count")); got != 3 {
+	if got := ctx.PHV().Get(layout.Lookup("kv_count")); got != 3 {
 		t.Errorf("kv_count = %d, want 3", got)
 	}
 	if len(ctx.Decoded.KV.Pairs) != 3 {
@@ -326,17 +326,17 @@ func TestPHVPooledAcrossPackets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := ctx1.PHV
+	v1 := ctx1.PHV()
 	p.Release(ctx1)
 	ctx2, err := p.Process(kvPacket(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Release(ctx2)
-	if ctx2.PHV != v1 {
+	if ctx2.PHV() != v1 {
 		t.Error("PHV not reused from pool")
 	}
-	if got := ctx2.PHV.Get(layout.Lookup("kv_count")); got != 1 {
+	if got := ctx2.PHV().Get(layout.Lookup("kv_count")); got != 1 {
 		t.Errorf("reused PHV has stale/missing data: kv_count = %d", got)
 	}
 }
@@ -457,7 +457,7 @@ func TestStageTCAMACL(t *testing.T) {
 	}
 	prog := &Program{Funcs: []StageFunc{
 		func(s *Stage, ctx *Context) error {
-			r, ok := s.TCAM.Lookup(ctx.PHV.Get(layout.Lookup("coflow_id")))
+			r, ok := s.TCAM.Lookup(ctx.PHV().Get(layout.Lookup("coflow_id")))
 			if ok && r.ActionID == 1 {
 				ctx.Verdict = VerdictDrop
 			}

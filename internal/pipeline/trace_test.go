@@ -115,7 +115,7 @@ func TestParserFillsPHVArrayContainers(t *testing.T) {
 	var seen []uint32
 	prog := &Program{Layout: layout, Funcs: []StageFunc{
 		func(s *Stage, ctx *Context) error {
-			seen = append(seen, ctx.PHV.Array(keysID)...)
+			seen = append(seen, ctx.PHV().Array(keysID)...)
 			return nil
 		},
 	}}

@@ -96,7 +96,8 @@ type Switch struct {
 	deliveredBytes   uint64
 	txPerPort        []uint64
 
-	// replicas backs the copies multicast makes of a packet or an emission.
+	// replicas backs the copies multicast makes of a packet or an emission,
+	// and the slices Process returns.
 	replicas packet.Arena
 }
 
@@ -286,10 +287,10 @@ func (s *Switch) deliverOrRecirc(port int, p *packet.Packet, out *[]*packet.Pack
 	}
 	p.EgressPort = port
 	if *out == nil {
-		// One slice per Process call, made at the first delivery and
+		// One slice per Process call, cut at the first delivery and
 		// sized for it plus everything still in the TM; the caller keeps
 		// it.
-		*out = make([]*packet.Packet, 0, 1+s.tmgr.Pending())
+		*out = s.replicas.Outs(1 + s.tmgr.Pending())
 	}
 	*out = append(*out, p)
 	s.delivered++

@@ -498,11 +498,11 @@ func (d *Daemon) runJob(j *job) {
 				d.terminalize(j, StateFailed, "error", fmt.Sprintf("journal done: %v", err), busyStart)
 				return
 			}
+			d.met.done.Add(1) // before the state: whoever Wait wakes reads a counter that includes this job
 			d.mu.Lock()
 			d.setTerminal(j, StateDone, "", "")
 			d.mu.Unlock()
 			perf.Active().JobEnd(time.Since(busyStart))
-			d.met.done.Add(1)
 			return
 		}
 		fmt.Fprintf(d.cfg.Stderr, "service: job %s attempt %d failed (%s): %v\n", j.id, attempt, out.class, out.err)
