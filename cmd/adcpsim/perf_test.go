@@ -107,9 +107,10 @@ func TestPerfPlaneGoldenByteIdentical(t *testing.T) {
 }
 
 // TestPerfEventsEqualEngineFired: the dispatch meters flush their tail
-// window when an engine's run returns, so over the `make perf` reference
-// run the failover phase sees its events (none of its engines fills a meter
-// window; cachehit drives its switches without an engine and stays at 0)
+// window when an engine's run returns, so over the three-experiment
+// reference run of docs/PERFORMANCE.md the failover phase sees its events
+// (none of its engines fills a meter window; cachehit drives its switches
+// without an engine and stays at 0)
 // and the perf plane's totals equal what the engines fired, as the sim-time
 // plane's net.engine.fired_events counts it.
 func TestPerfEventsEqualEngineFired(t *testing.T) {

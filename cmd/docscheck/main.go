@@ -2,7 +2,7 @@
 // runs: it fails the build when the documentation map drifts from the
 // code it maps.
 //
-// Two checks:
+// Four checks:
 //
 //   - Godoc coverage: every package under internal/ must open with a
 //     `// Package <name>` doc comment, and every command under cmd/ with a
@@ -16,6 +16,10 @@
 //     `go run ./cmd/metricsdoc` generation, which itself fails when a
 //     registered series is missing from the internal/metricnames catalog
 //     or vice versa.
+//   - Named things: in README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md and
+//     examples/README.md (not CHANGES.md, ROADMAP.md and the other history
+//     files), every `make <target>` is a Makefile target, every cmd/<name> a
+//     directory, every Test…/Benchmark…/Fuzz… a function in a _test.go file.
 //
 // Usage:
 //
@@ -57,6 +61,7 @@ func check(root string) []string {
 	problems = append(problems, checkPackageDocs(root, "cmd", "Command")...)
 	problems = append(problems, checkMarkdownLinks(root)...)
 	problems = append(problems, checkMetricsDoc(root)...)
+	problems = append(problems, checkNamedThings(root)...)
 	sort.Strings(problems)
 	return problems
 }
@@ -178,4 +183,62 @@ func checkMetricsDoc(root string) []string {
 		return []string{"docs/METRICS.md is stale: run `go run ./cmd/metricsdoc` and commit the result"}
 	}
 	return nil
+}
+
+var (
+	makeRe     = regexp.MustCompile("(`|^\\s*)make ([a-z][a-z0-9-]*)") // a line-start match counts in a fenced block only
+	cmdDirRe   = regexp.MustCompile(`\bcmd/([a-z][a-z0-9_]*)`)
+	testNameRe = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*\*?`)
+)
+
+// checkNamedThings verifies that the living documents name only make
+// targets (in a code span or a fenced block), cmd/ directories and test
+// functions that exist. A test name ending in `*` names a family.
+func checkNamedThings(root string) []string {
+	makefile, _ := os.ReadFile(filepath.Join(root, "Makefile"))
+	var tests []byte // every _test.go in the tree
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		tests = append(tests, raw...)
+		return err
+	})
+	if err != nil {
+		return []string{fmt.Sprintf("named things: %v", err)}
+	}
+	docs, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	for _, f := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "examples/README.md"} {
+		docs = append(docs, filepath.Join(root, f))
+	}
+	var problems []string
+	for _, f := range docs {
+		raw, _ := os.ReadFile(f) // a missing document is the link check's to report
+		rel, _ := filepath.Rel(root, f)
+		fenced := false
+		for i, line := range strings.Split(string(raw), "\n") {
+			bad := func(what string) { problems = append(problems, fmt.Sprintf("%s:%d: %s", rel, i+1, what)) }
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			}
+			for _, m := range makeRe.FindAllStringSubmatch(line, -1) {
+				if (fenced || m[1] == "`") && !bytes.Contains(makefile, []byte("\n"+m[2]+":")) {
+					bad("`make " + m[2] + "` is not a Makefile target")
+				}
+			}
+			for _, m := range cmdDirRe.FindAllStringSubmatch(line, -1) {
+				if st, err := os.Stat(filepath.Join(root, "cmd", m[1])); err != nil || !st.IsDir() {
+					bad("cmd/" + m[1] + " is not a directory")
+				}
+			}
+			for _, name := range testNameRe.FindAllString(line, -1) {
+				decl := strings.TrimSuffix("\nfunc "+name+"(", "*(") // `Name*`: any function with the prefix
+				if !bytes.Contains(tests, []byte(decl)) {
+					bad(strings.TrimSuffix(name, "*") + " is not a test, benchmark or fuzz function in the tree")
+				}
+			}
+		}
+	}
+	return problems
 }

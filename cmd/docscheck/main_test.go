@@ -83,3 +83,58 @@ func TestBrokenMarkdownLinkDetected(t *testing.T) {
 		t.Errorf("valid relative links flagged: %v", problems)
 	}
 }
+
+// expectNamed builds a tree with a Makefile, one command and a few test
+// functions, writes doc both as a living document and as a history file,
+// and demands exactly the want problems for the former and none for the
+// latter (history may name what is gone).
+func expectNamed(t *testing.T, doc string, want ...string) {
+	t.Helper()
+	root := t.TempDir()
+	write(t, root, "Makefile", "LOC_CEILING := 1\nci: build\n\tgo test ./...\nbuild:\n\tgo build ./...\n")
+	write(t, root, "cmd/tool/main.go", "// Command tool does things.\npackage main\n")
+	write(t, root, "internal/x/x_test.go", "package x\n\nfunc TestReal(t *testing.T) {}\nfunc TestHopAllocsWarm(t *testing.T) {}\nfunc BenchmarkReal(b *testing.B) {}\nfunc FuzzReal(f *testing.F) {}\n")
+	write(t, root, "docs/GUIDE.md", doc)
+	write(t, root, "CHANGES.md", doc)
+	var got []string
+	for _, p := range check(root) {
+		if strings.HasPrefix(p, "CHANGES.md") {
+			t.Errorf("history file linted: %s", p)
+		}
+		if strings.HasPrefix(p, "docs/GUIDE.md:") {
+			got = append(got, strings.TrimPrefix(p, "docs/GUIDE.md:"))
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("problems = %q, want %q", got, want)
+	}
+}
+
+func TestUnknownMakeTargetDetected(t *testing.T) {
+	expectNamed(t, strings.Join([]string{
+		"run `make ci` or `make build FOO=1`, never `make retired`.",
+		"make sure prose is not a target",
+		"```sh",
+		"make gone   # deleted last year",
+		"make ci",
+		"```",
+	}, "\n"),
+		"1: `make retired` is not a Makefile target",
+		"4: `make gone` is not a Makefile target")
+}
+
+func TestMissingCommandDirDetected(t *testing.T) {
+	expectNamed(t, "`cmd/tool` and `go run ./cmd/tool -x` exist; cmd/retired does not.\n",
+		"1: cmd/retired is not a directory")
+}
+
+func TestUnknownTestFunctionDetected(t *testing.T) {
+	expectNamed(t, strings.Join([]string{
+		"`TestReal`, `BenchmarkReal/sub`, `FuzzReal` and the `TestHopAllocs*` family exist.",
+		"`TestGone`, `BenchmarkEngine`, `FuzzGone` and `TestNoSuch*` do not; Testing and Benchmarks are words.",
+	}, "\n"),
+		"2: BenchmarkEngine is not a test, benchmark or fuzz function in the tree",
+		"2: FuzzGone is not a test, benchmark or fuzz function in the tree",
+		"2: TestGone is not a test, benchmark or fuzz function in the tree",
+		"2: TestNoSuch is not a test, benchmark or fuzz function in the tree")
+}

@@ -213,7 +213,7 @@ var sections = []section{
 	{"net.", "Network simulator",
 		"End-host and wire-level series from internal/netsim. Fault and retransmission families exist only when a fault plan or recovery is configured."},
 	{"perf.", "Wall-clock performance plane",
-		"Machine-dependent throughput, allocation, and worker-pool meters from internal/perf. These live in a registry of their own, exported only via `-perf-json` and the `/perf` endpoint (schema `adcp-perf/1`) — never through `-metrics` — so the deterministic exports stay byte-identical whether the plane is on or off. Compared directionally, not exactly, by cmd/benchcheck."},
+		"Machine-dependent throughput, allocation, and worker-pool meters from internal/perf. These live in a registry of their own, exported only via `-perf-json` and the `/perf` endpoint (schema `adcp-perf/1`) — never through `-metrics` — so the deterministic exports stay byte-identical whether the plane is on or off. Wall-clock numbers: no test compares them, and a speed claim is made with the repository benchmark under bench/."},
 	{"service.", "Job daemon service plane",
 		"Operational gauges from the experiment job daemon (internal/service, `adcpsim -daemon`): queue depth and shedding, terminal-state counts, recovery and retry activity, drain state. Registered in the daemon's own registry and served on the daemon's `/metrics`; per-job experiment metrics live under `/jobs/{id}/metrics` instead."},
 	{"switch.", "Switch models",

@@ -61,6 +61,27 @@ func TestAttributionExactOnCleanPath(t *testing.T) {
 	}
 }
 
+// TestAttributionOffWithoutConsumer pins the default hot path: with no hub,
+// or a hub carrying only the always-on flight recorder, no causal chain is
+// accounted at all, so nothing per packet is paid for spans nobody reads.
+func TestAttributionOffWithoutConsumer(t *testing.T) {
+	for name, tel := range map[string]*telemetry.Telemetry{
+		"no hub":      nil,
+		"flight only": {Flight: telemetry.NewFlightRecorder(16)},
+	} {
+		n := runUnderHub(t, tel, DefaultConfig(4), echoSwitch{}, func(n *Network) {
+			n.SendAt(0, rawPkt(0, 2, 5), 0)
+			n.Run()
+		})
+		if st := n.Tracker().Status(5); st == nil || st.DeliverPkts != 1 {
+			t.Fatalf("%s: packet not delivered: %+v", name, st)
+		}
+		if bd, ok := n.Attribution(5); ok {
+			t.Errorf("%s: chain accounting ran without a registry or tracer: %v", name, bd)
+		}
+	}
+}
+
 // TestAttributionPublishedAsRegistrySeries checks the cct.attr.* export
 // appears with net+coflow labels after Run.
 func TestAttributionPublishedAsRegistrySeries(t *testing.T) {

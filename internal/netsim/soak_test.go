@@ -78,13 +78,13 @@ func soakSeed(seed int, saturated bool, led *Ledger) error {
 // no standby, so the ledger must balance around aborted senders instead).
 //
 // Seeds fan out across the parallel worker pool — each seed builds its own
-// network, so seeds share nothing. Short mode runs a handful of seeds; set
-// SOAK_SEEDS to widen the sweep (`make soak` runs 200) and PARALLEL to set
-// the pool width (default: NumCPU).
+// network, so seeds share nothing. Tier-1 runs 500 seeds (half a second),
+// short mode a handful; set SOAK_SEEDS to widen the hunt (`make soak` runs
+// 5000) and PARALLEL to set the pool width (default: NumCPU).
 func TestChaosSoak(t *testing.T) {
 	seeds := 8
 	if !testing.Short() {
-		seeds = 32
+		seeds = 500
 	}
 	if s := os.Getenv("SOAK_SEEDS"); s != "" {
 		v, err := strconv.Atoi(s)

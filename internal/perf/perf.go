@@ -17,10 +17,9 @@
 //
 // The plane is process-wide and explicitly enabled (Enable/Disable);
 // instrumentation points call Active and pay one atomic load when the
-// plane is off. This is the measurement bedrock the ROADMAP's speed items
-// (allocation-free batched event engine, intra-run state-compute
-// replication) land against: an "order-of-magnitude events/s gain" is a
-// claim about perf.run.events_per_s, gated by cmd/benchcheck.
+// plane is off. The plane says where one run's wall time went; a claim that
+// a change made the simulator faster is made with the repository benchmark
+// under bench/, not with these numbers.
 package perf
 
 import (

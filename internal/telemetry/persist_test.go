@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/sim"
@@ -9,7 +10,7 @@ import (
 
 // driveHub builds a hub with every metric kind plus a sampled run, so the
 // encode/decode tests cover the full persisted surface.
-func driveHub(t *testing.T) *Telemetry {
+func driveHub(t testing.TB) *Telemetry {
 	t.Helper()
 	reg := NewRegistry()
 	tel := &Telemetry{Metrics: reg}
@@ -145,4 +146,52 @@ func TestDecodedHubMergesRepeatedly(t *testing.T) {
 	if !found {
 		t.Fatal("pkts missing from snapshot")
 	}
+}
+
+// FuzzDecodeHubState feeds arbitrary bytes to the decoder the run journal
+// replays on -resume. Whatever decodes must behave like a hub: merging it
+// into a mirror, exporting the mirror and re-encoding must not panic, and
+// the encoding must be canonical — Encode(Decode(b)) reproduces itself
+// after one round, or the journal's digests would drift on every resume.
+func FuzzDecodeHubState(f *testing.F) {
+	seed, err := EncodeHubState(driveHub(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"schema":"adcp-hubstate/1"}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		dec, err := DecodeHubState(b)
+		if err != nil {
+			return
+		}
+		once, err := EncodeHubState(dec)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		again, err := DecodeHubState(once)
+		if err != nil {
+			t.Fatalf("decode of own encoding: %v", err)
+		}
+		twice, err := EncodeHubState(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("encoding is not a fixed point:\nonce:  %s\ntwice: %s", once, twice)
+		}
+
+		dst := Mirror(dec)
+		Merge(dst, dec)
+		if dst.Metrics != nil {
+			if err := dst.Metrics.WriteJSON(io.Discard); err != nil {
+				t.Fatalf("WriteJSON: %v", err)
+			}
+		}
+		if dst.Sampler != nil {
+			if err := dst.Sampler.WriteCSV(io.Discard); err != nil {
+				t.Fatalf("WriteCSV: %v", err)
+			}
+		}
+	})
 }
