@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test golden race fuzz-smoke loc loc-check bench-suite-test bench-allocs bench-pairs soak kill-resume daemon-chaos experiments tables examples cover clean ci docs-check smoke-report
+.PHONY: all build test golden race fuzz-smoke loc loc-check bench-suite-test bench-allocs bench-pairs bench-profile soak kill-resume daemon-chaos experiments tables examples cover clean ci docs-check smoke-report
 
 all: build test
 
@@ -92,6 +92,22 @@ PAIRS_DIR ?= /tmp/bench-pairs
 bench-pairs:
 	@test -n "$(W)" || { echo "usage: make bench-pairs W=<workload> [N=10] [SEED=1] [BASE=HEAD~1]" >&2; exit 2; }
 	@python3 scripts/bench_pairs.py $(W) $(N) $(SEED) $(BASE) $(PAIRS_DIR)
+
+# One package benchmark under the CPU profiler, printed as the cumulative
+# top of the profile: the per-site numbers behind the ledgers of
+# docs/PERFORMANCE.md, from a committed benchmark instead of a patched
+# harness. The benchmark's own line (ns/op, ns/pkt where it reports one)
+# comes first; divide a site's cumulative time by the packets the run
+# delivered for "ns per delivered packet". The test binary and the profile
+# stay in PROFILE_DIR for `go tool pprof -list`.
+BENCHTIME ?= 5s
+PROFILE_DIR ?= /tmp/bench-profile
+bench-profile:
+	@test -n "$(PKG)" -a -n "$(B)" || { echo "usage: make bench-profile PKG=./internal/netsim B=RecoveryRound [BENCHTIME=5s]" >&2; exit 2; }
+	@mkdir -p $(PROFILE_DIR)
+	go test $(PKG) -run '^$$' -bench '^Benchmark$(B)$$' -benchtime $(BENCHTIME) \
+		-o $(PROFILE_DIR)/test.bin -cpuprofile $(PROFILE_DIR)/cpu.prof
+	go tool pprof -top -cum $(PROFILE_DIR)/test.bin $(PROFILE_DIR)/cpu.prof | head -40
 
 # Chaos soak: random fault plans (loss, corruption, link-down windows,
 # host crashes, switch stalls) against the network with recovery enabled;

@@ -2,6 +2,7 @@ package ha
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -38,17 +39,25 @@ func ReadCheckpoint(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	nl := bytes.IndexByte(b, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("ha: %s: not a checkpoint file (no header line)", path)
+	snap, err := parseCheckpoint(b)
+	if err != nil {
+		return nil, fmt.Errorf("ha: %s: %w", path, err)
 	}
-	fields := strings.Fields(string(b[:nl]))
-	if len(fields) != 2 || fields[0] != CheckpointMagic {
-		return nil, fmt.Errorf("ha: %s: not a %s checkpoint", path, CheckpointMagic)
-	}
-	snap := b[nl+1:]
-	if runstate.Digest(snap) != fields[1] {
-		return nil, fmt.Errorf("ha: %s: checkpoint digest mismatch (torn write or bit rot)", path)
+	return snap, nil
+}
+
+// parseCheckpoint is ReadCheckpoint past the file system: it verifies a
+// checkpoint file's bytes and returns the snapshot they carry, a slice of b.
+func parseCheckpoint(b []byte) ([]byte, error) {
+	header, snap, ok := bytes.Cut(b, []byte("\n"))
+	fields := strings.Fields(string(header))
+	switch {
+	case !ok:
+		return nil, errors.New("not a checkpoint file (no header line)")
+	case len(fields) != 2 || fields[0] != CheckpointMagic:
+		return nil, fmt.Errorf("not a %s checkpoint", CheckpointMagic)
+	case runstate.Digest(snap) != fields[1]:
+		return nil, errors.New("checkpoint digest mismatch (torn write or bit rot)")
 	}
 	return snap, nil
 }

@@ -136,11 +136,8 @@ type Pair struct {
 	slab      []delta
 	arena     packet.Arena
 
-	// seenPrimary/seenStandby are each replica's processed-packet sets;
-	// committed holds packets whose delta has shipped (safe to ack).
-	seenPrimary map[uint64]struct{}
-	seenStandby map[uint64]struct{}
-	committed   map[uint64]struct{}
+	// state holds the uid* bits of every packet, one byte at index uid.
+	state []uint8
 
 	// lastArrival is the latest scheduled in-flight delta arrival; the
 	// promotion barrier waits for it so a retransmission can never reach
@@ -159,15 +156,42 @@ func NewPair(eng *sim.Engine, primary, standby Replica, opt Options) (*Pair, err
 	case opt.SyncInterval < 0 || opt.ReplDelay < 0 || opt.FailoverDelay < 0:
 		return nil, fmt.Errorf("ha: negative option")
 	}
-	return &Pair{
-		eng:         eng,
-		primary:     primary,
-		standby:     standby,
-		opt:         opt,
-		seenPrimary: make(map[uint64]struct{}),
-		seenStandby: make(map[uint64]struct{}),
-		committed:   make(map[uint64]struct{}),
-	}, nil
+	return &Pair{eng: eng, primary: primary, standby: standby, opt: opt}, nil
+}
+
+// The bits of a packet's state byte. Submit's uids are the caller's dense
+// send sequence (netsim's txSeq++: a run of N packets uses 0…N-1; a caller
+// without retransmission state passes 0 throughout), so the byte lives at
+// state[uid]: an index, not a hash, one byte per original packet for the
+// pair's life. Legal histories, enforced by FuzzPairOps:
+//
+//	0 → primary → primary|committed → all three   Submit, ship, applyBatch
+//	0 → primary → all three   the delta died unshipped with the primary; the
+//	                          standby served the retransmission
+//	0 → standby|committed     Submit on the promoted standby
+//
+// (a refused packet commits inside Submit); committed never stands alone.
+const (
+	uidPrimary   uint8 = 1 << iota // applied by the primary
+	uidStandby                     // applied by the standby, replayed or served
+	uidCommitted                   // delta shipped, or served by the standby: ackable
+)
+
+// maxUIDGap is how far past the index a uid may lie: arrival order is not
+// send order, so the gap can be a run's packet count; 16 Mi allows that and
+// makes a hashed uid a panic by name, not gigabytes.
+const maxUIDGap = 1 << 24
+
+// mark sets bits in uid's state byte, at least doubling an index too short.
+func (p *Pair) mark(uid uint64, bits uint8) {
+	if n := uint64(len(p.state)); uid >= n {
+		if uid-n >= maxUIDGap {
+			panic(fmt.Sprintf("ha: Submit: packet uid %d is %d beyond the %d indexed so far; uids must be the caller's dense send sequence 0, 1, 2, …", uid, uid-n, n))
+		}
+		grow := max(2*n, uid+1, 1024) - n
+		p.state = append(p.state, make([]uint8, grow)...)
+	}
+	p.state[uid] |= bits
 }
 
 // Alive reports whether a replica is currently serving traffic.
@@ -177,20 +201,18 @@ func (p *Pair) Alive() bool { return p.phase == phasePrimary || p.phase == phase
 // the caller's duplicate-suppression predicate. During failover it answers
 // for the standby (the replica a retransmission would reach).
 func (p *Pair) Seen(uid uint64) bool {
+	bit := uidStandby
 	if p.phase == phasePrimary {
-		_, ok := p.seenPrimary[uid]
-		return ok
+		bit = uidPrimary
 	}
-	_, ok := p.seenStandby[uid]
-	return ok
+	return uid < uint64(len(p.state)) && p.state[uid]&bit != 0
 }
 
 // Committed reports whether packet uid's delta has shipped: its ack may be
 // (re)sent. A seen-but-uncommitted duplicate must stay unacked — the
 // pending commit will ack it, and an early ack would break output commit.
 func (p *Pair) Committed(uid uint64) bool {
-	_, ok := p.committed[uid]
-	return ok
+	return uid < uint64(len(p.state)) && p.state[uid]&uidCommitted != 0
 }
 
 // Submit executes one intact arrival on the active replica. On the
@@ -206,25 +228,21 @@ func (p *Pair) Submit(uid uint64, pkt *packet.Packet, commit Committer) error {
 		d := p.newDelta()
 		d.uid, d.pkt, d.at = uid, p.arena.Clone(pkt), p.eng.Now()
 		outs, err := p.primary.Process(pkt)
-		p.seenPrimary[uid] = struct{}{}
+		p.mark(uid, uidPrimary)
 		if err != nil {
-			p.committed[uid] = struct{}{}
-			p.log(d)
-			return err
+			p.state[uid] |= uidCommitted
+		} else {
+			d.outs, d.commit = outs, commit
 		}
-		d.outs = outs
-		d.commit = commit
 		p.log(d)
-		return nil
+		return err
 	case phaseStandby:
-		p.seenStandby[uid] = struct{}{}
-		p.committed[uid] = struct{}{}
+		p.mark(uid, uidStandby|uidCommitted)
 		outs, err := p.standby.Process(pkt)
-		if err != nil {
-			return err
+		if err == nil {
+			commit.Commit(outs)
 		}
-		commit.Commit(outs)
-		return nil
+		return err
 	default:
 		panic("ha: submit while no replica is serving (check Alive first)")
 	}
@@ -283,21 +301,17 @@ func (p *Pair) ship() {
 		p.stats.DeltasShipped++
 		p.stats.DeltaBytes += uint64(d.pkt.WireLen()) + deltaHeaderBytes
 		stale := int64(now - d.at)
-		if stale > p.stats.MaxStalenessPs {
-			p.stats.MaxStalenessPs = stale
-		}
+		p.stats.MaxStalenessPs = max(p.stats.MaxStalenessPs, stale)
 		if p.stalenessObs != nil {
 			p.stalenessObs(float64(stale))
 		}
-		p.committed[d.uid] = struct{}{}
+		p.state[d.uid] |= uidCommitted
 		if d.commit != nil {
 			d.commit.Commit(d.outs)
 		}
 	}
 	arrive := now + p.opt.ReplDelay
-	if arrive > p.lastArrival {
-		p.lastArrival = arrive
-	}
+	p.lastArrival = max(p.lastArrival, arrive)
 	p.eng.PostHandler(arrive, b)
 }
 
@@ -312,7 +326,7 @@ func (p *Pair) applyBatch(b *batch) {
 		if p.phase == phaseFailover {
 			p.stats.ReplayDepth++
 		}
-		p.seenStandby[d.uid] = struct{}{}
+		p.state[d.uid] |= uidStandby
 		p.standby.Process(d.pkt)
 		*d = delta{next: p.freeDelta}
 		p.freeDelta = d
@@ -338,11 +352,7 @@ func (p *Pair) Crash() {
 			p.pending = nil
 		}
 		p.eng.Disarm(&p.shipAt)
-		at := now + p.opt.FailoverDelay
-		if p.lastArrival > at {
-			at = p.lastArrival
-		}
-		p.eng.Post(at, p.promote)
+		p.eng.Post(max(now+p.opt.FailoverDelay, p.lastArrival), p.promote)
 	case phaseStandby:
 		p.phase = phaseDead
 	}
@@ -360,10 +370,3 @@ func (p *Pair) Stats() Stats { return p.stats }
 // SetStalenessObserver installs a per-delta staleness observer (ship time
 // minus capture time, in picoseconds); nil removes it.
 func (p *Pair) SetStalenessObserver(fn func(ps float64)) { p.stalenessObs = fn }
-
-// Standby exposes the standby replica (tests compare its state, and a
-// post-run harness may checkpoint it).
-func (p *Pair) Standby() Replica { return p.standby }
-
-// Primary exposes the primary replica.
-func (p *Pair) Primary() Replica { return p.primary }

@@ -1,6 +1,8 @@
 package ha_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/ha"
@@ -243,3 +245,26 @@ var errFake = &fakeErr{}
 type fakeErr struct{}
 
 func (*fakeErr) Error() string { return "fake replica error" }
+
+// The per-uid index takes Submit's uids for a dense sequence. Out-of-order
+// arrival within a run's worth of packets is that sequence; a uid from some
+// other numbering is a caller bug, named instead of served with gigabytes.
+func TestSubmitPanicsOnSparseUID(t *testing.T) {
+	eng, pair, pri, _ := newTestPair(t, ha.DefaultOptions())
+	for _, uid := range []uint64{70_000, 3, 0, 0} { // late, early, and the no-recovery caller's constant
+		if err := pair.Submit(uid, seqPkt(uint32(uid)), commitFunc(func([]*packet.Packet) {})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run()
+	if !pair.Seen(70_000) || !pair.Committed(3) || pair.Seen(69_999) || pair.Seen(1<<40) || pri.applied[0] != 2 {
+		t.Fatal("out-of-order uids were not booked one by one")
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "dense send sequence") {
+			t.Fatalf("Submit of a hashed uid: %s", msg)
+		}
+	}()
+	pair.Submit(0x9e3779b97f4a7c15, seqPkt(9), commitFunc(func([]*packet.Packet) {}))
+	t.Fatal("Submit of a hashed uid returned")
+}

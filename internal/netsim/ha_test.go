@@ -275,3 +275,82 @@ func TestCrashWithoutStandbyDropsDead(t *testing.T) {
 		t.Fatalf("ledger %+v", led)
 	}
 }
+
+// seqLogSwitch is a sumSwitch that also appends every Seq it is handed to a
+// log shared with its peer replica.
+type seqLogSwitch struct {
+	*sumSwitch
+	log *[]uint32
+}
+
+func (s seqLogSwitch) Process(p *packet.Packet) ([]*packet.Packet, error) {
+	var d packet.Decoded
+	if err := d.DecodePacket(p); err != nil {
+		return nil, err
+	}
+	*s.log = append(*s.log, d.Base.Seq)
+	return s.sumSwitch.Process(p)
+}
+
+// TestUIDsAreDense pins the one fact ha.Pair's per-uid index rests on: the
+// uids Submit is handed are the send sequence itself. Through 5 % loss,
+// retransmissions, batched replication, a crash and a promotion, the i-th
+// packet to enter the network is submitted as uid i — checked after every
+// event against what the replicas were just handed — startSend spends one
+// uid per original packet and none on a retransmission, the pair never
+// hears of a uid that has not been handed out, and at the end it has seen
+// and committed exactly 0…Injected()-1. A startSend that numbered packets
+// any other way (per host, per attempt, by hash) fails here before it costs
+// the pair memory.
+func TestUIDsAreDense(t *testing.T) {
+	const (
+		hosts = 4
+		pkts  = 200 // sendSeqLoad sends the packet with Seq i+1 i-th, so its uid is i
+	)
+	var processed []uint32
+	opt := ha.DefaultOptions()
+	opt.SyncInterval = 2 * sim.Microsecond
+	cfg := haConfig(hosts, seqLogSwitch{newSumSwitch(), &processed}, opt, 0)
+	cfg.Faults = &faults.Plan{
+		Seed:          3,
+		Link:          faults.LinkFaults{LossRate: 0.05},
+		SwitchCrashAt: 80 * sim.Microsecond,
+	}
+	n, err := New(cfg, seqLogSwitch{newSumSwitch(), &processed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	check := func() {
+		if n.txSeq != n.injected {
+			t.Fatalf("%d uids handed out for %d packets sent", n.txSeq, n.injected)
+		}
+		for _, seq := range processed[checked:] {
+			if uid := uint64(seq - 1); !n.pair.Seen(uid) {
+				t.Fatalf("the packet sent %d-th reached a replica and uid %d is unseen: it was submitted under another uid", uid, uid)
+			}
+		}
+		checked = len(processed)
+		for uid := n.txSeq; uid < n.txSeq+8; uid++ {
+			if n.pair.Seen(uid) || n.pair.Committed(uid) {
+				t.Fatalf("the pair knows uid %d and only %d have been handed out", uid, n.txSeq)
+			}
+		}
+	}
+	n.eng.AddDispatchHook(func(sim.Time, int, uint64) { check() })
+	sendSeqLoad(n, hosts, pkts)
+	n.Run()
+	check()
+	if errs := n.Errors(); len(errs) != 0 || !n.Tracker().Done(1) || n.Injected() != pkts {
+		t.Fatalf("errors %v, coflow %+v, injected %d", errs, n.Tracker().Status(1), n.Injected())
+	}
+	led, st := n.Ledger(), n.pair.Stats()
+	if led.UplinkRetx == 0 || led.CrashDrops == 0 || st.Promotions != 1 || st.DiscardedDeltas == 0 || st.DeltasApplied == 0 {
+		t.Fatalf("the run exercised no retransmission, crash or promotion: ledger %+v, ha %+v", led, st)
+	}
+	for uid := uint64(0); uid < n.Injected(); uid++ {
+		if !n.pair.Seen(uid) || !n.pair.Committed(uid) {
+			t.Fatalf("uid %d of %d: seen %v, committed %v", uid, n.Injected(), n.pair.Seen(uid), n.pair.Committed(uid))
+		}
+	}
+}

@@ -75,15 +75,6 @@ func (cp *CritPath) Attribution(coflow uint32, firstSend sim.Time) (Breakdown, b
 	return bd, true
 }
 
-// Final returns the winning delivery time for a coflow.
-func (cp *CritPath) Final(coflow uint32) (sim.Time, bool) {
-	if cp == nil {
-		return 0, false
-	}
-	e, ok := cp.best[coflow]
-	return e.at, ok
-}
-
 // Publish writes every recorded coflow's attribution into reg as
 // cct.attr.<bucket>_ps value series labeled by the owning component's
 // labels plus coflow=<id>. firstSend maps coflow → FirstSend (coflows

@@ -108,9 +108,6 @@ func NewSharedMemoryTM(numOutputs, bufferBytes int) *SharedMemoryTM {
 	}
 }
 
-// Outputs returns the number of output queues.
-func (t *SharedMemoryTM) Outputs() int { return len(t.queues) }
-
 // SetObserver installs obs on every buffer operation; nil removes it. The
 // observer costs one nil check per operation when unset.
 func (t *SharedMemoryTM) SetObserver(obs Observer) { t.obs = obs }
