@@ -90,13 +90,6 @@ func (t *ExactTable) Len() int { return len(t.m) }
 // Capacity implements Table.
 func (t *ExactTable) Capacity() int { return t.cap }
 
-// lpmEntry is one prefix rule.
-type lpmEntry struct {
-	prefix uint32
-	length int // bits, 0..32
-	result Result
-}
-
 // LPMTable is a longest-prefix-match table over 32-bit keys (TCAM-style
 // routing lookups). Lookups scan per-length buckets from longest to
 // shortest; with ≤33 lengths this is fast enough for simulation.

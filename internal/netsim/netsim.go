@@ -162,12 +162,9 @@ type Network struct {
 	cfg     Config
 	eng     *sim.Engine
 	sw      SwitchModel
-	hosts   []*Host
+	hosts   []host
 	tracker *coflow.Tracker
 
-	// txBusyUntil serializes each host's uplink; rxBusyUntil each downlink.
-	txBusyUntil []sim.Time
-	rxBusyUntil []sim.Time
 	// swBusyUntil models the switch's service capacity (ServiceRatePPS):
 	// counter is the switch's traversal count and perTraversal the time one
 	// traversal occupies it, both resolved once in New (counter stays nil
@@ -181,12 +178,21 @@ type Network struct {
 	waitHead, waitTail *pktEvent
 	waiting            int
 
-	// freeEv recycles the per-packet event records (see pktEvent); txSlab
-	// and rxSlab are the unissued ends of the chunks the per-packet
-	// recovery states are cut from, and arena backs the packet copies a
-	// sender keeps and retransmits. All are nil until a packet needs them.
-	// scratch is coflowOf's reusable decode target.
+	// Sends that have not started wait in their host's queue (see host), in
+	// chunks that return to freeChunks once drained; chunkSlab is the
+	// unissued end of the slab their headers are cut from. armEach is for
+	// tests: every send takes the out-of-order path.
+	freeChunks *sendChunk
+	chunkSlab  []sendChunk
+	armEach    bool
+
+	// freeEv recycles the per-packet event records (see pktEvent), made
+	// evSlab at a time; txSlab and rxSlab are the unissued ends of the
+	// chunks the per-packet recovery states are cut from, and arena backs
+	// the packet copies a sender keeps and retransmits. All are nil until a
+	// packet needs them. scratch is coflowOf's reusable decode target.
 	freeEv  *pktEvent
+	evSlab  int
 	txSlab  []txState
 	rxSlab  []rxState
 	arena   packet.Arena
@@ -251,15 +257,14 @@ func New(cfg Config, sw SwitchModel) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{
-		cfg:         cfg,
-		eng:         sim.NewEngine(),
-		sw:          sw,
-		tracker:     coflow.NewTracker(),
-		txBusyUntil: make([]sim.Time, cfg.Hosts),
-		rxBusyUntil: make([]sim.Time, cfg.Hosts),
+		cfg:     cfg,
+		eng:     sim.NewEngine(),
+		sw:      sw,
+		tracker: coflow.NewTracker(),
+		hosts:   make([]host, cfg.Hosts),
 	}
-	for i := 0; i < cfg.Hosts; i++ {
-		n.hosts = append(n.hosts, &Host{ID: i})
+	for i := range n.hosts {
+		n.hosts[i].ID, n.hosts[i].n = i, n
 	}
 	if cfg.ServiceRatePPS > 0 {
 		n.counter, _ = sw.(TraversalCounter)
@@ -432,7 +437,7 @@ func (n *Network) Engine() *sim.Engine { return n.eng }
 func (n *Network) Tracker() *coflow.Tracker { return n.tracker }
 
 // Host returns host i.
-func (n *Network) Host(i int) *Host { return n.hosts[i] }
+func (n *Network) Host(i int) *Host { return &n.hosts[i].Host }
 
 // linkGbps returns the link speed of a host.
 func (n *Network) linkGbps(host int) float64 {
@@ -488,7 +493,7 @@ type pktEvent struct {
 type evKind uint8
 
 const (
-	evSend      evKind = iota // host starts (or, after a crash, restarts) a send
+	evSend      evKind = iota // host starts a send posted out of order (see postSend)
 	evArrive                  // packet reaches the switch, or returns to it after a stall
 	evDeliver                 // packet reaches its destination host
 	evCorrupt                 // corrupted frame reaches the switch port
@@ -499,15 +504,21 @@ const (
 	evWake                    // the switch frees with arrivals waiting (see admitWaiters)
 )
 
-// eventSlab is how many records one refill of the free list makes:
-// harnesses post every send of a round up front, so the pool grows to the
-// round's size before the first record comes back.
-const eventSlab = 64
+// Record slabs start small and double (packet.NextChunk), like the engine's
+// event chunks and for the same reason: the pool grows to the packets in
+// flight at once, which is a handful on a small network and the whole round
+// on a saturated one. A host's send chunks double its queue likewise: a new
+// one is as large as what the host has queued, within these bounds (12 KiB).
+const (
+	minEventSlab, maxEventSlab = 16, 256
+	minSendChunk, maxSendChunk = 8, 512
+)
 
 // event returns a blank record of the given kind.
 func (n *Network) event(kind evKind) *pktEvent {
 	if n.freeEv == nil {
-		slab := make([]pktEvent, eventSlab)
+		n.evSlab = packet.NextChunk(n.evSlab, minEventSlab, maxEventSlab)
+		slab := make([]pktEvent, n.evSlab)
 		for i := range slab {
 			slab[i].n, slab[i].next = n, n.freeEv
 			n.freeEv = &slab[i]
@@ -577,10 +588,100 @@ func (n *Network) SendAt(src int, pkt *packet.Packet, at sim.Time) {
 	n.postSend(src, pkt, at)
 }
 
+// pendingSend is a send that has not started: where it fires is (at, seq),
+// seq being the engine ticket reserved when the send was posted.
+type pendingSend struct {
+	at  sim.Time
+	seq uint64
+	pkt *packet.Packet
+}
+
+// sendChunk is a run of consecutive entries of one host's queue.
+type sendChunk struct {
+	next  *sendChunk // the host's next chunk, or the free list
+	r     int        // items[r:] are still queued
+	items []pendingSend
+}
+
+// host is what the network keeps per host: the public record and the sends
+// that have not started. A harness posts a whole round before it runs, so
+// most of a round's sends are waiting for most of the run: one that waits is
+// an entry in its host's FIFO, not an event in the engine. Only the host's
+// next send is in the engine, as timer, which on firing re-arms itself for
+// the entry behind it under that entry's ticket — so every send fires
+// exactly where an event posted from SendAt would have, and the engine holds
+// one event per host plus the packets in flight.
+type host struct {
+	Host
+	txBusyUntil, rxBusyUntil sim.Time // serialize the host's uplink and downlink
+
+	n          *Network
+	timer      sim.Timer
+	pkt        *packet.Packet // what timer sends; nil when the host has nothing pending
+	lastAt     sim.Time       // time of the host's newest pending send
+	head, tail *sendChunk     // the sends behind pkt, oldest first
+	queued     int            // how many those are
+}
+
+// postSend queues host src's send of pkt at time at. Each path draws one
+// sequence number, here: a host with nothing pending arms its timer, a send
+// no earlier than the host's newest joins the queue under a ticket, and one
+// that is earlier (a callback's, or a crashed host's deferral landing before
+// sends posted for after its restart) is an event of its own.
 func (n *Network) postSend(src int, pkt *packet.Packet, at sim.Time) {
-	e := n.event(evSend)
-	e.host, e.pkt = src, pkt
-	n.eng.PostHandler(at, e)
+	q := &n.hosts[src]
+	switch {
+	case n.armEach || q.pkt != nil && at < q.lastAt:
+		e := n.event(evSend)
+		e.host, e.pkt = src, pkt
+		n.eng.PostHandler(at, e)
+		return
+	case q.pkt == nil:
+		q.pkt = pkt
+		n.eng.Arm(&q.timer, at, q)
+	default:
+		c := q.tail
+		if c == nil || len(c.items) == cap(c.items) {
+			if c = n.freeChunks; c != nil {
+				n.freeChunks, c.next = c.next, nil
+			} else {
+				c = cut(&n.chunkSlab, minSendChunk)
+				c.items = make([]pendingSend, 0, min(max(q.queued, minSendChunk), maxSendChunk))
+			}
+			if q.tail == nil {
+				q.head = c
+			} else {
+				q.tail.next = c
+			}
+			q.tail = c
+		}
+		c.items = append(c.items, pendingSend{at, n.eng.Reserve(), pkt})
+		q.queued++
+	}
+	q.lastAt = at
+}
+
+// Fire starts the host's next send (sim.Handler), having armed the timer for
+// the one behind it first: startSend may post a deferral, which has to find
+// the queue as it will be.
+func (q *host) Fire() {
+	n, pkt := q.n, q.pkt
+	q.pkt = nil
+	if c := q.head; c != nil {
+		s := &c.items[c.r]
+		q.pkt = s.pkt
+		n.eng.ArmReserved(&q.timer, s.at, s.seq, q)
+		*s = pendingSend{}
+		q.queued--
+		if c.r++; c.r == len(c.items) {
+			if q.head = c.next; q.head == nil {
+				q.tail = nil
+			}
+			c.next, c.r, c.items = n.freeChunks, 0, c.items[:0]
+			n.freeChunks = c
+		}
+	}
+	n.startSend(q.ID, pkt)
 }
 
 // startSend is a packet's entry into the network: a crashed (or cut-off)
@@ -602,7 +703,7 @@ func (n *Network) startSend(src int, pkt *packet.Packet) {
 	ch := n.newChain(cf, now)
 	var ts *txState
 	if n.rec != nil {
-		ts = cut(&n.txSlab)
+		ts = cut(&n.txSlab, stateSlab)
 		*ts = txState{n: n, src: src, cf: cf, uid: n.txSeq, pristine: n.arena.Clone(pkt), rto: n.rec.Timeout, chain: ch}
 		n.txSeq++
 	}
@@ -764,7 +865,7 @@ func (n *Network) scheduleOutputs(outs []*packet.Packet, sentAt sim.Time, ch *te
 		c.Advance(base, telemetry.BucketRecirculation)
 		var rs *rxState
 		if n.rec != nil {
-			rs = cut(&n.rxSlab)
+			rs = cut(&n.rxSlab, stateSlab)
 			*rs = rxState{dst: dst, cf: cf, pkt: out, sentAt: sentAt, rto: n.rec.Timeout, chain: c}
 		}
 		n.attemptDeliver(dst, out, cf, base, sentAt, rs, c, false)
@@ -849,7 +950,7 @@ func (n *Network) haArrival(pkt *packet.Packet, cf uint32, sentAt sim.Time, ts *
 }
 
 func (n *Network) deliver(dst int, p *packet.Packet, cf uint32, sentAt sim.Time, ch *telemetry.Chain) {
-	h := n.hosts[dst]
+	h := &n.hosts[dst]
 	h.Received = append(h.Received, p)
 	h.RxBytes += uint64(p.WireLen())
 	n.delivered++

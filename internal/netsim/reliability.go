@@ -122,11 +122,11 @@ func (ts *txState) Fire() {
 // forgotten, like an arena's.
 const stateSlab = 64
 
-// cut returns the next unissued state of *slab, starting a new chunk when
-// the current one is used up.
-func cut[T any](slab *[]T) *T {
+// cut returns the next unissued element of *slab, starting a new chunk of
+// size when the current one is used up.
+func cut[T any](slab *[]T, size int) *T {
 	if len(*slab) == 0 {
-		*slab = make([]T, stateSlab)
+		*slab = make([]T, size)
 	}
 	s := &(*slab)[0]
 	*slab = (*slab)[1:]
@@ -143,8 +143,8 @@ func (n *Network) transmit(src int, pkt *packet.Packet, cf uint32, ts *txState, 
 	}
 	now := n.eng.Now()
 	start := now
-	if n.txBusyUntil[src] > start {
-		start = n.txBusyUntil[src]
+	if n.hosts[src].txBusyUntil > start {
+		start = n.hosts[src].txBusyUntil
 	}
 	if retx {
 		n.led.UplinkRetx++
@@ -172,7 +172,7 @@ func (n *Network) transmit(src int, pkt *packet.Packet, cf uint32, ts *txState, 
 	done := start + n.serialization(src, pkt)
 	ch.Advance(start, telemetry.BucketQueueing)
 	ch.Advance(done, telemetry.BucketSerialization)
-	n.txBusyUntil[src] = done
+	n.hosts[src].txBusyUntil = done
 	arrive := done + n.cfg.PropDelay
 	if n.tr != nil {
 		n.tr.Complete(start, done-start, "tx", "net", n.pid, n.txTID,
@@ -310,8 +310,8 @@ func (n *Network) sendAck(ts *txState) {
 // nil without recovery (faulted deliveries then drop terminally).
 func (n *Network) attemptDeliver(dst int, p *packet.Packet, cf uint32, earliest, sentAt sim.Time, rs *rxState, ch *telemetry.Chain, retx bool) {
 	start := earliest
-	if n.rxBusyUntil[dst] > start {
-		start = n.rxBusyUntil[dst]
+	if n.hosts[dst].rxBusyUntil > start {
+		start = n.hosts[dst].rxBusyUntil
 	}
 	if retx {
 		n.led.DownlinkRetx++
@@ -333,7 +333,7 @@ func (n *Network) attemptDeliver(dst int, p *packet.Packet, cf uint32, earliest,
 	done := start + n.serialization(dst, p)
 	ch.Advance(start, telemetry.BucketQueueing)
 	ch.Advance(done, telemetry.BucketSerialization)
-	n.rxBusyUntil[dst] = done
+	n.hosts[dst].rxBusyUntil = done
 	arrive := done + n.cfg.PropDelay
 	if n.tr != nil && n.detail {
 		n.tr.Complete(start, done-start, "rx", "net", n.pid, n.rxTID,

@@ -39,8 +39,9 @@ const (
 	maxArenaBytes   = 4096
 )
 
-// nextChunk returns the size of the chunk after one of size cur.
-func nextChunk(cur, min, max int) int {
+// NextChunk returns the size of the chunk after one of size cur: min, then
+// doubling up to max. Every pool in the tree that grows does so by this rule.
+func NextChunk(cur, min, max int) int {
 	switch {
 	case cur == 0:
 		return min
@@ -56,13 +57,13 @@ func (a *Arena) alloc(n int) *Packet {
 		return &Packet{Data: make([]byte, n)}
 	}
 	if len(a.pkts) == 0 {
-		a.pktChunk = nextChunk(a.pktChunk, minArenaPackets, maxArenaPackets)
+		a.pktChunk = NextChunk(a.pktChunk, minArenaPackets, maxArenaPackets)
 		a.pkts = make([]Packet, a.pktChunk)
 	}
 	p := &a.pkts[0]
 	a.pkts = a.pkts[1:]
 	if n > len(a.buf) {
-		size := nextChunk(a.bufChunk, minArenaBytes, maxArenaBytes)
+		size := NextChunk(a.bufChunk, minArenaBytes, maxArenaBytes)
 		if n > size {
 			// Larger than a chunk: the packet gets its own bytes and the
 			// current chunk keeps serving the smaller ones.
@@ -83,7 +84,7 @@ func (a *Arena) alloc(n int) *Packet {
 // running into the next list, and nothing is ever taken back.
 func (a *Arena) Outs(n int) []*Packet {
 	if n > len(a.outs) {
-		size := nextChunk(a.outChunk, minArenaPackets, maxArenaPackets)
+		size := NextChunk(a.outChunk, minArenaPackets, maxArenaPackets)
 		if n > size {
 			// Larger than a chunk (a wide fan-out's list): its own, as in alloc.
 			return make([]*Packet, 0, n)

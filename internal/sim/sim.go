@@ -25,11 +25,14 @@
 // Near events (within 2^32 ps ≈ 4.3 ms of the cursor) go directly into
 // the wheel; far-future events overflow into a small binary heap and
 // migrate into the wheel when the cursor reaches their 2^32 ps window.
-// Slot lists append at the tail and cascades drain whole slots in list
-// order, so the (timestamp, sequence) contract holds exactly: a level-0
-// slot holds events of a single exact timestamp in increasing sequence
-// order, and Run dispatches such same-timestamp batches through one flat
-// loop. Events posted through the handle-free path are free-listed and
+// A level-0 slot holds events of a single exact timestamp ordered by
+// sequence, and Run dispatches such same-timestamp batches through one flat
+// loop. Every event reaches level 0 before it fires, so that is where order
+// is settled: a higher-level slot appends at the tail, a level-0 slot
+// inserts by sequence. For an event that draws its number as it is queued
+// the insert is an append behind one compare; it is a search only for a
+// ticket (Reserve, ArmReserved), which is queued under a number drawn
+// earlier. Events posted through the handle-free path are free-listed and
 // recycled at dispatch, so steady-state dispatch allocates nothing.
 //
 // The ordering contract is checked against a reference binary heap kept
@@ -47,7 +50,8 @@
 //
 // There are three ways to queue an event, and they differ only in who owns
 // the Event object; all draw from the same sequence counter and the same
-// pending count, so they interleave in call order:
+// pending count, so they interleave in call order (a ticket's call is its
+// Reserve, not its ArmReserved):
 //
 //   - Post / PostHandler: the engine owns it, takes it from a free list
 //     that is refilled a chunk at a time, and recycles it at dispatch. It
@@ -144,9 +148,6 @@ type Event struct {
 // Canceled reports whether the event was canceled before firing.
 func (e *Event) Canceled() bool { return e.dead }
 
-// At returns the time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -188,9 +189,8 @@ const (
 	wheelSpanBits = wheelLevels * wheelBits
 )
 
-// slot is one timing-wheel bucket: an intrusive FIFO of events. Appending
-// at the tail preserves scheduling order, which together with in-order
-// cascades realizes the (timestamp, sequence) dispatch contract.
+// slot is one timing-wheel bucket: an intrusive list of events, in filing
+// order above level 0 and in sequence order at level 0 (see place).
 type slot struct {
 	head, tail *Event
 }
@@ -201,6 +201,8 @@ type slot struct {
 type Engine struct {
 	now     Time
 	seq     uint64
+	minSeq  uint64 // one past the sequence number of the event being dispatched
+	tickets int    // reserved and not armed yet
 	fired   uint64
 	stopped bool
 	hooks   []DispatchHook
@@ -275,24 +277,13 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still scheduled (canceled events
-// excluded).
+// excluded, reserved tickets included).
 func (e *Engine) Pending() int { return e.live }
 
-// SetDispatchHook installs h as the only dispatch hook, discarding any
-// hooks added earlier; nil removes all hooks. The hook chain costs one
-// length check per event when empty.
-func (e *Engine) SetDispatchHook(h DispatchHook) {
-	if h == nil {
-		e.hooks = nil
-		return
-	}
-	e.hooks = []DispatchHook{h}
-}
-
-// AddDispatchHook appends h to the dispatch hook chain, leaving earlier
-// hooks in place. Hooks run in installation order before the event's own
-// callback, so an occupancy gauge installed before a sampler is already
-// up to date when the sampler reads it.
+// AddDispatchHook appends h to the dispatch hook chain. Hooks run in
+// installation order before the event's own callback, so an occupancy gauge
+// installed before a sampler is already up to date when the sampler reads
+// it. The chain costs one length check per event when empty.
 func (e *Engine) AddDispatchHook(h DispatchHook) {
 	if h == nil {
 		return
@@ -373,13 +364,13 @@ func (e *Engine) PostHandler(at Time, h Handler) {
 	e.enqueue(ev, at, h)
 }
 
-// Event chunks start at minEventChunk and double up to maxEventChunk. A
-// harness posts a whole round's sends before it runs a fresh engine, so
-// the list has to reach the round's size from nothing on every round: the
-// doubling gets there in a handful of allocations, the small start keeps
-// an engine that carries a dozen events from paying for hundreds, and the
-// cap (24 KiB, below the allocator's large-object threshold) bounds what
-// the last chunk can leave unused.
+// Event chunks start at minEventChunk and double up to maxEventChunk. The
+// list has to reach the largest number of events a run ever has queued at
+// once — for a network, its packets in flight — from nothing on every fresh
+// engine: the doubling gets there in a handful of allocations, the small
+// start keeps an engine that carries a dozen events from paying for
+// hundreds, and the cap (24 KiB, below the allocator's large-object
+// threshold) bounds what the last chunk can leave unused.
 const (
 	minEventChunk = 16
 	maxEventChunk = 512
@@ -439,12 +430,36 @@ func (t *Timer) Armed() bool { return t.ev.queued && !t.ev.dead }
 // before its time and has not been reached by the clock yet (a canceled
 // event stays linked until then). The timers of this repository are armed
 // once per attempt, after the previous attempt's has fired.
-func (e *Engine) Arm(t *Timer, at Time, h Handler) {
+func (e *Engine) Arm(t *Timer, at Time, h Handler) { e.ArmReserved(t, at, e.Reserve(), h) }
+
+// Reserve draws the next sequence number for an event that will be queued
+// later, and counts that event as pending from now on. The ticket must be
+// handed to ArmReserved before the clock passes the place it stands for; a
+// model uses it to keep a long run of known future events in a compact
+// queue of its own, one armed timer ahead of the clock, and still fire them
+// exactly where a Post made at the Reserve call would have.
+func (e *Engine) Reserve() uint64 {
+	e.seq++
+	e.live++
+	e.tickets++
+	return e.seq - 1
+}
+
+// ArmReserved is Arm under a ticket: the timer fires at time at with the
+// ordering of an event queued when seq was reserved. (at, seq) must lie
+// strictly after the event being dispatched — a ticket armed later than that
+// would fire out of order, so it panics instead.
+func (e *Engine) ArmReserved(t *Timer, at Time, seq uint64, h Handler) {
+	if at < e.now || at == e.now && seq < e.minSeq {
+		panic(fmt.Sprintf("sim: timer armed at (%v, #%d), not after the event being dispatched (%v, #%d)", at, seq, e.now, e.minSeq-1))
+	}
 	if t.ev.queued {
 		panic("sim: Arm on a timer still queued")
 	}
 	t.ev.dead, t.ev.retained = false, true
-	e.enqueue(&t.ev, at, h)
+	t.ev.at, t.ev.seq, t.ev.h = at, seq, h
+	e.tickets--
+	e.place(&t.ev)
 }
 
 // Disarm cancels the timer if it is pending; otherwise it is a no-op.
@@ -452,9 +467,9 @@ func (e *Engine) Disarm(t *Timer) { e.Cancel(&t.ev) }
 
 // place files ev into the wheel by the highest byte in which its time
 // differs from the cursor, or pushes it to the far heap beyond the wheel
-// span. Slot append order is schedule order, which is sequence order for
-// any single timestamp (far-heap migration happens before the cursor
-// enters a window, so it cannot append behind a later direct insert).
+// span. A level-0 slot is kept in sequence order, whatever order its events
+// were filed in — straight from a call, from a cascade, from the far heap,
+// or as a ticket; above level 0 the order within a slot does not matter.
 func (e *Engine) place(ev *Event) {
 	ev.queued = true
 	at, pos := uint64(ev.at), uint64(e.pos)
@@ -475,12 +490,19 @@ func (e *Engine) place(ev *Event) {
 	}
 	idx := int(at>>(wheelBits*level)) & wheelMask
 	s := &e.wheel[level][idx]
-	if s.tail == nil {
-		s.head = ev
-	} else {
+	switch {
+	case s.tail == nil:
+		s.head, s.tail = ev, ev
+	case level > 0 || s.tail.seq < ev.seq:
 		s.tail.next = ev
+		s.tail = ev
+	default:
+		p := &s.head
+		for (*p).seq < ev.seq {
+			p = &(*p).next
+		}
+		ev.next, *p = *p, ev
 	}
-	s.tail = ev
 	e.occ[level][idx>>6] |= 1 << (idx & 63)
 }
 
@@ -519,9 +541,8 @@ func (e *Engine) release(ev *Event) {
 }
 
 // cascadeCurrent drains any higher-level slot whose window the cursor has
-// entered, re-filing its events at strictly lower levels. List order is
-// preserved, so relative (timestamp, sequence) order survives every
-// cascade. Reports whether anything moved.
+// entered, re-filing its events at strictly lower levels. Reports whether
+// anything moved.
 func (e *Engine) cascadeCurrent() bool {
 	for l := 1; l < wheelLevels; l++ {
 		idx := int(uint64(e.pos)>>(wheelBits*l)) & wheelMask
@@ -643,7 +664,7 @@ func (e *Engine) popWheel() *Event {
 
 // dispatch fires one live, already-popped event.
 func (e *Engine) dispatch(ev *Event) {
-	e.now = ev.at
+	e.now, e.minSeq = ev.at, ev.seq+1
 	e.fired++
 	h := ev.h
 	e.release(ev)
@@ -673,7 +694,8 @@ func (e *Engine) Step() bool {
 // is the batched hot loop: consecutive same-timestamp events pop from the
 // cached current slot in O(1) with no queue reshaping between them, and
 // events a callback schedules for the current timestamp join the tail of
-// the same batch.
+// the same batch. A queue that drains with reserved tickets never armed is
+// a panic: their events were counted as pending and can no longer fire.
 func (e *Engine) Run() {
 	defer e.endRun()
 	e.stopped = false
@@ -684,6 +706,9 @@ func (e *Engine) Run() {
 		}
 		ev := e.popWheel()
 		if ev == nil {
+			if e.tickets != 0 {
+				panic(fmt.Sprintf("sim: Run drained the queue with %d reserved tickets never armed", e.tickets))
+			}
 			return
 		}
 		e.dispatch(ev)

@@ -17,6 +17,8 @@ type scheduler interface {
 	Cancel(ev *Event)
 	Arm(t *Timer, at Time, h Handler)
 	Disarm(t *Timer)
+	Reserve() uint64
+	ArmReserved(t *Timer, at Time, seq uint64, h Handler)
 	Run()
 	RunUntil(deadline Time)
 }
@@ -26,27 +28,48 @@ type scheduler interface {
 // with eager removal on cancel. It is the ordering contract written down
 // in the most obvious way, and exists only for the wheel to be compared
 // against. Every way of queueing an event — a posted function, a posted
-// handler, a handle, a timer — is one push with the next sequence number.
+// handler, a handle, a timer — is one push with the next sequence number; a
+// ticket is the number drawn now and the push made later.
 type refHeap struct {
-	now   Time
-	seq   uint64
-	queue eventHeap
+	now      Time
+	seq      uint64
+	minSeq   uint64 // one past the number of the event being fired
+	reserved int
+	queue    eventHeap
 }
 
 func (r *refHeap) Now() Time    { return r.now }
-func (r *refHeap) Pending() int { return len(r.queue) }
+func (r *refHeap) Pending() int { return len(r.queue) + r.reserved }
 
 func (r *refHeap) push(ev *Event, at Time, h Handler) {
 	if at < r.now {
 		panic(fmt.Sprintf("refHeap: schedule at %v before now %v", at, r.now))
 	}
+	r.pushSeq(ev, at, r.seq, h)
+	r.seq++
+}
+
+func (r *refHeap) pushSeq(ev *Event, at Time, seq uint64, h Handler) {
 	if ev.queued {
 		panic("refHeap: event already queued")
 	}
-	ev.at, ev.seq, ev.h = at, r.seq, h
+	ev.at, ev.seq, ev.h = at, seq, h
 	ev.queued, ev.dead = true, false
-	r.seq++
 	heap.Push(&r.queue, ev)
+}
+
+func (r *refHeap) Reserve() uint64 {
+	r.seq++
+	r.reserved++
+	return r.seq - 1
+}
+
+func (r *refHeap) ArmReserved(t *Timer, at Time, seq uint64, h Handler) {
+	if at < r.now || at == r.now && seq < r.minSeq {
+		panic("refHeap: ticket armed behind the event being fired")
+	}
+	r.reserved--
+	r.pushSeq(&t.ev, at, seq, h)
 }
 
 func (r *refHeap) Schedule(at Time, fn func()) *Event {
@@ -81,7 +104,7 @@ func (r *refHeap) drain(deadline Time) {
 	for len(r.queue) > 0 && r.queue[0].at <= deadline {
 		ev := heap.Pop(&r.queue).(*Event)
 		ev.queued = false
-		r.now = ev.at
+		r.now, r.minSeq = ev.at, ev.seq+1
 		ev.h.Fire()
 	}
 }
@@ -201,17 +224,25 @@ func (ft *fuzzTimer) Fire() {
 
 // FuzzWheelOps lets the fuzzer write the workload: the input is a program
 // of schedule / post / cancel / run-until / schedule-from-a-callback /
-// post-a-handler / arm / disarm / arm-with-re-arm-after-fire opcodes, each
-// with a delay whose magnitude the input picks anywhere from an exact tie
-// to far beyond the wheel span. The wheel and the reference heap run the
-// same program and must produce identical dispatch traces, clocks and
-// pending counts.
+// post-a-handler / arm / disarm / arm-with-re-arm-after-fire / reserve /
+// arm-reserved-later opcodes, each with a delay whose magnitude the input
+// picks anywhere from an exact tie to far beyond the wheel span. The wheel
+// and the reference heap run the same program and must produce identical
+// dispatch traces, clocks and pending counts (after every step), and must
+// refuse the same tickets: one armed at or behind the event that arms it
+// is noted in the trace and armed again a picosecond later.
 func FuzzWheelOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 8, 3, 2, 0, 0, 3, 9, 0, 4, 33, 1, 4, 40, 0xff, 2, 1, 0, 3, 36, 7})
 	f.Add([]byte{1, 32, 1, 0, 32, 1, 4, 31, 2, 3, 31, 1, 1, 0, 0, 2, 0, 0})
 	// Handler posts tied with function posts; a timer armed, fired and armed
 	// again; one disarmed while pending; one that re-arms from its handler.
 	f.Add([]byte{5, 0, 4, 1, 0, 4, 6, 0, 9, 3, 0, 20, 6, 0, 9, 7, 0, 0, 6, 1, 5, 7, 1, 0, 6, 1, 5, 8, 2, 3, 5, 34, 1, 6, 34, 2, 3, 35, 9})
+	// Tickets: one armed for a slot that already holds a later number; one
+	// armed into the batch being fired, ahead of a post made after it; one
+	// left for the closing carriers, which are refused; one in a far window.
+	f.Add([]byte{9, 0, 0, 1, 0, 20, 10, 36, 10, 1, 0, 20})
+	f.Add([]byte{10, 0, 5, 9, 0, 0, 1, 0, 5, 9, 0, 0, 0, 0, 5})
+	f.Add([]byte{9, 0, 0, 1, 16, 3, 10, 52, 3, 9, 0, 0, 3, 8, 1, 9, 0, 0, 10, 69, 1, 1, 33, 1})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		trace := func(e scheduler, prog []byte) []string {
 			var got []string
@@ -220,11 +251,35 @@ func FuzzWheelOps(f *testing.F) {
 			for i := range timers {
 				timers[i] = fuzzTimer{t: &Timer{}, e: e, id: i, into: &got}
 			}
+			var tickets []uint64 // reserved, not armed yet
+			carriers := 0        // posted, not fired yet
 			id := 0
 			fire := func() func() {
 				id++
 				n := id
 				return func() { got = append(got, fmt.Sprintf("%d@%d", n, e.Now())) }
+			}
+			// carrier returns an event's work: arm the oldest ticket there is
+			// when it fires, later after its own time (0: in its own batch).
+			carrier := func(later Time) func() {
+				id++
+				carriers++
+				rec := &traceRec{id: id, now: e.Now, into: &got}
+				return func() {
+					carriers--
+					if len(tickets) == 0 {
+						return
+					}
+					seq, tm := tickets[0], &Timer{}
+					tickets = tickets[1:]
+					defer func() {
+						if recover() != nil {
+							got = append(got, fmt.Sprintf("late%d@%d", rec.id, e.Now()))
+							e.ArmReserved(tm, e.Now()+1, seq, rec)
+						}
+					}()
+					e.ArmReserved(tm, e.Now()+later, seq, rec)
+				}
 			}
 			arm := func(ft *fuzzTimer, d, rearm Time) {
 				if ft.pending {
@@ -238,7 +293,7 @@ func FuzzWheelOps(f *testing.F) {
 				// without ever overflowing Time.
 				d := Time(prog[2]) << (prog[1] % 36)
 				ft := &timers[int(prog[1])%len(timers)]
-				switch prog[0] % 9 {
+				switch prog[0] % 11 {
 				case 0:
 					evs = append(evs, e.Schedule(e.Now()+d, fire()))
 				case 1:
@@ -268,7 +323,17 @@ func FuzzWheelOps(f *testing.F) {
 					}
 				case 8: // arm a timer whose handler arms it again d+1 later
 					arm(ft, d, d+1)
+				case 9:
+					tickets = append(tickets, e.Reserve())
+				case 10: // arm-reserved-later: at the carrier's own time, or d after it
+					e.Post(e.Now()+d, carrier(d*Time(prog[1]/36%2)))
 				}
+				got = append(got, fmt.Sprintf("pending=%d", e.Pending()))
+			}
+			// Run must not find a ticket nobody will arm. These carriers are
+			// posted behind the tickets they take, so each is refused once.
+			for carriers < len(tickets) {
+				e.Post(e.Now(), carrier(0))
 			}
 			e.Run()
 			return append(got, fmt.Sprintf("end@%d pending=%d", e.Now(), e.Pending()))
@@ -313,6 +378,39 @@ func TestTimerArmDisarm(t *testing.T) {
 	e.Disarm(&never) // zero value: nothing to cancel, and the count must not move
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after disarming a timer that was never armed", e.Pending())
+	}
+}
+
+// TestReservedTicket: an event armed under a ticket fires where a Post made
+// at the Reserve would have and counts as pending from the Reserve on; a
+// ticket armed at or behind the event that arms it panics, and so does a
+// Run that finds one nobody armed.
+func TestReservedTicket(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	note := func(s string) Func { return func() { got = append(got, fmt.Sprintf("%s@%d", s, e.Now())) } }
+	panics := func(fn func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		fn()
+		return
+	}
+	var a, b Timer
+	e.Post(5, func() { e.ArmReserved(&a, 20, 1, note("a")) })
+	sa, sb := e.Reserve(), e.Reserve()
+	e.Post(20, note("post"))
+	e.Post(20, func() {
+		if !panics(func() { e.ArmReserved(&b, 20, sb, note("b")) }) {
+			t.Error("a ticket armed behind the event being dispatched did not panic")
+		}
+	})
+	if sa != 1 || sb != 2 || e.Pending() != 5 {
+		t.Fatalf("tickets %d %d, pending %d; want 1 2, 5 pending", sa, sb, e.Pending())
+	}
+	if !panics(e.Run) {
+		t.Error("Run drained the queue with a ticket outstanding and did not panic")
+	}
+	if want := "[a@20 post@20]"; fmt.Sprint(got) != want || e.Pending() != 1 {
+		t.Fatalf("fired %v with %d pending, want %s with 1 pending", got, e.Pending(), want)
 	}
 }
 
@@ -364,9 +462,8 @@ func TestTimerAndHandlerAllocs(t *testing.T) {
 	}
 }
 
-// TestPostRefillsInChunks: a burst posted into a fresh engine, as every
-// harness does with a round's sends, costs a handful of chunk allocations
-// rather than one per event.
+// TestPostRefillsInChunks: a burst posted into a fresh engine costs a
+// handful of chunk allocations rather than one per event.
 func TestPostRefillsInChunks(t *testing.T) {
 	const burst = 6144 // an agg-saturated round
 	fn := func() {}
