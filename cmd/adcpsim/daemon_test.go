@@ -28,6 +28,18 @@ func TestDaemonUsageErrors(t *testing.T) {
 		"-serve", "127.0.0.1:0"); code != 2 || !strings.Contains(errw, "incompatible") {
 		t.Fatalf("-daemon with -serve: exit=%d stderr=%q", code, errw)
 	}
+	if code, _, errw := runCLI(t, "-daemon", "127.0.0.1:0", "-daemon-dir", t.TempDir(),
+		"-exp-timeout", "1s"); code != 2 || !strings.Contains(errw, "-exp-timeout") {
+		t.Fatalf("-daemon with -exp-timeout: exit=%d stderr=%q", code, errw)
+	}
+	// Daemon-only flags in a batch run are refused, not ignored.
+	for _, f := range [][]string{{"-daemon-dir", t.TempDir()}, {"-queue-cap", "4"}, {"-job-retries", "3"},
+		{"-job-timeout", "1s"}, {"-drain-timeout", "1s"}} {
+		if code, _, errw := runCLI(t, append([]string{"-exp", "table3"}, f...)...); code != 2 ||
+			!strings.Contains(errw, f[0]+" requires -daemon") {
+			t.Fatalf("%s without -daemon: exit=%d stderr=%q", f[0], code, errw)
+		}
+	}
 }
 
 // startDaemon launches the daemon as a real subprocess and returns its

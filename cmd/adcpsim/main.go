@@ -129,6 +129,13 @@ func serviceExperiments(exps []experiment) []service.Experiment {
 	return out
 }
 
+// modeFlags names the flags that belong to one mode: true for a flag only
+// -daemon reads, false for a batch flag -daemon refuses.
+var modeFlags = map[string]bool{
+	"daemon-dir": true, "queue-cap": true, "job-retries": true, "job-timeout": true, "drain-timeout": true,
+	"exp": false, "run-dir": false, "serve": false, "exp-timeout": false,
+}
+
 func main() {
 	os.Exit(run(defaultExperiments(), os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -176,24 +183,37 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "-resume requires -run-dir")
 		return 2
 	}
-	if *daemonAddr != "" {
-		// Daemon mode owns the whole process: the batch flags that select
-		// or journal a single run make no sense alongside it.
-		if *daemonDir == "" {
-			fmt.Fprintln(stderr, "-daemon requires -daemon-dir")
-			return 2
+	daemon := *daemonAddr != ""
+	if daemon && *daemonDir == "" {
+		fmt.Fprintln(stderr, "-daemon requires -daemon-dir")
+		return 2
+	}
+	// A flag set outside its mode is a usage error, never silently ignored.
+	// Daemon mode owns the whole process: the batch flags that select,
+	// bound or journal a single run make no sense alongside it.
+	var misplaced []string
+	fs.Visit(func(f *flag.Flag) {
+		if daemonOnly, ok := modeFlags[f.Name]; ok && daemonOnly != daemon {
+			misplaced = append(misplaced, "-"+f.Name)
 		}
-		if *expFlag != "" || *runDir != "" || *serveAddr != "" {
-			fmt.Fprintln(stderr, "-daemon is incompatible with -exp/-run-dir/-serve (jobs are submitted over HTTP; see docs/SERVICE.md)")
-			return 2
+	})
+	if names := strings.Join(misplaced, "/"); names != "" {
+		if daemon {
+			fmt.Fprintf(stderr, "-daemon is incompatible with %s (jobs are submitted over HTTP; see docs/SERVICE.md)\n", names)
+		} else {
+			fmt.Fprintf(stderr, "%s requires -daemon\n", names)
 		}
+		return 2
+	}
+	if daemon {
 		return runDaemon(*daemonAddr, *drainTimeout, service.Config{
 			Dir: *daemonDir, Experiments: serviceExperiments(exps), Stderr: stderr,
 			QueueCap: *queueCap, MaxAttempts: *jobRetries, JobTimeout: *jobTimeout,
 			EventBudget: *expBudget, Parallel: *parallelN, RetryBackoff: *retryBackoff,
 		})
 	}
-	if *runDir != "" && (*tracePath != "" || *traceJSONLPath != "" || *spansPath != "") {
+	tracing := *tracePath != "" || *traceJSONLPath != "" || *spansPath != ""
+	if *runDir != "" && tracing {
 		fmt.Fprintln(stderr, "-run-dir is incompatible with -trace/-trace-jsonl/-spans (traces are not journalable)")
 		return 2
 	}
@@ -220,27 +240,26 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Build the process-wide telemetry hub before any experiment builds a
-	// network, so netsim.New can attach switches to it. The registry exists
-	// whenever any consumer of metric values is requested; the sampler
-	// whenever any consumer of time series is. The flight recorder is
-	// unconditional: a bounded always-on ring of recent packet events, so
-	// a watchdog kill or a run-level invariant trip can dump what the
-	// simulation was doing right before it, even on runs with no export
-	// flags.
+	// The flags describe one run. Its hub exists before any experiment
+	// builds a network, so netsim.New can attach switches to it: a registry
+	// whenever any consumer of metric values is requested, a sampler
+	// whenever any consumer of time series is.
 	needSampler := *reportPath != "" || *serveAddr != "" || *samplesCSV != "" || *samplesJSON != ""
-	needReg := *metricsPath != "" || needSampler
-	tel := &telemetry.Telemetry{Detail: *traceDetail, Flight: telemetry.NewFlightRecorder(0)}
-	if needReg {
-		tel.Metrics = telemetry.NewRegistry()
+	cfg := service.RunConfig{
+		Selection: selected, EventBudget: *expBudget,
+		Registry: *metricsPath != "" || needSampler, Sampler: needSampler, Detail: *traceDetail,
+		SampleIntervalUS: *sampleIntervalUS, SampleCap: *sampleCap,
+		Tracer: tracing, Parallel: *parallelN,
 	}
-	if *tracePath != "" || *traceJSONLPath != "" || *spansPath != "" {
-		tel.Tracer = telemetry.NewTracer()
+	if *pointRetries > 1 {
+		cfg.Retry = parallel.RetryPolicy{MaxAttempts: *pointRetries, BaseBackoff: *retryBackoff, Quarantine: true}
 	}
-	if needSampler {
-		tel.Sampler = telemetry.NewSampler(tel.Metrics,
-			sim.Time(*sampleIntervalUS)*sim.Microsecond, *sampleCap)
+	if *progress {
+		cfg.PointProgress = func(sweep string, done, total int) {
+			fmt.Fprintf(stderr, "  %s: %d/%d points\n", sweep, done, total)
+		}
 	}
+	tel := cfg.Telemetry()
 
 	// The wall-clock perf plane is the hub's machine-dependent counterpart:
 	// it meters how fast the simulator itself runs (events/s, allocations,
@@ -287,11 +306,6 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 	// refuses to resume under a different output-affecting configuration.
 	var journal *runstate.Journal
 	if *runDir != "" {
-		cfg := service.RunConfig{
-			Selection: selected, EventBudget: *expBudget,
-			Registry: needReg, Sampler: needSampler, Detail: *traceDetail,
-			SampleIntervalUS: *sampleIntervalUS, SampleCap: *sampleCap,
-		}
 		j, err := runstate.Open(*runDir, runstate.OpenOptions{Config: cfg.Digest(), Argv: args, Resume: *resume})
 		if err != nil {
 			fmt.Fprintln(stderr, err)
@@ -299,12 +313,6 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 		}
 		journal = j
 		sd.journal = j
-	}
-	if *pointRetries > 1 {
-		experiments.SetRetryPolicy(parallel.RetryPolicy{
-			MaxAttempts: *pointRetries, BaseBackoff: *retryBackoff, Quarantine: true,
-		})
-		defer experiments.SetRetryPolicy(parallel.RetryPolicy{})
 	}
 
 	var view *service.RunView // nil without -serve
@@ -317,30 +325,27 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 		view, sd.srv = srv.view, srv
 	}
 
-	// Sweep parallelism: sweeps inside the experiments package fan their
-	// independent points across a worker pool of this width. Tracing forces
-	// sequential execution — traces are not mergeable.
-	workers := *parallelN
-	if tel.Tracer != nil && workers != 1 {
-		fmt.Fprintln(stderr, "tracing requested: forcing -parallel 1 (traces are not mergeable)")
-		workers = 1
+	// Every post-run artifact, in write order. When any export streams to
+	// stdout ('-'), the experiment tables move to stderr so the piped
+	// stream carries only the export document.
+	spans := func(w io.Writer) error { return tel.Tracer.WriteChromeTraceCat(w, "span") }
+	if strings.HasSuffix(*spansPath, ".jsonl") {
+		spans = func(w io.Writer) error { return tel.Tracer.WriteJSONLCat(w, "span") }
 	}
-	prevWorkers := experiments.SetParallelism(workers)
-	defer experiments.SetParallelism(prevWorkers)
-	if *progress {
-		experiments.SetPointProgress(func(sweep string, done, total int) {
-			fmt.Fprintf(stderr, "  %s: %d/%d points\n", sweep, done, total)
-		})
-		defer experiments.SetPointProgress(nil)
+	outs := []export{
+		{*metricsPath, "metrics", tel.Metrics.WriteJSON},
+		{*tracePath, "trace", tel.Tracer.WriteChromeTrace},
+		{*traceJSONLPath, "trace-jsonl", tel.Tracer.WriteJSONL},
+		{*spansPath, "spans", spans},
+		{*samplesCSV, "samples-csv", tel.Sampler.WriteCSV},
+		{*samplesJSON, "samples-json", tel.Sampler.WriteJSON},
+		{*perfJSON, "perf-json", perfPlane.WriteJSON},
+		{*reportPath, "report", reportWriter(tel, perfPlane, "adcpsim -exp "+*expFlag)},
 	}
-
-	// When any export streams to stdout ('-'), the experiment tables move
-	// to stderr so the piped stream carries only the export document.
 	tableOut := stdout
-	for _, p := range []string{*metricsPath, *tracePath, *traceJSONLPath, *spansPath, *samplesCSV, *samplesJSON, *reportPath, *perfJSON} {
-		if p == "-" {
+	for _, o := range outs {
+		if o.path == "-" {
 			tableOut = stderr
-			break
 		}
 	}
 
@@ -403,7 +408,7 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 			failed = append(failed, name)
 		}
 	}
-	service.RunExperiments(runCtx, selected, journal, tel, *expBudget, tableOut, stderr, onState)
+	service.RunExperiments(runCtx, cfg, tel, journal, tableOut, stderr, onState)
 	if journal != nil && journal.Resumed() {
 		fmt.Fprintf(stderr, "resumed: %d of %d experiments restored whole from the run journal\n", restored, len(selected))
 	}
@@ -414,12 +419,7 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 	if perfPlane != nil {
 		fmt.Fprintln(stderr, perfPlane.Summary())
 	}
-	paths := outputPaths{
-		metrics: *metricsPath, trace: *tracePath, traceJSONL: *traceJSONLPath,
-		spans: *spansPath, samplesCSV: *samplesCSV, samplesJSON: *samplesJSON,
-		report: *reportPath, title: "adcpsim -exp " + *expFlag, perfJSON: *perfJSON,
-	}
-	if code := writeOutputs(tel, perfPlane, paths, stdout, stderr); code != 0 {
+	if code := writeOutputs(outs, stdout, stderr); code != 0 {
 		return code
 	}
 	sd.run("")
@@ -499,74 +499,43 @@ func (p *profiler) writeMem() int {
 	return 0
 }
 
-// outputPaths collects every post-run artifact the CLI can write.
-type outputPaths struct {
-	metrics, trace, traceJSONL, spans string
-	samplesCSV, samplesJSON           string
-	report, title, perfJSON           string
+// export is one post-run artifact the CLI can write: its path ("" = not
+// requested, "-" = stdout), its name in errors, and its writer.
+type export struct {
+	path, what string
+	write      func(io.Writer) error
 }
 
-// writeOutputs serializes the telemetry sinks to the requested files. A
-// path of "-" writes to stdout instead, so exports can be piped straight
-// into jq or a plotting script without touching disk. File writes are
-// atomic (temp file + rename): a crash or kill mid-export leaves either
-// the previous complete document or none, never a truncated one.
-func writeOutputs(tel *telemetry.Telemetry, plane *perf.Plane, p outputPaths, stdout, stderr io.Writer) int {
-	write := func(path, what string, fn func(io.Writer) error) int {
+// writeOutputs writes the requested exports in order. A path of "-"
+// writes to stdout instead, so exports can be piped straight into jq or a
+// plotting script without touching disk. File writes are atomic (temp
+// file + rename): a crash or kill mid-export leaves either the previous
+// complete document or none, never a truncated one.
+func writeOutputs(outs []export, stdout, stderr io.Writer) int {
+	for _, o := range outs {
 		var err error
-		if path == "-" {
-			err = fn(stdout)
-		} else {
-			err = runstate.AtomicWrite(path, fn)
+		switch o.path {
+		case "":
+			continue
+		case "-":
+			err = o.write(stdout)
+		default:
+			err = runstate.AtomicWrite(o.path, o.write)
 		}
 		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", what, err)
+			fmt.Fprintf(stderr, "%s: %v\n", o.what, err)
 			return 1
 		}
-		return 0
 	}
-	if p.metrics != "" {
-		if c := write(p.metrics, "metrics", tel.Metrics.WriteJSON); c != 0 {
-			return c
-		}
-	}
-	if p.trace != "" {
-		if c := write(p.trace, "trace", tel.Tracer.WriteChromeTrace); c != 0 {
-			return c
-		}
-	}
-	if p.traceJSONL != "" {
-		if c := write(p.traceJSONL, "trace-jsonl", tel.Tracer.WriteJSONL); c != 0 {
-			return c
-		}
-	}
-	if p.spans != "" {
-		fn := func(w io.Writer) error { return tel.Tracer.WriteChromeTraceCat(w, "span") }
-		if strings.HasSuffix(p.spans, ".jsonl") {
-			fn = func(w io.Writer) error { return tel.Tracer.WriteJSONLCat(w, "span") }
-		}
-		if c := write(p.spans, "spans", fn); c != 0 {
-			return c
-		}
-	}
-	if p.samplesCSV != "" {
-		if c := write(p.samplesCSV, "samples-csv", tel.Sampler.WriteCSV); c != 0 {
-			return c
-		}
-	}
-	if p.samplesJSON != "" {
-		if c := write(p.samplesJSON, "samples-json", tel.Sampler.WriteJSON); c != 0 {
-			return c
-		}
-	}
-	if p.perfJSON != "" && plane != nil {
-		if c := write(p.perfJSON, "perf-json", plane.WriteJSON); c != 0 {
-			return c
-		}
-	}
-	if p.report != "" {
+	return 0
+}
+
+// reportWriter renders the self-contained HTML run report of tel (and of
+// the perf plane, when one is on).
+func reportWriter(tel *telemetry.Telemetry, plane *perf.Plane, title string) func(io.Writer) error {
+	return func(w io.Writer) error {
 		rep := report.Report{
-			Title:      p.title,
+			Title:      title,
 			Snapshot:   tel.Metrics.Snapshot(),
 			Series:     tel.Sampler.Series(),
 			IntervalPs: int64(tel.Sampler.Interval()),
@@ -575,11 +544,8 @@ func writeOutputs(tel *telemetry.Telemetry, plane *perf.Plane, p outputPaths, st
 			doc := plane.Document()
 			rep.Perf = &doc
 		}
-		if c := write(p.report, "report", func(w io.Writer) error { return report.Write(w, rep) }); c != 0 {
-			return c
-		}
+		return report.Write(w, rep)
 	}
-	return 0
 }
 
 func runFeasibility(w io.Writer) error {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -185,6 +186,66 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 	code, _, errw := runCLI(t, "-exp", "failover", "-run-dir", dir, "-resume")
 	if code != 1 || !strings.Contains(errw, "mismatch") {
 		t.Fatalf("mismatched resume: exit=%d stderr=%q", code, errw)
+	}
+}
+
+// The config digest records a knob only where it shapes output: detail
+// without a tracer, or a sampling knob without a sampler (or at a value
+// the sampler replaces by its default), cannot block a resume.
+func TestResumeIgnoresKnobsThatShapeNothing(t *testing.T) {
+	for _, knob := range [][]string{{"-trace-detail"}, {"-sample-interval-us", "0"}, {"-sample-cap", "7"}} {
+		dir := t.TempDir()
+		args := []string{"-exp", "table3", "-metrics", filepath.Join(dir, "m.json"), "-run-dir", filepath.Join(dir, "run")}
+		if code, _, errw := runCLI(t, append(args, knob...)...); code != 0 {
+			t.Fatalf("%v: first run exit %d: %s", knob, code, errw)
+		}
+		code, _, errw := runCLI(t, append(args, "-resume")...)
+		if code != 0 || !strings.Contains(errw, "1 of 1 experiments restored") {
+			t.Fatalf("%v: resume without it: exit=%d stderr=%q", knob, code, errw)
+		}
+	}
+}
+
+// journalConfig returns the config digest a run journal recorded.
+func journalConfig(t *testing.T, runDir string) string {
+	t.Helper()
+	first, _, _ := strings.Cut(string(readFileT(t, filepath.Join(runDir, "journal.jsonl"))), "\n")
+	var rec struct {
+		Config string `json:"config"`
+	}
+	if _, body, ok := strings.Cut(first, "{"); !ok || json.Unmarshal([]byte("{"+body), &rec) != nil {
+		t.Fatalf("unreadable journal header %q", first)
+	}
+	return rec.Config
+}
+
+// Run directories written by earlier builds still resume: the digest of a
+// default -metrics run, and of a default daemon job (the same run), is
+// pinned.
+func TestConfigDigestPinned(t *testing.T) {
+	const want = "241610ea8cfaaac3282440ec6ca94275983ceaa81f11a59b61eac938a5e0303e"
+	dir := t.TempDir()
+	if code, _, errw := runCLI(t, "-exp", "table3", "-metrics", filepath.Join(dir, "m.json"), "-run-dir", filepath.Join(dir, "run")); code != 0 {
+		t.Fatalf("exit %d: %s", code, errw)
+	}
+	if got := journalConfig(t, filepath.Join(dir, "run")); got != want {
+		t.Errorf("CLI -metrics run digest %s, want %s", got, want)
+	}
+	d, err := service.New(service.Config{Dir: filepath.Join(dir, "svc"), Experiments: serviceExperiments(defaultExperiments())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	id, err := d.Submit(service.Spec{Exps: []string{"table3"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := d.Wait(id)
+	if cerr := d.Close(); err != nil || cerr != nil || v.State != service.StateDone {
+		t.Fatalf("job ended %q (%s): wait %v, close %v", v.State, v.Error, err, cerr)
+	}
+	if got := journalConfig(t, filepath.Join(dir, "svc", "jobs", id, "run")); got != want {
+		t.Errorf("daemon job digest %s, want %s", got, want)
 	}
 }
 

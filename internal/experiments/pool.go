@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/parallel"
@@ -12,8 +11,8 @@ import (
 
 // poolWorkers holds the configured sweep parallelism (0 = NumCPU);
 // pointProgress holds the optional per-point progress callback. Both are
-// process-wide knobs set by the harness (cmd/adcpsim) before experiments
-// run — as are the run journal and retry policy below.
+// process-wide knobs, as are the run journal and retry policy below:
+// service.RunExperiments sets all four for the duration of a run.
 var (
 	poolWorkers   atomic.Int32
 	pointProgress atomic.Value // func(sweep string, done, total int)
@@ -37,26 +36,17 @@ func SetParallelism(n int) int {
 	return int(poolWorkers.Swap(int32(n)))
 }
 
-// Parallelism returns the effective worker-pool width for sweep points.
-func Parallelism() int {
-	if n := int(poolWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.NumCPU()
-}
-
 // SetPointProgress installs a callback invoked (serialized) after each
 // sweep point completes, with the sweep's name and completed/total point
-// counts. The CLI uses it for -progress; nil uninstalls.
+// counts (the CLI's -progress); nil uninstalls.
 func SetPointProgress(fn func(sweep string, done, total int)) {
 	pointProgress.Store(fn)
 }
 
 // SetJournal installs the run journal every sweep records into: completed
 // points persist their result slot and telemetry, and a resumed process
-// replays them instead of re-running. nil uninstalls.
-// service.RunExperiments installs its run journal for the duration of a
-// selection (the CLI's -run-dir, a daemon job's run directory).
+// replays them instead of re-running (the CLI's -run-dir, a daemon job's
+// run directory). nil uninstalls.
 func SetJournal(j parallel.Journal) { poolJournal.Store(journalBox{j: j}) }
 
 // Journal returns the installed run journal, or nil.
@@ -85,8 +75,8 @@ func RetryPolicy() parallel.RetryPolicy {
 // ambient one, and the hubs merge back in point order, so the sweep's
 // exported metrics and samples are byte-identical to a sequential run.
 // point(i) must confine its writes to index i of the sweep's result slots.
-// A hub carrying a tracer forces sequential execution (traces are not
-// mergeable).
+// A hub carrying a tracer runs the points in order (parallel.Run: traces
+// are not mergeable).
 func runPoints(sweep string, n int, point func(i int) error) error {
 	return runPointsSlot(sweep, n, nil, nil, point)
 }
@@ -100,11 +90,6 @@ func runPoints(sweep string, n int, point func(i int) error) error {
 // class; value: attempts) before the joined error returns — the rest of
 // the sweep has completed and merged.
 func runPointsSlot(sweep string, n int, slot func(i int) any, meta func(i int) (spec string, seed int64), point func(i int) error) error {
-	hub := telemetry.Hub()
-	workers := Parallelism()
-	if hub.Trace() != nil {
-		workers = 1
-	}
 	pts := make([]parallel.Point, n)
 	for i := range pts {
 		i := i
@@ -126,7 +111,7 @@ func runPointsSlot(sweep string, n int, slot func(i int) any, meta func(i int) (
 		}
 	}
 	err := parallel.Run(pts, parallel.Options{
-		Workers: workers, Hub: hub, OnDone: onDone,
+		Workers: int(poolWorkers.Load()), Hub: telemetry.Hub(), OnDone: onDone,
 		Retry: RetryPolicy(), Journal: Journal(),
 	})
 	for _, qe := range quarantinedIn(err) {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/perf"
 	"repro/internal/sim"
@@ -23,16 +22,9 @@ func (e *WatchdogError) Error() string {
 
 func (e *WatchdogError) Unwrap() error { return e.Err }
 
-// watchdogTrips counts watchdog kills process-wide (exported as the
-// exp.watchdog.trips metric).
-var watchdogTrips atomic.Uint64
-
-// WatchdogTrips returns how many experiments the watchdog has killed.
-func WatchdogTrips() uint64 { return watchdogTrips.Load() }
-
 // Run executes one experiment under a watchdog. Two independent bounds
-// convert a runaway simulation into a counted, reported failure instead of
-// a hang:
+// convert a runaway simulation into a reported failure instead of a hang
+// (a wall-clock kill also records exp.watchdog.trips{exp=name} = 1):
 //
 //   - eventBudget > 0 bounds the simulated side: every sim.Engine built
 //     while fn runs refuses to dispatch past that many events, and netsim
@@ -64,8 +56,7 @@ func Run(ctx context.Context, name string, eventBudget uint64, fn func() error) 
 	case err := <-done:
 		return err
 	case <-ctx.Done():
-		trips := watchdogTrips.Add(1)
-		record("watchdog.trips", float64(trips), lbl("exp", name))
+		record("watchdog.trips", 1, lbl("exp", name))
 		return &WatchdogError{Name: name, Err: ctx.Err()}
 	}
 }

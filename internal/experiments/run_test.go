@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func TestRunPassesThroughResult(t *testing.T) {
@@ -21,12 +22,15 @@ func TestRunPassesThroughResult(t *testing.T) {
 }
 
 func TestRunWallClockDeadlineTrips(t *testing.T) {
-	before := WatchdogTrips()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	release := make(chan struct{})
 	defer close(release)
-	err := Run(ctx, "hang", 0, func() error { <-release; return nil })
+	hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}
+	var err error
+	telemetry.WithDefault(hub, func() {
+		err = Run(ctx, "hang", 0, func() error { <-release; return nil })
+	})
 	var we *WatchdogError
 	if !errors.As(err, &we) {
 		t.Fatalf("want *WatchdogError, got %v", err)
@@ -34,8 +38,14 @@ func TestRunWallClockDeadlineTrips(t *testing.T) {
 	if we.Name != "hang" || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("watchdog error %+v", we)
 	}
-	if WatchdogTrips() != before+1 {
-		t.Fatalf("trips %d, want %d", WatchdogTrips(), before+1)
+	var trips []float64
+	for _, m := range hub.Metrics.Snapshot().Metrics {
+		if m.Name == "exp.watchdog.trips" {
+			trips = append(trips, m.Value)
+		}
+	}
+	if len(trips) != 1 || trips[0] != 1 {
+		t.Fatalf("exp.watchdog.trips = %v, want one series at 1", trips)
 	}
 }
 

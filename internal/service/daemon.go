@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/parallel"
 	"repro/internal/perf"
 )
@@ -147,9 +146,8 @@ type Daemon struct {
 	draining bool
 	closed   bool
 
-	execDone    chan struct{}
-	prevWorkers int
-	met         *svcMetrics
+	execDone chan struct{}
+	met      *svcMetrics
 }
 
 // New opens (or recovers) the service in cfg.Dir. Recovery replays the job
@@ -226,12 +224,9 @@ func New(cfg Config) (*Daemon, error) {
 }
 
 // Start launches the executor. Jobs execute strictly one at a time (the
-// experiment layer's journal and budget knobs are process-global; see the
-// package comment) — parallelism lives inside each job's sweep pool.
-func (d *Daemon) Start() {
-	d.prevWorkers = experiments.SetParallelism(d.cfg.Parallel)
-	go d.executor()
-}
+// knobs RunExperiments applies are process-global; see the package
+// comment) — parallelism lives inside each job's sweep pool.
+func (d *Daemon) Start() { go d.executor() }
 
 // Submit validates, journals, and enqueues a job, returning its id.
 // Returns ErrDraining during shutdown and ErrOverCapacity when the queue
@@ -371,7 +366,6 @@ func (d *Daemon) Close() error {
 	d.cond.Broadcast()
 	d.mu.Unlock()
 	<-d.execDone
-	experiments.SetParallelism(d.prevWorkers)
 	return d.journal.close()
 }
 

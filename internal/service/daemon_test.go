@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/runstate"
+	"repro/internal/telemetry"
 )
 
 // testExps builds a fast fake experiment table. gate, when non-nil, makes
@@ -387,6 +390,41 @@ func TestJobTimeoutQuarantines(t *testing.T) {
 	v := waitState(t, d, id, StateQuarantined)
 	if v.Class != "watchdog" {
 		t.Fatalf("class = %q, want watchdog", v.Class)
+	}
+}
+
+// A job's metrics describe that job alone: two identical jobs killed by
+// the watchdog in one daemon commit byte-identical metrics.json, each
+// recording exp.watchdog.trips = 1 for the killed experiment.
+func TestWatchdogTripsRecordedPerJob(t *testing.T) {
+	gate := make(chan struct{})
+	defer close(gate)
+	dir := t.TempDir()
+	d := newTestDaemon(t, dir, func(c *Config) { c.Experiments = testExps(gate, nil) })
+	var docs [][]byte
+	for i := 0; i < 2; i++ {
+		id, err := d.Submit(Spec{Exps: []string{"slow"}, TimeoutMs: 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, d, id, StateQuarantined)
+		docs = append(docs, readFile(t, filepath.Join(dir, "jobs", id, jobMetricsFile)))
+	}
+	if !bytes.Equal(docs[0], docs[1]) {
+		t.Fatalf("identical jobs committed different metrics.json:\nfirst:  %s\nsecond: %s", docs[0], docs[1])
+	}
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(docs[0], &snap); err != nil {
+		t.Fatal(err)
+	}
+	trips := 0
+	for _, m := range snap.Metrics {
+		if m.Name == "exp.watchdog.trips" && m.Labels["exp"] == "slow" && m.Value == 1 {
+			trips++
+		}
+	}
+	if trips != 1 {
+		t.Fatalf("metrics.json lacks exp.watchdog.trips{exp=slow} = 1: %s", docs[0])
 	}
 }
 

@@ -30,15 +30,23 @@ const (
 )
 
 // RunExperiments is the one experiment run loop: `adcpsim -exp` and every
-// daemon job attempt run their selection through it, which is what keeps a
-// job's output byte-identical to the CLI's and lets either resume the
-// other's run directory. It runs exps in order under ctx, writing their
+// daemon job attempt run their cfg through it, which is what keeps a job's
+// output byte-identical to the CLI's and lets either resume the other's
+// run directory. It runs cfg.Selection in order under ctx, writing their
 // tables to out — each followed by a blank line — and folding their
-// telemetry into tel. A failed experiment does not stop the ones after it;
-// once ctx is done the remaining ones are skipped. on, called
-// synchronously for every state change, is where a plane does its own
-// bookkeeping (progress, publication, failure lists); err is non-nil for
-// ExpFailed and ExpSkipped.
+// telemetry into tel (built by cfg.Telemetry). A failed experiment does
+// not stop the ones after it; once ctx is done the remaining ones are
+// skipped. on, called synchronously for every state change, is where a
+// plane does its own bookkeeping (progress, publication, failure lists);
+// err is non-nil for ExpFailed and ExpSkipped.
+//
+// It is the one place a run's config becomes process state: the sweep
+// layer's pool width (one worker under a tracer, said on stderr), retry
+// policy, point progress and journal hold for exactly the duration of the
+// run, and the event budget for each experiment (experiments.Run).
+// Clearing the journal before returning keeps a goroutine an expired
+// watchdog abandoned from journaling into whatever runs next. The state is
+// process-global, which is why callers run one selection at a time.
 //
 // Without a journal each experiment runs directly in tel and writes
 // straight to out. With one the run is durable: a unit the journal already
@@ -46,19 +54,25 @@ const (
 // mirror hub with its output teed through a capture buffer — on success
 // both persist as one journal unit, a failure is journaled with its class,
 // and either way the mirror merges into tel, so tel and out match a
-// journal-less run byte for byte. The journal is also the sweep layer's
-// for the duration (experiments.SetJournal is process-global, which is why
-// callers run one selection at a time), and is cleared before returning so
-// a goroutine an expired watchdog abandoned cannot journal into whatever
-// runs next.
-func RunExperiments(ctx context.Context, exps []Experiment, jr *runstate.Journal, tel *telemetry.Telemetry,
-	budget uint64, out, stderr io.Writer, on func(name string, st ExpState, err error)) {
+// journal-less run byte for byte.
+func RunExperiments(ctx context.Context, cfg RunConfig, tel *telemetry.Telemetry, jr *runstate.Journal,
+	out, stderr io.Writer, on func(name string, st ExpState, err error)) {
+	workers := cfg.Parallel
+	if cfg.Tracer && workers != 1 {
+		fmt.Fprintln(stderr, "tracing requested: forcing -parallel 1 (traces are not mergeable)")
+		workers = 1
+	}
+	defer experiments.SetParallelism(experiments.SetParallelism(workers))
+	experiments.SetRetryPolicy(cfg.Retry)
+	defer experiments.SetRetryPolicy(parallel.RetryPolicy{})
+	experiments.SetPointProgress(cfg.PointProgress)
+	defer experiments.SetPointProgress(nil)
 	if jr != nil {
 		experiments.SetJournal(jr)
 		defer experiments.SetJournal(nil)
 	}
 	withHub := tel.Metrics != nil
-	for _, e := range exps {
+	for _, e := range cfg.Selection {
 		if ctx.Err() != nil {
 			on(e.Name, ExpSkipped, &experiments.WatchdogError{Name: e.Name, Err: ctx.Err()})
 			continue
@@ -86,7 +100,7 @@ func RunExperiments(ctx context.Context, exps []Experiment, jr *runstate.Journal
 		on(e.Name, ExpRunning, nil)
 		var err error
 		telemetry.WithDefault(hub, func() {
-			err = experiments.Run(ctx, e.Name, budget, func() error { return e.Run(w) })
+			err = experiments.Run(ctx, e.Name, cfg.EventBudget, func() error { return e.Run(w) })
 		})
 		if jr != nil {
 			// A tripped watchdog abandons the experiment's goroutine; from

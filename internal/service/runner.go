@@ -10,8 +10,6 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/runstate"
-	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // Per-job artifact filenames under <dir>/jobs/<id>/.
@@ -46,6 +44,23 @@ func classRank(class string) int {
 	return 0
 }
 
+// runConfig overlays a job's spec on the daemon's defaults. The run is the
+// one `adcpsim -exp <sel> -metrics FILE -exp-event-budget N -parallel P`
+// describes, every other flag at its default, so that command can resume
+// the job's run directory and a recovered job refuses to resume under a
+// mutated spec.
+func (d *Daemon) runConfig(s Spec) (RunConfig, error) {
+	sel, err := Select(d.cfg.Experiments, s.Exps)
+	if err != nil {
+		return RunConfig{}, err
+	}
+	budget := s.EventBudget
+	if budget == 0 {
+		budget = d.cfg.EventBudget
+	}
+	return RunConfig{Selection: sel, EventBudget: budget, Registry: true, Parallel: d.cfg.Parallel}, nil
+}
+
 // executeAttempt runs one attempt of a job: open (or resume) the job's
 // private run journal, run the spec's experiments through RunExperiments —
 // the batch CLI's own loop — then commit out.txt and metrics.json
@@ -61,22 +76,9 @@ func (d *Daemon) executeAttempt(ctx context.Context, j *job, attempt int) attemp
 	if err := os.MkdirAll(jobDir, 0o777); err != nil {
 		return attemptOutcome{err: err, class: "error"}
 	}
-	sel, err := Select(d.cfg.Experiments, j.spec.Exps)
+	cfg, err := d.runConfig(j.spec)
 	if err != nil {
 		return attemptOutcome{err: err, class: "error"}
-	}
-	budget := j.spec.EventBudget
-	if budget == 0 {
-		budget = d.cfg.EventBudget
-	}
-	// The job's run is the one `adcpsim -exp <sel> -metrics FILE
-	// -exp-event-budget N` describes, every other flag at its default —
-	// so that command can resume this run directory, and a recovered job
-	// refuses to resume under a mutated spec.
-	cfg := RunConfig{
-		Selection: sel, EventBudget: budget, Registry: true,
-		SampleIntervalUS: int(telemetry.DefaultSampleInterval / sim.Microsecond),
-		SampleCap:        telemetry.DefaultSampleCapacity,
 	}
 	jr, err := d.openRunJournal(filepath.Join(jobDir, jobRunDir), j.id, cfg.Digest())
 	if err != nil {
@@ -87,17 +89,13 @@ func (d *Daemon) executeAttempt(ctx context.Context, j *job, attempt int) attemp
 	// journal instead of landing in the next job's.
 	defer jr.Close()
 
-	tel := &telemetry.Telemetry{
-		Metrics: telemetry.NewRegistry(),
-		Flight:  telemetry.NewFlightRecorder(0),
-	}
-
+	tel := cfg.Telemetry()
 	var out bytes.Buffer
 	var failed []string
 	var firstErr error
 	worst := ""
 	mark := 0 // out's length when the running experiment started
-	RunExperiments(ctx, sel, jr, tel, budget, &out, d.cfg.Stderr, func(name string, st ExpState, err error) {
+	RunExperiments(ctx, cfg, tel, jr, &out, d.cfg.Stderr, func(name string, st ExpState, err error) {
 		switch st {
 		case ExpRunning:
 			mark = out.Len()
@@ -155,7 +153,7 @@ func (d *Daemon) executeAttempt(ctx context.Context, j *job, attempt int) attemp
 			worst = "error"
 		}
 		return attemptOutcome{
-			err:   fmt.Errorf("%d of %d experiments failed (%s): first: %w", len(failed), len(sel), worst, firstErr),
+			err:   fmt.Errorf("%d of %d experiments failed (%s): first: %w", len(failed), len(cfg.Selection), worst, firstErr),
 			class: worst,
 		}
 	}

@@ -253,7 +253,7 @@ func TestHTTPContract(t *testing.T) {
 		view := NewRunView([]Experiment{measured}, nil)
 		view.Mount(mux)
 		tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}
-		RunExperiments(context.Background(), []Experiment{measured}, nil, tel, 0, io.Discard, io.Discard,
+		RunExperiments(context.Background(), RunConfig{Selection: []Experiment{measured}}, tel, nil, io.Discard, io.Discard,
 			func(name string, st ExpState, err error) { view.Update(name, st, err, tel.Metrics) })
 		mounts = append(mounts, mount{name: "root", handler: mux, drain: func() { draining.Store(true) }})
 	}

@@ -34,17 +34,20 @@
 //     job resumes on the next start.
 //
 // Jobs execute one at a time, in admission order: the experiment layer's
-// journal, retry, and event-budget knobs are process-wide, and serial
-// execution is what makes a job's output byte-identical to the batch CLI
-// run of the same spec. Concurrency lives in two other places — the HTTP
+// journal, pool width, retry policy, point progress and event budget are
+// process-wide, and RunExperiments is the one place that applies a run's
+// RunConfig to them, for exactly the duration of the run. Serial execution
+// is what makes a job's output byte-identical to the batch CLI run of the
+// same spec. Concurrency lives in two other places — the HTTP
 // plane is fully concurrent, and each job's sweep points fan out across
 // the shared parallel worker pool (internal/parallel) under per-job
 // telemetry hubs. See docs/SERVICE.md.
 //
 // The package also owns what a foreground `adcpsim -exp` run shares with a
 // job, so each exists once: the run loop (RunExperiments), the selection
-// and run description (Select, RunConfig — one config digest, so either
-// side resumes the other's run directory), and the HTTP plane (BaseMux,
+// and run description (Select, RunConfig — one telemetry constructor and
+// one config digest, so either side resumes the other's run directory),
+// and the HTTP plane (BaseMux,
 // Serve, and RunView, the live record both `-serve` and /jobs/{id}/ serve).
 package service
 
@@ -55,7 +58,10 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/parallel"
 	"repro/internal/runstate"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // State is a job's position in the lifecycle FSM.
@@ -156,31 +162,64 @@ func Select(table []Experiment, ids []string) ([]Experiment, error) {
 	return sel, nil
 }
 
-// RunConfig is the one description of what a run computes: the resolved
-// selection and every knob that shapes tables, metrics, or samples.
-// Scheduling and observation knobs (pool width, timeouts, attempts,
-// progress, serving, output paths) are deliberately not in it: they never
-// change output bytes, so a resume may vary them.
+// RunConfig is the whole description of a run. `adcpsim -exp` fills one
+// from its flags, a daemon job from its spec over the daemon's defaults
+// (Daemon.runConfig), and RunExperiments applies it. The first group
+// shapes tables, metrics or samples, and Digest records it. The second
+// only schedules the run and never changes output bytes, so a resume may
+// vary it.
 type RunConfig struct {
 	Selection        []Experiment // as Select resolved it
-	EventBudget      uint64
-	Registry         bool // a metrics registry exists
-	Sampler          bool // a sampler exists
-	Detail           bool // per-stage trace events
-	SampleIntervalUS int
-	SampleCap        int
+	EventBudget      uint64       // sim events per experiment; 0 = unbounded
+	Registry         bool         // a metrics registry exists (required by Sampler)
+	Sampler          bool         // a sampler exists
+	Detail           bool         // per-stage trace events; needs Tracer
+	SampleIntervalUS int          // ≤ 0 = telemetry.DefaultSampleInterval
+	SampleCap        int          // ≤ 0 = telemetry.DefaultSampleCapacity
+
+	Tracer        bool                 // a tracer is attached; sweeps then run on one worker
+	Parallel      int                  // sweep worker-pool width; ≤ 0 = runtime.NumCPU()
+	Retry         parallel.RetryPolicy // sweep-point retries; zero = one attempt
+	PointProgress func(sweep string, done, total int)
 }
 
-// Digest canonicalizes the configuration into the digest a run journal
-// records; runstate.Open refuses to resume a journal whose digest differs.
+// Telemetry builds the run's hub: the registry, sampler and tracer the
+// config asks for, plus the always-on flight ring, so a watchdog kill or
+// an invariant trip can dump what the simulation did last.
+func (c RunConfig) Telemetry() *telemetry.Telemetry {
+	tel := &telemetry.Telemetry{Detail: c.Detail && c.Tracer, Flight: telemetry.NewFlightRecorder(0)}
+	if c.Registry {
+		tel.Metrics = telemetry.NewRegistry()
+	}
+	if c.Tracer {
+		tel.Tracer = telemetry.NewTracer()
+	}
+	if c.Sampler {
+		tel.Sampler = telemetry.NewSampler(tel.Metrics, sim.Time(c.SampleIntervalUS)*sim.Microsecond, c.SampleCap)
+	}
+	return tel
+}
+
+// Digest canonicalizes the output-shaping knobs into the digest a run
+// journal records; runstate.Open refuses to resume a journal whose digest
+// differs. A knob is recorded as it takes effect: the sampling knobs as
+// NewSampler applies them (the defaults without a sampler), detail as
+// false without a tracer.
 func (c RunConfig) Digest() string {
 	names := make([]string, len(c.Selection))
 	for i, e := range c.Selection {
 		names[i] = e.Name
 	}
 	sort.Strings(names)
+	iv, capacity := int(telemetry.DefaultSampleInterval/sim.Microsecond), telemetry.DefaultSampleCapacity
+	if c.Sampler && c.SampleIntervalUS > 0 {
+		iv = c.SampleIntervalUS
+	}
+	if c.Sampler && c.SampleCap > 0 {
+		capacity = c.SampleCap
+	}
 	canon := fmt.Sprintf("adcp-config/1 exps=%s sample-interval-us=%d sample-cap=%d event-budget=%d registry=%v sampler=%v detail=%v",
-		strings.Join(names, ","), c.SampleIntervalUS, c.SampleCap, c.EventBudget, c.Registry, c.Sampler, c.Detail)
+		strings.Join(names, ","), iv, capacity, c.EventBudget, c.Registry, c.Sampler, c.Detail && c.Tracer)
 	return runstate.Digest([]byte(canon))
 }
 
