@@ -24,8 +24,9 @@ var update = flag.Bool("update", false, "rewrite testdata/ from this run's -para
 // document order, the number's text taken verbatim from the JSON, so a
 // failure names the row that moved). testdata/exports.sha256 pins the whole
 // metrics document (every switch.*, net.* and cct.* series too) and the
-// trace exports of `-exp walk,saturation`. A change that moves these bytes
-// on purpose regenerates them with `make golden` and says why.
+// trace exports of `-exp walk,saturation`, with and without -trace-detail. A
+// change that moves these bytes on purpose regenerates them with `make
+// golden` and says why.
 func TestExpAllGolden(t *testing.T) {
 	dir := t.TempDir()
 	cli := func(args ...string) string {
@@ -49,12 +50,17 @@ func TestExpAllGolden(t *testing.T) {
 	}
 
 	// Tracing forces -parallel 1, so the trace exports are taken once. The
-	// suffix of -spans picks its format, hence the second run.
+	// suffix of -spans picks its format, hence the second run; the third
+	// pins the per-stage, per-switch-process and occupancy-counter events
+	// only -trace-detail emits.
 	cli("-exp", "walk,saturation", "-trace", filepath.Join(dir, "t.json"),
 		"-trace-jsonl", filepath.Join(dir, "t.jsonl"), "-spans", filepath.Join(dir, "s.json"))
 	cli("-exp", "walk,saturation", "-spans", filepath.Join(dir, "s.jsonl"))
+	cli("-exp", "walk,saturation", "-trace-detail", "-trace", filepath.Join(dir, "d.json"),
+		"-trace-jsonl", filepath.Join(dir, "d.jsonl"))
 	traceSums := sumLine("trace", read("t.json")) + sumLine("trace-jsonl", read("t.jsonl")) +
-		sumLine("spans", read("s.json")) + sumLine("spans.jsonl", read("s.jsonl"))
+		sumLine("spans", read("s.json")) + sumLine("spans.jsonl", read("s.jsonl")) +
+		sumLine("trace-detail", read("d.json")) + sumLine("trace-detail.jsonl", read("d.jsonl"))
 
 	for _, width := range []string{"1", "8"} {
 		out := cli("-exp", "all", "-parallel", width, "-metrics", filepath.Join(dir, "m.json"))

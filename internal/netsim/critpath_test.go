@@ -179,11 +179,12 @@ func TestSwitchWaitIsOneQueueingSpan(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderDumpsOnBudgetExhaustion pins the tentpole's triage
-// path: a run that trips a run-level invariant (here the event budget)
-// dumps the flight-recorder ring, including the most recent packet events.
-func TestFlightRecorderDumpsOnBudgetExhaustion(t *testing.T) {
-	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Flight: telemetry.NewFlightRecorder(64)}
+// TestFlightRingDumpsOnBudgetExhaustion pins the triage path: a run that
+// trips a run-level invariant (here the event budget) dumps the flight
+// ring — the reason, then the most recent packet events oldest first — and
+// the dump is exactly this text.
+func TestFlightRingDumpsOnBudgetExhaustion(t *testing.T) {
+	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Flight: telemetry.NewFlightRecorder(0)}
 	var sink bytes.Buffer
 	runUnderHub(t, tel, DefaultConfig(4), echoSwitch{}, func(n *Network) {
 		n.FlightSink = &sink
@@ -194,15 +195,16 @@ func TestFlightRecorderDumpsOnBudgetExhaustion(t *testing.T) {
 		n.Engine().SetEventBudget(6)
 		n.Run()
 	})
-	out := sink.String()
-	if !strings.Contains(out, "flight recorder dump") {
-		t.Fatalf("no flight dump on budget exhaustion; sink: %q", out)
-	}
-	if !strings.Contains(out, "event budget exhausted") {
-		t.Errorf("dump reason missing budget error: %q", out)
-	}
-	if !strings.Contains(out, "send") {
-		t.Errorf("dump carries no packet events: %q", out)
+	const want = `flight recorder dump (netsim: sim event budget exhausted after 6 events at 2.019us): last 6 of 6 events
+  t=0ps send                 a=5 b=0
+  t=509600ps switch.arrive        a=5 b=0
+  t=1000000ps send                 a=5 b=0
+  t=1509600ps switch.arrive        a=5 b=0
+  t=2000000ps send                 a=5 b=0
+  t=2019200ps deliver              a=5 b=2
+`
+	if got := sink.String(); got != want {
+		t.Fatalf("flight dump on budget exhaustion:\n%s\nwant:\n%s", got, want)
 	}
 }
 
