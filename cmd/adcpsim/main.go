@@ -328,14 +328,17 @@ func run(exps []experiment, args []string, stdout, stderr io.Writer) int {
 	// Every post-run artifact, in write order. When any export streams to
 	// stdout ('-'), the experiment tables move to stderr so the piped
 	// stream carries only the export document.
-	spans := func(w io.Writer) error { return tel.Tracer.WriteChromeTraceCat(w, "span") }
+	trace := func(write func(io.Writer, string) error, cat string) func(io.Writer) error {
+		return func(w io.Writer) error { return write(w, cat) }
+	}
+	spans := trace(tel.Rec().WriteChromeTrace, "span")
 	if strings.HasSuffix(*spansPath, ".jsonl") {
-		spans = func(w io.Writer) error { return tel.Tracer.WriteJSONLCat(w, "span") }
+		spans = trace(tel.Rec().WriteJSONL, "span")
 	}
 	outs := []export{
 		{*metricsPath, "metrics", tel.Metrics.WriteJSON},
-		{*tracePath, "trace", tel.Tracer.WriteChromeTrace},
-		{*traceJSONLPath, "trace-jsonl", tel.Tracer.WriteJSONL},
+		{*tracePath, "trace", trace(tel.Rec().WriteChromeTrace, "")},
+		{*traceJSONLPath, "trace-jsonl", trace(tel.Rec().WriteJSONL, "")},
 		{*spansPath, "spans", spans},
 		{*samplesCSV, "samples-csv", tel.Sampler.WriteCSV},
 		{*samplesJSON, "samples-json", tel.Sampler.WriteJSON},

@@ -129,10 +129,10 @@ func TestTraceForcesSequentialSweeps(t *testing.T) {
 	}
 }
 
-// TestWatchdogDumpsFlightRecorder: when the watchdog kills a wedged
-// experiment, the always-on flight recorder's ring — the last simulation
+// TestWatchdogDumpsFlightRing: when the watchdog kills a wedged
+// experiment, the recorder's always-on flight ring — the last simulation
 // events before the hang — lands on stderr.
-func TestWatchdogDumpsFlightRecorder(t *testing.T) {
+func TestWatchdogDumpsFlightRing(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	exps := []experiment{{"hang", "records then wedges", func(io.Writer) error {

@@ -75,8 +75,8 @@ func RetryPolicy() parallel.RetryPolicy {
 // ambient one, and the hubs merge back in point order, so the sweep's
 // exported metrics and samples are byte-identical to a sequential run.
 // point(i) must confine its writes to index i of the sweep's result slots.
-// A hub carrying a tracer runs the points in order (parallel.Run: traces
-// are not mergeable).
+// A hub whose recorder exports runs the points in order (parallel.Run:
+// traces are not mergeable).
 func runPoints(sweep string, n int, point func(i int) error) error {
 	return runPointsSlot(sweep, n, nil, nil, point)
 }

@@ -23,7 +23,7 @@ func TestSweepQuarantinesPanickingPoint(t *testing.T) {
 	prevW := SetParallelism(2)
 	defer SetParallelism(prevW)
 
-	hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Flight: telemetry.NewFlightRecorder(16)}
+	hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Recorder: telemetry.NewRecorder(false)}
 	rows := make([]int, 4)
 	var err error
 	telemetry.WithHub(hub, func() {

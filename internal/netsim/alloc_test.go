@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/packet"
+	"repro/internal/telemetry"
 )
 
 // sinkSwitch absorbs every packet and reports one traversal for each, so a
@@ -84,19 +85,25 @@ func hopRound(t *testing.T, hops int) (*core.Switch, func(n *Network)) {
 // TestHopAllocsSteadyState puts a ceiling on a whole host → switch → host
 // hop through a real ADCP switch with warm pools: what remains is the
 // switch's output slice, which the caller owns, and now and then a
-// doubling of the receiving host's Received log.
+// doubling of the receiving host's Received log. The ceiling holds without a
+// hub and under the hub every run without export flags carries, whose
+// recorder keeps only its flight ring: a ring entry allocates nothing.
 func TestHopAllocsSteadyState(t *testing.T) {
 	const hops = 256
-	sw, round := hopRound(t, hops)
-	n, err := New(DefaultConfig(sw.Config().Ports), sw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	round(n)
-	perHop := testing.AllocsPerRun(20, func() { round(n) }) / hops
-	t.Logf("%.2f allocations per hop", perHop)
-	if perHop > 1.05 {
-		t.Errorf("a hop allocates %.2f objects, want at most 1.05", perHop)
+	for _, c := range []struct {
+		name string
+		tel  *telemetry.Telemetry
+	}{
+		{"no hub", nil},
+		{"flight only", &telemetry.Telemetry{Recorder: telemetry.NewRecorder(false)}},
+	} {
+		sw, round := hopRound(t, hops)
+		n := runUnderHub(t, c.tel, DefaultConfig(sw.Config().Ports), sw, round) // warms the pools
+		perHop := testing.AllocsPerRun(20, func() { round(n) }) / hops
+		t.Logf("%s: %.2f allocations per hop", c.name, perHop)
+		if perHop > 1.05 {
+			t.Errorf("%s: a hop allocates %.2f objects, want at most 1.05", c.name, perHop)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -22,6 +23,35 @@ func runUnderHub(t *testing.T, tel *telemetry.Telemetry, cfg Config, sw SwitchMo
 		drive(n)
 	})
 	return n
+}
+
+// spanEvent is one line of a span-category JSONL export.
+type spanEvent struct {
+	Name string   `json:"name"`
+	Cat  string   `json:"cat"`
+	Dur  sim.Time `json:"dur_ps"`
+}
+
+// spanEvents reads back, in emission order, the span events tel's
+// recorder exports (the metadata events and the trailer carry no
+// category and are skipped).
+func spanEvents(t *testing.T, tel *telemetry.Telemetry) []spanEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tel.Rec().WriteJSONL(&buf, "span"); err != nil {
+		t.Fatal(err)
+	}
+	var evs []spanEvent
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev spanEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Cat == "span" {
+			evs = append(evs, ev)
+		}
+	}
+	return evs
 }
 
 // TestAttributionExactOnCleanPath checks the chain accounting against the
@@ -67,7 +97,7 @@ func TestAttributionExactOnCleanPath(t *testing.T) {
 func TestAttributionOffWithoutConsumer(t *testing.T) {
 	for name, tel := range map[string]*telemetry.Telemetry{
 		"no hub":      nil,
-		"flight only": {Flight: telemetry.NewFlightRecorder(16)},
+		"flight only": {Recorder: telemetry.NewRecorder(false)},
 	} {
 		n := runUnderHub(t, tel, DefaultConfig(4), echoSwitch{}, func(n *Network) {
 			n.SendAt(0, rawPkt(0, 2, 5), 0)
@@ -106,21 +136,18 @@ func TestAttributionPublishedAsRegistrySeries(t *testing.T) {
 	}
 }
 
-// TestSpanEventsCoverCCT runs with a tracer attached and checks the span
+// TestSpanEventsCoverCCT runs under an exporting recorder and checks the span
 // category carries the coflow root span plus segment spans whose summed
 // durations on the winning chain equal the CCT.
 func TestSpanEventsCoverCCT(t *testing.T) {
-	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Tracer: telemetry.NewTracer()}
+	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Recorder: telemetry.NewRecorder(true)}
 	n := runUnderHub(t, tel, DefaultConfig(4), echoSwitch{}, func(n *Network) {
 		n.Tracker().Expect(5, 1)
 		n.SendAt(0, rawPkt(0, 2, 5), 0)
 		n.Run()
 	})
 	var coflowSpans, segments int
-	for _, ev := range tel.Tracer.Events() {
-		if ev.Cat != "span" {
-			continue
-		}
+	for _, ev := range spanEvents(t, tel) {
 		switch {
 		case ev.Name == "span.coflow":
 			coflowSpans++
@@ -146,7 +173,7 @@ func TestSpanEventsCoverCCT(t *testing.T) {
 // attribution still tiles the CCT.
 func TestSwitchWaitIsOneQueueingSpan(t *testing.T) {
 	const hosts = 8
-	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Tracer: telemetry.NewTracer()}
+	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Recorder: telemetry.NewRecorder(true)}
 	cfg := DefaultConfig(hosts)
 	cfg.ServiceRatePPS = 1e6
 	n := runUnderHub(t, tel, cfg, &busyCountingSwitch{costEach: 1}, func(n *Network) {
@@ -157,7 +184,7 @@ func TestSwitchWaitIsOneQueueingSpan(t *testing.T) {
 		n.Run()
 	})
 	var waits []sim.Time
-	for _, ev := range tel.Tracer.Events() {
+	for _, ev := range spanEvents(t, tel) {
 		if ev.Cat == "span" && ev.Name == "span.queueing" {
 			waits = append(waits, ev.Dur)
 		}
@@ -184,7 +211,7 @@ func TestSwitchWaitIsOneQueueingSpan(t *testing.T) {
 // ring — the reason, then the most recent packet events oldest first — and
 // the dump is exactly this text.
 func TestFlightRingDumpsOnBudgetExhaustion(t *testing.T) {
-	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Flight: telemetry.NewFlightRecorder(0)}
+	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Recorder: telemetry.NewRecorder(false)}
 	var sink bytes.Buffer
 	runUnderHub(t, tel, DefaultConfig(4), echoSwitch{}, func(n *Network) {
 		n.FlightSink = &sink
@@ -210,7 +237,7 @@ func TestFlightRingDumpsOnBudgetExhaustion(t *testing.T) {
 
 // TestCleanRunDoesNotDump pins that healthy runs stay silent.
 func TestCleanRunDoesNotDump(t *testing.T) {
-	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Flight: telemetry.NewFlightRecorder(64)}
+	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Recorder: telemetry.NewRecorder(false)}
 	var sink bytes.Buffer
 	runUnderHub(t, tel, DefaultConfig(4), echoSwitch{}, func(n *Network) {
 		n.FlightSink = &sink

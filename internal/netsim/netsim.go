@@ -224,13 +224,13 @@ type Network struct {
 	swCrashed bool
 	txSeq     uint64
 
-	// Tracing state; tr stays nil unless the ambient telemetry hub carries
-	// a tracer at construction time, so the untraced hot path pays one nil
-	// check.
-	tr                  *telemetry.Tracer
-	detail              bool
-	pid                 int
-	txTID, swTID, rxTID int
+	// recorder is the ambient hub's (nil without one): every notable event
+	// goes to its flight ring, dumped when a run-level invariant trips. The
+	// network's trace threads stay nil, and detail false, unless it
+	// exports, so the untraced hot path pays one nil check.
+	recorder                  *telemetry.Recorder
+	detail                    bool
+	txTrack, swTrack, rxTrack *telemetry.Track
 
 	// e2eLat holds one bounded latency histogram per host port (nil when
 	// metrics are off): simulated time from a packet's transmission start
@@ -239,16 +239,14 @@ type Network struct {
 	e2eLat []*telemetry.Histogram
 
 	// Causal-chain state (nil without telemetry): attr collects each
-	// coflow's critical-path chain; spans emits the chains as trace spans
-	// (tracer runs only); coflowSpans holds each coflow's root span id;
-	// reg/inst let Run publish cct.attr.* series; fr is the always-on
-	// flight recorder ring dumped when a run-level invariant trips.
+	// coflow's critical-path chain; spans is the span thread the chains
+	// are exported on (exporting runs only); coflowSpans holds each
+	// coflow's root span id; reg/inst let Run publish cct.attr.* series.
 	attr        *telemetry.CritPath
-	spans       *telemetry.Spans
+	spans       *telemetry.Track
 	coflowSpans map[uint32]telemetry.SpanID
 	reg         *telemetry.Registry
 	inst        string
-	fr          *telemetry.FlightRecorder
 }
 
 // New builds a network around the switch.
@@ -307,8 +305,8 @@ func New(cfg Config, sw SwitchModel) (*Network, error) {
 // instrument wires the network (and, via Instrumentable, its switch) to the
 // ambient telemetry hub.
 func (n *Network) instrument(tel *telemetry.Telemetry) {
-	reg, tr := tel.Reg(), tel.Trace()
-	n.fr = tel.Rec()
+	reg, rec := tel.Reg(), tel.Rec()
+	n.recorder = rec
 	inst := "0"
 	if reg != nil {
 		inst = reg.InstanceLabel("net").Value
@@ -334,28 +332,25 @@ func (n *Network) instrument(tel *telemetry.Telemetry) {
 	if sp := tel.Samp(); sp != nil {
 		sp.Attach(n.eng)
 	}
-	if tr != nil {
-		n.tr = tr
+	if rec.Exporting() {
+		proc := rec.Process("net/" + inst)
 		n.detail = tel.Detail
-		n.pid = tr.NewProcess("net/" + inst)
-		n.txTID = tr.NewThread(n.pid, "tx")
-		n.swTID = tr.NewThread(n.pid, "switch")
-		n.rxTID = tr.NewThread(n.pid, "rx")
-		n.spans = telemetry.NewSpans(tr, n.pid, tr.NewThread(n.pid, "spans"))
+		n.txTrack, n.swTrack, n.rxTrack = proc.Thread("tx"), proc.Thread("switch"), proc.Thread("rx")
+		n.spans = proc.SpanThread("spans")
 		n.coflowSpans = make(map[uint32]telemetry.SpanID)
 	}
 	// Critical-path chains are accounted whenever a consumer is attached:
-	// the registry consumes them as cct.attr.* series, the tracer as
-	// "span" category events, and either alone justifies the bookkeeping.
-	// A flight-recorder-only hub skips them (the ring wants cheap event
-	// stamps, not per-packet accounting).
-	if reg != nil || tr != nil {
+	// the registry consumes them as cct.attr.* series, an exporting
+	// recorder as "span" category events, and either alone justifies the
+	// bookkeeping. A hub whose recorder only keeps its flight ring skips
+	// them (the ring wants cheap event stamps, not per-packet accounting).
+	if reg != nil || rec.Exporting() {
 		n.attr = telemetry.NewCritPath()
 	}
 	n.reg, n.inst = reg, inst
 	n.tracker.OnComplete = func(id uint32, s *coflow.Status) {
-		n.spans.Complete(s.FirstSend, s.CCT(), "coflow", n.coflowSpan(id), 0, id)
-		n.fr.Record(n.eng.Now(), "coflow.done", int64(id), int64(s.CCT()))
+		n.spans.Span(s.FirstSend, s.CCT(), "coflow", n.coflowSpan(id), 0, id)
+		n.recorder.Record(n.eng.Now(), "coflow.done", int64(id), int64(s.CCT()))
 	}
 	if sw, ok := n.sw.(Instrumentable); ok {
 		sw.Instrument(tel, n.eng.Now)
@@ -699,7 +694,7 @@ func (n *Network) startSend(src int, pkt *packet.Packet) {
 	cf := n.coflowOf(pkt)
 	n.tracker.Send(cf, now, pkt.WireLen())
 	n.injected++
-	n.fr.Record(now, "send", int64(cf), int64(src))
+	n.recorder.Record(now, "send", int64(cf), int64(src))
 	ch := n.newChain(cf, now)
 	var ts *txState
 	if n.rec != nil {
@@ -727,7 +722,7 @@ func (n *Network) arriveAtSwitch(e *pktEvent, queued bool) {
 			// Switch stall window: the arrival is held (input buffering)
 			// and replayed when the switch resumes.
 			n.led.StallDeferrals++
-			n.fr.Record(n.eng.Now(), "stall.defer", int64(e.cf), int64(end))
+			n.recorder.Record(n.eng.Now(), "stall.defer", int64(e.cf), int64(end))
 			e.bucket = telemetry.BucketFailoverStall
 			n.eng.PostHandler(end, e)
 			return
@@ -766,7 +761,7 @@ func (n *Network) arriveAtSwitch(e *pktEvent, queued bool) {
 			// re-ack so the sender stops.
 			n.led.DupSuppressed++
 			n.tracker.Duplicate(ts.cf)
-			n.fr.Record(n.eng.Now(), "dup.suppress", int64(ts.cf), int64(ts.uid))
+			n.recorder.Record(n.eng.Now(), "dup.suppress", int64(ts.cf), int64(ts.uid))
 			n.sendAck(ts)
 			return
 		}
@@ -779,7 +774,7 @@ func (n *Network) arriveAtSwitch(e *pktEvent, queued bool) {
 		// not disturb the accepted copy's history.
 		ch = ch.Fork()
 	}
-	n.fr.Record(n.eng.Now(), "switch.arrive", int64(cf), int64(pkt.IngressPort))
+	n.recorder.Record(n.eng.Now(), "switch.arrive", int64(cf), int64(pkt.IngressPort))
 	var before uint64
 	if n.counter != nil {
 		before = n.counter.IngressTraversals()
@@ -791,16 +786,16 @@ func (n *Network) arriveAtSwitch(e *pktEvent, queued bool) {
 		n.errs = append(n.errs, err)
 		n.led.SwitchErrors++
 		n.tracker.Drop(cf)
-		n.fr.Record(n.eng.Now(), "switch.error", int64(cf), 0)
-		if n.tr != nil {
-			n.tr.Instant(n.eng.Now(), "switch.error", "net", n.pid, n.swTID,
+		n.recorder.Record(n.eng.Now(), "switch.error", int64(cf), 0)
+		if n.swTrack != nil {
+			n.swTrack.Instant(n.eng.Now(), "switch.error", "net",
 				map[string]any{"error": err.Error()})
 		}
 		return
 	}
 	n.led.SwitchProcessed++
-	if n.tr != nil && n.detail {
-		n.tr.Instant(n.eng.Now(), "switch.process", "net", n.pid, n.swTID,
+	if n.detail {
+		n.swTrack.Instant(n.eng.Now(), "switch.process", "net",
 			map[string]any{"ingress_port": pkt.IngressPort, "outs": len(outs)})
 	}
 	if n.counter != nil {
@@ -879,7 +874,7 @@ func (n *Network) scheduleOutputs(outs []*packet.Packet, sentAt sim.Time, ch *te
 func (n *Network) crashDrop(pkt *packet.Packet, cf uint32, ts *txState) {
 	n.led.CrashDrops++
 	n.tracker.Lose(cf)
-	n.fr.Record(n.eng.Now(), "crash.drop", int64(cf), int64(pkt.IngressPort))
+	n.recorder.Record(n.eng.Now(), "crash.drop", int64(cf), int64(pkt.IngressPort))
 	if ts == nil {
 		n.tracker.Drop(cf)
 	}
@@ -906,7 +901,7 @@ func (n *Network) haArrival(pkt *packet.Packet, cf uint32, sentAt sim.Time, ts *
 			// exactly what output commit withholds.
 			n.led.DupSuppressed++
 			n.tracker.Duplicate(ts.cf)
-			n.fr.Record(n.eng.Now(), "dup.suppress", int64(ts.cf), int64(ts.uid))
+			n.recorder.Record(n.eng.Now(), "dup.suppress", int64(ts.cf), int64(ts.uid))
 			if n.pair.Committed(ts.uid) {
 				n.sendAck(ts)
 			}
@@ -918,7 +913,7 @@ func (n *Network) haArrival(pkt *packet.Packet, cf uint32, sentAt sim.Time, ts *
 	if ts != nil {
 		uid = ts.uid
 	}
-	n.fr.Record(n.eng.Now(), "switch.arrive", int64(cf), int64(pkt.IngressPort))
+	n.recorder.Record(n.eng.Now(), "switch.arrive", int64(cf), int64(pkt.IngressPort))
 	// Detach the committed account from the sender's (see arriveAtSwitch);
 	// the commit runs at the delta's ship time, possibly after spurious
 	// retransmissions have advanced ts.chain.
@@ -935,16 +930,16 @@ func (n *Network) haArrival(pkt *packet.Packet, cf uint32, sentAt sim.Time, ts *
 		n.errs = append(n.errs, err)
 		n.led.SwitchErrors++
 		n.tracker.Drop(cf)
-		n.fr.Record(n.eng.Now(), "switch.error", int64(cf), 0)
-		if n.tr != nil {
-			n.tr.Instant(n.eng.Now(), "switch.error", "net", n.pid, n.swTID,
+		n.recorder.Record(n.eng.Now(), "switch.error", int64(cf), 0)
+		if n.swTrack != nil {
+			n.swTrack.Instant(n.eng.Now(), "switch.error", "net",
 				map[string]any{"error": err.Error()})
 		}
 		return
 	}
 	n.led.SwitchProcessed++
-	if n.tr != nil && n.detail {
-		n.tr.Instant(n.eng.Now(), "switch.process", "net", n.pid, n.swTID,
+	if n.detail {
+		n.swTrack.Instant(n.eng.Now(), "switch.process", "net",
 			map[string]any{"ingress_port": pkt.IngressPort})
 	}
 }
@@ -961,9 +956,9 @@ func (n *Network) deliver(dst int, p *packet.Packet, cf uint32, sentAt sim.Time,
 	// the tracker, so the chain it keeps is the one that set LastDeliver.
 	n.attr.Deliver(cf, n.eng.Now(), ch)
 	n.tracker.Deliver(cf, n.eng.Now(), p.WireLen())
-	n.fr.Record(n.eng.Now(), "deliver", int64(cf), int64(dst))
-	if n.tr != nil {
-		n.tr.Instant(n.eng.Now(), "deliver", "net", n.pid, n.rxTID,
+	n.recorder.Record(n.eng.Now(), "deliver", int64(cf), int64(dst))
+	if n.rxTrack != nil {
+		n.rxTrack.Instant(n.eng.Now(), "deliver", "net",
 			map[string]any{"host": dst, "coflow": cf})
 	}
 	if n.OnDeliver != nil {
@@ -993,12 +988,12 @@ func (n *Network) Run() {
 			n.errs = append(n.errs, err)
 		}
 	}
-	if len(n.errs) > pre && n.fr != nil {
+	if len(n.errs) > pre && n.recorder != nil {
 		sink := n.FlightSink
 		if sink == nil {
 			sink = os.Stderr
 		}
-		n.fr.Dump(sink, n.errs[len(n.errs)-1].Error())
+		n.recorder.Dump(sink, n.errs[len(n.errs)-1].Error())
 	}
 	if n.cfg.CheckpointPath != "" && len(n.errs) == 0 && n.eng.Pending() == 0 {
 		if sw, ok := n.sw.(*core.Switch); ok {

@@ -149,7 +149,7 @@ func (n *Network) transmit(src int, pkt *packet.Packet, cf uint32, ts *txState, 
 	if retx {
 		n.led.UplinkRetx++
 		n.tracker.Retransmit(ts.cf)
-		n.fr.Record(now, "retx.tx", int64(ts.cf), int64(ts.retx))
+		n.recorder.Record(now, "retx.tx", int64(ts.cf), int64(ts.retx))
 		n.chargeRecoveryWait(ch, now)
 	} else if ts != nil {
 		ts.firstSent = start
@@ -174,8 +174,8 @@ func (n *Network) transmit(src int, pkt *packet.Packet, cf uint32, ts *txState, 
 	ch.Advance(done, telemetry.BucketSerialization)
 	n.hosts[src].txBusyUntil = done
 	arrive := done + n.cfg.PropDelay
-	if n.tr != nil {
-		n.tr.Complete(start, done-start, "tx", "net", n.pid, n.txTID,
+	if n.txTrack != nil {
+		n.txTrack.Complete(start, done-start, "tx", "net",
 			map[string]any{"host": src, "bytes": pkt.WireLen()})
 	}
 	switch out {
@@ -261,8 +261,8 @@ func (n *Network) countTxFault(out faults.Outcome, ts *txState, cf uint32) {
 // sender only learns via its ack timer.
 func (n *Network) corruptArrival(ts *txState, pkt *packet.Packet, cf uint32) {
 	n.countTxFault(faults.Corrupt, ts, cf)
-	if n.tr != nil && n.detail {
-		n.tr.Instant(n.eng.Now(), "switch.corrupt_discard", "net", n.pid, n.swTID,
+	if n.detail {
+		n.swTrack.Instant(n.eng.Now(), "switch.corrupt_discard", "net",
 			map[string]any{"ingress_port": pkt.IngressPort})
 	}
 }
@@ -316,7 +316,7 @@ func (n *Network) attemptDeliver(dst int, p *packet.Packet, cf uint32, earliest,
 	if retx {
 		n.led.DownlinkRetx++
 		n.tracker.Retransmit(cf)
-		n.fr.Record(n.eng.Now(), "retx.rx", int64(cf), int64(rs.retx))
+		n.recorder.Record(n.eng.Now(), "retx.rx", int64(cf), int64(rs.retx))
 		ch.Advance(n.eng.Now(), telemetry.BucketRetx)
 	}
 	n.led.RxAttempts++
@@ -335,8 +335,8 @@ func (n *Network) attemptDeliver(dst int, p *packet.Packet, cf uint32, earliest,
 	ch.Advance(done, telemetry.BucketSerialization)
 	n.hosts[dst].rxBusyUntil = done
 	arrive := done + n.cfg.PropDelay
-	if n.tr != nil && n.detail {
-		n.tr.Complete(start, done-start, "rx", "net", n.pid, n.rxTID,
+	if n.detail {
+		n.rxTrack.Complete(start, done-start, "rx", "net",
 			map[string]any{"host": dst, "bytes": p.WireLen()})
 	}
 	if out != faults.OK { // Lost or Corrupt: the frame occupied the wire but nothing usable arrives

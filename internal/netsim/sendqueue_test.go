@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -39,7 +40,7 @@ const fuzzHosts = 4
 // runs of a program.
 type sendScheduleRun struct {
 	Dispatch []string // the dispatch hook's (at, pending, fired), one per event
-	Flight   []telemetry.FlightEvent
+	Flight   string   // the flight ring's dump
 	Ledger   netsim.Ledger
 	Received [fuzzHosts][]uint32 // packet ids in arrival order
 	Errors   string
@@ -69,7 +70,7 @@ func runSendSchedule(t *testing.T, prog []byte, armEach bool) sendScheduleRun {
 		cfg.ServiceRatePPS = 2e6
 	}
 	var out sendScheduleRun
-	tel := &telemetry.Telemetry{Flight: telemetry.NewFlightRecorder(4096)}
+	tel := &telemetry.Telemetry{Recorder: telemetry.NewRecorder(false)}
 	telemetry.WithHub(tel, func() {
 		n, err := netsim.New(cfg, &bounceSwitch{})
 		if err != nil {
@@ -111,7 +112,9 @@ func runSendSchedule(t *testing.T, prog []byte, armEach bool) sendScheduleRun {
 			}
 		}
 		n.Run()
-		out.Flight, out.Ledger, out.Errors = tel.Flight.Events(), n.Ledger(), fmt.Sprint(n.Errors())
+		var flight strings.Builder
+		tel.Rec().Dump(&flight, "end of run")
+		out.Flight, out.Ledger, out.Errors = flight.String(), n.Ledger(), fmt.Sprint(n.Errors())
 		var d packet.Decoded
 		for h := range out.Received {
 			for _, p := range n.Host(h).Received {
@@ -129,7 +132,7 @@ func runSendSchedule(t *testing.T, prog []byte, armEach bool) sendScheduleRun {
 // fuzzed program of sends (see runSendSchedule) runs once with the queues
 // and once with every send an event of its own from the moment it is
 // posted, and the two runs must fire the same events at the same times with
-// the same number pending, leave the same flight-recorder ring and ledger,
+// the same number pending, leave the same flight ring and ledger,
 // and deliver the same packets to each host in the same order.
 func FuzzSendSchedule(f *testing.F) {
 	// Ties across hosts and on one host; a send earlier than its host's tail.

@@ -17,9 +17,9 @@
 // Points run under point-local hubs at every pool width — Workers == 1
 // merely executes them in order on the caller's goroutine — so one worker
 // and eight produce the same bytes by the same mechanism, which the golden
-// tests pin. The only exception is a destination hub carrying a Tracer:
-// traces are not mergeable, so points then run directly under the ambient
-// hub, in order, exactly as a pre-pool harness would.
+// tests pin. The only exception is a destination hub whose recorder
+// exports: traces are not mergeable, so points then run directly under the
+// ambient hub, in order, exactly as a pre-pool harness would.
 package parallel
 
 import (
@@ -71,9 +71,9 @@ type Options struct {
 	// Workers bounds the pool; ≤ 0 selects runtime.NumCPU(). With one
 	// worker, points run in order on the caller's goroutine — still under
 	// point-local hubs merged back in order, so output bytes are
-	// independent of the width. A destination hub carrying a Tracer runs
-	// the points directly under the ambient hub instead: traces are not
-	// mergeable.
+	// independent of the width. A destination hub whose recorder exports
+	// runs the points directly under the ambient hub instead: traces are
+	// not mergeable.
 	Workers int
 	// Hub is the merge destination: each parallel point runs under a
 	// point-local mirror of it (fresh registry, fresh sampler with the
@@ -124,7 +124,7 @@ func Run(points []Point, opt Options) error {
 	// atomic load; none of this touches the deterministic telemetry hubs.
 	pp := perf.Active()
 	poolStart := time.Now()
-	if opt.Hub.Trace() != nil {
+	if opt.Hub.Rec().Exporting() {
 		// Trace events cannot be merged across hubs, so run the points
 		// directly under the ambient hub, in order.
 		for i := range points {

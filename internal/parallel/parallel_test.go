@@ -167,6 +167,37 @@ func TestRunNilHubMasksProcessHub(t *testing.T) {
 	}
 }
 
+// Only a hub whose recorder exports keeps its points on the caller's hub,
+// in order: traces cannot be merged. A hub whose recorder keeps just its
+// flight ring — every run's — still fans out into point-local mirrors, all
+// writing to the one shared ring.
+func TestRunPointsInPlaceOnlyUnderExportingRecorder(t *testing.T) {
+	for _, export := range []bool{false, true} {
+		hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Recorder: telemetry.NewRecorder(export)}
+		var inPlace, sharedRing atomic.Int32
+		pts := make([]Point, 4)
+		for i := range pts {
+			pts[i] = Point{Name: fmt.Sprintf("p[%d]", i), Run: func() error {
+				if h := telemetry.Hub(); h == hub {
+					inPlace.Add(1)
+				} else if h.Rec() == hub.Recorder {
+					sharedRing.Add(1)
+				}
+				return nil
+			}}
+		}
+		var err error
+		telemetry.WithHub(hub, func() { err = Run(pts, Options{Workers: 4, Hub: hub}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := map[bool]int32{false: 0, true: 4}[export]; inPlace.Load() != want || inPlace.Load()+sharedRing.Load() != 4 {
+			t.Errorf("exporting %v: %d points on the caller's hub, %d on mirrors sharing its ring; want %d and %d",
+				export, inPlace.Load(), sharedRing.Load(), want, 4-want)
+		}
+	}
+}
+
 func TestRunEmpty(t *testing.T) {
 	if err := Run(nil, Options{}); err != nil {
 		t.Fatal(err)

@@ -213,7 +213,7 @@ func sleepBackoff(pol RetryPolicy, name string, attempt int) {
 	time.Sleep(d)
 }
 
-// flightDump renders the shared flight recorder for a quarantined point's
+// flightDump renders the shared flight ring for a quarantined point's
 // post-mortem record.
 func flightDump(hub *telemetry.Telemetry, point string, err error) []byte {
 	rec := hub.Rec()

@@ -74,7 +74,7 @@ func TestRetryFlakyPointSucceeds(t *testing.T) {
 // other points merge, and the error tree carries a *QuarantinedError with
 // the classified failure.
 func TestQuarantineExcludesPoisonPoint(t *testing.T) {
-	hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Flight: telemetry.NewFlightRecorder(8)}
+	hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Recorder: telemetry.NewRecorder(false)}
 	var delays []time.Duration
 	pts := []Point{
 		{Name: "ok[0]", Run: func() error { sweepPoint(0); return nil }},
@@ -100,7 +100,7 @@ func TestQuarantineExcludesPoisonPoint(t *testing.T) {
 
 	// The two healthy points merged exactly as if the poison point never
 	// existed as an observer.
-	ref := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Flight: telemetry.NewFlightRecorder(8)}
+	ref := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Recorder: telemetry.NewRecorder(false)}
 	refPts := []Point{
 		{Name: "ok[0]", Run: func() error { sweepPoint(0); return nil }},
 		{Name: "ok[1]", Run: func() error { sweepPoint(1); return nil }},

@@ -41,9 +41,10 @@ const (
 // err is non-nil for ExpFailed and ExpSkipped.
 //
 // It is the one place a run's config becomes process state: the sweep
-// layer's pool width (one worker under a tracer, said on stderr), retry
-// policy, point progress and journal hold for exactly the duration of the
-// run, and the event budget for each experiment (experiments.Run).
+// layer's pool width (one worker when tel's recorder exports, said on
+// stderr), retry policy, point progress and journal hold for exactly the
+// duration of the run, and the event budget for each experiment
+// (experiments.Run).
 // Clearing the journal before returning keeps a goroutine an expired
 // watchdog abandoned from journaling into whatever runs next. The state is
 // process-global, which is why callers run one selection at a time.
@@ -58,7 +59,7 @@ const (
 func RunExperiments(ctx context.Context, cfg RunConfig, tel *telemetry.Telemetry, jr *runstate.Journal,
 	out, stderr io.Writer, on func(name string, st ExpState, err error)) {
 	workers := cfg.Parallel
-	if cfg.Tracer && workers != 1 {
+	if tel.Rec().Exporting() && workers != 1 {
 		fmt.Fprintln(stderr, "tracing requested: forcing -parallel 1 (traces are not mergeable)")
 		workers = 1
 	}

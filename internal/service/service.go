@@ -177,22 +177,20 @@ type RunConfig struct {
 	SampleIntervalUS int          // ≤ 0 = telemetry.DefaultSampleInterval
 	SampleCap        int          // ≤ 0 = telemetry.DefaultSampleCapacity
 
-	Tracer        bool                 // a tracer is attached; sweeps then run on one worker
+	Tracer        bool                 // the recorder exports trace events; sweeps then run on one worker
 	Parallel      int                  // sweep worker-pool width; ≤ 0 = runtime.NumCPU()
 	Retry         parallel.RetryPolicy // sweep-point retries; zero = one attempt
 	PointProgress func(sweep string, done, total int)
 }
 
-// Telemetry builds the run's hub: the registry, sampler and tracer the
-// config asks for, plus the always-on flight ring, so a watchdog kill or
-// an invariant trip can dump what the simulation did last.
+// Telemetry builds the run's hub: the registry and sampler the config asks
+// for, and a recorder that exports trace events when Tracer is set. Its
+// flight ring is always on, so a watchdog kill or an invariant trip can
+// dump what the simulation did last.
 func (c RunConfig) Telemetry() *telemetry.Telemetry {
-	tel := &telemetry.Telemetry{Detail: c.Detail && c.Tracer, Flight: telemetry.NewFlightRecorder(0)}
+	tel := &telemetry.Telemetry{Detail: c.Detail && c.Tracer, Recorder: telemetry.NewRecorder(c.Tracer)}
 	if c.Registry {
 		tel.Metrics = telemetry.NewRegistry()
-	}
-	if c.Tracer {
-		tel.Tracer = telemetry.NewTracer()
 	}
 	if c.Sampler {
 		tel.Sampler = telemetry.NewSampler(tel.Metrics, sim.Time(c.SampleIntervalUS)*sim.Microsecond, c.SampleCap)
@@ -204,7 +202,7 @@ func (c RunConfig) Telemetry() *telemetry.Telemetry {
 // journal records; runstate.Open refuses to resume a journal whose digest
 // differs. A knob is recorded as it takes effect: the sampling knobs as
 // NewSampler applies them (the defaults without a sampler), detail as
-// false without a tracer.
+// false unless the recorder exports.
 func (c RunConfig) Digest() string {
 	names := make([]string, len(c.Selection))
 	for i, e := range c.Selection {

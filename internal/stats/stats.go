@@ -1,6 +1,6 @@
-// Package stats provides counters, histograms, throughput meters, and the
-// plain-text table renderer used by the experiment harness to print
-// paper-style tables.
+// Package stats provides counters, gauges, histograms, and the plain-text
+// table renderer used by the experiment harness to print paper-style
+// tables.
 package stats
 
 import (
@@ -155,20 +155,6 @@ func (h *Histogram) sort() {
 	}
 }
 
-// Meter converts a count accumulated over a simulated duration into a rate.
-type Meter struct {
-	Count uint64
-}
-
-// Rate returns Count per second for the given simulated duration in
-// picoseconds. A zero duration yields 0.
-func (m Meter) Rate(durationPs int64) float64 {
-	if durationPs <= 0 {
-		return 0
-	}
-	return float64(m.Count) / (float64(durationPs) / 1e12)
-}
-
 // Table renders fixed-width plain-text tables in the style of the paper.
 type Table struct {
 	title   string
@@ -215,23 +201,6 @@ func (t *Table) Merge(o *Table) {
 		}
 	}
 	t.rows = append(t.rows, o.rows...)
-}
-
-// AddRowf appends a row formatting each value with %v, floats with 4
-// significant digits.
-func (t *Table) AddRowf(cells ...any) {
-	s := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			s[i] = FormatSI(v)
-		case float32:
-			s[i] = FormatSI(float64(v))
-		default:
-			s[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.AddRow(s...)
 }
 
 // String renders the table.

@@ -154,21 +154,10 @@ func TestHistogramMeanBounds(t *testing.T) {
 	}
 }
 
-func TestMeterRate(t *testing.T) {
-	m := Meter{Count: 1000}
-	// 1000 events in 1 microsecond = 1e9 events/sec.
-	if got := m.Rate(1_000_000); got != 1e9 {
-		t.Errorf("Rate = %v, want 1e9", got)
-	}
-	if got := m.Rate(0); got != 0 {
-		t.Errorf("Rate(0) = %v, want 0", got)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tbl := NewTable("Demo", "name", "value")
 	tbl.AddRow("alpha", "1")
-	tbl.AddRowf("beta", 12800.0)
+	tbl.AddRow("beta", FormatSI(12800.0))
 	out := tbl.String()
 	if !strings.Contains(out, "Demo") {
 		t.Error("missing title")
@@ -177,7 +166,7 @@ func TestTableRendering(t *testing.T) {
 		t.Error("missing rows")
 	}
 	if !strings.Contains(out, "12.80k") {
-		t.Errorf("AddRowf did not SI-format: %q", out)
+		t.Errorf("FormatSI cell lost its SI suffix: %q", out)
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 5 { // title, header, rule, 2 rows

@@ -15,16 +15,16 @@ import (
 //
 // lat, when non-nil, receives every traversal's latency in picoseconds — a
 // bounded log-bucketed histogram, so million-packet runs cost O(buckets)
-// memory. tr, when non-nil, receives trace events: with detail=false only
-// per-traversal summaries (one complete event per EvDone, plus an instant
-// for each recirculation request); with detail=true every stage visit
-// becomes an instant event — stage occupancy at full resolution, at a
-// large event-volume cost. sp, when non-nil, additionally emits "span"
-// category events — a pipeline-traversal span per EvDone and a
-// recirculation marker — feeding the causal-span layer. With all sinks
-// nil the returned observer is nil, keeping the pipeline's unobserved
-// fast path.
-func PipelineObserver(lat *Histogram, tr *Tracer, sp *Spans, detail bool, now func() sim.Time, clockHz float64, pid, tid int) pipeline.Observer {
+// memory. tr, when non-nil, is the pipeline's trace thread: with
+// detail=false it receives only per-traversal summaries (one complete
+// event per EvDone, plus an instant for each recirculation request); with
+// detail=true every stage visit becomes an instant event — stage occupancy
+// at full resolution, at a large event-volume cost. Its span thread
+// additionally receives "span" category events — a pipeline-traversal
+// span per EvDone and a recirculation marker — feeding the causal-span
+// layer. With both sinks nil the returned observer is nil, keeping the
+// pipeline's unobserved fast path.
+func PipelineObserver(lat *Histogram, tr *Track, detail bool, now func() sim.Time, clockHz float64) pipeline.Observer {
 	if lat == nil && tr == nil {
 		return nil
 	}
@@ -43,25 +43,21 @@ func PipelineObserver(lat *Histogram, tr *Tracer, sp *Spans, detail bool, now fu
 			if tr == nil {
 				return
 			}
-			tr.Complete(now(), cycleDur(ev.Cycles), "traversal", "pipeline", pid, tid,
+			tr.Complete(now(), cycleDur(ev.Cycles), "traversal", "pipeline",
 				map[string]any{"cycles": ev.Cycles, "verdict": ev.Verdict.String()})
-			if sp != nil {
-				sp.Complete(now(), cycleDur(ev.Cycles), BucketPipeline.String(), sp.NewSpan(), 0, 0)
-			}
+			tr.Span(now(), cycleDur(ev.Cycles), BucketPipeline.String(), tr.NewSpan(), 0, 0)
 			if ev.Verdict == pipeline.VerdictRecirculate {
-				tr.Instant(now(), "recirculate", "pipeline", pid, tid, nil)
-				if sp != nil {
-					sp.Instant(now(), BucketRecirculation.String(), sp.NewSpan(), 0, 0)
-				}
+				tr.Instant(now(), "recirculate", "pipeline", nil)
+				tr.SpanMark(now(), BucketRecirculation.String(), tr.NewSpan(), 0, 0)
 			}
 		case pipeline.EvStage:
 			if tr != nil && detail {
-				tr.Instant(now(), "stage", "pipeline", pid, tid,
+				tr.Instant(now(), "stage", "pipeline",
 					map[string]any{"stage": ev.Stage, "cycles": ev.Cycles})
 			}
 		case pipeline.EvParsed, pipeline.EvDeparsed:
 			if tr != nil && detail {
-				tr.Instant(now(), ev.Kind.String(), "pipeline", pid, tid,
+				tr.Instant(now(), ev.Kind.String(), "pipeline",
 					map[string]any{"cycles": ev.Cycles})
 			}
 		}
@@ -71,13 +67,14 @@ func PipelineObserver(lat *Histogram, tr *Tracer, sp *Spans, detail bool, now fu
 // TMObserver adapts a traffic manager's Observer stream into telemetry:
 // shared-buffer occupancy into gauge g (which then also tracks the peak),
 // per-packet queueing delay into histogram wait (valid dequeues only —
-// requires the TM to carry a clock via SetClock), tail drops as instant
-// trace events, and — with detail — an occupancy counter sample per
-// operation (a Perfetto counter track). sp, when non-nil, emits a "span"
-// category queueing span for every timed dequeue (the packet's residence
-// in the traffic manager). Any sink may be nil; with all nil
-// the returned observer is nil, so the TM keeps its unobserved fast path.
-func TMObserver(g *Gauge, wait *Histogram, tr *Tracer, sp *Spans, detail bool, now func() sim.Time, name string, pid, tid int) tm.Observer {
+// requires the TM to carry a clock via SetClock), and into tr, the TM's
+// trace thread: tail drops as instant events and — with detail — an
+// occupancy counter sample per operation (a Perfetto counter track). With
+// wait set, tr's span thread also receives a "span" category queueing
+// span for every timed dequeue (the packet's residence in the traffic
+// manager). Any sink may be nil; with all nil the returned observer is
+// nil, so the TM keeps its unobserved fast path.
+func TMObserver(g *Gauge, wait *Histogram, tr *Track, detail bool, now func() sim.Time, name string) tm.Observer {
 	if g == nil && wait == nil && tr == nil {
 		return nil
 	}
@@ -87,19 +84,18 @@ func TMObserver(g *Gauge, wait *Histogram, tr *Tracer, sp *Spans, detail bool, n
 		}
 		if wait != nil && ev.Op == tm.OpDequeue && ev.WaitPs >= 0 {
 			wait.Observe(float64(ev.WaitPs))
-			if sp != nil && ev.WaitPs > 0 {
-				sp.Complete(now()-sim.Time(ev.WaitPs), sim.Time(ev.WaitPs), BucketQueueing.String(), sp.NewSpan(), 0, 0)
+			if tr != nil && ev.WaitPs > 0 {
+				tr.Span(now()-sim.Time(ev.WaitPs), sim.Time(ev.WaitPs), BucketQueueing.String(), tr.NewSpan(), 0, 0)
 			}
 		}
 		if tr == nil {
 			return
 		}
 		if ev.Op == tm.OpDrop {
-			tr.Instant(now(), name+".drop", "tm", pid, tid,
+			tr.Instant(now(), name+".drop", "tm",
 				map[string]any{"bytes": ev.Bytes, "queue": ev.Output})
 		} else if detail {
-			tr.Counter(now(), name+".occupancy_bytes", pid,
-				map[string]float64{"bytes": float64(ev.OccupancyBytes)})
+			tr.Counter(now(), name+".occupancy_bytes", "bytes", float64(ev.OccupancyBytes))
 		}
 	}
 }
@@ -138,8 +134,8 @@ type NamedPipes struct {
 // queueing delay, pipeline traversal latency lands in one bounded
 // histogram per role and traversal counts in one series per pipeline
 // (which the sampler turns into stage-utilization time series), and —
-// when a tracer is present — TMs and pipelines route their Observer events
-// into sim-time trace tracks. now supplies the surrounding network's
+// when the recorder exports — TMs and pipelines route their Observer
+// events into sim-time trace tracks. now supplies the surrounding network's
 // clock; nil means all trace events land at t=0 (synchronous harnesses)
 // and queueing delays read 0.
 //
@@ -153,7 +149,7 @@ func InstrumentSwitch(tel *Telemetry, now func() sim.Time, w SwitchWiring) {
 	if now == nil {
 		now = func() sim.Time { return 0 }
 	}
-	reg, tr := tel.Reg(), tel.Trace()
+	reg := tel.Reg()
 	inst := "0"
 	if reg != nil {
 		inst = reg.InstanceLabel("instance").Value
@@ -163,11 +159,8 @@ func InstrumentSwitch(tel *Telemetry, now func() sim.Time, w SwitchWiring) {
 	if reg != nil {
 		w.Counters(reg, ls)
 	}
-	pid := tr.NewProcess(w.Arch + "/" + inst)
-	var sp *Spans
-	if tr != nil {
-		sp = NewSpans(tr, pid, tr.NewThread(pid, "spans"))
-	}
+	proc := tel.Rec().Process(w.Arch + "/" + inst)
+	proc.SpanThread("spans")
 	for _, t := range w.TMs {
 		var occ *Gauge
 		var wait *Histogram
@@ -185,8 +178,7 @@ func InstrumentSwitch(tel *Telemetry, now func() sim.Time, w SwitchWiring) {
 			wait = reg.Histogram("switch.tm.wait_ps", tl...)
 		}
 		t.TM.SetClock(now)
-		tid := tr.NewThread(pid, t.Name)
-		if obs := TMObserver(occ, wait, tr, sp, tel.Detail, now, t.Name, pid, tid); obs != nil {
+		if obs := TMObserver(occ, wait, proc.Thread(t.Name), tel.Detail, now, t.Name); obs != nil {
 			t.TM.SetObserver(obs)
 		}
 	}
@@ -196,16 +188,16 @@ func InstrumentSwitch(tel *Telemetry, now func() sim.Time, w SwitchWiring) {
 			lat = reg.Histogram("switch.pipeline.latency_ps", with(L("role", r.Role))...)
 		}
 		for k, p := range r.Pipes {
-			tid := 0
-			if tr != nil {
-				tid = tr.NewThread(pid, fmt.Sprintf("%s%d", r.Role, k))
+			var tr *Track
+			if proc != nil {
+				tr = proc.Thread(fmt.Sprintf("%s%d", r.Role, k))
 			}
 			if reg != nil {
 				p := p
 				reg.ObserveFunc("switch.pipeline.traversals", func() float64 { return float64(p.Packets()) },
 					with(L("role", r.Role), L("pipe", fmt.Sprint(k)))...)
 			}
-			if obs := PipelineObserver(lat, tr, sp, tel.Detail, now, w.ClockHz, pid, tid); obs != nil {
+			if obs := PipelineObserver(lat, tr, tel.Detail, now, w.ClockHz); obs != nil {
 				p.SetObserver(obs)
 			}
 		}

@@ -95,9 +95,9 @@ func labelsFromState(ls []labelState) []Label {
 // EncodeHubState serializes t's registry and sampler canonically. KindFunc
 // metrics are frozen to their value at encode time — exact for a quiescent
 // hub, and exactly what a sequential run's later snapshots would read from
-// the stale closure. Tracers and flight recorders are not persisted: the
-// CLI refuses -run-dir with tracing, and the flight ring is diagnostic
-// state outside the deterministic exports.
+// the stale closure. The recorder is not persisted: the CLI refuses
+// -run-dir with tracing, and the flight ring is diagnostic state outside
+// the deterministic exports.
 func EncodeHubState(t *Telemetry) ([]byte, error) {
 	doc := hubState{Schema: HubStateSchema}
 	if t != nil && t.Metrics != nil {
@@ -285,17 +285,18 @@ func decodeSampler(st *samplerState, reg *Registry) *Sampler {
 
 // Mirror builds a hub matching the destination's shape: a fresh registry
 // when the destination records metrics, a fresh sampler with the
-// destination's interval and capacity when it samples. Tracers are never
-// mirrored (they are not mergeable); the flight recorder is shared, not
-// mirrored — it is a concurrency-safe diagnostic ring outside the
-// deterministic exports, and a post-mortem dump should see every worker's
-// last moves. The parallel sweep engine mirrors per point; the CLI mirrors
-// per experiment when a run journal is active.
+// destination's interval and capacity when it samples. The recorder is
+// shared, not mirrored: its flight ring is a concurrency-safe diagnostic
+// ring outside the deterministic exports, and a post-mortem dump should see
+// every worker's last moves. No mirror is built of a hub whose recorder
+// exports: the parallel sweep engine mirrors per point only when it does
+// not, and a run journal (the CLI mirrors per experiment under one)
+// refuses tracing.
 func Mirror(dst *Telemetry) *Telemetry {
 	if dst == nil {
 		return nil
 	}
-	local := &Telemetry{Detail: dst.Detail, Flight: dst.Flight}
+	local := &Telemetry{Detail: dst.Detail, Recorder: dst.Recorder}
 	if dst.Metrics != nil {
 		local.Metrics = NewRegistry()
 		if dst.Sampler != nil {

@@ -4,7 +4,7 @@ import "repro/internal/sim"
 
 // This file is the causal-span layer: sim-time spans with parent/child
 // lineage (coflow → packet → wire/queue/pipeline/... segments) recorded
-// through the existing Tracer, plus the Chain accountant that carves a
+// through a Track's span methods, plus the Chain accountant that carves a
 // packet's life into named buckets for critical-path CCT attribution.
 //
 // The design constraint is exactness: for the packet whose delivery closes
@@ -80,62 +80,9 @@ func (bd Breakdown) Sum() sim.Time {
 	return s
 }
 
-// SpanID identifies one span within a Spans emitter; 0 means "no span"
+// SpanID identifies one span within a trace process; 0 means "no span"
 // (used as the parent of root spans).
 type SpanID uint64
-
-// Spans emits parent/child span events onto a Tracer under the "span"
-// category, with deterministic IDs drawn from a plain counter — no
-// wall-clock, no randomness, so traces are reproducible at a seed. A nil
-// *Spans is a no-op emitter, which is how chains stay free when tracing is
-// off. Spans is not safe for concurrent use; each emitter belongs to one
-// single-goroutine simulation, matching how tracers are only ever attached
-// to sequential runs.
-type Spans struct {
-	tr   *Tracer
-	pid  int
-	tid  int
-	next uint64
-}
-
-// NewSpans returns a span emitter writing to tr on the given process and
-// thread track, or nil when tr is nil.
-func NewSpans(tr *Tracer, pid, tid int) *Spans {
-	if tr == nil {
-		return nil
-	}
-	return &Spans{tr: tr, pid: pid, tid: tid}
-}
-
-// NewSpan allocates the next span ID. Nil-safe (returns 0).
-func (s *Spans) NewSpan() SpanID {
-	if s == nil {
-		return 0
-	}
-	s.next++
-	return SpanID(s.next)
-}
-
-// Complete emits one finished span segment [ts, ts+dur] named
-// "span.<name>" with its lineage in args. Nil-safe.
-func (s *Spans) Complete(ts, dur sim.Time, name string, id, parent SpanID, coflow uint32) {
-	if s == nil {
-		return
-	}
-	s.tr.Complete(ts, dur, "span."+name, "span", s.pid, s.tid, map[string]any{
-		"span": uint64(id), "parent": uint64(parent), "coflow": coflow,
-	})
-}
-
-// Instant emits a zero-duration span marker. Nil-safe.
-func (s *Spans) Instant(ts sim.Time, name string, id, parent SpanID, coflow uint32) {
-	if s == nil {
-		return
-	}
-	s.tr.Instant(ts, "span."+name, "span", s.pid, s.tid, map[string]any{
-		"span": uint64(id), "parent": uint64(parent), "coflow": coflow,
-	})
-}
 
 // Chain is the causal account of one packet: a monotonic time cursor plus
 // a per-bucket breakdown. Advance(to, b) charges the interval from the
@@ -154,20 +101,20 @@ type Chain struct {
 	cursor sim.Time
 	bd     Breakdown
 
-	sp     *Spans // nil unless span tracing is on
+	tr     *Track // nil unless spans are exported
 	span   SpanID
 	parent SpanID
 	coflow uint32
 }
 
 // NewChain opens a chain for a packet of the given coflow starting at
-// `at`. sp may be nil (attribution without span events); parent is the
+// `at`. tr may be nil (attribution without span events); parent is the
 // enclosing coflow span (0 when untraced).
-func NewChain(at sim.Time, coflow uint32, sp *Spans, parent SpanID) *Chain {
-	c := &Chain{start: at, cursor: at, sp: sp, parent: parent, coflow: coflow}
-	if sp != nil {
-		c.span = sp.NewSpan()
-		sp.Instant(at, "packet", c.span, parent, coflow)
+func NewChain(at sim.Time, coflow uint32, tr *Track, parent SpanID) *Chain {
+	c := &Chain{start: at, cursor: at, tr: tr, parent: parent, coflow: coflow}
+	if tr != nil {
+		c.span = tr.NewSpan()
+		tr.SpanMark(at, "packet", c.span, parent, coflow)
 	}
 	return c
 }
@@ -204,8 +151,8 @@ func (c *Chain) Advance(to sim.Time, b Bucket) {
 	}
 	d := to - c.cursor
 	c.bd[b] += d
-	if c.sp != nil {
-		c.sp.Complete(c.cursor, d, b.String(), c.span, c.parent, c.coflow)
+	if c.tr != nil {
+		c.tr.Span(c.cursor, d, b.String(), c.span, c.parent, c.coflow)
 	}
 	c.cursor = to
 }
@@ -217,10 +164,10 @@ func (c *Chain) Fork() *Chain {
 		return nil
 	}
 	n := *c
-	if c.sp != nil {
-		n.span = c.sp.NewSpan()
+	if c.tr != nil {
+		n.span = c.tr.NewSpan()
 		n.parent = c.span
-		c.sp.Instant(c.cursor, "packet", n.span, n.parent, c.coflow)
+		c.tr.SpanMark(c.cursor, "packet", n.span, n.parent, c.coflow)
 	}
 	return &n
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -58,10 +57,12 @@ func TestNilChainIsNoOp(t *testing.T) {
 	}
 }
 
+// Chains write their lineage as span events through a track: a packet
+// marker and a segment per advance, a child marker per fork, every one
+// carrying the coflow.
 func TestSpansEmitLineageOntoTracer(t *testing.T) {
-	tr := NewTracer()
-	pid := tr.NewProcess("test")
-	sp := NewSpans(tr, pid, tr.NewThread(pid, "spans"))
+	r := NewRecorder(true)
+	sp := r.Process("test").SpanThread("spans")
 	root := sp.NewSpan()
 	c := NewChain(1000, 42, sp, root)
 	c.Advance(1500, BucketSerialization)
@@ -69,16 +70,17 @@ func TestSpansEmitLineageOntoTracer(t *testing.T) {
 	f.Advance(2000, BucketPipeline)
 
 	var span, other int
-	for _, ev := range tr.Events() {
-		if ev.Cat == "span" {
+	for _, ev := range jsonl(t, r, "") {
+		switch {
+		case ev["cat"] == "span":
 			span++
-			if !strings.HasPrefix(ev.Name, "span.") {
-				t.Fatalf("span event named %q", ev.Name)
+			if name, _ := ev["name"].(string); !strings.HasPrefix(name, "span.") {
+				t.Fatalf("span event named %q", name)
 			}
-			if ev.Args["coflow"] != uint32(42) {
-				t.Fatalf("span event lost coflow: %v", ev.Args)
+			if args, _ := ev["args"].(map[string]any); args["coflow"] != float64(42) {
+				t.Fatalf("span event lost coflow: %v", ev["args"])
 			}
-		} else if ev.Ph != PhaseMetadata {
+		case ev["ph"] != "M" && ev["ph"] != "trailer":
 			other++
 		}
 	}
@@ -89,59 +91,4 @@ func TestSpansEmitLineageOntoTracer(t *testing.T) {
 	if other != 0 {
 		t.Fatalf("%d non-span, non-metadata events leaked", other)
 	}
-}
-
-func TestWriteChromeTraceCatFilters(t *testing.T) {
-	tr := NewTracer()
-	pid := tr.NewProcess("p")
-	tid := tr.NewThread(pid, "t")
-	tr.Instant(1, "keep", "span", pid, tid, nil)
-	tr.Instant(2, "drop", "net", pid, tid, nil)
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTraceCat(&buf, "span"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, `"keep"`) || strings.Contains(out, `"drop"`) {
-		t.Fatalf("category filter failed: %s", out)
-	}
-	if !strings.Contains(out, "process_name") {
-		t.Fatalf("metadata events must survive filtering: %s", out)
-	}
-	buf.Reset()
-	if err := tr.WriteJSONLCat(&buf, "span"); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 4 { // 2 metadata + keep + trailer
-		t.Fatalf("jsonl filter wrote %d lines, want 4: %s", lines, buf.String())
-	}
-}
-
-func TestFlightRecorderRingWrapsAndDumps(t *testing.T) {
-	f := NewFlightRecorder(4)
-	for i := 0; i < 10; i++ {
-		f.Record(sim.Time(i), "ev", int64(i), 0)
-	}
-	if f.Len() != 4 {
-		t.Fatalf("len = %d, want 4", f.Len())
-	}
-	if f.Total() != 10 {
-		t.Fatalf("total = %d, want 10", f.Total())
-	}
-	evs := f.Events()
-	if evs[0].A != 6 || evs[3].A != 9 {
-		t.Fatalf("ring not oldest-first: %+v", evs)
-	}
-	var buf bytes.Buffer
-	f.Dump(&buf, "test trigger")
-	out := buf.String()
-	if !strings.Contains(out, "flight recorder dump (test trigger): last 4 of 10 events") {
-		t.Fatalf("dump header wrong: %s", out)
-	}
-	if !strings.Contains(out, "t=9ps") {
-		t.Fatalf("dump lost newest event: %s", out)
-	}
-	var nilRec *FlightRecorder
-	nilRec.Record(0, "x", 0, 0) // must not panic
-	nilRec.Dump(&buf, "nil")
 }

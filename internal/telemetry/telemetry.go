@@ -1,18 +1,19 @@
 // Package telemetry is the observability layer of the simulator: a per-run
 // registry of named, labeled metrics (counters, gauges, histograms, and
-// scalar experiment results) with deterministic snapshot ordering, and a
-// structured tracer that records engine, pipeline, traffic-manager, and
-// network events keyed by *simulated* time. Both are optional: every
-// instrumented component holds a nil-able reference, and disabled telemetry
-// costs at most one nil/bool check per event on the hot paths.
+// scalar experiment results) with deterministic snapshot ordering, and one
+// event recorder that keeps pipeline, traffic-manager and network events
+// keyed by *simulated* time: the latest in an always-on flight ring, all of
+// them (when asked to) for export. Both are optional: every instrumented
+// component holds a nil-able reference, and disabled telemetry costs at
+// most one nil/bool check per event on the hot paths.
 //
 // The registry supersedes the anonymous ad-hoc counters in internal/stats
 // for anything that must leave the process: an experiment run serializes
 // its registry to one machine-readable JSON document (adcpsim -metrics),
 // which is byte-identical across runs at the same seed, so runs can be
-// compared machine-to-machine across commits. The tracer serializes to
-// JSONL and to Chrome trace-event format (viewable in Perfetto or
-// chrome://tracing), timestamped in simulated microseconds.
+// compared machine-to-machine across commits. An exporting recorder
+// serializes to JSONL and to Chrome trace-event format (viewable in
+// Perfetto or chrome://tracing), timestamped in simulated microseconds.
 //
 // Hubs are scoped two ways. WithDefault installs a process-wide hub — the
 // classic single-harness mode. WithHub installs a hub for the *current
@@ -38,8 +39,12 @@ import (
 type Telemetry struct {
 	// Metrics receives named, labeled values. Nil disables metric export.
 	Metrics *Registry
-	// Tracer receives sim-time structured events. Nil disables tracing.
-	Tracer *Tracer
+	// Recorder receives sim-time events: the most recent notable ones in
+	// its always-on flight ring, dumped for post-mortem triage when a
+	// watchdog fires or a conservation invariant trips, and — when built to
+	// export — structured trace events. It is shared across parallel
+	// workers (diagnostic state, exempt from merging). Nil records nothing.
+	Recorder *Recorder
 	// Sampler, when non-nil, is attached to every engine built under this
 	// hub (netsim.New) and periodically snapshots the registry's scalar
 	// metrics into bounded time series. Requires Metrics.
@@ -47,11 +52,6 @@ type Telemetry struct {
 	// Detail enables high-volume trace events (per-stage pipeline events
 	// rather than only per-traversal summaries).
 	Detail bool
-	// Flight, when non-nil, is a bounded always-on ring of the most
-	// recent notable events, dumped for post-mortem triage when a
-	// watchdog fires or a conservation invariant trips. It is shared
-	// across parallel workers (diagnostic state, exempt from merging).
-	Flight *FlightRecorder
 }
 
 // procHub is the process-wide hub installed by WithDefault; goHubs maps
@@ -93,20 +93,11 @@ func Hub() *Telemetry {
 	return procHub.Load()
 }
 
-// Enabled reports whether t carries at least one sink. A flight recorder
-// counts: it needs the same instrumentation hooks even when no exportable
-// sink is attached.
+// Enabled reports whether t carries at least one sink. A recorder counts
+// even when it does not export: its flight ring needs the same
+// instrumentation hooks.
 func (t *Telemetry) Enabled() bool {
-	return t != nil && (t.Metrics != nil || t.Tracer != nil || t.Flight != nil)
-}
-
-// Trace returns the tracer, or nil. Safe on a nil receiver, so call sites
-// can write tel.Trace().Instant(...) unconditionally.
-func (t *Telemetry) Trace() *Tracer {
-	if t == nil {
-		return nil
-	}
-	return t.Tracer
+	return t != nil && (t.Metrics != nil || t.Recorder != nil)
 }
 
 // Reg returns the metrics registry, or nil. Safe on a nil receiver.
@@ -117,12 +108,13 @@ func (t *Telemetry) Reg() *Registry {
 	return t.Metrics
 }
 
-// Rec returns the flight recorder, or nil. Safe on a nil receiver.
-func (t *Telemetry) Rec() *FlightRecorder {
+// Rec returns the recorder, or nil. Safe on a nil receiver, so call sites
+// can write tel.Rec().Record(...) unconditionally.
+func (t *Telemetry) Rec() *Recorder {
 	if t == nil {
 		return nil
 	}
-	return t.Flight
+	return t.Recorder
 }
 
 // Samp returns the sampler, or nil. Safe on a nil receiver.
@@ -170,8 +162,8 @@ func WithHub(t *Telemetry, fn func()) {
 // labels and sampler run ordinals so that merging point hubs in
 // sweep-point order reproduces, byte for byte, the registry and sampler a
 // sequential run would have produced. src must not be observed into
-// concurrently; dst may be shared. Tracers are not mergeable — parallel
-// harnesses run sequentially when a tracer is attached.
+// concurrently; dst may be shared. Recorders are not merged — parallel
+// harnesses run sequentially when the recorder exports.
 func Merge(dst, src *Telemetry) {
 	if dst == nil || src == nil {
 		return

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -102,12 +103,16 @@ func WriteAll(w io.Writer, injs []workload.Injection) error {
 type Reader struct {
 	r   *bufio.Reader
 	hdr bool
+	n   int // records read
 }
 
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
 
-// Next returns the next injection, or io.EOF at a clean end of stream.
+// Next returns the next injection, or io.EOF at a clean end of stream. A
+// record no Writer can produce is an error naming the record, never an
+// injection: a time past the largest simulated time would read back
+// negative.
 func (t *Reader) Next() (workload.Injection, error) {
 	if !t.hdr {
 		var m [8]byte
@@ -132,6 +137,9 @@ func (t *Reader) Next() (workload.Injection, error) {
 	at := binary.BigEndian.Uint64(hdr[0:8])
 	src := binary.BigEndian.Uint16(hdr[8:10])
 	n := binary.BigEndian.Uint32(hdr[10:14])
+	if at > math.MaxInt64 {
+		return workload.Injection{}, fmt.Errorf("tracefile: record %d: time %d ps is past the largest simulated time", t.n, at)
+	}
 	if n > MaxRecordBytes {
 		return workload.Injection{}, fmt.Errorf("tracefile: record length %d exceeds %d", n, MaxRecordBytes)
 	}
@@ -139,6 +147,7 @@ func (t *Reader) Next() (workload.Injection, error) {
 	if _, err := io.ReadFull(t.r, data); err != nil {
 		return workload.Injection{}, fmt.Errorf("tracefile: truncated record body: %w", err)
 	}
+	t.n++
 	return workload.Injection{
 		Src: int(src),
 		At:  sim.Time(at),

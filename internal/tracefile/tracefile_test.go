@@ -2,6 +2,7 @@ package tracefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 	"testing/quick"
@@ -169,6 +170,44 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzReadAll holds the reader to what the writer can produce: reading any
+// bytes never panics, and a stream it accepts has no negative time and
+// writes back to exactly the bytes it was read from.
+func FuzzReadAll(f *testing.F) {
+	record := func(at uint64, src uint16, data []byte) []byte {
+		var hdr [14]byte
+		binary.BigEndian.PutUint64(hdr[0:8], at)
+		binary.BigEndian.PutUint16(hdr[8:10], src)
+		binary.BigEndian.PutUint32(hdr[10:14], uint32(len(data)))
+		return append(hdr[:], data...)
+	}
+	trace := func(records ...[]byte) []byte { return bytes.Join(append([][]byte{Magic[:]}, records...), nil) }
+	f.Add([]byte{})
+	f.Add(trace())
+	f.Add(trace(record(0, 1, []byte{1, 2, 3}), record(1000, 0xFFFF, nil)))
+	f.Add(trace(record(1<<63, 0, []byte{9})))            // past the largest simulated time
+	f.Add(trace(record(1<<63-1, 2, nil))[:len(Magic)+9]) // a cut header
+	f.Add(trace(record(5, 0, make([]byte, 40)))[:len(Magic)+30])
+	f.Fuzz(func(t *testing.T, b []byte) {
+		injs, err := ReadAll(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		for i, inj := range injs {
+			if inj.At < 0 {
+				t.Fatalf("record %d read back at %v, before time zero", i, inj.At)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteAll(&buf, injs); err != nil {
+			t.Fatalf("an accepted stream does not write back: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), b) {
+			t.Fatalf("read then written back:\n%x\nwant the input:\n%x", buf.Bytes(), b)
+		}
+	})
 }
 
 func BenchmarkWriteRead(b *testing.B) {
