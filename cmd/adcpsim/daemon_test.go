@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -131,32 +132,52 @@ func getBody(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, b
 }
 
-// The daemon-plane golden crash test: SIGKILL the daemon mid-job at a
-// randomized (logged) delay, restart it on the same directory, and demand
-// (a) the job recovers and completes, and (b) its result and metrics are
-// byte-identical to a plain batch CLI run of the same selection. The job is
-// the whole suite and the delay counts from the moment the job is seen
+// The daemon crash gate: submit the whole suite, a poison job (event budget
+// 1, so every attempt dies with a budget error) and a short job behind it;
+// SIGKILL the daemon mid-suite at a randomized (logged) delay and restart
+// it on the same directory. Both good jobs must recover and complete, with
+// results and metrics byte-identical to plain batch CLI runs of the same
+// selections. The poison job must end quarantined with class budget while
+// the service stays ready, and a final SIGTERM must drain with exit 0. The delay counts from the moment the suite is seen
 // running: single experiments finish in milliseconds, faster than a fixed
-// sleep after the submit can aim for.
+// sleep after the submit can aim for. On failure the service journals are
+// logged, so a torn record or a replay bug shows in the test output.
 func TestDaemonKillRecoverByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess daemon kill test")
 	}
 	dir := t.TempDir()
-	sel := "all"
-	wantM := filepath.Join(dir, "want.json")
-
-	golden := execSelf(t, "-exp", sel, "-metrics", wantM)
-	var wantOut bytes.Buffer
-	golden.Stdout = &wantOut
-	golden.Stderr = io.Discard
-	if err := golden.Run(); err != nil {
-		t.Fatalf("golden CLI run: %v", err)
+	type golden struct {
+		sel, id string
+		out     bytes.Buffer
+		metrics string
+	}
+	goldens := []*golden{{sel: "all"}, {sel: "tension"}}
+	for _, g := range goldens {
+		g.metrics = filepath.Join(dir, g.sel+".want.json")
+		cli := execSelf(t, "-exp", g.sel, "-metrics", g.metrics)
+		cli.Stdout, cli.Stderr = &g.out, io.Discard
+		if err := cli.Run(); err != nil {
+			t.Fatalf("golden CLI run of %s: %v", g.sel, err)
+		}
 	}
 
 	svcDir := filepath.Join(dir, "svc")
-	d1, base := startDaemon(t, svcDir)
+	t.Cleanup(func() {
+		if !t.Failed() {
+			return
+		}
+		journals, _ := filepath.Glob(filepath.Join(svcDir, "jobs", "*", "run", "journal.jsonl"))
+		for _, p := range append([]string{filepath.Join(svcDir, "jobs.jsonl")}, journals...) {
+			b, err := os.ReadFile(p)
+			t.Logf("%s (%v):\n%s", p, err, b)
+		}
+	})
+	d1, base := startDaemon(t, svcDir, "-job-retries", "2")
 	id := submitJob(t, base, `{"exps":["all"]}`)
+	goldens[0].id = id
+	poison := submitJob(t, base, `{"exps":["saturation"],"event_budget":1}`)
+	goldens[1].id = submitJob(t, base, `{"exps":["tension"]}`)
 	for state := any(nil); state != "running"; {
 		code, body := getBody(t, base+"/jobs/"+id)
 		var doc map[string]any
@@ -177,34 +198,57 @@ func TestDaemonKillRecoverByteIdentity(t *testing.T) {
 	}
 	d1.Wait()
 
-	d2, base2 := startDaemon(t, svcDir)
+	d2, base2 := startDaemon(t, svcDir, "-job-retries", "2")
 	defer func() {
-		d2.Process.Signal(syscall.SIGTERM)
-		d2.Wait()
+		if d2.ProcessState == nil { // not reaped by the SIGTERM drain below
+			d2.Process.Kill()
+			d2.Wait()
+		}
 	}()
 
-	doc := pollTerminal(t, base2, id, 3*time.Minute)
-	if doc["state"] != "done" {
-		t.Fatalf("recovered job ended %v (class %v, error %v), want done", doc["state"], doc["class"], doc["error"])
-	}
-	if rec, _ := doc["recovered"].(bool); !rec {
-		t.Error("job not flagged recovered after daemon restart")
+	for _, g := range goldens {
+		doc := pollTerminal(t, base2, g.id, 3*time.Minute)
+		if doc["state"] != "done" {
+			t.Fatalf("job %s (%s) ended %v (class %v, error %v), want done", g.id, g.sel, doc["state"], doc["class"], doc["error"])
+		}
+		if rec, _ := doc["recovered"].(bool); !rec {
+			t.Fatalf("job %s (%s) not flagged recovered after daemon restart", g.id, g.sel)
+		}
+		t.Logf("job %s (%s): done, recovered: true", g.id, g.sel)
+
+		code, gotOut := getBody(t, base2+"/jobs/"+g.id+"/result")
+		if code != 200 {
+			t.Fatalf("GET %s result = %d", g.sel, code)
+		}
+		if !bytes.Equal(gotOut, g.out.Bytes()) {
+			t.Fatalf("daemon result of %s != CLI stdout (kill at %v)\nwant:\n%s\ngot:\n%s", g.sel, delay, g.out.Bytes(), gotOut)
+		}
+		code, gotM := getBody(t, base2+"/jobs/"+g.id+"/metrics.json")
+		if code != 200 {
+			t.Fatalf("GET %s metrics.json = %d", g.sel, code)
+		}
+		if !bytes.Equal(gotM, readFileT(t, g.metrics)) {
+			t.Fatalf("daemon metrics.json of %s != CLI -metrics (kill at %v)", g.sel, delay)
+		}
+		t.Logf("job %s (%s): result and metrics.json byte-identical to the CLI", g.id, g.sel)
 	}
 
-	code, gotOut := getBody(t, base2+"/jobs/"+id+"/result")
-	if code != 200 {
-		t.Fatalf("GET result = %d", code)
+	pdoc := pollTerminal(t, base2, poison, 3*time.Minute)
+	if pdoc["state"] != "quarantined" || pdoc["class"] != "budget" {
+		t.Fatalf("poison job ended %v (class %v), want quarantined with class budget", pdoc["state"], pdoc["class"])
 	}
-	if !bytes.Equal(gotOut, wantOut.Bytes()) {
-		t.Fatalf("daemon result != CLI stdout (kill at %v)\nwant:\n%s\ngot:\n%s", delay, wantOut.Bytes(), gotOut)
+	t.Logf("poison job %s: quarantined, class budget", poison)
+
+	if code, body := getBody(t, base2+"/readyz"); code != 200 {
+		t.Fatalf("/readyz after recovery and quarantine = %d: %s", code, body)
 	}
-	code, gotM := getBody(t, base2+"/jobs/"+id+"/metrics.json")
-	if code != 200 {
-		t.Fatalf("GET metrics.json = %d", code)
+	if err := d2.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(gotM, readFileT(t, wantM)) {
-		t.Fatalf("daemon metrics.json != CLI -metrics (kill at %v)", delay)
+	if err := d2.Wait(); err != nil {
+		t.Fatalf("SIGTERM drain exited non-zero: %v", err)
 	}
+	t.Log("SIGTERM drain: exit 0")
 }
 
 // SIGTERM with an idle queue drains clean: distinct exit code 0, and a
@@ -240,40 +284,5 @@ func TestDaemonSigtermDrainExitCode(t *testing.T) {
 	json.Unmarshal(body, &doc)
 	if doc["state"] != "done" {
 		t.Fatalf("job state after restart = %v, want done", doc["state"])
-	}
-}
-
-// A poison job (event budget 1) is quarantined while the daemon keeps
-// serving: the job after it completes normally.
-func TestDaemonPoisonJobQuarantine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess daemon test")
-	}
-	dir := t.TempDir()
-	d, base := startDaemon(t, dir, "-job-retries", "2")
-	defer func() {
-		d.Process.Signal(syscall.SIGTERM)
-		d.Wait()
-	}()
-
-	pid := submitJob(t, base, `{"exps":["saturation"],"event_budget":1}`)
-	aid := submitJob(t, base, `{"exps":["tension"]}`)
-
-	pdoc := pollTerminal(t, base, pid, 2*time.Minute)
-	if pdoc["state"] != "quarantined" {
-		t.Fatalf("poison job ended %v (class %v), want quarantined", pdoc["state"], pdoc["class"])
-	}
-	if pdoc["class"] != "budget" {
-		t.Errorf("poison class = %v, want budget", pdoc["class"])
-	}
-	adoc := pollTerminal(t, base, aid, 2*time.Minute)
-	if adoc["state"] != "done" {
-		t.Fatalf("job after poison ended %v, want done — quarantine took the service down?", adoc["state"])
-	}
-
-	// readyz stays green through all of it.
-	code, body := getBody(t, base+"/readyz")
-	if code != 200 {
-		t.Fatalf("/readyz after quarantine = %d: %s", code, body)
 	}
 }

@@ -2,7 +2,7 @@
 // Tables 2 and 3 and its quantified claims: line-rate clock arithmetic,
 // key-rate scaling, table replication cost, recirculation overhead, and
 // goodput. The simulator cross-validates against these formulas in tests;
-// the cmd/tablegen binary prints the tables from them.
+// `adcpsim -exp table2,table3` prints the tables from them.
 package analytic
 
 import (

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -241,6 +242,9 @@ func (d *Daemon) Submit(spec Spec) (string, error) {
 		return "", errors.New("spec: max_attempts must be ≥ 0")
 	case spec.TimeoutMs < 0:
 		return "", errors.New("spec: timeout_ms must be ≥ 0")
+	case spec.TimeoutMs > int64(math.MaxInt64/time.Millisecond):
+		// runJob multiplies by time.Millisecond; past this the product wraps.
+		return "", fmt.Errorf("spec: timeout_ms must be ≤ %d", math.MaxInt64/time.Millisecond)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

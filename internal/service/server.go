@@ -126,9 +126,15 @@ func (d *Daemon) Handler() http.Handler {
 
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	err := dec.Decode(&spec)
+	if err == nil {
+		if _, next := dec.Token(); next != io.EOF {
+			err = errors.New("trailing data after the spec object")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]any{"error": fmt.Sprintf("decode spec: %v", err)})
 		return
 	}

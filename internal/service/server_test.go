@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -175,6 +177,63 @@ func TestHTTPBadRequests(t *testing.T) {
 	if resp, _ := postJob(t, srv, `not json`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage body = %d, want 400", resp.StatusCode)
 	}
+}
+
+// FuzzSubmitSpec holds POST /jobs to what the daemon can run: any body is
+// answered 202, 400 or 429, and a body it accepts is exactly one spec
+// document whose timeout is a whole, non-negative number of milliseconds
+// and which GET /jobs/{id} returns unchanged. The daemon is never started,
+// so no job runs.
+func FuzzSubmitSpec(f *testing.F) {
+	f.Add([]byte(`{"exps":["table3"]}`))
+	f.Add([]byte(`{"exps":["table3"],"timeout_ms":9223372036854775807}`)) // wraps to -1 ms
+	f.Add([]byte(`{"exps":["table3"],"timeout_ms":9223372036854776}`))    // wraps to 192 µs
+	f.Add([]byte(`{"exps":["table3"]} {"exps":["all"]}`))                 // a second document
+	f.Add([]byte(`{"exps":["all"," "],"event_budget":1,"timeout_ms":5,"max_attempts":2}`))
+	f.Add([]byte(`{"exps":["nonsense"]}`))
+	f.Add([]byte(`{"bogus":1}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var exps []Experiment
+		for _, name := range []string{"table2", "table3", "tension"} {
+			exps = append(exps, Experiment{Name: name, Run: func(io.Writer) error { return nil }})
+		}
+		d, err := New(Config{Dir: t.TempDir(), Experiments: exps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.journal.close()
+		h := d.Handler()
+
+		post := httptest.NewRecorder()
+		h.ServeHTTP(post, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+		switch post.Code {
+		case http.StatusBadRequest, http.StatusTooManyRequests:
+			return
+		case http.StatusAccepted:
+		default:
+			t.Fatalf("POST /jobs = %d: %s", post.Code, post.Body)
+		}
+		var sent Spec
+		if err := json.Unmarshal(body, &sent); err != nil {
+			t.Fatalf("accepted a body that is not one spec document: %v", err)
+		}
+		if timeout := time.Duration(sent.TimeoutMs) * time.Millisecond; timeout < 0 || timeout/time.Millisecond != time.Duration(sent.TimeoutMs) {
+			t.Fatalf("accepted timeout_ms %d, which runs as %v", sent.TimeoutMs, timeout)
+		}
+		var accepted struct {
+			ID string `json:"id"`
+		}
+		json.Unmarshal(post.Body.Bytes(), &accepted)
+		get := httptest.NewRecorder()
+		h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, "/jobs/"+accepted.ID, nil))
+		var v JobView
+		if get.Code != http.StatusOK || json.Unmarshal(get.Body.Bytes(), &v) != nil {
+			t.Fatalf("GET /jobs/%s = %d: %s", accepted.ID, get.Code, get.Body)
+		}
+		if !reflect.DeepEqual(v.Spec, sent) {
+			t.Fatalf("GET /jobs/%s spec = %+v, want the accepted %+v", accepted.ID, v.Spec, sent)
+		}
+	})
 }
 
 func TestHTTPCancel(t *testing.T) {

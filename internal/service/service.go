@@ -18,7 +18,9 @@
 // rebuild the queue, and each recovered in-flight job resumes its own run
 // journal, restoring completed experiments instead of re-running them.
 //
-// Robustness properties, pinned by tests and the daemon-chaos CI gate:
+// Robustness properties, pinned by this package's tests and by the crash
+// gate TestDaemonKillRecoverByteIdentity in cmd/adcpsim, which SIGKILLs a
+// real daemon mid-batch:
 //
 //   - Admission control: the queue is bounded; submissions over capacity
 //     are shed (HTTP 429 + Retry-After) without being journaled.
