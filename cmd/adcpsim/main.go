@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/floorplan"
 	"repro/internal/parallel"
 	"repro/internal/perf"
 	"repro/internal/report"
@@ -558,10 +557,7 @@ func runFeasibility(w io.Writer) error {
 	}
 	fmt.Fprint(w, t)
 	fmt.Fprintln(w)
-	ct, _, _, err := experiments.Congestion(floorplan.DefaultFloorplanParams())
-	if err != nil {
-		return err
-	}
+	ct, _, _ := experiments.Congestion()
 	fmt.Fprint(w, ct)
 	fmt.Fprintln(w)
 	pt, _, err := experiments.Power()

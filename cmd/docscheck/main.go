@@ -18,8 +18,9 @@
 //     or vice versa.
 //   - Named things: in README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md and
 //     examples/README.md (not CHANGES.md, ROADMAP.md and the other history
-//     files), every `make <target>` is a Makefile target, every cmd/<name> a
-//     directory, every Test…/Benchmark…/Fuzz… a function in a _test.go file.
+//     files), every `make <target>` is a Makefile target, every cmd/<name>
+//     and internal/<name> a directory, every Test…/Benchmark…/Fuzz… a
+//     function in a _test.go file.
 //
 // Usage:
 //
@@ -187,13 +188,14 @@ func checkMetricsDoc(root string) []string {
 
 var (
 	makeRe     = regexp.MustCompile("(`|^\\s*)make ([a-z][a-z0-9-]*)") // a line-start match counts in a fenced block only
-	cmdDirRe   = regexp.MustCompile(`\bcmd/([a-z][a-z0-9_]*)`)
+	pkgDirRe   = regexp.MustCompile(`\b((?:cmd|internal)/[a-z][a-z0-9_]*)`)
 	testNameRe = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*\*?`)
 )
 
 // checkNamedThings verifies that the living documents name only make
-// targets (in a code span or a fenced block), cmd/ directories and test
-// functions that exist. A test name ending in `*` names a family.
+// targets (in a code span or a fenced block), cmd/ and internal/
+// directories and test functions that exist. A test name ending in `*`
+// names a family.
 func checkNamedThings(root string) []string {
 	makefile, _ := os.ReadFile(filepath.Join(root, "Makefile"))
 	var tests []byte // every _test.go in the tree
@@ -227,9 +229,9 @@ func checkNamedThings(root string) []string {
 					bad("`make " + m[2] + "` is not a Makefile target")
 				}
 			}
-			for _, m := range cmdDirRe.FindAllStringSubmatch(line, -1) {
-				if st, err := os.Stat(filepath.Join(root, "cmd", m[1])); err != nil || !st.IsDir() {
-					bad("cmd/" + m[1] + " is not a directory")
+			for _, m := range pkgDirRe.FindAllStringSubmatch(line, -1) {
+				if st, err := os.Stat(filepath.Join(root, m[1])); err != nil || !st.IsDir() {
+					bad(m[1] + " is not a directory")
 				}
 			}
 			for _, name := range testNameRe.FindAllString(line, -1) {

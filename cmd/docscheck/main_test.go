@@ -124,8 +124,9 @@ func TestUnknownMakeTargetDetected(t *testing.T) {
 }
 
 func TestMissingCommandDirDetected(t *testing.T) {
-	expectNamed(t, "`cmd/tool` and `go run ./cmd/tool -x` exist; cmd/retired does not.\n",
-		"1: cmd/retired is not a directory")
+	expectNamed(t, "`cmd/tool`, `go run ./cmd/tool -x` and internal/x exist; cmd/retired and `internal/gone` do not.\n",
+		"1: cmd/retired is not a directory",
+		"1: internal/gone is not a directory")
 }
 
 func TestUnknownTestFunctionDetected(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package analytic provides the closed-form models behind the paper's
 // Tables 2 and 3 and its quantified claims: line-rate clock arithmetic,
-// key-rate scaling, table replication cost, recirculation overhead, and
-// goodput. The simulator cross-validates against these formulas in tests;
+// key-rate scaling, table replication cost, recirculation overhead,
+// goodput, and dRMT's packet rate under its instruction schedule. The
+// simulator cross-validates against these formulas in tests;
 // `adcpsim -exp table2,table3` prints the tables from them.
 package analytic
 
@@ -189,6 +190,33 @@ func EgressOnlyStages(ingressStages, egressStages int) (usable int, fraction flo
 		return 0, 0
 	}
 	return egressStages, float64(egressStages) / float64(total)
+}
+
+// dRMT (Chole et al., SIGCOMM '17) is the paper's §1 "hardware-based
+// variation" on RMT: a pool of run-to-completion match processors over a
+// disaggregated table memory, at the scale its paper proposes. Program
+// length is bounded by the instruction schedule, not by a stage count.
+const (
+	drmtProcessors = 32
+	drmtClockHz    = 1e9
+	drmtIPC        = 1 // match/action ops retired per processor cycle
+
+	// DRMTMaxOps is the longest program dRMT's schedule runs, in ops per
+	// packet.
+	DRMTMaxOps = 96
+)
+
+// DRMTPPS returns dRMT's deterministic packet rate for a program of ops
+// match/action operations per packet: processors × clock × IPC / ops, or 0
+// when the program exceeds the schedule and does not run at all.
+func DRMTPPS(ops int) float64 {
+	if ops < 1 {
+		ops = 1
+	}
+	if ops > DRMTMaxOps {
+		return 0
+	}
+	return float64(drmtProcessors) * drmtClockHz * float64(drmtIPC) / float64(ops)
 }
 
 // RoundGHz rounds a frequency in Hz to two decimals of GHz, as the paper's

@@ -253,6 +253,51 @@ func TestRoundGHz(t *testing.T) {
 	}
 }
 
+func TestThroughputModel(t *testing.T) {
+	// 32 processors × 1 GHz × IPC 1.
+	if got := DRMTPPS(1); got != 32e9 {
+		t.Errorf("1-op throughput = %v", got)
+	}
+	if got := DRMTPPS(32); got != 1e9 {
+		t.Errorf("32-op throughput = %v", got)
+	}
+	if got := DRMTPPS(1000); got != 0 {
+		t.Errorf("oversized program throughput = %v, want 0", got)
+	}
+	// 64×100G at 84 B ≈ 9.52 Bpps line rate: a 3-op program holds it
+	// (10.7 Bpps), a 4-op one does not (8 Bpps).
+	lineRate := SwitchPPS(6.4, MinWirePacket)
+	if DRMTPPS(3) < lineRate {
+		t.Error("3-op program should hold line rate")
+	}
+	if DRMTPPS(4) >= lineRate {
+		t.Error("4-op program should NOT hold line rate")
+	}
+}
+
+// The schedule bound is exact: the 96th op still runs, the 97th does not.
+func TestScheduleBudgetEnforced(t *testing.T) {
+	if DRMTPPS(DRMTMaxOps) != 32e9/DRMTMaxOps {
+		t.Errorf("%d-op program = %v pps", DRMTMaxOps, DRMTPPS(DRMTMaxOps))
+	}
+	if got := DRMTPPS(DRMTMaxOps + 1); got != 0 {
+		t.Errorf("%d-op program = %v pps, want 0 (over the schedule)", DRMTMaxOps+1, got)
+	}
+}
+
+// Property: throughput is inversely proportional to ops within the budget.
+func TestThroughputInverseProperty(t *testing.T) {
+	f := func(raw uint8) bool {
+		ops := int(raw)%DRMTMaxOps + 1
+		got := DRMTPPS(ops)
+		want := 32e9 / float64(ops)
+		return got > want*0.999 && got < want*1.001
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestRelativePowerCubeLaw(t *testing.T) {
 	m := DefaultPowerModel()
 	if got := m.RelativePower(1.62e9); math.Abs(got-1.0) > 1e-12 {

@@ -2,8 +2,7 @@
 // HotNets '12) that the paper builds its argument on: a set of flows
 // between interconnected servers that share application semantics, where
 // the collective — not any individual flow — is the unit the application
-// cares about. The package provides coflow descriptions, a generator for
-// the communication patterns of the paper's Table 1, and a completion
+// cares about. The package provides coflow descriptions and a completion
 // tracker with conservation accounting.
 package coflow
 
@@ -64,43 +63,6 @@ func (c *Coflow) SourceHosts() []int {
 		}
 	}
 	return hosts
-}
-
-// AllToAll builds the ML-training pattern of Table 1: n workers each
-// contribute one flow of packets×bytes toward a switch-side aggregation
-// whose result every worker must receive.
-func AllToAll(id uint32, workers, packetsPerFlow, bytesPerFlow int) *Coflow {
-	c := &Coflow{ID: id}
-	for w := 0; w < workers; w++ {
-		c.Flows = append(c.Flows, FlowSpec{
-			FlowID:  uint32(w),
-			SrcHost: w,
-			DstHost: -1,
-			Packets: packetsPerFlow,
-			Bytes:   bytesPerFlow,
-		})
-		c.OutputHosts = append(c.OutputHosts, w)
-	}
-	return c
-}
-
-// Shuffle builds the DB-analytics pattern: each of n sources sends a flow
-// that is reshuffled so each of m destinations receives a partition.
-func Shuffle(id uint32, sources, dests, packetsPerFlow, bytesPerFlow int) *Coflow {
-	c := &Coflow{ID: id}
-	for s := 0; s < sources; s++ {
-		c.Flows = append(c.Flows, FlowSpec{
-			FlowID:  uint32(s),
-			SrcHost: s,
-			DstHost: -1, // destination decided per tuple by partitioning
-			Packets: packetsPerFlow,
-			Bytes:   bytesPerFlow,
-		})
-	}
-	for d := 0; d < dests; d++ {
-		c.OutputHosts = append(c.OutputHosts, sources+d)
-	}
-	return c
 }
 
 // Broadcast builds the group-communication pattern: one source, a group of

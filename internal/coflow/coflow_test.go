@@ -7,45 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestAllToAllShape(t *testing.T) {
-	c := AllToAll(1, 8, 10, 4096)
-	if c.Width() != 8 {
-		t.Errorf("Width = %d", c.Width())
-	}
-	if len(c.OutputHosts) != 8 {
-		t.Errorf("OutputHosts = %d", len(c.OutputHosts))
-	}
-	if c.TotalPackets() != 80 {
-		t.Errorf("TotalPackets = %d", c.TotalPackets())
-	}
-	if c.TotalBytes() != 8*4096 {
-		t.Errorf("TotalBytes = %d", c.TotalBytes())
-	}
-	hosts := c.SourceHosts()
-	if len(hosts) != 8 || hosts[0] != 0 || hosts[7] != 7 {
-		t.Errorf("SourceHosts = %v", hosts)
-	}
-	for _, f := range c.Flows {
-		if f.DstHost != -1 {
-			t.Error("all-to-all flows should target the switch")
-		}
-	}
-}
-
-func TestShuffleShape(t *testing.T) {
-	c := Shuffle(2, 4, 3, 5, 1000)
-	if c.Width() != 4 {
-		t.Errorf("Width = %d", c.Width())
-	}
-	if len(c.OutputHosts) != 3 {
-		t.Errorf("OutputHosts = %d", len(c.OutputHosts))
-	}
-	// Destinations are hosts after the sources.
-	if c.OutputHosts[0] != 4 || c.OutputHosts[2] != 6 {
-		t.Errorf("OutputHosts = %v", c.OutputHosts)
-	}
-}
-
 func TestBroadcastShape(t *testing.T) {
 	c := Broadcast(3, 0, []int{1, 2, 3}, 7, 700)
 	if c.Width() != 1 {

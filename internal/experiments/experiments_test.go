@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/floorplan"
 )
 
 func TestTable2Output(t *testing.T) {
@@ -201,10 +199,7 @@ func TestMultiClockShape(t *testing.T) {
 }
 
 func TestCongestionShape(t *testing.T) {
-	_, mono, inter, err := Congestion(floorplan.DefaultFloorplanParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, mono, inter := Congestion()
 	if mono.PeakCongestion <= inter.PeakCongestion {
 		t.Errorf("monolithic %.3f ≤ interleaved %.3f", mono.PeakCongestion, inter.PeakCongestion)
 	}

@@ -171,14 +171,11 @@ func ParseCost() (*stats.Table, []ParseCostRow, error) {
 }
 
 // Congestion runs the §4 floorplan comparison.
-func Congestion(params floorplan.ADCPFloorplanParams) (*stats.Table, *floorplan.Report, *floorplan.Report, error) {
-	mono, inter, err := floorplan.Compare(params)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+func Congestion() (*stats.Table, *floorplan.Report, *floorplan.Report) {
+	mono, inter := floorplan.Monolithic(), floorplan.Interleaved()
 	t := stats.NewTable(
 		fmt.Sprintf("§4: g-cell routing congestion, %d×%d grid, %d-wire buses",
-			params.GridW, params.GridH, params.WiresPerBus),
+			floorplan.GridW, floorplan.GridH, floorplan.WiresPerBus),
 		"floorplan", "peak congestion", "mean congestion", "overflowed cells",
 	)
 	record("congestion.peak", mono.PeakCongestion, lbl("floorplan", "monolithic"))
@@ -189,5 +186,5 @@ func Congestion(params floorplan.ADCPFloorplanParams) (*stats.Table, *floorplan.
 		fmt.Sprintf("%.4f", mono.MeanCongestion), fmt.Sprintf("%d", mono.Overflowed))
 	t.AddRow("interleaved TM slices", fmt.Sprintf("%.3f", inter.PeakCongestion),
 		fmt.Sprintf("%.4f", inter.MeanCongestion), fmt.Sprintf("%d", inter.Overflowed))
-	return t, mono, inter, nil
+	return t, mono, inter
 }

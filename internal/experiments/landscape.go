@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/drmt"
+	"repro/internal/analytic"
 	"repro/internal/stats"
 	"repro/internal/swswitch"
 )
@@ -25,71 +25,44 @@ type LandscapeRow struct {
 	StageFragmentation bool
 }
 
-// Landscape compares the four architecture models this repository
-// implements — software run-to-completion (BMv2-class), RMT, dRMT, and
-// ADCP — on the §1/§2 axes. It is the paper's "architectural variations"
-// survey made executable.
+// Landscape compares four architectures — software run-to-completion
+// (BMv2-class), RMT, dRMT, and ADCP — on the §1/§2 axes. It is the paper's
+// "architectural variations" survey made executable; every row is a closed
+// form.
 func Landscape() (*stats.Table, []LandscapeRow, error) {
 	const rmtClock = 1.25e9
 	const adcpClock = 1.0e9
 
-	// Each architecture's characterization is an independent sweep point:
-	// the two model constructions (software, dRMT) run off the caller's
-	// goroutine when the pool is parallel.
-	builders := []func() (LandscapeRow, error){
-		func() (LandscapeRow, error) {
-			sw, err := swswitch.New(swswitch.DefaultConfig())
-			if err != nil {
-				return LandscapeRow{}, err
-			}
-			return LandscapeRow{
-				Arch:        "software (run-to-completion)",
-				PPSAt8Ops:   sw.ThroughputPPS(8),
-				MaxOps:      0, // unbounded, just slower
-				SharedState: true,
-			}, nil
-		},
-		func() (LandscapeRow, error) {
-			return LandscapeRow{
-				Arch:               "RMT (line-rate pipeline)",
-				PPSAt8Ops:          rmtClock,
-				MaxOps:             12, // one op per stage per traversal
-				StageFragmentation: true,
-			}, nil
-		},
-		func() (LandscapeRow, error) {
-			dsw, err := drmt.New(drmt.DefaultConfig())
-			if err != nil {
-				return LandscapeRow{}, err
-			}
-			return LandscapeRow{
-				Arch:        "dRMT (disaggregated processors)",
-				PPSAt8Ops:   dsw.ThroughputPPS(8),
-				MaxOps:      dsw.Config().MaxOpsPerPacket,
-				SharedState: true,
-			}, nil
-		},
-		func() (LandscapeRow, error) {
-			return LandscapeRow{
-				Arch:        "ADCP (coflow processor)",
-				PPSAt8Ops:   adcpClock, // 8 ops fit one array traversal
-				MaxOps:      12 * 16,   // stages × array width
-				SharedState: true,      // via the global partitioned area
-				ArrayMatch:  true,
-			}, nil
-		},
-	}
-	rows := make([]LandscapeRow, len(builders))
-	slot := func(i int) any { return &rows[i] }
-	if err := runPointsSlot("landscape", len(builders), slot, nil, func(i int) error {
-		r, err := builders[i]()
-		if err != nil {
-			return err
-		}
-		rows[i] = r
-		return nil
-	}); err != nil {
+	sw, err := swswitch.New(swswitch.DefaultConfig())
+	if err != nil {
 		return nil, nil, err
+	}
+	rows := []LandscapeRow{
+		{
+			Arch:        "software (run-to-completion)",
+			PPSAt8Ops:   sw.ThroughputPPS(8),
+			MaxOps:      0, // unbounded, just slower
+			SharedState: true,
+		},
+		{
+			Arch:               "RMT (line-rate pipeline)",
+			PPSAt8Ops:          rmtClock,
+			MaxOps:             12, // one op per stage per traversal
+			StageFragmentation: true,
+		},
+		{
+			Arch:        "dRMT (disaggregated processors)",
+			PPSAt8Ops:   analytic.DRMTPPS(8),
+			MaxOps:      analytic.DRMTMaxOps,
+			SharedState: true,
+		},
+		{
+			Arch:        "ADCP (coflow processor)",
+			PPSAt8Ops:   adcpClock, // 8 ops fit one array traversal
+			MaxOps:      12 * 16,   // stages × array width
+			SharedState: true,      // via the global partitioned area
+			ArrayMatch:  true,
+		},
 	}
 
 	t := stats.NewTable(

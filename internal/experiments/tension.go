@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/drmt"
+	"repro/internal/analytic"
 	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/swswitch"
@@ -41,10 +41,6 @@ func Tension(opCounts []int) (*stats.Table, []TensionRow, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	dsw, err := drmt.New(drmt.DefaultConfig())
-	if err != nil {
-		return nil, nil, err
-	}
 	rmtTarget := program.RMTTarget()
 	adcpTarget := program.ADCPTarget()
 	const rmtClock = 1.25e9
@@ -64,7 +60,7 @@ func Tension(opCounts []int) (*stats.Table, []TensionRow, error) {
 		if row.RMTFeasible {
 			row.RMTPPS = rmtClock
 		}
-		row.DRMTPPS = dsw.ThroughputPPS(ops)
+		row.DRMTPPS = analytic.DRMTPPS(ops)
 		row.DRMTFeasible = row.DRMTPPS > 0
 		row.ADCPFeasible = ops <= adcpTarget.Stages*adcpTarget.ArrayWidth
 		if row.ADCPFeasible {

@@ -7,109 +7,52 @@
 // shared memories. The ADCP's two traffic managers are exactly such blocks,
 // and §4 argues their floorplan "should be spread across the layout and
 // interleaved with other logic elements" instead of monolithic. This
-// package builds both floorplans and compares their peak g-cell congestion
-// with a simple L-route global router.
+// package routes both floorplans with a simple L-route global router and
+// compares their peak g-cell congestion.
 package floorplan
 
-import (
-	"fmt"
+import "fmt"
+
+// The comparison die: a GridW×GridH grid of cellCapacity-wire g-cells, 16
+// ingress pipelines feeding TM1, 8 central pipelines between the TMs and 4
+// egress pipelines after TM2, each pipeline↔TM bus WiresPerBus wide.
+const (
+	GridW, GridH = 64, 64
+	WiresPerBus  = 256
+	cellCapacity = 512
+	ingressPipes = 16
+	centralPipes = 8
+	egressPipes  = 4
 )
 
-// Grid is a g-cell grid with per-cell wire demand.
-type Grid struct {
-	W, H     int
+// grid is a g-cell grid with per-cell wire demand.
+type grid struct {
+	w, h     int
 	capacity int // routable wires per cell
 	demand   []int
 }
 
-// NewGrid builds a W×H grid where each g-cell can route capacity wires.
-func NewGrid(w, h, capacity int) *Grid {
-	if w <= 0 || h <= 0 || capacity <= 0 {
-		panic("floorplan: non-positive grid geometry")
-	}
-	return &Grid{W: w, H: h, capacity: capacity, demand: make([]int, w*h)}
+// newGrid builds a w×h grid where each g-cell can route capacity wires.
+func newGrid(w, h, capacity int) *grid {
+	return &grid{w: w, h: h, capacity: capacity, demand: make([]int, w*h)}
 }
 
-func (g *Grid) idx(x, y int) int { return y*g.W + x }
-
-// Demand returns the wire demand at cell (x, y).
-func (g *Grid) Demand(x, y int) int { return g.demand[g.idx(x, y)] }
+// at returns the wire demand at cell (x, y).
+func (g *grid) at(x, y int) int { return g.demand[y*g.w+x] }
 
 // addDemand charges wires to a cell.
-func (g *Grid) addDemand(x, y, wires int) {
-	if x < 0 || x >= g.W || y < 0 || y >= g.H {
-		panic(fmt.Sprintf("floorplan: cell (%d,%d) outside %dx%d", x, y, g.W, g.H))
+func (g *grid) addDemand(x, y, wires int) {
+	if x < 0 || x >= g.w || y < 0 || y >= g.h {
+		panic(fmt.Sprintf("floorplan: cell (%d,%d) outside %dx%d", x, y, g.w, g.h))
 	}
-	g.demand[g.idx(x, y)] += wires
+	g.demand[y*g.w+x] += wires
 }
 
 // Point is a g-cell coordinate.
 type Point struct{ X, Y int }
 
-// Block is a placed IP block (a pipeline, a TM slice, a memory macro).
-type Block struct {
-	Name string
-	Pos  Point // pin location (block center)
-}
-
-// Net is a bundle of wires between two blocks.
-type Net struct {
-	From, To string
-	Wires    int
-}
-
-// Layout is a set of placed blocks and the nets between them.
-type Layout struct {
-	Name   string
-	blocks map[string]Block
-	nets   []Net
-}
-
-// NewLayout returns an empty layout.
-func NewLayout(name string) *Layout {
-	return &Layout{Name: name, blocks: make(map[string]Block)}
-}
-
-// Place adds a block at a position.
-func (l *Layout) Place(name string, x, y int) {
-	l.blocks[name] = Block{Name: name, Pos: Point{X: x, Y: y}}
-}
-
-// Connect adds a net of the given wire count between two placed blocks.
-func (l *Layout) Connect(from, to string, wires int) error {
-	if _, ok := l.blocks[from]; !ok {
-		return fmt.Errorf("floorplan: unplaced block %q", from)
-	}
-	if _, ok := l.blocks[to]; !ok {
-		return fmt.Errorf("floorplan: unplaced block %q", to)
-	}
-	if wires <= 0 {
-		return fmt.Errorf("floorplan: net %s→%s with %d wires", from, to, wires)
-	}
-	l.nets = append(l.nets, Net{From: from, To: to, Wires: wires})
-	return nil
-}
-
-// Blocks returns the number of placed blocks.
-func (l *Layout) Blocks() int { return len(l.blocks) }
-
-// Nets returns the number of nets.
-func (l *Layout) Nets() int { return len(l.nets) }
-
-// Route globally routes every net onto the grid with an L-shaped route
-// (horizontal then vertical), charging each traversed cell, and returns
-// the congestion report.
-func (l *Layout) Route(g *Grid) (*Report, error) {
-	for _, n := range l.nets {
-		a := l.blocks[n.From].Pos
-		b := l.blocks[n.To].Pos
-		routeL(g, a, b, n.Wires)
-	}
-	return analyze(g), nil
-}
-
-// routeL charges an L-route from a to b.
-func routeL(g *Grid, a, b Point, wires int) {
+// routeL charges an L-route from a to b: horizontal first, then vertical.
+func routeL(g *grid, a, b Point, wires int) {
 	x, y := a.X, a.Y
 	g.addDemand(x, y, wires)
 	for x != b.X {
@@ -142,12 +85,12 @@ type Report struct {
 	TotalCells int
 }
 
-func analyze(g *Grid) *Report {
-	r := &Report{TotalCells: g.W * g.H}
+func analyze(g *grid) *Report {
+	r := &Report{TotalCells: g.w * g.h}
 	var sum float64
-	for y := 0; y < g.H; y++ {
-		for x := 0; x < g.W; x++ {
-			c := float64(g.Demand(x, y)) / float64(g.capacity)
+	for y := 0; y < g.h; y++ {
+		for x := 0; x < g.w; x++ {
+			c := float64(g.at(x, y)) / float64(g.capacity)
 			sum += c
 			if c > r.PeakCongestion {
 				r.PeakCongestion = c
@@ -162,144 +105,45 @@ func analyze(g *Grid) *Report {
 	return r
 }
 
-// ADCPFloorplanParams sizes the two comparison floorplans.
-type ADCPFloorplanParams struct {
-	GridW, GridH int
-	CellCapacity int
-	// Pipelines per side (ingress feeding TM1, central between TMs,
-	// egress after TM2).
-	IngressPipes int
-	CentralPipes int
-	EgressPipes  int
-	// WiresPerBus is the width of one pipeline↔TM interconnect bus.
-	WiresPerBus int
-}
-
-// DefaultFloorplanParams is a 64×64 grid, 16/8/4 pipelines, 256-wire buses.
-func DefaultFloorplanParams() ADCPFloorplanParams {
-	return ADCPFloorplanParams{
-		GridW: 64, GridH: 64, CellCapacity: 512,
-		IngressPipes: 16, CentralPipes: 8, EgressPipes: 4,
-		WiresPerBus: 256,
-	}
-}
-
-// Monolithic builds the floorplan §4 warns about: each TM is one
+// Monolithic routes the floorplan §4 warns about: each TM is one
 // area-efficient block in the middle of the die, and every pipeline routes
 // its full bus to that single point — wire demand concentrates in the
 // cells around the TMs.
-func Monolithic(p ADCPFloorplanParams) (*Layout, error) {
-	l := NewLayout("monolithic")
-	midY := p.GridH / 2
-	tm1X, tm2X := p.GridW/3, 2*p.GridW/3
-	l.Place("tm1", tm1X, midY)
-	l.Place("tm2", tm2X, midY)
-	if err := connectPipes(l, p, tm1X, tm2X); err != nil {
-		return nil, err
-	}
-	return l, nil
+func Monolithic() *Report {
+	return route(func(x, _ int) Point { return Point{X: x, Y: GridH / 2} })
 }
 
-// Interleaved builds the floorplan §4 recommends: each TM is split into
-// one slice per attached pipeline, placed next to that pipeline, so buses
+// Interleaved routes the floorplan §4 recommends: each TM is split into
+// one slice per attached pipeline, placed on that pipeline's row, so buses
 // stay short and demand spreads across the die.
-func Interleaved(p ADCPFloorplanParams) (*Layout, error) {
-	l := NewLayout("interleaved")
-	// TM slices sit directly beside their pipelines; we place the slices
-	// during connection below.
-	ingY := func(i int) int { return spread(i, p.IngressPipes, p.GridH) }
-	cenY := func(i int) int { return spread(i, p.CentralPipes, p.GridH) }
-	egY := func(i int) int { return spread(i, p.EgressPipes, p.GridH) }
-	ingX, cenX, egX := p.GridW/8, p.GridW/2, 7*p.GridW/8
-	tm1X, tm2X := p.GridW/3, 2*p.GridW/3
-
-	for i := 0; i < p.IngressPipes; i++ {
-		pn := fmt.Sprintf("ing%d", i)
-		sn := fmt.Sprintf("tm1s_i%d", i)
-		l.Place(pn, ingX, ingY(i))
-		l.Place(sn, tm1X, ingY(i)) // slice at the pipeline's row
-		if err := l.Connect(pn, sn, p.WiresPerBus); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < p.CentralPipes; i++ {
-		pn := fmt.Sprintf("cen%d", i)
-		s1 := fmt.Sprintf("tm1s_c%d", i)
-		s2 := fmt.Sprintf("tm2s_c%d", i)
-		l.Place(pn, cenX, cenY(i))
-		l.Place(s1, tm1X, cenY(i))
-		l.Place(s2, tm2X, cenY(i))
-		if err := l.Connect(s1, pn, p.WiresPerBus); err != nil {
-			return nil, err
-		}
-		if err := l.Connect(pn, s2, p.WiresPerBus); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < p.EgressPipes; i++ {
-		pn := fmt.Sprintf("eg%d", i)
-		sn := fmt.Sprintf("tm2s_e%d", i)
-		l.Place(pn, egX, egY(i))
-		l.Place(sn, tm2X, egY(i))
-		if err := l.Connect(sn, pn, p.WiresPerBus); err != nil {
-			return nil, err
-		}
-	}
-	return l, nil
+func Interleaved() *Report {
+	return route(func(x, y int) Point { return Point{X: x, Y: y} })
 }
 
-// connectPipes wires every pipeline to the two monolithic TM blocks.
-func connectPipes(l *Layout, p ADCPFloorplanParams, tm1X, tm2X int) error {
-	ingX, cenX, egX := p.GridW/8, p.GridW/2, 7*p.GridW/8
-	for i := 0; i < p.IngressPipes; i++ {
-		n := fmt.Sprintf("ing%d", i)
-		l.Place(n, ingX, spread(i, p.IngressPipes, p.GridH))
-		if err := l.Connect(n, "tm1", p.WiresPerBus); err != nil {
-			return err
-		}
+// route charges every pipeline↔TM bus onto a fresh die and reports its
+// congestion; tm gives the pin, in TM column x, of the TM (or TM slice)
+// that a pipeline on row y attaches to.
+func route(tm func(x, y int) Point) *Report {
+	g := newGrid(GridW, GridH, cellCapacity)
+	ingX, cenX, egX := GridW/8, GridW/2, 7*GridW/8
+	tm1X, tm2X := GridW/3, 2*GridW/3
+	for i := 0; i < ingressPipes; i++ {
+		y := spread(i, ingressPipes, GridH)
+		routeL(g, Point{X: ingX, Y: y}, tm(tm1X, y), WiresPerBus)
 	}
-	for i := 0; i < p.CentralPipes; i++ {
-		n := fmt.Sprintf("cen%d", i)
-		l.Place(n, cenX, spread(i, p.CentralPipes, p.GridH))
-		if err := l.Connect("tm1", n, p.WiresPerBus); err != nil {
-			return err
-		}
-		if err := l.Connect(n, "tm2", p.WiresPerBus); err != nil {
-			return err
-		}
+	for i := 0; i < centralPipes; i++ {
+		cen := Point{X: cenX, Y: spread(i, centralPipes, GridH)}
+		routeL(g, tm(tm1X, cen.Y), cen, WiresPerBus)
+		routeL(g, cen, tm(tm2X, cen.Y), WiresPerBus)
 	}
-	for i := 0; i < p.EgressPipes; i++ {
-		n := fmt.Sprintf("eg%d", i)
-		l.Place(n, egX, spread(i, p.EgressPipes, p.GridH))
-		if err := l.Connect("tm2", n, p.WiresPerBus); err != nil {
-			return err
-		}
+	for i := 0; i < egressPipes; i++ {
+		y := spread(i, egressPipes, GridH)
+		routeL(g, tm(tm2X, y), Point{X: egX, Y: y}, WiresPerBus)
 	}
-	return nil
+	return analyze(g)
 }
 
 // spread distributes n items evenly over [0, extent).
 func spread(i, n, extent int) int {
 	return (2*i + 1) * extent / (2 * n)
-}
-
-// Compare routes both floorplans on fresh grids and returns their reports.
-func Compare(p ADCPFloorplanParams) (mono, inter *Report, err error) {
-	ml, err := Monolithic(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	il, err := Interleaved(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	mono, err = ml.Route(NewGrid(p.GridW, p.GridH, p.CellCapacity))
-	if err != nil {
-		return nil, nil, err
-	}
-	inter, err = il.Route(NewGrid(p.GridW, p.GridH, p.CellCapacity))
-	if err != nil {
-		return nil, nil, err
-	}
-	return mono, inter, nil
 }

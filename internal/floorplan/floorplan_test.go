@@ -6,24 +6,16 @@ import (
 )
 
 func TestGridDemandAccounting(t *testing.T) {
-	g := NewGrid(8, 8, 10)
-	l := NewLayout("t")
-	l.Place("a", 0, 0)
-	l.Place("b", 3, 0)
-	if err := l.Connect("a", "b", 5); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := l.Route(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := newGrid(8, 8, 10)
+	routeL(g, Point{X: 0, Y: 0}, Point{X: 3, Y: 0}, 5)
+	rep := analyze(g)
 	// Cells (0,0)..(3,0) each carry 5 wires.
 	for x := 0; x <= 3; x++ {
-		if g.Demand(x, 0) != 5 {
-			t.Errorf("demand(%d,0) = %d, want 5", x, g.Demand(x, 0))
+		if g.at(x, 0) != 5 {
+			t.Errorf("demand(%d,0) = %d, want 5", x, g.at(x, 0))
 		}
 	}
-	if g.Demand(4, 0) != 0 {
+	if g.at(4, 0) != 0 {
 		t.Error("demand leaked past endpoint")
 	}
 	if rep.PeakCongestion != 0.5 {
@@ -35,57 +27,32 @@ func TestGridDemandAccounting(t *testing.T) {
 }
 
 func TestLRouteBothLegs(t *testing.T) {
-	g := NewGrid(8, 8, 100)
-	l := NewLayout("t")
-	l.Place("a", 1, 1)
-	l.Place("b", 4, 5)
-	l.Connect("a", "b", 1)
-	if _, err := l.Route(g); err != nil {
-		t.Fatal(err)
-	}
+	g := newGrid(8, 8, 100)
+	routeL(g, Point{X: 1, Y: 1}, Point{X: 4, Y: 5}, 1)
 	// Horizontal leg at y=1, then vertical at x=4.
 	for x := 1; x <= 4; x++ {
-		if g.Demand(x, 1) != 1 {
+		if g.at(x, 1) != 1 {
 			t.Errorf("missing horizontal demand at (%d,1)", x)
 		}
 	}
 	for y := 2; y <= 5; y++ {
-		if g.Demand(4, y) != 1 {
+		if g.at(4, y) != 1 {
 			t.Errorf("missing vertical demand at (4,%d)", y)
 		}
 	}
 	// Reverse direction works too.
-	g2 := NewGrid(8, 8, 100)
-	l2 := NewLayout("t2")
-	l2.Place("a", 4, 5)
-	l2.Place("b", 1, 1)
-	l2.Connect("a", "b", 1)
-	if _, err := l2.Route(g2); err != nil {
-		t.Fatal(err)
-	}
-	if g2.Demand(1, 1) != 1 || g2.Demand(4, 5) != 1 {
+	g2 := newGrid(8, 8, 100)
+	routeL(g2, Point{X: 4, Y: 5}, Point{X: 1, Y: 1}, 1)
+	if g2.at(1, 1) != 1 || g2.at(4, 5) != 1 {
 		t.Error("reverse route endpoints uncharged")
 	}
 }
 
-func TestConnectErrors(t *testing.T) {
-	l := NewLayout("t")
-	l.Place("a", 0, 0)
-	if err := l.Connect("a", "ghost", 1); err == nil {
-		t.Error("net to unplaced block accepted")
-	}
-	if err := l.Connect("ghost", "a", 1); err == nil {
-		t.Error("net from unplaced block accepted")
-	}
-	l.Place("b", 1, 1)
-	if err := l.Connect("a", "b", 0); err == nil {
-		t.Error("zero-wire net accepted")
-	}
-}
-
+// A route leaving the grid is a bug in the floorplan, not wire demand
+// charged to some other row.
 func TestGridPanics(t *testing.T) {
-	mustPanicFP(t, func() { NewGrid(0, 8, 1) })
-	mustPanicFP(t, func() { NewGrid(8, 8, 0) })
+	mustPanicFP(t, func() { routeL(newGrid(4, 4, 1), Point{X: 0, Y: 0}, Point{X: 4, Y: 0}, 1) })
+	mustPanicFP(t, func() { routeL(newGrid(4, 4, 1), Point{X: 3, Y: 3}, Point{X: 3, Y: -1}, 1) })
 }
 
 func mustPanicFP(t *testing.T, fn func()) {
@@ -99,12 +66,9 @@ func mustPanicFP(t *testing.T, fn func()) {
 }
 
 func TestOverflowDetection(t *testing.T) {
-	g := NewGrid(4, 4, 10)
-	l := NewLayout("t")
-	l.Place("a", 0, 0)
-	l.Place("b", 2, 0)
-	l.Connect("a", "b", 25)
-	rep, _ := l.Route(g)
+	g := newGrid(4, 4, 10)
+	routeL(g, Point{X: 0, Y: 0}, Point{X: 2, Y: 0}, 25)
+	rep := analyze(g)
 	if rep.Overflowed != 3 {
 		t.Errorf("overflowed = %d, want 3 cells at 2.5×", rep.Overflowed)
 	}
@@ -116,11 +80,7 @@ func TestOverflowDetection(t *testing.T) {
 func TestMonolithicVsInterleaved(t *testing.T) {
 	// §4's claim: spreading TM slices across the layout lowers congestion
 	// versus monolithic TM blocks.
-	p := DefaultFloorplanParams()
-	mono, inter, err := Compare(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mono, inter := Monolithic(), Interleaved()
 	if mono.PeakCongestion <= inter.PeakCongestion {
 		t.Errorf("monolithic peak %.3f ≤ interleaved peak %.3f — §4 claim violated",
 			mono.PeakCongestion, inter.PeakCongestion)
@@ -133,33 +93,6 @@ func TestMonolithicVsInterleaved(t *testing.T) {
 	}
 	t.Logf("peak congestion: monolithic=%.3f interleaved=%.3f (overflowed cells %d vs %d)",
 		mono.PeakCongestion, inter.PeakCongestion, mono.Overflowed, inter.Overflowed)
-}
-
-func TestFloorplanBlockCounts(t *testing.T) {
-	p := DefaultFloorplanParams()
-	mono, err := Monolithic(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 TMs + 16 + 8 + 4 pipelines.
-	if mono.Blocks() != 2+16+8+4 {
-		t.Errorf("monolithic blocks = %d", mono.Blocks())
-	}
-	// Nets: 16 (ing→tm1) + 8×2 (tm1→cen→tm2) + 4 (tm2→eg).
-	if mono.Nets() != 16+16+4 {
-		t.Errorf("monolithic nets = %d", mono.Nets())
-	}
-	inter, err := Interleaved(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pipelines + one TM slice per pipeline-attachment.
-	if inter.Blocks() != (16+16)+(8+16)+(4+4) {
-		t.Errorf("interleaved blocks = %d", inter.Blocks())
-	}
-	if inter.Nets() != mono.Nets() {
-		t.Errorf("net count changed: %d vs %d", inter.Nets(), mono.Nets())
-	}
 }
 
 func TestSpreadEven(t *testing.T) {
@@ -176,34 +109,33 @@ func TestSpreadEven(t *testing.T) {
 	}
 }
 
-// Property: mean congestion is invariant to how the TM is sliced when the
-// total wire length is equal... it is not in general, but mean must always
-// be ≤ peak, and reports must be internally consistent.
+// Property: whatever is routed, mean congestion never exceeds peak, the
+// peak sits at the cell that carries it, overflow stays within the grid,
+// and the report covers every cell.
 func TestReportConsistencyProperty(t *testing.T) {
-	f := func(seed uint8) bool {
-		p := DefaultFloorplanParams()
-		p.WiresPerBus = int(seed)%500 + 1
-		mono, inter, err := Compare(p)
-		if err != nil {
-			return false
-		}
-		ok := func(r *Report) bool {
-			return r.MeanCongestion <= r.PeakCongestion+1e-9 &&
-				r.Overflowed >= 0 && r.Overflowed <= r.TotalCells &&
-				r.TotalCells == p.GridW*p.GridH
-		}
-		return ok(mono) && ok(inter)
+	f := func(wires uint8, ax, ay, bx, by uint8) bool {
+		g := newGrid(16, 16, 32)
+		routeL(g, Point{X: int(ax % 16), Y: int(ay % 16)}, Point{X: int(bx % 16), Y: int(by % 16)}, int(wires)+1)
+		routeL(g, Point{X: int(by % 16), Y: int(ax % 16)}, Point{X: int(ay % 16), Y: int(bx % 16)}, int(wires)%7+1)
+		r := analyze(g)
+		return r.MeanCongestion <= r.PeakCongestion+1e-9 &&
+			r.PeakCongestion == float64(g.at(r.PeakCell.X, r.PeakCell.Y))/32 &&
+			r.Overflowed >= 0 && r.Overflowed <= r.TotalCells &&
+			r.TotalCells == 16*16
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+	for _, r := range []*Report{Monolithic(), Interleaved()} {
+		if r.MeanCongestion > r.PeakCongestion || r.TotalCells != GridW*GridH {
+			t.Errorf("die report inconsistent: %+v", r)
+		}
 	}
 }
 
 func BenchmarkCompareFloorplans(b *testing.B) {
-	p := DefaultFloorplanParams()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Compare(p); err != nil {
-			b.Fatal(err)
-		}
+		Monolithic()
+		Interleaved()
 	}
 }

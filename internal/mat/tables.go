@@ -1,4 +1,4 @@
-// Package mat implements the match-action substrate: exact/LPM/ternary
+// Package mat implements the match-action substrate: exact and ternary
 // match tables with entry-capacity accounting, stateful register files, and
 // the stage memory model that distinguishes RMT from ADCP.
 //
@@ -13,30 +13,13 @@
 // explicit cycle accounting.
 package mat
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Result is the outcome of a table lookup: an action identifier plus
 // immediate parameters stored with the entry.
 type Result struct {
 	ActionID int
 	Params   [2]uint64
-}
-
-// Table is a match table. Lookup must be allocation-free.
-type Table interface {
-	// Lookup returns the matching entry's result.
-	Lookup(key uint64) (Result, bool)
-	// Insert adds or replaces an entry; it fails when capacity is exhausted.
-	Insert(key uint64, r Result) error
-	// Delete removes an entry if present.
-	Delete(key uint64)
-	// Len returns the number of installed entries.
-	Len() int
-	// Capacity returns the maximum number of entries.
-	Capacity() int
 }
 
 // ErrTableFull is returned by Insert on a full table.
@@ -63,13 +46,14 @@ func NewExactTable(capacity int) *ExactTable {
 	return &ExactTable{cap: capacity}
 }
 
-// Lookup implements Table.
+// Lookup returns the matching entry's result. It does not allocate.
 func (t *ExactTable) Lookup(key uint64) (Result, bool) {
 	r, ok := t.m[key]
 	return r, ok
 }
 
-// Insert implements Table.
+// Insert adds or replaces an entry; it fails with ErrTableFull when the
+// table is at capacity.
 func (t *ExactTable) Insert(key uint64, r Result) error {
 	if _, exists := t.m[key]; !exists && len(t.m) >= t.cap {
 		return ErrTableFull
@@ -81,104 +65,14 @@ func (t *ExactTable) Insert(key uint64, r Result) error {
 	return nil
 }
 
-// Delete implements Table.
+// Delete removes an entry if present.
 func (t *ExactTable) Delete(key uint64) { delete(t.m, key) }
 
-// Len implements Table.
+// Len returns the number of installed entries.
 func (t *ExactTable) Len() int { return len(t.m) }
 
-// Capacity implements Table.
+// Capacity returns the maximum number of entries.
 func (t *ExactTable) Capacity() int { return t.cap }
-
-// LPMTable is a longest-prefix-match table over 32-bit keys (TCAM-style
-// routing lookups). Lookups scan per-length buckets from longest to
-// shortest; with ≤33 lengths this is fast enough for simulation.
-type LPMTable struct {
-	buckets [33]map[uint32]Result // index = prefix length
-	n       int
-	cap     int
-}
-
-// NewLPMTable returns an LPM table holding up to capacity rules.
-func NewLPMTable(capacity int) *LPMTable {
-	return &LPMTable{cap: capacity}
-}
-
-func lpmMask(length int) uint32 {
-	if length <= 0 {
-		return 0
-	}
-	return ^uint32(0) << (32 - length)
-}
-
-// InsertPrefix adds a rule matching keys whose top length bits equal prefix.
-func (t *LPMTable) InsertPrefix(prefix uint32, length int, r Result) error {
-	if length < 0 || length > 32 {
-		return fmt.Errorf("mat: bad prefix length %d", length)
-	}
-	prefix &= lpmMask(length)
-	if t.buckets[length] == nil {
-		t.buckets[length] = make(map[uint32]Result)
-	}
-	if _, exists := t.buckets[length][prefix]; !exists {
-		if t.n >= t.cap {
-			return ErrTableFull
-		}
-		t.n++
-	}
-	t.buckets[length][prefix] = r
-	return nil
-}
-
-// Lookup implements Table over the low 32 bits of key.
-func (t *LPMTable) Lookup(key uint64) (Result, bool) {
-	k := uint32(key)
-	for length := 32; length >= 0; length-- {
-		b := t.buckets[length]
-		if b == nil {
-			continue
-		}
-		if r, ok := b[k&lpmMask(length)]; ok {
-			return r, true
-		}
-	}
-	return Result{}, false
-}
-
-// Insert implements Table as a host-width exact rule (length 32).
-func (t *LPMTable) Insert(key uint64, r Result) error {
-	return t.InsertPrefix(uint32(key), 32, r)
-}
-
-// Delete implements Table for length-32 rules.
-func (t *LPMTable) Delete(key uint64) {
-	if b := t.buckets[32]; b != nil {
-		if _, ok := b[uint32(key)]; ok {
-			delete(b, uint32(key))
-			t.n--
-		}
-	}
-}
-
-// DeletePrefix removes a specific rule.
-func (t *LPMTable) DeletePrefix(prefix uint32, length int) {
-	if length < 0 || length > 32 {
-		return
-	}
-	prefix &= lpmMask(length)
-	if b := t.buckets[length]; b != nil {
-		if _, ok := b[prefix]; ok {
-			delete(b, prefix)
-			t.n--
-		}
-	}
-}
-
-// Len implements Table.
-func (t *LPMTable) Len() int { return t.n }
-
-// Capacity implements Table.
-func (t *LPMTable) Capacity() int { return t.cap }
 
 // ternaryEntry is one value/mask rule with a priority.
 type ternaryEntry struct {
@@ -219,7 +113,7 @@ func (t *TernaryTable) InsertRule(value, mask uint64, priority int, r Result) er
 	return nil
 }
 
-// Lookup implements Table.
+// Lookup returns the result of the highest-priority matching rule.
 func (t *TernaryTable) Lookup(key uint64) (Result, bool) {
 	best := -1
 	bestPrio := 0
@@ -241,12 +135,12 @@ func (t *TernaryTable) Lookup(key uint64) (Result, bool) {
 	return t.entries[best].result, true
 }
 
-// Insert implements Table as a fully-masked rule at priority 0.
+// Insert adds key as a fully-masked rule at priority 0.
 func (t *TernaryTable) Insert(key uint64, r Result) error {
 	return t.InsertRule(key, ^uint64(0), 0, r)
 }
 
-// Delete implements Table: removes fully-masked rules equal to key.
+// Delete removes the fully-masked rules equal to key.
 func (t *TernaryTable) Delete(key uint64) {
 	for i := range t.entries {
 		e := &t.entries[i]
@@ -257,10 +151,10 @@ func (t *TernaryTable) Delete(key uint64) {
 	}
 }
 
-// Len implements Table.
+// Len returns the number of live rules.
 func (t *TernaryTable) Len() int { return t.n }
 
-// Capacity implements Table.
+// Capacity returns the maximum number of rules.
 func (t *TernaryTable) Capacity() int { return t.cap }
 
 // HashKey mixes a 64-bit key (used by partitioners and table distribution);
@@ -281,13 +175,4 @@ func HashToBucket(key uint64, n int) int {
 		return int(HashKey(key) & uint64(n-1))
 	}
 	return int(HashKey(key) % uint64(n))
-}
-
-// Log2Ceil returns ceil(log2(n)) for n ≥ 1 (0 for n ≤ 1); used by memory
-// sizing computations.
-func Log2Ceil(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
 }

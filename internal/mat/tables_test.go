@@ -74,74 +74,6 @@ func TestExactTableNeverInserted(t *testing.T) {
 	}
 }
 
-func TestLPMLongestWins(t *testing.T) {
-	tb := NewLPMTable(10)
-	if err := tb.InsertPrefix(0x0A000000, 8, Result{ActionID: 1}); err != nil { // 10/8
-		t.Fatal(err)
-	}
-	if err := tb.InsertPrefix(0x0A0B0000, 16, Result{ActionID: 2}); err != nil { // 10.11/16
-		t.Fatal(err)
-	}
-	if err := tb.InsertPrefix(0, 0, Result{ActionID: 3}); err != nil { // default
-		t.Fatal(err)
-	}
-	cases := []struct {
-		key  uint64
-		want int
-	}{
-		{0x0A0B0C0D, 2}, // matches /16
-		{0x0AFF0000, 1}, // matches /8 only
-		{0x0B000000, 3}, // default
-	}
-	for _, c := range cases {
-		r, ok := tb.Lookup(c.key)
-		if !ok || r.ActionID != c.want {
-			t.Errorf("Lookup(%x) = %+v/%v, want action %d", c.key, r, ok, c.want)
-		}
-	}
-}
-
-func TestLPMCapacityAndDelete(t *testing.T) {
-	tb := NewLPMTable(2)
-	tb.InsertPrefix(0x01000000, 8, Result{})
-	tb.InsertPrefix(0x02000000, 8, Result{})
-	if err := tb.InsertPrefix(0x03000000, 8, Result{}); err != ErrTableFull {
-		t.Errorf("err = %v, want ErrTableFull", err)
-	}
-	// Replacing an existing rule works at capacity.
-	if err := tb.InsertPrefix(0x01000000, 8, Result{ActionID: 9}); err != nil {
-		t.Errorf("replace: %v", err)
-	}
-	tb.DeletePrefix(0x01000000, 8)
-	if tb.Len() != 1 {
-		t.Errorf("Len = %d after delete, want 1", tb.Len())
-	}
-	if _, ok := tb.Lookup(0x01020304); ok {
-		t.Error("deleted prefix still matches")
-	}
-	// Table interface path: 32-bit exact.
-	if err := tb.Insert(0xAABBCCDD, Result{ActionID: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if r, ok := tb.Lookup(0xAABBCCDD); !ok || r.ActionID != 7 {
-		t.Error("exact /32 rule broken")
-	}
-	tb.Delete(0xAABBCCDD)
-	if _, ok := tb.Lookup(0xAABBCCDD); ok {
-		t.Error("Delete of /32 rule failed")
-	}
-}
-
-func TestLPMBadLength(t *testing.T) {
-	tb := NewLPMTable(2)
-	if err := tb.InsertPrefix(0, 33, Result{}); err == nil {
-		t.Error("length 33 accepted")
-	}
-	if err := tb.InsertPrefix(0, -1, Result{}); err == nil {
-		t.Error("negative length accepted")
-	}
-}
-
 func TestTernaryPriority(t *testing.T) {
 	tb := NewTernaryTable(10)
 	// Low-priority catch-all, higher-priority specific.
@@ -208,19 +140,6 @@ func TestExactTableProperty(t *testing.T) {
 	}
 }
 
-// Property: LPM default route catches everything when present.
-func TestLPMDefaultProperty(t *testing.T) {
-	tb := NewLPMTable(10)
-	tb.InsertPrefix(0, 0, Result{ActionID: 42})
-	f := func(key uint32) bool {
-		r, ok := tb.Lookup(uint64(key))
-		return ok && r.ActionID >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: ternary lookup honors mask semantics.
 func TestTernaryMaskProperty(t *testing.T) {
 	f := func(value, mask, key uint64) bool {
@@ -271,15 +190,6 @@ func mustPanicMat(t *testing.T, fn func()) {
 	fn()
 }
 
-func TestLog2Ceil(t *testing.T) {
-	cases := map[int]int{0: 0, 1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 64: 6, 65: 7}
-	for n, want := range cases {
-		if got := Log2Ceil(n); got != want {
-			t.Errorf("Log2Ceil(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
 func BenchmarkExactLookup(b *testing.B) {
 	tb := NewExactTable(1 << 16)
 	for i := 0; i < 1<<16; i++ {
@@ -288,58 +198,5 @@ func BenchmarkExactLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tb.Lookup(uint64(i) & 0xFFFF)
-	}
-}
-
-// Property: LPM lookup agrees with a brute-force longest-prefix scan for
-// random rule sets and probes.
-func TestLPMBruteForceProperty(t *testing.T) {
-	f := func(seeds []uint32, probe uint32) bool {
-		tb := NewLPMTable(64)
-		type rule struct {
-			prefix uint32
-			length int
-			action int
-		}
-		var rules []rule
-		for i, s := range seeds {
-			if i >= 20 {
-				break
-			}
-			length := int(s % 33)
-			prefix := s & lpmMask(length)
-			if err := tb.InsertPrefix(prefix, length, Result{ActionID: i + 1}); err != nil {
-				return false
-			}
-			// Mirror the table's replace semantics: same (prefix, length)
-			// overwrites.
-			replaced := false
-			for j := range rules {
-				if rules[j].prefix == prefix && rules[j].length == length {
-					rules[j].action = i + 1
-					replaced = true
-					break
-				}
-			}
-			if !replaced {
-				rules = append(rules, rule{prefix, length, i + 1})
-			}
-		}
-		// Brute force: longest matching prefix wins; ties on length are
-		// impossible (same prefix+length replaced above).
-		best, bestLen := 0, -1
-		for _, r := range rules {
-			if probe&lpmMask(r.length) == r.prefix && r.length > bestLen {
-				best, bestLen = r.action, r.length
-			}
-		}
-		got, ok := tb.Lookup(uint64(probe))
-		if bestLen < 0 {
-			return !ok
-		}
-		return ok && got.ActionID == best
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }

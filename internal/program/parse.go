@@ -152,27 +152,3 @@ func Parse(src string) (*Spec, error) {
 	}
 	return spec, nil
 }
-
-// Format renders a Spec back into the textual form Parse accepts
-// (Parse(Format(s)) reproduces s up to ordering).
-func Format(s *Spec) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "program %s\n", s.Name)
-	for _, f := range s.Fields {
-		if f.Array {
-			fmt.Fprintf(&b, "array %s\n", f.Name)
-		} else {
-			fmt.Fprintf(&b, "field %s: %d\n", f.Name, int(f.Width))
-		}
-	}
-	for _, t := range s.Tables {
-		fmt.Fprintf(&b, "table %s %s entries=%d keys=%d\n", t.Name, t.Kind, t.Entries, t.KeysPerPacket)
-	}
-	for _, r := range s.Registers {
-		fmt.Fprintf(&b, "register %s cells=%d\n", r.Name, r.Cells)
-	}
-	for _, d := range s.Deps {
-		fmt.Fprintf(&b, "after %s %s\n", d[0], d[1])
-	}
-	return b.String()
-}

@@ -127,24 +127,3 @@ func TestParseCommentsAndBlanks(t *testing.T) {
 		t.Errorf("name = %q", spec.Name)
 	}
 }
-
-func TestFormatRoundTrip(t *testing.T) {
-	orig, err := Parse(sampleSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := Parse(Format(orig))
-	if err != nil {
-		t.Fatalf("Format output did not re-parse: %v\n%s", err, Format(orig))
-	}
-	if again.Name != orig.Name || len(again.Fields) != len(orig.Fields) ||
-		len(again.Tables) != len(orig.Tables) || len(again.Registers) != len(orig.Registers) ||
-		len(again.Deps) != len(orig.Deps) {
-		t.Errorf("round trip lost declarations:\n%+v\nvs\n%+v", again, orig)
-	}
-	for i := range orig.Tables {
-		if again.Tables[i] != orig.Tables[i] {
-			t.Errorf("table %d: %+v vs %+v", i, again.Tables[i], orig.Tables[i])
-		}
-	}
-}

@@ -350,37 +350,26 @@ func Compile(spec *Spec, target Target) (*Placement, error) {
 // pass count on the target.
 func placeTable(t *TableSpec, target Target, sramLeft []int, minStage int) (TablePlacement, int, error) {
 	k := t.KeysPerPacket
-	var replication, passes int
-	if target.ArrayWidth > 0 {
-		// ADCP §3.2: one shared table, k ≤ ArrayWidth keys per traversal.
-		replication = 1
-		passes = (k + target.ArrayWidth - 1) / target.ArrayWidth
-	} else {
-		// RMT Figure 3: k keys need k copies, bounded by the MAU count;
-		// keys beyond the replication need extra passes.
-		replication = k
-		if replication > target.MAUsPerStage {
-			replication = target.MAUsPerStage
-		}
-		passes = (k + replication - 1) / replication
+	// ADCP §3.2: one shared table, k ≤ ArrayWidth keys per traversal. RMT
+	// Figure 3: k keys need k copies, bounded by the MAU count; keys beyond
+	// the replication need extra passes, so a scalar target retries with
+	// fewer copies before giving up.
+	replication := 1
+	if target.ArrayWidth == 0 {
+		replication = min(k, target.MAUsPerStage)
 	}
-	need := t.Entries * replication
-	for s := minStage; s < len(sramLeft); s++ {
-		if sramLeft[s] >= need {
-			sramLeft[s] -= need
-			return TablePlacement{Replication: replication, SRAMEntries: need, Passes: passes}, s, nil
+	for rep := replication; rep >= 1; rep-- {
+		perPass := rep
+		if target.ArrayWidth > 0 {
+			perPass = target.ArrayWidth
 		}
-	}
-	// Retry with reduced replication (more passes) on scalar targets.
-	if target.ArrayWidth == 0 && replication > 1 {
-		for rep := replication - 1; rep >= 1; rep-- {
-			need = t.Entries * rep
-			for s := minStage; s < len(sramLeft); s++ {
-				if sramLeft[s] >= need {
-					sramLeft[s] -= need
-					p := (k + rep - 1) / rep
-					return TablePlacement{Replication: rep, SRAMEntries: need, Passes: p}, s, nil
-				}
+		for s := minStage; s < len(sramLeft); s++ {
+			// Entries ≤ left/rep rather than Entries×rep ≤ left: the product
+			// of a large declared table wraps.
+			if t.Entries <= sramLeft[s]/rep {
+				need := t.Entries * rep
+				sramLeft[s] -= need
+				return TablePlacement{Replication: rep, SRAMEntries: need, Passes: (k-1)/perPass + 1}, s, nil
 			}
 		}
 	}

@@ -260,13 +260,18 @@ func TestSRAMSpillsAcrossStages(t *testing.T) {
 }
 
 func TestTableTooBigAnywhere(t *testing.T) {
-	spec := &Spec{
-		Name:   "huge",
-		Tables: []TableSpec{{Name: "t", Kind: MatchExact, Entries: 1 << 20, KeysPerPacket: 1}},
-	}
-	var inf *ErrInfeasible
-	if _, err := Compile(spec, RMTTarget()); !errors.As(err, &inf) {
-		t.Fatalf("err = %v", err)
+	for _, tb := range []TableSpec{
+		{Name: "t", Kind: MatchExact, Entries: 1 << 20, KeysPerPacket: 1},
+		// 2⁶² entries × 4 copies wraps to 0 SRAM entries if multiplied.
+		{Name: "t", Kind: MatchExact, Entries: 1 << 62, KeysPerPacket: 4},
+	} {
+		spec := &Spec{Name: "huge", Tables: []TableSpec{tb}}
+		for _, target := range []Target{RMTTarget(), ADCPTarget()} {
+			var inf *ErrInfeasible
+			if pl, err := Compile(spec, target); !errors.As(err, &inf) {
+				t.Errorf("%d entries × %d keys on %s: err = %v, placement %+v", tb.Entries, tb.KeysPerPacket, target.Name, err, pl)
+			}
+		}
 	}
 }
 

@@ -111,9 +111,6 @@ func canTransition(from, to State) bool {
 	return false
 }
 
-// SpecSchema identifies the job specification document.
-const SpecSchema = "adcp-jobspec/1"
-
 // Spec is what POST /jobs accepts: which experiments to run and the
 // bounds the job runs under. The zero values select the daemon defaults.
 type Spec struct {

@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xorshift64star). The standard library's math/rand would also be
 // deterministic for a fixed seed, but keeping our own generator pins the
@@ -58,36 +56,4 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle pseudo-randomly reorders n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Exp returns an exponentially distributed value with the given mean,
-// suitable for Poisson inter-arrival times.
-func (r *RNG) Exp(mean float64) float64 {
-	// Inverse CDF; guard against log(0).
-	u := r.Float64()
-	if u <= 0 {
-		u = 1.0 / (1 << 53)
-	}
-	return -mean * math.Log(1-u)
 }

@@ -274,35 +274,6 @@ func TestRNGFloat64Range(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(11)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-func TestRNGExpMean(t *testing.T) {
-	r := NewRNG(13)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.Exp(5.0)
-		if v < 0 {
-			t.Fatalf("Exp returned negative %v", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if mean < 4.8 || mean > 5.2 {
-		t.Errorf("Exp(5) empirical mean = %v, want ≈5", mean)
-	}
-}
-
 func TestRNGInt63NonNegative(t *testing.T) {
 	r := NewRNG(17)
 	for i := 0; i < 10000; i++ {

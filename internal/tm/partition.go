@@ -1,24 +1,11 @@
 package tm
 
-import (
-	"fmt"
-	"sort"
+import "repro/internal/mat"
 
-	"repro/internal/mat"
-)
-
-// Partitioner decides which central pipeline a data element lands on — the
-// application-defined criterion the first ADCP TM applies (paper §3.1:
+// HashPartitioner decides which central pipeline a data element lands on —
+// the application-defined criterion the first ADCP TM applies (paper §3.1:
 // "reshuffle data, for instance, by ranges or hashes over a given data
-// element on each packet").
-type Partitioner interface {
-	// Place maps a key onto a pipeline index in [0, Pipelines()).
-	Place(key uint64) int
-	// Pipelines returns the number of target pipelines.
-	Pipelines() int
-}
-
-// HashPartitioner spreads keys uniformly by hash.
+// element on each packet") — by spreading keys uniformly by hash.
 type HashPartitioner struct {
 	n int
 }
@@ -31,54 +18,5 @@ func NewHashPartitioner(n int) *HashPartitioner {
 	return &HashPartitioner{n: n}
 }
 
-// Place implements Partitioner.
+// Place maps a key onto a pipeline index in [0, n).
 func (h *HashPartitioner) Place(key uint64) int { return mat.HashToBucket(key, h.n) }
-
-// Pipelines implements Partitioner.
-func (h *HashPartitioner) Pipelines() int { return h.n }
-
-// RangePartitioner assigns keys by sorted split points: keys < bounds[0] go
-// to pipeline 0, keys in [bounds[i-1], bounds[i]) to pipeline i, the rest to
-// the last pipeline.
-type RangePartitioner struct {
-	bounds []uint64
-}
-
-// NewRangePartitioner builds a range partitioner from split points, which
-// must be strictly increasing. len(bounds)+1 pipelines result.
-func NewRangePartitioner(bounds []uint64) (*RangePartitioner, error) {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			return nil, fmt.Errorf("tm: range bounds not strictly increasing at %d", i)
-		}
-	}
-	return &RangePartitioner{bounds: append([]uint64(nil), bounds...)}, nil
-}
-
-// Place implements Partitioner.
-func (r *RangePartitioner) Place(key uint64) int {
-	return sort.Search(len(r.bounds), func(i int) bool { return key < r.bounds[i] })
-}
-
-// Pipelines implements Partitioner.
-func (r *RangePartitioner) Pipelines() int { return len(r.bounds) + 1 }
-
-// ModuloPartitioner maps key % n without hashing; useful when keys are
-// already dense indexes (e.g. ML weight IDs).
-type ModuloPartitioner struct {
-	n int
-}
-
-// NewModuloPartitioner partitions across n pipelines.
-func NewModuloPartitioner(n int) *ModuloPartitioner {
-	if n <= 0 {
-		panic("tm: modulo partitioner over 0 pipelines")
-	}
-	return &ModuloPartitioner{n: n}
-}
-
-// Place implements Partitioner.
-func (m *ModuloPartitioner) Place(key uint64) int { return int(key % uint64(m.n)) }
-
-// Pipelines implements Partitioner.
-func (m *ModuloPartitioner) Pipelines() int { return m.n }

@@ -14,8 +14,8 @@
 //     al.), the mechanism behind "expanding the semantics of what we
 //     consider scheduling in the TM".
 //   - MergeTM: order-preserving merge of per-flow sorted streams.
-//   - HashPartitioner / RangePartitioner: application-defined placement of
-//     data onto central pipelines.
+//   - HashPartitioner: application-defined placement of data onto central
+//     pipelines, by a hash over each element's key.
 package tm
 
 import (

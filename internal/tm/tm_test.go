@@ -339,9 +339,6 @@ func TestMergeTMProperty(t *testing.T) {
 
 func TestHashPartitioner(t *testing.T) {
 	h := NewHashPartitioner(8)
-	if h.Pipelines() != 8 {
-		t.Fatal("Pipelines wrong")
-	}
 	counts := make([]int, 8)
 	for k := uint64(0); k < 8000; k++ {
 		p := h.Place(k)
@@ -361,62 +358,14 @@ func TestHashPartitioner(t *testing.T) {
 	mustPanicTM(t, func() { NewHashPartitioner(0) })
 }
 
-func TestRangePartitioner(t *testing.T) {
-	r, err := NewRangePartitioner([]uint64{10, 20, 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Pipelines() != 4 {
-		t.Fatalf("Pipelines = %d", r.Pipelines())
-	}
-	cases := map[uint64]int{0: 0, 9: 0, 10: 1, 19: 1, 20: 2, 29: 2, 30: 3, 1000: 3}
-	for k, want := range cases {
-		if got := r.Place(k); got != want {
-			t.Errorf("Place(%d) = %d, want %d", k, got, want)
-		}
-	}
-	if _, err := NewRangePartitioner([]uint64{10, 10}); err == nil {
-		t.Error("non-increasing bounds accepted")
-	}
-	if _, err := NewRangePartitioner([]uint64{20, 10}); err == nil {
-		t.Error("decreasing bounds accepted")
-	}
-	// Empty bounds: everything to pipeline 0.
-	r0, err := NewRangePartitioner(nil)
-	if err != nil || r0.Pipelines() != 1 || r0.Place(999) != 0 {
-		t.Error("empty range partitioner broken")
-	}
-}
-
-func TestModuloPartitioner(t *testing.T) {
-	m := NewModuloPartitioner(4)
-	if m.Pipelines() != 4 {
-		t.Fatal("Pipelines wrong")
-	}
-	for k := uint64(0); k < 100; k++ {
-		if m.Place(k) != int(k%4) {
-			t.Fatalf("Place(%d) = %d", k, m.Place(k))
-		}
-	}
-	mustPanicTM(t, func() { NewModuloPartitioner(0) })
-}
-
-// Property: every partitioner covers exactly [0, n) and is deterministic.
+// Property: the hash partitioner covers exactly [0, n) and is
+// deterministic.
 func TestPartitionerRangeProperty(t *testing.T) {
-	parts := []Partitioner{
-		NewHashPartitioner(5),
-		NewModuloPartitioner(5),
-	}
-	rp, _ := NewRangePartitioner([]uint64{100, 200, 300, 400})
-	parts = append(parts, rp)
-	f := func(key uint64) bool {
-		for _, p := range parts {
-			v := p.Place(key)
-			if v < 0 || v >= p.Pipelines() || p.Place(key) != v {
-				return false
-			}
-		}
-		return true
+	f := func(key uint64, nRaw uint8) bool {
+		n := int(nRaw)%16 + 1
+		p := NewHashPartitioner(n)
+		v := p.Place(key)
+		return v >= 0 && v < n && p.Place(key) == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
