@@ -66,10 +66,8 @@ func main() {
 	}
 	served := 0
 	for _, batch := range apps.PartitionKV(pairs, acfg.CentralPipelines, kv.KeysPerPacket) {
-		keys := make([]packet.KVPair, len(batch))
-		copy(keys, batch)
 		req := packet.Build(packet.Header{Proto: packet.ProtoKV, SrcPort: 2, CoflowID: 1},
-			&packet.KVHeader{Op: packet.KVGet, Pairs: keys})
+			&packet.KVHeader{Op: packet.KVGet, Pairs: batch})
 		req.IngressPort = 2
 		out, err := asw.Process(req)
 		if err != nil {

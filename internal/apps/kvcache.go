@@ -237,22 +237,44 @@ func (k *KVCacheRMT) EffectiveCapacity() int {
 
 // PartitionKV regroups a batch of pairs so each output batch contains only
 // keys of one ADCP partition (what a partition-aware client library does).
-// Batches are capped at maxBatch pairs.
+// Batches are capped at maxBatch pairs and come in partition order, each
+// partition's pairs in input order. pairs is copied once: the batches share
+// one new slice, which the caller owns, and each is cut from it with
+// cap == len, so an append to one reallocates instead of overwriting the
+// next.
 func PartitionKV(pairs []packet.KVPair, partitions, maxBatch int) [][]packet.KVPair {
 	part := tm.NewHashPartitioner(partitions)
-	byPart := make([][]packet.KVPair, partitions)
+	// A counting sort: pairs per partition, then where each partition's
+	// next pair goes. The counts stay on the stack up to 16 partitions.
+	var small [16]int
+	next := small[:]
+	if partitions > len(small) {
+		next = make([]int, partitions)
+	}
+	next = next[:partitions]
+	for _, p := range pairs {
+		next[part.Place(uint64(p.Key))]++
+	}
+	batches, start := 0, 0
+	for i, n := range next {
+		next[i] = start
+		start += n
+		batches += (n + maxBatch - 1) / maxBatch
+	}
+	sorted := make([]packet.KVPair, len(pairs))
 	for _, p := range pairs {
 		i := part.Place(uint64(p.Key))
-		byPart[i] = append(byPart[i], p)
+		sorted[next[i]] = p
+		next[i]++
 	}
-	var out [][]packet.KVPair
-	for _, batch := range byPart {
-		for len(batch) > maxBatch {
-			out = append(out, batch[:maxBatch])
-			batch = batch[maxBatch:]
-		}
-		if len(batch) > 0 {
-			out = append(out, batch)
+	// next[i] is now where partition i ends and partition i+1 starts.
+	out := make([][]packet.KVPair, 0, batches)
+	start = 0
+	for _, end := range next {
+		for start < end {
+			stop := min(start+maxBatch, end)
+			out = append(out, sorted[start:stop:stop])
+			start = stop
 		}
 	}
 	return out

@@ -1,10 +1,13 @@
 package apps
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/netsim"
 	"repro/internal/packet"
+	"repro/internal/sim"
+	"repro/internal/tm"
 )
 
 func kvGet(src int, keys ...uint32) *packet.Packet {
@@ -209,6 +212,65 @@ func TestPartitionKV(t *testing.T) {
 	}
 	if seen != 100 {
 		t.Errorf("covered %d pairs", seen)
+	}
+}
+
+// partitionKVByAppend is PartitionKV as first written, one append per pair
+// onto a slice per partition: the reference its counting sort must match.
+func partitionKVByAppend(pairs []packet.KVPair, partitions, maxBatch int) [][]packet.KVPair {
+	part := tm.NewHashPartitioner(partitions)
+	byPart := make([][]packet.KVPair, partitions)
+	for _, p := range pairs {
+		i := part.Place(uint64(p.Key))
+		byPart[i] = append(byPart[i], p)
+	}
+	var out [][]packet.KVPair
+	for _, batch := range byPart {
+		for len(batch) > maxBatch {
+			out = append(out, batch[:maxBatch])
+			batch = batch[maxBatch:]
+		}
+		if len(batch) > 0 {
+			out = append(out, batch)
+		}
+	}
+	return out
+}
+
+// TestPartitionKVMatchesReference: for random pairs (repeated keys
+// included, told apart by their values), 1–8 partitions and batches of 1–8
+// pairs, PartitionKV returns the reference's batches in the reference's
+// order; every batch has cap == len, so an append to one cannot overwrite
+// its neighbour; and a call makes two allocations, the shared slice and the
+// list of batches. Every tenth round takes 17–24 partitions instead, past
+// the counts' stack buffer, and checks the batches only.
+func TestPartitionKVMatchesReference(t *testing.T) {
+	rng := sim.NewRNG(5)
+	for round := 0; round < 300; round++ {
+		pairs := make([]packet.KVPair, rng.Intn(48))
+		for i := range pairs {
+			pairs[i] = packet.KVPair{Key: uint32(rng.Intn(64)), Value: uint32(i)}
+		}
+		partitions, maxBatch := 1+rng.Intn(8), 1+rng.Intn(8)
+		if round%10 == 9 {
+			partitions += 16
+		}
+		got, want := PartitionKV(pairs, partitions, maxBatch), partitionKVByAppend(pairs, partitions, maxBatch)
+		if len(got) != len(want) {
+			t.Fatalf("%d pairs over %d partitions by %d: %d batches, want %d", len(pairs), partitions, maxBatch, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) || cap(got[i]) != len(got[i]) {
+				t.Fatalf("%d pairs over %d partitions by %d: batch %d is %v (cap %d), want %v (cap == len)",
+					len(pairs), partitions, maxBatch, i, got[i], cap(got[i]), want[i])
+			}
+		}
+		if partitions > 8 {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(10, func() { PartitionKV(pairs, partitions, maxBatch) }); allocs > 2 {
+			t.Fatalf("%d pairs over %d partitions: %.0f allocations, want at most 2", len(pairs), partitions, allocs)
+		}
 	}
 }
 

@@ -32,22 +32,36 @@ func CacheHit(cacheSizes []int, skews []float64) (*stats.Table, []CacheHitRow, e
 	}
 	const keySpace = 4096
 	const keysPerPacket = 8
+	cfg := core.DefaultConfig()
+	cfg.Ports, cfg.DemuxFactor, cfg.CentralPipelines, cfg.EgressPipelines = 8, 1, 4, 2
+	cfg.Pipe.Stages, cfg.Pipe.TableEntriesPerStage = 2, keySpace
 	t := stats.NewTable(
 		fmt.Sprintf("cache effectiveness: hit rate vs on-switch cache size (keyspace %d, Zipf GETs)", keySpace),
 		"cache entries", "zipf skew", "hit rate", "hits", "misses",
 	)
 	var rows []CacheHitRow
+	// Every point's packets come out of one arena, encoded from one header.
+	var arena packet.Arena
+	kv := packet.KVHeader{Op: packet.KVGet}
 	for _, skew := range skews {
+		// The requests depend on the skew only: generate them and regroup
+		// them per partition, as the app's tests batch, once for all sizes.
+		injs, err := workload.KVZipf(workload.KVParams{
+			CoflowID: 1, Clients: 4, OpsPerClient: 250,
+			KeysPerPacket: keysPerPacket, KeySpace: keySpace, Seed: 77,
+		}, skew)
+		if err != nil {
+			return nil, nil, err
+		}
+		batches := make([][][]packet.KVPair, len(injs))
+		var d packet.Decoded
+		for i, inj := range injs {
+			if err := d.DecodePacket(inj.Pkt); err != nil {
+				return nil, nil, err
+			}
+			batches[i] = apps.PartitionKV(d.KV.Pairs, cfg.CentralPipelines, keysPerPacket)
+		}
 		for _, size := range cacheSizes {
-			cfg := core.DefaultConfig()
-			cfg.Ports = 8
-			cfg.DemuxFactor = 1
-			cfg.CentralPipelines = 4
-			cfg.EgressPipelines = 2
-			pipe := cfg.Pipe
-			pipe.Stages = 2
-			pipe.TableEntriesPerStage = keySpace
-			cfg.Pipe = pipe
 			sw, err := apps.NewKVCacheADCP(cfg, apps.KVConfig{KeysPerPacket: keysPerPacket, CacheEntries: size})
 			if err != nil {
 				return nil, nil, err
@@ -59,23 +73,13 @@ func CacheHit(cacheSizes []int, skews []float64) (*stats.Table, []CacheHitRow, e
 					return nil, nil, err
 				}
 			}
-			injs, err := workload.KVZipf(workload.KVParams{
-				CoflowID: 1, Clients: 4, OpsPerClient: 250,
-				KeysPerPacket: keysPerPacket, KeySpace: keySpace, Seed: 77,
-			}, skew)
-			if err != nil {
-				return nil, nil, err
-			}
-			var d packet.Decoded
-			for _, inj := range injs {
-				if err := d.DecodePacket(inj.Pkt); err != nil {
-					return nil, nil, err
-				}
-				// Partition-aware client batching, as in the app's tests.
-				for _, batch := range apps.PartitionKV(d.KV.Pairs, cfg.CentralPipelines, keysPerPacket) {
-					pkt := packet.Build(packet.Header{
-						Proto: packet.ProtoKV, SrcPort: d.Base.SrcPort, CoflowID: 1,
-					}, &packet.KVHeader{Op: packet.KVGet, Pairs: batch})
+			for i, inj := range injs {
+				for _, batch := range batches[i] {
+					kv.Pairs = batch
+					// KV's source port is its client, which is inj.Src.
+					pkt := arena.Build(packet.Header{
+						Proto: packet.ProtoKV, SrcPort: uint16(inj.Src), CoflowID: 1,
+					}, &kv)
 					pkt.IngressPort = inj.Src
 					if _, err := sw.Process(pkt); err != nil {
 						return nil, nil, err

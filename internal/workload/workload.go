@@ -130,34 +130,37 @@ func (p KVParams) Validate() error {
 }
 
 // KV generates batched cache operations: each client sends OpsPerClient
-// packets of KeysPerPacket uniformly drawn keys.
+// packets of KeysPerPacket uniformly drawn keys. As in ML, the packets come
+// out of one arena, each encoded from the same reused header.
 func KV(p KVParams) ([]Injection, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	rng := sim.NewRNG(p.Seed)
-	var injs []Injection
+	injs := make([]Injection, 0, p.Clients*p.OpsPerClient)
+	var arena packet.Arena
+	kv := packet.KVHeader{Pairs: make([]packet.KVPair, p.KeysPerPacket)}
 	for c := 0; c < p.Clients; c++ {
 		t := sim.Time(0)
 		for op := 0; op < p.OpsPerClient; op++ {
-			pairs := make([]packet.KVPair, p.KeysPerPacket)
-			for i := range pairs {
-				pairs[i].Key = uint32(rng.Uint64()) % p.KeySpace
+			for i := range kv.Pairs {
+				// The whole pair: a GET after a PUT carries zero values.
+				kv.Pairs[i] = packet.KVPair{Key: uint32(rng.Uint64()) % p.KeySpace}
 			}
-			kvop := packet.KVGet
+			kv.Op = packet.KVGet
 			if rng.Float64() < p.PutFraction {
-				kvop = packet.KVPut
-				for i := range pairs {
-					pairs[i].Value = uint32(rng.Uint64())
+				kv.Op = packet.KVPut
+				for i := range kv.Pairs {
+					kv.Pairs[i].Value = uint32(rng.Uint64())
 				}
 			}
-			pkt := packet.Build(packet.Header{
+			pkt := arena.Build(packet.Header{
 				Proto:    packet.ProtoKV,
 				SrcPort:  uint16(c),
 				CoflowID: p.CoflowID,
 				FlowID:   uint32(c),
 				Seq:      uint32(op),
-			}, &packet.KVHeader{Op: kvop, Pairs: pairs})
+			}, &kv)
 			injs = append(injs, Injection{Src: c, Pkt: pkt, At: t})
 			t += p.Gap
 		}

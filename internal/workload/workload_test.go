@@ -115,6 +115,104 @@ func TestKVDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// kvByBuild is KV as first written, a pairs slice, a header and a
+// packet.Build per packet: the reference the arena version must match.
+func kvByBuild(p KVParams) []Injection {
+	rng := sim.NewRNG(p.Seed)
+	var injs []Injection
+	for c := 0; c < p.Clients; c++ {
+		t := sim.Time(0)
+		for op := 0; op < p.OpsPerClient; op++ {
+			pairs := make([]packet.KVPair, p.KeysPerPacket)
+			for i := range pairs {
+				pairs[i].Key = uint32(rng.Uint64()) % p.KeySpace
+			}
+			kvop := packet.KVGet
+			if rng.Float64() < p.PutFraction {
+				kvop = packet.KVPut
+				for i := range pairs {
+					pairs[i].Value = uint32(rng.Uint64())
+				}
+			}
+			pkt := packet.Build(packet.Header{
+				Proto: packet.ProtoKV, SrcPort: uint16(c), CoflowID: p.CoflowID, FlowID: uint32(c), Seq: uint32(op),
+			}, &packet.KVHeader{Op: kvop, Pairs: pairs})
+			injs = append(injs, Injection{Src: c, Pkt: pkt, At: t})
+			t += p.Gap
+		}
+	}
+	return injs
+}
+
+// kvZipfByBuild is the matching KVZipf reference: kvByBuild's packets with
+// their keys redrawn from the sampler, each rebuilt by packet.Build.
+func kvZipfByBuild(t *testing.T, p KVParams, skew float64) []Injection {
+	z, err := NewZipf(sim.NewRNG(p.Seed), skew, int(p.KeySpace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	injs := kvByBuild(p)
+	for i, inj := range injs {
+		var d packet.Decoded
+		if err := d.DecodePacket(inj.Pkt); err != nil {
+			t.Fatal(err)
+		}
+		for j := range d.KV.Pairs {
+			d.KV.Pairs[j].Key = z.Sample()
+		}
+		injs[i].Pkt = packet.Build(d.Base, &d.KV)
+	}
+	return injs
+}
+
+// TestKVMatchesPerPacketBuild: KV and KVZipf, whose packets come out of one
+// arena and are encoded from one reused header, give the bytes, sources and
+// times of a packet.Build per packet at no, some and only PUTs. With the
+// pairs buffer reused, a GET that follows a PUT still carries zero values.
+func TestKVMatchesPerPacketBuild(t *testing.T) {
+	for _, put := range []float64{0, 0.3, 1} {
+		p := KVParams{CoflowID: 2, Clients: 3, OpsPerClient: 40, KeysPerPacket: 8, KeySpace: 100, PutFraction: put, Gap: 100, Seed: 9}
+		kv, err := KV(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zipf, err := KVZipf(p, 1.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, pair := range map[string][2][]Injection{"KV": {kv, kvByBuild(p)}, "KVZipf": {zipf, kvZipfByBuild(t, p, 1.1)}} {
+			got, want := pair[0], pair[1]
+			if len(got) != len(want) {
+				t.Fatalf("%s put %v: %d injections, want %d", name, put, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Src != want[i].Src || got[i].At != want[i].At || string(got[i].Pkt.Data) != string(want[i].Pkt.Data) {
+					t.Fatalf("%s put %v: injection %d is %+v % x, want %+v % x", name, put, i, got[i], got[i].Pkt.Data, want[i], want[i].Pkt.Data)
+				}
+			}
+		}
+		getsAfterPut, afterPut := 0, false
+		for _, inj := range kv {
+			var d packet.Decoded
+			if err := d.DecodePacket(inj.Pkt); err != nil {
+				t.Fatal(err)
+			}
+			if d.KV.Op == packet.KVGet && afterPut {
+				getsAfterPut++
+				for _, pr := range d.KV.Pairs {
+					if pr.Value != 0 {
+						t.Fatalf("put %v: a GET after a PUT carries value %d for key %d", put, pr.Value, pr.Key)
+					}
+				}
+			}
+			afterPut = d.KV.Op == packet.KVPut
+		}
+		if put == 0.3 && getsAfterPut == 0 {
+			t.Error("no GET followed a PUT; the reuse check checked nothing")
+		}
+	}
+}
+
 func TestKVValidation(t *testing.T) {
 	bad := []KVParams{
 		{Clients: 0, OpsPerClient: 1, KeysPerPacket: 1, KeySpace: 1},

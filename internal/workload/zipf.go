@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
 
+	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
@@ -64,14 +66,8 @@ func KVZipf(p KVParams, skew float64) ([]Injection, error) {
 		data := inj.Pkt.Data
 		// Pairs start after base header + KV fixed header; each pair is
 		// key(4) + value(4).
-		off := 20 + 4
-		for off+8 <= len(data) {
-			k := z.Sample()
-			data[off] = byte(k >> 24)
-			data[off+1] = byte(k >> 16)
-			data[off+2] = byte(k >> 8)
-			data[off+3] = byte(k)
-			off += 8
+		for off := packet.BaseHeaderLen + packet.KVHeaderFixedLen; off+8 <= len(data); off += 8 {
+			binary.BigEndian.PutUint32(data[off:], z.Sample())
 		}
 	}
 	return injs, nil
