@@ -219,6 +219,23 @@ func DRMTPPS(ops int) float64 {
 	return float64(drmtProcessors) * drmtClockHz * float64(drmtIPC) / float64(ops)
 }
 
+// A software (BMv2-class) switch is the paper's §1 run-to-completion
+// baseline: a pool of server cores, each holding a packet until its
+// computation finishes. Any program runs, but the packet rate falls with
+// per-packet work instead of holding at line rate.
+const (
+	softwareCores       = 16
+	softwareClockHz     = 3e9
+	softwareBaseCycles  = 300 // parse, classify and deliver on the fast path
+	softwareCyclesPerOp = 10
+)
+
+// SoftwarePPS returns the software switch's packet rate for a program of
+// ops operations per packet: cores × clock / (base + ops × cycles/op).
+func SoftwarePPS(ops int) float64 {
+	return softwareClockHz * float64(softwareCores) / float64(softwareBaseCycles+ops*softwareCyclesPerOp)
+}
+
 // RoundGHz rounds a frequency in Hz to two decimals of GHz, as the paper's
 // tables print them.
 func RoundGHz(hz float64) float64 {

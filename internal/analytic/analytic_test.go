@@ -298,6 +298,58 @@ func TestThroughputInverseProperty(t *testing.T) {
 	}
 }
 
+// The software switch's rate at every default tension op count and at the
+// landscape's 8 ops, exactly as exp.tension.software_pps and
+// exp.landscape.pps_at_8ops export it: 16 cores × 3 GHz / (300 + 10·ops).
+func TestSoftwarePPS(t *testing.T) {
+	for _, c := range []struct {
+		ops  int
+		want float64
+	}{
+		{1, 154838709.67741936},
+		{4, 141176470.5882353},
+		{8, 126315789.4736842},
+		{12, 114285714.28571428},
+		{16, 104347826.08695652},
+		{64, 51063829.787234046},
+		{192, 21621621.62162162},
+		{256, 16783216.783216782},
+	} {
+		if got := SoftwarePPS(c.ops); got != c.want {
+			t.Errorf("SoftwarePPS(%d) = %v, want %v", c.ops, got, c.want)
+		}
+	}
+}
+
+// Run-to-completion: unlimited expressiveness, graceful 1/x decay, and even
+// the fast path alone (zero ops, 160 Mpps) is far below a 1.25 GHz RMT
+// pipeline's 1.25 Bpps — the §1 tension.
+func TestSoftwarePPSDecaysWithWork(t *testing.T) {
+	if got := SoftwarePPS(0); got != 160e6 {
+		t.Errorf("SoftwarePPS(0) = %v, want 160 Mpps", got)
+	}
+	if SoftwarePPS(1000) >= SoftwarePPS(100) {
+		t.Error("throughput did not decay with work")
+	}
+	if SoftwarePPS(0) >= 1.25e9 {
+		t.Error("software switch should be far below line rate")
+	}
+}
+
+// Property: the rate is strictly decreasing in ops, and rate × cycles per
+// packet is the switch's total cycle budget (cores × clock) at every op count.
+func TestSoftwarePPSProperty(t *testing.T) {
+	f := func(opsRaw uint16) bool {
+		ops := int(opsRaw)
+		r := SoftwarePPS(ops)
+		budget := r * float64(softwareBaseCycles+ops*softwareCyclesPerOp)
+		return SoftwarePPS(ops+1) < r && math.Abs(budget-softwareCores*softwareClockHz) < 1e-6*budget
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestRelativePowerCubeLaw(t *testing.T) {
 	m := DefaultPowerModel()
 	if got := m.RelativePower(1.62e9); math.Abs(got-1.0) > 1e-12 {

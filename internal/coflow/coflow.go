@@ -2,8 +2,8 @@
 // HotNets '12) that the paper builds its argument on: a set of flows
 // between interconnected servers that share application semantics, where
 // the collective — not any individual flow — is the unit the application
-// cares about. The package provides coflow descriptions and a completion
-// tracker with conservation accounting.
+// cares about. The package provides the completion tracker, with
+// conservation accounting, that every simulated network reports into.
 package coflow
 
 import (
@@ -11,67 +11,6 @@ import (
 
 	"repro/internal/sim"
 )
-
-// FlowSpec describes one member flow of a coflow.
-type FlowSpec struct {
-	FlowID  uint32
-	SrcHost int // sending host (attached to switch port of same index)
-	DstHost int // receiving host; -1 when the switch computes the result
-	Packets int
-	Bytes   int // application bytes carried by the flow
-}
-
-// Coflow is a named set of flows plus the output scheme the application
-// expects (which ports the result coflow targets).
-type Coflow struct {
-	ID    uint32
-	Flows []FlowSpec
-	// OutputHosts lists the hosts that must receive result data for the
-	// coflow to complete (e.g. all workers for an all-reduce).
-	OutputHosts []int
-}
-
-// Width returns the number of member flows.
-func (c *Coflow) Width() int { return len(c.Flows) }
-
-// TotalBytes returns the input bytes across member flows.
-func (c *Coflow) TotalBytes() int {
-	n := 0
-	for _, f := range c.Flows {
-		n += f.Bytes
-	}
-	return n
-}
-
-// TotalPackets returns the input packets across member flows.
-func (c *Coflow) TotalPackets() int {
-	n := 0
-	for _, f := range c.Flows {
-		n += f.Packets
-	}
-	return n
-}
-
-// SourceHosts returns the distinct sending hosts in flow order.
-func (c *Coflow) SourceHosts() []int {
-	seen := make(map[int]bool)
-	var hosts []int
-	for _, f := range c.Flows {
-		if !seen[f.SrcHost] {
-			seen[f.SrcHost] = true
-			hosts = append(hosts, f.SrcHost)
-		}
-	}
-	return hosts
-}
-
-// Broadcast builds the group-communication pattern: one source, a group of
-// receivers, driven by switch-side replication.
-func Broadcast(id uint32, src int, receivers []int, packets, bytes int) *Coflow {
-	c := &Coflow{ID: id, OutputHosts: append([]int(nil), receivers...)}
-	c.Flows = append(c.Flows, FlowSpec{FlowID: 0, SrcHost: src, DstHost: -1, Packets: packets, Bytes: bytes})
-	return c
-}
 
 // Status is a coflow's completion state in the Tracker.
 type Status struct {

@@ -7,29 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestBroadcastShape(t *testing.T) {
-	c := Broadcast(3, 0, []int{1, 2, 3}, 7, 700)
-	if c.Width() != 1 {
-		t.Errorf("Width = %d", c.Width())
-	}
-	if len(c.OutputHosts) != 3 {
-		t.Errorf("OutputHosts = %d", len(c.OutputHosts))
-	}
-	if c.SourceHosts()[0] != 0 {
-		t.Errorf("SourceHosts = %v", c.SourceHosts())
-	}
-}
-
-func TestSourceHostsDedup(t *testing.T) {
-	c := &Coflow{ID: 1, Flows: []FlowSpec{
-		{FlowID: 0, SrcHost: 2}, {FlowID: 1, SrcHost: 2}, {FlowID: 2, SrcHost: 5},
-	}}
-	hosts := c.SourceHosts()
-	if len(hosts) != 2 || hosts[0] != 2 || hosts[1] != 5 {
-		t.Errorf("SourceHosts = %v", hosts)
-	}
-}
-
 func TestTrackerCompletion(t *testing.T) {
 	tr := NewTracker()
 	tr.Expect(1, 3)

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/pipeline"
@@ -29,10 +27,11 @@ func BufferSweep(bufferSizes []int) (*stats.Table, []BufferRow, error) {
 	}
 	const fanout = 4 // ports 0..3 share egress pipeline 0
 	const packets = 16
-	t := stats.NewTable(
-		"TM buffer sizing under switch-generated incast (4:1 fan-out onto one egress pipeline)",
-		"TM2 buffer (B)", "delivered", "dropped", "loss rate", "peak occupancy (B)",
-	)
+	t := newTable("TM buffer sizing under switch-generated incast (4:1 fan-out onto one egress pipeline)",
+		col{head: "TM2 buffer (B)", label: "buffer_bytes"},
+		col{head: "delivered", metric: "exp.buffer.delivered_pkts"}, col{head: "dropped"},
+		col{head: "loss rate", cell: pct("%.1f%%"), metric: "exp.buffer.loss_rate"},
+		col{head: "peak occupancy (B)", metric: "exp.buffer.peak_bytes"})
 	var rows []BufferRow
 	for _, buf := range bufferSizes {
 		cfg := core.DefaultConfig()
@@ -41,9 +40,7 @@ func BufferSweep(bufferSizes []int) (*stats.Table, []BufferRow, error) {
 		cfg.CentralPipelines = 2
 		cfg.EgressPipelines = 2
 		cfg.TM2BufferBytes = buf
-		pipe := cfg.Pipe
-		pipe.Stages = 2
-		cfg.Pipe = pipe
+		cfg.Pipe.Stages = 2
 		prog := core.Programs{Central: &pipeline.Program{Funcs: []pipeline.StageFunc{
 			func(st *pipeline.Stage, ctx *pipeline.Context) error {
 				ctx.Multicast = []int{0, 1, 2, 3}
@@ -80,17 +77,7 @@ func BufferSweep(bufferSizes []int) (*stats.Table, []BufferRow, error) {
 			row.LossRate = float64(row.Dropped) / total
 		}
 		rows = append(rows, row)
-		bl := lbl("buffer_bytes", li(buf))
-		record("buffer.loss_rate", row.LossRate, bl)
-		record("buffer.peak_bytes", float64(row.PeakBytes), bl)
-		record("buffer.delivered_pkts", float64(row.Delivered), bl)
-		t.AddRow(
-			fmt.Sprintf("%d", buf),
-			fmt.Sprintf("%d", row.Delivered),
-			fmt.Sprintf("%d", row.Dropped),
-			fmt.Sprintf("%.1f%%", 100*row.LossRate),
-			fmt.Sprintf("%d", row.PeakBytes),
-		)
+		t.AddRow(buf, row.Delivered, row.Dropped, row.LossRate, row.PeakBytes)
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
 }

@@ -35,10 +35,11 @@ func CacheHit(cacheSizes []int, skews []float64) (*stats.Table, []CacheHitRow, e
 	cfg := core.DefaultConfig()
 	cfg.Ports, cfg.DemuxFactor, cfg.CentralPipelines, cfg.EgressPipelines = 8, 1, 4, 2
 	cfg.Pipe.Stages, cfg.Pipe.TableEntriesPerStage = 2, keySpace
-	t := stats.NewTable(
+	t := newTable(
 		fmt.Sprintf("cache effectiveness: hit rate vs on-switch cache size (keyspace %d, Zipf GETs)", keySpace),
-		"cache entries", "zipf skew", "hit rate", "hits", "misses",
-	)
+		col{head: "cache entries", label: "entries"}, col{head: "zipf skew", cell: f("%.1f"), label: "skew"},
+		col{head: "hit rate", cell: pct("%.1f%%"), metric: "exp.cachehit.hit_rate"}, col{head: "hits"},
+		col{head: "misses"})
 	var rows []CacheHitRow
 	// Every point's packets come out of one arena, encoded from one header.
 	var arena packet.Arena
@@ -97,16 +98,8 @@ func CacheHit(cacheSizes []int, skews []float64) (*stats.Table, []CacheHitRow, e
 				row.HitRate = float64(row.Hits) / float64(total)
 			}
 			rows = append(rows, row)
-			record("cachehit.hit_rate", row.HitRate,
-				lbl("entries", li(size)), lbl("skew", lf(skew)))
-			t.AddRow(
-				fmt.Sprintf("%d", size),
-				fmt.Sprintf("%.1f", skew),
-				fmt.Sprintf("%.1f%%", 100*row.HitRate),
-				fmt.Sprintf("%d", row.Hits),
-				fmt.Sprintf("%d", row.Misses),
-			)
+			t.AddRow(size, skew, row.HitRate, row.Hits, row.Misses)
 		}
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
 }

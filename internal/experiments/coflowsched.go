@@ -106,53 +106,38 @@ func CoflowSched(cfg CoflowSchedConfig) (*stats.Table, []CoflowSchedResult, erro
 		run("shortest-coflow-first (coflow-unit)", scf.Enqueue, scf.Dequeue),
 	}
 
-	t := stats.NewTable(
-		"§5 extension: coflow-aware scheduling at a bottleneck port",
-		"discipline", "mean CCT", "max CCT (elephant)",
-	)
+	t := newTable("§5 extension: coflow-aware scheduling at a bottleneck port",
+		col{head: "discipline", label: "discipline"},
+		col{head: "mean CCT", metric: "exp.coflowsched.mean_cct_ps"},
+		col{head: "max CCT (elephant)", metric: "exp.coflowsched.max_cct_ps"})
 	for _, r := range results {
-		dl := lbl("discipline", r.Discipline)
-		record("coflowsched.mean_cct_ps", float64(r.MeanCCT), dl)
-		record("coflowsched.max_cct_ps", float64(r.MaxCCT), dl)
-		t.AddRow(r.Discipline, r.MeanCCT.String(), r.MaxCCT.String())
+		t.AddRow(r.Discipline, r.MeanCCT, r.MaxCCT)
 	}
-	return t, results, nil
+	return t.Table, results, nil
 }
 
 // coflowArrivals enqueues the coflows largest-first (the classic
 // head-of-line scenario: the elephant's burst is already queued when the
-// mice arrive — the worst case for packet-unit FIFO).
+// mice arrive — the worst case for packet-unit FIFO), ties by id.
 func coflowArrivals(cfg CoflowSchedConfig) []*packet.Packet {
-	type state struct {
-		id   uint32
-		size uint64
-		pkts int
+	ids := make([]uint32, 0, len(cfg.CoflowSizes))
+	for id := range cfg.CoflowSizes {
+		ids = append(ids, id)
 	}
-	var sts []state
-	for id := uint32(0); id < 1<<16; id++ {
-		if n, ok := cfg.CoflowSizes[id]; ok {
-			wire := uint64(cfg.PacketPayload + packet.BaseHeaderLen)
-			sts = append(sts, state{id: id, size: n, pkts: int((n + wire - 1) / wire)})
-			if len(sts) == len(cfg.CoflowSizes) {
-				break
-			}
+	size := cfg.CoflowSizes
+	sort.Slice(ids, func(i, j int) bool {
+		if a, b := ids[i], ids[j]; size[a] != size[b] {
+			return size[a] > size[b]
 		}
-	}
-	sort.Slice(sts, func(i, j int) bool {
-		if sts[i].size != sts[j].size {
-			return sts[i].size > sts[j].size
-		}
-		return sts[i].id < sts[j].id
+		return ids[i] < ids[j]
 	})
+	wire := uint64(cfg.PacketPayload + packet.BaseHeaderLen)
 	var out []*packet.Packet
-	for _, st := range sts {
-		flows := cfg.CoflowFlows[st.id]
-		if flows < 1 {
-			flows = 1
-		}
-		for k := 0; k < st.pkts; k++ {
+	for _, id := range ids {
+		flows := max(cfg.CoflowFlows[id], 1)
+		for k := 0; k < int((size[id]+wire-1)/wire); k++ {
 			out = append(out, packet.BuildRaw(packet.Header{
-				DstPort: 0, CoflowID: st.id, FlowID: uint32(k % flows),
+				DstPort: 0, CoflowID: id, FlowID: uint32(k % flows),
 			}, cfg.PacketPayload))
 		}
 	}

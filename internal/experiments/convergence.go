@@ -54,10 +54,14 @@ func Convergence(cfg ConvergenceConfig, workerCounts []int) (*stats.Table, []Con
 	if len(workerCounts) == 0 {
 		workerCounts = []int{2, 4, 8, 15}
 	}
-	t := stats.NewTable(
+	t := newTable(
 		fmt.Sprintf("Figures 1+2: coflow convergence cost (%d ports, %d RMT pipelines)", cfg.Ports, cfg.Pipelines),
-		"coflow width", "RMT recirc traversals", "RMT ingress overhead", "ADCP recirc", "RMT CCT", "ADCP CCT", "egress-alt stages", "pinned ports",
-	)
+		col{head: "coflow width", label: "workers"},
+		col{head: "RMT recirc traversals", metric: "exp.convergence.rmt_recirc_traversals"},
+		col{head: "RMT ingress overhead", cell: pct("%.1f%%"), metric: "exp.convergence.rmt_ingress_overhead"},
+		col{head: "ADCP recirc"}, col{head: "RMT CCT", metric: "exp.convergence.rmt_cct_ps"},
+		col{head: "ADCP CCT", metric: "exp.convergence.adcp_cct_ps"}, col{head: "egress-alt stages"},
+		col{head: "pinned ports", cell: pct("%.0f%%")})
 	var rows []ConvergenceRow
 	for _, w := range workerCounts {
 		if w >= cfg.Ports {
@@ -94,34 +98,19 @@ func Convergence(cfg ConvergenceConfig, workerCounts []int) (*stats.Table, []Con
 			PinnedPortFraction:  1.0 / float64(cfg.Pipelines),
 		}
 		rows = append(rows, row)
-		wl := lbl("workers", li(w))
-		record("convergence.rmt_recirc_traversals", float64(row.RMTRecircTraversals), wl)
-		record("convergence.rmt_ingress_overhead", row.RMTOverhead, wl)
-		record("convergence.rmt_cct_ps", float64(row.RMTCCT), wl)
-		record("convergence.adcp_cct_ps", float64(row.ADCPCCT), wl)
-		t.AddRow(
-			fmt.Sprintf("%d", w),
-			fmt.Sprintf("%d", row.RMTRecircTraversals),
-			fmt.Sprintf("%.1f%%", 100*row.RMTOverhead),
-			fmt.Sprintf("%d", row.ADCPRecircTraversals),
-			row.RMTCCT.String(),
-			row.ADCPCCT.String(),
-			fmt.Sprintf("%d of %d", egStages, 2*rsw.Config().Pipe.Stages),
-			fmt.Sprintf("%.0f%%", 100*row.PinnedPortFraction),
-		)
+		t.AddRow(w, row.RMTRecircTraversals, row.RMTOverhead, row.ADCPRecircTraversals, row.RMTCCT, row.ADCPCCT,
+			[]any{"%d of %d", egStages, 2 * rsw.Config().Pipe.Stages}, row.PinnedPortFraction)
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
 }
 
 func rmtConfig(cfg ConvergenceConfig) rmt.Config {
 	c := rmt.DefaultConfig()
 	c.Ports = cfg.Ports
 	c.Pipelines = cfg.Pipelines
-	pipe := c.Pipe
-	pipe.Stages = 6
-	pipe.TableEntriesPerStage = 4096
-	pipe.RegisterCellsPerStage = 1024
-	c.Pipe = pipe
+	c.Pipe.Stages = 6
+	c.Pipe.TableEntriesPerStage = 4096
+	c.Pipe.RegisterCellsPerStage = 1024
 	return c
 }
 
@@ -131,10 +120,8 @@ func adcpConfig(cfg ConvergenceConfig) core.Config {
 	c.DemuxFactor = 2
 	c.CentralPipelines = cfg.Pipelines
 	c.EgressPipelines = cfg.Pipelines
-	pipe := c.Pipe
-	pipe.Stages = 6
-	pipe.TableEntriesPerStage = 4096
-	pipe.RegisterCellsPerStage = 1024
-	c.Pipe = pipe
+	c.Pipe.Stages = 6
+	c.Pipe.TableEntriesPerStage = 4096
+	c.Pipe.RegisterCellsPerStage = 1024
 	return c
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/packet"
@@ -30,10 +28,11 @@ func DemuxSweep(factors []int) (*stats.Table, []DemuxRow, error) {
 	}
 	const portGbps = 1600
 	const ports = 16
-	t := stats.NewTable(
-		"§3.3 ablation: demux factor m (1.6 Tbps ports, 84 B min packet, 16-port switch)",
-		"m", "required clock (GHz)", "ingress pipelines", "per-pipeline load spread",
-	)
+	t := newTable("§3.3 ablation: demux factor m (1.6 Tbps ports, 84 B min packet, 16-port switch)",
+		col{head: "m", cell: f("1:%d"), label: "m"},
+		col{head: "required clock (GHz)", cell: f("%.2f"), metric: "exp.demux.required_clock_ghz"},
+		col{head: "ingress pipelines", metric: "exp.demux.ingress_pipelines"},
+		col{head: "per-pipeline load spread"})
 	var rows []DemuxRow
 	for _, m := range factors {
 		freq, err := analytic.DemuxFreqHz(portGbps, m, analytic.MinWirePacket)
@@ -45,9 +44,7 @@ func DemuxSweep(factors []int) (*stats.Table, []DemuxRow, error) {
 		cfg.DemuxFactor = m
 		cfg.CentralPipelines = 4
 		cfg.EgressPipelines = 4
-		pipe := cfg.Pipe
-		pipe.Stages = 2
-		cfg.Pipe = pipe
+		cfg.Pipe.Stages = 2
 		sw, err := core.New(cfg, core.Programs{})
 		if err != nil {
 			return nil, nil, err
@@ -71,15 +68,7 @@ func DemuxSweep(factors []int) (*stats.Table, []DemuxRow, error) {
 			MeasuredSpread:   spread,
 		}
 		rows = append(rows, row)
-		ml := lbl("m", li(m))
-		record("demux.required_clock_ghz", row.RequiredClockGHz, ml)
-		record("demux.ingress_pipelines", float64(row.IngressPipelines), ml)
-		t.AddRow(
-			fmt.Sprintf("1:%d", m),
-			fmt.Sprintf("%.2f", analytic.RoundGHz(freq)),
-			fmt.Sprintf("%d", row.IngressPipelines),
-			fmt.Sprintf("%v", spread),
-		)
+		t.AddRow(m, row.RequiredClockGHz, row.IngressPipelines, spread)
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
 }

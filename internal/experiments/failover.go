@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/apps"
 	"repro/internal/faults"
 	"repro/internal/ha"
 	"repro/internal/netsim"
@@ -44,16 +43,6 @@ type FailoverRow struct {
 	AttrOK bool
 }
 
-// failoverSeed pins each sweep point's injector seed, so adding a point
-// never reshuffles the others.
-func failoverSeed(pointIdx int, arch string) uint64 {
-	s := uint64(0xFA_1707) + uint64(pointIdx)*1024
-	if arch == "adcp" {
-		s += 512
-	}
-	return s
-}
-
 // Failover sweeps switch-crash time × replication sync interval × {RMT,
 // ADCP} over the parameter-server aggregation round with a warm standby
 // configured. Every run's worker weights are verified against the exact
@@ -68,16 +57,8 @@ func Failover(crashFracs []float64, syncIntervals []sim.Time) (*stats.Table, []F
 	if len(syncIntervals) == 0 {
 		syncIntervals = []sim.Time{0, 2 * sim.Microsecond}
 	}
-	cc := DefaultConvergenceConfig()
-	ps := apps.PSConfig{Workers: 8, ModelSize: 32, Width: 4}
+	ports := DefaultConvergenceConfig().Ports
 	rec := faults.DefaultRecovery()
-
-	build := func(arch string) (netsim.SwitchModel, error) {
-		if arch == "rmt" {
-			return apps.NewParamServerRMT(rmtConfig(cc), ps)
-		}
-		return apps.NewParamServerADCP(adcpConfig(cc), ps)
-	}
 
 	// Stage 1 — the plain runs (no standby, no faults) that anchor the
 	// crash times and inflation baselines. One independent point per
@@ -88,19 +69,16 @@ func Failover(crashFracs []float64, syncIntervals []sim.Time) (*stats.Table, []F
 	baseMeta := func(i int) (string, int64) { return archs[i] + " baseline", 0 }
 	if err := runPointsSlot("failover.baseline", len(archs), baseSlot, baseMeta, func(i int) error {
 		arch := archs[i]
-		plainSW, err := build(arch)
+		plainSW, err := faultRoundSwitch(arch)
 		if err != nil {
 			return err
 		}
-		plain, err := apps.RunParamServer(plainSW, netsim.DefaultConfig(cc.Ports), ps, 25, 99)
+		plain, err := runFaultRound(plainSW, netsim.DefaultConfig(ports))
 		if err != nil {
 			return fmt.Errorf("failover %s baseline: %w", arch, err)
 		}
-		if len(plain.Errors) > 0 {
-			return fmt.Errorf("failover %s baseline errors: %v", arch, plain.Errors)
-		}
 		bases[i] = plain.CCT
-		record("failover.base_cct_ps", float64(plain.CCT), lbl("arch", arch))
+		newTable("", col{label: "arch"}, col{metric: "exp.failover.base_cct_ps"}).AddRow(arch, plain.CCT)
 		return nil
 	}); err != nil {
 		return nil, nil, err
@@ -109,10 +87,9 @@ func Failover(crashFracs []float64, syncIntervals []sim.Time) (*stats.Table, []F
 	// Stage 2 — the full (arch × crash fraction × sync interval) grid.
 	// Every cell depends only on its architecture's baseline, so the grid
 	// fans out across the worker pool. Each point fills its row slot and a
-	// one-row table fragment; the fragments merge in point order below,
-	// reproducing the sequential table exactly.
-	tableHeader := []string{"arch", "crash", "sync", "CCT", "inflation", "recovery", "replay", "delta bytes", "repl overhead", "retx"}
-	const tableTitle = "Failover sweep: parameter-server CCT across a switch crash with warm-standby replication"
+	// one-row table fragment, recorded into the point's own hub; the
+	// fragments merge in point order below, reproducing the sequential
+	// table exactly.
 	type cell struct {
 		arch   string
 		base   sim.Time
@@ -127,7 +104,7 @@ func Failover(crashFracs []float64, syncIntervals []sim.Time) (*stats.Table, []F
 			for _, syncIv := range syncIntervals {
 				cells = append(cells, cell{
 					arch: arch, base: bases[ai], frac: frac, syncIv: syncIv,
-					seed: failoverSeed(point, arch),
+					seed: pointSeed(0xFA_1707, point, arch),
 				})
 				point++
 			}
@@ -147,15 +124,15 @@ func Failover(crashFracs []float64, syncIntervals []sim.Time) (*stats.Table, []F
 	}
 	if err := runPointsSlot("failover", len(cells), slot, meta, func(i int) error {
 		c := cells[i]
-		primary, err := build(c.arch)
+		primary, err := faultRoundSwitch(c.arch)
 		if err != nil {
 			return err
 		}
-		standby, err := build(c.arch)
+		standby, err := faultRoundSwitch(c.arch)
 		if err != nil {
 			return err
 		}
-		ncfg := netsim.DefaultConfig(cc.Ports)
+		ncfg := netsim.DefaultConfig(ports)
 		ncfg.Recovery = &rec
 		ncfg.Standby = standby
 		opt := ha.DefaultOptions()
@@ -168,12 +145,9 @@ func Failover(crashFracs []float64, syncIntervals []sim.Time) (*stats.Table, []F
 				SwitchCrashAt: crashAt,
 			}
 		}
-		res, err := apps.RunParamServer(primary, ncfg, ps, 25, 99)
+		res, err := runFaultRound(primary, ncfg)
 		if err != nil {
 			return fmt.Errorf("failover %s crash %g sync %v: %w", c.arch, c.frac, c.syncIv, err)
-		}
-		if len(res.Errors) > 0 {
-			return fmt.Errorf("failover %s crash %g sync %v errors: %v", c.arch, c.frac, c.syncIv, res.Errors)
 		}
 		st := res.Network.HA().Stats()
 		led := res.Network.Ledger()
@@ -196,43 +170,42 @@ func Failover(crashFracs []float64, syncIntervals []sim.Time) (*stats.Table, []F
 		}
 		row.Attr, row.AttrOK = res.Network.Attribution(25)
 		results[i].Row = row
-		la, lc, lsy := lbl("arch", c.arch), lbl("crash", lf(c.frac)), lbl("sync_ps", li(int(c.syncIv)))
-		record("failover.cct_ps", float64(row.CCT), la, lc, lsy)
-		record("failover.cct_inflation", row.Inflation, la, lc, lsy)
-		record("failover.recovery_ps", float64(row.RecoveryPs), la, lc, lsy)
-		record("failover.replay_depth", float64(row.ReplayDepth), la, lc, lsy)
-		record("failover.delta_bytes", float64(row.DeltaBytes), la, lc, lsy)
-		record("failover.repl_overhead", row.ReplOverhead, la, lc, lsy)
-		record("failover.retransmits", float64(row.Retransmits), la, lc, lsy)
-		record("failover.staleness_max_ps", float64(st.MaxStalenessPs), la, lc, lsy)
-		crash := "none"
+		crash := any("none")
 		if crashAt > 0 {
-			crash = fmt.Sprintf("%.0f%%=%v", c.frac*100, crashAt)
+			crash = []any{"%.0f%%=%v", c.frac * 100, crashAt}
 		}
-		syncLabel := "immediate"
-		if c.syncIv > 0 {
-			syncLabel = c.syncIv.String()
-		}
-		recovery := "-"
-		if st.Promotions > 0 {
-			recovery = row.RecoveryPs.String()
-		}
-		frag := stats.NewTable(tableTitle, tableHeader...)
-		frag.AddRow(c.arch, crash, syncLabel, row.CCT.String(),
-			fmt.Sprintf("%.2fx", row.Inflation), recovery,
-			fmt.Sprintf("%d", row.ReplayDepth), fmt.Sprintf("%d", row.DeltaBytes),
-			fmt.Sprintf("%.3f", row.ReplOverhead), fmt.Sprintf("%d", row.Retransmits))
-		results[i].Frag = frag
+		frag := failoverTable()
+		frag.AddRow(c.arch, c.frac, crash, int64(c.syncIv), c.syncIv, row.CCT, row.Inflation, row.RecoveryPs,
+			row.ReplayDepth, row.DeltaBytes, row.ReplOverhead, row.Retransmits, st.MaxStalenessPs)
+		results[i].Frag = frag.Table
 		return nil
 	}); err != nil {
 		return nil, nil, err
 	}
 
 	rows := make([]FailoverRow, len(cells))
-	t := stats.NewTable(tableTitle, tableHeader...)
+	t := failoverTable()
 	for i := range results {
 		rows[i] = results[i].Row
 		t.Merge(results[i].Frag)
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
+}
+
+// failoverTable declares the failover sweep's table. A crash and a sync
+// interval label their point by fraction and picoseconds; the cells spell
+// them out. A recovery of zero means no standby promoted: a promotion
+// waits out the controller's failover delay.
+func failoverTable() *table {
+	return newTable(
+		"Failover sweep: parameter-server CCT across a switch crash with warm-standby replication",
+		col{head: "arch", label: "arch"}, col{label: "crash"}, col{head: "crash"}, col{label: "sync_ps"},
+		col{head: "sync", cell: zeroAs("immediate", f("%v"))},
+		col{head: "CCT", metric: "exp.failover.cct_ps"},
+		col{head: "inflation", cell: f("%.2fx"), metric: "exp.failover.cct_inflation"},
+		col{head: "recovery", cell: zeroAs("-", f("%v")), metric: "exp.failover.recovery_ps"},
+		col{head: "replay", metric: "exp.failover.replay_depth"},
+		col{head: "delta bytes", metric: "exp.failover.delta_bytes"},
+		col{head: "repl overhead", cell: f("%.3f"), metric: "exp.failover.repl_overhead"},
+		col{head: "retx", metric: "exp.failover.retransmits"}, col{metric: "exp.failover.staleness_max_ps"})
 }

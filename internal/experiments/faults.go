@@ -25,15 +25,40 @@ type FaultsRow struct {
 	LostAttempts uint64
 }
 
-// faultsSeed keeps the sweep deterministic: each (rate index, arch) point
-// gets its own fixed injector seed, so adding a rate never reshuffles the
+// pointSeed keeps a fault sweep deterministic: each (index, arch) point
+// gets its own fixed injector seed, so adding a point never reshuffles the
 // fault sequences of the others.
-func faultsSeed(rateIdx int, arch string) uint64 {
-	s := uint64(0xFA_0175) + uint64(rateIdx)*1024
+func pointSeed(base uint64, idx int, arch string) uint64 {
+	s := base + uint64(idx)*1024
 	if arch == "adcp" {
 		s += 512
 	}
 	return s
+}
+
+// faultsSeed is the Faults sweep's pointSeed.
+func faultsSeed(rateIdx int, arch string) uint64 { return pointSeed(0xFA_0175, rateIdx, arch) }
+
+// The fault and failover sweeps perturb one parameter-server aggregation
+// round: coflow 25 of 8 workers, a 32-weight model, 4 weights per packet.
+var faultRound = apps.PSConfig{Workers: 8, ModelSize: 32, Width: 4}
+
+// faultRoundSwitch builds arch's switch for the round.
+func faultRoundSwitch(arch string) (netsim.SwitchModel, error) {
+	cc := DefaultConvergenceConfig()
+	if arch == "rmt" {
+		return apps.NewParamServerRMT(rmtConfig(cc), faultRound)
+	}
+	return apps.NewParamServerADCP(adcpConfig(cc), faultRound)
+}
+
+// runFaultRound runs the round on sw under ncfg; a run error fails it.
+func runFaultRound(sw netsim.SwitchModel, ncfg netsim.Config) (*apps.RunResult, error) {
+	res, err := apps.RunParamServer(sw, ncfg, faultRound, 25, 99)
+	if err == nil && len(res.Errors) > 0 {
+		err = fmt.Errorf("run errors: %v", res.Errors)
+	}
+	return res, err
 }
 
 // Faults sweeps link loss rate × {RMT, ADCP} over the parameter-server
@@ -44,35 +69,20 @@ func Faults(lossRates []float64) (*stats.Table, []FaultsRow, error) {
 	if len(lossRates) == 0 {
 		lossRates = []float64{0, 0.005, 0.01, 0.02, 0.05}
 	}
-	cc := DefaultConvergenceConfig()
-	ps := apps.PSConfig{Workers: 8, ModelSize: 32, Width: 4}
 	rec := faults.DefaultRecovery()
 
 	run := func(arch string, rateIdx int, rate float64) (*apps.RunResult, error) {
-		var sw netsim.SwitchModel
-		var err error
-		if arch == "rmt" {
-			sw, err = apps.NewParamServerRMT(rmtConfig(cc), ps)
-		} else {
-			sw, err = apps.NewParamServerADCP(adcpConfig(cc), ps)
-		}
+		sw, err := faultRoundSwitch(arch)
 		if err != nil {
 			return nil, err
 		}
-		ncfg := netsim.DefaultConfig(cc.Ports)
+		ncfg := netsim.DefaultConfig(DefaultConvergenceConfig().Ports)
 		ncfg.Faults = &faults.Plan{
 			Seed: faultsSeed(rateIdx, arch),
 			Link: faults.LinkFaults{LossRate: rate},
 		}
 		ncfg.Recovery = &rec
-		res, err := apps.RunParamServer(sw, ncfg, ps, 25, 99)
-		if err != nil {
-			return res, err
-		}
-		if len(res.Errors) > 0 {
-			return res, fmt.Errorf("run errors: %v", res.Errors)
-		}
-		return res, nil
+		return runFaultRound(sw, ncfg)
 	}
 
 	// Every (rate, arch) point is independent — each builds its own switch
@@ -120,10 +130,13 @@ func Faults(lossRates []float64) (*stats.Table, []FaultsRow, error) {
 		return nil, nil, err
 	}
 
-	t := stats.NewTable(
-		"Fault sweep: parameter-server CCT under link loss with end-host recovery (RMT vs ADCP)",
-		"loss rate", "arch", "CCT", "inflation", "retransmits", "retx overhead", "lost attempts",
-	)
+	t := newTable("Fault sweep: parameter-server CCT under link loss with end-host recovery (RMT vs ADCP)",
+		col{head: "loss rate", cell: pct("%.1f%%"), label: "loss"}, col{head: "arch", label: "arch"},
+		col{head: "CCT", metric: "exp.faults.cct_ps"},
+		col{head: "inflation", cell: f("%.2fx"), metric: "exp.faults.cct_inflation"},
+		col{head: "retransmits", metric: "exp.faults.retransmits"},
+		col{head: "retx overhead", cell: f("%.3f"), metric: "exp.faults.retx_overhead"},
+		col{head: "lost attempts", metric: "exp.faults.lost_attempts"})
 	baseline := map[string]sim.Time{}
 	for i := range rows {
 		row := &rows[i]
@@ -133,15 +146,7 @@ func Faults(lossRates []float64) (*stats.Table, []FaultsRow, error) {
 			baseline[row.Arch] = row.CCT
 			row.Inflation = 1
 		}
-		ll, la := lbl("loss", lf(row.LossRate)), lbl("arch", row.Arch)
-		record("faults.cct_ps", float64(row.CCT), ll, la)
-		record("faults.cct_inflation", row.Inflation, ll, la)
-		record("faults.retransmits", float64(row.Retransmits), ll, la)
-		record("faults.retx_overhead", row.Overhead, ll, la)
-		record("faults.lost_attempts", float64(row.LostAttempts), ll, la)
-		t.AddRow(fmt.Sprintf("%.1f%%", row.LossRate*100), row.Arch, row.CCT.String(),
-			fmt.Sprintf("%.2fx", row.Inflation), fmt.Sprintf("%d", row.Retransmits),
-			fmt.Sprintf("%.3f", row.Overhead), fmt.Sprintf("%d", row.LostAttempts))
+		t.AddRow(row.LossRate, row.Arch, row.CCT, row.Inflation, row.Retransmits, row.Overhead, row.LostAttempts)
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
 }

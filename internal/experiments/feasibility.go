@@ -31,10 +31,10 @@ func MultiClock(widths []int) (*stats.Table, []MultiClockRow, error) {
 		widths = []int{1, 2, 4, 8, 16}
 	}
 	const pipelineGHz = 1.0
-	t := stats.NewTable(
-		"§4: multi-clock MAT memory (pipeline at 1.0 GHz)",
-		"array width", "memory clock mult", "memory clock (GHz)", "pipeline cycles/batch",
-	)
+	t := newTable("§4: multi-clock MAT memory (pipeline at 1.0 GHz)",
+		col{head: "array width", label: "width"}, col{head: "memory clock mult", cell: f("%d×")},
+		col{head: "memory clock (GHz)", cell: f("%.1f"), metric: "exp.multiclock.memory_clock_ghz"},
+		col{head: "pipeline cycles/batch", metric: "exp.multiclock.pipeline_cycles"})
 	var rows []MultiClockRow
 	for _, w := range widths {
 		mem := mat.NewStageMemory(mat.ModeMultiClock, mat.StageMAUs, 4096, w)
@@ -54,17 +54,9 @@ func MultiClock(widths []int) (*stats.Table, []MultiClockRow, error) {
 			PipelineCycles:  cyc,
 		}
 		rows = append(rows, row)
-		wl := lbl("width", li(w))
-		record("multiclock.memory_clock_ghz", row.MemoryClockGHz, wl)
-		record("multiclock.pipeline_cycles", float64(row.PipelineCycles), wl)
-		t.AddRow(
-			fmt.Sprintf("%d", w),
-			fmt.Sprintf("%d×", row.MemoryClockMult),
-			fmt.Sprintf("%.1f", row.MemoryClockGHz),
-			fmt.Sprintf("%d", row.PipelineCycles),
-		)
+		t.AddRow(w, row.MemoryClockMult, row.MemoryClockGHz, row.PipelineCycles)
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
 }
 
 // PowerRow is one point of the §4 power/area speculation, quantified.
@@ -84,32 +76,26 @@ type PowerRow struct {
 func Power() (*stats.Table, []PowerRow, error) {
 	m := analytic.DefaultPowerModel()
 	const fullHz = 2.38e9
-	t := stats.NewTable(
+	t := newTable(
 		"§4: iso-throughput power/area for one 1.6 Tbps port (relative to a 1.62 GHz reference pipeline)",
-		"design", "pipeline clock (GHz)", "pipelines", "relative power", "relative gate area/pipeline",
-	)
+		col{head: "design", label: "design"}, col{head: "pipeline clock (GHz)", cell: f("%.2f")},
+		col{head: "pipelines"},
+		col{head: "relative power", cell: f("%.3f"), metric: "exp.power.relative_power"},
+		col{head: "relative gate area/pipeline", cell: f("%.2f"), metric: "exp.power.relative_area"})
 	var rows []PowerRow
 	for _, ways := range []int{1, 2, 4} {
-		f := fullHz / float64(ways)
+		hz := fullHz / float64(ways)
 		row := PowerRow{
 			Design:        fmt.Sprintf("1:%d demux", ways),
-			PipelineGHz:   f / 1e9,
+			PipelineGHz:   hz / 1e9,
 			Pipelines:     ways,
 			RelativePower: m.IsoThroughputPower(fullHz, ways),
-			RelativeArea:  analytic.RelativeGateArea(f, 1.62e9),
+			RelativeArea:  analytic.RelativeGateArea(hz, 1.62e9),
 		}
 		rows = append(rows, row)
-		dl := lbl("design", row.Design)
-		record("power.relative_power", row.RelativePower, dl)
-		record("power.relative_area", row.RelativeArea, dl)
-		t.AddRow(row.Design,
-			fmt.Sprintf("%.2f", row.PipelineGHz),
-			fmt.Sprintf("%d", row.Pipelines),
-			fmt.Sprintf("%.3f", row.RelativePower),
-			fmt.Sprintf("%.2f", row.RelativeArea),
-		)
+		t.AddRow(row.Design, row.PipelineGHz, row.Pipelines, row.RelativePower, row.RelativeArea)
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
 }
 
 // ParseCostRow is one point of the §3.3 parsing observation.
@@ -126,10 +112,9 @@ type ParseCostRow struct {
 // the packet carries.
 func ParseCost() (*stats.Table, []ParseCostRow, error) {
 	g := packet.StandardGraph()
-	t := stats.NewTable(
-		"§3.3: parse cost tracks structure, not payload",
-		"protocol", "elements", "parse states", "header bytes parsed",
-	)
+	t := newTable("§3.3: parse cost tracks structure, not payload",
+		col{head: "protocol", label: "proto"}, col{head: "elements", label: "elems"},
+		col{head: "parse states", metric: "exp.parsecost.states_visited"}, col{head: "header bytes parsed"})
 	var rows []ParseCostRow
 	type c struct {
 		name  string
@@ -162,29 +147,21 @@ func ParseCost() (*stats.Table, []ParseCostRow, error) {
 			BytesConsumed: res.BytesConsumed,
 		}
 		rows = append(rows, row)
-		record("parsecost.states_visited", float64(row.StatesVisited),
-			lbl("proto", row.Proto), lbl("elems", li(row.PayloadElems)))
-		t.AddRow(row.Proto, fmt.Sprintf("%d", row.PayloadElems),
-			fmt.Sprintf("%d", row.StatesVisited), fmt.Sprintf("%d", row.BytesConsumed))
+		t.AddRow(row.Proto, row.PayloadElems, row.StatesVisited, row.BytesConsumed)
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
 }
 
 // Congestion runs the §4 floorplan comparison.
 func Congestion() (*stats.Table, *floorplan.Report, *floorplan.Report) {
 	mono, inter := floorplan.Monolithic(), floorplan.Interleaved()
-	t := stats.NewTable(
-		fmt.Sprintf("§4: g-cell routing congestion, %d×%d grid, %d-wire buses",
-			floorplan.GridW, floorplan.GridH, floorplan.WiresPerBus),
-		"floorplan", "peak congestion", "mean congestion", "overflowed cells",
-	)
-	record("congestion.peak", mono.PeakCongestion, lbl("floorplan", "monolithic"))
-	record("congestion.overflowed_cells", float64(mono.Overflowed), lbl("floorplan", "monolithic"))
-	record("congestion.peak", inter.PeakCongestion, lbl("floorplan", "interleaved"))
-	record("congestion.overflowed_cells", float64(inter.Overflowed), lbl("floorplan", "interleaved"))
-	t.AddRow("monolithic TMs", fmt.Sprintf("%.3f", mono.PeakCongestion),
-		fmt.Sprintf("%.4f", mono.MeanCongestion), fmt.Sprintf("%d", mono.Overflowed))
-	t.AddRow("interleaved TM slices", fmt.Sprintf("%.3f", inter.PeakCongestion),
-		fmt.Sprintf("%.4f", inter.MeanCongestion), fmt.Sprintf("%d", inter.Overflowed))
-	return t, mono, inter
+	t := newTable(
+		fmt.Sprintf("§4: g-cell routing congestion, %d×%d grid, %d-wire buses", floorplan.GridW, floorplan.GridH, floorplan.WiresPerBus),
+		col{label: "floorplan"}, col{head: "floorplan"},
+		col{head: "peak congestion", cell: f("%.3f"), metric: "exp.congestion.peak"},
+		col{head: "mean congestion", cell: f("%.4f")},
+		col{head: "overflowed cells", metric: "exp.congestion.overflowed_cells"})
+	t.AddRow("monolithic", "monolithic TMs", mono.PeakCongestion, mono.MeanCongestion, mono.Overflowed)
+	t.AddRow("interleaved", "interleaved TM slices", inter.PeakCongestion, inter.MeanCongestion, inter.Overflowed)
+	return t.Table, mono, inter
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/apps"
@@ -39,10 +38,8 @@ func GlobalArea() (*stats.Table, *GlobalAreaReport, error) {
 	cfg.DemuxFactor = 2
 	cfg.CentralPipelines = 8
 	cfg.EgressPipelines = 4
-	pipe := cfg.Pipe
-	pipe.Stages = 4
-	pipe.RegisterCellsPerStage = 2048
-	cfg.Pipe = pipe
+	cfg.Pipe.Stages = 4
+	cfg.Pipe.RegisterCellsPerStage = 2048
 
 	ps := apps.PSConfig{Workers: 12, ModelSize: 128, Width: 16}
 	sw, err := apps.NewParamServerADCP(cfg, ps)
@@ -58,13 +55,11 @@ func GlobalArea() (*stats.Table, *GlobalAreaReport, error) {
 	for i := 0; i < cfg.CentralPipelines; i++ {
 		rep.TraversalsPerCentral = append(rep.TraversalsPerCentral, sw.Central(i).Packets())
 	}
-	reached := map[int]bool{}
 	for w := 0; w < ps.Workers; w++ {
 		if len(res.Network.Host(w).Received) > 0 {
-			reached[w] = true
+			rep.PortsReached++
 		}
 	}
-	rep.PortsReached = len(reached)
 	// Every chunk's state lives on central pipeline chunk%8, results fan
 	// to all 12 worker ports across 4 egress pipelines: count pairs where
 	// the state pipeline's "natural" egress pipeline differs from the
@@ -86,19 +81,19 @@ func GlobalArea() (*stats.Table, *GlobalAreaReport, error) {
 	rep.MergeOrdered = ordered
 	rep.MergedCount = count
 
-	record("globalarea.ports_reached", float64(rep.PortsReached))
-	record("globalarea.cross_pipeline_deliveries", float64(rep.CrossPipelineDeliveries))
-	record("globalarea.merge_ordered", b2f(rep.MergeOrdered))
+	newTable("",
+		col{metric: "exp.globalarea.ports_reached"},
+		col{metric: "exp.globalarea.cross_pipeline_deliveries"},
+		col{metric: "exp.globalarea.merge_ordered"},
+	).AddRow(rep.PortsReached, rep.CrossPipelineDeliveries, rep.MergeOrdered)
 
-	t := stats.NewTable(
-		"Figure 5: the global partitioned area decouples state placement from output ports",
-		"property", "value",
-	)
-	t.AddRow("central traversal spread", fmt.Sprintf("%v", rep.TraversalsPerCentral))
-	t.AddRow("worker ports receiving results", fmt.Sprintf("%d of %d", rep.PortsReached, ps.Workers))
-	t.AddRow("cross-pipeline deliveries", fmt.Sprintf("%d", rep.CrossPipelineDeliveries))
-	t.AddRow("TM1 merge of sorted flows", fmt.Sprintf("ordered=%v over %d packets", rep.MergeOrdered, rep.MergedCount))
-	return t, rep, nil
+	t := newTable("Figure 5: the global partitioned area decouples state placement from output ports",
+		col{head: "property"}, col{head: "value"})
+	t.AddRow("central traversal spread", rep.TraversalsPerCentral)
+	t.AddRow("worker ports receiving results", []any{"%d of %d", rep.PortsReached, ps.Workers})
+	t.AddRow("cross-pipeline deliveries", rep.CrossPipelineDeliveries)
+	t.AddRow("TM1 merge of sorted flows", []any{"ordered=%v over %d packets", rep.MergeOrdered, rep.MergedCount})
+	return t.Table, rep, nil
 }
 
 // mergeDemo pushes two per-flow sorted streams through a rank-ordered TM1
@@ -109,9 +104,7 @@ func mergeDemo() (bool, int, error) {
 	cfg.DemuxFactor = 1
 	cfg.CentralPipelines = 2
 	cfg.EgressPipelines = 2
-	pipe := cfg.Pipe
-	pipe.Stages = 2
-	cfg.Pipe = pipe
+	cfg.Pipe.Stages = 2
 
 	var seqs []uint32
 	prog := core.Programs{Central: &pipeline.Program{Funcs: []pipeline.StageFunc{

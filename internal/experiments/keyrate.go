@@ -36,10 +36,12 @@ func KeyRate(widths []int) (*stats.Table, []KeyRateRow, error) {
 		widths = []int{1, 2, 4, 8, 16}
 	}
 	pps := analytic.SwitchPPS(12.8, 247)
-	t := stats.NewTable(
-		"Figure 6 / §3.2: key processing rate vs array width (12.8 Tbps switch)",
-		"keys/pkt", "RMT passes", "RMT keys/s", "ADCP keys/s", "speedup", "goodput",
-	)
+	t := newTable("Figure 6 / §3.2: key processing rate vs array width (12.8 Tbps switch)",
+		col{head: "keys/pkt", label: "width"}, col{head: "RMT passes"},
+		col{head: "RMT keys/s", cell: si, metric: "exp.keyrate.rmt_keys_per_s"},
+		col{head: "ADCP keys/s", cell: si, metric: "exp.keyrate.adcp_keys_per_s"},
+		col{head: "speedup", cell: f("%.1f×"), metric: "exp.keyrate.speedup"},
+		col{head: "goodput", cell: pct("%.1f%%")})
 	var rows []KeyRateRow
 	for _, w := range widths {
 		if w < 1 || w > mat.StageMAUs {
@@ -77,18 +79,7 @@ func KeyRate(widths []int) (*stats.Table, []KeyRateRow, error) {
 		row.MeasuredCyclesADCP = int(adcpMem.Cycles())
 
 		rows = append(rows, row)
-		wl := lbl("width", li(w))
-		record("keyrate.speedup", row.Speedup, wl)
-		record("keyrate.rmt_keys_per_s", row.RMTKeyRate, wl)
-		record("keyrate.adcp_keys_per_s", row.ADCPKeyRate, wl)
-		t.AddRow(
-			fmt.Sprintf("%d", w),
-			fmt.Sprintf("%d", row.RMTPasses),
-			stats.FormatSI(row.RMTKeyRate),
-			stats.FormatSI(row.ADCPKeyRate),
-			fmt.Sprintf("%.1f×", row.Speedup),
-			fmt.Sprintf("%.1f%%", 100*row.Goodput),
-		)
+		t.AddRow(w, row.RMTPasses, row.RMTKeyRate, row.ADCPKeyRate, row.Speedup, row.Goodput)
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
 }

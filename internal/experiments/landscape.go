@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/analytic"
 	"repro/internal/stats"
-	"repro/internal/swswitch"
 )
 
 // LandscapeRow characterizes one architecture in the §1/§2 design space.
@@ -33,14 +30,10 @@ func Landscape() (*stats.Table, []LandscapeRow, error) {
 	const rmtClock = 1.25e9
 	const adcpClock = 1.0e9
 
-	sw, err := swswitch.New(swswitch.DefaultConfig())
-	if err != nil {
-		return nil, nil, err
-	}
 	rows := []LandscapeRow{
 		{
 			Arch:        "software (run-to-completion)",
-			PPSAt8Ops:   sw.ThroughputPPS(8),
+			PPSAt8Ops:   analytic.SoftwarePPS(8),
 			MaxOps:      0, // unbounded, just slower
 			SharedState: true,
 		},
@@ -65,24 +58,13 @@ func Landscape() (*stats.Table, []LandscapeRow, error) {
 		},
 	}
 
-	t := stats.NewTable(
-		"§1/§2 design space: the four architecture models, executable",
-		"architecture", "pps @ 8 ops", "max ops/pkt", "shared state", "array match", "per-stage fragmentation",
-	)
-	yn := func(b bool) string {
-		if b {
-			return "yes"
-		}
-		return "no"
-	}
+	t := newTable("§1/§2 design space: the four architecture models, executable",
+		col{head: "architecture", label: "arch"},
+		col{head: "pps @ 8 ops", cell: si, metric: "exp.landscape.pps_at_8ops"},
+		col{head: "max ops/pkt", cell: zeroAs("unbounded", f("%d"))}, col{head: "shared state", cell: yesNo},
+		col{head: "array match", cell: yesNo}, col{head: "per-stage fragmentation", cell: yesNo})
 	for _, r := range rows {
-		record("landscape.pps_at_8ops", r.PPSAt8Ops, lbl("arch", r.Arch))
-		maxOps := "unbounded"
-		if r.MaxOps > 0 {
-			maxOps = fmt.Sprintf("%d", r.MaxOps)
-		}
-		t.AddRow(r.Arch, stats.FormatSI(r.PPSAt8Ops), maxOps,
-			yn(r.SharedState), yn(r.ArrayMatch), yn(r.StageFragmentation))
+		t.AddRow(r.Arch, r.PPSAt8Ops, r.MaxOps, r.SharedState, r.ArrayMatch, r.StageFragmentation)
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
 }

@@ -49,14 +49,6 @@ func SetPointProgress(fn func(sweep string, done, total int)) {
 // run directory). nil uninstalls.
 func SetJournal(j parallel.Journal) { poolJournal.Store(journalBox{j: j}) }
 
-// Journal returns the installed run journal, or nil.
-func Journal() parallel.Journal {
-	if v, ok := poolJournal.Load().(journalBox); ok {
-		return v.j
-	}
-	return nil
-}
-
 // SetRetryPolicy installs the supervised-retry policy every sweep applies
 // to failing points (bounded attempts, seeded backoff, optional
 // quarantine). The zero policy restores classic single-attempt behavior.
@@ -70,25 +62,20 @@ func RetryPolicy() parallel.RetryPolicy {
 	return parallel.RetryPolicy{}
 }
 
-// runPoints executes n independent sweep points through the parallel
+// runPointsSlot executes n independent sweep points through the parallel
 // engine: each point runs under its own telemetry hub mirroring the
 // ambient one, and the hubs merge back in point order, so the sweep's
 // exported metrics and samples are byte-identical to a sequential run.
 // point(i) must confine its writes to index i of the sweep's result slots.
 // A hub whose recorder exports runs the points in order (parallel.Run:
-// traces are not mergeable).
-func runPoints(sweep string, n int, point func(i int) error) error {
-	return runPointsSlot(sweep, n, nil, nil, point)
-}
-
-// runPointsSlot is runPoints with journal metadata: slot(i), when given,
-// returns a pointer to point i's result cell, JSON-round-tripped through
-// the run journal so a resume restores the row without re-running the
-// point; meta(i), when given, supplies the human-readable spec and RNG
-// seed the journal records for the point. Points quarantined by the retry
-// policy are recorded as exp.quarantined markers (labels: sweep, point,
-// class; value: attempts) before the joined error returns — the rest of
-// the sweep has completed and merged.
+// traces are not mergeable). slot(i), when given, returns a pointer to
+// point i's result cell, JSON-round-tripped through the run journal so a
+// resume restores the row without re-running the point; meta(i), when
+// given, supplies the human-readable spec and RNG seed the journal records
+// for the point. Points quarantined by the retry policy are recorded as
+// exp.quarantined markers (labels: sweep, point, class; value: attempts)
+// before the joined error returns — the rest of the sweep has completed
+// and merged.
 func runPointsSlot(sweep string, n int, slot func(i int) any, meta func(i int) (spec string, seed int64), point func(i int) error) error {
 	pts := make([]parallel.Point, n)
 	for i := range pts {
@@ -110,13 +97,17 @@ func runPointsSlot(sweep string, n int, slot func(i int) any, meta func(i int) (
 			onDone = func(done, total int, _ string, _ error) { fn(sweep, done, total) }
 		}
 	}
+	hub := telemetry.Hub()
+	jb, _ := poolJournal.Load().(journalBox)
 	err := parallel.Run(pts, parallel.Options{
-		Workers: int(poolWorkers.Load()), Hub: telemetry.Hub(), OnDone: onDone,
-		Retry: RetryPolicy(), Journal: Journal(),
+		Workers: int(poolWorkers.Load()), Hub: hub, OnDone: onDone,
+		Retry: RetryPolicy(), Journal: jb.j,
 	})
-	for _, qe := range quarantinedIn(err) {
-		record("quarantined", float64(qe.Attempts),
-			lbl("sweep", sweep), lbl("point", qe.Point), lbl("class", qe.Class))
+	if reg := hub.Reg(); reg != nil {
+		for _, qe := range quarantinedIn(err) {
+			reg.Set("exp.quarantined", float64(qe.Attempts),
+				telemetry.L("sweep", sweep), telemetry.L("point", qe.Point), telemetry.L("class", qe.Class))
+		}
 	}
 	return err
 }
@@ -125,23 +116,16 @@ func runPointsSlot(sweep string, n int, slot func(i int) any, meta func(i int) (
 // (parallel.Run joins per-point errors; each quarantined point contributes
 // one).
 func quarantinedIn(err error) []*parallel.QuarantinedError {
-	var out []*parallel.QuarantinedError
-	var walk func(error)
-	walk = func(e error) {
-		if e == nil {
-			return
+	if multi, ok := err.(interface{ Unwrap() []error }); ok {
+		var out []*parallel.QuarantinedError
+		for _, e := range multi.Unwrap() {
+			out = append(out, quarantinedIn(e)...)
 		}
-		if multi, ok := e.(interface{ Unwrap() []error }); ok {
-			for _, c := range multi.Unwrap() {
-				walk(c)
-			}
-			return
-		}
-		var qe *parallel.QuarantinedError
-		if errors.As(e, &qe) {
-			out = append(out, qe)
-		}
+		return out
 	}
-	walk(err)
-	return out
+	var qe *parallel.QuarantinedError
+	if errors.As(err, &qe) {
+		return []*parallel.QuarantinedError{qe}
+	}
+	return nil
 }

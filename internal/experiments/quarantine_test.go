@@ -35,7 +35,7 @@ func TestSweepQuarantinesPanickingPoint(t *testing.T) {
 					panic("synthetic point panic")
 				}
 				rows[i] = i + 1
-				record("poisoned.value", float64(i+1), lbl("i", li(i)))
+				newTable("", col{label: "i"}, col{metric: "exp.poisoned.value"}).AddRow(i, i+1)
 				return nil
 			})
 	})
@@ -74,7 +74,7 @@ func TestSweepZeroPolicySingleAttempt(t *testing.T) {
 	tries := 0
 	var err error
 	telemetry.WithHub(hub, func() {
-		err = runPoints("classic", 1, func(i int) error {
+		err = runPointsSlot("classic", 1, nil, nil, func(i int) error {
 			tries++
 			return errors.New("plain failure")
 		})

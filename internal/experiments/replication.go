@@ -36,10 +36,13 @@ func Replication(keysPerPacket []int) (*stats.Table, []ReplicationRow, error) {
 	}
 	const stageEntries = 64 * 1024
 	const liveEntries = 4096 // live switches use smaller stages for speed
-	t := stats.NewTable(
-		"Figure 3: table replication under scalar processing (64K-entry stage)",
-		"keys/pkt", "RMT copies", "RMT effective", "ADCP effective", "RMT SRAM/entry", "measured RMT cap", "measured ADCP cap",
-	)
+	t := newTable("Figure 3: table replication under scalar processing (64K-entry stage)",
+		col{head: "keys/pkt", label: "keys_per_pkt"}, col{head: "RMT copies"},
+		col{head: "RMT effective", metric: "exp.replication.rmt_effective_entries"},
+		col{head: "ADCP effective", metric: "exp.replication.adcp_effective_entries"},
+		col{head: "RMT SRAM/entry"},
+		col{head: "measured RMT cap", metric: "exp.replication.rmt_measured_cap"},
+		col{head: "measured ADCP cap", metric: "exp.replication.adcp_measured_cap"})
 	var rows []ReplicationRow
 	for _, k := range keysPerPacket {
 		row := ReplicationRow{
@@ -74,22 +77,10 @@ func Replication(keysPerPacket []int) (*stats.Table, []ReplicationRow, error) {
 		row.ADCPMeasuredCap = acap
 
 		rows = append(rows, row)
-		kl := lbl("keys_per_pkt", li(k))
-		record("replication.rmt_effective_entries", float64(row.RMTEffective), kl)
-		record("replication.adcp_effective_entries", float64(row.ADCPEffective), kl)
-		record("replication.rmt_measured_cap", float64(row.RMTMeasuredCap), kl)
-		record("replication.adcp_measured_cap", float64(row.ADCPMeasuredCap), kl)
-		t.AddRow(
-			fmt.Sprintf("%d", k),
-			fmt.Sprintf("%d", row.RMTReplication),
-			fmt.Sprintf("%d", row.RMTEffective),
-			fmt.Sprintf("%d", row.ADCPEffective),
-			fmt.Sprintf("%d", row.RMTSRAM/2048),
-			fmt.Sprintf("%d", row.RMTMeasuredCap),
-			fmt.Sprintf("%d", row.ADCPMeasuredCap),
-		)
+		t.AddRow(k, row.RMTReplication, row.RMTEffective, row.ADCPEffective, row.RMTSRAM/2048,
+			row.RMTMeasuredCap, row.ADCPMeasuredCap)
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
 }
 
 // measureLiveCapacity installs entries into both switch builds until the
@@ -98,23 +89,19 @@ func measureLiveCapacity(keysPerPacket, stageEntries int) (rmtCap, adcpCap int, 
 	rcfg := rmt.DefaultConfig()
 	rcfg.Ports = 8
 	rcfg.Pipelines = 2
-	rp := rcfg.Pipe
-	rp.Stages = 2
-	rp.TableEntriesPerStage = stageEntries
-	rp.RegisterCellsPerStage = 64
-	rcfg.Pipe = rp
+	rcfg.Pipe.Stages = 2
+	rcfg.Pipe.TableEntriesPerStage = stageEntries
+	rcfg.Pipe.RegisterCellsPerStage = 64
 
 	acfg := core.DefaultConfig()
 	acfg.Ports = 8
 	acfg.DemuxFactor = 1
 	acfg.CentralPipelines = 1 // single partition isolates pure capacity
 	acfg.EgressPipelines = 2
-	ap := acfg.Pipe
-	ap.Stages = 2
-	ap.TableEntriesPerStage = stageEntries
-	ap.RegisterCellsPerStage = 64
-	ap.PHVBudget = phv.ADCPBudget
-	acfg.Pipe = ap
+	acfg.Pipe.Stages = 2
+	acfg.Pipe.TableEntriesPerStage = stageEntries
+	acfg.Pipe.RegisterCellsPerStage = 64
+	acfg.Pipe.PHVBudget = phv.ADCPBudget
 
 	kv := apps.KVConfig{KeysPerPacket: keysPerPacket, CacheEntries: stageEntries}
 	rsw, err := apps.NewKVCacheRMT(rcfg, kv)
@@ -125,17 +112,11 @@ func measureLiveCapacity(keysPerPacket, stageEntries int) (rmtCap, adcpCap int, 
 	if err != nil {
 		return 0, 0, err
 	}
-	for k := uint32(0); int(k) < 2*stageEntries; k++ {
-		if err := rsw.Install(k, k); err != nil {
-			break
+	fill := func(install func(k, v uint32) error) (n int) {
+		for k := uint32(0); int(k) < 2*stageEntries && install(k, k) == nil; k++ {
+			n++
 		}
-		rmtCap++
+		return n
 	}
-	for k := uint32(0); int(k) < 2*stageEntries; k++ {
-		if err := asw.Install(k, k); err != nil {
-			break
-		}
-		adcpCap++
-	}
-	return rmtCap, adcpCap, nil
+	return fill(rsw.Install), fill(asw.Install), nil
 }

@@ -23,8 +23,7 @@ func (e *WatchdogError) Error() string {
 func (e *WatchdogError) Unwrap() error { return e.Err }
 
 // Run executes one experiment under a watchdog. Two independent bounds
-// convert a runaway simulation into a reported failure instead of a hang
-// (a wall-clock kill also records exp.watchdog.trips{exp=name} = 1):
+// convert a runaway simulation into a reported failure instead of a hang:
 //
 //   - eventBudget > 0 bounds the simulated side: every sim.Engine built
 //     while fn runs refuses to dispatch past that many events, and netsim
@@ -56,7 +55,6 @@ func Run(ctx context.Context, name string, eventBudget uint64, fn func() error) 
 	case err := <-done:
 		return err
 	case <-ctx.Done():
-		record("watchdog.trips", 1, lbl("exp", name))
 		return &WatchdogError{Name: name, Err: ctx.Err()}
 	}
 }

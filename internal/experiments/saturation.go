@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/apps"
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -69,16 +67,13 @@ func Saturation() (*stats.Table, []SaturationRow, error) {
 	}); err != nil {
 		return nil, nil, err
 	}
-	t := stats.NewTable(
-		"saturation: parameter aggregation with the switch as the bottleneck (2 µs/traversal)",
-		"architecture", "ingress traversals", "recirculated", "coflow completion",
-	)
+	t := newTable("saturation: parameter aggregation with the switch as the bottleneck (2 µs/traversal)",
+		col{head: "architecture", label: "arch"},
+		col{head: "ingress traversals", metric: "exp.saturation.ingress_traversals"},
+		col{head: "recirculated", metric: "exp.saturation.recirc_traversals"},
+		col{head: "coflow completion", metric: "exp.saturation.cct_ps"})
 	for _, r := range rows {
-		al := lbl("arch", r.Arch)
-		record("saturation.cct_ps", float64(r.CCT), al)
-		record("saturation.ingress_traversals", float64(r.Traversals), al)
-		record("saturation.recirc_traversals", float64(r.Recirc), al)
-		t.AddRow(r.Arch, fmt.Sprintf("%d", r.Traversals), fmt.Sprintf("%d", r.Recirc), r.CCT.String())
+		t.AddRow(r.Arch, r.Traversals, r.Recirc, r.CCT)
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
 }

@@ -38,45 +38,26 @@ func Table1() (*stats.Table, []Table1Row, error) {
 // plan and recovery knobs onto the exact same workloads and verification.
 func Table1WithNet(mod func(netsim.Config) netsim.Config) (*stats.Table, []Table1Row, error) {
 	var rows []Table1Row
-
-	ml, err := table1ML(mod)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ML: %w", err)
+	for _, app := range []struct {
+		name string
+		run  func(func(netsim.Config) netsim.Config) (Table1Row, error)
+	}{{"ML", table1ML}, {"DB", table1DB}, {"graph", table1Graph}, {"group", table1Group}} {
+		r, err := app.run(mod)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", app.name, err)
+		}
+		rows = append(rows, r)
 	}
-	rows = append(rows, ml)
 
-	db, err := table1DB(mod)
-	if err != nil {
-		return nil, nil, fmt.Errorf("DB: %w", err)
-	}
-	rows = append(rows, db)
-
-	gr, err := table1Graph(mod)
-	if err != nil {
-		return nil, nil, fmt.Errorf("graph: %w", err)
-	}
-	rows = append(rows, gr)
-
-	gc, err := table1Group(mod)
-	if err != nil {
-		return nil, nil, fmt.Errorf("group: %w", err)
-	}
-	rows = append(rows, gc)
-
-	t := stats.NewTable(
-		"Table 1: coflow applications on RMT vs ADCP (identical workloads, verified results)",
-		"application", "RMT CCT", "ADCP CCT", "RMT recirc traversals", "RMT SRAM", "ADCP SRAM", "RMT restructuring",
-	)
+	t := newTable("Table 1: coflow applications on RMT vs ADCP (identical workloads, verified results)",
+		col{head: "application", label: "app"}, col{head: "RMT CCT", metric: "exp.table1.rmt_cct_ps"},
+		col{head: "ADCP CCT", metric: "exp.table1.adcp_cct_ps"},
+		col{head: "RMT recirc traversals", metric: "exp.table1.rmt_recirc_traversals"}, col{head: "RMT SRAM"},
+		col{head: "ADCP SRAM"}, col{head: "RMT restructuring"})
 	for _, r := range rows {
-		al := lbl("app", r.App)
-		record("table1.rmt_cct_ps", float64(r.RMTCCT), al)
-		record("table1.adcp_cct_ps", float64(r.ADCPCCT), al)
-		record("table1.rmt_recirc_traversals", float64(r.RMTRecirc), al)
-		t.AddRow(r.App, r.RMTCCT.String(), r.ADCPCCT.String(),
-			fmt.Sprintf("%d", r.RMTRecirc), fmt.Sprintf("%d", r.RMTSRAM),
-			fmt.Sprintf("%d", r.ADCPSRAM), r.Note)
+		t.AddRow(r.App, r.RMTCCT, r.ADCPCCT, r.RMTRecirc, r.RMTSRAM, r.ADCPSRAM, r.Note)
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
 }
 
 func table1ML(mod func(netsim.Config) netsim.Config) (Table1Row, error) {

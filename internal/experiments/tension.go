@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/analytic"
 	"repro/internal/program"
 	"repro/internal/stats"
-	"repro/internal/swswitch"
 )
 
 // TensionRow is one point of the §1 motivation experiment: packet rate vs
@@ -37,22 +34,21 @@ func Tension(opCounts []int) (*stats.Table, []TensionRow, error) {
 	if len(opCounts) == 0 {
 		opCounts = []int{1, 4, 12, 16, 64, 192, 256}
 	}
-	sw, err := swswitch.New(swswitch.DefaultConfig())
-	if err != nil {
-		return nil, nil, err
-	}
 	rmtTarget := program.RMTTarget()
 	adcpTarget := program.ADCPTarget()
 	const rmtClock = 1.25e9
 	const adcpClock = 1.0e9
 
-	t := stats.NewTable(
-		"§1 motivation: line rate vs run-to-completion as per-packet work grows",
-		"ops/pkt", "software pps", "RMT pps", "dRMT pps", "ADCP pps",
-	)
+	infeasible := zeroAs("infeasible", si)
+	t := newTable("§1 motivation: line rate vs run-to-completion as per-packet work grows",
+		col{head: "ops/pkt", label: "ops"},
+		col{head: "software pps", cell: si, metric: "exp.tension.software_pps"},
+		col{head: "RMT pps", cell: infeasible, metric: "exp.tension.rmt_pps"},
+		col{head: "dRMT pps", cell: infeasible, metric: "exp.tension.drmt_pps"},
+		col{head: "ADCP pps", cell: infeasible, metric: "exp.tension.adcp_pps"})
 	var rows []TensionRow
 	for _, ops := range opCounts {
-		row := TensionRow{OpsPerPacket: ops, SoftwarePPS: sw.ThroughputPPS(ops)}
+		row := TensionRow{OpsPerPacket: ops, SoftwarePPS: analytic.SoftwarePPS(ops)}
 		// Feasibility on hardware: ops map to stage work. RMT: 1 op per
 		// stage per traversal; no recirculation allowed for this check
 		// (recirculating would sacrifice the line rate being measured).
@@ -67,24 +63,7 @@ func Tension(opCounts []int) (*stats.Table, []TensionRow, error) {
 			row.ADCPPPS = adcpClock
 		}
 		rows = append(rows, row)
-		ol := lbl("ops", li(ops))
-		record("tension.software_pps", row.SoftwarePPS, ol)
-		record("tension.rmt_pps", row.RMTPPS, ol)
-		record("tension.drmt_pps", row.DRMTPPS, ol)
-		record("tension.adcp_pps", row.ADCPPPS, ol)
-		cell := func(feasible bool, pps float64) string {
-			if !feasible {
-				return "infeasible"
-			}
-			return stats.FormatSI(pps)
-		}
-		t.AddRow(
-			fmt.Sprintf("%d", ops),
-			stats.FormatSI(row.SoftwarePPS),
-			cell(row.RMTFeasible, row.RMTPPS),
-			cell(row.DRMTFeasible, row.DRMTPPS),
-			cell(row.ADCPFeasible, row.ADCPPPS),
-		)
+		t.AddRow(ops, row.SoftwarePPS, row.RMTPPS, row.DRMTPPS, row.ADCPPPS)
 	}
-	return t, rows, nil
+	return t.Table, rows, nil
 }

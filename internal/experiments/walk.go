@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/stats"
@@ -57,23 +55,23 @@ func Walk() (*stats.Table, *WalkReport, error) {
 		rep.EgressPort = out[0].EgressPort
 	}
 
-	record("walk.delivered_pkts", float64(rep.Delivered))
-	record("walk.tm1_enqueued_pkts", float64(rep.TM1Enqueued))
-	record("walk.tm2_enqueued_pkts", float64(rep.TM2Enqueued))
+	newTable("",
+		col{metric: "exp.walk.delivered_pkts"},
+		col{metric: "exp.walk.tm1_enqueued_pkts"},
+		col{metric: "exp.walk.tm2_enqueued_pkts"},
+	).AddRow(rep.Delivered, rep.TM1Enqueued, rep.TM2Enqueued)
 
-	t := stats.NewTable(
-		"Figure 4: one packet through the ADCP regions (port 3 → port 9)",
-		"region", "instance", "note",
-	)
-	t.AddRow("RX demux", fmt.Sprintf("port 3 → ingress pipeline %d", rep.IngressPipeline),
-		fmt.Sprintf("1:%d demultiplexing", cfg.DemuxFactor))
-	t.AddRow("ingress pipeline", fmt.Sprintf("%d of %d", rep.IngressPipeline, sw.NumIngressPipelines()),
-		fmt.Sprintf("%d stages", cfg.Pipe.Stages))
-	t.AddRow("traffic manager 1", fmt.Sprintf("enqueued=%d", rep.TM1Enqueued), "application-defined partitioning")
-	t.AddRow("global partitioned area", fmt.Sprintf("central pipeline %d of %d", rep.CentralPipeline, cfg.CentralPipelines),
+	t := newTable("Figure 4: one packet through the ADCP regions (port 3 → port 9)",
+		col{head: "region"}, col{head: "instance"}, col{head: "note"})
+	t.AddRow("RX demux", []any{"port 3 → ingress pipeline %d", rep.IngressPipeline},
+		[]any{"1:%d demultiplexing", cfg.DemuxFactor})
+	t.AddRow("ingress pipeline", []any{"%d of %d", rep.IngressPipeline, sw.NumIngressPipelines()},
+		[]any{"%d stages", cfg.Pipe.Stages})
+	t.AddRow("traffic manager 1", []any{"enqueued=%d", rep.TM1Enqueued}, "application-defined partitioning")
+	t.AddRow("global partitioned area", []any{"central pipeline %d of %d", rep.CentralPipeline, cfg.CentralPipelines},
 		"array-capable stages")
-	t.AddRow("traffic manager 2", fmt.Sprintf("enqueued=%d", rep.TM2Enqueued), "classic scheduler, any port")
-	t.AddRow("egress pipeline", fmt.Sprintf("%d of %d", rep.EgressPipeline, cfg.EgressPipelines), "muxes back onto ports")
-	t.AddRow("TX", fmt.Sprintf("port %d", rep.EgressPort), fmt.Sprintf("%d packet(s) delivered", rep.Delivered))
-	return t, rep, nil
+	t.AddRow("traffic manager 2", []any{"enqueued=%d", rep.TM2Enqueued}, "classic scheduler, any port")
+	t.AddRow("egress pipeline", []any{"%d of %d", rep.EgressPipeline, cfg.EgressPipelines}, "muxes back onto ports")
+	t.AddRow("TX", []any{"port %d", rep.EgressPort}, []any{"%d packet(s) delivered", rep.Delivered})
+	return t.Table, rep, nil
 }

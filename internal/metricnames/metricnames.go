@@ -1,8 +1,8 @@
 // Package metricnames is the source of truth for the metrics reference
 // (docs/METRICS.md). It couples two halves: Scan walks the non-test Go
 // sources and extracts every series name registered on the telemetry
-// registry, and Catalog carries the hand-written kind/label/meaning
-// documentation for each. Generate joins them — and fails loudly when a
+// registry or declared as an experiment table column, and Catalog carries
+// the hand-written kind/label/meaning documentation for each. Generate joins them — and fails loudly when a
 // registered series is undocumented, a documented series no longer exists,
 // or the documented kind drifts from the registration — so `make
 // docs-check` (and CI) keeps the reference exact.
@@ -32,30 +32,50 @@ var kindOf = map[string]string{
 	"ObserveFunc": "gauge",
 }
 
-// Scan extracts every registry series name registered by non-test Go files
-// under root's internal/ and cmd/ trees, mapped to its kind. It recognizes
+// Series is one registered series as the source declares it.
+type Series struct {
+	Kind string
+	// Labels are the label keys an exp.* series is declared with, in
+	// declaration order; nil for the other families, whose labels are not
+	// string literals at the registration.
+	Labels []string
+	where  string
+}
+
+// Scan extracts every registry series registered by non-test Go files
+// under root's internal/ and cmd/ trees, keyed by name. It recognizes
 //
 //   - direct registrations: reg.Counter("name", ...) and friends, where
-//     the receiver is the conventional identifier `reg`;
-//   - the experiments helper: record("name", ...) registers "exp."+name;
+//     the receiver is the conventional identifier `reg` (a reg.Set of an
+//     exp.* series also yields the keys of its literal L("key", ...)
+//     labels);
+//   - experiment table declarations: newTable(title, col{...}, ...), where
+//     every col's metric: "name" registers a value series labeled by the
+//     keys of the call's label: columns;
 //   - file-local forwarding helpers: h := func(name string, ...) { ...
 //     reg.Kind(name, ...) } followed by h("literal", ...);
 //   - the dynamic cct.attr.* family, enumerated from the telemetry bucket
 //     set rather than source text (CritPath.Publish registers them via
 //     Bucket.SeriesName()).
 //
-// A name registered with two different kinds is an error.
-func Scan(root string) (map[string]string, error) {
-	found := map[string]string{}
-	add := func(name, kind, where string) error {
-		if prev, ok := found[name]; ok && prev != kind {
-			return fmt.Errorf("%s: series %q registered as both %s and %s", where, name, prev, kind)
+// A name registered with two different kinds is an error, and so is an
+// exp.* name declared in two places: each experiment number has one name.
+func Scan(root string) (map[string]Series, error) {
+	found := map[string]Series{}
+	add := func(name string, s Series) error {
+		if prev, ok := found[name]; ok {
+			if prev.Kind != s.Kind {
+				return fmt.Errorf("%s: series %q registered as both %s and %s", s.where, name, prev.Kind, s.Kind)
+			}
+			if strings.HasPrefix(name, "exp.") {
+				return fmt.Errorf("%s: series %q is also declared in %s", s.where, name, prev.where)
+			}
 		}
-		found[name] = kind
+		found[name] = s
 		return nil
 	}
 	for bk := telemetry.Bucket(0); bk < telemetry.NumBuckets; bk++ {
-		if err := add(bk.SeriesName(), "value", "telemetry.CritPath.Publish"); err != nil {
+		if err := add(bk.SeriesName(), Series{Kind: "value", where: "telemetry.CritPath.Publish"}); err != nil {
 			return nil, err
 		}
 	}
@@ -81,7 +101,7 @@ func Scan(root string) (map[string]string, error) {
 }
 
 // scanFile extracts registrations from one source file.
-func scanFile(path string, add func(name, kind, where string) error) error {
+func scanFile(path string, add func(name string, s Series) error) error {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, path, nil, 0)
 	if err != nil {
@@ -122,8 +142,8 @@ func scanFile(path string, add func(name, kind, where string) error) error {
 		return true
 	})
 
-	// Pass 2: collect literal registrations — direct, via record, and via
-	// the helpers found above.
+	// Pass 2: collect literal registrations — direct, via table column
+	// declarations, and via the helpers found above.
 	var scanErr error
 	where := filepath.Base(path)
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -132,7 +152,11 @@ func scanFile(path string, add func(name, kind, where string) error) error {
 		}
 		if kind, arg0 := regCall(n); kind != "" {
 			if name, ok := strArg(arg0); ok {
-				scanErr = add(name, kind, where)
+				s := Series{Kind: kind, where: where}
+				if strings.HasPrefix(name, "exp.") {
+					s.Labels = literalLabelKeys(n.(*ast.CallExpr).Args[2:])
+				}
+				scanErr = add(name, s)
 			}
 			return true
 		}
@@ -144,16 +168,75 @@ func scanFile(path string, add func(name, kind, where string) error) error {
 		if !ok {
 			return true
 		}
+		if id.Name == "newTable" {
+			metrics, labels := columns(call.Args[1:])
+			for _, name := range metrics {
+				if scanErr = add(name, Series{Kind: "value", Labels: labels, where: where}); scanErr != nil {
+					break
+				}
+			}
+			return true
+		}
 		if name, lit := strArg(call.Args[0]); lit {
-			if id.Name == "record" {
-				scanErr = add("exp."+name, "value", where)
-			} else if kind, ok := helpers[id.Name]; ok {
-				scanErr = add(name, kind, where)
+			if kind, ok := helpers[id.Name]; ok {
+				scanErr = add(name, Series{Kind: kind, where: where})
 			}
 		}
 		return true
 	})
 	return scanErr
+}
+
+// columns reads a table's col{...} declarations: the series its metric
+// columns register and the label keys its label columns supply.
+func columns(args []ast.Expr) (metrics, labels []string) {
+	for _, a := range args {
+		lit, ok := a.(*ast.CompositeLit)
+		if !ok {
+			continue
+		}
+		for _, e := range lit.Elts {
+			kv, ok := e.(*ast.KeyValueExpr)
+			if !ok {
+				continue
+			}
+			key, _ := kv.Key.(*ast.Ident)
+			val, ok := strArg(kv.Value)
+			if key == nil || !ok {
+				continue
+			}
+			switch key.Name {
+			case "metric":
+				metrics = append(metrics, val)
+			case "label":
+				labels = append(labels, val)
+			}
+		}
+	}
+	return metrics, labels
+}
+
+// literalLabelKeys returns the keys of L("key", ...) / telemetry.L("key",
+// ...) label arguments.
+func literalLabelKeys(args []ast.Expr) []string {
+	var keys []string
+	for _, a := range args {
+		call, ok := a.(*ast.CallExpr)
+		if !ok || len(call.Args) != 2 {
+			continue
+		}
+		fn := call.Fun
+		if sel, ok := fn.(*ast.SelectorExpr); ok {
+			fn = sel.Sel
+		}
+		if id, ok := fn.(*ast.Ident); !ok || id.Name != "L" {
+			continue
+		}
+		if key, ok := strArg(call.Args[0]); ok {
+			keys = append(keys, key)
+		}
+	}
+	return keys
 }
 
 // regCall matches reg.<Kind>(arg0, ...) and returns the documented kind
@@ -228,14 +311,14 @@ func Generate(root string) ([]byte, error) {
 		return nil, err
 	}
 	var problems []string
-	for name, kind := range found {
+	for name, s := range found {
 		d, ok := Catalog[name]
 		if !ok {
 			problems = append(problems, fmt.Sprintf("series %q is registered but not documented in internal/metricnames", name))
 			continue
 		}
-		if d.Kind != kind {
-			problems = append(problems, fmt.Sprintf("series %q documented as %s but registered as %s", name, d.Kind, kind))
+		if d.Kind != s.Kind {
+			problems = append(problems, fmt.Sprintf("series %q documented as %s but registered as %s", name, d.Kind, s.Kind))
 		}
 	}
 	for name := range Catalog {

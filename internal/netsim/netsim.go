@@ -4,11 +4,11 @@
 // through the switch, and delivers outputs back to hosts with coflow
 // completion tracking.
 //
-// The switch models themselves (rmt.Switch, core.Switch, swswitch wrapped)
-// are synchronous; netsim adds time. Timing here is deliberately simple —
-// store-and-forward with a fixed switch latency — because the experiments
-// measure *relative* behavior (RMT vs ADCP on identical arrivals), not
-// absolute datacenter latencies.
+// The switch models themselves (rmt.Switch, core.Switch) are synchronous;
+// netsim adds time. Timing here is deliberately simple — store-and-forward
+// with a fixed switch latency — because the experiments measure *relative*
+// behavior (RMT vs ADCP on identical arrivals), not absolute datacenter
+// latencies.
 package netsim
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -38,7 +39,8 @@ const (
 // not stop the ones after it; once ctx is done the remaining ones are
 // skipped. on, called synchronously for every state change, is where a
 // plane does its own bookkeeping (progress, publication, failure lists);
-// err is non-nil for ExpFailed and ExpSkipped.
+// err is non-nil for ExpFailed and ExpSkipped. An experiment the watchdog
+// kills leaves exp.watchdog.trips{exp=<name>} = 1 in tel.
 //
 // It is the one place a run's config becomes process state: the sweep
 // layer's pool width (one worker when tel's recorder exports, said on
@@ -103,6 +105,10 @@ func RunExperiments(ctx context.Context, cfg RunConfig, tel *telemetry.Telemetry
 		telemetry.WithDefault(hub, func() {
 			err = experiments.Run(ctx, e.Name, cfg.EventBudget, func() error { return e.Run(w) })
 		})
+		var wd *experiments.WatchdogError
+		if reg := hub.Reg(); reg != nil && errors.As(err, &wd) {
+			reg.Set("exp.watchdog.trips", 1, telemetry.L("exp", e.Name))
+		}
 		if jr != nil {
 			// A tripped watchdog abandons the experiment's goroutine; from
 			// here on whatever it still writes stays in the capture buffer.
