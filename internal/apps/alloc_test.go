@@ -7,6 +7,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // roundCost runs round a few times and returns the heap objects and heap
@@ -140,5 +141,82 @@ func TestKVRoundAllocs(t *testing.T) {
 		if perPkt > 0.5 || bytes > tc.maxBytes {
 			t.Errorf("%s: a round allocates %.3f objects and %.1f bytes per delivered packet, want at most 0.5 and %.0f", tc.name, perPkt, bytes, tc.maxBytes)
 		}
+	}
+}
+
+// instrumentedNetworks returns the benchmark-geometry parameter servers,
+// ADCP and RMT, and a function that builds a 16-host network around one of
+// them under the metrics registry it is given: what every network of a
+// -metrics run pays to register its series and attach its observers.
+func instrumentedNetworks(tb testing.TB) (adcp, rmt netsim.SwitchModel, build func(sw netsim.SwitchModel, reg *telemetry.Registry)) {
+	ps := PSConfig{Workers: 12, ModelSize: 4096, Width: 4}
+	a, err := NewParamServerADCP(benchADCP(), ps)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := NewParamServerRMT(benchRMT(), ps)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tel := &telemetry.Telemetry{}
+	return a, r, func(sw netsim.SwitchModel, reg *telemetry.Registry) {
+		tel.Metrics = reg
+		telemetry.WithHub(tel, func() {
+			if _, err := netsim.New(netsim.DefaultConfig(16), sw); err != nil {
+				tb.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestInstrumentedNetworkAllocs puts a ceiling on instrumenting one network:
+// netsim.New around a benchmark-geometry parameter server under a fresh
+// registry, the switch itself prebuilt. ADCP registers 270 series, RMT 135.
+// Objects were 969 and 419 (bytes 85 277 and 48 528) when every lookup
+// sorted its labels with sort.Slice and built its key in a strings.Builder,
+// every pipeline had an observer and a label slice of its own and port
+// labels came from Sprintf; they are now 394 and 209 (58 459 and 39 869
+// bytes), and the ceilings are 5 % above. The figures repeat exactly.
+func TestInstrumentedNetworkAllocs(t *testing.T) {
+	adcp, rmtSw, build := instrumentedNetworks(t)
+	for _, tc := range []struct {
+		name                 string
+		sw                   netsim.SwitchModel
+		maxObjects, maxBytes float64
+	}{{"adcp", adcp, 414, 61382}, {"rmt", rmtSw, 220, 41862}} {
+		const runs = 4
+		regs := make([]*telemetry.Registry, runs+1)
+		for i := range regs {
+			regs[i] = telemetry.NewRegistry()
+		}
+		build(tc.sw, regs[runs]) // warm-up: the hub's goroutine-table entry
+		objects, bytes := roundCost(func() {
+			for _, reg := range regs[:runs] {
+				build(tc.sw, reg)
+			}
+		}, runs)
+		t.Logf("%s: %d series, %.0f objects, %.0f bytes per network", tc.name, regs[0].Len(), objects, bytes)
+		if objects > tc.maxObjects || bytes > tc.maxBytes {
+			t.Errorf("%s: instrumenting a network allocates %.0f objects and %.0f bytes, want at most %.0f and %.0f",
+				tc.name, objects, bytes, tc.maxObjects, tc.maxBytes)
+		}
+	}
+}
+
+// BenchmarkInstrumentNetwork is TestInstrumentedNetworkAllocs' set-up as a
+// benchmark, one network per op. `make bench-profile PKG=./internal/apps
+// B=InstrumentNetwork` prints where its objects go, site by site.
+func BenchmarkInstrumentNetwork(b *testing.B) {
+	adcp, rmtSw, build := instrumentedNetworks(b)
+	for _, tc := range []struct {
+		name string
+		sw   netsim.SwitchModel
+	}{{"adcp", adcp}, {"rmt", rmtSw}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				build(tc.sw, telemetry.NewRegistry())
+			}
+		})
 	}
 }

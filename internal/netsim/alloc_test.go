@@ -86,8 +86,11 @@ func hopRound(t *testing.T, hops int) (*core.Switch, func(n *Network)) {
 // hop through a real ADCP switch with warm pools: what remains is the
 // switch's output slice, which the caller owns, and now and then a
 // doubling of the receiving host's Received log. The ceiling holds without a
-// hub and under the hub every run without export flags carries, whose
-// recorder keeps only its flight ring: a ring entry allocates nothing.
+// hub, under the hub every run without export flags carries, whose recorder
+// keeps only its flight ring (a ring entry allocates nothing), and under the
+// one every -metrics run carries, a registry beside that recorder: there each
+// packet's causal account and every fork of it are cut from the network's
+// chain slab (1.26 objects a hop when each was allocated on its own).
 func TestHopAllocsSteadyState(t *testing.T) {
 	const hops = 256
 	for _, c := range []struct {
@@ -96,6 +99,7 @@ func TestHopAllocsSteadyState(t *testing.T) {
 	}{
 		{"no hub", nil},
 		{"flight only", &telemetry.Telemetry{Recorder: telemetry.NewRecorder(false)}},
+		{"metrics", &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Recorder: telemetry.NewRecorder(false)}},
 	} {
 		sw, round := hopRound(t, hops)
 		n := runUnderHub(t, c.tel, DefaultConfig(sw.Config().Ports), sw, round) // warms the pools

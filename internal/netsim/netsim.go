@@ -16,6 +16,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"strconv"
 
 	"repro/internal/coflow"
 	"repro/internal/core"
@@ -187,14 +188,17 @@ type Network struct {
 	armEach    bool
 
 	// freeEv recycles the per-packet event records (see pktEvent), made
-	// evSlab at a time; txSlab and rxSlab are the unissued ends of the
-	// chunks the per-packet recovery states are cut from, and arena backs
-	// the packet copies a sender keeps and retransmits. All are nil until a
-	// packet needs them. scratch is coflowOf's reusable decode target.
+	// evSlab at a time; txSlab, rxSlab and chains are the unissued ends of
+	// the chunks the per-packet recovery states and causal accounts are cut
+	// from (the last chunk chainN long), and arena backs the packet copies a
+	// sender keeps and retransmits. All are nil until a packet needs them.
+	// scratch is coflowOf's reusable decode target.
 	freeEv  *pktEvent
 	evSlab  int
 	txSlab  []txState
 	rxSlab  []rxState
+	chains  []telemetry.Chain
+	chainN  int
 	arena   packet.Arena
 	scratch packet.Decoded
 
@@ -321,9 +325,10 @@ func (n *Network) instrument(tel *telemetry.Telemetry) {
 		pending := reg.Gauge("net.engine.pending_events", ls...)
 		n.eng.AddDispatchHook(func(at sim.Time, p int, fired uint64) { pending.Set(int64(p)) })
 		n.e2eLat = make([]*telemetry.Histogram, n.cfg.Hosts)
+		pl := []telemetry.Label{telemetry.L("net", inst), telemetry.L("port", "")}
 		for i := range n.e2eLat {
-			n.e2eLat[i] = reg.Histogram("net.e2e_latency_ps",
-				telemetry.L("net", inst), telemetry.L("port", fmt.Sprintf("%d", i)))
+			pl[1].Value = strconv.Itoa(i)
+			n.e2eLat[i] = reg.Histogram("net.e2e_latency_ps", pl...)
 		}
 		n.instrumentFaults(reg, inst)
 	}
@@ -376,7 +381,27 @@ func (n *Network) newChain(cf uint32, at sim.Time) *telemetry.Chain {
 	if n.spans != nil {
 		parent = n.coflowSpan(cf)
 	}
-	return telemetry.NewChain(at, cf, n.spans, parent)
+	return n.blankChain().Open(at, cf, n.spans, parent)
+}
+
+// fork is ch.Fork into the chain slab (nil when accounting is off).
+func (n *Network) fork(ch *telemetry.Chain) *telemetry.Chain {
+	if ch == nil {
+		return nil
+	}
+	return ch.ForkTo(n.blankChain())
+}
+
+// blankChain cuts the next account from the chain slab. Like recovery
+// states, accounts are never recycled: CritPath keeps the winning one.
+func (n *Network) blankChain() *telemetry.Chain {
+	if len(n.chains) == 0 {
+		n.chainN = packet.NextChunk(n.chainN, minChainSlab, maxChainSlab)
+		n.chains = make([]telemetry.Chain, n.chainN)
+	}
+	c := &n.chains[0]
+	n.chains = n.chains[1:]
+	return c
 }
 
 // coflowSpan returns (allocating on first use) the coflow's root span id;
@@ -507,6 +532,7 @@ const (
 const (
 	minEventSlab, maxEventSlab = 16, 256
 	minSendChunk, maxSendChunk = 8, 512
+	minChainSlab, maxChainSlab = 8, 64 // × 112 B = 7 KiB
 )
 
 // event returns a blank record of the given kind.
@@ -772,7 +798,7 @@ func (n *Network) arriveAtSwitch(e *pktEvent, queued bool) {
 		// Detach the switch-side account from the sender's: a spurious
 		// retransmission (lost ack) keeps advancing ts.chain, which must
 		// not disturb the accepted copy's history.
-		ch = ch.Fork()
+		ch = n.fork(ch)
 	}
 	n.recorder.Record(n.eng.Now(), "switch.arrive", int64(cf), int64(pkt.IngressPort))
 	var before uint64
@@ -854,7 +880,7 @@ func (n *Network) scheduleOutputs(outs []*packet.Packet, sentAt sim.Time, ch *te
 		cf := n.coflowOf(out)
 		c := ch
 		if i < len(outs)-1 {
-			c = ch.Fork() // the last output continues on the parent account
+			c = n.fork(ch) // the last output continues on the parent account
 		}
 		c.Advance(now+n.cfg.SwitchLatency, telemetry.BucketPipeline)
 		c.Advance(base, telemetry.BucketRecirculation)
@@ -918,7 +944,7 @@ func (n *Network) haArrival(pkt *packet.Packet, cf uint32, sentAt sim.Time, ts *
 	// the commit runs at the delta's ship time, possibly after spurious
 	// retransmissions have advanced ts.chain.
 	commit := n.event(evCommit)
-	commit.ts, commit.sentAt, commit.ch = ts, sentAt, ch.Fork()
+	commit.ts, commit.sentAt, commit.ch = ts, sentAt, n.fork(ch)
 	if err := n.pair.Submit(uid, pkt, commit); err != nil {
 		n.recycle(commit)
 		// Deterministic processing error: the standby's replay reproduces

@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/pipeline"
 	"repro/internal/sim"
@@ -28,24 +28,22 @@ func PipelineObserver(lat *Histogram, tr *Track, detail bool, now func() sim.Tim
 	if lat == nil && tr == nil {
 		return nil
 	}
-	cycleDur := func(cycles int) sim.Time {
-		if clockHz <= 0 {
-			return 0
-		}
-		return sim.Time(float64(cycles) * 1e12 / clockHz)
-	}
 	return func(ev pipeline.Event) {
 		switch ev.Kind {
 		case pipeline.EvDone:
+			var d sim.Time // the traversal's modeled cycles at clockHz
+			if clockHz > 0 {
+				d = sim.Time(float64(ev.Cycles) * 1e12 / clockHz)
+			}
 			if lat != nil {
-				lat.Observe(float64(cycleDur(ev.Cycles)))
+				lat.Observe(float64(d))
 			}
 			if tr == nil {
 				return
 			}
-			tr.Complete(now(), cycleDur(ev.Cycles), "traversal", "pipeline",
+			tr.Complete(now(), d, "traversal", "pipeline",
 				map[string]any{"cycles": ev.Cycles, "verdict": ev.Verdict.String()})
-			tr.Span(now(), cycleDur(ev.Cycles), BucketPipeline.String(), tr.NewSpan(), 0, 0)
+			tr.Span(now(), d, BucketPipeline.String(), tr.NewSpan(), 0, 0)
 			if ev.Verdict == pipeline.VerdictRecirculate {
 				tr.Instant(now(), "recirculate", "pipeline", nil)
 				tr.SpanMark(now(), BucketRecirculation.String(), tr.NewSpan(), 0, 0)
@@ -154,13 +152,19 @@ func InstrumentSwitch(tel *Telemetry, now func() sim.Time, w SwitchWiring) {
 	if reg != nil {
 		inst = reg.InstanceLabel("instance").Value
 	}
+	// Registering copies its labels, so each set is built once: the base,
+	// one per TM and one per role, whose pipe label is rewritten for each
+	// pipeline.
 	ls := []Label{L("arch", w.Arch), L("instance", inst)}
-	with := func(extra ...Label) []Label { return append(append([]Label(nil), ls...), extra...) }
+	with := func(extra ...Label) []Label { return append(ls[:len(ls):len(ls)], extra...) }
 	if reg != nil {
 		w.Counters(reg, ls)
 	}
-	proc := tel.Rec().Process(w.Arch + "/" + inst)
-	proc.SpanThread("spans")
+	var proc *Track
+	if rec := tel.Rec(); rec.Exporting() {
+		proc = rec.Process(w.Arch + "/" + inst)
+		proc.SpanThread("spans")
+	}
 	for _, t := range w.TMs {
 		var occ *Gauge
 		var wait *Histogram
@@ -184,20 +188,26 @@ func InstrumentSwitch(tel *Telemetry, now func() sim.Time, w SwitchWiring) {
 	}
 	for _, r := range w.Roles {
 		var lat *Histogram
+		rl := with(L("role", r.Role), L("pipe", ""))
 		if reg != nil {
-			lat = reg.Histogram("switch.pipeline.latency_ps", with(L("role", r.Role))...)
+			lat = reg.Histogram("switch.pipeline.latency_ps", rl[:len(rl)-1]...)
+		}
+		// Without trace threads every pipeline of the role feeds the same
+		// sinks, so they share one observer.
+		var shared pipeline.Observer
+		if proc == nil {
+			shared = PipelineObserver(lat, nil, tel.Detail, now, w.ClockHz)
 		}
 		for k, p := range r.Pipes {
-			var tr *Track
-			if proc != nil {
-				tr = proc.Thread(fmt.Sprintf("%s%d", r.Role, k))
-			}
 			if reg != nil {
-				p := p
-				reg.ObserveFunc("switch.pipeline.traversals", func() float64 { return float64(p.Packets()) },
-					with(L("role", r.Role), L("pipe", fmt.Sprint(k)))...)
+				rl[len(rl)-1].Value = strconv.Itoa(k)
+				reg.ObserveFunc("switch.pipeline.traversals", func() float64 { return float64(p.Packets()) }, rl...)
 			}
-			if obs := PipelineObserver(lat, tr, tel.Detail, now, w.ClockHz); obs != nil {
+			obs := shared
+			if proc != nil {
+				obs = PipelineObserver(lat, proc.Thread(r.Role+strconv.Itoa(k)), tel.Detail, now, w.ClockHz)
+			}
+			if obs != nil {
 				p.SetObserver(obs)
 			}
 		}

@@ -26,14 +26,9 @@ import (
 // HubStateSchema identifies the persisted hub document layout.
 const HubStateSchema = "adcp-hubstate/1"
 
-type labelState struct {
-	K string `json:"k"`
-	V string `json:"v"`
-}
-
 type metricState struct {
 	Name   string              `json:"name"`
-	Labels []labelState        `json:"labels,omitempty"`
+	Labels []Label             `json:"labels,omitempty"`
 	Kind   Kind                `json:"kind"`
 	Count  *uint64             `json:"count,omitempty"`
 	Gauge  *stats.GaugeState   `json:"gauge,omitempty"`
@@ -48,11 +43,11 @@ type registryState struct {
 }
 
 type seriesState struct {
-	Name    string       `json:"name"`
-	Labels  []labelState `json:"labels,omitempty"`
-	Kind    Kind         `json:"kind"`
-	Dropped uint64       `json:"dropped,omitempty"`
-	Points  []Point      `json:"points"`
+	Name    string  `json:"name"`
+	Labels  []Label `json:"labels,omitempty"`
+	Kind    Kind    `json:"kind"`
+	Dropped uint64  `json:"dropped,omitempty"`
+	Points  []Point `json:"points"`
 }
 
 type samplerState struct {
@@ -68,28 +63,6 @@ type hubState struct {
 	Schema   string         `json:"schema"`
 	Registry *registryState `json:"registry,omitempty"`
 	Sampler  *samplerState  `json:"sampler,omitempty"`
-}
-
-func labelsToState(ls []Label) []labelState {
-	if len(ls) == 0 {
-		return nil
-	}
-	out := make([]labelState, len(ls))
-	for i, l := range ls {
-		out[i] = labelState{K: l.Key, V: l.Value}
-	}
-	return out
-}
-
-func labelsFromState(ls []labelState) []Label {
-	if len(ls) == 0 {
-		return nil
-	}
-	out := make([]Label, len(ls))
-	for i, l := range ls {
-		out[i] = Label{Key: l.K, Value: l.V}
-	}
-	return out
 }
 
 // EncodeHubState serializes t's registry and sampler canonically. KindFunc
@@ -125,7 +98,7 @@ func encodeRegistry(r *Registry) *registryState {
 	st.Metrics = make([]metricState, 0, len(keys))
 	for _, k := range keys {
 		m := r.metrics[k]
-		ms := metricState{Name: m.name, Labels: labelsToState(m.labels), Kind: m.kind}
+		ms := metricState{Name: m.name, Labels: m.labels, Kind: m.kind}
 		switch m.kind {
 		case KindCounter:
 			n := m.counter.Value()
@@ -168,7 +141,7 @@ func encodeSampler(s *Sampler) *samplerState {
 			pts = []Point{}
 		}
 		st.Series = append(st.Series, seriesState{
-			Name: ser.name, Labels: labelsToState(ser.labels), Kind: ser.kind,
+			Name: ser.name, Labels: ser.labels, Kind: ser.kind,
 			Dropped: ser.dropped, Points: pts,
 		})
 	}
@@ -208,23 +181,20 @@ func decodeRegistry(st *registryState) *Registry {
 	for _, k := range st.InstKeys {
 		r.instKeys[k] = true
 	}
+	var kbuf [keyBytes]byte
 	for _, ms := range st.Metrics {
-		labels := labelsFromState(ms.Labels)
-		k, ls := key(ms.Name, labels)
-		m := &metric{name: ms.Name, labels: ls, kind: ms.Kind}
+		k := canonicalKey(kbuf[:0], ms.Name, ms.Labels)
+		m := newMetric(ms.Name, ms.Labels, ms.Kind)
 		switch ms.Kind {
 		case KindCounter:
-			m.counter = &Counter{}
 			if ms.Count != nil {
 				m.counter.Add(*ms.Count)
 			}
 		case KindGauge:
-			m.gauge = &Gauge{}
 			if ms.Gauge != nil {
 				m.gauge.g.RestoreState(*ms.Gauge)
 			}
 		case KindHistogram:
-			m.hist = &Histogram{}
 			if ms.Hist != nil {
 				m.hist.h.RestoreState(*ms.Hist)
 			}
@@ -239,7 +209,7 @@ func decodeRegistry(st *registryState) *Registry {
 			}
 			m.fn = func() float64 { return v }
 		}
-		r.metrics[k] = m
+		r.metrics[string(k)] = m
 	}
 	return r
 }
@@ -248,11 +218,11 @@ func decodeSampler(st *samplerState, reg *Registry) *Sampler {
 	s := NewSampler(reg, sim.Time(st.IntervalPs), st.Capacity)
 	s.runs, s.lastRun, s.lastT = st.Runs, st.LastRun, sim.Time(st.LastTPs)
 	s.regLen = len(reg.metrics)
+	var kbuf [keyBytes]byte
 	for _, ss := range st.Series {
-		labels := labelsFromState(ss.Labels)
-		k, ls := key(ss.Name, labels)
+		k := string(canonicalKey(kbuf[:0], ss.Name, ss.Labels))
 		ser := &sampledSeries{
-			name: ss.Name, labels: ls, kind: ss.Kind,
+			name: ss.Name, labels: ss.Labels, kind: ss.Kind,
 			dropped: ss.Dropped, pts: append([]Point(nil), ss.Points...),
 		}
 		// Rebind the read closure to the decoded metric object so the

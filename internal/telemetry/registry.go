@@ -6,17 +6,17 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/stats"
 )
 
 // Label is one key=value dimension of a metric. Metrics with the same name
-// but different label sets are distinct series.
+// but different label sets are distinct series. The JSON form is the
+// persisted hub state's (EncodeHubState).
 type Label struct {
-	Key   string
-	Value string
+	Key   string `json:"k"`
+	Value string `json:"v"`
 }
 
 // L builds a label.
@@ -119,80 +119,88 @@ func NewRegistry() *Registry {
 	return &Registry{metrics: make(map[string]*metric), instKeys: make(map[string]bool)}
 }
 
-// key canonicalizes (name, labels); labels are sorted so call-site order
-// never matters.
-func key(name string, labels []Label) (string, []Label) {
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool {
-		if ls[i].Key != ls[j].Key {
-			return ls[i].Key < ls[j].Key
+// Keying runs in buffers on the caller's stack, large enough for every
+// series the simulator registers; a larger set or key spills to the heap
+// and keys the same.
+const keyLabels, keyBytes = 8, 192
+
+// canonicalKey sorts ls in place by key, then value — an insertion sort:
+// allocation-free, and fastest on sets this short — and appends the
+// series' canonical key, name then \0 key \1 value per label, to b.
+func canonicalKey(b []byte, name string, ls []Label) []byte {
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && (ls[j].Key < ls[j-1].Key || ls[j].Key == ls[j-1].Key && ls[j].Value < ls[j-1].Value); j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
 		}
-		return ls[i].Value < ls[j].Value
-	})
-	var b strings.Builder
-	b.WriteString(name)
-	for _, l := range ls {
-		b.WriteByte(0)
-		b.WriteString(l.Key)
-		b.WriteByte(1)
-		b.WriteString(l.Value)
 	}
-	return b.String(), ls
+	b = append(b, name...)
+	for _, l := range ls {
+		b = append(append(append(append(b, 0), l.Key...), 1), l.Value...)
+	}
+	return b
+}
+
+// newMetric builds an empty series of the given kind; ls must already be
+// sorted and is kept.
+func newMetric(name string, ls []Label, kind Kind) *metric {
+	m := &metric{name: name, labels: ls, kind: kind}
+	switch kind {
+	case KindCounter:
+		m.counter = &Counter{}
+	case KindGauge:
+		m.gauge = &Gauge{}
+	case KindHistogram:
+		m.hist = &Histogram{}
+	}
+	return m
 }
 
 // lookup returns the metric registered under (name, labels), creating it
-// with mk when absent. Registering the same series under a different kind
-// panics: it is always a naming bug, and silently aliasing two meanings
-// onto one series would corrupt the export.
-func (r *Registry) lookup(name string, labels []Label, kind Kind, mk func(ls []Label) *metric) *metric {
-	k, ls := key(name, labels)
+// when absent. Finding an existing series allocates nothing; a new one
+// copies its key and its sorted labels once. Registering the same series
+// under a different kind panics: it is always a naming bug, and silently
+// aliasing two meanings onto one series would corrupt the export.
+func (r *Registry) lookup(name string, labels []Label, kind Kind) *metric {
+	var lbuf [keyLabels]Label
+	var kbuf [keyBytes]byte
+	ls := append(lbuf[:0], labels...)
+	k := canonicalKey(kbuf[:0], name, ls)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.metrics[k]; ok {
+	if m, ok := r.metrics[string(k)]; ok {
 		if m.kind != kind {
 			panic(fmt.Sprintf("telemetry: metric %q registered as %s, requested as %s", name, m.kind, kind))
 		}
 		return m
 	}
-	m := mk(ls)
-	r.metrics[k] = m
+	m := newMetric(name, append([]Label(nil), ls...), kind)
+	r.metrics[string(k)] = m
 	return m
 }
 
 // Counter returns the counter registered under (name, labels), creating it
 // on first use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	m := r.lookup(name, labels, KindCounter, func(ls []Label) *metric {
-		return &metric{name: name, labels: ls, kind: KindCounter, counter: &Counter{}}
-	})
-	return m.counter
+	return r.lookup(name, labels, KindCounter).counter
 }
 
 // Gauge returns the gauge registered under (name, labels), creating it on
 // first use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	m := r.lookup(name, labels, KindGauge, func(ls []Label) *metric {
-		return &metric{name: name, labels: ls, kind: KindGauge, gauge: &Gauge{}}
-	})
-	return m.gauge
+	return r.lookup(name, labels, KindGauge).gauge
 }
 
 // Histogram returns the histogram registered under (name, labels),
 // creating it on first use.
 func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
-	m := r.lookup(name, labels, KindHistogram, func(ls []Label) *metric {
-		return &metric{name: name, labels: ls, kind: KindHistogram, hist: &Histogram{}}
-	})
-	return m.hist
+	return r.lookup(name, labels, KindHistogram).hist
 }
 
 // Set records a scalar result metric (an experiment headline number).
 // Setting the same series again overwrites it, so re-running an experiment
 // within one process is idempotent.
 func (r *Registry) Set(name string, v float64, labels ...Label) {
-	m := r.lookup(name, labels, KindValue, func(ls []Label) *metric {
-		return &metric{name: name, labels: ls, kind: KindValue}
-	})
+	m := r.lookup(name, labels, KindValue)
 	r.mu.Lock()
 	m.value = v
 	r.mu.Unlock()
@@ -202,9 +210,7 @@ func (r *Registry) Set(name string, v float64, labels ...Label) {
 // component without any hot-path cost. Re-registering an existing series
 // replaces the function (the newest instance wins).
 func (r *Registry) ObserveFunc(name string, fn func() float64, labels ...Label) {
-	m := r.lookup(name, labels, KindFunc, func(ls []Label) *metric {
-		return &metric{name: name, labels: ls, kind: KindFunc}
-	})
+	m := r.lookup(name, labels, KindFunc)
 	r.mu.Lock()
 	m.fn = fn
 	r.mu.Unlock()
@@ -227,23 +233,28 @@ func (r *Registry) InstanceLabel(key string) Label {
 	return Label{Key: key, Value: v}
 }
 
-// renumberLabels returns labels with every instance-key value shifted by
-// offset. Non-numeric values (impossible for InstanceLabel allocations)
-// pass through untouched.
-func renumberLabels(labels []Label, instKeys map[string]bool, offset int) []Label {
-	if offset == 0 || len(instKeys) == 0 {
-		return labels
-	}
-	out := append([]Label(nil), labels...)
-	for i, l := range out {
-		if !instKeys[l.Key] {
+// mergeKey is the key and labels a merged source series takes in its
+// destination: src's own unless an instance-key value shifts by offset,
+// when the renumbered copy is made and keyed once. Non-numeric values
+// (impossible for InstanceLabel allocations) pass through untouched.
+func mergeKey(srcKey, name string, labels []Label, instKeys map[string]bool, offset int) (string, []Label) {
+	var out []Label
+	for i, l := range labels {
+		if offset == 0 || !instKeys[l.Key] {
 			continue
 		}
 		if v, err := strconv.Atoi(l.Value); err == nil {
+			if out == nil {
+				out = append([]Label(nil), labels...)
+			}
 			out[i].Value = strconv.Itoa(v + offset)
 		}
 	}
-	return out
+	if out == nil {
+		return srcKey, labels
+	}
+	var kbuf [keyBytes]byte
+	return string(canonicalKey(kbuf[:0], name, out)), out
 }
 
 // Merge folds src into r. Counters add, gauges keep src's value and the
@@ -290,9 +301,8 @@ func (r *Registry) mergeFrom(src *Registry) (offset int, instKeys map[string]boo
 	for k := range instKeys {
 		r.instKeys[k] = true
 	}
-	for _, m := range ms {
-		labels := renumberLabels(m.labels, instKeys, offset)
-		k, ls := key(m.name, labels)
+	for i, m := range ms {
+		k, ls := mergeKey(keys[i], m.name, m.labels, instKeys, offset)
 		dst, ok := r.metrics[k]
 		if !ok {
 			// Adopt the live metric object: ObserveFunc closures and any

@@ -251,9 +251,8 @@ func (s *Sampler) merge(src *Sampler, instKeys map[string]bool, instOffset int) 
 	defer s.mu.Unlock()
 	runOffset := s.runs
 	s.runs += srcRuns
-	for _, ser := range srcSeries {
-		labels := renumberLabels(ser.labels, instKeys, instOffset)
-		k, ls := key(ser.name, labels)
+	for i, ser := range srcSeries {
+		k, ls := mergeKey(srcKeys[i], ser.name, ser.labels, instKeys, instOffset)
 		dst, ok := s.series[k]
 		if !ok {
 			dst = &sampledSeries{name: ser.name, labels: ls, kind: ser.kind, read: ser.read}

@@ -111,7 +111,12 @@ type Chain struct {
 // `at`. tr may be nil (attribution without span events); parent is the
 // enclosing coflow span (0 when untraced).
 func NewChain(at sim.Time, coflow uint32, tr *Track, parent SpanID) *Chain {
-	c := &Chain{start: at, cursor: at, tr: tr, parent: parent, coflow: coflow}
+	return new(Chain).Open(at, coflow, tr, parent)
+}
+
+// Open is NewChain into c, which it overwrites and returns.
+func (c *Chain) Open(at sim.Time, coflow uint32, tr *Track, parent SpanID) *Chain {
+	*c = Chain{start: at, cursor: at, tr: tr, parent: parent, coflow: coflow}
 	if tr != nil {
 		c.span = tr.NewSpan()
 		tr.SpanMark(at, "packet", c.span, parent, coflow)
@@ -163,11 +168,20 @@ func (c *Chain) Fork() *Chain {
 	if c == nil {
 		return nil
 	}
-	n := *c
+	return c.ForkTo(new(Chain))
+}
+
+// ForkTo is Fork into n, which it overwrites and returns (nil, n untouched,
+// when c is nil).
+func (c *Chain) ForkTo(n *Chain) *Chain {
+	if c == nil {
+		return nil
+	}
+	*n = *c
 	if c.tr != nil {
 		n.span = c.tr.NewSpan()
 		n.parent = c.span
 		c.tr.SpanMark(c.cursor, "packet", n.span, n.parent, c.coflow)
 	}
-	return &n
+	return n
 }
