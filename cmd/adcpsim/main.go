@@ -512,18 +512,20 @@ type export struct {
 // writes to stdout instead, so exports can be piped straight into jq or a
 // plotting script without touching disk. File writes are atomic (temp
 // file + rename): a crash or kill mid-export leaves either the previous
-// complete document or none, never a truncated one.
+// complete document or none, never a truncated one. Each export is a
+// perf phase (export.<what>), so the perf document accounts for the
+// exports written before it.
 func writeOutputs(outs []export, stdout, stderr io.Writer) int {
 	for _, o := range outs {
-		var err error
-		switch o.path {
-		case "":
+		if o.path == "" {
 			continue
-		case "-":
-			err = o.write(stdout)
-		default:
-			err = runstate.AtomicWrite(o.path, o.write)
 		}
+		err := perf.Phase("export."+o.what, func() error {
+			if o.path == "-" {
+				return o.write(stdout)
+			}
+			return runstate.AtomicWrite(o.path, o.write)
+		})
 		if err != nil {
 			fmt.Fprintf(stderr, "%s: %v\n", o.what, err)
 			return 1

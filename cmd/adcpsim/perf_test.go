@@ -110,7 +110,7 @@ func TestPerfPlaneGoldenByteIdentical(t *testing.T) {
 // window when an engine's run returns, so over the three-experiment
 // reference run of docs/PERFORMANCE.md the failover phase sees its events
 // (none of its engines fills a meter window; cachehit drives its switches
-// without an engine and stays at 0)
+// without an engine and stays at 0, and so does the export.metrics phase)
 // and the perf plane's totals equal what the engines fired, as the sim-time
 // plane's net.engine.fired_events counts it.
 func TestPerfEventsEqualEngineFired(t *testing.T) {
@@ -147,16 +147,26 @@ func TestPerfEventsEqualEngineFired(t *testing.T) {
 		}
 	}
 	var metered, phases float64
+	exported := false
 	for _, m := range load(pPath) {
 		switch m.Name {
 		case "perf.engine.events":
 			metered = m.Value
 		case "perf.phase.events":
-			if m.Value == 0 && m.Labels["phase"] != "cachehit" {
-				t.Errorf("perf.phase.events{phase=%s} = 0", m.Labels["phase"])
+			// The metrics export is a phase of its own and fires nothing.
+			if ph := m.Labels["phase"]; ph == "export.metrics" {
+				exported = true
+				if m.Value != 0 {
+					t.Errorf("perf.phase.events{phase=%s} = %g, want 0", ph, m.Value)
+				}
+			} else if m.Value == 0 && ph != "cachehit" {
+				t.Errorf("perf.phase.events{phase=%s} = 0", ph)
 			}
 			phases += m.Value
 		}
+	}
+	if !exported {
+		t.Error("no perf.phase.events{phase=export.metrics}: the metrics export is not metered")
 	}
 	if fired == 0 || metered != fired || phases != fired {
 		t.Errorf("engines fired %g events; perf.engine.events = %g, sum of perf.phase.events = %g",

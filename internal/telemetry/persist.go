@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -85,16 +84,8 @@ func EncodeHubState(t *Telemetry) ([]byte, error) {
 func encodeRegistry(r *Registry) *registryState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := &registryState{InstSeq: r.instSeq}
-	for k := range r.instKeys {
-		st.InstKeys = append(st.InstKeys, k)
-	}
-	sort.Strings(st.InstKeys)
-	keys := make([]string, 0, len(r.metrics))
-	for k := range r.metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	st := &registryState{InstSeq: r.instSeq, InstKeys: sortedKeys(r.instKeys)}
+	keys := sortedKeys(r.metrics)
 	st.Metrics = make([]metricState, 0, len(keys))
 	for _, k := range keys {
 		m := r.metrics[k]
@@ -128,11 +119,7 @@ func encodeSampler(s *Sampler) *samplerState {
 		IntervalPs: int64(s.interval), Capacity: s.capacity,
 		Runs: s.runs, LastRun: s.lastRun, LastTPs: int64(s.lastT),
 	}
-	keys := make([]string, 0, len(s.series))
-	for k := range s.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(s.series)
 	st.Series = make([]seriesState, 0, len(keys))
 	for _, k := range keys {
 		ser := s.series[k]

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/stats"
@@ -138,6 +140,17 @@ func canonicalKey(b []byte, name string, ls []Label) []byte {
 		b = append(append(append(append(b, 0), l.Key...), 1), l.Value...)
 	}
 	return b
+}
+
+// sortedKeys returns m's keys in order; series keys sort by name, then
+// labels.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // newMetric builds an empty series of the given kind; ls must already be
@@ -278,11 +291,7 @@ func (r *Registry) mergeFrom(src *Registry) (offset int, instKeys map[string]boo
 		return 0, nil
 	}
 	src.mu.Lock()
-	keys := make([]string, 0, len(src.metrics))
-	for k := range src.metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(src.metrics)
 	ms := make([]*metric, len(keys))
 	for i, k := range keys {
 		ms[i] = src.metrics[k]
@@ -363,49 +372,75 @@ type Snapshot struct {
 // SnapshotSchema identifies the metrics document layout.
 const SnapshotSchema = "adcp-metrics/1"
 
+// series is one metric as an export reads it: its value (a counter's
+// count, a gauge's level, a histogram's mean, a func's result), a gauge's
+// peak and a histogram's summary.
+type series struct {
+	m    *metric
+	v    float64
+	peak int64
+	hist HistogramSnapshot
+}
+
+// evaluate captures every metric sorted by name then labels (the order of
+// their keys), evaluating each KindFunc once, in that order: the one
+// ordering step Snapshot and WriteJSON share.
+func (r *Registry) evaluate() []series {
+	r.mu.Lock()
+	keys := sortedKeys(r.metrics)
+	ss := make([]series, len(keys))
+	for i, k := range keys {
+		ss[i].m = r.metrics[k]
+	}
+	r.mu.Unlock()
+	for i := range ss {
+		s := &ss[i]
+		switch m := s.m; m.kind {
+		case KindCounter:
+			s.v = float64(m.counter.Value())
+		case KindGauge:
+			s.v, s.peak = float64(m.gauge.Value()), m.gauge.Peak()
+		case KindHistogram:
+			s.hist = m.hist.Snap()
+			s.v = s.hist.Mean
+		case KindValue:
+			s.v = m.value
+		case KindFunc:
+			s.v = m.fn()
+		}
+	}
+	return ss
+}
+
 // Snapshot captures every metric, sorted by name then labels, evaluating
 // KindFunc metrics in that same deterministic order.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.metrics))
-	for k := range r.metrics {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ms := make([]*metric, len(keys))
-	for i, k := range keys {
-		ms[i] = r.metrics[k]
-	}
-	r.mu.Unlock()
-
 	snap := Snapshot{Schema: SnapshotSchema}
-	for _, m := range ms {
-		s := MetricSnapshot{Name: m.name, Kind: m.kind}
-		if len(m.labels) > 0 {
-			s.Labels = make(map[string]string, len(m.labels))
-			for _, l := range m.labels {
-				s.Labels[l.Key] = l.Value
-			}
-		}
-		switch m.kind {
-		case KindCounter:
-			s.Value = float64(m.counter.Value())
+	for _, s := range r.evaluate() {
+		ms := MetricSnapshot{Name: s.m.name, Labels: labelMap(s.m.labels), Kind: s.m.kind, Value: s.v}
+		switch s.m.kind {
 		case KindGauge:
-			s.Value = float64(m.gauge.Value())
-			peak := m.gauge.Peak()
-			s.Peak = &peak
+			peak := s.peak
+			ms.Peak = &peak
 		case KindHistogram:
-			hs := m.hist.Snap()
-			s.Hist = &hs
-			s.Value = hs.Mean
-		case KindValue:
-			s.Value = m.value
-		case KindFunc:
-			s.Value = m.fn()
+			hs := s.hist
+			ms.Hist = &hs
 		}
-		snap.Metrics = append(snap.Metrics, s)
+		snap.Metrics = append(snap.Metrics, ms)
 	}
 	return snap
+}
+
+// labelMap is ls as an exported label map; nil when ls is empty.
+func labelMap(ls []Label) map[string]string {
+	if len(ls) == 0 {
+		return nil
+	}
+	m := make(map[string]string, len(ls))
+	for _, l := range ls {
+		m[l.Key] = l.Value
+	}
+	return m
 }
 
 // Len returns the number of registered series.
@@ -415,16 +450,113 @@ func (r *Registry) Len() int {
 	return len(r.metrics)
 }
 
-// WriteJSON serializes the snapshot as indented JSON. The output is
-// byte-identical across runs that registered the same series with the same
-// values: series are sorted, label maps marshal in key order, and nothing
-// wall-clock-dependent is included.
+// WriteJSON writes the snapshot as indented JSON, byte-identical across
+// runs that registered the same series with the same values: series are
+// sorted, labels are in key order, and nothing depends on the wall clock.
+// The bytes are exactly json.MarshalIndent(r.Snapshot(), "", "  ") plus a
+// newline, written without reflection: each series is appended to one
+// reused buffer that goes to w in pieces. A NaN or an infinity fails the
+// export, naming its series, before a byte is written.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	b, err := json.MarshalIndent(r.Snapshot(), "", "  ")
-	if err != nil {
+	ss := r.evaluate()
+	for i := range ss {
+		for j, v := range ss[i].floats() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				m, ls := ss[i].m, make([]string, len(ss[i].m.labels))
+				for k, l := range m.labels {
+					ls[k] = fmt.Sprintf("%s=%q", l.Key, l.Value)
+				}
+				return fmt.Errorf("telemetry: metric %s{%s}: %s is %v, which JSON cannot carry", m.name, strings.Join(ls, ","), floatNames[j], v)
+			}
+		}
+	}
+	const flushAt = 32 << 10
+	b := append(make([]byte, 0, flushAt+4<<10), "{\n  \"schema\": \""+SnapshotSchema+"\",\n  \"metrics\": "...)
+	if len(ss) == 0 {
+		_, err := w.Write(append(b, "null\n}\n"...))
 		return err
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	for i := range ss {
+		b = ss[i].appendJSON(append(b, "[,"[min(i, 1)]))
+		if len(b) >= flushAt {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
+	}
+	_, err := w.Write(append(b, "\n  ]\n}\n"...))
 	return err
+}
+
+// floatNames are the JSON names of a series' floats, in their order.
+var floatNames = [8]string{"value", "sum", "mean", "min", "max", "p50", "p90", "p99"}
+
+// floats are s's value and its histogram summary, as floatNames names them.
+func (s *series) floats() [8]float64 {
+	h := &s.hist
+	return [8]float64{s.v, h.Sum, h.Mean, h.Min, h.Max, h.P50, h.P90, h.P99}
+}
+
+// appendJSON appends s as one element of the indented metrics array,
+// field for field in MetricSnapshot's order and layout.
+func (s *series) appendJSON(b []byte) []byte {
+	m := s.m
+	b = appendJSONString(append(b, "\n    {\n      \"name\": "...), m.name)
+	if len(m.labels) > 0 {
+		sep := ",\n      \"labels\": {\n        "
+		for i, l := range m.labels {
+			// Sorted by key, then value: of a repeated key, a map kept the last.
+			if i+1 < len(m.labels) && m.labels[i+1].Key == l.Key {
+				continue
+			}
+			b = appendJSONString(append(appendJSONString(append(b, sep...), l.Key), ": "...), l.Value)
+			sep = ",\n        "
+		}
+		b = append(b, "\n      }"...)
+	}
+	b = appendJSONString(append(b, ",\n      \"kind\": "...), string(m.kind))
+	b = appendJSONFloat(append(b, ",\n      \"value\": "...), s.v)
+	switch m.kind {
+	case KindGauge:
+		b = strconv.AppendInt(append(b, ",\n      \"peak\": "...), s.peak, 10)
+	case KindHistogram:
+		b = strconv.AppendInt(append(b, ",\n      \"histogram\": {\n        \"count\": "...), int64(s.hist.Count), 10)
+		fs := s.floats()
+		for j, v := range fs[1:] {
+			b = appendJSONFloat(append(append(append(b, ",\n        \""...), floatNames[j+1]...), "\": "...), v)
+		}
+		b = append(b, "\n      }"...)
+	}
+	return append(b, "\n    }"...)
+}
+
+// appendJSONFloat appends a finite f as encoding/json's floatEncoder does
+// (ES6 number-to-string): 'f' format, switching to 'e' below 1e-6 and from
+// 1e21 up, with e-0X trimmed to e-X.
+func appendJSONFloat(b []byte, f float64) []byte {
+	if abs := math.Abs(f); abs == 0 || abs >= 1e-6 && abs < 1e21 {
+		return strconv.AppendFloat(b, f, 'f', -1, 64)
+	}
+	b = strconv.AppendFloat(b, f, 'e', -1, 64)
+	if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendJSONString appends s as a JSON string. Printable ASCII that
+// encoding/json's HTML-safe encoder leaves alone is copied raw; anything
+// else (a quote, a backslash, a control byte, <, >, &, non-ASCII or invalid
+// UTF-8) goes through json.Marshal, which cannot fail on a string, so its
+// escaping is encoding/json's by construction.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }

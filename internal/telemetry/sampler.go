@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 
@@ -235,11 +234,7 @@ func (s *Sampler) merge(src *Sampler, instKeys map[string]bool, instOffset int) 
 		return
 	}
 	src.mu.Lock()
-	srcKeys := make([]string, 0, len(src.series))
-	for k := range src.series {
-		srcKeys = append(srcKeys, k)
-	}
-	sort.Strings(srcKeys)
+	srcKeys := sortedKeys(src.series)
 	srcSeries := make([]*sampledSeries, len(srcKeys))
 	for i, k := range srcKeys {
 		srcSeries[i] = src.series[k]
@@ -278,25 +273,14 @@ func (s *Sampler) Series() []SeriesData {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.series))
-	for k := range s.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(s.series)
 	out := make([]SeriesData, 0, len(keys))
 	for _, k := range keys {
 		ser := s.series[k]
-		sd := SeriesData{
-			Name: ser.name, Kind: ser.kind,
+		out = append(out, SeriesData{
+			Name: ser.name, Labels: labelMap(ser.labels), Kind: ser.kind,
 			Dropped: ser.dropped, Points: ser.ordered(),
-		}
-		if len(ser.labels) > 0 {
-			sd.Labels = make(map[string]string, len(ser.labels))
-			for _, l := range ser.labels {
-				sd.Labels[l.Key] = l.Value
-			}
-		}
-		out = append(out, sd)
+		})
 	}
 	return out
 }
@@ -306,13 +290,8 @@ func labelString(labels map[string]string) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var b strings.Builder
-	for i, k := range keys {
+	for i, k := range sortedKeys(labels) {
 		if i > 0 {
 			b.WriteByte(';')
 		}
