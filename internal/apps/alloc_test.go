@@ -27,10 +27,11 @@ func roundCost(round func(), per int) (objects, bytes float64) {
 // TestParamServerRoundAllocs puts a ceiling on a whole aggregation round —
 // generation, netsim.New, injection, Run and verification — on a prebuilt,
 // reset switch, per delivered packet: what the benchmark's agg-line does.
-// Bytes are 288.6 on either switch (388.7 when every send waited as a record
-// and an engine event instead of a queue entry); the ceiling is 5 % above.
+// Bytes are 237.5 on ADCP and 281.5 on RMT, which copies the bytes of the
+// packets it recirculates (288.6 on either while every multicast replica
+// had bytes of its own, 388.7 when every send waited as a record and an
+// engine event instead of a queue entry); the ceilings are 5 % above.
 func TestParamServerRoundAllocs(t *testing.T) {
-	const maxBytes = 303.0
 	ps := PSConfig{Workers: 12, ModelSize: 4096, Width: 4}
 	adcp, err := NewParamServerADCP(benchADCP(), ps)
 	if err != nil {
@@ -42,12 +43,13 @@ func TestParamServerRoundAllocs(t *testing.T) {
 	}
 	delivered := ps.ModelSize / ps.Width * ps.Workers
 	for _, tc := range []struct {
-		name  string
-		sw    netsim.SwitchModel
-		reset func()
+		name     string
+		sw       netsim.SwitchModel
+		reset    func()
+		maxBytes float64
 	}{
-		{"adcp", adcp, func() { ResetParamServerADCP(adcp) }},
-		{"rmt", rmtSw, func() { ResetParamServerRMT(rmtSw) }},
+		{"adcp", adcp, func() { ResetParamServerADCP(adcp) }, 249},
+		{"rmt", rmtSw, func() { ResetParamServerRMT(rmtSw) }, 296},
 	} {
 		round := func() {
 			tc.reset()
@@ -58,8 +60,8 @@ func TestParamServerRoundAllocs(t *testing.T) {
 		round() // contexts, PHVs and TM queues reach their working size
 		perPkt, bytes := roundCost(round, delivered)
 		t.Logf("%s: %.3f allocations, %.1f bytes per delivered packet", tc.name, perPkt, bytes)
-		if perPkt > 1.0 || bytes > maxBytes {
-			t.Errorf("%s: a round allocates %.3f objects and %.1f bytes per delivered packet, want at most 1.0 and %.0f", tc.name, perPkt, bytes, maxBytes)
+		if perPkt > 1.0 || bytes > tc.maxBytes {
+			t.Errorf("%s: a round allocates %.3f objects and %.1f bytes per delivered packet, want at most 1.0 and %.0f", tc.name, perPkt, bytes, tc.maxBytes)
 		}
 	}
 }

@@ -153,8 +153,8 @@ type Switch struct {
 	coflowReadmissions uint64
 	lateDrops          uint64
 
-	// replicas backs the copies multicast makes of an emission (one per
-	// output port beyond the first) and the slices Process returns.
+	// replicas backs the structs multicast makes of a packet or an
+	// emission (one per extra port) and the slices Process returns.
 	replicas packet.Arena
 }
 
@@ -343,7 +343,7 @@ func (s *Switch) intoTM1(ctx *pipeline.Context) error {
 		for i := range em.Ports {
 			p := em.Pkt
 			if i > 0 {
-				p = s.replicas.Clone(em.Pkt)
+				p = s.replicas.Share(em.Pkt)
 			}
 			// Ingress emissions re-enter at TM1 using the partitioner on
 			// the emitting context.
@@ -407,7 +407,7 @@ func (s *Switch) routeToTM2(ctx *pipeline.Context) error {
 			for i, port := range ctx.Multicast {
 				p := ctx.Pkt
 				if i > 0 {
-					p = s.replicas.Clone(ctx.Pkt)
+					p = s.replicas.Share(ctx.Pkt)
 				}
 				if err := s.enqueueTM2(port, p); err != nil {
 					return err
@@ -429,7 +429,7 @@ func (s *Switch) routeToTM2(ctx *pipeline.Context) error {
 		for i, port := range em.Ports {
 			p := em.Pkt
 			if i > 0 {
-				p = s.replicas.Clone(em.Pkt)
+				p = s.replicas.Share(em.Pkt)
 			}
 			if err := s.enqueueTM2(port, p); err != nil {
 				return err

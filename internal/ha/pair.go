@@ -52,8 +52,9 @@ type Committer interface {
 	Commit(outs []*packet.Packet)
 }
 
-// delta is one logged state mutation: the packet that caused it, captured
-// pristine so the standby can re-execute it.
+// delta is one logged state mutation: the packet that caused it, as a
+// struct of the pair's own over its bytes, taken before the primary runs,
+// so the standby re-executes the fields and bytes the primary was handed.
 type delta struct {
 	uid    uint64
 	pkt    *packet.Packet
@@ -129,7 +130,7 @@ type Pair struct {
 	shipAt  sim.Timer
 
 	// Free lists of applied batches and deltas, the unissued end of the
-	// current delta chunk, and the arena the logged packet copies come
+	// current delta chunk, and the arena the logged packet structs come
 	// from. All nil until the first Submit.
 	freeBatch *batch
 	freeDelta *delta
@@ -226,7 +227,7 @@ func (p *Pair) Submit(uid uint64, pkt *packet.Packet, commit Committer) error {
 	switch p.phase {
 	case phasePrimary:
 		d := p.newDelta()
-		d.uid, d.pkt, d.at = uid, p.arena.Clone(pkt), p.eng.Now()
+		d.uid, d.pkt, d.at = uid, p.arena.Share(pkt), p.eng.Now()
 		outs, err := p.primary.Process(pkt)
 		p.mark(uid, uidPrimary)
 		if err != nil {

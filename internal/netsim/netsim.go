@@ -30,6 +30,7 @@ import (
 
 // SwitchModel is any switch that can synchronously process one packet and
 // return the delivered outputs. Both rmt.Switch and core.Switch satisfy it.
+// Process may rewrite the struct it is handed, never its bytes (packet.Arena).
 type SwitchModel interface {
 	Process(pkt *packet.Packet) ([]*packet.Packet, error)
 }
@@ -190,7 +191,7 @@ type Network struct {
 	// freeEv recycles the per-packet event records (see pktEvent), made
 	// evSlab at a time; txSlab, rxSlab and chains are the unissued ends of
 	// the chunks the per-packet recovery states and causal accounts are cut
-	// from (the last chunk chainN long), and arena backs the packet copies a
+	// from (the last chunk chainN long), and arena backs the packet structs a
 	// sender keeps and retransmits. All are nil until a packet needs them.
 	// scratch is coflowOf's reusable decode target.
 	freeEv  *pktEvent
@@ -571,16 +572,16 @@ func (e *pktEvent) Fire() {
 		e.ch.Advance(n.eng.Now(), telemetry.BucketPropagation)
 		n.deliver(e.host, e.pkt, e.cf, e.sentAt, e.ch)
 	case evCorrupt:
-		n.corruptArrival(e.ts, e.pkt, e.cf)
+		n.corruptArrival(e.pkt, e.cf)
 	case evResend:
 		ts := e.ts
-		n.transmit(ts.src, n.arena.Clone(ts.pristine), ts.cf, ts, ts.chain, true)
+		n.transmit(ts.src, n.arena.Share(ts.pristine), ts.cf, ts, ts.chain, true)
 	case evAck:
 		e.ts.acked = true
 		n.eng.Disarm(&e.ts.timer)
 	case evRedeliver:
 		rs := e.rs
-		n.attemptDeliver(rs.dst, rs.pkt, rs.cf, n.eng.Now(), rs.sentAt, rs, rs.chain, true)
+		n.attemptDeliver(rs.dst, rs.pkt, rs.cf, n.eng.Now(), rs.sentAt, rs, rs.chain)
 	case evWake:
 		n.admitWaiters()
 	}
@@ -725,7 +726,7 @@ func (n *Network) startSend(src int, pkt *packet.Packet) {
 	var ts *txState
 	if n.rec != nil {
 		ts = cut(&n.txSlab, stateSlab)
-		*ts = txState{n: n, src: src, cf: cf, uid: n.txSeq, pristine: n.arena.Clone(pkt), rto: n.rec.Timeout, chain: ch}
+		*ts = txState{n: n, src: src, cf: cf, uid: n.txSeq, pristine: n.arena.Share(pkt), rto: n.rec.Timeout, chain: ch}
 		n.txSeq++
 	}
 	n.transmit(src, pkt, cf, ts, ch, false)
@@ -884,12 +885,7 @@ func (n *Network) scheduleOutputs(outs []*packet.Packet, sentAt sim.Time, ch *te
 		}
 		c.Advance(now+n.cfg.SwitchLatency, telemetry.BucketPipeline)
 		c.Advance(base, telemetry.BucketRecirculation)
-		var rs *rxState
-		if n.rec != nil {
-			rs = cut(&n.rxSlab, stateSlab)
-			*rs = rxState{dst: dst, cf: cf, pkt: out, sentAt: sentAt, rto: n.rec.Timeout, chain: c}
-		}
-		n.attemptDeliver(dst, out, cf, base, sentAt, rs, c, false)
+		n.attemptDeliver(dst, out, cf, base, sentAt, nil, c)
 	}
 }
 
@@ -972,6 +968,9 @@ func (n *Network) haArrival(pkt *packet.Packet, cf uint32, sentAt sim.Time, ts *
 
 func (n *Network) deliver(dst int, p *packet.Packet, cf uint32, sentAt sim.Time, ch *telemetry.Chain) {
 	h := &n.hosts[dst]
+	if len(h.Received) == cap(h.Received) { // doubled: append grows by a quarter past 256
+		h.Received = append(make([]*packet.Packet, 0, max(2*cap(h.Received), 8)), h.Received...)
+	}
 	h.Received = append(h.Received, p)
 	h.RxBytes += uint64(p.WireLen())
 	n.delivered++

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"bytes"
+	"hash/maphash"
 	"testing"
 
 	"repro/internal/faults"
@@ -10,9 +11,57 @@ import (
 	"repro/internal/sim"
 )
 
+// ByteGuard holds switches to the byte half of the ownership rule (see
+// packet.Arena): a packet's bytes are never written once handed over. The
+// bytes a guarded switch is handed are hashed at their first hand-off and
+// must hash the same when Process returns and at every later hand-off of
+// the same bytes — a retransmission, a standby's replay. A switch that has
+// to change them takes a copy of its own first. Wrap a primary and its
+// standby in one guard to check the replay against the primary's hand-off.
+type ByteGuard struct {
+	t    testing.TB
+	seed maphash.Seed
+	sums map[*byte]uint64 // by the bytes' first element
+	// Handoffs counts Process calls; Repeats those whose bytes an earlier
+	// call had already been handed.
+	Handoffs, Repeats int
+}
+
+// NewByteGuard returns a guard reporting violations to t.
+func NewByteGuard(t testing.TB) *ByteGuard {
+	return &ByteGuard{t: t, seed: maphash.MakeSeed(), sums: map[*byte]uint64{}}
+}
+
+// Wrap returns sw with every Process checked by the guard.
+func (g *ByteGuard) Wrap(sw SwitchModel) SwitchModel { return guarded{g, sw} }
+
+type guarded struct {
+	g  *ByteGuard
+	sw SwitchModel
+}
+
+func (w guarded) Process(p *packet.Packet) ([]*packet.Packet, error) {
+	g, data := w.g, p.Data
+	sum := maphash.Bytes(g.seed, data)
+	g.Handoffs++
+	if first, ok := g.sums[&data[0]]; ok {
+		g.Repeats++
+		if sum != first {
+			g.t.Errorf("bytes handed over before were written ahead of hand-off %d", g.Handoffs)
+		}
+	} else {
+		g.sums[&data[0]] = sum
+	}
+	outs, err := w.sw.Process(p)
+	if maphash.Bytes(g.seed, data) != sum {
+		g.t.Errorf("the switch wrote the bytes of hand-off %d", g.Handoffs)
+	}
+	return outs, err
+}
+
 // scribbleSwitch is the worst tenant the ownership rule allows: it checks
 // every packet it is handed against the bytes its sender built, answers
-// with a fresh packet, then overwrites every byte and field of what it was
+// with a fresh packet, then overwrites every field of the struct it was
 // given and keeps it for ever.
 type scribbleSwitch struct {
 	t       *testing.T
@@ -21,8 +70,6 @@ type scribbleSwitch struct {
 	kept    []*packet.Packet
 	applied map[uint32]int
 }
-
-const scribble = 0xEE
 
 func (s *scribbleSwitch) Process(p *packet.Packet) ([]*packet.Packet, error) {
 	var d packet.Decoded
@@ -36,44 +83,40 @@ func (s *scribbleSwitch) Process(p *packet.Packet) ([]*packet.Packet, error) {
 	s.applied[d.Base.Seq]++
 	out := packet.BuildRaw(d.Base, 100)
 	out.EgressPort = int(d.Base.DstPort)
-	for i := range p.Data {
-		p.Data[i] = scribble
-	}
 	p.IngressPort, p.EgressPort, p.Recirculations = -7, -7, -7
 	s.kept = append(s.kept, p)
 	return []*packet.Packet{out}, nil
 }
 
-// checkKept verifies nobody wrote to, or re-issued, a packet the switch
-// retained.
+// checkKept verifies nobody rewrote, or re-issued, a struct the switch
+// retained, nor wrote the bytes under it.
 func (s *scribbleSwitch) checkKept() {
 	seen := make(map[*packet.Packet]bool, len(s.kept))
+	var d packet.Decoded
 	for i, p := range s.kept {
 		if seen[p] {
-			s.t.Errorf("%s: the same packet was handed over twice (kept %d)", s.name, i)
+			s.t.Errorf("%s: the same struct was handed over twice (kept %d)", s.name, i)
 		}
 		seen[p] = true
 		if p.IngressPort != -7 || p.EgressPort != -7 || p.Recirculations != -7 {
 			s.t.Errorf("%s: kept packet %d had its fields rewritten", s.name, i)
 		}
-		for _, b := range p.Data {
-			if b != scribble {
-				s.t.Errorf("%s: kept packet %d was written after the switch took it", s.name, i)
-				break
-			}
+		if err := d.DecodePacket(p); err != nil || !bytes.Equal(p.Data, s.want[d.Base.Seq]) {
+			s.t.Errorf("%s: kept packet %d had its bytes written after hand-off", s.name, i)
 		}
 	}
 }
 
 // TestHandedOverPacketsAreNeverReused is the ownership rule under the
-// conditions that recycle the most records: link loss (retransmitted
-// copies, redeliveries), a warm standby (logged copies, replayed batches)
-// and a mid-run crash (discarded log, senders redirected). Both replicas
-// scribble over and retain everything they are given. Every copy that
-// reaches either must still carry the sender's bytes — the pristine copy,
-// each retransmission and each logged delta are separate memory — and
-// everything the replicas kept must still hold the scribble after the run,
-// so neither netsim nor ha wrote to or re-issued a packet it had handed out.
+// conditions that recycle the most records: link loss (retransmissions,
+// redeliveries), a warm standby (logged packets, replayed batches) and a
+// mid-run crash (discarded log, senders redirected). Both replicas rewrite
+// the fields of, and retain, every struct they are given, and one ByteGuard
+// watches both. Every hand-off must still carry the sender's bytes — the
+// sender's copy, each retransmission and each logged delta share them, and
+// nobody writes them — and every struct the replicas kept must still hold
+// their rewrite after the run, so neither netsim nor ha wrote to or
+// re-issued a struct it had handed out.
 func TestHandedOverPacketsAreNeverReused(t *testing.T) {
 	const (
 		hosts = 4
@@ -86,13 +129,14 @@ func TestHandedOverPacketsAreNeverReused(t *testing.T) {
 	primary, standby := newSwitch("primary"), newSwitch("standby")
 	opt := ha.DefaultOptions()
 	opt.SyncInterval = 2 * sim.Microsecond // batches of several deltas
-	cfg := haConfig(hosts, standby, opt, 0)
+	guard := NewByteGuard(t)
+	cfg := haConfig(hosts, guard.Wrap(standby), opt, 0)
 	cfg.Faults = &faults.Plan{
 		Seed:          3,
 		Link:          faults.LinkFaults{LossRate: 0.2, CorruptRate: 0.05},
 		SwitchCrashAt: 45 * sim.Microsecond, // first retransmissions (RTO 20 µs) are in flight
 	}
-	n, err := New(cfg, primary)
+	n, err := New(cfg, guard.Wrap(primary))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +157,7 @@ func TestHandedOverPacketsAreNeverReused(t *testing.T) {
 	if !n.Tracker().Done(1) || st.Promotions != 1 {
 		t.Fatalf("coflow done %v, promotions %d\nledger %+v\nha %+v", n.Tracker().Done(1), st.Promotions, led, st)
 	}
-	if led.UplinkRetx == 0 || led.DownlinkRetx == 0 || led.CrashDrops == 0 || st.DeltasApplied == 0 || st.DiscardedDeltas == 0 {
+	if led.UplinkRetx == 0 || led.DownlinkRetx == 0 || led.CrashDrops == 0 || st.DeltasApplied == 0 || st.DiscardedDeltas == 0 || guard.Repeats == 0 {
 		t.Fatalf("the run did not exercise every recycling path:\nledger %+v\nha %+v", led, st)
 	}
 	for seq := uint32(1); seq <= pkts; seq++ {

@@ -6,12 +6,13 @@
 // With recovery, the sending side keeps per-packet state and retransmits on
 // timeout with exponential backoff under a bounded retry budget:
 //
-//   - uplink: the host clones a pristine copy before the switch can mutate
-//     the packet, arms an ack timer per attempt, and resends the clone until
-//     an ack arrives or the budget is exhausted. Acks travel the reverse
-//     path and can themselves be lost, producing spurious retransmissions
-//     whose duplicates the switch boundary suppresses (stateful switch
-//     programs must never see the same packet twice).
+//   - uplink: the host keeps a struct of its own over the packet's bytes
+//     (see packet.Arena), arms an ack timer per attempt, and resends a
+//     fresh struct over them until an ack arrives or the budget is
+//     exhausted. Acks travel the reverse path and can themselves be lost,
+//     producing spurious retransmissions whose duplicates the switch
+//     boundary suppresses (stateful switch programs must never see the
+//     same packet twice).
 //   - downlink: the switch egress port knows exactly which delivery attempts
 //     failed (the simulator is the wire), so it redelivers those without an
 //     ack protocol; no host-side dedup is needed.
@@ -81,7 +82,7 @@ type txState struct {
 	src      int
 	cf       uint32
 	uid      uint64         // network-wide unique packet id (HA dup suppression)
-	pristine *packet.Packet // untouched copy; the switch mutates what it gets
+	pristine *packet.Packet // the sender's own struct over the bytes it built
 	rto      sim.Time
 	retx     int
 	timer    sim.Timer
@@ -163,7 +164,7 @@ func (n *Network) transmit(src int, pkt *packet.Packet, cf uint32, ts *txState, 
 		// The wire never energizes: no serialization, no timer — the
 		// failure is locally visible, so recovery retries directly
 		// (restart-aware).
-		n.countTxFault(out, ts, cf)
+		n.countFault(true, out, cf)
 		if ts != nil {
 			n.resendOrAbort(ts, now+ts.rto)
 		}
@@ -184,12 +185,12 @@ func (n *Network) transmit(src int, pkt *packet.Packet, cf uint32, ts *txState, 
 		e.pkt, e.cf, e.sentAt, e.ts, e.ch, e.bucket = pkt, cf, start, ts, ch, telemetry.BucketPropagation
 		n.eng.PostHandler(arrive, e)
 	case faults.Lost:
-		n.countTxFault(out, ts, cf)
+		n.countFault(true, out, cf)
 	case faults.Corrupt:
 		// The frame occupies the wire and reaches the switch port, where
 		// the CRC check discards it.
 		e := n.event(evCorrupt)
-		e.ts, e.pkt, e.cf = ts, pkt, cf
+		e.pkt, e.cf = pkt, cf
 		n.eng.PostHandler(arrive, e)
 	}
 	if ts != nil {
@@ -237,21 +238,17 @@ func (n *Network) outageWindow(now sim.Time) (lo, hi sim.Time, ok bool) {
 	return 0, 0, false
 }
 
-// countTxFault books one faulted uplink attempt; without recovery the
-// packet is terminally dropped.
-func (n *Network) countTxFault(out faults.Outcome, ts *txState, cf uint32) {
-	switch out {
-	case faults.Lost:
-		n.led.TxLost++
-	case faults.Corrupt:
-		n.led.TxCorrupt++
-	case faults.LinkDown:
-		n.led.TxLinkDown++
-	case faults.HostDown:
-		n.led.TxHostDown++
+// countFault books one faulted attempt, uplink (tx) or downlink; without
+// recovery the packet is terminally dropped.
+func (n *Network) countFault(tx bool, out faults.Outcome, cf uint32) {
+	l := &n.led
+	by := [...]*uint64{faults.Lost: &l.RxLost, faults.Corrupt: &l.RxCorrupt, faults.LinkDown: &l.RxLinkDown, faults.HostDown: &l.RxHostDown}
+	if tx {
+		by = [...]*uint64{faults.Lost: &l.TxLost, faults.Corrupt: &l.TxCorrupt, faults.LinkDown: &l.TxLinkDown, faults.HostDown: &l.TxHostDown}
 	}
+	*by[out]++
 	n.tracker.Lose(cf)
-	if ts == nil {
+	if n.rec == nil {
 		n.tracker.Drop(cf)
 	}
 }
@@ -259,8 +256,8 @@ func (n *Network) countTxFault(out faults.Outcome, ts *txState, cf uint32) {
 // corruptArrival is a corrupted frame reaching the switch port: the CRC
 // check discards it there, so it never counts as a switch arrival. The
 // sender only learns via its ack timer.
-func (n *Network) corruptArrival(ts *txState, pkt *packet.Packet, cf uint32) {
-	n.countTxFault(faults.Corrupt, ts, cf)
+func (n *Network) corruptArrival(pkt *packet.Packet, cf uint32) {
+	n.countFault(true, faults.Corrupt, cf)
 	if n.detail {
 		n.swTrack.Instant(n.eng.Now(), "switch.corrupt_discard", "net",
 			map[string]any{"ingress_port": pkt.IngressPort})
@@ -307,13 +304,14 @@ func (n *Network) sendAck(ts *txState) {
 
 // attemptDeliver makes one downlink wire attempt toward dst, no earlier
 // than `earliest` and respecting the downlink's serialization queue. rs is
-// nil without recovery (faulted deliveries then drop terminally).
-func (n *Network) attemptDeliver(dst int, p *packet.Packet, cf uint32, earliest, sentAt sim.Time, rs *rxState, ch *telemetry.Chain, retx bool) {
+// the redelivery state: nil on a first attempt, cut when one faults with
+// recovery on (without, the packet drops).
+func (n *Network) attemptDeliver(dst int, p *packet.Packet, cf uint32, earliest, sentAt sim.Time, rs *rxState, ch *telemetry.Chain) {
 	start := earliest
 	if n.hosts[dst].rxBusyUntil > start {
 		start = n.hosts[dst].rxBusyUntil
 	}
-	if retx {
+	if rs != nil { // a redelivery
 		n.led.DownlinkRetx++
 		n.tracker.Retransmit(cf)
 		n.recorder.Record(n.eng.Now(), "retx.rx", int64(cf), int64(rs.retx))
@@ -324,9 +322,13 @@ func (n *Network) attemptDeliver(dst int, p *packet.Packet, cf uint32, earliest,
 	if n.inj != nil {
 		out = n.inj.Attempt(dst, start)
 	}
+	if out != faults.OK && rs == nil && n.rec != nil {
+		rs = cut(&n.rxSlab, stateSlab)
+		*rs = rxState{dst: dst, cf: cf, pkt: p, sentAt: sentAt, rto: n.rec.Timeout, chain: ch}
+	}
 	if out == faults.LinkDown || out == faults.HostDown {
 		// No wire occupancy; redeliver after the link/host comes back.
-		n.countRxFault(out, cf, rs)
+		n.countFault(false, out, cf)
 		n.redeliver(rs, n.eng.Now())
 		return
 	}
@@ -340,32 +342,13 @@ func (n *Network) attemptDeliver(dst int, p *packet.Packet, cf uint32, earliest,
 			map[string]any{"host": dst, "bytes": p.WireLen()})
 	}
 	if out != faults.OK { // Lost or Corrupt: the frame occupied the wire but nothing usable arrives
-		n.countRxFault(out, cf, rs)
+		n.countFault(false, out, cf)
 		n.redeliver(rs, done)
 		return
 	}
 	e := n.event(evDeliver)
 	e.host, e.pkt, e.cf, e.sentAt, e.ch = dst, p, cf, sentAt, ch
 	n.eng.PostHandler(arrive, e)
-}
-
-// countRxFault books one faulted downlink attempt; without recovery the
-// packet is terminally dropped.
-func (n *Network) countRxFault(out faults.Outcome, cf uint32, rs *rxState) {
-	switch out {
-	case faults.Lost:
-		n.led.RxLost++
-	case faults.Corrupt:
-		n.led.RxCorrupt++
-	case faults.LinkDown:
-		n.led.RxLinkDown++
-	case faults.HostDown:
-		n.led.RxHostDown++
-	}
-	n.tracker.Lose(cf)
-	if rs == nil {
-		n.tracker.Drop(cf)
-	}
 }
 
 // redeliver schedules the egress port's retransmission of a failed

@@ -1,19 +1,23 @@
 package packet
 
 // Arena allocates packets out of chunks instead of one by one, for the
-// places that make a packet per packet: a workload generator, a sender's
-// pristine and retransmitted copies, a replication log, a switch's
-// multicast replicas and its deparser. The zero value is ready and holds
-// nothing until the first packet is asked of it. A nil *Arena is valid too
-// and gives every packet its own two allocations, which is what the
-// package-level Build and Packet.Clone do.
+// places that make a packet per packet: a workload generator, a sender, a
+// replication log, a switch and its deparser. The zero value is ready and
+// holds nothing until first used; a nil *Arena gives every packet its own
+// two allocations, which is what the package-level Build and Packet.Clone do.
 //
-// An arena only ever hands out fresh memory: it has no free, no reset and
-// no reuse, so a packet taken from one can be kept, passed on and written
-// for as long as anyone likes, exactly like one from Build. Every Data is
-// cut to cap == len, so an append to one packet reallocates instead of
-// running into its neighbour. What an arena changes is the garbage
-// collector's granularity: a chunk is freed when the last packet in it is.
+// The ownership rule: a packet's bytes are written only by the code that
+// builds them, before it hands the packet on, and are read-only after. Its
+// struct belongs to whoever holds it (a switch sets IngressPort, EgressPort
+// and Recirculations on the one it is handed), so a sender, a delta log and
+// each multicast replica hold a struct of their own over the same bytes
+// (Share). A holder that must write bytes it did not build copies them first
+// (Own), as RMT recirculation does to set FlagRecirc.
+//
+// An arena never frees, resets or reuses, so what it hands out can be kept
+// and passed on like a packet from Build. Every Data is cut to cap == len, so
+// an append reallocates instead of running into a neighbour; a chunk is
+// freed when the last packet in it is.
 type Arena struct {
 	pkts []Packet  // structs of the current chunk not handed out yet
 	buf  []byte    // bytes of the current chunk not handed out yet
@@ -51,31 +55,44 @@ func NextChunk(cur, min, max int) int {
 	return max
 }
 
+// chunk cuts n elements from *free with cap == n, starting a new chunk of
+// the next size (*size, min, max) when the current one is short. A request
+// larger than a chunk gets storage of its own, and the chunk keeps serving
+// the smaller ones.
+func chunk[T any](free *[]T, size *int, n, min, max int) []T {
+	if n > len(*free) {
+		next := NextChunk(*size, min, max)
+		if n > next {
+			return make([]T, n)
+		}
+		*size, *free = next, make([]T, next)
+	}
+	s := (*free)[:n:n]
+	*free = (*free)[n:]
+	return s
+}
+
 // alloc returns a blank packet whose Data has length and capacity n.
 func (a *Arena) alloc(n int) *Packet {
-	if a == nil {
-		return &Packet{Data: make([]byte, n)}
-	}
-	if len(a.pkts) == 0 {
-		a.pktChunk = NextChunk(a.pktChunk, minArenaPackets, maxArenaPackets)
-		a.pkts = make([]Packet, a.pktChunk)
-	}
-	p := &a.pkts[0]
-	a.pkts = a.pkts[1:]
-	if n > len(a.buf) {
-		size := NextChunk(a.bufChunk, minArenaBytes, maxArenaBytes)
-		if n > size {
-			// Larger than a chunk: the packet gets its own bytes and the
-			// current chunk keeps serving the smaller ones.
-			p.Data = make([]byte, n)
-			return p
-		}
-		a.bufChunk = size
-		a.buf = make([]byte, size)
-	}
-	p.Data = a.buf[:n:n]
-	a.buf = a.buf[n:]
+	p := a.newStruct()
+	p.Data = a.newBytes(n)
 	return p
+}
+
+// newStruct returns a blank packet with no bytes.
+func (a *Arena) newStruct() *Packet {
+	if a == nil {
+		return new(Packet)
+	}
+	return &chunk(&a.pkts, &a.pktChunk, 1, minArenaPackets, maxArenaPackets)[0]
+}
+
+// newBytes returns n zero bytes.
+func (a *Arena) newBytes(n int) []byte {
+	if a == nil {
+		return make([]byte, n)
+	}
+	return chunk(&a.buf, &a.bufChunk, n, minArenaBytes, maxArenaBytes)
 }
 
 // Outs returns an empty slice with room for n packets — the list a switch
@@ -83,27 +100,27 @@ func (a *Arena) alloc(n int) *Packet {
 // chunk of bytes: cap == n, so appending past it reallocates instead of
 // running into the next list, and nothing is ever taken back.
 func (a *Arena) Outs(n int) []*Packet {
-	if n > len(a.outs) {
-		size := NextChunk(a.outChunk, minArenaPackets, maxArenaPackets)
-		if n > size {
-			// Larger than a chunk (a wide fan-out's list): its own, as in alloc.
-			return make([]*Packet, 0, n)
-		}
-		a.outChunk = size
-		a.outs = make([]*Packet, size)
-	}
-	out := a.outs[:0:n]
-	a.outs = a.outs[n:]
-	return out
+	return chunk(&a.outs, &a.outChunk, n, minArenaPackets, maxArenaPackets)[:0]
 }
 
-// Clone returns a deep copy of p.
-func (a *Arena) Clone(p *Packet) *Packet {
-	q := a.alloc(len(p.Data))
-	data := q.Data
+// Share returns a struct of the caller's own over p's bytes.
+func (a *Arena) Share(p *Packet) *Packet {
+	q := a.newStruct()
 	*q = *p
-	q.Data = data
+	return q
+}
+
+// Own gives p a private copy of its bytes; other holders keep the old ones.
+func (a *Arena) Own(p *Packet) {
+	data := a.newBytes(len(p.Data))
 	copy(data, p.Data)
+	p.Data = data
+}
+
+// Clone returns a deep copy of p: Share, then Own.
+func (a *Arena) Clone(p *Packet) *Packet {
+	q := a.Share(p)
+	a.Own(q)
 	return q
 }
 

@@ -96,8 +96,8 @@ type Switch struct {
 	deliveredBytes   uint64
 	txPerPort        []uint64
 
-	// replicas backs the copies multicast makes of a packet or an emission,
-	// and the slices Process returns.
+	// replicas backs multicast's replicas, recirculation's byte copies and
+	// the slices Process returns.
 	replicas packet.Arena
 }
 
@@ -173,7 +173,7 @@ func (s *Switch) Process(pkt *packet.Packet) ([]*packet.Packet, error) {
 			return nil, fmt.Errorf("rmt: packet exceeded %d recirculations", s.MaxRecirculations)
 		}
 		ctx.Pkt.Recirculations++
-		ctx.Pkt.Data[5] |= packet.FlagRecirc
+		s.markRecirc(ctx.Pkt)
 		s.recircTraversals++
 		if err := in.Resume(ctx, s.ingressProg); err != nil {
 			return nil, err
@@ -186,6 +186,15 @@ func (s *Switch) Process(pkt *packet.Packet) ([]*packet.Packet, error) {
 	return s.drainTM()
 }
 
+// markRecirc sets FlagRecirc in p's bytes, which other holders share (see
+// packet.Arena): the first recirculation copies them, so only the first.
+func (s *Switch) markRecirc(p *packet.Packet) {
+	if p.Data[5]&packet.FlagRecirc == 0 {
+		s.replicas.Own(p)
+		p.Data[5] |= packet.FlagRecirc
+	}
+}
+
 // routeContext moves a finished ingress context (and its emissions) into
 // the TM.
 func (s *Switch) routeContext(ctx *pipeline.Context) error {
@@ -193,7 +202,7 @@ func (s *Switch) routeContext(ctx *pipeline.Context) error {
 	case pipeline.VerdictForward:
 		if len(ctx.Multicast) > 0 {
 			for _, port := range ctx.Multicast {
-				if err := s.enqueue(port, s.replicas.Clone(ctx.Pkt)); err != nil {
+				if err := s.enqueue(port, s.replicas.Share(ctx.Pkt)); err != nil {
 					return err
 				}
 			}
@@ -214,7 +223,7 @@ func (s *Switch) routeContext(ctx *pipeline.Context) error {
 		for i, port := range em.Ports {
 			p := em.Pkt
 			if i > 0 {
-				p = s.replicas.Clone(em.Pkt)
+				p = s.replicas.Share(em.Pkt)
 			}
 			if err := s.enqueue(port, p); err != nil {
 				return err
@@ -263,7 +272,7 @@ func (s *Switch) deliverOrRecirc(port int, p *packet.Packet, out *[]*packet.Pack
 			return fmt.Errorf("rmt: packet exceeded %d recirculations", s.MaxRecirculations)
 		}
 		p.Recirculations++
-		p.Data[5] |= packet.FlagRecirc
+		s.markRecirc(p)
 		s.recircTraversals++
 		ipl := s.PipelineOfPort(port)
 		p.IngressPort = port
@@ -340,7 +349,7 @@ func (s *Switch) drainTM() ([]*packet.Packet, error) {
 							s.misrouted++
 							continue
 						}
-						if err := s.deliverOrRecirc(port, s.replicas.Clone(em.Pkt), &out); err != nil {
+						if err := s.deliverOrRecirc(port, s.replicas.Share(em.Pkt), &out); err != nil {
 							eg.Release(ctx)
 							return nil, err
 						}

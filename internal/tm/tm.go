@@ -162,23 +162,6 @@ func (t *SharedMemoryTM) Enqueue(out int, p *packet.Packet) bool {
 	return true
 }
 
-// EnqueueMulticast clones p onto every listed output (switch-initiated
-// group transfer, Table 1 last row). It returns how many copies were
-// accepted.
-func (t *SharedMemoryTM) EnqueueMulticast(outs []int, p *packet.Packet) int {
-	accepted := 0
-	for i, out := range outs {
-		q := p
-		if i > 0 {
-			q = p.Clone()
-		}
-		if t.Enqueue(out, q) {
-			accepted++
-		}
-	}
-	return accepted
-}
-
 // Dequeue removes and returns the head of queue out, or nil when empty.
 func (t *SharedMemoryTM) Dequeue(out int) *packet.Packet {
 	q := t.queues[out]

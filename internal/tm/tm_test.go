@@ -80,29 +80,6 @@ func TestSharedMemoryOccupancyAccounting(t *testing.T) {
 	}
 }
 
-func TestSharedMemoryMulticast(t *testing.T) {
-	m := NewSharedMemoryTM(4, 1<<20)
-	p := mkPkt(10)
-	n := m.EnqueueMulticast([]int{0, 2, 3}, p)
-	if n != 3 {
-		t.Fatalf("accepted %d copies, want 3", n)
-	}
-	for _, out := range []int{0, 2, 3} {
-		q := m.Dequeue(out)
-		if q == nil || q.Len() != p.Len() {
-			t.Errorf("output %d missing clone", out)
-		}
-	}
-	// Clones must not share bytes.
-	a := mkPkt(5)
-	m.EnqueueMulticast([]int{0, 1}, a)
-	p0, p1 := m.Dequeue(0), m.Dequeue(1)
-	p0.Data[0] = 0xEE
-	if p1.Data[0] == 0xEE {
-		t.Error("multicast copies share data")
-	}
-}
-
 func TestSharedMemoryPanics(t *testing.T) {
 	mustPanicTM(t, func() { NewSharedMemoryTM(0, 10) })
 	mustPanicTM(t, func() { NewSharedMemoryTM(1, 0) })
@@ -474,21 +451,6 @@ func TestSharedMemoryObserverDisarm(t *testing.T) {
 	m.Dequeue(0)
 	if n != 1 {
 		t.Errorf("observer fired %d times after disarm, want 1", n)
-	}
-}
-
-func TestSharedMemoryObserverMulticast(t *testing.T) {
-	m := NewSharedMemoryTM(4, 1<<20)
-	var outs []int
-	m.SetObserver(func(ev Event) {
-		if ev.Op != OpEnqueue {
-			t.Errorf("unexpected op %v", ev.Op)
-		}
-		outs = append(outs, ev.Output)
-	})
-	m.EnqueueMulticast([]int{0, 2, 3}, mkPkt(8))
-	if len(outs) != 3 || outs[0] != 0 || outs[1] != 2 || outs[2] != 3 {
-		t.Errorf("multicast observer saw outputs %v", outs)
 	}
 }
 
