@@ -49,7 +49,7 @@ loc:
 # above must not exceed the ceiling. A PR that shrinks the tree lowers the
 # ceiling to its own result; one that has to raise it says why in
 # CHANGES.md.
-LOC_CEILING := 24732
+LOC_CEILING := 24731
 loc-check:
 	@src=$$($(MAKE) -s loc | awk '$$1 == "source" { print $$2 }'); \
 	if [ "$$src" -gt $(LOC_CEILING) ]; then \

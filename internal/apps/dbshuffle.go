@@ -196,7 +196,6 @@ func NewDBShuffleRMT(cfg rmt.Config, db DBConfig) (*rmt.Switch, error) {
 		return nil
 	}
 	for s := 1; s < stages; s++ {
-		s := s
 		funcs[s] = func(st *pipeline.Stage, ctx *pipeline.Context) error {
 			d := &ctx.Decoded
 			if d.Base.Proto != packet.ProtoDB || d.DB.Stage != 0 || ctx.Scratch[1] == 1 {
@@ -277,12 +276,18 @@ func DBAggregatesADCP(sw *core.Switch, db DBConfig) map[uint32]uint32 {
 // key%partitions placement, capped at maxBatch (the map-side partitioning
 // a shuffle producer performs).
 func PartitionTuples(tuples []packet.DBTuple, partitions, maxBatch int) [][]packet.DBTuple {
-	byPart := make([][]packet.DBTuple, partitions)
-	for _, tp := range tuples {
-		i := int(tp.Key) % partitions
-		byPart[i] = append(byPart[i], tp)
+	return partition(tuples, func(tp packet.DBTuple) uint32 { return tp.Key }, partitions, maxBatch)
+}
+
+// partition regroups items into batches that are partition-pure for a
+// key%partitions placement, capped at maxBatch, in partition order.
+func partition[T any](items []T, key func(T) uint32, partitions, maxBatch int) [][]T {
+	byPart := make([][]T, partitions)
+	for _, it := range items {
+		i := int(key(it)) % partitions
+		byPart[i] = append(byPart[i], it)
 	}
-	var out [][]packet.DBTuple
+	var out [][]T
 	for _, batch := range byPart {
 		for len(batch) > maxBatch {
 			out = append(out, batch[:maxBatch])

@@ -34,6 +34,19 @@ func (c GraphConfig) Validate() error {
 // edgeKey packs an edge into a table key.
 func edgeKey(e packet.Edge) uint64 { return uint64(e.Src)<<32 | uint64(e.Dst) }
 
+// graphProgram is the one-stage program both architectures run: graph
+// packets go through graphFilter, everything else passes.
+func graphProgram(name string, gc GraphConfig) *pipeline.Program {
+	return &pipeline.Program{Name: name, Funcs: []pipeline.StageFunc{
+		func(st *pipeline.Stage, ctx *pipeline.Context) error {
+			if ctx.Decoded.Base.Proto != packet.ProtoGraph {
+				return nil
+			}
+			return graphFilter(st, ctx, gc)
+		},
+	}}
+}
+
 // graphFilter matches the candidate batch against the edge table and emits
 // survivors grouped by owner host.
 func graphFilter(st *pipeline.Stage, ctx *pipeline.Context, cfg GraphConfig) error {
@@ -86,18 +99,7 @@ func NewGraphMineADCP(cfg core.Config, gc GraphConfig) (*GraphMineADCP, error) {
 		return nil, err
 	}
 	P := cfg.CentralPipelines
-	central := &pipeline.Program{
-		Name: "graphmine-central",
-		Funcs: []pipeline.StageFunc{
-			func(st *pipeline.Stage, ctx *pipeline.Context) error {
-				if ctx.Decoded.Base.Proto != packet.ProtoGraph {
-					return nil
-				}
-				return graphFilter(st, ctx, gc)
-			},
-		},
-	}
-	sw, err := core.New(cfg, core.Programs{Central: central})
+	sw, err := core.New(cfg, core.Programs{Central: graphProgram("graphmine-central", gc)})
 	if err != nil {
 		return nil, err
 	}
@@ -151,18 +153,7 @@ func NewGraphMineRMT(cfg rmt.Config, gc GraphConfig) (*GraphMineRMT, error) {
 	if gc.EdgesPerPacket > cfg.Pipe.MAUsPerStage {
 		return nil, fmt.Errorf("apps: %d edges/packet exceeds %d MAUs", gc.EdgesPerPacket, cfg.Pipe.MAUsPerStage)
 	}
-	ingress := &pipeline.Program{
-		Name: "graphmine-rmt",
-		Funcs: []pipeline.StageFunc{
-			func(st *pipeline.Stage, ctx *pipeline.Context) error {
-				if ctx.Decoded.Base.Proto != packet.ProtoGraph {
-					return nil
-				}
-				return graphFilter(st, ctx, gc)
-			},
-		},
-	}
-	sw, err := rmt.New(cfg, ingress, nil)
+	sw, err := rmt.New(cfg, graphProgram("graphmine-rmt", gc), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -197,20 +188,5 @@ func (g *GraphMineRMT) SRAMUsed() int {
 // PartitionEdges regroups candidate edges so each batch is partition-pure
 // for src%partitions placement, capped at maxBatch.
 func PartitionEdges(edges []packet.Edge, partitions, maxBatch int) [][]packet.Edge {
-	byPart := make([][]packet.Edge, partitions)
-	for _, e := range edges {
-		i := int(e.Src) % partitions
-		byPart[i] = append(byPart[i], e)
-	}
-	var out [][]packet.Edge
-	for _, batch := range byPart {
-		for len(batch) > maxBatch {
-			out = append(out, batch[:maxBatch])
-			batch = batch[maxBatch:]
-		}
-		if len(batch) > 0 {
-			out = append(out, batch)
-		}
-	}
-	return out
+	return partition(edges, func(e packet.Edge) uint32 { return e.Src }, partitions, maxBatch)
 }

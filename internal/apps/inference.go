@@ -192,7 +192,6 @@ func packCodes(c0, c1, c2 int) uint64 {
 func inferenceProgram() *pipeline.Program {
 	funcs := make([]pipeline.StageFunc, NumFeatures+1)
 	for f := 0; f < NumFeatures; f++ {
-		f := f
 		funcs[f] = func(st *pipeline.Stage, ctx *pipeline.Context) error {
 			feat := ExtractFeatures(ctx)[f]
 			r, ok := st.TCAM.Lookup(uint64(feat))
@@ -239,7 +238,6 @@ func NewInferenceRMT(cfg rmt.Config, tree *TreeNode) (*InferenceRMT, error) {
 		return nil, err
 	}
 	for pl := 0; pl < cfg.Pipelines; pl++ {
-		pl := pl
 		if err := m.install(func(i int) *pipeline.Stage { return sw.Ingress(pl).Stage(i) }); err != nil {
 			return nil, err
 		}
@@ -275,7 +273,6 @@ func NewInferenceADCP(cfg core.Config, tree *TreeNode) (*core.Switch, *Inference
 		return nil, nil, err
 	}
 	for p := 0; p < cfg.CentralPipelines; p++ {
-		p := p
 		if err := m.install(func(i int) *pipeline.Stage { return sw.Central(p).Stage(i) }); err != nil {
 			return nil, nil, err
 		}

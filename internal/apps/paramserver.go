@@ -109,12 +109,7 @@ func NewParamServerADCP(cfg core.Config, ps PSConfig) (*core.Switch, error) {
 					// Last contribution: ml.Values now holds the final
 					// sums. Fan the result out to every worker — any
 					// port, thanks to TM2 (Figure 5).
-					res := packet.Build(packet.Header{
-						Proto:    packet.ProtoML,
-						CoflowID: ctx.Decoded.Base.CoflowID,
-						Flags:    packet.FlagFromSwch,
-					}, &packet.MLHeader{Base: ml.Base, Values: ml.Values})
-					ctx.Emit(res, fanout...)
+					emitSums(ctx, ml, fanout...)
 				}
 				ctx.Verdict = pipeline.VerdictConsume
 				return nil
@@ -211,7 +206,6 @@ func NewParamServerRMT(cfg rmt.Config, ps PSConfig) (*rmt.Switch, error) {
 	}
 	// Stages 1..: one scalar RMW each — value ElementOffset+s-1.
 	for s := 1; s < stages; s++ {
-		s := s
 		funcs[s] = func(st *pipeline.Stage, ctx *pipeline.Context) error {
 			if ctx.Decoded.Base.Proto != packet.ProtoML || ctx.Scratch[1] == 1 {
 				return nil
@@ -241,12 +235,7 @@ func NewParamServerRMT(cfg rmt.Config, ps PSConfig) (*rmt.Switch, error) {
 					return nil
 				}
 				if int(ctx.Scratch[0]) == ps.Workers {
-					res := packet.Build(packet.Header{
-						Proto:    packet.ProtoML,
-						CoflowID: ctx.Decoded.Base.CoflowID,
-						Flags:    packet.FlagFromSwch,
-					}, &packet.MLHeader{Base: ml.Base, Values: ml.Values})
-					ctx.Emit(res, fanout...)
+					emitSums(ctx, ml, fanout...)
 				}
 				ctx.Verdict = pipeline.VerdictConsume
 			}
@@ -267,6 +256,12 @@ func NewParamServerRMT(cfg rmt.Config, ps PSConfig) (*rmt.Switch, error) {
 		agg.Stage(s).Regs.Reserve(chunks * passes)
 	}
 	return sw, nil
+}
+
+// emitSums sends a chunk's final sums from the switch to ports.
+func emitSums(ctx *pipeline.Context, ml *packet.MLHeader, ports ...int) {
+	ctx.Emit(packet.Build(packet.Header{Proto: packet.ProtoML, CoflowID: ctx.Decoded.Base.CoflowID, Flags: packet.FlagFromSwch},
+		&packet.MLHeader{Base: ml.Base, Values: ml.Values}), ports...)
 }
 
 // ResetParamServerADCP clears the aggregation state between training

@@ -70,7 +70,6 @@ func NewParamServerRMTEgress(cfg rmt.Config, ps PSConfig) (*rmt.Switch, error) {
 		return nil
 	}
 	for s := 1; s < stages; s++ {
-		s := s
 		funcs[s] = func(st *pipeline.Stage, ctx *pipeline.Context) error {
 			if ctx.Decoded.Base.Proto != packet.ProtoML {
 				return nil
@@ -87,15 +86,10 @@ func NewParamServerRMTEgress(cfg rmt.Config, ps PSConfig) (*rmt.Switch, error) {
 			}
 			if s == stages-1 {
 				if int(ctx.Scratch[0]) == ps.Workers {
-					res := packet.Build(packet.Header{
-						Proto:    packet.ProtoML,
-						CoflowID: ctx.Decoded.Base.CoflowID,
-						Flags:    packet.FlagFromSwch,
-					}, &packet.MLHeader{Base: ml.Base, Values: ml.Values})
 					// Figure 2: only THIS pipeline's ports are reachable
 					// from egress. Emit to the anchor; the switch's
 					// misroute guard would drop anything else anyway.
-					ctx.Emit(res, anchor)
+					emitSums(ctx, ml, anchor)
 				}
 				ctx.Verdict = pipeline.VerdictConsume
 			}

@@ -79,7 +79,6 @@ func RetryPolicy() parallel.RetryPolicy {
 func runPointsSlot(sweep string, n int, slot func(i int) any, meta func(i int) (spec string, seed int64), point func(i int) error) error {
 	pts := make([]parallel.Point, n)
 	for i := range pts {
-		i := i
 		pts[i] = parallel.Point{
 			Name: fmt.Sprintf("%s[%d]", sweep, i),
 			Run:  func() error { return point(i) },

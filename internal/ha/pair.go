@@ -43,13 +43,14 @@ func DefaultOptions() Options {
 // packet UID (8) + capture timestamp (8) + length (4).
 const deltaHeaderBytes = 20
 
-// Committer is the caller's half of output commit: Submit hands it the
-// packet's outputs once the packet's delta is on the sync channel, which is
-// when the caller may acknowledge the packet and forward what it produced.
-// It is an interface rather than a func so that a caller with a record per
-// packet passes the record and builds no closure.
+// Committer is the caller's half of output commit (see the package comment):
+// Commit hands it the packet's outputs once the delta is on the sync channel,
+// when the caller may ack the packet and forward them; Discard, if the delta
+// died unshipped with the primary. An interface rather than a func, so that
+// a caller with a record per packet passes the record and builds no closure.
 type Committer interface {
 	Commit(outs []*packet.Packet)
+	Discard()
 }
 
 // delta is one logged state mutation: the packet that caused it, as a
@@ -130,11 +131,12 @@ type Pair struct {
 	shipAt  sim.Timer
 
 	// Free lists of applied batches and deltas, the unissued end of the
-	// current delta chunk, and the arena the logged packet structs come
-	// from. All nil until the first Submit.
+	// current delta chunk (slabN long), and the arena the logged packet
+	// structs come from. All nil until the first Submit.
 	freeBatch *batch
 	freeDelta *delta
 	slab      []delta
+	slabN     int
 	arena     packet.Arena
 
 	// state holds the uid* bits of every packet, one byte at index uid.
@@ -221,8 +223,8 @@ func (p *Pair) Committed(uid uint64) bool {
 // promoted standby the commit runs synchronously. A processing error is
 // returned immediately (it is deterministic, so the standby's replay
 // reproduces it and the replicas stay identical) and the committer is
-// dropped unused; the caller books and acks errored packets as it would
-// without replication.
+// dropped unused, neither committed nor discarded; the caller books and acks
+// errored packets as it would without replication.
 func (p *Pair) Submit(uid uint64, pkt *packet.Packet, commit Committer) error {
 	switch p.phase {
 	case phasePrimary:
@@ -259,12 +261,7 @@ func (p *Pair) newDelta() *delta {
 		p.freeDelta, d.next = d.next, nil
 		return d
 	}
-	if len(p.slab) == 0 {
-		p.slab = make([]delta, deltaSlab)
-	}
-	d := &p.slab[0]
-	p.slab = p.slab[1:]
-	return d
+	return &packet.Chunk(&p.slab, &p.slabN, 1, deltaSlab, deltaSlab)[0]
 }
 
 // log appends a delta to the pending batch and arms the ship timer: now
@@ -338,10 +335,10 @@ func (p *Pair) applyBatch(b *batch) {
 }
 
 // Crash kills the serving replica. A primary crash discards the unshipped
-// pending log (those packets were never acked — their senders will
-// retransmit to the standby) and schedules promotion once the controller's
-// failover delay has passed and every in-flight delta has landed. A crash
-// of the promoted standby leaves no replica.
+// pending log, telling each committer (those packets were never acked —
+// their senders will retransmit to the standby), and schedules promotion
+// once the controller's failover delay has passed and every in-flight delta
+// has landed. A crash of the promoted standby leaves no replica.
 func (p *Pair) Crash() {
 	now := p.eng.Now()
 	switch p.phase {
@@ -350,6 +347,11 @@ func (p *Pair) Crash() {
 		p.stats.CrashAt = now
 		if p.pending != nil {
 			p.stats.DiscardedDeltas += uint64(len(p.pending.deltas))
+			for _, d := range p.pending.deltas {
+				if d.commit != nil {
+					d.commit.Discard()
+				}
+			}
 			p.pending = nil
 		}
 		p.eng.Disarm(&p.shipAt)

@@ -122,6 +122,11 @@ func (r *refPair) Crash() {
 		r.phase = phaseFailover
 		r.stats.CrashAt = now
 		r.stats.DiscardedDeltas += uint64(len(r.pending))
+		for _, d := range r.pending {
+			if d.commit != nil {
+				d.commit.Discard()
+			}
+		}
 		r.pending = nil
 		if r.shipAt != nil {
 			r.eng.Cancel(r.shipAt)
@@ -162,13 +167,25 @@ func (r *fuzzReplica) Process(p *packet.Packet) ([]*packet.Packet, error) {
 	return nil, nil
 }
 
-// fuzzCommit is one side's Committer: the order packets became ackable in.
+// fuzzCommit is one submission's Committer: it records the order packets
+// became ackable (or were discarded) in on its side, and how often it was
+// called — exactly once per Submit that returned no error, by the end.
 type fuzzCommit struct {
-	uid  uint64
-	into *[]uint64
+	uid   uint64
+	side  *fuzzSide
+	calls int
+	err   error
 }
 
-func (c fuzzCommit) Commit([]*packet.Packet) { *c.into = append(*c.into, c.uid) }
+func (c *fuzzCommit) Commit([]*packet.Packet) {
+	c.calls++
+	c.side.commits = append(c.side.commits, c.uid)
+}
+
+func (c *fuzzCommit) Discard() {
+	c.calls++
+	c.side.discards = append(c.side.discards, c.uid)
+}
 
 // pairUnderTest is what the fuzzer drives on both sides.
 type pairUnderTest interface {
@@ -186,6 +203,8 @@ type fuzzSide struct {
 	pair     pairUnderTest
 	pri, sby *fuzzReplica
 	commits  []uint64
+	discards []uint64
+	subs     []*fuzzCommit
 }
 
 // arrive is the caller's protocol around Submit, netsim.haArrival's: a dead
@@ -203,8 +222,10 @@ func (s *fuzzSide) arrive(uid uint64, refused bool) string {
 		seq |= fuzzErrSeq
 	}
 	pkt := packet.BuildRaw(packet.Header{Seq: seq, CoflowID: 7}, 40)
-	err := s.pair.Submit(uid, pkt, fuzzCommit{uid: uid, into: &s.commits})
-	return fmt.Sprintf("submit err=%v", err)
+	c := &fuzzCommit{uid: uid, side: s}
+	c.err = s.pair.Submit(uid, pkt, c)
+	s.subs = append(s.subs, c)
+	return fmt.Sprintf("submit err=%v", c.err)
 }
 
 // legalUIDState are the values a state byte can hold: the histories in
@@ -222,11 +243,13 @@ var legalUIDState = [8]bool{
 // Pair and on refPair and demands that nothing observable differs after any
 // step: Seen, Committed and Alive for every uid issued (and two never
 // issued), Stats, the order packets committed in and the order each replica
-// processed them in. On the real pair it also checks what the index
-// promises: every state byte is one of the legal values, no bit is ever
-// cleared, committed ⊆ applied, and neither replica is handed a packet
-// twice. prog[0] picks the options; then two bytes per step, opcode and
-// argument.
+// processed them in, the order deltas were discarded in, and that no
+// committer is called twice — nor, once the program has drained, a
+// successful Submit's committer never or a refused one's at all. On the
+// real pair it also checks what the index promises: every state byte is one
+// of the legal values, no bit is ever cleared, committed ⊆ applied, and
+// neither replica is handed a packet twice. prog[0] picks the options; then
+// two bytes per step, opcode and argument.
 func FuzzPairOps(f *testing.F) {
 	// Immediate shipping: fresh, duplicate, refused, drain, crash, retransmit
 	// everything to the standby, promote, retransmit again, fresh on standby.
@@ -268,7 +291,7 @@ func FuzzPairOps(f *testing.F) {
 
 		var refused []bool // by uid: one entry per packet issued
 		var before []uint8 // the state bytes after the previous step
-		check := func(step int, op string) {
+		check := func(step int, op string, drained bool) {
 			t.Helper()
 			issued := uint64(len(refused))
 			if g, w := real.Alive(), ref.Alive(); g != w {
@@ -309,8 +332,16 @@ func FuzzPairOps(f *testing.F) {
 				}
 			}
 			before = append(before[:0], real.state...)
-			if !slices.Equal(got.commits, want.commits) {
-				t.Fatalf("step %d (%s): commit order %v, reference %v", step, op, got.commits, want.commits)
+			if !slices.Equal(got.commits, want.commits) || !slices.Equal(got.discards, want.discards) {
+				t.Fatalf("step %d (%s): commit order %v, discard order %v; reference %v, %v",
+					step, op, got.commits, got.discards, want.commits, want.discards)
+			}
+			for _, s := range []*fuzzSide{got, want} {
+				for _, c := range s.subs {
+					if c.calls > 1 || drained && (c.calls == 1) != (c.err == nil) {
+						t.Fatalf("step %d (%s): uid %d's committer (Submit err %v) called %d times", step, op, c.uid, c.err, c.calls)
+					}
+				}
 			}
 			if !slices.Equal(got.pri.order, want.pri.order) || !slices.Equal(got.sby.order, want.sby.order) {
 				t.Fatalf("step %d (%s): replicas processed %v / %v, reference %v / %v",
@@ -351,9 +382,9 @@ func FuzzPairOps(f *testing.F) {
 				op = "drain"
 				both(func(s *fuzzSide) string { s.eng.Run(); return "" })
 			}
-			check(step, op)
+			check(step, op, false)
 		}
 		both(func(s *fuzzSide) string { s.eng.Run(); return "" })
-		check(step+1, "final drain")
+		check(step+1, "final drain", true)
 	})
 }

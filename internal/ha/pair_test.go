@@ -53,6 +53,7 @@ func newTestPair(t *testing.T, opt ha.Options) (*sim.Engine, *ha.Pair, *memRepli
 type commitFunc func(outs []*packet.Packet)
 
 func (f commitFunc) Commit(outs []*packet.Packet) { f(outs) }
+func (f commitFunc) Discard()                     {}
 
 func TestPairRejectsBadArguments(t *testing.T) {
 	eng := sim.NewEngine()

@@ -1,7 +1,10 @@
 // Package ha makes switch state survivable: it serializes core.Switch
 // state into versioned, canonical checkpoints (this file) and replicates a
 // primary switch onto a warm standby with controller-orchestrated failover
-// (pair.go). See docs/HA.md for the wire format and protocol.
+// (pair.go). The pair's output-commit contract: after a Submit that returned
+// no error, its Committer gets exactly one Commit (the delta shipped, or the
+// standby served the packet) or one Discard (the delta died unshipped with
+// the primary). See docs/HA.md for the wire format and protocol.
 package ha
 
 import (

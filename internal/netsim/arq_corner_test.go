@@ -166,3 +166,29 @@ func TestDuplicateRacesCoflowEviction(t *testing.T) {
 		t.Fatal("coflows incomplete")
 	}
 }
+
+// TestRetiredStateWaitsForItsRecords: a sender's state is not reused while an
+// event record still points at it, however idle its timer. Packet A reaches
+// a stalled switch, its arrival is held to the stall's end, and its only
+// attempt times out meanwhile: A is abandoned with its timer fired and its
+// arrival record pending. Packet B, sent next, must get a state of its own —
+// on A's, A's held arrival would be taken for B's and B's for a duplicate.
+// (B's attempt is abandoned behind the stall too; both still arrive.)
+func TestRetiredStateWaitsForItsRecords(t *testing.T) {
+	plan := &faults.Plan{SwitchStall: []faults.Window{{From: 100 * sim.Nanosecond, To: 100 * sim.Microsecond}}}
+	n, err := New(faultyConfig(4, plan, tightRecovery(0)), echoSwitch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SendAt(0, rawPkt(0, 1, 1), 0)
+	n.SendAt(2, rawPkt(2, 3, 2), 30*sim.Microsecond)
+	n.Run()
+	led := n.Ledger()
+	if led.TxAborted != 2 || led.StallDeferrals != 2 {
+		t.Fatalf("want both packets abandoned and both arrivals held by the stall\nledger %+v", led)
+	}
+	if n.txCut != 2 || led.DupSuppressed != 0 || len(n.Host(1).Received) != 1 || len(n.Host(3).Received) != 1 {
+		t.Fatalf("%d states cut, %d duplicates suppressed, hosts 1 and 3 received %d and %d; want 2, 0, 1, 1",
+			n.txCut, led.DupSuppressed, len(n.Host(1).Received), len(n.Host(3).Received))
+	}
+}

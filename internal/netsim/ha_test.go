@@ -354,3 +354,41 @@ func TestUIDsAreDense(t *testing.T) {
 		}
 	}
 }
+
+// TestSenderStateReuse: a sender's retransmission state is reused once its
+// packet was acked or abandoned and no event record or engine link points at
+// it, so a round cuts fresh states only for the packets in flight at once.
+// The round crashes a batching primary with deltas pending: the records of
+// those arrivals come back only through Committer.Discard, and one that did
+// not would pin its state, and every retransmitted state retired behind it,
+// for the rest of the round.
+func TestSenderStateReuse(t *testing.T) {
+	const (
+		hosts = 8
+		pkts  = 2000
+	)
+	cfg := haConfig(hosts, newSumSwitch(), ha.Options{SyncInterval: 2 * sim.Microsecond}, 0)
+	cfg.Faults = &faults.Plan{
+		Seed:          7,
+		Link:          faults.LinkFaults{LossRate: 0.1},
+		SwitchCrashAt: 100 * sim.Microsecond,
+	}
+	n, err := New(cfg, newSumSwitch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sendSeqLoad(n, hosts, pkts)
+	n.Run()
+	if errs := n.Errors(); len(errs) != 0 || !n.Tracker().Done(1) {
+		t.Fatalf("errors %v, coflow %+v", errs, n.Tracker().Status(1))
+	}
+	led, st := n.Ledger(), n.pair.Stats()
+	if st.DiscardedDeltas == 0 || st.Promotions != 1 || led.UplinkRetx == 0 {
+		t.Fatalf("the round discarded no delta or retransmitted nothing: ledger %+v, ha %+v", led, st)
+	}
+	t.Logf("%d of %d sends cut a fresh state (%d retransmissions, %d deltas discarded)",
+		n.txCut, n.injected, led.UplinkRetx, st.DiscardedDeltas)
+	if max := n.injected * 15 / 100; uint64(n.txCut) > max {
+		t.Errorf("%d of %d sends cut a fresh state, want at most %d (15 %%)", n.txCut, n.injected, max)
+	}
+}

@@ -190,18 +190,20 @@ type Network struct {
 
 	// freeEv recycles the per-packet event records (see pktEvent), made
 	// evSlab at a time; txSlab, rxSlab and chains are the unissued ends of
-	// the chunks the per-packet recovery states and causal accounts are cut
-	// from (the last chunk chainN long), and arena backs the packet structs a
-	// sender keeps and retransmits. All are nil until a packet needs them.
-	// scratch is coflowOf's reusable decode target.
-	freeEv  *pktEvent
-	evSlab  int
-	txSlab  []txState
-	rxSlab  []rxState
-	chains  []telemetry.Chain
-	chainN  int
-	arena   packet.Arena
-	scratch packet.Decoded
+	// the chunks recovery states and causal accounts are cut from (the *N
+	// are chunk sizes, see cut), retired and txCut are newTxState's, and
+	// arena backs the packet structs a sender retransmits. All are nil until
+	// a packet needs them. scratch is coflowOf's reusable decode target.
+	freeEv                   *pktEvent
+	evSlab                   int
+	txSlab                   []txState
+	rxSlab                   []rxState
+	chains                   []telemetry.Chain
+	txN, rxN, chunkN, chainN int
+	retired                  [2]struct{ head, tail *txState }
+	txCut                    int
+	arena                    packet.Arena
+	scratch                  packet.Decoded
 
 	// OnDeliver, when set, observes every host delivery.
 	OnDeliver func(host int, pkt *packet.Packet, now sim.Time)
@@ -382,27 +384,16 @@ func (n *Network) newChain(cf uint32, at sim.Time) *telemetry.Chain {
 	if n.spans != nil {
 		parent = n.coflowSpan(cf)
 	}
-	return n.blankChain().Open(at, cf, n.spans, parent)
+	return cut(&n.chains, &n.chainN, minChainSlab, maxChainSlab).Open(at, cf, n.spans, parent)
 }
 
 // fork is ch.Fork into the chain slab (nil when accounting is off).
+// Accounts are never recycled: CritPath keeps the winning one.
 func (n *Network) fork(ch *telemetry.Chain) *telemetry.Chain {
 	if ch == nil {
 		return nil
 	}
-	return ch.ForkTo(n.blankChain())
-}
-
-// blankChain cuts the next account from the chain slab. Like recovery
-// states, accounts are never recycled: CritPath keeps the winning one.
-func (n *Network) blankChain() *telemetry.Chain {
-	if len(n.chains) == 0 {
-		n.chainN = packet.NextChunk(n.chainN, minChainSlab, maxChainSlab)
-		n.chains = make([]telemetry.Chain, n.chainN)
-	}
-	c := &n.chains[0]
-	n.chains = n.chains[1:]
-	return c
+	return ch.ForkTo(cut(&n.chains, &n.chainN, minChainSlab, maxChainSlab))
 }
 
 // coflowSpan returns (allocating on first use) the coflow's root span id;
@@ -501,7 +492,7 @@ type pktEvent struct {
 	next *pktEvent // free list, or the switch's wait queue
 
 	pkt    *packet.Packet
-	ts     *txState         // sender's retransmission state (nil without recovery)
+	ts     *txState         // sender's retransmission state (nil without recovery; set by hold)
 	rs     *rxState         // evRedeliver
 	ch     *telemetry.Chain // causal account, advanced when the event fires
 	sentAt sim.Time         // transmission start, for the latency histogram
@@ -552,8 +543,19 @@ func (n *Network) event(kind evKind) *pktEvent {
 	return e
 }
 
+// hold points the record at ts (nil: none) until it is recycled.
+func (e *pktEvent) hold(ts *txState) {
+	if ts != nil {
+		ts.refs++
+		e.ts = ts
+	}
+}
+
 // recycle clears the record's references and returns it to the free list.
 func (n *Network) recycle(e *pktEvent) {
+	if e.ts != nil {
+		e.ts.refs--
+	}
 	*e = pktEvent{n: n, next: n.freeEv}
 	n.freeEv = e
 }
@@ -574,9 +576,15 @@ func (e *pktEvent) Fire() {
 	case evCorrupt:
 		n.corruptArrival(e.pkt, e.cf)
 	case evResend:
-		ts := e.ts
-		n.transmit(ts.src, n.arena.Share(ts.pristine), ts.cf, ts, ts.chain, true)
+		// A packet acked or abandoned meanwhile is not resent, and not
+		// booked: TxAttempts = Injected + UplinkRetx holds exactly.
+		if ts := e.ts; !ts.acked && !ts.aborted {
+			n.transmit(ts.src, n.arena.Share(&ts.pristine), ts.cf, ts, ts.chain, true)
+		}
 	case evAck:
+		if !e.ts.acked && !e.ts.aborted {
+			n.retire(e.ts)
+		}
 		e.ts.acked = true
 		n.eng.Disarm(&e.ts.timer)
 	case evRedeliver:
@@ -598,6 +606,10 @@ func (e *pktEvent) Commit(outs []*packet.Packet) {
 	n.scheduleOutputs(outs, e.sentAt, e.ch)
 	n.recycle(e)
 }
+
+// Discard is an arrival whose delta died unshipped with the primary
+// (ha.Committer): nothing is acked or sent, and the sender retransmits.
+func (e *pktEvent) Discard() { e.n.recycle(e) }
 
 // SendAt schedules host src to transmit pkt at time at (or when its uplink
 // frees, whichever is later). The packet's IngressPort is stamped with the
@@ -667,7 +679,7 @@ func (n *Network) postSend(src int, pkt *packet.Packet, at sim.Time) {
 			if c = n.freeChunks; c != nil {
 				n.freeChunks, c.next = c.next, nil
 			} else {
-				c = cut(&n.chunkSlab, minSendChunk)
+				c = cut(&n.chunkSlab, &n.chunkN, minSendChunk, minSendChunk)
 				c.items = make([]pendingSend, 0, min(max(q.queued, minSendChunk), maxSendChunk))
 			}
 			if q.tail == nil {
@@ -725,8 +737,8 @@ func (n *Network) startSend(src int, pkt *packet.Packet) {
 	ch := n.newChain(cf, now)
 	var ts *txState
 	if n.rec != nil {
-		ts = cut(&n.txSlab, stateSlab)
-		*ts = txState{n: n, src: src, cf: cf, uid: n.txSeq, pristine: n.arena.Share(pkt), rto: n.rec.Timeout, chain: ch}
+		ts = n.newTxState()
+		*ts = txState{n: n, src: src, cf: cf, uid: n.txSeq, pristine: *pkt, rto: n.rec.Timeout, chain: ch}
 		n.txSeq++
 	}
 	n.transmit(src, pkt, cf, ts, ch, false)
@@ -771,25 +783,21 @@ func (n *Network) arriveAtSwitch(e *pktEvent, queued bool) {
 	}
 	pkt, cf, sentAt, ts, ch := e.pkt, e.cf, e.sentAt, e.ts, e.ch
 	n.recycle(e)
+	n.led.SwitchArrivals++
 	if n.pair != nil {
-		n.haArrival(pkt, cf, sentAt, ts, ch)
+		n.haArrival(pkt, cf, ts, ch)
 		return
 	}
 	if n.swCrashed {
-		n.led.SwitchArrivals++
 		n.crashDrop(pkt, cf, ts)
 		return
 	}
-	n.led.SwitchArrivals++
 	if ts != nil {
 		if ts.arrived {
 			// A retransmitted copy of a packet the switch already
-			// processed (its ack was lost or late): suppress it and
-			// re-ack so the sender stops.
-			n.led.DupSuppressed++
-			n.tracker.Duplicate(ts.cf)
-			n.recorder.Record(n.eng.Now(), "dup.suppress", int64(ts.cf), int64(ts.uid))
-			n.sendAck(ts)
+			// processed (its ack was lost or late): re-ack so the sender
+			// stops.
+			n.suppress(ts, true)
 			return
 		}
 		ts.arrived = true
@@ -808,16 +816,7 @@ func (n *Network) arriveAtSwitch(e *pktEvent, queued bool) {
 	}
 	outs, err := n.sw.Process(pkt)
 	if err != nil {
-		// The switch rejected the packet: it is terminally gone, so it
-		// must leave the books as a drop, not vanish.
-		n.errs = append(n.errs, err)
-		n.led.SwitchErrors++
-		n.tracker.Drop(cf)
-		n.recorder.Record(n.eng.Now(), "switch.error", int64(cf), 0)
-		if n.swTrack != nil {
-			n.swTrack.Instant(n.eng.Now(), "switch.error", "net",
-				map[string]any{"error": err.Error()})
-		}
+		n.switchError(cf, err)
 		return
 	}
 	n.led.SwitchProcessed++
@@ -866,7 +865,6 @@ func (n *Network) scheduleOutputs(outs []*packet.Packet, sentAt sim.Time, ch *te
 	now := n.eng.Now()
 	ch.Advance(now, telemetry.BucketQueueing)
 	for i, out := range outs {
-		out := out
 		// Each recirculated pass adds a full pipeline transit.
 		base := now + n.cfg.SwitchLatency*sim.Time(1+out.Recirculations)
 		dst := out.EgressPort
@@ -909,60 +907,62 @@ func (n *Network) crashDrop(pkt *packet.Packet, cf uint32, ts *txState) {
 // packet's state delta is safely on the sync channel (output commit). A
 // crash before the ship point therefore acks nothing: the sender times
 // out and retransmits to the promoted standby, which applies the packet
-// exactly once.
-func (n *Network) haArrival(pkt *packet.Packet, cf uint32, sentAt sim.Time, ts *txState, ch *telemetry.Chain) {
-	n.led.SwitchArrivals++
+// exactly once. A standby requires recovery, so ts is never nil here.
+func (n *Network) haArrival(pkt *packet.Packet, cf uint32, ts *txState, ch *telemetry.Chain) {
 	if !n.pair.Alive() {
 		n.crashDrop(pkt, cf, ts)
 		return
 	}
-	if ts != nil {
-		if n.pair.Seen(ts.uid) {
-			// The active replica already applied this packet. Re-ack only
-			// if its delta shipped — the ack of an uncommitted packet is
-			// exactly what output commit withholds.
-			n.led.DupSuppressed++
-			n.tracker.Duplicate(ts.cf)
-			n.recorder.Record(n.eng.Now(), "dup.suppress", int64(ts.cf), int64(ts.uid))
-			if n.pair.Committed(ts.uid) {
-				n.sendAck(ts)
-			}
-			return
-		}
-		sentAt = ts.firstSent
-	}
-	var uid uint64
-	if ts != nil {
-		uid = ts.uid
+	if n.pair.Seen(ts.uid) {
+		// The active replica already applied this packet. Re-ack only if
+		// its delta shipped — the ack of an uncommitted packet is exactly
+		// what output commit withholds.
+		n.suppress(ts, n.pair.Committed(ts.uid))
+		return
 	}
 	n.recorder.Record(n.eng.Now(), "switch.arrive", int64(cf), int64(pkt.IngressPort))
 	// Detach the committed account from the sender's (see arriveAtSwitch);
 	// the commit runs at the delta's ship time, possibly after spurious
 	// retransmissions have advanced ts.chain.
 	commit := n.event(evCommit)
-	commit.ts, commit.sentAt, commit.ch = ts, sentAt, n.fork(ch)
-	if err := n.pair.Submit(uid, pkt, commit); err != nil {
+	commit.sentAt, commit.ch = ts.firstSent, n.fork(ch)
+	commit.hold(ts)
+	if err := n.pair.Submit(ts.uid, pkt, commit); err != nil {
 		n.recycle(commit)
 		// Deterministic processing error: the standby's replay reproduces
 		// it, so the packet is booked (and acked, stopping retransmission)
 		// exactly as on an unreplicated switch.
-		if ts != nil {
-			n.sendAck(ts)
-		}
-		n.errs = append(n.errs, err)
-		n.led.SwitchErrors++
-		n.tracker.Drop(cf)
-		n.recorder.Record(n.eng.Now(), "switch.error", int64(cf), 0)
-		if n.swTrack != nil {
-			n.swTrack.Instant(n.eng.Now(), "switch.error", "net",
-				map[string]any{"error": err.Error()})
-		}
+		n.sendAck(ts)
+		n.switchError(cf, err)
 		return
 	}
 	n.led.SwitchProcessed++
 	if n.detail {
 		n.swTrack.Instant(n.eng.Now(), "switch.process", "net",
 			map[string]any{"ingress_port": pkt.IngressPort})
+	}
+}
+
+// suppress books a retransmitted copy of a packet the switch already
+// applied, re-acking it if ack is set.
+func (n *Network) suppress(ts *txState, ack bool) {
+	n.led.DupSuppressed++
+	n.tracker.Duplicate(ts.cf)
+	n.recorder.Record(n.eng.Now(), "dup.suppress", int64(ts.cf), int64(ts.uid))
+	if ack {
+		n.sendAck(ts)
+	}
+}
+
+// switchError books a packet the switch refused: it is terminally gone, so
+// it leaves the books as a drop instead of vanishing.
+func (n *Network) switchError(cf uint32, err error) {
+	n.errs = append(n.errs, err)
+	n.led.SwitchErrors++
+	n.tracker.Drop(cf)
+	n.recorder.Record(n.eng.Now(), "switch.error", int64(cf), 0)
+	if n.swTrack != nil {
+		n.swTrack.Instant(n.eng.Now(), "switch.error", "net", map[string]any{"error": err.Error()})
 	}
 }
 

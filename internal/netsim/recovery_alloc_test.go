@@ -80,19 +80,21 @@ func (r recoveryRig) round(tb testing.TB, pair [2]*core.Switch) *netsim.Network 
 // delivered packet: heap objects and heap bytes. Generation, netsim.New,
 // injection and Run are counted; building the two switches is not.
 //
-// Objects: 0.622 (20.3 before handler events and arenas). Bytes: 1 092.7
-// at the parent of the per-uid index, where the pair kept its exactly-once
-// bookkeeping in three hash sets, 975.5 with it in one byte per uid, 879.2
-// with pending sends in host queues instead of the engine, 715.2 before the
-// sender, the delta log and the multicast replicas shared one packet's
-// bytes, 511.3 since; the ceiling is 5 % above that, so a per-holder copy
-// coming back — or anything else worth 26 B a packet — fails here without a
-// benchmark run. Both figures repeat exactly.
+// Objects: 0.595 (20.3 before handler events and arenas, 0.622 before
+// sender states were reused). Bytes: 1 092.7 at the parent of the per-uid
+// index, where the pair kept its exactly-once bookkeeping in three hash
+// sets, 975.5 with it in one byte per uid, 879.2 with pending sends in host
+// queues instead of the engine, 715.2 before the sender, the delta log and
+// the multicast replicas shared one packet's bytes, 511.3 before a sender's
+// retransmission state was reused once nothing pointed at it, 371.3 since;
+// the ceiling is 5 % above that, so a state cut per send coming back — or
+// anything else worth 19 B a packet — fails here without a benchmark run.
+// Both figures repeat exactly.
 func TestRecoveryPathAllocs(t *testing.T) {
 	const (
 		runs       = 3
 		maxObjects = 2.0
-		maxBytes   = 537.0
+		maxBytes   = 390.0
 	)
 	rig := newRecoveryRig()
 	var pairs [runs + 1][2]*core.Switch

@@ -81,11 +81,13 @@ type txState struct {
 	n        *Network
 	src      int
 	cf       uint32
-	uid      uint64         // network-wide unique packet id (HA dup suppression)
-	pristine *packet.Packet // the sender's own struct over the bytes it built
+	refs     int32         // event records pointing at the state (pktEvent.hold)
+	uid      uint64        // network-wide unique packet id (HA dup suppression)
+	pristine packet.Packet // the sender's own struct over the bytes it built
 	rto      sim.Time
 	retx     int
 	timer    sim.Timer
+	next     *txState // link in a retired FIFO (newTxState)
 	// firstSent is the wire start of the first attempt (end-to-end latency
 	// baseline); arrived flips when a copy reaches the switch intact;
 	// acked stops the retransmission loop; aborted marks budget exhaustion.
@@ -117,31 +119,49 @@ func (ts *txState) Fire() {
 	ts.n.resendOrAbort(ts, ts.n.eng.Now())
 }
 
-// stateSlab is how many recovery states one chunk holds. States are never
-// recycled — a late copy in flight may still point at one long after its
-// packet was acked — so a chunk lives until the last of its packets is
-// forgotten, like an arena's.
+// stateSlab is how many recovery states one chunk holds. A sender's state
+// is reused once its packet was acked or abandoned and nothing points at it
+// any more (newTxState); a redelivery state never is, so a chunk of those
+// lives until the last of its packets is forgotten, like an arena's.
 const stateSlab = 64
 
-// cut returns the next unissued element of *slab, starting a new chunk of
-// size when the current one is used up.
-func cut[T any](slab *[]T, size int) *T {
-	if len(*slab) == 0 {
-		*slab = make([]T, size)
+// newTxState returns the state of a send about to start: the oldest retired
+// one that no record points at and whose timer is Idle, else a fresh one.
+// Retired states queue in two FIFOs by whether their packet was ever
+// retransmitted: such a packet's disarmed timer stays linked for a backed-off
+// timeout and would block the states behind it. startSend runs only as an
+// event of its own, so no handler holds a reused state in a local.
+func (n *Network) newTxState() *txState {
+	for i := range n.retired {
+		q := &n.retired[i]
+		if ts := q.head; ts != nil && ts.refs == 0 && ts.timer.Idle() {
+			if q.head = ts.next; q.head == nil {
+				q.tail = nil
+			}
+			return ts
+		}
 	}
-	s := &(*slab)[0]
-	*slab = (*slab)[1:]
-	return s
+	n.txCut++
+	return cut(&n.txSlab, &n.txN, stateSlab, stateSlab)
 }
 
-// transmit makes one uplink wire attempt. retx marks attempts beyond the
-// first; an attempt whose packet was meanwhile acked (or abandoned) is
-// skipped without touching the ledger, so TxAttempts = Injected + UplinkRetx
-// holds exactly.
-func (n *Network) transmit(src int, pkt *packet.Packet, cf uint32, ts *txState, ch *telemetry.Chain, retx bool) {
-	if ts != nil && (ts.acked || ts.aborted) {
-		return
+// retire queues the state of a packet just acked or abandoned for reuse.
+func (n *Network) retire(ts *txState) {
+	q := &n.retired[min(ts.retx, 1)]
+	if q.tail == nil {
+		q.head = ts
+	} else {
+		q.tail.next = ts
 	}
+	q.tail = ts
+}
+
+// cut returns the next unissued element of *slab (packet.Chunk of one).
+func cut[T any](slab *[]T, size *int, lo, hi int) *T { return &packet.Chunk(slab, size, 1, lo, hi)[0] }
+
+// transmit makes one uplink wire attempt; retx marks attempts beyond the
+// first.
+func (n *Network) transmit(src int, pkt *packet.Packet, cf uint32, ts *txState, ch *telemetry.Chain, retx bool) {
 	now := n.eng.Now()
 	start := now
 	if n.hosts[src].txBusyUntil > start {
@@ -182,7 +202,8 @@ func (n *Network) transmit(src int, pkt *packet.Packet, cf uint32, ts *txState, 
 	switch out {
 	case faults.OK:
 		e := n.event(evArrive)
-		e.pkt, e.cf, e.sentAt, e.ts, e.ch, e.bucket = pkt, cf, start, ts, ch, telemetry.BucketPropagation
+		e.pkt, e.cf, e.sentAt, e.ch, e.bucket = pkt, cf, start, ch, telemetry.BucketPropagation
+		e.hold(ts)
 		n.eng.PostHandler(arrive, e)
 	case faults.Lost:
 		n.countFault(true, out, cf)
@@ -270,6 +291,7 @@ func (n *Network) corruptArrival(pkt *packet.Packet, cf uint32) {
 func (n *Network) resendOrAbort(ts *txState, at sim.Time) {
 	if ts.retx >= n.rec.MaxRetries {
 		ts.aborted = true
+		n.retire(ts)
 		n.led.TxAborted++
 		n.tracker.Drop(ts.cf)
 		return
@@ -283,7 +305,7 @@ func (n *Network) resendOrAbort(ts *txState, at sim.Time) {
 		}
 	}
 	e := n.event(evResend)
-	e.ts = ts
+	e.hold(ts)
 	n.eng.PostHandler(when, e)
 }
 
@@ -298,7 +320,7 @@ func (n *Network) sendAck(ts *txState) {
 		return
 	}
 	e := n.event(evAck)
-	e.ts = ts
+	e.hold(ts)
 	n.eng.PostHandler(now+n.cfg.PropDelay, e)
 }
 
@@ -323,7 +345,7 @@ func (n *Network) attemptDeliver(dst int, p *packet.Packet, cf uint32, earliest,
 		out = n.inj.Attempt(dst, start)
 	}
 	if out != faults.OK && rs == nil && n.rec != nil {
-		rs = cut(&n.rxSlab, stateSlab)
+		rs = cut(&n.rxSlab, &n.rxN, stateSlab, stateSlab)
 		*rs = rxState{dst: dst, cf: cf, pkt: p, sentAt: sentAt, rto: n.rec.Timeout, chain: ch}
 	}
 	if out == faults.LinkDown || out == faults.HostDown {

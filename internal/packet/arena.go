@@ -55,11 +55,12 @@ func NextChunk(cur, min, max int) int {
 	return max
 }
 
-// chunk cuts n elements from *free with cap == n, starting a new chunk of
+// Chunk cuts n elements from *free with cap == n, starting a new chunk of
 // the next size (*size, min, max) when the current one is short. A request
 // larger than a chunk gets storage of its own, and the chunk keeps serving
-// the smaller ones.
-func chunk[T any](free *[]T, size *int, n, min, max int) []T {
+// the smaller ones. It is the tree's one slab cutter: min == max gives
+// chunks of a fixed size.
+func Chunk[T any](free *[]T, size *int, n, min, max int) []T {
 	if n > len(*free) {
 		next := NextChunk(*size, min, max)
 		if n > next {
@@ -84,7 +85,7 @@ func (a *Arena) newStruct() *Packet {
 	if a == nil {
 		return new(Packet)
 	}
-	return &chunk(&a.pkts, &a.pktChunk, 1, minArenaPackets, maxArenaPackets)[0]
+	return &Chunk(&a.pkts, &a.pktChunk, 1, minArenaPackets, maxArenaPackets)[0]
 }
 
 // newBytes returns n zero bytes.
@@ -92,7 +93,7 @@ func (a *Arena) newBytes(n int) []byte {
 	if a == nil {
 		return make([]byte, n)
 	}
-	return chunk(&a.buf, &a.bufChunk, n, minArenaBytes, maxArenaBytes)
+	return Chunk(&a.buf, &a.bufChunk, n, minArenaBytes, maxArenaBytes)
 }
 
 // Outs returns an empty slice with room for n packets — the list a switch
@@ -100,7 +101,7 @@ func (a *Arena) newBytes(n int) []byte {
 // chunk of bytes: cap == n, so appending past it reallocates instead of
 // running into the next list, and nothing is ever taken back.
 func (a *Arena) Outs(n int) []*Packet {
-	return chunk(&a.outs, &a.outChunk, n, minArenaPackets, maxArenaPackets)[:0]
+	return Chunk(&a.outs, &a.outChunk, n, minArenaPackets, maxArenaPackets)[:0]
 }
 
 // Share returns a struct of the caller's own over p's bytes.

@@ -424,6 +424,11 @@ type Timer struct {
 // disarmed since.
 func (t *Timer) Armed() bool { return t.ev.queued && !t.ev.dead }
 
+// Idle reports whether the engine holds no link to the timer: never armed,
+// fired, or disarmed and dropped since (by the time the clock reaches the
+// deadline at the latest). Arm is legal exactly when Idle is true.
+func (t *Timer) Idle() bool { return !t.ev.queued }
+
 // Arm queues the timer to fire h at time at, with the ordering of a
 // Schedule call made at the same point. The timer must not be in the queue:
 // arming a pending timer panics, and so does arming one that was disarmed

@@ -199,10 +199,10 @@ func (r *traceRec) Fire() { *r.into = append(*r.into, fmt.Sprintf("h%d@%d", r.id
 
 // fuzzTimer is one caller-owned timer of the fuzz program together with
 // what the program knows about it. pending is set by arming and cleared by
-// the timer's own handler; a timer disarmed while pending is retired,
-// because the wheel keeps a canceled event linked until the clock reaches
-// it (Arm would panic) while the oracle removes it at once, and the
-// program must not depend on which of the two is running it.
+// the timer's own handler or a disarm. A disarmed timer is kept if it is
+// Idle and retired otherwise: the wheel keeps a canceled event linked until
+// the clock reaches it (Arm would panic) while the oracle removes it at
+// once, and the program must not depend on which of the two is running it.
 type fuzzTimer struct {
 	t       *Timer
 	pending bool
@@ -318,9 +318,10 @@ func FuzzWheelOps(f *testing.F) {
 					arm(ft, d, 0)
 				case 7:
 					e.Disarm(ft.t)
-					if ft.pending {
-						ft.pending, ft.t = false, &Timer{} // retired, see fuzzTimer
+					if ft.pending && !ft.t.Idle() {
+						ft.t = &Timer{} // retired, see fuzzTimer
 					}
+					ft.pending = false
 				case 8: // arm a timer whose handler arms it again d+1 later
 					arm(ft, d, d+1)
 				case 9:
@@ -329,6 +330,12 @@ func FuzzWheelOps(f *testing.F) {
 					e.Post(e.Now()+d, carrier(d*Time(prog[1]/36%2)))
 				}
 				got = append(got, fmt.Sprintf("pending=%d", e.Pending()))
+				// Idle is what arm relies on: false exactly while pending.
+				for i := range timers {
+					if timers[i].t.Idle() == timers[i].pending {
+						t.Fatalf("timer %d: Idle %v with pending %v", i, timers[i].t.Idle(), timers[i].pending)
+					}
+				}
 			}
 			// Run must not find a ticket nobody will arm. These carriers are
 			// posted behind the tickets they take, so each is refused once.
@@ -381,6 +388,46 @@ func TestTimerArmDisarm(t *testing.T) {
 	}
 }
 
+// TestTimerIdle: Idle is false from Arm until the timer fires (its handler
+// sees it idle, and may arm it again), and after a Disarm until the engine
+// drops the canceled event — at the latest when the clock reaches its
+// deadline — at every wheel level and past the wheel span. Arm succeeds
+// once it is true (TestArmQueuedTimerPanics: and panics while it is false).
+func TestTimerIdle(t *testing.T) {
+	for _, d := range []Time{0, 1, 300, 70_000, 1 << 30, 1 << 40} {
+		e := NewEngine()
+		var tm Timer
+		if !tm.Idle() {
+			t.Fatal("a zero timer is not idle")
+		}
+		e.Arm(&tm, d, Func(func() {
+			if !tm.Idle() {
+				t.Errorf("d=%v: a firing timer is not idle", d)
+			}
+		}))
+		if tm.Idle() {
+			t.Fatalf("d=%v: an armed timer is idle", d)
+		}
+		e.Run()
+		if !tm.Idle() {
+			t.Fatalf("d=%v: a fired timer is not idle", d)
+		}
+		at := e.Now() + d + 1
+		e.Arm(&tm, at, Func(func() { t.Errorf("d=%v: a disarmed timer fired", d) }))
+		e.Disarm(&tm)
+		if tm.Idle() {
+			t.Fatalf("d=%v: a timer disarmed before its deadline is idle", d)
+		}
+		e.Post(at, func() {
+			if !tm.Idle() {
+				t.Errorf("d=%v: a timer disarmed for %v is not idle at %v", d, at, e.Now())
+			}
+			e.Arm(&tm, at+d, Func(func() {}))
+		})
+		e.Run()
+	}
+}
+
 // TestReservedTicket: an event armed under a ticket fires where a Post made
 // at the Reserve would have and counts as pending from the Reserve on; a
 // ticket armed at or behind the event that arms it panics, and so does a
@@ -423,6 +470,9 @@ func TestArmQueuedTimerPanics(t *testing.T) {
 		e.Arm(&tm, 100, Func(func() {}))
 		if disarmFirst {
 			e.Disarm(&tm)
+		}
+		if tm.Idle() {
+			t.Errorf("a queued timer (disarmed first: %v) reports Idle", disarmFirst)
 		}
 		func() {
 			defer func() {
