@@ -86,7 +86,7 @@ func dbFlush(st *pipeline.Stage, ctx *pipeline.Context, cfg DBConfig, partition,
 			if n > len(tuples) {
 				n = len(tuples)
 			}
-			res := packet.Build(packet.Header{
+			res := ctx.Build(packet.Header{
 				Proto:    packet.ProtoDB,
 				CoflowID: ctx.Decoded.Base.CoflowID,
 				Flags:    packet.FlagFromSwch,

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/mat"
@@ -60,24 +59,22 @@ func graphFilter(st *pipeline.Stage, ctx *pipeline.Context, cfg GraphConfig) err
 	if _, err := st.Mem.LookupBatch(keys, results, hits); err != nil {
 		return err
 	}
-	perOwner := make(map[int][]packet.Edge)
+	perOwner := make([][]packet.Edge, cfg.Hosts) // by owner, so emitted in host order
 	for i, e := range g.Edges {
 		if hits[i] {
 			perOwner[int(e.Src)%cfg.Hosts] = append(perOwner[int(e.Src)%cfg.Hosts], e)
 			st.Regs.Execute(mat.RegAdd, 0, 1) // matched-edge counter
 		}
 	}
-	owners := make([]int, 0, len(perOwner))
-	for o := range perOwner {
-		owners = append(owners, o)
-	}
-	sort.Ints(owners) // map order would make the emission order nondeterministic
-	for _, owner := range owners {
-		res := packet.Build(packet.Header{
+	for owner, edges := range perOwner {
+		if len(edges) == 0 {
+			continue
+		}
+		res := ctx.Build(packet.Header{
 			Proto:    packet.ProtoGraph,
 			CoflowID: ctx.Decoded.Base.CoflowID,
 			Flags:    packet.FlagFromSwch,
-		}, &packet.GraphHeader{Round: g.Round, Edges: perOwner[owner]})
+		}, &packet.GraphHeader{Round: g.Round, Edges: edges})
 		ctx.Emit(res, owner)
 	}
 	ctx.Verdict = pipeline.VerdictConsume

@@ -73,7 +73,7 @@ func NewParamServerADCP(cfg core.Config, ps PSConfig) (*core.Switch, error) {
 			needCells, cfg.Pipe.RegisterCellsPerStage)
 	}
 
-	fanout := ps.workerPorts()
+	fanout, res := ps.workerPorts(), new(packet.MLHeader)
 	central := &pipeline.Program{
 		Name: "paramserver-central",
 		Funcs: []pipeline.StageFunc{
@@ -109,7 +109,7 @@ func NewParamServerADCP(cfg core.Config, ps PSConfig) (*core.Switch, error) {
 					// Last contribution: ml.Values now holds the final
 					// sums. Fan the result out to every worker — any
 					// port, thanks to TM2 (Figure 5).
-					emitSums(ctx, ml, fanout...)
+					emitSums(ctx, res, ml, fanout...)
 				}
 				ctx.Verdict = pipeline.VerdictConsume
 				return nil
@@ -179,7 +179,7 @@ func NewParamServerRMT(cfg rmt.Config, ps PSConfig) (*rmt.Switch, error) {
 		return nil, fmt.Errorf("apps: %d workers leave no loopback port (need ≤ %d)", ps.Workers, loopback)
 	}
 
-	fanout := ps.workerPorts()
+	fanout, res := ps.workerPorts(), new(packet.MLHeader)
 	funcs := make([]pipeline.StageFunc, stages)
 	// Stage 0: steer to the aggregation pipeline, count contributions.
 	funcs[0] = func(st *pipeline.Stage, ctx *pipeline.Context) error {
@@ -235,7 +235,7 @@ func NewParamServerRMT(cfg rmt.Config, ps PSConfig) (*rmt.Switch, error) {
 					return nil
 				}
 				if int(ctx.Scratch[0]) == ps.Workers {
-					emitSums(ctx, ml, fanout...)
+					emitSums(ctx, res, ml, fanout...)
 				}
 				ctx.Verdict = pipeline.VerdictConsume
 			}
@@ -258,29 +258,27 @@ func NewParamServerRMT(cfg rmt.Config, ps PSConfig) (*rmt.Switch, error) {
 	return sw, nil
 }
 
-// emitSums sends a chunk's final sums from the switch to ports.
-func emitSums(ctx *pipeline.Context, ml *packet.MLHeader, ports ...int) {
-	ctx.Emit(packet.Build(packet.Header{Proto: packet.ProtoML, CoflowID: ctx.Decoded.Base.CoflowID, Flags: packet.FlagFromSwch},
-		&packet.MLHeader{Base: ml.Base, Values: ml.Values}), ports...)
+// emitSums sends a chunk's final sums from the switch to ports, encoded
+// through res: a header the program makes once when it is built (a switch
+// processes one packet at a time, but switches run on several goroutines).
+func emitSums(ctx *pipeline.Context, res, ml *packet.MLHeader, ports ...int) {
+	res.Base, res.Values = ml.Base, ml.Values
+	ctx.Emit(ctx.Build(packet.Header{Proto: packet.ProtoML, CoflowID: ctx.Decoded.Base.CoflowID, Flags: packet.FlagFromSwch}, res), ports...)
 }
 
 // ResetParamServerADCP clears the aggregation state between training
 // rounds (a control-plane register wipe, as real deployments do between
 // all-reduce windows).
-func ResetParamServerADCP(sw *core.Switch) {
-	for p := 0; p < sw.Config().CentralPipelines; p++ {
-		pl := sw.Central(p)
-		for s := 0; s < pl.NumStages(); s++ {
-			pl.Stage(s).Regs.Reset()
-		}
-	}
-}
+func ResetParamServerADCP(sw *core.Switch) { resetRegisters(sw.Config().CentralPipelines, sw.Central) }
 
 // ResetParamServerRMT clears the RMT aggregation pipeline's registers
 // between rounds.
-func ResetParamServerRMT(sw *rmt.Switch) {
-	for p := 0; p < sw.Config().Pipelines; p++ {
-		pl := sw.Ingress(p)
+func ResetParamServerRMT(sw *rmt.Switch) { resetRegisters(sw.Config().Pipelines, sw.Ingress) }
+
+// resetRegisters wipes every register of pipelines [0, n).
+func resetRegisters(n int, pipe func(int) *pipeline.Pipeline) {
+	for p := 0; p < n; p++ {
+		pl := pipe(p)
 		for s := 0; s < pl.NumStages(); s++ {
 			pl.Stage(s).Regs.Reset()
 		}

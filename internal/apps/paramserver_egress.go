@@ -40,7 +40,7 @@ func NewParamServerRMTEgress(cfg rmt.Config, ps PSConfig) (*rmt.Switch, error) {
 		return nil, fmt.Errorf("apps: %d chunks exceed %d register cells", chunks, cfg.Pipe.RegisterCellsPerStage)
 	}
 	// Anchor: the last port; its egress pipeline hosts the aggregation.
-	anchor := cfg.Ports - 1
+	anchor, res := cfg.Ports-1, new(packet.MLHeader)
 
 	// Ingress: steer every ML packet toward the anchor port (any ingress
 	// pipeline can do this — the TM reaches every egress pipeline).
@@ -89,7 +89,7 @@ func NewParamServerRMTEgress(cfg rmt.Config, ps PSConfig) (*rmt.Switch, error) {
 					// Figure 2: only THIS pipeline's ports are reachable
 					// from egress. Emit to the anchor; the switch's
 					// misroute guard would drop anything else anyway.
-					emitSums(ctx, ml, anchor)
+					emitSums(ctx, res, ml, anchor)
 				}
 				ctx.Verdict = pipeline.VerdictConsume
 			}

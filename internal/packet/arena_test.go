@@ -160,7 +160,9 @@ func TestArenaAmortisesAllocations(t *testing.T) {
 // TestArenaOutsNeverAlias is the same argument for the output lists a
 // switch cuts from its arena: each has exactly the room asked for, so
 // filling one, or appending past its end, never writes into another, and
-// the lists are amortised (a unicast reply's costs a 64th of an allocation).
+// the lists are amortised — a unicast reply's costs a 64th of an
+// allocation, and an aggregation result's 12-way fan-out, larger than the
+// first chunk, a fifth.
 func TestArenaOutsNeverAlias(t *testing.T) {
 	var a Arena
 	var lists [][]*Packet
@@ -168,8 +170,11 @@ func TestArenaOutsNeverAlias(t *testing.T) {
 	for i := range marks {
 		marks[i] = &Packet{IngressPort: i}
 		n := 1 + i%3
-		if i == 100 {
+		switch {
+		case i == 100:
 			n = maxArenaPackets + 1 // larger than any chunk
+		case i >= 200:
+			n = 12 // larger than the first chunk
 		}
 		out := a.Outs(n)
 		if len(out) != 0 || cap(out) != n {
@@ -190,12 +195,63 @@ func TestArenaOutsNeverAlias(t *testing.T) {
 			}
 		}
 	}
-	var b Arena
-	if per := testing.AllocsPerRun(10, func() {
-		for i := 0; i < maxArenaPackets; i++ {
-			_ = b.Outs(1)
+	for _, n := range []int{1, 12} {
+		var b Arena
+		perChunk := maxArenaPackets / n
+		want := float64((maxArenaPackets + perChunk - 1) / perChunk)
+		if per := testing.AllocsPerRun(10, func() {
+			for i := 0; i < maxArenaPackets; i++ {
+				_ = b.Outs(n)
+			}
+		}); per > want {
+			t.Errorf("%d lists of %d took %.1f allocations, want at most %.0f", maxArenaPackets, n, per, want)
 		}
-	}); per > 1 {
-		t.Errorf("%d one-packet lists took %.1f allocations, want at most 1", maxArenaPackets, per)
 	}
+}
+
+// FuzzChunk drives packet.Chunk with request sizes from 0 to twice the cap
+// (the first two bytes pick min and max, each later byte one request). Every
+// slice it hands out has exactly the length asked for and no spare room,
+// none overlaps another (each is filled with a marker of its own and all
+// are checked at the end), the chunk size never passes the cap, and after a
+// request within the cap the chunk size holds it: only a request over the
+// cap gets storage of its own.
+func FuzzChunk(f *testing.F) {
+	f.Add([]byte{7, 3, 1, 1, 12, 12, 12, 12, 12, 0, 5})
+	f.Add([]byte{0, 4, 16, 1, 17, 32, 33, 2})
+	f.Add([]byte{2, 2, 255, 200, 3, 90, 9})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 2 {
+			return
+		}
+		min := 1 + int(in[0])%16
+		max := min<<(in[1]%4) + int(in[1])/4%min // not always a doubling of min
+		var free []int
+		size := 0
+		var got [][]int
+		for i, b := range in[2:] {
+			n := int(b) % (2*max + 1)
+			s := Chunk(&free, &size, n, min, max)
+			if len(s) != n || cap(s) != n {
+				t.Fatalf("request %d of %d: len %d cap %d", i, n, len(s), cap(s))
+			}
+			if size > max {
+				t.Fatalf("request %d of %d: chunk size %d over the cap %d", i, n, size, max)
+			}
+			if n <= max && size < n {
+				t.Fatalf("request %d of %d: chunk size %d does not hold it (cap %d)", i, n, size, max)
+			}
+			for j := range s {
+				s[j] = i + 1
+			}
+			got = append(got, s)
+		}
+		for i, s := range got {
+			for _, v := range s {
+				if v != i+1 {
+					t.Fatalf("request %d holds request %d's marker: slices overlap", i, v-1)
+				}
+			}
+		}
+	})
 }

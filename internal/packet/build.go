@@ -38,16 +38,13 @@ func (p *Packet) Clone() *Packet { return (*Arena)(nil).Clone(p) }
 // the body. Pass a nil body for ProtoRaw packets with an empty payload. The
 // body is encoded straight into the packet's one buffer, sized up front
 // from its EncodedLen.
-func Build(h Header, body encoder) *Packet { return (*Arena)(nil).Build(h, body) }
+func Build(h Header, body Encoder) *Packet { return (*Arena)(nil).Build(h, body) }
 
 // BuildRaw assembles a ProtoRaw packet with an opaque payload of the given
 // length (zero bytes).
 func BuildRaw(h Header, payloadLen int) *Packet {
 	h.Proto = ProtoRaw
-	h.Length = uint16(payloadLen)
-	data := h.Encode(make([]byte, 0, BaseHeaderLen+payloadLen))
-	data = append(data, make([]byte, payloadLen)...)
-	return &Packet{Data: data, EgressPort: -1}
+	return (*Arena)(nil).raw(h, payloadLen)
 }
 
 // Decoded is the result of fully decoding a packet: the base header plus

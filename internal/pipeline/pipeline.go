@@ -243,6 +243,12 @@ func (c *Context) Emit(pkt *packet.Packet, ports ...int) {
 	c.Emissions = append(c.Emissions, Emission{Pkt: pkt, Ports: ports})
 }
 
+// Build cuts a packet a stage program makes (a result it emits) from the
+// arena the pipeline's deparser re-encodes into.
+func (c *Context) Build(h packet.Header, body packet.Encoder) *packet.Packet {
+	return c.pipe.deparsed.Build(h, body)
+}
+
 // StageFunc is the compiled program of one stage.
 type StageFunc func(s *Stage, ctx *Context) error
 
@@ -263,11 +269,12 @@ type Pipeline struct {
 	// bound is the parse graph pre-resolved against the layout, flat its
 	// reusable result and ctxFree the context free list: together they
 	// make the steady-state traversal allocation-free. deparsed backs the
-	// packets the deparser re-encodes.
+	// packets the deparser re-encodes and those stage programs build
+	// (Context.Build); the pipelines of one NewN call share it.
 	bound    *packet.BoundParser
 	flat     packet.FlatResult
 	ctxFree  []*Context
-	deparsed packet.Arena
+	deparsed *packet.Arena
 
 	packets     uint64
 	drops       uint64
@@ -292,8 +299,8 @@ func New(cfg Config, parser *packet.ParseGraph, layout *phv.Layout) (*Pipeline, 
 // bound against the layout once and the (immutable) bound parser shared,
 // and the pipelines, their stages and the stages' table, TCAM and register
 // headers are each one slice for all n, filled in place — a handful of
-// allocations however many stages the switch has. A graph that does not
-// validate is an error.
+// allocations however many stages the switch has. The n share one packet
+// arena. A graph that does not validate is an error.
 func NewN(n int, cfg Config, parser *packet.ParseGraph, layout *phv.Layout) ([]*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -327,10 +334,10 @@ func NewN(n int, cfg Config, parser *packet.ParseGraph, layout *phv.Layout) ([]*
 			st.TCAM = &tcams[k]
 		}
 	}
-	ps := make([]*Pipeline, n)
+	ps, deparsed := make([]*Pipeline, n), new(packet.Arena)
 	for i := range ps {
 		p := &pipes[i]
-		p.cfg, p.pool, p.bound = cfg, *phv.NewPool(layout), bound
+		p.cfg, p.pool, p.bound, p.deparsed = cfg, *phv.NewPool(layout), bound, deparsed
 		p.stages = stages[i*cfg.Stages : (i+1)*cfg.Stages : (i+1)*cfg.Stages]
 		ps[i] = p
 	}
