@@ -27,10 +27,13 @@ func roundCost(round func(), per int) (objects, bytes float64) {
 // TestParamServerRoundAllocs puts a ceiling on a whole aggregation round —
 // generation, netsim.New, injection, Run and verification — on a prebuilt,
 // reset switch, per delivered packet: what the benchmark's agg-line does.
-// Objects are 0.079 on ADCP and 0.090 on RMT (0.393 and 0.404 while a
+// Objects are 0.065 on ADCP and 0.075 on RMT (0.079 and 0.090 while the
+// round was generated whole before it was posted, 0.393 and 0.404 while a
 // completed chunk's result was built with the package-level packet.Build
-// and its output list never came from a chunk). Bytes are 235.2 and 279.2,
-// RMT copying the bytes of the packets it recirculates (237.5 and 281.5
+// and its output list never came from a chunk). Bytes are 175.9 and 219.9,
+// RMT copying the bytes of the packets it recirculates (235.2 and 279.2
+// while the round was generated whole and posted a send at a time into
+// host queues and workers' Received grew by doubling, 237.5 and 281.5
 // before results came from the pipelines' arena, 288.6 on either while
 // every multicast replica had bytes of its own, 388.7 when every send
 // waited as a record and an engine event instead of a queue entry). The
@@ -52,8 +55,8 @@ func TestParamServerRoundAllocs(t *testing.T) {
 		reset                func()
 		maxObjects, maxBytes float64
 	}{
-		{"adcp", adcp, func() { ResetParamServerADCP(adcp) }, 0.083, 247},
-		{"rmt", rmtSw, func() { ResetParamServerRMT(rmtSw) }, 0.095, 293},
+		{"adcp", adcp, func() { ResetParamServerADCP(adcp) }, 0.068, 185},
+		{"rmt", rmtSw, func() { ResetParamServerRMT(rmtSw) }, 0.079, 231},
 	} {
 		round := func() {
 			tc.reset()

@@ -99,12 +99,13 @@ func RunGroupComm(sw netsim.SwitchModel, netCfg netsim.Config, gr GroupRun) (*Ru
 // model. The switch must have been built by NewParamServerADCP or
 // NewParamServerRMT with the same PSConfig.
 func RunParamServer(sw netsim.SwitchModel, netCfg netsim.Config, ps PSConfig, coflowID uint32, seed uint64) (*RunResult, error) {
-	injs, err := workload.ML(workload.MLParams{
+	const gap = 100 * sim.Nanosecond
+	round, err := workload.NewMLRound(workload.MLParams{
 		CoflowID:        coflowID,
 		Workers:         ps.Workers,
 		ModelSize:       ps.ModelSize,
 		ValuesPerPacket: ps.Width,
-		Gap:             100 * sim.Nanosecond,
+		Gap:             gap,
 		Seed:            seed,
 	})
 	if err != nil {
@@ -115,7 +116,11 @@ func RunParamServer(sw netsim.SwitchModel, netCfg netsim.Config, ps PSConfig, co
 		return nil, err
 	}
 	chunks := ps.ModelSize / ps.Width
-	res, err := runInjections(n, injs, coflowID, chunks*ps.Workers)
+	for w := range ps.Workers {
+		n.Host(w).Received = make([]*packet.Packet, 0, chunks)
+		n.SendEvery(w, round.PerWorker(), 0, gap, func(i int) *packet.Packet { return round.Build(w, i) })
+	}
+	res, err := runInjections(n, nil, coflowID, chunks*ps.Workers) // the round is posted
 	if err != nil {
 		return res, err
 	}

@@ -106,7 +106,11 @@ func table1DB(mod func(netsim.Config) netsim.Config) (Table1Row, error) {
 	if err != nil {
 		return Table1Row{}, err
 	}
-	aInjs := repartitionDB(injs, asw.Config().CentralPipelines, db.TuplesPerPacket)
+	aInjs := repartition(injs, func(d *packet.Decoded) [][]packet.DBTuple {
+		return apps.PartitionTuples(d.DB.Tuples, asw.Config().CentralPipelines, db.TuplesPerPacket)
+	}, func(d *packet.Decoded, batch []packet.DBTuple) packet.Encoder {
+		return &packet.DBHeader{Query: d.DB.Query, Tuples: batch}
+	})
 	an, err := netsim.New(mod(netsim.DefaultConfig(cc.Ports)), asw)
 	if err != nil {
 		return Table1Row{}, err
@@ -185,7 +189,12 @@ func table1Graph(mod func(netsim.Config) netsim.Config) (Table1Row, error) {
 	if err != nil {
 		return Table1Row{}, err
 	}
-	for _, inj := range repartitionGraph(candidates, asw.Config().CentralPipelines, gc.EdgesPerPacket) {
+	aInjs := repartition(candidates, func(d *packet.Decoded) [][]packet.Edge {
+		return apps.PartitionEdges(d.Graph.Edges, asw.Config().CentralPipelines, gc.EdgesPerPacket)
+	}, func(d *packet.Decoded, batch []packet.Edge) packet.Encoder {
+		return &packet.GraphHeader{Round: d.Graph.Round, Edges: batch}
+	})
+	for _, inj := range aInjs {
 		an.SendAt(inj.Src, inj.Pkt, inj.At)
 	}
 	an.Run()
@@ -276,34 +285,20 @@ func sameCounts(want, got map[uint32]uint32) error {
 	return nil
 }
 
-func repartitionDB(injs []workload.Injection, partitions, maxBatch int) []workload.Injection {
+// repartition re-batches each injection into partition-pure packets of
+// the same protocol, source and time: batches splits one decoded
+// injection's items, and body makes a packet body of one batch.
+func repartition[T any](injs []workload.Injection, batches func(d *packet.Decoded) [][]T, body func(d *packet.Decoded, batch []T) packet.Encoder) []workload.Injection {
 	var out []workload.Injection
 	var d packet.Decoded
 	for _, inj := range injs {
 		if err := d.DecodePacket(inj.Pkt); err != nil {
 			continue
 		}
-		for _, batch := range apps.PartitionTuples(d.DB.Tuples, partitions, maxBatch) {
+		for _, batch := range batches(&d) {
 			pkt := packet.Build(packet.Header{
-				Proto: packet.ProtoDB, SrcPort: d.Base.SrcPort, CoflowID: d.Base.CoflowID, FlowID: d.Base.FlowID,
-			}, &packet.DBHeader{Query: d.DB.Query, Stage: 0, Tuples: batch})
-			out = append(out, workload.Injection{Src: inj.Src, Pkt: pkt, At: inj.At})
-		}
-	}
-	return out
-}
-
-func repartitionGraph(injs []workload.Injection, partitions, maxBatch int) []workload.Injection {
-	var out []workload.Injection
-	var d packet.Decoded
-	for _, inj := range injs {
-		if err := d.DecodePacket(inj.Pkt); err != nil {
-			continue
-		}
-		for _, batch := range apps.PartitionEdges(d.Graph.Edges, partitions, maxBatch) {
-			pkt := packet.Build(packet.Header{
-				Proto: packet.ProtoGraph, SrcPort: d.Base.SrcPort, CoflowID: d.Base.CoflowID, FlowID: d.Base.FlowID,
-			}, &packet.GraphHeader{Round: d.Graph.Round, Edges: batch})
+				Proto: d.Base.Proto, SrcPort: d.Base.SrcPort, CoflowID: d.Base.CoflowID, FlowID: d.Base.FlowID,
+			}, body(&d, batch))
 			out = append(out, workload.Injection{Src: inj.Src, Pkt: pkt, At: inj.At})
 		}
 	}

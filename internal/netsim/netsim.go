@@ -181,11 +181,13 @@ type Network struct {
 	waiting            int
 
 	// Sends that have not started wait in their host's queue (see host), in
-	// chunks that return to freeChunks once drained; chunkSlab is the
-	// unissued end of the slab their headers are cut from. armEach is for
-	// tests: every send takes the out-of-order path.
+	// chunks that return to freeChunks once drained; chunkSlab and runSlab
+	// are the unissued ends of the slabs their headers and SendEvery's runs
+	// are cut from. armEach is for tests: every send takes the out-of-order
+	// path.
 	freeChunks *sendChunk
 	chunkSlab  []sendChunk
+	runSlab    []sendRun
 	armEach    bool
 
 	// freeEv recycles the per-packet event records (see pktEvent), made
@@ -194,16 +196,16 @@ type Network struct {
 	// are chunk sizes, see cut), retired and txCut are newTxState's, and
 	// arena backs the packet structs a sender retransmits. All are nil until
 	// a packet needs them. scratch is coflowOf's reusable decode target.
-	freeEv                   *pktEvent
-	evSlab                   int
-	txSlab                   []txState
-	rxSlab                   []rxState
-	chains                   []telemetry.Chain
-	txN, rxN, chunkN, chainN int
-	retired                  [2]struct{ head, tail *txState }
-	txCut                    int
-	arena                    packet.Arena
-	scratch                  packet.Decoded
+	freeEv                         *pktEvent
+	evSlab                         int
+	txSlab                         []txState
+	rxSlab                         []rxState
+	chains                         []telemetry.Chain
+	txN, rxN, chunkN, runN, chainN int
+	retired                        [2]struct{ head, tail *txState }
+	txCut                          int
+	arena                          packet.Arena
+	scratch                        packet.Decoded
 
 	// OnDeliver, when set, observes every host delivery.
 	OnDeliver func(host int, pkt *packet.Packet, now sim.Time)
@@ -622,6 +624,36 @@ func (n *Network) SendAt(src int, pkt *packet.Packet, at sim.Time) {
 	n.postSend(src, pkt, at)
 }
 
+// SendEvery schedules host src to send count packets, packet i at
+// start+i*gap: it is SendAt(src, build(i), start+i*gap) for each i in
+// order, with the same effects, every send drawing its engine ticket here as
+// the loop would. Send 0 goes through SendAt, and the others are one entry
+// in the host's queue: packet i is built when the send ahead of it starts.
+// build must therefore not depend on anything the run changes. A run that
+// the queue would not take in order (gap < 0, or a start earlier than the
+// host's newest pending send) is that loop.
+func (n *Network) SendEvery(src, count int, start, gap sim.Time, build func(i int) *packet.Packet) {
+	if count <= 0 {
+		return
+	}
+	n.SendAt(src, build(0), start)
+	q := &n.hosts[src]
+	if n.armEach || gap < 0 || q.lastAt > start || count == 1 {
+		for i := 1; i < count; i++ {
+			n.SendAt(src, build(i), start+sim.Time(i)*gap)
+		}
+		return
+	}
+	c := n.appendChunk(q)
+	c.r, c.run = 1, cut(&n.runSlab, &n.runN, minSendChunk, minSendChunk)
+	// Send 0 drew the ticket just before this one.
+	*c.run = sendRun{build: build, start: start, gap: gap, seq: n.eng.Reserve() - 1, count: count}
+	for range count - 2 {
+		n.eng.Reserve()
+	}
+	q.lastAt = start + sim.Time(count-1)*gap
+}
+
 // pendingSend is a send that has not started: where it fires is (at, seq),
 // seq being the engine ticket reserved when the send was posted.
 type pendingSend struct {
@@ -630,21 +662,34 @@ type pendingSend struct {
 	pkt *packet.Packet
 }
 
-// sendChunk is a run of consecutive entries of one host's queue.
+// sendChunk is a run of consecutive entries of one host's queue: listed
+// sends, or (run set, items empty) a SendEvery run whose sends r and later
+// are still queued.
 type sendChunk struct {
 	next  *sendChunk // the host's next chunk, or the free list
-	r     int        // items[r:] are still queued
+	r     int        // items[r:], or the run's sends r and later, are still queued
 	items []pendingSend
+	run   *sendRun
+}
+
+// sendRun is a SendEvery run: send i fires at (start+i*gap, seq+i) with
+// packet build(i).
+type sendRun struct {
+	build      func(int) *packet.Packet
+	start, gap sim.Time
+	seq        uint64
+	count      int
 }
 
 // host is what the network keeps per host: the public record and the sends
 // that have not started. A harness posts a whole round before it runs, so
 // most of a round's sends are waiting for most of the run: one that waits is
-// an entry in its host's FIFO, not an event in the engine. Only the host's
+// an entry in its host's FIFO, not an event in the engine, and a SendEvery
+// run is one entry whose packets are built as they come up. Only the host's
 // next send is in the engine, as timer, which on firing re-arms itself for
-// the entry behind it under that entry's ticket — so every send fires
-// exactly where an event posted from SendAt would have, and the engine holds
-// one event per host plus the packets in flight.
+// the send behind it under that send's ticket — so every send fires exactly
+// where an event posted from SendAt would have, and the engine holds one
+// event per host plus the packets in flight.
 type host struct {
 	Host
 	txBusyUntil, rxBusyUntil sim.Time // serialize the host's uplink and downlink
@@ -654,7 +699,7 @@ type host struct {
 	pkt        *packet.Packet // what timer sends; nil when the host has nothing pending
 	lastAt     sim.Time       // time of the host's newest pending send
 	head, tail *sendChunk     // the sends behind pkt, oldest first
-	queued     int            // how many those are
+	queued     int            // how many of those are listed (not a run's)
 }
 
 // postSend queues host src's send of pkt at time at. Each path draws one
@@ -675,24 +720,34 @@ func (n *Network) postSend(src int, pkt *packet.Packet, at sim.Time) {
 		n.eng.Arm(&q.timer, at, q)
 	default:
 		c := q.tail
-		if c == nil || len(c.items) == cap(c.items) {
-			if c = n.freeChunks; c != nil {
-				n.freeChunks, c.next = c.next, nil
-			} else {
-				c = cut(&n.chunkSlab, &n.chunkN, minSendChunk, minSendChunk)
+		if c == nil || c.run != nil || len(c.items) == cap(c.items) {
+			c = n.appendChunk(q)
+			if cap(c.items) == 0 {
 				c.items = make([]pendingSend, 0, min(max(q.queued, minSendChunk), maxSendChunk))
 			}
-			if q.tail == nil {
-				q.head = c
-			} else {
-				q.tail.next = c
-			}
-			q.tail = c
 		}
 		c.items = append(c.items, pendingSend{at, n.eng.Reserve(), pkt})
 		q.queued++
 	}
 	q.lastAt = at
+}
+
+// appendChunk links an empty chunk, recycled or new, behind the host's
+// queue.
+func (n *Network) appendChunk(q *host) *sendChunk {
+	c := n.freeChunks
+	if c != nil {
+		n.freeChunks, c.next = c.next, nil
+	} else {
+		c = cut(&n.chunkSlab, &n.chunkN, minSendChunk, minSendChunk)
+	}
+	if q.tail == nil {
+		q.head = c
+	} else {
+		q.tail.next = c
+	}
+	q.tail = c
+	return c
 }
 
 // Fire starts the host's next send (sim.Handler), having armed the timer for
@@ -702,16 +757,28 @@ func (q *host) Fire() {
 	n, pkt := q.n, q.pkt
 	q.pkt = nil
 	if c := q.head; c != nil {
-		s := &c.items[c.r]
-		q.pkt = s.pkt
-		n.eng.ArmReserved(&q.timer, s.at, s.seq, q)
-		*s = pendingSend{}
-		q.queued--
-		if c.r++; c.r == len(c.items) {
+		var at sim.Time
+		var seq uint64
+		var last bool
+		if g := c.run; g != nil {
+			at, seq, q.pkt = g.start+sim.Time(c.r)*g.gap, g.seq+uint64(c.r), g.build(c.r)
+			q.pkt.IngressPort = q.ID
+			if last = c.r+1 == g.count; last {
+				*g = sendRun{} // lets the builder go
+			}
+		} else {
+			s := &c.items[c.r]
+			at, seq, q.pkt = s.at, s.seq, s.pkt
+			*s = pendingSend{}
+			last = c.r+1 == len(c.items)
+			q.queued--
+		}
+		n.eng.ArmReserved(&q.timer, at, seq, q)
+		if c.r++; last {
 			if q.head = c.next; q.head == nil {
 				q.tail = nil
 			}
-			c.next, c.r, c.items = n.freeChunks, 0, c.items[:0]
+			c.next, c.r, c.items, c.run = n.freeChunks, 0, c.items[:0], nil
 			n.freeChunks = c
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/netsim"
+	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -46,7 +47,8 @@ func (r recoveryRig) pair(tb testing.TB) (pair [2]*core.Switch) {
 	return pair
 }
 
-// round is generation, netsim.New, injection and Run over an unused pair.
+// round is netsim.New, the posted round and Run over an unused pair, the
+// round's packets built as their sends come up.
 func (r recoveryRig) round(tb testing.TB, pair [2]*core.Switch) *netsim.Network {
 	rec := faults.DefaultRecovery()
 	cfg := netsim.DefaultConfig(r.geom.Ports)
@@ -57,9 +59,10 @@ func (r recoveryRig) round(tb testing.TB, pair [2]*core.Switch) *netsim.Network 
 		Link:          faults.LinkFaults{LossRate: 0.01},
 		SwitchCrashAt: 50 * sim.Microsecond,
 	}
-	injs, err := workload.ML(workload.MLParams{
+	const gap = 100 * sim.Nanosecond
+	ml, err := workload.NewMLRound(workload.MLParams{
 		CoflowID: 1, Workers: r.ps.Workers, ModelSize: r.ps.ModelSize,
-		ValuesPerPacket: r.ps.Width, Gap: 100 * sim.Nanosecond, Seed: 1,
+		ValuesPerPacket: r.ps.Width, Gap: gap, Seed: 1,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -69,8 +72,9 @@ func (r recoveryRig) round(tb testing.TB, pair [2]*core.Switch) *netsim.Network 
 		tb.Fatal(err)
 	}
 	n.Tracker().Expect(1, r.deliveries())
-	for _, inj := range injs {
-		n.SendAt(inj.Src, inj.Pkt, inj.At)
+	for w := range r.ps.Workers { // as apps.RunParamServer posts a round
+		n.Host(w).Received = make([]*packet.Packet, 0, r.ps.ModelSize/r.ps.Width)
+		n.SendEvery(w, ml.PerWorker(), 0, gap, func(i int) *packet.Packet { return ml.Build(w, i) })
 	}
 	n.Run()
 	return n
@@ -80,23 +84,26 @@ func (r recoveryRig) round(tb testing.TB, pair [2]*core.Switch) *netsim.Network 
 // delivered packet: heap objects and heap bytes. Generation, netsim.New,
 // injection and Run are counted; building the two switches is not.
 //
-// Objects: 0.136 (20.3 before handler events and arenas, 0.622 before
+// Objects: 0.122 (20.3 before handler events and arenas, 0.622 before
 // sender states were reused, 0.595 before a switch built its results from
-// its pipelines' arena). Bytes: 1 092.7 at the parent of the per-uid
-// index, where the pair kept its exactly-once bookkeeping in three hash
-// sets, 975.5 with it in one byte per uid, 879.2 with pending sends in host
-// queues instead of the engine, 715.2 before the sender, the delta log and
-// the multicast replicas shared one packet's bytes, 511.3 before a sender's
+// its pipelines' arena, 0.136 before a worker's packets were built as its
+// sends came up). Bytes: 1 092.7 at the parent of the per-uid index, where
+// the pair kept its exactly-once bookkeeping in three hash sets, 975.5 with
+// it in one byte per uid, 879.2 with pending sends in host queues instead
+// of the engine, 715.2 before the sender, the delta log and the multicast
+// replicas shared one packet's bytes, 511.3 before a sender's
 // retransmission state was reused once nothing pointed at it, 371.3 before
-// results came from the arena, 368.9 since. Both ceilings are 5 % above, so
-// a state cut per send coming back — or anything else worth 19 B or 0.007
-// objects a packet — fails here without a benchmark run. Both figures
-// repeat exactly.
+// results came from the arena, 368.9 while the round was generated whole
+// and posted a send at a time, 309.6 with a SendEvery run per worker and
+// Received sized to the round. Both ceilings are 5 % above, so a state cut
+// per send coming back — or anything else worth 16 B or 0.006 objects a
+// packet — fails here without a benchmark run. Both figures repeat
+// exactly.
 func TestRecoveryPathAllocs(t *testing.T) {
 	const (
 		runs       = 3
-		maxObjects = 0.143
-		maxBytes   = 387.0
+		maxObjects = 0.128
+		maxBytes   = 325.0
 	)
 	rig := newRecoveryRig()
 	var pairs [runs + 1][2]*core.Switch

@@ -51,8 +51,12 @@ type sendScheduleRun struct {
 // defer to the restart), bit 2 a service rate slow enough that arrivals
 // wait. Every three bytes after it are one send: by which host, when (a
 // multiple of 2 µs up to 14, the same time as the send before it, or 2 µs
-// before it), and whether it is posted before Run or from OnDeliver, after
-// the delivery the third byte names, at the time of that delivery or later.
+// before it), and whether it is posted before Run, is a run of 1 to 8 sends
+// posted before Run with SendEvery (third byte 64 to 127: its low three bits
+// are the length, the next two the gap in µs, and bit 5 makes the gap
+// negative), or is posted from OnDeliver, after the delivery the third byte
+// names, at the time of that delivery or later. Without the queues
+// (armEach) a run is the SendAt loop SendEvery stands for.
 func runSendSchedule(t *testing.T, prog []byte, armEach bool) sendScheduleRun {
 	cfg := netsim.DefaultConfig(fuzzHosts)
 	if prog[0]&3 != 0 {
@@ -96,7 +100,7 @@ func runSendSchedule(t *testing.T, prog []byte, armEach bool) sendScheduleRun {
 		var at sim.Time
 		for id, ops := uint32(0), prog[1:]; len(ops) >= 3; id, ops = id+1, ops[3:] {
 			src := int(ops[0]) % fuzzHosts
-			pkt := idPkt(src, int(ops[0]>>2)%fuzzHosts, id)
+			pkt := idPkt(src, int(ops[0]>>2)%fuzzHosts, id<<4)
 			switch ops[1] % 10 {
 			case 8: // a tie with the send before
 			case 9:
@@ -104,10 +108,26 @@ func runSendSchedule(t *testing.T, prog []byte, armEach bool) sendScheduleRun {
 			default:
 				at = sim.Time(ops[1]%10) * 2 * sim.Microsecond
 			}
-			if ops[2] >= 128 {
+			switch {
+			case ops[2] >= 128:
 				k := uint64(ops[2]%16) + 1
 				onDelivery[k] = append(onDelivery[k], send{src, pkt, sim.Time(ops[2]>>4&3) * sim.Microsecond})
-			} else {
+			case ops[2] >= 64:
+				count, gap := int(ops[2]&7)+1, sim.Time(ops[2]>>3&3)*sim.Microsecond
+				if ops[2]&32 != 0 && gap > 0 {
+					gap = -gap
+					count = min(count, int(at/-gap)+1) // no send before time 0
+				}
+				dst, first := int(ops[0]>>2)%fuzzHosts, id<<4
+				build := func(i int) *packet.Packet { return idPkt(src, dst, first|uint32(i)) }
+				if !armEach {
+					n.SendEvery(src, count, at, gap, build)
+					break
+				}
+				for i := range count {
+					n.SendAt(src, build(i), at+sim.Time(i)*gap)
+				}
+			default:
 				n.SendAt(src, pkt, at)
 			}
 		}
@@ -146,6 +166,19 @@ func FuzzSendSchedule(f *testing.F) {
 	f.Add([]byte{7, 1, 2, 0, 5, 2, 0, 9, 2, 0, 13, 8, 0, 1, 4, 0, 2, 8, 0x84, 1, 6, 0, 3, 9, 0})
 	// A fault seed that loses a frame each way: both retransmission timers fire.
 	f.Add([]byte{81, 0, 0, 0, 5, 1, 0, 10, 2, 0, 15, 3, 0, 20, 4, 0, 25, 5, 0, 30, 6, 0, 35, 7, 0, 40, 8, 0, 45, 9, 0})
+	// SendEvery runs: onto an idle host, with other hosts' sends at the
+	// same times.
+	f.Add([]byte{0, 4, 0, 79, 1, 1, 0, 2, 8, 0, 3, 3, 64})
+	// Behind queued sends, then ties with the run's first send.
+	f.Add([]byte{0, 4, 0, 0, 4, 1, 0, 4, 2, 83, 1, 2, 0, 5, 8, 0})
+	// Starting before the host's tail, and with a negative gap: the loop.
+	f.Add([]byte{0, 4, 7, 0, 4, 1, 84, 2, 4, 115, 3, 9, 0})
+	// gap 0: every send of a run ties, across runs and with a send behind.
+	f.Add([]byte{4, 0, 1, 69, 1, 8, 0, 2, 8, 69, 0, 8, 0})
+	// A host that crashes partway through a run: its deferrals land behind
+	// the run, then (a longer run, under loss) inside it.
+	f.Add([]byte{2, 1, 0, 79, 0, 1, 0, 2, 2, 0})
+	f.Add([]byte{3, 1, 0, 87, 5, 0, 79, 1, 7, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) < 4 || len(prog) > 1+3*64 {
 			return
@@ -177,31 +210,46 @@ func heapCost(fn func()) (objects, bytes uint64) {
 }
 
 // TestPendingSendBytes puts a ceiling on what a send costs while it waits:
-// a round posted and not yet run. 26.3 bytes, a queue entry and its share of
-// a part-filled chunk; 135.6 when each was a record and an engine event.
+// a round posted and not yet run. Posted a send at a time, 26.4 bytes, a
+// queue entry and its share of a part-filled chunk (135.6 when each was a
+// record and an engine event); the ceiling is 32. Posted as one SendEvery
+// run per host, 0.3 bytes (the runs and their builders), under a ceiling of 1.
 func TestPendingSendBytes(t *testing.T) {
-	const hosts, sends = 8, 4096
+	const hosts, sends, perHost = 8, 4096, 4096 / 8
 	pkts := make([]*packet.Packet, sends)
 	for i := range pkts {
-		pkts[i] = idPkt(i*hosts/sends, 0, uint32(i))
+		pkts[i] = idPkt(i/perHost, 0, uint32(i))
 	}
-	n, err := netsim.New(netsim.DefaultConfig(hosts), &bounceSwitch{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, bytes := heapCost(func() {
-		for i, p := range pkts { // host-major, as the generators emit
-			n.SendAt(i*hosts/sends, p, sim.Time(i%(sends/hosts))*sim.Microsecond)
+	for _, tc := range []struct {
+		name   string
+		post   func(n *netsim.Network)
+		maxPer float64
+	}{
+		{"SendAt", func(n *netsim.Network) {
+			for i, p := range pkts { // host-major, as the generators emit
+				n.SendAt(i/perHost, p, sim.Time(i%perHost)*sim.Microsecond)
+			}
+		}, 32},
+		{"SendEvery", func(n *netsim.Network) {
+			for h := range hosts {
+				n.SendEvery(h, perHost, 0, sim.Microsecond, func(i int) *packet.Packet { return pkts[h*perHost+i] })
+			}
+		}, 1},
+	} {
+		n, err := netsim.New(netsim.DefaultConfig(hosts), &bounceSwitch{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	per := float64(bytes) / sends
-	t.Logf("%.1f bytes per pending send", per)
-	if n.Engine().Pending() != sends || per > 32 {
-		t.Fatalf("%d sends pending, %.1f bytes each; want %d and at most 32", n.Engine().Pending(), per, sends)
-	}
-	n.Run()
-	if len(n.Errors()) != 0 || n.Delivered() != sends {
-		t.Fatalf("delivered %d of %d, errors %v", n.Delivered(), sends, n.Errors())
+		_, bytes := heapCost(func() { tc.post(n) })
+		per := float64(bytes) / sends
+		t.Logf("%s: %.1f bytes per pending send", tc.name, per)
+		if n.Engine().Pending() != sends || per > tc.maxPer {
+			t.Fatalf("%s: %d sends pending, %.1f bytes each; want %d and at most %.0f", tc.name, n.Engine().Pending(), per, sends, tc.maxPer)
+		}
+		n.Run()
+		if len(n.Errors()) != 0 || n.Delivered() != sends {
+			t.Fatalf("%s: delivered %d of %d, errors %v", tc.name, n.Delivered(), sends, n.Errors())
+		}
 	}
 }
 

@@ -34,10 +34,10 @@ func (p *Packet) Len() int { return len(p.Data) }
 func (p *Packet) Clone() *Packet { return (*Arena)(nil).Clone(p) }
 
 // Build assembles a packet from a base header and an optional application
-// header. The base header's Proto and Length fields are overwritten to match
-// the body. Pass a nil body for ProtoRaw packets with an empty payload. The
-// body is encoded straight into the packet's one buffer, sized up front
-// from its EncodedLen.
+// header. The base header's Length field is overwritten to match the body;
+// its Proto is the caller's. Pass a nil body for ProtoRaw packets with an
+// empty payload. The body is encoded straight into the packet's one buffer,
+// sized up front from its EncodedLen.
 func Build(h Header, body Encoder) *Packet { return (*Arena)(nil).Build(h, body) }
 
 // BuildRaw assembles a ProtoRaw packet with an opaque payload of the given

@@ -43,44 +43,68 @@ func (p MLParams) Validate() error {
 	return nil
 }
 
-// ML generates one aggregation round: every worker sends the full model,
-// chunked into ValuesPerPacket-wide packets. Weight w of worker k has value
-// derived from (seed, k, w) so tests can recompute expected sums. The
-// round's packets come out of one arena and share nothing else: the header
-// and its value buffer are encoded into each packet and reused for the next.
-func ML(p MLParams) ([]Injection, error) {
+// MLRound makes one aggregation round's packets: every worker sends the
+// full model, chunked into ValuesPerPacket-wide packets, one every Gap from
+// time 0. Weight w of worker k has value derived from (seed, k, w) so tests
+// can recompute expected sums. The packets come out of one arena and share
+// nothing else: one header and its value buffer are encoded into each
+// packet and reused for the next, so a round built one packet at a time
+// (netsim's SendEvery) holds only the packets it has sent.
+type MLRound struct {
+	p         MLParams
+	perWorker int
+	arena     packet.Arena
+	ml        packet.MLHeader
+}
+
+// NewMLRound checks the parameters and returns a round with nothing built.
+func NewMLRound(p MLParams) (*MLRound, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	perWorker := (p.ModelSize + p.ValuesPerPacket - 1) / p.ValuesPerPacket
-	injs := make([]Injection, 0, p.Workers*perWorker)
-	var arena packet.Arena
-	ml := packet.MLHeader{Values: make([]uint32, p.ValuesPerPacket)}
-	for w := 0; w < p.Workers; w++ {
-		t := sim.Time(0)
-		for base := 0; base < p.ModelSize; base += p.ValuesPerPacket {
-			n := p.ValuesPerPacket
-			if base+n > p.ModelSize {
-				n = p.ModelSize - base
-			}
-			ml.Base, ml.Worker, ml.Values = uint32(base), uint16(w), ml.Values[:n]
-			for i := range ml.Values {
-				ml.Values[i] = MLWeight(p.Seed, w, base+i)
-			}
-			flags := uint8(0)
-			if base+n >= p.ModelSize {
-				flags = packet.FlagLast
-			}
-			pkt := arena.Build(packet.Header{
-				Proto:    packet.ProtoML,
-				SrcPort:  uint16(w),
-				CoflowID: p.CoflowID,
-				FlowID:   uint32(w),
-				Seq:      uint32(base),
-				Flags:    flags,
-			}, &ml)
-			injs = append(injs, Injection{Src: w, Pkt: pkt, At: t})
-			t += p.Gap
+	return &MLRound{
+		p:         p,
+		perWorker: (p.ModelSize + p.ValuesPerPacket - 1) / p.ValuesPerPacket,
+		ml:        packet.MLHeader{Values: make([]uint32, p.ValuesPerPacket)},
+	}, nil
+}
+
+// PerWorker is the number of packets each worker sends.
+func (r *MLRound) PerWorker() int { return r.perWorker }
+
+// Build returns worker w's packet i, to be sent at i*Gap.
+func (r *MLRound) Build(w, i int) *packet.Packet {
+	base := i * r.p.ValuesPerPacket
+	n := min(r.p.ValuesPerPacket, r.p.ModelSize-base)
+	ml := &r.ml
+	ml.Base, ml.Worker, ml.Values = uint32(base), uint16(w), ml.Values[:n]
+	for j := range ml.Values {
+		ml.Values[j] = MLWeight(r.p.Seed, w, base+j)
+	}
+	flags := uint8(0)
+	if base+n >= r.p.ModelSize {
+		flags = packet.FlagLast
+	}
+	return r.arena.Build(packet.Header{
+		Proto:    packet.ProtoML,
+		SrcPort:  uint16(w),
+		CoflowID: r.p.CoflowID,
+		FlowID:   uint32(w),
+		Seq:      uint32(base),
+		Flags:    flags,
+	}, ml)
+}
+
+// ML generates a whole MLRound up front, worker by worker.
+func ML(p MLParams) ([]Injection, error) {
+	r, err := NewMLRound(p)
+	if err != nil {
+		return nil, err
+	}
+	injs := make([]Injection, 0, p.Workers*r.perWorker)
+	for w := range p.Workers {
+		for i := range r.perWorker {
+			injs = append(injs, Injection{Src: w, Pkt: r.Build(w, i), At: sim.Time(i) * p.Gap})
 		}
 	}
 	return injs, nil

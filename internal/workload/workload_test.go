@@ -73,6 +73,34 @@ func TestMLScalarVsArrayPacketCounts(t *testing.T) {
 	}
 }
 
+// TestMLRoundBuildOrderFree builds a round's packets in the order a
+// network's hosts send them — interleaved across workers, each worker's
+// from its last back — and holds them to ML's, which builds them worker by
+// worker: a packet's bytes depend only on (worker, index), whatever was
+// built before it.
+func TestMLRoundBuildOrderFree(t *testing.T) {
+	p := MLParams{CoflowID: 3, Workers: 3, ModelSize: 30, ValuesPerPacket: 4, Gap: 5, Seed: 9}
+	injs, err := ML(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewMLRound(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.PerWorker() != 8 || len(injs) != p.Workers*r.PerWorker() {
+		t.Fatalf("%d packets a worker, %d in all; want 8 and 24", r.PerWorker(), len(injs))
+	}
+	for i := r.PerWorker() - 1; i >= 0; i-- {
+		for w := range p.Workers {
+			want := injs[w*r.PerWorker()+i]
+			if got := r.Build(w, i); string(got.Data) != string(want.Pkt.Data) || want.At != sim.Time(i)*p.Gap {
+				t.Fatalf("worker %d packet %d: built %x, ML %x at %v", w, i, got.Data, want.Pkt.Data, want.At)
+			}
+		}
+	}
+}
+
 func TestMLValidation(t *testing.T) {
 	if _, err := ML(MLParams{Workers: 0, ModelSize: 1, ValuesPerPacket: 1}); err == nil {
 		t.Error("bad params accepted")
