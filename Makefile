@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test golden race fuzz-smoke loc loc-check bench-suite-test bench-allocs bench-pairs bench-profile soak experiments tables examples cover clean ci docs-check smoke-report
+.PHONY: all build test golden race fuzz-smoke loc loc-check bench-suite-test bench-allocs bench-pairs bench-profile soak experiments tables cover clean ci docs-check smoke-report
 
 all: build test
 
@@ -49,7 +49,7 @@ loc:
 # above must not exceed the ceiling. A PR that shrinks the tree lowers the
 # ceiling to its own result; one that has to raise it says why in
 # CHANGES.md.
-LOC_CEILING := 24822
+LOC_CEILING := 23703
 loc-check:
 	@src=$$($(MAKE) -s loc | awk '$$1 == "source" { print $$2 }'); \
 	if [ "$$src" -gt $(LOC_CEILING) ]; then \
@@ -138,15 +138,6 @@ experiments:
 
 tables:
 	go run ./cmd/adcpsim -exp table2,table3
-
-examples:
-	go run ./examples/quickstart
-	go run ./examples/paramserver
-	go run ./examples/kvcache
-	go run ./examples/dbanalytics
-	go run ./examples/graphmining
-	go run ./examples/groupcomm
-	go run ./examples/scheduler
 
 # Smoke run of the observability artifacts over every experiment: the HTML
 # report, the samples CSV and the causal-span trace (Perfetto-viewable) land

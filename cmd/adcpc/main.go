@@ -7,7 +7,9 @@
 //
 //	adcpc -target rmt  prog.txt
 //	adcpc -target adcp prog.txt
-//	adcpc -example                 # compile a built-in demo program
+//
+// internal/program/testdata/kvcache.p4l is a demo program: a multi-key
+// cache that RMT must replicate and ADCP serves from one copy.
 package main
 
 import (
@@ -20,41 +22,19 @@ import (
 	"repro/internal/stats"
 )
 
-const exampleSrc = `# Multi-key cache with routing and an ACL.
-program democache
-field kv_op: 8
-field coflow_id: 32
-table cache exact entries=16384 keys=8
-table route lpm entries=1024
-table acl ternary entries=256
-register hits cells=1024
-after cache hits
-`
-
 func main() {
 	target := flag.String("target", "adcp", "compilation target: rmt or adcp")
-	example := flag.Bool("example", false, "compile the built-in example program")
 	flag.Parse()
-
-	var src string
-	switch {
-	case *example:
-		src = exampleSrc
-		fmt.Print(src)
-		fmt.Println()
-	case flag.NArg() == 1:
-		data, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "adcpc:", err)
-			os.Exit(1)
-		}
-		src = string(data)
-	default:
+	if flag.NArg() != 1 {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	spec, err := program.Parse(src)
+	src, err := os.ReadFile(flag.Arg(0))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "adcpc:", err)
+		os.Exit(1)
+	}
+	spec, err := program.Parse(string(src))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "adcpc:", err)
 		os.Exit(1)

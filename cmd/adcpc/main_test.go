@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -8,7 +9,11 @@ import (
 )
 
 func TestExampleCompilesOnBothTargets(t *testing.T) {
-	spec, err := program.Parse(exampleSrc)
+	src, err := os.ReadFile("../../internal/program/testdata/kvcache.p4l")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := program.Parse(string(src))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,11 @@
 //     `go run ./cmd/metricsdoc` generation, which itself fails when a
 //     registered series is missing from the internal/metricnames catalog
 //     or vice versa.
-//   - Named things: in README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md and
-//     examples/README.md (not CHANGES.md, ROADMAP.md and the other history
-//     files), every `make <target>` is a Makefile target, every cmd/<name>
-//     and internal/<name> a directory, every Test…/Benchmark…/Fuzz… a
-//     function in a _test.go file.
+//   - Named things: in README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md
+//     (not CHANGES.md, ROADMAP.md and the other history files), every
+//     `make <target>` is a Makefile target, every cmd/<name> and
+//     internal/<name> and every `go run ./<path>` a directory, every
+//     Test…/Benchmark…/Fuzz…/Example… a function in a _test.go file.
 //
 // Usage:
 //
@@ -189,13 +189,14 @@ func checkMetricsDoc(root string) []string {
 var (
 	makeRe     = regexp.MustCompile("(`|^\\s*)make ([a-z][a-z0-9-]*)") // a line-start match counts in a fenced block only
 	pkgDirRe   = regexp.MustCompile(`\b((?:cmd|internal)/[a-z][a-z0-9_]*)`)
-	testNameRe = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*\*?`)
+	goRunRe    = regexp.MustCompile(`go run \./([A-Za-z0-9_/-]*[A-Za-z0-9_])`)
+	testNameRe = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z][A-Za-z0-9_]*\*?`)
 )
 
 // checkNamedThings verifies that the living documents name only make
 // targets (in a code span or a fenced block), cmd/ and internal/
-// directories and test functions that exist. A test name ending in `*`
-// names a family.
+// directories, `go run` packages and test functions that exist. A test
+// name ending in `*` names a family.
 func checkNamedThings(root string) []string {
 	makefile, _ := os.ReadFile(filepath.Join(root, "Makefile"))
 	var tests []byte // every _test.go in the tree
@@ -211,7 +212,7 @@ func checkNamedThings(root string) []string {
 		return []string{fmt.Sprintf("named things: %v", err)}
 	}
 	docs, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
-	for _, f := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "examples/README.md"} {
+	for _, f := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		docs = append(docs, filepath.Join(root, f))
 	}
 	var problems []string
@@ -234,10 +235,15 @@ func checkNamedThings(root string) []string {
 					bad(m[1] + " is not a directory")
 				}
 			}
+			for _, m := range goRunRe.FindAllStringSubmatch(line, -1) {
+				if st, err := os.Stat(filepath.Join(root, m[1])); err != nil || !st.IsDir() {
+					bad("`go run ./" + m[1] + "` names no directory")
+				}
+			}
 			for _, name := range testNameRe.FindAllString(line, -1) {
 				decl := strings.TrimSuffix("\nfunc "+name+"(", "*(") // `Name*`: any function with the prefix
 				if !bytes.Contains(tests, []byte(decl)) {
-					bad(strings.TrimSuffix(name, "*") + " is not a test, benchmark or fuzz function in the tree")
+					bad(strings.TrimSuffix(name, "*") + " is not a test, benchmark, fuzz or example function in the tree")
 				}
 			}
 		}

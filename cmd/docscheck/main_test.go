@@ -93,7 +93,7 @@ func expectNamed(t *testing.T, doc string, want ...string) {
 	root := t.TempDir()
 	write(t, root, "Makefile", "LOC_CEILING := 1\nci: build\n\tgo test ./...\nbuild:\n\tgo build ./...\n")
 	write(t, root, "cmd/tool/main.go", "// Command tool does things.\npackage main\n")
-	write(t, root, "internal/x/x_test.go", "package x\n\nfunc TestReal(t *testing.T) {}\nfunc TestHopAllocsWarm(t *testing.T) {}\nfunc BenchmarkReal(b *testing.B) {}\nfunc FuzzReal(f *testing.F) {}\n")
+	write(t, root, "internal/x/x_test.go", "package x\n\nfunc TestReal(t *testing.T) {}\nfunc TestHopAllocsWarm(t *testing.T) {}\nfunc BenchmarkReal(b *testing.B) {}\nfunc FuzzReal(f *testing.F) {}\nfunc ExampleReal() {}\n")
 	write(t, root, "docs/GUIDE.md", doc)
 	write(t, root, "CHANGES.md", doc)
 	var got []string
@@ -129,13 +129,26 @@ func TestMissingCommandDirDetected(t *testing.T) {
 		"1: internal/gone is not a directory")
 }
 
+func TestStaleGoRunDetected(t *testing.T) {
+	expectNamed(t, strings.Join([]string{
+		"`go run ./cmd/tool -x`, `go run ./cmd/tool/...` and `go run ./internal/x`.",
+		"```sh",
+		"go run ./examples/scheduler   # deleted",
+		"```",
+		"Then `go run ./tools/gone.`",
+	}, "\n"),
+		"3: `go run ./examples/scheduler` names no directory",
+		"5: `go run ./tools/gone` names no directory")
+}
+
 func TestUnknownTestFunctionDetected(t *testing.T) {
 	expectNamed(t, strings.Join([]string{
-		"`TestReal`, `BenchmarkReal/sub`, `FuzzReal` and the `TestHopAllocs*` family exist.",
-		"`TestGone`, `BenchmarkEngine`, `FuzzGone` and `TestNoSuch*` do not; Testing and Benchmarks are words.",
+		"`TestReal`, `BenchmarkReal/sub`, `FuzzReal`, `ExampleReal` and the `TestHopAllocs*` family exist.",
+		"`TestGone`, `BenchmarkEngine`, `FuzzGone`, `ExampleQuickstart` and `TestNoSuch*` do not; Testing, Benchmarks and Examples are words.",
 	}, "\n"),
-		"2: BenchmarkEngine is not a test, benchmark or fuzz function in the tree",
-		"2: FuzzGone is not a test, benchmark or fuzz function in the tree",
-		"2: TestGone is not a test, benchmark or fuzz function in the tree",
-		"2: TestNoSuch is not a test, benchmark or fuzz function in the tree")
+		"2: BenchmarkEngine is not a test, benchmark, fuzz or example function in the tree",
+		"2: ExampleQuickstart is not a test, benchmark, fuzz or example function in the tree",
+		"2: FuzzGone is not a test, benchmark, fuzz or example function in the tree",
+		"2: TestGone is not a test, benchmark, fuzz or example function in the tree",
+		"2: TestNoSuch is not a test, benchmark, fuzz or example function in the tree")
 }

@@ -13,7 +13,7 @@ package core
 //   - TM1 merge sortedness contracts (per-flow last accepted rank),
 //   - every TM-visible and switch-visible counter.
 //
-// Match tables and TCAM contents are deliberately excluded: they are
+// Match-table contents are deliberately excluded: they are
 // control-plane installed configuration, not packet-mutated state — a
 // standby is built by the same constructor with the same programs, so its
 // tables are already identical.

@@ -1,6 +1,6 @@
-// Package mat implements the match-action substrate: exact and ternary
-// match tables with entry-capacity accounting, stateful register files, and
-// the stage memory model that distinguishes RMT from ADCP.
+// Package mat implements the match-action substrate: exact-match tables
+// with entry-capacity accounting, stateful register files, and the stage
+// memory model that distinguishes RMT from ADCP.
 //
 // In RMT (paper §2, limitation ②) each match-action unit (MAU) owns a
 // private slice of a stage's table memory and matches one scalar key per
@@ -78,89 +78,6 @@ func (t *ExactTable) Len() int { return len(t.m) }
 
 // Capacity returns the maximum number of entries.
 func (t *ExactTable) Capacity() int { return t.cap }
-
-// ternaryEntry is one value/mask rule with a priority.
-type ternaryEntry struct {
-	value, mask uint64
-	priority    int
-	result      Result
-	live        bool
-}
-
-// TernaryTable matches key against value/mask rules, highest priority wins
-// (a TCAM). Rules are scanned in priority order; capacity models TCAM size.
-type TernaryTable struct {
-	entries []ternaryEntry
-	n       int
-	cap     int
-}
-
-// NewTernaryTable returns a ternary table holding up to capacity rules.
-func NewTernaryTable(capacity int) *TernaryTable { return &NewTernaryTables(1, capacity)[0] }
-
-// NewTernaryTables returns count ternary tables of the given capacity in
-// one allocation: the TCAMs of a pipeline's stages.
-func NewTernaryTables(count, capacity int) []TernaryTable {
-	ts := make([]TernaryTable, count)
-	for i := range ts {
-		ts[i].cap = capacity
-	}
-	return ts
-}
-
-// InsertRule adds a value/mask rule with a priority (higher wins).
-func (t *TernaryTable) InsertRule(value, mask uint64, priority int, r Result) error {
-	if t.n >= t.cap {
-		return ErrTableFull
-	}
-	t.entries = append(t.entries, ternaryEntry{value: value & mask, mask: mask, priority: priority, result: r, live: true})
-	t.n++
-	return nil
-}
-
-// Lookup returns the result of the highest-priority matching rule.
-func (t *TernaryTable) Lookup(key uint64) (Result, bool) {
-	best := -1
-	bestPrio := 0
-	for i := range t.entries {
-		e := &t.entries[i]
-		if !e.live {
-			continue
-		}
-		if key&e.mask == e.value {
-			if best == -1 || e.priority > bestPrio {
-				best = i
-				bestPrio = e.priority
-			}
-		}
-	}
-	if best == -1 {
-		return Result{}, false
-	}
-	return t.entries[best].result, true
-}
-
-// Insert adds key as a fully-masked rule at priority 0.
-func (t *TernaryTable) Insert(key uint64, r Result) error {
-	return t.InsertRule(key, ^uint64(0), 0, r)
-}
-
-// Delete removes the fully-masked rules equal to key.
-func (t *TernaryTable) Delete(key uint64) {
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.live && e.mask == ^uint64(0) && e.value == key {
-			e.live = false
-			t.n--
-		}
-	}
-}
-
-// Len returns the number of live rules.
-func (t *TernaryTable) Len() int { return t.n }
-
-// Capacity returns the maximum number of rules.
-func (t *TernaryTable) Capacity() int { return t.cap }
 
 // HashKey mixes a 64-bit key (used by partitioners and table distribution);
 // SplitMix64 finalizer, deterministic across platforms.

@@ -75,48 +75,6 @@ func TestExactTableNeverInserted(t *testing.T) {
 	}
 }
 
-func TestTernaryPriority(t *testing.T) {
-	tb := NewTernaryTable(10)
-	// Low-priority catch-all, higher-priority specific.
-	tb.InsertRule(0, 0, 1, Result{ActionID: 1})
-	tb.InsertRule(0x0F00, 0xFF00, 10, Result{ActionID: 2})
-	r, ok := tb.Lookup(0x0F42)
-	if !ok || r.ActionID != 2 {
-		t.Errorf("specific rule lost: %+v", r)
-	}
-	r, ok = tb.Lookup(0x1234)
-	if !ok || r.ActionID != 1 {
-		t.Errorf("catch-all lost: %+v", r)
-	}
-}
-
-func TestTernaryCapacityDelete(t *testing.T) {
-	tb := NewTernaryTable(2)
-	tb.Insert(5, Result{ActionID: 1})
-	tb.Insert(6, Result{ActionID: 2})
-	if err := tb.Insert(7, Result{}); err != ErrTableFull {
-		t.Errorf("err = %v, want ErrTableFull", err)
-	}
-	tb.Delete(5)
-	if tb.Len() != 1 {
-		t.Errorf("Len = %d, want 1", tb.Len())
-	}
-	if _, ok := tb.Lookup(5); ok {
-		t.Error("deleted rule still matches")
-	}
-	if err := tb.Insert(7, Result{ActionID: 3}); err != nil {
-		t.Errorf("insert after delete: %v", err)
-	}
-}
-
-func TestTernaryNoMatch(t *testing.T) {
-	tb := NewTernaryTable(4)
-	tb.InsertRule(0xFF, 0xFF, 0, Result{})
-	if _, ok := tb.Lookup(0xFE); ok {
-		t.Error("non-matching key hit")
-	}
-}
-
 // Property: exact table stores and retrieves arbitrary key sets faithfully.
 func TestExactTableProperty(t *testing.T) {
 	f := func(keys []uint64) bool {
@@ -137,19 +95,6 @@ func TestExactTableProperty(t *testing.T) {
 		return tb.Len() == len(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: ternary lookup honors mask semantics.
-func TestTernaryMaskProperty(t *testing.T) {
-	f := func(value, mask, key uint64) bool {
-		tb := NewTernaryTable(1)
-		tb.InsertRule(value, mask, 0, Result{ActionID: 1})
-		_, ok := tb.Lookup(key)
-		return ok == (key&mask == value&mask)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -43,10 +43,6 @@ type Config struct {
 	TableEntriesPerStage int
 	// RegisterCellsPerStage is the stateful register cells per stage.
 	RegisterCellsPerStage int
-	// TCAMEntriesPerStage is the ternary (wildcard-match) rule budget per
-	// stage — real stages pair exact-match SRAM with a smaller TCAM for
-	// classifiers/ACLs. Zero disables the TCAM.
-	TCAMEntriesPerStage int
 	// MemoryMode selects scalar (RMT), array-interconnect (ADCP §3.2), or
 	// multi-clock (§4) stage memory.
 	MemoryMode mat.MemoryMode
@@ -68,7 +64,6 @@ func DefaultRMTConfig() Config {
 		MAUsPerStage:          mat.StageMAUs,
 		TableEntriesPerStage:  64 * 1024,
 		RegisterCellsPerStage: 4 * 1024,
-		TCAMEntriesPerStage:   1024,
 		MemoryMode:            mat.ModeScalar,
 		ClockHz:               1.25e9,
 		PHVBudget:             phv.DefaultBudget,
@@ -103,12 +98,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stage is one match-action stage: exact-match table memory, a ternary
-// classifier (TCAM), and a register file.
+// Stage is one match-action stage: exact-match table memory and a
+// register file.
 type Stage struct {
 	Index int
 	Mem   *mat.StageMemory
-	TCAM  *mat.TernaryTable // nil when the config disables it
 	Regs  *mat.RegisterFile
 
 	// rmwDone guards the one-RMW-per-packet-per-stage constraint; the
@@ -297,7 +291,7 @@ func New(cfg Config, parser *packet.ParseGraph, layout *phv.Layout) (*Pipeline, 
 
 // NewN builds n identical pipelines, as a switch does: the parse graph is
 // bound against the layout once and the (immutable) bound parser shared,
-// and the pipelines, their stages and the stages' table, TCAM and register
+// and the pipelines, their stages and the stages' table and register
 // headers are each one slice for all n, filled in place — a handful of
 // allocations however many stages the switch has. The n share one packet
 // arena. A graph that does not validate is an error.
@@ -323,16 +317,9 @@ func NewN(n int, cfg Config, parser *packet.ParseGraph, layout *phv.Layout) ([]*
 	stages := make([]Stage, total)
 	mems := mat.NewStageMemories(total, cfg.MemoryMode, cfg.MAUsPerStage, cfg.TableEntriesPerStage, cfg.MemoryClockMult)
 	regs := mat.NewRegisterFiles(total, cfg.RegisterCellsPerStage)
-	var tcams []mat.TernaryTable
-	if cfg.TCAMEntriesPerStage > 0 {
-		tcams = mat.NewTernaryTables(total, cfg.TCAMEntriesPerStage)
-	}
 	for k := range stages {
 		st := &stages[k]
 		st.Index, st.Mem, st.Regs = k%cfg.Stages, &mems[k], &regs[k]
-		if tcams != nil {
-			st.TCAM = &tcams[k]
-		}
 	}
 	ps, deparsed := make([]*Pipeline, n), new(packet.Arena)
 	for i := range ps {

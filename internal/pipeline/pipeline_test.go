@@ -439,66 +439,3 @@ func TestConsumeShortCircuitsLikeDrop(t *testing.T) {
 		t.Error("consume counted as drop")
 	}
 }
-
-func TestStageTCAMACL(t *testing.T) {
-	// An ACL in stage 0's TCAM: drop every packet whose coflow id matches
-	// 0xDEAD00xx (wildcard low byte), higher-priority allow for one
-	// specific id.
-	p, layout := newTestPipeline(t, DefaultRMTConfig())
-	st := p.Stage(0)
-	if st.TCAM == nil {
-		t.Fatal("default config should provision a TCAM")
-	}
-	if err := st.TCAM.InsertRule(0xDEAD00, 0xFFFFFF00, 1, mat.Result{ActionID: 1}); err != nil { // deny
-		t.Fatal(err)
-	}
-	if err := st.TCAM.InsertRule(0xDEAD42, ^uint64(0), 10, mat.Result{ActionID: 2}); err != nil { // allow
-		t.Fatal(err)
-	}
-	prog := &Program{Funcs: []StageFunc{
-		func(s *Stage, ctx *Context) error {
-			r, ok := s.TCAM.Lookup(ctx.PHV().Get(layout.Lookup("coflow_id")))
-			if ok && r.ActionID == 1 {
-				ctx.Verdict = VerdictDrop
-			}
-			return nil
-		},
-	}}
-	mk := func(coflow uint32) *packet.Packet {
-		return packet.Build(packet.Header{Proto: packet.ProtoKV, CoflowID: coflow, DstPort: 1},
-			&packet.KVHeader{Op: packet.KVGet, Pairs: []packet.KVPair{{Key: 1}}})
-	}
-	denied, err := p.Process(mk(0xDEAD07), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if denied.Verdict != VerdictDrop {
-		t.Errorf("ACL deny missed: %v", denied.Verdict)
-	}
-	p.Release(denied)
-	allowed, err := p.Process(mk(0xDEAD42), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allowed.Verdict != VerdictForward {
-		t.Errorf("priority allow lost: %v", allowed.Verdict)
-	}
-	p.Release(allowed)
-	other, err := p.Process(mk(0x1234), prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.Verdict != VerdictForward {
-		t.Errorf("non-matching packet dropped")
-	}
-	p.Release(other)
-}
-
-func TestTCAMDisabled(t *testing.T) {
-	cfg := DefaultRMTConfig()
-	cfg.TCAMEntriesPerStage = 0
-	p, _ := newTestPipeline(t, cfg)
-	if p.Stage(0).TCAM != nil {
-		t.Error("TCAM provisioned despite zero budget")
-	}
-}

@@ -14,12 +14,12 @@ import (
 // what one traversal matches (copies on RMT, the array width on ADCP),
 // rounded up.
 func FuzzParse(f *testing.F) {
-	kvcache, err := os.ReadFile("../../examples/programs/kvcache.p4l")
+	kvcache, err := os.ReadFile("testdata/kvcache.p4l")
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(string(kvcache))
-	// adcpc -example.
+	// The same program without comments, under another name.
 	f.Add(`# Multi-key cache with routing and an ACL.
 program democache
 field kv_op: 8
