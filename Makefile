@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test golden race fuzz-smoke loc loc-check bench-suite-test bench-allocs bench-pairs bench-profile soak experiments tables cover clean ci docs-check smoke-report
+.PHONY: all build test golden race fuzz-smoke bench-smoke loc loc-check bench-suite-test bench-allocs bench-pairs bench-profile soak experiments tables cover clean ci docs-check smoke-report
 
 all: build test
 
@@ -37,6 +37,12 @@ fuzz-smoke:
 		echo "== $$f"; \
 		go test "$${f%%:*}" -run '^$$' -fuzz "^$${f##*:}\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s; \
 	done
+
+# Every package Benchmark* once, one iteration each, so the benchmarks that
+# only bench-profile runs still compile and still run to completion.
+# Blocking in CI.
+bench-smoke:
+	go test ./... -run '^$$' -bench . -benchtime 1x
 
 # Line counts by the ROADMAP's rule: every *.go outside bench/ (the
 # benchmark is its own module), _test.go files counted apart.
@@ -157,7 +163,7 @@ smoke-report:
 # uploads REPORT_DIR): formatting, vet, build, tests (TestExpAllGolden, the
 # 500-seed soak and the two crash gates, TestKillResumeByteIdentity and
 # TestDaemonKillRecoverByteIdentity, among them), the size gate, every
-# fuzzer, the benchmark module's own vet and tests, the docs lint and the
+# fuzzer, every package benchmark once, the benchmark module's own vet and tests, the docs lint and the
 # report smoke. The race detector is the other blocking job.
 ci:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -167,6 +173,7 @@ ci:
 	go test ./...
 	$(MAKE) loc-check
 	$(MAKE) fuzz-smoke
+	$(MAKE) bench-smoke
 	$(MAKE) bench-suite-test
 	$(MAKE) docs-check
 	$(MAKE) smoke-report

@@ -113,7 +113,7 @@ func NewKVCacheADCP(cfg core.Config, kv KVConfig) (*KVCacheADCP, error) {
 	if err := kv.Validate(); err != nil {
 		return nil, err
 	}
-	layout := pipeline.StandardLayout(cfg.Pipe.PHVBudget)
+	layout := phv.NewLayout(cfg.Pipe.PHVBudget)
 	keysID, err := layout.AllocArray("kv_keys")
 	if err != nil {
 		return nil, fmt.Errorf("apps: KV cache needs an array container: %w", err)

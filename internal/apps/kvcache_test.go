@@ -8,6 +8,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/tm"
+	"repro/internal/workload"
 )
 
 func kvGet(src int, keys ...uint32) *packet.Packet {
@@ -315,5 +316,75 @@ func TestKVCacheEndToEndNetwork(t *testing.T) {
 				t.Errorf("host %d got %v", h, d.KV.Op)
 			}
 		}
+	}
+}
+
+// BenchmarkKVRound is one Zipf GET round of the benchmark's kv-get through
+// netsim at 1/16 of its keyspace: 8 clients, 8 keys a packet, the hottest
+// eighth of the keys cached, ADCP's batches regrouped per partition. An op
+// is netsim.New, the sends and Run on a prebuilt cache; ns/pkt is per
+// request delivered.
+func BenchmarkKVRound(b *testing.B) {
+	const keys, hot, width = 4096, 512, 8
+	injs, err := workload.KVZipf(workload.KVParams{
+		CoflowID: 1, Clients: 8, OpsPerClient: 256, KeysPerPacket: width,
+		KeySpace: keys, Gap: 100 * sim.Nanosecond, Seed: 1,
+	}, 0.99)
+	if err != nil {
+		b.Fatal(err)
+	}
+	kv := KVConfig{KeysPerPacket: width, CacheEntries: hot}
+	adcp, err := NewKVCacheADCP(benchADCP(), kv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rmtCfg := benchRMT()
+	rmtCfg.Pipe.TableEntriesPerStage *= width // k copies need k× the SRAM
+	rmtSw, err := NewKVCacheRMT(rmtCfg, kv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for k := uint32(0); k < hot; k++ {
+		if err := adcp.Install(k, k); err != nil {
+			b.Fatal(err)
+		}
+		if err := rmtSw.Install(k, k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var adcpInjs []workload.Injection
+	var d packet.Decoded
+	for _, inj := range injs {
+		if err := d.DecodePacket(inj.Pkt); err != nil {
+			b.Fatal(err)
+		}
+		for _, batch := range PartitionKV(d.KV.Pairs, benchADCP().CentralPipelines, width) {
+			adcpInjs = append(adcpInjs, workload.Injection{Src: inj.Src, At: inj.At,
+				Pkt: packet.Build(d.Base, &packet.KVHeader{Op: packet.KVGet, Pairs: batch})})
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		sw   netsim.SwitchModel
+		injs []workload.Injection
+	}{{"adcp", adcp, adcpInjs}, {"rmt", rmtSw, injs}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n, err := netsim.New(netsim.DefaultConfig(16), tc.sw)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var copies packet.Arena
+				for _, inj := range tc.injs {
+					n.SendAt(inj.Src, copies.Clone(inj.Pkt), inj.At)
+				}
+				n.Run()
+				if errs := n.Errors(); len(errs) > 0 || int(n.Delivered()) != len(tc.injs) {
+					b.Fatalf("%d of %d replies delivered, errors %v", n.Delivered(), len(tc.injs), errs)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tc.injs)), "ns/pkt")
+		})
 	}
 }

@@ -195,7 +195,7 @@ type Network struct {
 	// the chunks recovery states and causal accounts are cut from (the *N
 	// are chunk sizes, see cut), retired and txCut are newTxState's, and
 	// arena backs the packet structs a sender retransmits. All are nil until
-	// a packet needs them. scratch is coflowOf's reusable decode target.
+	// a packet needs them.
 	freeEv                         *pktEvent
 	evSlab                         int
 	txSlab                         []txState
@@ -205,7 +205,6 @@ type Network struct {
 	retired                        [2]struct{ head, tail *txState }
 	txCut                          int
 	arena                          packet.Arena
-	scratch                        packet.Decoded
 
 	// OnDeliver, when set, observes every host delivery.
 	OnDeliver func(host int, pkt *packet.Packet, now sim.Time)
@@ -465,16 +464,6 @@ func (n *Network) linkGbps(host int) float64 {
 func (n *Network) serialization(host int, p *packet.Packet) sim.Time {
 	bits := float64(p.WireLen() * 8)
 	return sim.Time(bits / n.linkGbps(host) * 1000) // Gbps → ps per bit: 1000/Gbps
-}
-
-// coflowOf decodes a packet's coflow id (0 when undecodable), matching the
-// tracker's keying of send/deliver events. The decode is a full one, into
-// the network's scratch, so a packet whose body is malformed reads as 0.
-func (n *Network) coflowOf(p *packet.Packet) uint32 {
-	if err := n.scratch.DecodePacket(p); err != nil {
-		return 0
-	}
-	return n.scratch.Base.CoflowID
 }
 
 // pktEvent is one packet's pending step: the state an event needs when it
@@ -797,7 +786,7 @@ func (n *Network) startSend(src int, pkt *packet.Packet) {
 			return
 		}
 	}
-	cf := n.coflowOf(pkt)
+	cf := packet.CoflowKey(pkt.Data)
 	n.tracker.Send(cf, now, pkt.WireLen())
 	n.injected++
 	n.recorder.Record(now, "send", int64(cf), int64(src))
@@ -940,10 +929,10 @@ func (n *Network) scheduleOutputs(outs []*packet.Packet, sentAt sim.Time, ch *te
 			// drop (and an error for tests) instead of vanishing.
 			n.errs = append(n.errs, fmt.Errorf("netsim: delivery on hostless port %d", dst))
 			n.led.HostlessDrops++
-			n.tracker.Drop(n.coflowOf(out))
+			n.tracker.Drop(packet.CoflowKey(out.Data))
 			continue
 		}
-		cf := n.coflowOf(out)
+		cf := packet.CoflowKey(out.Data)
 		c := ch
 		if i < len(outs)-1 {
 			c = n.fork(ch) // the last output continues on the parent account

@@ -185,20 +185,9 @@ func (g *ParseGraph) Bind(lookup func(name string, array bool) int) (*BoundParse
 // Run parses data, filling res (which is reset first and whose buffers
 // are reused). maxStates bounds traversal (loop protection); 0 means 64.
 // Error conditions and costs (StatesVisited, BytesConsumed) are exactly
-// those of ParseGraph.Run on the same graph.
+// those of ParseGraph.Run on the same graph; what it stores is what the
+// consumer mapped, so a walk that maps nothing only checks.
 func (b *BoundParser) Run(data []byte, maxStates int, res *FlatResult) error {
-	return b.walk(data, maxStates, res, true)
-}
-
-// Check is Run without the storing: the same walk over the same states with
-// the same header-length and array-bounds errors, StatesVisited,
-// BytesConsumed and Path, reading only the selectors and array counts that
-// steer it. Fields and Arrays come back empty.
-func (b *BoundParser) Check(data []byte, maxStates int, res *FlatResult) error {
-	return b.walk(data, maxStates, res, false)
-}
-
-func (b *BoundParser) walk(data []byte, maxStates int, res *FlatResult, store bool) error {
 	if maxStates <= 0 {
 		maxStates = 64
 	}
@@ -216,14 +205,12 @@ func (b *BoundParser) walk(data []byte, maxStates int, res *FlatResult, store bo
 		if len(data) < s.hdrLen {
 			return ErrTruncated
 		}
-		if store {
-			fields := res.Fields // a local: appending through res costs the walk 15 %
-			for i := range s.extracts {
-				f := &s.extracts[i]
-				fields = append(fields, FlatField{Slot: f.slot, Val: f.read(data)})
-			}
-			res.Fields = fields
+		fields := res.Fields // a local: appending through res costs the walk 15 %
+		for i := range s.extracts {
+			f := &s.extracts[i]
+			fields = append(fields, FlatField{Slot: f.slot, Val: f.read(data)})
 		}
+		res.Fields = fields
 		body := data[s.hdrLen:]
 		for i := range s.arrays {
 			a := &s.arrays[i]
@@ -238,7 +225,7 @@ func (b *BoundParser) walk(data []byte, maxStates int, res *FlatResult, store bo
 					return ErrTruncated
 				}
 			}
-			if !store || a.slot < 0 {
+			if a.slot < 0 {
 				continue
 			}
 			out := res.addArray(a.slot, n)

@@ -1,6 +1,9 @@
 package packet
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Packet is a wire packet moving through the simulated network and switch.
 // Data holds the full encoded bytes (base header first). The struct also
@@ -91,6 +94,30 @@ func (d *Decoded) Decode(data []byte) error {
 
 // DecodePacket parses p into d.
 func (d *Decoded) DecodePacket(p *Packet) error { return d.Decode(p.Data) }
+
+// appHeaders gives, per protocol, the fixed length of its application
+// header, the offset of the element count within it and the bytes of one
+// element (0: no count, as for ProtoRaw).
+var appHeaders = [...]struct{ fixed, count, elem int }{
+	ProtoML: {MLHeaderFixedLen, 6, 4}, ProtoKV: {KVHeaderFixedLen, 2, 8}, ProtoDB: {DBHeaderFixedLen, 4, 8},
+	ProtoGraph: {GraphHeaderFixedLen, 2, 8}, ProtoGroup: {GroupHeaderFixedLen, 12, 1},
+}
+
+// CoflowKey returns the CoflowID of the packet in data when Decode would
+// accept it, and 0 when it would not: it reads the base header and checks
+// the body's lengths the way the decoders do, without materialising it.
+func CoflowKey(data []byte) uint32 {
+	var h Header
+	rest, err := h.Decode(data)
+	if err != nil || int(h.Proto) >= len(appHeaders) {
+		return 0
+	}
+	body, a := rest[:h.Length], appHeaders[h.Proto]
+	if a.elem > 0 && (len(body) < a.fixed || len(body)-a.fixed < int(binary.BigEndian.Uint16(body[a.count:]))*a.elem) {
+		return 0
+	}
+	return h.CoflowID
+}
 
 // Elements returns how many application data elements the packet carries
 // (weights, pairs, tuples, or edges); Raw and Group count as one. This is

@@ -49,8 +49,9 @@ func FuzzParseGraph(f *testing.F) {
 		f.Add(s)
 	}
 	g := StandardGraph()
-	// The bound forms, every name mapped: Run stores, Check only checks, and
-	// both must accept, reject and cost exactly what the unbound walk does.
+	// Two bound forms: every name mapped stores everything, none mapped (an
+	// empty PHV layout) only checks, and both must accept, reject and cost
+	// exactly what the unbound walk does.
 	slots := map[string]int{}
 	bound, err := g.Bind(func(name string, _ bool) int {
 		if _, ok := slots[name]; !ok {
@@ -61,12 +62,16 @@ func FuzzParseGraph(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	unmapped, err := g.Bind(func(string, bool) int { return -1 })
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := g.Run(data, 0)
 		var stored, checked FlatResult
-		errRun, errCheck := bound.Run(data, 0, &stored), bound.Check(data, 0, &checked)
+		errRun, errCheck := bound.Run(data, 0, &stored), unmapped.Run(data, 0, &checked)
 		if fmt.Sprint(errRun) != fmt.Sprint(err) || fmt.Sprint(errCheck) != fmt.Sprint(err) {
-			t.Fatalf("errors differ: unbound %v, Run %v, Check %v", err, errRun, errCheck)
+			t.Fatalf("errors differ: unbound %v, all mapped %v, none mapped %v", err, errRun, errCheck)
 		}
 		if err != nil {
 			return
@@ -77,7 +82,7 @@ func FuzzParseGraph(f *testing.F) {
 			}
 		}
 		if len(checked.Fields)+len(checked.Arrays) != 0 || len(stored.Fields) != len(res.Fields) || len(stored.Arrays) != len(res.Arrays) {
-			t.Fatalf("Check stored %d+%d, Run %d+%d of the unbound walk's %d+%d", len(checked.Fields), len(checked.Arrays),
+			t.Fatalf("none mapped stored %d+%d, all mapped %d+%d of the unbound walk's %d+%d", len(checked.Fields), len(checked.Arrays),
 				len(stored.Fields), len(stored.Arrays), len(res.Fields), len(res.Arrays))
 		}
 		if res.BytesConsumed > len(data) {
@@ -109,6 +114,47 @@ func FuzzHeaderRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(enc, g.Encode(nil)) {
 			t.Fatal("re-encode differs")
+		}
+	})
+}
+
+// FuzzCoflowKey holds the header-only coflow key to the full decode it
+// stands in for: for any bytes, the key is Base.CoflowID when Decode
+// accepts them and 0 when it does not.
+func FuzzCoflowKey(f *testing.F) {
+	h := func(p Proto) Header { return Header{Proto: p, CoflowID: 0xC0F1} }
+	kv := Build(h(ProtoKV), &KVHeader{Op: KVGet, Pairs: []KVPair{{1, 2}, {3, 4}}}).Data
+	lying := append([]byte(nil), kv...)
+	lying[BaseHeaderLen+3]++ // one pair more than the body holds
+	long := append([]byte(nil), kv...)
+	long[19]++ // a Length one past the body, which still holds its pairs
+	short := append([]byte(nil), kv...)
+	short[19] -= 8 // a Length one pair short of the count, the pair still there
+	for _, s := range [][]byte{
+		Build(h(ProtoML), &MLHeader{Base: 1, Values: []uint32{1, 2, 3}}).Data,
+		kv,
+		Build(h(ProtoDB), &DBHeader{Query: 3, Tuples: []DBTuple{{4, 5}}}).Data,
+		Build(h(ProtoGraph), &GraphHeader{Round: 1, Edges: []Edge{{6, 7}}}).Data,
+		Build(h(ProtoGroup), &GroupHeader{GroupID: 8, Payload: []byte("xyz")}).Data,
+		Build(h(ProtoRaw), nil).Data,
+		lying,
+		long,
+		short,
+		Build(h(ProtoML), nil).Data, // no application header at all
+		kv[:len(kv)-1],              // body shorter than Length, and than its pairs
+		kv[:BaseHeaderLen-1],        // truncated base header
+		Build(h(Proto(9)), nil).Data,
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var d Decoded
+		want := uint32(0)
+		if d.Decode(data) == nil {
+			want = d.Base.CoflowID
+		}
+		if got := CoflowKey(data); got != want {
+			t.Fatalf("CoflowKey = %#x, a full decode keys %#x", got, want)
 		}
 	})
 }

@@ -237,7 +237,7 @@ func TestBoundPathIdentifiesWalk(t *testing.T) {
 	}
 	path := func(p *Packet) uint64 {
 		var r FlatResult
-		if err := bound.Check(p.Data, 0, &r); err != nil {
+		if err := bound.Run(p.Data, 0, &r); err != nil {
 			t.Fatal(err)
 		}
 		return r.Path
@@ -262,7 +262,7 @@ func TestBoundPathIdentifiesWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	var r FlatResult
-	if err := long.Check(make([]byte, 9), 0, &r); err != nil || r.StatesVisited != 9 || r.Path != 0 {
+	if err := long.Run(make([]byte, 9), 0, &r); err != nil || r.StatesVisited != 9 || r.Path != 0 {
 		t.Errorf("nine-state walk: %d states, path %#x, %v; want 9, 0, nil", r.StatesVisited, r.Path, err)
 	}
 }

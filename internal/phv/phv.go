@@ -14,10 +14,7 @@
 // hot path allocation-free.
 package phv
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Width is a container width in bits.
 type Width int
@@ -137,9 +134,6 @@ func (l *Layout) Lookup(name string) FieldID {
 func (l *Layout) IsArray(id FieldID) bool {
 	return int(id) < len(l.fields) && l.fields[id].array
 }
-
-// WidthOf returns the container width of a scalar field.
-func (l *Layout) WidthOf(id FieldID) Width { return l.fields[id].width }
 
 // NameOf returns the field's name.
 func (l *Layout) NameOf(id FieldID) string { return l.fields[id].name }
@@ -267,18 +261,6 @@ func (v *Vector) Snapshot() map[string]uint64 {
 		}
 	}
 	return m
-}
-
-// SortedFieldNames returns valid scalar field names in sorted order.
-func (v *Vector) SortedFieldNames() []string {
-	var names []string
-	for id, f := range v.layout.fields {
-		if v.valid[id] && !f.array {
-			names = append(names, f.name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Pool is a free list of Vectors for one layout; pipelines use it so that

@@ -38,7 +38,8 @@ func StandardLayout(b phv.Budget) *phv.Layout {
 }
 
 // LayoutOf picks the PHV layout for a switch: the first program that
-// carries one wins; otherwise the standard layout for the budget.
+// carries one wins. A PHV holds what its program reads, so a switch whose
+// programs carry none gets an empty one: its parser checks, extracts nothing.
 func LayoutOf(a, b *Program, budget phv.Budget) *phv.Layout {
 	if a != nil && a.Layout != nil {
 		return a.Layout
@@ -46,5 +47,5 @@ func LayoutOf(a, b *Program, budget phv.Budget) *phv.Layout {
 	if b != nil && b.Layout != nil {
 		return b.Layout
 	}
-	return StandardLayout(budget)
+	return phv.NewLayout(budget)
 }

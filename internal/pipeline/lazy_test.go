@@ -10,9 +10,10 @@ import (
 	"repro/internal/phv"
 )
 
-// The rule under test: a traversal always validates, and stores only what
-// is read. Whoever reads the PHV, whenever, sees what a vector filled at
-// parse time would hold; whoever does not, pays for none of it.
+// The rule under test: a traversal walks each pass once, and stores only
+// what is read. Whoever reads the PHV, whenever, sees what a vector filled
+// at parse time would hold, and the decoded view what an eager decode of the
+// pass's bytes holds; whoever does not read it pays for none of it.
 
 // lazyLayout is the standard layout plus every array the standard graph
 // lifts that the ADCP budget has a container for.
@@ -25,6 +26,24 @@ func lazyLayout(t testing.TB) *phv.Layout {
 		}
 	}
 	return l
+}
+
+// keysLayout is the KV cache's layout: the key array and nothing else.
+func keysLayout(t testing.TB) *phv.Layout {
+	t.Helper()
+	l := phv.NewLayout(phv.ADCPBudget)
+	if _, err := l.AllocArray("kv_keys"); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// decodedView renders the base header and the application header its
+// protocol selects: what a stage program can read of a Decoded.
+func decodedView(d *packet.Decoded) string {
+	app := map[packet.Proto]any{packet.ProtoRaw: d.Payload, packet.ProtoML: d.ML, packet.ProtoKV: d.KV,
+		packet.ProtoDB: d.DB, packet.ProtoGraph: d.Graph, packet.ProtoGroup: d.Group}[d.Base.Proto]
+	return fmt.Sprintf("%+v %+v", d.Base, app)
 }
 
 // dump renders every container of v: validity, scalar value, array contents.
@@ -91,11 +110,12 @@ type traversal struct {
 
 // runVariant drives data through a fresh pipeline whose program reads the
 // PHV at the variant's point, checking each read against the eager
-// reference, and returns what the traversal did.
-func runVariant(t testing.TB, data []byte, act uint8, variant int) traversal {
+// reference and the decoded view at every stage 0, and returns what the
+// traversal did.
+func runVariant(t testing.TB, data []byte, act uint8, variant int, layout *phv.Layout) traversal {
 	cfg := DefaultADCPConfig()
 	cfg.Stages = 3
-	graph, layout := packet.StandardGraph(), lazyLayout(t)
+	graph := packet.StandardGraph()
 	p, err := New(cfg, graph, layout)
 	if err != nil {
 		t.Fatal(err)
@@ -114,6 +134,13 @@ func runVariant(t testing.TB, data []byte, act uint8, variant int) traversal {
 	prog := &Program{Funcs: []StageFunc{
 		func(_ *Stage, ctx *Context) error {
 			refFill(t, graph, want, cur)
+			var eager packet.Decoded
+			if err := eager.Decode(cur); err != nil {
+				t.Fatalf("variant %d act %#x: eager decode rejects bytes the pipeline accepted: %v", variant, act, err)
+			}
+			if got, ref := decodedView(&ctx.Decoded), decodedView(&eager); got != ref {
+				t.Fatalf("variant %d act %#x: decoded view, pass %d:\n got %s\nwant %s", variant, act, pass, got, ref)
+			}
 			if variant == readStage0 || (variant == readAfterResume && pass == 1) {
 				check(ctx, "at stage 0")
 			}
@@ -167,11 +194,40 @@ func runVariant(t testing.TB, data []byte, act uint8, variant int) traversal {
 	return finish()
 }
 
+// checkTraversalReads is FuzzTraversalReads' property on one input: under
+// the full layout and under the KV cache's, a traversal is the same whether
+// and wherever its program reads the PHV.
+func checkTraversalReads(t *testing.T, data []byte, act uint8) {
+	for _, layout := range []*phv.Layout{lazyLayout(t), keysLayout(t)} {
+		base := runVariant(t, data, act, readNever, layout)
+		for v := readNever + 1; v < readVariants; v++ {
+			if got := runVariant(t, data, act, v, layout); !reflect.DeepEqual(got, base) {
+				t.Fatalf("act %#x, %d-field layout: reading the PHV (variant %d) changed the traversal:\n got %+v\nwant %+v",
+					act, layout.NumFields(), v, got, base)
+			}
+		}
+	}
+}
+
+// recirculatedML is an ML packet on its way round again: the case where a
+// recirculated pass takes another path through the parse graph than the
+// pass before it (actRetype), so a vector first asked for on the second
+// pass is built from the first pass's bytes, beside the second pass's walk.
+var recirculatedML = packet.Build(packet.Header{Proto: packet.ProtoML, Flags: packet.FlagRecirc},
+	&packet.MLHeader{Base: 4, Values: []uint32{7, 8, 9}})
+
+// TestTraversalReadsPathChangeOnRecirculation is the fuzzer's seed that
+// holds a vector built from an earlier pass's bytes to a walk result of its
+// own: rebuilt into the pass's result instead, it clobbers what the current
+// pass extracted.
+func TestTraversalReadsPathChangeOnRecirculation(t *testing.T) {
+	checkTraversalReads(t, recirculatedML.Data, actRecirculate|actModify|actRetype)
+}
+
 func FuzzTraversalReads(f *testing.F) {
 	values := []uint32{7, 8, 9}
 	pairs := []packet.KVPair{{Key: 1, Value: 2}, {Key: 3, Value: 4}}
 	kv := packet.Build(packet.Header{Proto: packet.ProtoKV, SrcPort: 2, CoflowID: 9}, &packet.KVHeader{Op: packet.KVGet, Pairs: pairs})
-	recirculated := packet.Build(packet.Header{Proto: packet.ProtoML, Flags: packet.FlagRecirc}, &packet.MLHeader{Base: 4, Values: values})
 	for _, p := range []*packet.Packet{
 		packet.Build(packet.Header{Proto: packet.ProtoML, CoflowID: 1}, &packet.MLHeader{Base: 16, Worker: 3, Values: values}),
 		kv,
@@ -180,20 +236,13 @@ func FuzzTraversalReads(f *testing.F) {
 		packet.Build(packet.Header{Proto: packet.ProtoGroup}, &packet.GroupHeader{GroupID: 1, Total: 4, Payload: []byte("chunk")}),
 		packet.BuildRaw(packet.Header{DstPort: 1}, 12),
 		{Data: kv.Data[:len(kv.Data)-3]}, // truncated inside the last pair
-		recirculated,
+		recirculatedML,
 	} {
 		for _, act := range []uint8{0, actRecirculate, actRecirculate | actModify, actRecirculate | actModify | actRetype} {
 			f.Add(p.Data, act)
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, act uint8) {
-		base := runVariant(t, data, act, readNever)
-		for v := readNever + 1; v < readVariants; v++ {
-			if got := runVariant(t, data, act, v); !reflect.DeepEqual(got, base) {
-				t.Fatalf("act %#x: reading the PHV (variant %d) changed the traversal:\n got %+v\nwant %+v", act, v, got, base)
-			}
-		}
-	})
+	f.Fuzz(checkTraversalReads)
 }
 
 // TestUnreadPHVIsNeverBuilt is the structural half of the rule: traversals
@@ -237,4 +286,33 @@ func TestUnreadPHVIsNeverBuilt(t *testing.T) {
 			t.Errorf("traversal %d: a released context still hands out a PHV", i)
 		}
 	}
+}
+
+// TestLatePHVReadsItsOwnPass: a vector first asked for after a pipeline of
+// the same switch has walked another packet is built from its own pass's
+// bytes, not from the walk the pipelines kept last, and leaves that walk to
+// its owner.
+func TestLatePHVReadsItsOwnPass(t *testing.T) {
+	layout := keysLayout(t)
+	ps, err := NewN(2, DefaultADCPConfig(), packet.StandardGraph(), layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := layout.Lookup("kv_keys")
+	first, err := ps[0].Process(kvPacket(3), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := ps[1].Process(kvPacket(5), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := first.PHV().Array(keys); !reflect.DeepEqual(got, []uint32{1, 2, 3}) {
+		t.Errorf("the earlier traversal's late PHV holds keys %v, want [1 2 3]", got)
+	}
+	if got := second.PHV().Array(keys); !reflect.DeepEqual(got, []uint32{1, 2, 3, 4, 5}) {
+		t.Errorf("the latest traversal's PHV holds keys %v, want [1 2 3 4 5]", got)
+	}
+	ps[0].Release(first)
+	ps[1].Release(second)
 }

@@ -9,10 +9,10 @@
 // sees the stage's table memory and register files plus the per-packet
 // context (PHV, decoded headers, verdict).
 //
-// A traversal always validates, and stores only what is read: every pass
-// walks the parse graph and decodes the packet (same errors, cycles and
-// counters whoever is looking), but the PHV is filled from those bytes the
-// first time Context.PHV is called.
+// A traversal parses only what its program reads: every pass walks the parse
+// graph once, storing the fields its program's layout holds, and decodes the
+// packet (same errors, cycles and counters whoever is looking); the PHV is
+// filled from that walk the first time Context.PHV is called.
 //
 // The same Pipeline type serves as RMT ingress/egress pipeline and as ADCP
 // ingress/central/egress pipeline — the architectures differ in how many
@@ -198,15 +198,22 @@ type Context struct {
 }
 
 // PHV returns the traversal's packet header vector: what the parser
-// extracts from the bytes the pass began with, plus whatever programs have
+// extracted from the bytes the pass began with, plus whatever programs have
 // written since. It is filled on the first call — a traversal nobody asks
-// never builds one — and from then on refreshed by every Resume, so reads
-// are what a vector filled at parse time would hold. Those bytes must not
-// have been rewritten in place in between.
+// never builds one — from the result the pass's own walk left, and from then
+// on refreshed by every Resume, so reads are what a vector filled at parse
+// time would hold. Only a vector first asked for once a pipeline of the same
+// NewN call has walked other bytes is walked again, from the pass's own
+// bytes, into a result of its own; those must not have been rewritten since.
 func (c *Context) PHV() *phv.Vector {
 	if c.vec == nil && c.parsed != nil {
-		c.vec = c.pipe.pool.Get()
-		c.pipe.store(c.vec, c.parsed)
+		p, res := c.pipe, &c.pipe.sh.flat
+		c.vec = p.pool.Get()
+		if p.sh.flatOf != c { // flat holds a later walk, which this must not clobber
+			res = &p.sh.rebuilt
+			_ = p.bound.Run(c.parsed, 0, res) // bytes this parser has walked without error
+		}
+		fill(c.vec, res)
 	}
 	return c.vec
 }
@@ -240,7 +247,7 @@ func (c *Context) Emit(pkt *packet.Packet, ports ...int) {
 // Build cuts a packet a stage program makes (a result it emits) from the
 // arena the pipeline's deparser re-encodes into.
 func (c *Context) Build(h packet.Header, body packet.Encoder) *packet.Packet {
-	return c.pipe.deparsed.Build(h, body)
+	return c.pipe.sh.arena.Build(h, body)
 }
 
 // StageFunc is the compiled program of one stage.
@@ -260,15 +267,12 @@ type Pipeline struct {
 	stages []Stage
 	pool   phv.Pool
 
-	// bound is the parse graph pre-resolved against the layout, flat its
-	// reusable result and ctxFree the context free list: together they
-	// make the steady-state traversal allocation-free. deparsed backs the
-	// packets the deparser re-encodes and those stage programs build
-	// (Context.Build); the pipelines of one NewN call share it.
-	bound    *packet.BoundParser
-	flat     packet.FlatResult
-	ctxFree  []*Context
-	deparsed *packet.Arena
+	// bound is the parse graph pre-resolved against the layout, sh what
+	// the pipelines of one NewN call share, and ctxFree the context free
+	// list: together they make the steady-state traversal allocation-free.
+	bound   *packet.BoundParser
+	sh      *shared
+	ctxFree []*Context
 
 	packets     uint64
 	drops       uint64
@@ -277,6 +281,16 @@ type Pipeline struct {
 	stageCycles uint64
 
 	observer Observer
+}
+
+// shared is what the pipelines of one NewN call, traversed one at a time,
+// hold in common: the arena for what the deparser and stage programs build
+// (Context.Build), the latest walk (flat, of flatOf's pass; nil while it
+// holds none) and rebuilt, which Context.PHV walks earlier bytes into.
+type shared struct {
+	arena         packet.Arena
+	flat, rebuilt packet.FlatResult
+	flatOf        *Context
 }
 
 // New builds a pipeline. The layout must be allocated from cfg.PHVBudget
@@ -294,7 +308,7 @@ func New(cfg Config, parser *packet.ParseGraph, layout *phv.Layout) (*Pipeline, 
 // and the pipelines, their stages and the stages' table and register
 // headers are each one slice for all n, filled in place — a handful of
 // allocations however many stages the switch has. The n share one packet
-// arena. A graph that does not validate is an error.
+// arena and one parse result. A graph that does not validate is an error.
 func NewN(n int, cfg Config, parser *packet.ParseGraph, layout *phv.Layout) ([]*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -321,10 +335,10 @@ func NewN(n int, cfg Config, parser *packet.ParseGraph, layout *phv.Layout) ([]*
 		st := &stages[k]
 		st.Index, st.Mem, st.Regs = k%cfg.Stages, &mems[k], &regs[k]
 	}
-	ps, deparsed := make([]*Pipeline, n), new(packet.Arena)
+	ps, sh := make([]*Pipeline, n), new(shared)
 	for i := range ps {
 		p := &pipes[i]
-		p.cfg, p.pool, p.bound, p.deparsed = cfg, *phv.NewPool(layout), bound, deparsed
+		p.cfg, p.pool, p.bound, p.sh = cfg, *phv.NewPool(layout), bound, sh
 		p.stages = stages[i*cfg.Stages : (i+1)*cfg.Stages : (i+1)*cfg.Stages]
 		ps[i] = p
 	}
@@ -378,13 +392,11 @@ func (p *Pipeline) Resume(ctx *Context, prog *Program) error {
 	return p.runInto(ctx, prog)
 }
 
-// store fills v with what the bound parser extracts from data: scalars, and
-// arrays where the layout has array containers (ADCP §3.2: arrays as
-// first-class parse outputs; RMT layouts have none, so the binder drops them
-// to bounds-check-only). A walk has already accepted these bytes.
-func (p *Pipeline) store(v *phv.Vector, data []byte) {
-	res := &p.flat
-	_ = p.bound.Run(data, 0, res)
+// fill copies what a walk extracted into v: scalars, and arrays where the
+// layout has array containers (ADCP §3.2: arrays as first-class parse
+// outputs; RMT layouts have none, so the binder drops them to
+// bounds-check-only).
+func fill(v *phv.Vector, res *packet.FlatResult) {
 	for i := range res.Fields {
 		v.Set(phv.FieldID(res.Fields[i].Slot), res.Fields[i].Val)
 	}
@@ -394,10 +406,13 @@ func (p *Pipeline) store(v *phv.Vector, data []byte) {
 }
 
 func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
-	// Parse: walk the bound graph for its checks and its cost.
-	res := &p.flat
+	// Parse: one walk of the bound graph for its checks, its cost and the
+	// fields the layout holds.
+	res := &p.sh.flat
 	data := ctx.Pkt.Data
-	if err := p.bound.Check(data, 0, res); err != nil {
+	err := p.bound.Run(data, 0, res)
+	p.sh.flatOf = nil // res holds no earlier pass now
+	if err != nil {
 		p.parseErrors++
 		return fmt.Errorf("pipeline: parse: %w", err)
 	}
@@ -410,10 +425,9 @@ func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
 	if res.Path == 0 || res.Path != ctx.path {
 		ctx.PHV()
 	}
-	ctx.path = res.Path
-	ctx.parsed = data
+	ctx.path, ctx.parsed, p.sh.flatOf = res.Path, data, ctx
 	if ctx.vec != nil {
-		p.store(ctx.vec, data)
+		fill(ctx.vec, res)
 	}
 	if err := ctx.Decoded.DecodePacket(ctx.Pkt); err != nil {
 		p.parseErrors++
@@ -483,7 +497,7 @@ func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
 
 	// Deparse.
 	if ctx.Modified && ctx.Verdict != VerdictDrop && ctx.Verdict != VerdictConsume {
-		np := p.deparsed.Reencode(&ctx.Decoded)
+		np := p.sh.arena.Reencode(&ctx.Decoded)
 		np.IngressPort = ctx.Pkt.IngressPort
 		np.EgressPort = ctx.Pkt.EgressPort
 		np.Recirculations = ctx.Pkt.Recirculations
