@@ -55,7 +55,7 @@ loc:
 # above must not exceed the ceiling. A PR that shrinks the tree lowers the
 # ceiling to its own result; one that has to raise it says why in
 # CHANGES.md.
-LOC_CEILING := 23703
+LOC_CEILING := 23415
 loc-check:
 	@src=$$($(MAKE) -s loc | awk '$$1 == "source" { print $$2 }'); \
 	if [ "$$src" -gt $(LOC_CEILING) ]; then \
@@ -72,9 +72,9 @@ bench-suite-test:
 # gated workloads at two seconds each, untraced, one row per workload with
 # the first 16 hex digits of its digest (scripts/bench_allocs.py). The two
 # counts repeat exactly from run to run (they are counts) and peak_rss_mb to
-# within a MiB, so two seconds is enough; setup_s is there because work
-# moved out of the per-packet path must not reappear in construction. A
-# workload that fails verification is marked FAILED and makes the target
+# within a MiB, so two seconds is enough. Timed metrics (setup_s among
+# them) are not printed: one two-second run does not measure them, and
+# `make bench-pairs` does. A workload that fails verification is marked FAILED and makes the target
 # fail once every row is printed. Builds via bench/run.sh like every other
 # benchmark run. See "A packet's allocation ledger" and "What a round holds
 # before it runs" in docs/PERFORMANCE.md.
@@ -134,7 +134,9 @@ soak:
 
 # Documentation lint: every internal package and command carries a godoc
 # comment, every relative markdown link in README.md / docs/ resolves,
-# and docs/METRICS.md matches a fresh `go run ./cmd/metricsdoc`.
+# docs/METRICS.md matches a fresh `go run ./cmd/metricsdoc`, and every make
+# target, directory, test function and internal Go identifier the living
+# documents name exists.
 docs-check:
 	go run ./cmd/docscheck
 

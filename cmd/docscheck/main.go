@@ -20,7 +20,12 @@
 //     (not CHANGES.md, ROADMAP.md and the other history files), every
 //     `make <target>` is a Makefile target, every cmd/<name> and
 //     internal/<name> and every `go run ./<path>` a directory, every
-//     Test…/Benchmark…/Fuzz…/Example… a function in a _test.go file.
+//     Test…/Benchmark…/Fuzz…/Example… a function in a _test.go file;
+//     outside fenced blocks, every code span's `pkg.Name` is a top-level
+//     declaration of internal/<pkg> and every `pkg.Type.Member` a method
+//     or field of that type, as declared in the package's non-test files
+//     (read with go/parser; an embedded field counts by its type's name,
+//     the members it promotes do not).
 //
 // Usage:
 //
@@ -31,6 +36,9 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -191,12 +199,14 @@ var (
 	pkgDirRe   = regexp.MustCompile(`\b((?:cmd|internal)/[a-z][a-z0-9_]*)`)
 	goRunRe    = regexp.MustCompile(`go run \./([A-Za-z0-9_/-]*[A-Za-z0-9_])`)
 	testNameRe = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z][A-Za-z0-9_]*\*?`)
+	codeSpanRe = regexp.MustCompile("`[^`]+`")
+	goRefRe    = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*(?:\.[A-Za-z_]\w*)?)`)
 )
 
 // checkNamedThings verifies that the living documents name only make
 // targets (in a code span or a fenced block), cmd/ and internal/
-// directories, `go run` packages and test functions that exist. A test
-// name ending in `*` names a family.
+// directories, `go run` packages, test functions and Go declarations that
+// exist. A test name ending in `*` names a family.
 func checkNamedThings(root string) []string {
 	makefile, _ := os.ReadFile(filepath.Join(root, "Makefile"))
 	var tests []byte // every _test.go in the tree
@@ -215,6 +225,7 @@ func checkNamedThings(root string) []string {
 	for _, f := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		docs = append(docs, filepath.Join(root, f))
 	}
+	decls := goDecls{root: root, pkgs: map[string]map[string]bool{}}
 	var problems []string
 	for _, f := range docs {
 		raw, _ := os.ReadFile(f) // a missing document is the link check's to report
@@ -246,7 +257,120 @@ func checkNamedThings(root string) []string {
 					bad(strings.TrimSuffix(name, "*") + " is not a test, benchmark, fuzz or example function in the tree")
 				}
 			}
+			for _, span := range codeSpanRe.FindAllString(line, -1) {
+				for _, m := range goRefRe.FindAllStringSubmatch(span, -1) {
+					if what := decls.resolve(m[1], m[2]); what != "" && !fenced {
+						bad(what)
+					}
+				}
+			}
 		}
 	}
 	return problems
+}
+
+// goDecls holds, per package name, what internal/<pkg>'s non-test files
+// declare: "Name" for a top-level declaration, "Type.Member" for a method
+// or field. A package is parsed at its first reference; nil stands for a
+// directory with no Go files, whose names are not Go references.
+type goDecls struct {
+	root string
+	pkgs map[string]map[string]bool
+}
+
+// resolve returns why `pkg.ref` names nothing, or "" when it resolves or pkg
+// is no package under internal/.
+func (g goDecls) resolve(pkg, ref string) string {
+	d, seen := g.pkgs[pkg]
+	if !seen {
+		var err error
+		if d, err = parseDecls(filepath.Join(g.root, "internal", pkg)); err != nil {
+			return fmt.Sprintf("internal/%s: %v", pkg, err)
+		}
+		g.pkgs[pkg] = d
+	}
+	if d == nil || d[ref] {
+		return ""
+	}
+	return fmt.Sprintf("`%s.%s` is not declared in internal/%s", pkg, ref, pkg)
+}
+
+// parseDecls reads the declarations of dir's non-test .go files. An
+// embedded field is named by its type; the members it promotes are not
+// the embedding type's.
+func parseDecls(dir string) (map[string]bool, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(files) == 0 {
+		return nil, err
+	}
+	decls := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				name := decl.Name.Name
+				if decl.Recv != nil {
+					name = typeName(decl.Recv.List[0].Type) + "." + name
+				}
+				decls[name] = true
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							decls[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						typ := spec.Name.Name
+						decls[typ] = true
+						var fields []*ast.Field
+						switch t := spec.Type.(type) {
+						case *ast.StructType:
+							fields = t.Fields.List
+						case *ast.InterfaceType:
+							fields = t.Methods.List
+						}
+						for _, field := range fields {
+							if len(field.Names) == 0 {
+								decls[typ+"."+typeName(field.Type)] = true
+							}
+							for _, n := range field.Names {
+								decls[typ+"."+n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return decls, nil
+}
+
+// typeName is the name of the named type x spells, through pointers, type
+// arguments and a package qualifier.
+func typeName(x ast.Expr) string {
+	for {
+		switch t := x.(type) {
+		case *ast.StarExpr:
+			x = t.X
+		case *ast.IndexExpr:
+			x = t.X
+		case *ast.IndexListExpr:
+			x = t.X
+		case *ast.SelectorExpr:
+			x = t.Sel
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
+		}
+	}
 }

@@ -93,6 +93,7 @@ func expectNamed(t *testing.T, doc string, want ...string) {
 	root := t.TempDir()
 	write(t, root, "Makefile", "LOC_CEILING := 1\nci: build\n\tgo test ./...\nbuild:\n\tgo build ./...\n")
 	write(t, root, "cmd/tool/main.go", "// Command tool does things.\npackage main\n")
+	write(t, root, "internal/ha/ha.go", "// Package ha is a fixture.\npackage ha\n\nimport \"sync\"\n\ntype Pair[T any] struct {\n\t*sync.Mutex\n\tOpts T\n}\n\nfunc (p *Pair[T]) Submit() {}\n\ntype Committer interface{ Commit() }\n\nvar Default = 1\n\nfunc Capture() {}\n")
 	write(t, root, "internal/x/x_test.go", "package x\n\nfunc TestReal(t *testing.T) {}\nfunc TestHopAllocsWarm(t *testing.T) {}\nfunc BenchmarkReal(b *testing.B) {}\nfunc FuzzReal(f *testing.F) {}\nfunc ExampleReal() {}\n")
 	write(t, root, "docs/GUIDE.md", doc)
 	write(t, root, "CHANGES.md", doc)
@@ -151,4 +152,20 @@ func TestUnknownTestFunctionDetected(t *testing.T) {
 		"2: FuzzGone is not a test, benchmark, fuzz or example function in the tree",
 		"2: TestGone is not a test, benchmark, fuzz or example function in the tree",
 		"2: TestNoSuch is not a test, benchmark, fuzz or example function in the tree")
+}
+
+func TestStaleGoIdentifierDetected(t *testing.T) {
+	expectNamed(t, strings.Join([]string{
+		"`ha.Capture(sw)`, `*ha.Pair`, `ha.Pair.Submit`, `ha.Pair.Opts`, `ha.Pair.Mutex`, `ha.Committer.Commit` and `ha.Default` exist;",
+		"`bytes.Equal`, `json.MarshalIndent`, `ha.capture_ms` and `internal/gone.Thing` name no internal package's Go declaration.",
+		"`ha.SaveCheckpoint(path, sw)`, `ha.Pair.Gone` and `gone.Thing` do not; neither do `ha.Capture.Member` and `ha.Pair.Lock` (promoted).",
+		"```go",
+		"ha.NotChecked() // fenced code is not a reference",
+		"```",
+	}, "\n"),
+		"2: internal/gone is not a directory",
+		"3: `ha.Capture.Member` is not declared in internal/ha",
+		"3: `ha.Pair.Gone` is not declared in internal/ha",
+		"3: `ha.Pair.Lock` is not declared in internal/ha",
+		"3: `ha.SaveCheckpoint` is not declared in internal/ha")
 }

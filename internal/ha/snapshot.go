@@ -1,10 +1,11 @@
-// Package ha makes switch state survivable: it serializes core.Switch
-// state into versioned, canonical checkpoints (this file) and replicates a
-// primary switch onto a warm standby with controller-orchestrated failover
-// (pair.go). The pair's output-commit contract: after a Submit that returned
-// no error, its Committer gets exactly one Commit (the delta shipped, or the
-// standby served the packet) or one Discard (the delta died unshipped with
-// the primary). See docs/HA.md for the wire format and protocol.
+// Package ha makes switch state survivable: it replicates a primary switch
+// onto a warm standby with controller-orchestrated failover (pair.go), and it
+// serializes a quiescent core.Switch's state into versioned, canonical
+// in-memory snapshots (this file) that compare replicas byte for byte. The
+// pair's output-commit contract: after a Submit that returned no error, its
+// Committer gets exactly one Commit (the delta shipped, or the standby served
+// the packet) or one Discard (the delta died unshipped with the primary). See
+// docs/HA.md for the wire format and protocol.
 package ha
 
 import (

@@ -19,7 +19,6 @@ import (
 	"strconv"
 
 	"repro/internal/coflow"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/ha"
 	"repro/internal/packet"
@@ -83,13 +82,6 @@ type Config struct {
 	// HA tunes the replication channel and the failover controller; nil
 	// uses ha.DefaultOptions(). Only meaningful with Standby set.
 	HA *ha.Options
-	// CheckpointPath, when non-empty, checkpoints the switch's final state
-	// to this file (ha canonical wire format, atomic rename, digest-framed)
-	// at the end of a Run that drained its queue without errors — so a long
-	// single run leaves a restorable artifact (ha.LoadCheckpoint) instead
-	// of only ephemeral in-process state. Requires the switch model to be a
-	// *core.Switch (the stateful ADCP model); other models are skipped.
-	CheckpointPath string
 }
 
 // TraversalCounter is implemented by switch models that can report their
@@ -1075,13 +1067,6 @@ func (n *Network) Run() {
 			sink = os.Stderr
 		}
 		n.recorder.Dump(sink, n.errs[len(n.errs)-1].Error())
-	}
-	if n.cfg.CheckpointPath != "" && len(n.errs) == 0 && n.eng.Pending() == 0 {
-		if sw, ok := n.sw.(*core.Switch); ok {
-			if err := ha.SaveCheckpoint(n.cfg.CheckpointPath, sw); err != nil {
-				n.errs = append(n.errs, fmt.Errorf("netsim: checkpoint: %w", err))
-			}
-		}
 	}
 	n.publishAttribution()
 }
