@@ -184,15 +184,18 @@ func instrumentedNetworks(tb testing.TB) (adcp, rmt netsim.SwitchModel, build fu
 // Objects were 969 and 419 (bytes 85 277 and 48 528) when every lookup
 // sorted its labels with sort.Slice and built its key in a strings.Builder,
 // every pipeline had an observer and a label slice of its own and port
-// labels came from Sprintf; they are now 394 and 209 (58 459 and 39 869
-// bytes), and the ceilings are 5 % above. The figures repeat exactly.
+// labels came from Sprintf; 394 and 209 (58 331 and 39 741 bytes) when
+// each series still made its key, its labels and its value apart from its
+// metric. A series is now one allocation, its key and labels cut from the
+// registry's slabs: 214 and 109 objects, 58 093 and 39 736 bytes, and the
+// ceilings are 5 % above. The figures repeat exactly.
 func TestInstrumentedNetworkAllocs(t *testing.T) {
 	adcp, rmtSw, build := instrumentedNetworks(t)
 	for _, tc := range []struct {
 		name                 string
 		sw                   netsim.SwitchModel
 		maxObjects, maxBytes float64
-	}{{"adcp", adcp, 414, 61382}, {"rmt", rmtSw, 220, 41862}} {
+	}{{"adcp", adcp, 225, 60998}, {"rmt", rmtSw, 115, 41723}} {
 		const runs = 4
 		regs := make([]*telemetry.Registry, runs+1)
 		for i := range regs {

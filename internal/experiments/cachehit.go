@@ -44,9 +44,17 @@ func CacheHit(cacheSizes []int, skews []float64) (*stats.Table, []CacheHitRow, e
 	// Every point's packets come out of one arena, encoded from one header.
 	var arena packet.Arena
 	kv := packet.KVHeader{Op: packet.KVGet}
+	type request struct {
+		pkt  *packet.Packet
+		port int
+	}
 	for _, skew := range skews {
-		// The requests depend on the skew only: generate them and regroup
-		// them per partition, as the app's tests batch, once for all sizes.
+		// The requests depend on the skew only: generate them, regroup them
+		// per partition as the app's tests batch, and build their packets
+		// once for all sizes. Every size's switch is handed the same
+		// packets: a switch never writes bytes it was handed (the ownership
+		// rule of packet.Arena), and the port fields it sets are reset to
+		// what Build left before each replay.
 		injs, err := workload.KVZipf(workload.KVParams{
 			CoflowID: 1, Clients: 4, OpsPerClient: 250,
 			KeysPerPacket: keysPerPacket, KeySpace: keySpace, Seed: 77,
@@ -54,13 +62,19 @@ func CacheHit(cacheSizes []int, skews []float64) (*stats.Table, []CacheHitRow, e
 		if err != nil {
 			return nil, nil, err
 		}
-		batches := make([][][]packet.KVPair, len(injs))
+		var reqs []request
 		var d packet.Decoded
-		for i, inj := range injs {
+		for _, inj := range injs {
 			if err := d.DecodePacket(inj.Pkt); err != nil {
 				return nil, nil, err
 			}
-			batches[i] = apps.PartitionKV(d.KV.Pairs, cfg.CentralPipelines, keysPerPacket)
+			for _, batch := range apps.PartitionKV(d.KV.Pairs, cfg.CentralPipelines, keysPerPacket) {
+				kv.Pairs = batch
+				// KV's source port is its client, which is inj.Src.
+				reqs = append(reqs, request{arena.Build(packet.Header{
+					Proto: packet.ProtoKV, SrcPort: uint16(inj.Src), CoflowID: 1,
+				}, &kv), inj.Src})
+			}
 		}
 		for _, size := range cacheSizes {
 			sw, err := apps.NewKVCacheADCP(cfg, apps.KVConfig{KeysPerPacket: keysPerPacket, CacheEntries: size})
@@ -74,17 +88,10 @@ func CacheHit(cacheSizes []int, skews []float64) (*stats.Table, []CacheHitRow, e
 					return nil, nil, err
 				}
 			}
-			for i, inj := range injs {
-				for _, batch := range batches[i] {
-					kv.Pairs = batch
-					// KV's source port is its client, which is inj.Src.
-					pkt := arena.Build(packet.Header{
-						Proto: packet.ProtoKV, SrcPort: uint16(inj.Src), CoflowID: 1,
-					}, &kv)
-					pkt.IngressPort = inj.Src
-					if _, err := sw.Process(pkt); err != nil {
-						return nil, nil, err
-					}
+			for _, r := range reqs {
+				r.pkt.IngressPort, r.pkt.EgressPort = r.port, -1
+				if _, err := sw.Process(r.pkt); err != nil {
+					return nil, nil, err
 				}
 			}
 			row := CacheHitRow{

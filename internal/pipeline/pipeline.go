@@ -280,7 +280,8 @@ type Pipeline struct {
 	parseErrors uint64
 	stageCycles uint64
 
-	observer Observer
+	observer      Observer
+	observeStages bool // observer wants every event, not only EvDone
 }
 
 // shared is what the pipelines of one NewN call, traversed one at a time,
@@ -433,17 +434,18 @@ func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
 		p.parseErrors++
 		return fmt.Errorf("pipeline: decode: %w", err)
 	}
-	if p.observer != nil {
+	stageEvents := p.observer != nil && p.observeStages
+	if stageEvents {
 		p.observer(Event{Kind: EvParsed, Stage: -1, Cycles: ctx.Cycles, Verdict: ctx.Verdict})
 	}
 
-	// Stages. Without an observer the traversal is a single flat loop
-	// over the program's populated stages: empty stages contribute their
-	// cycle via arithmetic instead of loop iterations, and no per-stage
-	// closures or events are involved. Cycle accounting telescopes to
-	// exactly the per-stage loop's: a traversal that breaks at stage i
-	// has paid i+1 stage cycles, a full pass all of them.
-	if p.observer == nil {
+	// Stages. Unless an observer wants stage events the traversal is a
+	// single flat loop over the program's populated stages: empty stages
+	// contribute their cycle via arithmetic instead of loop iterations,
+	// and no per-stage closures or events are involved. Cycle accounting
+	// telescopes to exactly the per-stage loop's: a traversal that breaks
+	// at stage i has paid i+1 stage cycles, a full pass all of them.
+	if !stageEvents {
 		n := len(p.stages)
 		prev := -1
 		if prog != nil {
@@ -485,9 +487,7 @@ func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
 				}
 			}
 			ctx.Cycles++
-			if p.observer != nil {
-				p.observer(Event{Kind: EvStage, Stage: i, Cycles: ctx.Cycles, Verdict: ctx.Verdict})
-			}
+			p.observer(Event{Kind: EvStage, Stage: i, Cycles: ctx.Cycles, Verdict: ctx.Verdict})
 			if ctx.Verdict == VerdictDrop || ctx.Verdict == VerdictConsume {
 				break
 			}
@@ -504,7 +504,7 @@ func (p *Pipeline) runInto(ctx *Context, prog *Program) error {
 		ctx.Pkt = np
 		ctx.Modified = false
 		ctx.Cycles++
-		if p.observer != nil {
+		if stageEvents {
 			p.observer(Event{Kind: EvDeparsed, Stage: -1, Cycles: ctx.Cycles, Verdict: ctx.Verdict})
 		}
 	}

@@ -3,7 +3,10 @@ package pipeline
 import "fmt"
 
 // Tracing: a pipeline can surface per-packet region events to an observer.
-// Tracing is off by default and costs one nil check per event when off.
+// Tracing is off by default and costs one nil check per event when off. An
+// observer that asks for every event sends the traversal down a per-stage
+// loop that reports each stage; one that asks only for traversals hears
+// EvDone, once per traversal, and the traversal keeps the flat loop.
 
 // EventKind classifies trace events.
 type EventKind int
@@ -54,8 +57,14 @@ func (e Event) String() string {
 // Observer receives trace events.
 type Observer func(ev Event)
 
-// SetObserver installs (or clears, with nil) the pipeline's tracer.
-func (p *Pipeline) SetObserver(obs Observer) { p.observer = obs }
+// SetObserver installs (or clears, with nil) the pipeline's tracer, which
+// receives every event: parsed, each stage, deparsed and done.
+func (p *Pipeline) SetObserver(obs Observer) { p.observer, p.observeStages = obs, true }
+
+// SetTraversalObserver installs (or clears, with nil) a tracer that
+// receives only EvDone, carrying the traversal's cycles and verdict exactly
+// as SetObserver's would.
+func (p *Pipeline) SetTraversalObserver(obs Observer) { p.observer, p.observeStages = obs, false }
 
 // Recorder is an Observer that accumulates events.
 type Recorder struct {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/packet"
@@ -223,5 +224,75 @@ func TestObserverRearmsAfterDisarm(t *testing.T) {
 	}
 	if p.Packets() != 3 {
 		t.Errorf("Packets = %d (counters must not depend on the observer)", p.Packets())
+	}
+}
+
+// TestTraversalObserverMatchesEveryEvent holds the flat loop a
+// traversal-only observer keeps to the per-stage loop: over programs with
+// empty stages, an early drop, a consume, a recirculation (resumed until
+// it forwards), a deparse and stages past the pipeline's end, the
+// traversal-only observer hears exactly the EvDone events, cycles and
+// verdicts included, that an every-event observer hears, and both
+// pipelines account the same stage cycles.
+func TestTraversalObserverMatchesEveryEvent(t *testing.T) {
+	set := func(v Verdict) StageFunc {
+		return func(s *Stage, ctx *Context) error { ctx.Verdict = v; return nil }
+	}
+	modify := func(s *Stage, ctx *Context) error {
+		ctx.Decoded.KV.Op = packet.KVHit
+		ctx.Modified = true
+		return nil
+	}
+	recircOnce := func(s *Stage, ctx *Context) error {
+		if ctx.ElementOffset == 0 {
+			ctx.ElementOffset = 1
+			ctx.Verdict = VerdictRecirculate
+		}
+		return nil
+	}
+	for name, funcs := range map[string][]StageFunc{
+		"none":          nil,
+		"empty":         {nil, nil, nil},
+		"drop-first":    {set(VerdictDrop)},
+		"drop-late":     {nil, nil, set(VerdictDrop), modify},
+		"consume":       {nil, set(VerdictConsume), modify},
+		"recirculate":   {nil, recircOnce, nil},
+		"deparse":       {modify, nil, nil},
+		"deparse-late":  {nil, nil, nil, nil, modify},
+		"past-the-end":  {nil, nil, nil, nil, nil, nil, nil, set(VerdictDrop)},
+		"recirc-modify": {modify, recircOnce},
+	} {
+		cfg := DefaultRMTConfig()
+		cfg.Stages = 5
+		every, _ := newTestPipeline(t, cfg)
+		done, _ := newTestPipeline(t, cfg)
+		var all, dones Recorder
+		every.SetObserver(all.Observe)
+		done.SetTraversalObserver(dones.Observe)
+		prog := &Program{Funcs: funcs}
+		for _, p := range []*Pipeline{every, done} {
+			ctx, err := p.Process(kvPacket(2), prog)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for ctx.Verdict == VerdictRecirculate {
+				if err := p.Resume(ctx, prog); err != nil {
+					t.Fatalf("%s: resume: %v", name, err)
+				}
+			}
+			p.Release(ctx)
+		}
+		var want []Event
+		for _, e := range all.Events {
+			if e.Kind == EvDone {
+				want = append(want, e)
+			}
+		}
+		if len(want) == 0 || !slices.Equal(dones.Events, want) {
+			t.Errorf("%s: traversal observer heard %v, every-event observer's EvDone events are %v", name, dones.Events, want)
+		}
+		if every.StageCycles() != done.StageCycles() {
+			t.Errorf("%s: stage cycles %d with stage events, %d without", name, every.StageCycles(), done.StageCycles())
+		}
 	}
 }

@@ -1,8 +1,9 @@
 package stats
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // logHistSubBuckets is the number of linear sub-buckets per power-of-two
@@ -19,18 +20,21 @@ const logHistSubBuckets = 32
 // approximate with relative error ≤ 1/(2·logHistSubBuckets); count, sum,
 // mean, min, and max are exact. Two LogHists merge bucket-by-bucket.
 //
+// Live buckets are one slice of (id, count) pairs sorted by id: 16 bytes a
+// bucket, no map, and already in the order State exports and Quantile
+// walks.
+//
 // The zero value is ready to use. LogHist is not safe for concurrent use;
 // wrap it (as internal/telemetry does) when observed from registry paths.
 type LogHist struct {
-	counts map[int32]uint64 // bucket id → count; see bucketOf
-	zero   uint64           // exact-zero observations
-	n      uint64
-	sum    float64
-	sumSq  float64
-	min    float64
-	max    float64
-
-	sorted []int32 // cached ascending bucket ids; nil when dirty
+	buckets []LogHistBucket // ascending by id; see bucketOf
+	zero    uint64          // exact-zero observations
+	neg     uint64          // count in negative (odd-id) buckets
+	n       uint64
+	sum     float64
+	sumSq   float64
+	min     float64
+	max     float64
 }
 
 // bucketOf maps a non-zero value to its bucket key. The magnitude's
@@ -89,14 +93,20 @@ func (h *LogHist) Observe(v float64) {
 		h.zero++
 		return
 	}
-	if h.counts == nil {
-		h.counts = make(map[int32]uint64)
+	if v < 0 {
+		h.neg++
 	}
-	id := bucketOf(v)
-	if _, ok := h.counts[id]; !ok {
-		h.sorted = nil
+	*h.count(bucketOf(v))++
+}
+
+// count returns bucket id's count, inserting the bucket, empty, where it
+// belongs when h has none.
+func (h *LogHist) count(id int32) *uint64 {
+	i, ok := slices.BinarySearchFunc(h.buckets, id, func(b LogHistBucket, id int32) int { return cmp.Compare(b.ID, id) })
+	if !ok {
+		h.buckets = slices.Insert(h.buckets, i, LogHistBucket{ID: id})
 	}
-	h.counts[id]++
+	return &h.buckets[i].Count
 }
 
 // Count returns the number of observations.
@@ -145,28 +155,11 @@ func (h *LogHist) Stddev() float64 {
 
 // Buckets returns the number of live buckets — the memory footprint.
 func (h *LogHist) Buckets() int {
-	n := len(h.counts)
+	n := len(h.buckets)
 	if h.zero > 0 {
 		n++
 	}
 	return n
-}
-
-// sortedIDs returns live bucket ids in ascending numeric-value order.
-func (h *LogHist) sortedIDs() []int32 {
-	if h.sorted == nil {
-		ids := make([]int32, 0, len(h.counts))
-		for id := range h.counts {
-			ids = append(ids, id)
-		}
-		// Negative ids are mirrored (-1-id of |v|): among them, a larger
-		// raw id means a larger magnitude, i.e. a smaller value — so plain
-		// ascending id order is exactly ascending value order only for
-		// positives. Sort by the representative value instead.
-		sort.Slice(ids, func(i, j int) bool { return bucketMid(ids[i]) < bucketMid(ids[j]) })
-		h.sorted = ids
-	}
-	return h.sorted
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) by nearest rank over the
@@ -187,17 +180,20 @@ func (h *LogHist) Quantile(q float64) float64 {
 	if rank == 0 {
 		rank = 1
 	}
+	// Ascending value order: negatives (odd ids, a larger id a larger
+	// magnitude) from the highest id down, zero, then positives (even ids)
+	// from the lowest up. A rank past every negative skips their walk.
 	var cum uint64
 	v := h.max
 	found := false
-	// Walk negatives, zero, then positives in ascending value order.
-	ids := h.sortedIDs()
-	i := 0
-	for ; i < len(ids) && bucketMid(ids[i]) < 0; i++ {
-		cum += h.counts[ids[i]]
-		if cum >= rank {
-			v, found = bucketMid(ids[i]), true
-			break
+	if rank > h.neg {
+		cum = h.neg
+	}
+	for i := len(h.buckets) - 1; i >= 0 && !found && rank <= h.neg; i-- {
+		if b := h.buckets[i]; b.ID&1 == 1 {
+			if cum += b.Count; cum >= rank {
+				v, found = bucketMid(b.ID), true
+			}
 		}
 	}
 	if !found {
@@ -206,12 +202,10 @@ func (h *LogHist) Quantile(q float64) float64 {
 			v, found = 0, true
 		}
 	}
-	if !found {
-		for ; i < len(ids); i++ {
-			cum += h.counts[ids[i]]
-			if cum >= rank {
-				v, found = bucketMid(ids[i]), true
-				break
+	for i := 0; i < len(h.buckets) && !found; i++ {
+		if b := h.buckets[i]; b.ID&1 == 0 {
+			if cum += b.Count; cum >= rank {
+				v, found = bucketMid(b.ID), true
 			}
 		}
 	}
@@ -240,20 +234,14 @@ func (h *LogHist) Merge(o *LogHist) {
 	h.sum += o.sum
 	h.sumSq += o.sumSq
 	h.zero += o.zero
-	if len(o.counts) > 0 && h.counts == nil {
-		h.counts = make(map[int32]uint64, len(o.counts))
+	h.neg += o.neg
+	for _, b := range o.buckets {
+		*h.count(b.ID) += b.Count
 	}
-	for id, c := range o.counts {
-		h.counts[id] += c
-	}
-	h.sorted = nil
 }
 
 // Reset returns the histogram to its zero state, keeping allocated buckets.
 func (h *LogHist) Reset() {
-	for id := range h.counts {
-		delete(h.counts, id)
-	}
-	h.zero, h.n, h.sum, h.sumSq, h.min, h.max = 0, 0, 0, 0, 0, 0
-	h.sorted = nil
+	h.buckets = h.buckets[:0]
+	h.zero, h.neg, h.n, h.sum, h.sumSq, h.min, h.max = 0, 0, 0, 0, 0, 0, 0
 }

@@ -1,8 +1,12 @@
 package stats
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -161,4 +165,173 @@ func TestLogHistStddev(t *testing.T) {
 	if got, want := h.Stddev(), e.Stddev(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Stddev = %g, want %g", got, want)
 	}
+}
+
+// refLogHist is the map-backed LogHist the slice-backed one replaced, kept
+// as FuzzLogHist's reference: buckets in a map, quantiles over ids sorted
+// by their representative value.
+type refLogHist struct {
+	counts               map[int32]uint64
+	zero, n              uint64
+	sum, sumSq, min, max float64
+}
+
+func (h *refLogHist) Observe(v float64) {
+	if h.n == 0 || v < h.min {
+		h.min = v
+	}
+	if h.n == 0 || v > h.max {
+		h.max = v
+	}
+	h.n++
+	h.sum += v
+	h.sumSq += v * v
+	if v == 0 {
+		h.zero++
+		return
+	}
+	if h.counts == nil {
+		h.counts = make(map[int32]uint64)
+	}
+	h.counts[bucketOf(v)]++
+}
+
+func (h *refLogHist) Merge(o *refLogHist) {
+	if o.n == 0 {
+		return
+	}
+	if h.n == 0 || o.min < h.min {
+		h.min = o.min
+	}
+	if h.n == 0 || o.max > h.max {
+		h.max = o.max
+	}
+	h.n += o.n
+	h.sum += o.sum
+	h.sumSq += o.sumSq
+	h.zero += o.zero
+	if h.counts == nil {
+		h.counts = make(map[int32]uint64)
+	}
+	for id, c := range o.counts {
+		h.counts[id] += c
+	}
+}
+
+func (h *refLogHist) Quantile(q float64) float64 {
+	if h.n == 0 {
+		return 0
+	}
+	if q <= 0 {
+		return h.min
+	}
+	if q >= 1 {
+		return h.max
+	}
+	rank := max(uint64(math.Ceil(q*float64(h.n))), 1)
+	ids := make([]int32, 0, len(h.counts))
+	for id := range h.counts {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return bucketMid(ids[i]) < bucketMid(ids[j]) })
+	var cum uint64
+	v, found, i := h.max, false, 0
+	for ; i < len(ids) && bucketMid(ids[i]) < 0 && !found; i++ {
+		if cum += h.counts[ids[i]]; cum >= rank {
+			v, found = bucketMid(ids[i]), true
+		}
+	}
+	if cum += h.zero; !found && h.zero > 0 && cum >= rank {
+		v, found = 0, true
+	}
+	for ; i < len(ids) && !found; i++ {
+		if cum += h.counts[ids[i]]; cum >= rank {
+			v, found = bucketMid(ids[i]), true
+		}
+	}
+	return min(max(v, h.min), h.max)
+}
+
+func (h *refLogHist) State() LogHistState {
+	s := LogHistState{Zero: h.zero, N: h.n, Sum: h.sum, SumSq: h.sumSq, Min: h.min, Max: h.max}
+	for id, c := range h.counts {
+		s.Buckets = append(s.Buckets, LogHistBucket{ID: id, Count: c})
+	}
+	sort.Slice(s.Buckets, func(i, j int) bool { return s.Buckets[i].ID < s.Buckets[j].ID })
+	return s
+}
+
+func (h *refLogHist) RestoreState(s LogHistState) {
+	*h = refLogHist{zero: s.Zero, n: s.N, sum: s.Sum, sumSq: s.SumSq, min: s.Min, max: s.Max}
+	for _, b := range s.Buckets {
+		if h.counts == nil {
+			h.counts = make(map[int32]uint64)
+		}
+		h.counts[b.ID] = b.Count
+	}
+}
+
+// FuzzLogHist holds two slice-backed histograms to two map-backed
+// references through a stream of operations: Observe (zeros, negatives,
+// magnitudes from subnormal to huge), Merge either way, a Reset, and a
+// State/RestoreState round trip, including a restore from a state whose
+// buckets are out of order and repeated. After every step both pairs must
+// agree on State, bucket count and a ladder of quantiles.
+func FuzzLogHist(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 1, 0, 0, 0, 0, 0, 0, 0, 0xc0, 2})
+	f.Add([]byte("\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f\x10\x11\x12\x13"))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var got [2]LogHist
+		var want [2]refLogHist
+		for len(ops) > 0 {
+			op := ops[0]
+			ops = ops[1:]
+			a := op >> 7 // which histogram the step acts on
+			switch op % 6 {
+			case 0, 1: // observe the next 8 bytes as a float
+				var bits [8]byte
+				ops = ops[copy(bits[:], ops):]
+				u := binary.LittleEndian.Uint64(bits[:])
+				v := math.Float64frombits(u)
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					v = -float64(int64(u) >> 40)
+				}
+				if op%6 == 1 {
+					v = 0
+				}
+				got[a].Observe(v)
+				want[a].Observe(v)
+			case 2:
+				got[a].Merge(&got[1-a])
+				want[a].Merge(&want[1-a])
+			case 3:
+				got[a].Reset()
+				want[a] = refLogHist{}
+			case 4:
+				got[a].RestoreState(got[1-a].State())
+				want[a].RestoreState(want[1-a].State())
+			case 5: // a state decoded from elsewhere: reversed, one bucket twice
+				s := want[1-a].State()
+				slices.Reverse(s.Buckets)
+				if len(s.Buckets) > 0 {
+					s.Buckets = append(s.Buckets, LogHistBucket{ID: s.Buckets[0].ID, Count: uint64(op)})
+				}
+				got[a].RestoreState(s)
+				want[a].RestoreState(s)
+			}
+			for i := range got {
+				if g, w := got[i].State(), want[i].State(); !reflect.DeepEqual(g, w) {
+					t.Fatalf("histogram %d: state %+v, reference %+v", i, g, w)
+				}
+				if g, w := got[i].Buckets(), len(want[i].counts)+min(int(want[i].zero), 1); g != w {
+					t.Fatalf("histogram %d: %d buckets, reference %d", i, g, w)
+				}
+				for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
+					if g, w := got[i].Quantile(q), want[i].Quantile(q); g != w {
+						t.Fatalf("histogram %d: q%g = %g, reference %g", i, q, g, w)
+					}
+				}
+			}
+		}
+	})
 }

@@ -1,9 +1,10 @@
 package stats
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file gives the accumulator types an explicit, canonical serialized
@@ -51,12 +52,8 @@ type LogHistState struct {
 // State snapshots the histogram.
 func (h *LogHist) State() LogHistState {
 	s := LogHistState{Zero: h.zero, N: h.n, Sum: h.sum, SumSq: h.sumSq, Min: h.min, Max: h.max}
-	if len(h.counts) > 0 {
-		s.Buckets = make([]LogHistBucket, 0, len(h.counts))
-		for id, c := range h.counts {
-			s.Buckets = append(s.Buckets, LogHistBucket{ID: id, Count: c})
-		}
-		sort.Slice(s.Buckets, func(i, j int) bool { return s.Buckets[i].ID < s.Buckets[j].ID })
+	if len(h.buckets) > 0 {
+		s.Buckets = slices.Clone(h.buckets)
 	}
 	return s
 }
@@ -67,13 +64,19 @@ func (h *LogHist) State() LogHistState {
 func (h *LogHist) RestoreState(s LogHistState) {
 	h.Reset()
 	h.zero, h.n, h.sum, h.sumSq, h.min, h.max = s.Zero, s.N, s.Sum, s.SumSq, s.Min, s.Max
-	if len(s.Buckets) > 0 {
-		h.counts = make(map[int32]uint64, len(s.Buckets))
-		for _, b := range s.Buckets {
-			h.counts[b.ID] = b.Count
+	// A state decoded from elsewhere may repeat or misorder ids: sort them
+	// stably and keep each id's last count, as assigning them in turn would.
+	bs := slices.Clone(s.Buckets)
+	slices.SortStableFunc(bs, func(a, b LogHistBucket) int { return cmp.Compare(a.ID, b.ID) })
+	h.buckets = bs[:0]
+	for i := range bs {
+		if i+1 == len(bs) || bs[i+1].ID != bs[i].ID {
+			h.buckets = append(h.buckets, bs[i])
+			if bs[i].ID&1 == 1 {
+				h.neg += bs[i].Count
+			}
 		}
 	}
-	h.sorted = nil
 }
 
 // tableState mirrors Table's unexported fields for JSON round-tripping.

@@ -22,8 +22,10 @@ import (
 // at full resolution, at a large event-volume cost. Its span thread
 // additionally receives "span" category events — a pipeline-traversal
 // span per EvDone and a recirculation marker — feeding the causal-span
-// layer. With both sinks nil the returned observer is nil, keeping the
-// pipeline's unobserved fast path.
+// layer. With both sinks nil the returned observer is nil. Only a trace
+// thread with detail wants the stage events; install the observer with
+// SetObserver then and with SetTraversalObserver otherwise, so the pipeline
+// keeps its flat loop and calls it once per traversal.
 func PipelineObserver(lat *Histogram, tr *Track, detail bool, now func() sim.Time, clockHz float64) pipeline.Observer {
 	if lat == nil && tr == nil {
 		return nil
@@ -207,8 +209,10 @@ func InstrumentSwitch(tel *Telemetry, now func() sim.Time, w SwitchWiring) {
 			if proc != nil {
 				obs = PipelineObserver(lat, proc.Thread(r.Role+strconv.Itoa(k)), tel.Detail, now, w.ClockHz)
 			}
-			if obs != nil {
+			if proc != nil && tel.Detail {
 				p.SetObserver(obs)
+			} else if obs != nil {
+				p.SetTraversalObserver(obs)
 			}
 		}
 	}

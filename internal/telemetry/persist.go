@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -84,7 +85,8 @@ func EncodeHubState(t *Telemetry) ([]byte, error) {
 func encodeRegistry(r *Registry) *registryState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := &registryState{InstSeq: r.instSeq, InstKeys: sortedKeys(r.instKeys)}
+	st := &registryState{InstSeq: r.instSeq, InstKeys: slices.Clone(r.instKeys)}
+	slices.Sort(st.InstKeys)
 	keys := sortedKeys(r.metrics)
 	st.Metrics = make([]metricState, 0, len(keys))
 	for _, k := range keys {
@@ -166,7 +168,7 @@ func decodeRegistry(st *registryState) *Registry {
 	r := NewRegistry()
 	r.instSeq = st.InstSeq
 	for _, k := range st.InstKeys {
-		r.instKeys[k] = true
+		r.addInstKey(k)
 	}
 	var kbuf [keyBytes]byte
 	for _, ms := range st.Metrics {

@@ -160,6 +160,7 @@ func FuzzDecodeHubState(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte(`{"schema":"adcp-hubstate/1"}`))
+	f.Add([]byte(`{"schema":"adcp-hubstate/1","registry":{"inst_seq":1000000000000000,"inst_keys":["net"],"metrics":[{"name":"m","labels":[{"k":"net","v":"7"}],"kind":"value","value":1}]}}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		dec, err := DecodeHubState(b)
 		if err != nil {

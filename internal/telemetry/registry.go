@@ -89,6 +89,7 @@ func (h *Histogram) Snap() HistogramSnapshot {
 	}
 }
 
+// metric is one series.
 type metric struct {
 	name   string
 	labels []Label // sorted by key then value
@@ -99,6 +100,23 @@ type metric struct {
 	hist    *Histogram
 	value   float64
 	fn      func() float64
+}
+
+// A counter, gauge or histogram is allocated with its metric, which points
+// into the pair (newMetric).
+type counterMetric struct {
+	metric
+	Counter
+}
+
+type gaugeMetric struct {
+	metric
+	Gauge
+}
+
+type histMetric struct {
+	metric
+	Histogram
 }
 
 // Registry is a per-run set of named, labeled metrics. The zero value is
@@ -113,12 +131,52 @@ type Registry struct {
 	// label keys carry those ordinals, so Merge knows which label values
 	// to renumber when folding a point-local registry into a shared one.
 	instSeq  int
-	instKeys map[string]bool
+	instKeys []string // a handful at most: "net", "instance"
+	// labels and keys are the slabs a new series' sorted labels and map key
+	// are cut from, so a series costs one allocation (its metric) rather
+	// than three.
+	labels []Label
+	keys   strings.Builder
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{metrics: make(map[string]*metric), instKeys: make(map[string]bool)}
+	return &Registry{metrics: make(map[string]*metric)}
+}
+
+// A slab is twice the size of the one before it, from the first size up to
+// the last. The last is small on purpose: a slab's unused tail is the
+// price of cutting, and a registry of a few hundred series must not pay
+// more in tails than its exactly-sized copies once cost.
+const (
+	firstSlabLabels, slabLabels = 2, 16
+	firstSlabBytes, slabBytes   = 128, 1024
+)
+
+// cutLabels returns a copy of ls cut from the label slab (nil when empty).
+// A full slab is left to what was cut from it and a new one begun, so
+// nothing cut ever moves; the same holds for keys.
+func (r *Registry) cutLabels(ls []Label) []Label {
+	if len(ls) == 0 {
+		return nil
+	}
+	if cap(r.labels)-len(r.labels) < len(ls) {
+		r.labels = make([]Label, 0, max(min(2*cap(r.labels), slabLabels), firstSlabLabels, len(ls)))
+	}
+	r.labels = append(r.labels, ls...)
+	return r.labels[len(r.labels)-len(ls) : len(r.labels) : len(r.labels)]
+}
+
+// cutKey returns k as a string cut from the key slab.
+func (r *Registry) cutKey(k []byte) string {
+	if r.keys.Cap()-r.keys.Len() < len(k) {
+		size := max(min(2*r.keys.Cap(), slabBytes), firstSlabBytes, len(k))
+		r.keys = strings.Builder{}
+		r.keys.Grow(size)
+	}
+	n := r.keys.Len()
+	r.keys.Write(k)
+	return r.keys.String()[n:]
 }
 
 // Keying runs in buffers on the caller's stack, large enough for every
@@ -153,26 +211,33 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// newMetric builds an empty series of the given kind; ls must already be
-// sorted and is kept.
+// newMetric builds an empty series of the given kind, its value in the
+// same allocation; ls must already be sorted and is kept.
 func newMetric(name string, ls []Label, kind Kind) *metric {
-	m := &metric{name: name, labels: ls, kind: kind}
+	var m *metric
 	switch kind {
 	case KindCounter:
-		m.counter = &Counter{}
+		x := new(counterMetric)
+		m, x.counter = &x.metric, &x.Counter
 	case KindGauge:
-		m.gauge = &Gauge{}
+		x := new(gaugeMetric)
+		m, x.gauge = &x.metric, &x.Gauge
 	case KindHistogram:
-		m.hist = &Histogram{}
+		x := new(histMetric)
+		m, x.hist = &x.metric, &x.Histogram
+	default:
+		m = new(metric)
 	}
+	m.name, m.labels, m.kind = name, ls, kind
 	return m
 }
 
 // lookup returns the metric registered under (name, labels), creating it
-// when absent. Finding an existing series allocates nothing; a new one
-// copies its key and its sorted labels once. Registering the same series
-// under a different kind panics: it is always a naming bug, and silently
-// aliasing two meanings onto one series would corrupt the export.
+// when absent. Finding an existing series allocates nothing; a new one is
+// one allocation, its key and sorted labels cut from the registry's slabs.
+// Registering the same series under a different kind panics: it is always
+// a naming bug, and silently aliasing two meanings onto one series would
+// corrupt the export.
 func (r *Registry) lookup(name string, labels []Label, kind Kind) *metric {
 	var lbuf [keyLabels]Label
 	var kbuf [keyBytes]byte
@@ -186,8 +251,8 @@ func (r *Registry) lookup(name string, labels []Label, kind Kind) *metric {
 		}
 		return m
 	}
-	m := newMetric(name, append([]Label(nil), ls...), kind)
-	r.metrics[string(k)] = m
+	m := newMetric(name, r.cutLabels(ls), kind)
+	r.metrics[r.cutKey(k)] = m
 	return m
 }
 
@@ -240,34 +305,62 @@ func (r *Registry) ObserveFunc(name string, fn func() float64, labels ...Label) 
 func (r *Registry) InstanceLabel(key string) Label {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.instKeys[key] = true
+	r.addInstKey(key)
 	v := strconv.Itoa(r.instSeq)
 	r.instSeq++
 	return Label{Key: key, Value: v}
 }
 
-// mergeKey is the key and labels a merged source series takes in its
-// destination: src's own unless an instance-key value shifts by offset,
-// when the renumbered copy is made and keyed once. Non-numeric values
-// (impossible for InstanceLabel allocations) pass through untouched.
-func mergeKey(srcKey, name string, labels []Label, instKeys map[string]bool, offset int) (string, []Label) {
-	var out []Label
+// addInstKey remembers that key carries instance ordinals.
+func (r *Registry) addInstKey(key string) {
+	if !slices.Contains(r.instKeys, key) {
+		r.instKeys = append(r.instKeys, key)
+	}
+}
+
+// renumbering is how a merge shifts instance labels: the values of keys
+// move up by offset. vals caches the shifted value of each of the source's
+// ordinals, so a merge makes each new value once however many series carry
+// it.
+type renumbering struct {
+	keys   []string
+	offset int
+	vals   []string
+}
+
+// apply returns labels as the destination holds them: labels itself when no
+// instance value moves, else the renumbered copy, appended to buf[:0].
+// Non-numeric values (impossible for InstanceLabel allocations) pass
+// through untouched.
+func (rn *renumbering) apply(buf, labels []Label) ([]Label, bool) {
+	if rn == nil || rn.offset == 0 {
+		return labels, false
+	}
+	moved := false
 	for i, l := range labels {
-		if offset == 0 || !instKeys[l.Key] {
+		if !slices.Contains(rn.keys, l.Key) {
 			continue
 		}
-		if v, err := strconv.Atoi(l.Value); err == nil {
-			if out == nil {
-				out = append([]Label(nil), labels...)
-			}
-			out[i].Value = strconv.Itoa(v + offset)
+		v, err := strconv.Atoi(l.Value)
+		if err != nil {
+			continue
 		}
+		if !moved {
+			buf, moved = append(buf[:0], labels...), true
+		}
+		if v < 0 || v >= len(rn.vals) {
+			buf[i].Value = strconv.Itoa(v + rn.offset)
+			continue
+		}
+		if rn.vals[v] == "" {
+			rn.vals[v] = strconv.Itoa(v + rn.offset)
+		}
+		buf[i].Value = rn.vals[v]
 	}
-	if out == nil {
-		return srcKey, labels
+	if !moved {
+		return labels, false
 	}
-	var kbuf [keyBytes]byte
-	return string(canonicalKey(kbuf[:0], name, out)), out
+	return buf, true
 }
 
 // Merge folds src into r. Counters add, gauges keep src's value and the
@@ -284,35 +377,42 @@ func (r *Registry) Merge(src *Registry) {
 	r.mergeFrom(src)
 }
 
-// mergeFrom implements Merge and reports the instance renumbering it
+// mergeFrom implements Merge and returns the instance renumbering it
 // applied — the sampler merge must relabel with exactly the same shift.
-func (r *Registry) mergeFrom(src *Registry) (offset int, instKeys map[string]bool) {
+// Source series fold in map order: instance values are canonical decimals,
+// so renumbering maps distinct source keys to distinct destination keys,
+// no two of them meet, and the order cannot show.
+func (r *Registry) mergeFrom(src *Registry) *renumbering {
 	if src == nil || src == r {
-		return 0, nil
+		return nil
 	}
+	// src is quiescent, so holding its lock across the fold costs nothing
+	// and spares a copy of its series.
 	src.mu.Lock()
-	keys := sortedKeys(src.metrics)
-	ms := make([]*metric, len(keys))
-	for i, k := range keys {
-		ms[i] = src.metrics[k]
-	}
-	instKeys = make(map[string]bool, len(src.instKeys))
-	for k := range src.instKeys {
-		instKeys[k] = true
-	}
-	srcSeq := src.instSeq
-	src.mu.Unlock()
-
+	defer src.mu.Unlock()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	offset = r.instSeq
-	r.instSeq += srcSeq
-	for k := range instKeys {
-		r.instKeys[k] = true
+	// The cache is bounded by the source's size, not its sequence: a hub
+	// decoded from a journal carries whatever inst_seq the file said.
+	rn := &renumbering{keys: src.instKeys, offset: r.instSeq, vals: make([]string, min(max(src.instSeq, 0), len(src.metrics)))}
+	r.instSeq += src.instSeq
+	for _, k := range rn.keys {
+		r.addInstKey(k)
 	}
-	for i, m := range ms {
-		k, ls := mergeKey(keys[i], m.name, m.labels, instKeys, offset)
-		dst, ok := r.metrics[k]
+	var lbuf [keyLabels]Label
+	var kbuf [keyBytes]byte
+	for k, m := range src.metrics {
+		ls, moved := rn.apply(lbuf[:0], m.labels)
+		var dst *metric
+		var ok bool
+		if moved {
+			kb := canonicalKey(kbuf[:0], m.name, ls)
+			if dst, ok = r.metrics[string(kb)]; !ok {
+				k, ls = r.cutKey(kb), r.cutLabels(ls)
+			}
+		} else {
+			dst, ok = r.metrics[k]
+		}
 		if !ok {
 			// Adopt the live metric object: ObserveFunc closures and any
 			// sampler read closures built over it stay valid.
@@ -337,7 +437,7 @@ func (r *Registry) mergeFrom(src *Registry) (offset int, instKeys map[string]boo
 			dst.fn = m.fn
 		}
 	}
-	return offset, instKeys
+	return rn
 }
 
 // HistogramSnapshot summarizes a histogram at snapshot time.
@@ -374,25 +474,31 @@ const SnapshotSchema = "adcp-metrics/1"
 
 // series is one metric as an export reads it: its value (a counter's
 // count, a gauge's level, a histogram's mean, a func's result), a gauge's
-// peak and a histogram's summary.
+// peak and a histogram's summary (nil for other kinds).
 type series struct {
 	m    *metric
 	v    float64
 	peak int64
-	hist HistogramSnapshot
+	hist *HistogramSnapshot
 }
 
 // evaluate captures every metric sorted by name then labels (the order of
 // their keys), evaluating each KindFunc once, in that order: the one
-// ordering step Snapshot and WriteJSON share.
+// ordering step Snapshot and WriteJSON share. The histograms' summaries
+// share one slice.
 func (r *Registry) evaluate() []series {
 	r.mu.Lock()
 	keys := sortedKeys(r.metrics)
 	ss := make([]series, len(keys))
+	hists := 0
 	for i, k := range keys {
 		ss[i].m = r.metrics[k]
+		if ss[i].m.kind == KindHistogram {
+			hists++
+		}
 	}
 	r.mu.Unlock()
+	hs := make([]HistogramSnapshot, 0, hists)
 	for i := range ss {
 		s := &ss[i]
 		switch m := s.m; m.kind {
@@ -401,7 +507,8 @@ func (r *Registry) evaluate() []series {
 		case KindGauge:
 			s.v, s.peak = float64(m.gauge.Value()), m.gauge.Peak()
 		case KindHistogram:
-			s.hist = m.hist.Snap()
+			hs = append(hs, m.hist.Snap())
+			s.hist = &hs[len(hs)-1]
 			s.v = s.hist.Mean
 		case KindValue:
 			s.v = m.value
@@ -423,7 +530,7 @@ func (r *Registry) Snapshot() Snapshot {
 			peak := s.peak
 			ms.Peak = &peak
 		case KindHistogram:
-			hs := s.hist
+			hs := *s.hist
 			ms.Hist = &hs
 		}
 		snap.Metrics = append(snap.Metrics, ms)
@@ -492,9 +599,13 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // floatNames are the JSON names of a series' floats, in their order.
 var floatNames = [8]string{"value", "sum", "mean", "min", "max", "p50", "p90", "p99"}
 
-// floats are s's value and its histogram summary, as floatNames names them.
+// floats are s's value and its histogram summary, as floatNames names
+// them; a series without one has zeros there.
 func (s *series) floats() [8]float64 {
-	h := &s.hist
+	h := s.hist
+	if h == nil {
+		h = new(HistogramSnapshot)
+	}
 	return [8]float64{s.v, h.Sum, h.Mean, h.Min, h.Max, h.P50, h.P90, h.P99}
 }
 
@@ -535,6 +646,11 @@ func (s *series) appendJSON(b []byte) []byte {
 // (ES6 number-to-string): 'f' format, switching to 'e' below 1e-6 and from
 // 1e21 up, with e-0X trimmed to e-X.
 func appendJSONFloat(b []byte, f float64) []byte {
+	// A whole number below 2^53 has exactly its integer's digits as its
+	// shortest 'f' form; -0 keeps its sign through AppendFloat.
+	if f != 0 && f == math.Trunc(f) && math.Abs(f) < 1<<53 {
+		return strconv.AppendInt(b, int64(f), 10)
+	}
 	if abs := math.Abs(f); abs == 0 || abs >= 1e-6 && abs < 1e21 {
 		return strconv.AppendFloat(b, f, 'f', -1, 64)
 	}

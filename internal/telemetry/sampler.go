@@ -224,30 +224,28 @@ func (s *Sampler) Runs() int {
 
 // merge folds a quiescent point-local sampler into s: src's run ordinals
 // are shifted past every run s has already recorded, instance-label values
-// are shifted by the same offsets the registry merge applied (instKeys /
-// instOffset from Registry.mergeFrom), and points append oldest-first
-// under s's ring capacity. Merging point samplers in sweep-point order
-// therefore reproduces exactly the run numbering and point sequence of a
-// sequential run over one shared sampler.
-func (s *Sampler) merge(src *Sampler, instKeys map[string]bool, instOffset int) {
+// are shifted as the registry merge shifted them (rn, from
+// Registry.mergeFrom), and points append oldest-first under s's ring
+// capacity. Merging point samplers in sweep-point order therefore
+// reproduces exactly the run numbering and point sequence of a sequential
+// run over one shared sampler. Series fold in map order, which cannot show
+// for the reason it cannot in mergeFrom.
+func (s *Sampler) merge(src *Sampler, rn *renumbering) {
 	if s == nil || src == nil || src == s {
 		return
 	}
 	src.mu.Lock()
-	srcKeys := sortedKeys(src.series)
-	srcSeries := make([]*sampledSeries, len(srcKeys))
-	for i, k := range srcKeys {
-		srcSeries[i] = src.series[k]
-	}
-	srcRuns, srcLastRun, srcLastT := src.runs, src.lastRun, src.lastT
-	src.mu.Unlock()
-
+	defer src.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	runOffset := s.runs
-	s.runs += srcRuns
-	for i, ser := range srcSeries {
-		k, ls := mergeKey(srcKeys[i], ser.name, ser.labels, instKeys, instOffset)
+	s.runs += src.runs
+	var kbuf [keyBytes]byte
+	for k, ser := range src.series {
+		ls, moved := rn.apply(nil, ser.labels)
+		if moved {
+			k = string(canonicalKey(kbuf[:0], ser.name, ls))
+		}
 		dst, ok := s.series[k]
 		if !ok {
 			dst = &sampledSeries{name: ser.name, labels: ls, kind: ser.kind, read: ser.read}
@@ -259,8 +257,8 @@ func (s *Sampler) merge(src *Sampler, instKeys map[string]bool, instOffset int) 
 		}
 		dst.dropped += ser.dropped
 	}
-	if srcRuns > 0 {
-		s.lastRun, s.lastT = srcLastRun+runOffset, srcLastT
+	if src.runs > 0 {
+		s.lastRun, s.lastT = src.lastRun+runOffset, src.lastT
 	}
 }
 

@@ -168,12 +168,11 @@ func Merge(dst, src *Telemetry) {
 	if dst == nil || src == nil {
 		return
 	}
-	var instOffset int
-	var instKeys map[string]bool
+	var rn *renumbering
 	if dst.Metrics != nil && src.Metrics != nil {
-		instOffset, instKeys = dst.Metrics.mergeFrom(src.Metrics)
+		rn = dst.Metrics.mergeFrom(src.Metrics)
 	}
 	if dst.Sampler != nil && src.Sampler != nil {
-		dst.Sampler.merge(src.Sampler, instKeys, instOffset)
+		dst.Sampler.merge(src.Sampler, rn)
 	}
 }

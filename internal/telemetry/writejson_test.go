@@ -50,6 +50,7 @@ func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
 		1e21, math.Nextafter(1e21, 0), -1e21, 1e22, 123456789e15,
 		5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64 * 3,
 		1 << 53, 1<<53 + 2, 1 << 60, -(1 << 62), 18446744073709551615,
+		1<<53 - 1, -(1<<53 - 1), 1e15, -4096, 1 << 52,
 	}
 	strs := []string{
 		"", "plain", "with space", `quo"te`, `back\slash`, "ctl\x00\x01\x1f", "nl\n\t\r\b\f",

@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -475,5 +478,40 @@ func TestKVZipfRewritesKeysInKeyspace(t *testing.T) {
 	}
 	if _, err := KVZipf(KVParams{}, 1); err == nil {
 		t.Error("bad params accepted")
+	}
+}
+
+// TestZipfGuideMatchesSearch holds the guide-table inversion to the binary
+// search it replaces, sort.SearchFloat64s over the CDF: at every cut point
+// and one ulp either side, at u = 0 and just below 1, at every rank's own
+// cumulative probability and at a million random draws, for skews 0, 0.99
+// and 1.2 over keyspaces from one key to 4096.
+func TestZipfGuideMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, s := range []float64{0, 0.99, 1.2} {
+		for _, n := range []int{1, 2, 7, 1000, 4096} {
+			z, err := NewZipf(sim.NewRNG(1), s, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(u float64) {
+				if got, want := z.rank(u), sort.SearchFloat64s(z.cdf, u); got != want {
+					t.Fatalf("skew %v, %d keys: rank(%v) = %d, binary search says %d", s, n, u, got, want)
+				}
+			}
+			check(0)
+			check(math.Nextafter(1, 0))
+			for j := 0; j < n; j++ {
+				x := float64(j) / float64(n)
+				check(x)
+				check(math.Nextafter(x, 0))
+				check(math.Nextafter(x, 1))
+				check(z.cdf[j])
+				check(math.Nextafter(z.cdf[j], 0))
+			}
+			for i := 0; i < 1000000/n+1000; i++ {
+				check(rng.Float64())
+			}
+		}
 	}
 }

@@ -13,9 +13,17 @@ import (
 // Zipf draws keys from a bounded Zipf(s) distribution via a precomputed
 // inverse CDF — the standard skew model for cache workloads (NetCache
 // evaluates under Zipf 0.9–1.2). Deterministic for a given RNG.
+//
+// A draw u is inverted with a cut-point guide table (Chen & Asau): guide[j]
+// is the first rank whose cumulative probability reaches j/n, so the rank
+// of a u in [j/n, (j+1)/n) lies between guide[j] and guide[j+1] and is
+// found by a search of that span alone — a rank or two for the head, a few
+// for the tail — instead of the whole CDF. The result is exactly
+// sort.SearchFloat64s(cdf, u).
 type Zipf struct {
-	rng *sim.RNG
-	cdf []float64
+	rng   *sim.RNG
+	cdf   []float64
+	guide []int32 // len(cdf)+1 cut points
 }
 
 // NewZipf builds a sampler over keys [0, n) with skew s ≥ 0 (s = 0 is
@@ -36,13 +44,32 @@ func NewZipf(rng *sim.RNG, s float64, n int) (*Zipf, error) {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{rng: rng, cdf: cdf}, nil
+	guide, i := make([]int32, n+1), 0
+	for j := range guide {
+		for x := float64(j) / float64(n); i < n && cdf[i] < x; {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return &Zipf{rng: rng, cdf: cdf, guide: guide}, nil
 }
 
 // Sample returns the next key: rank i has probability ∝ 1/(i+1)^s.
 func (z *Zipf) Sample() uint32 {
-	u := z.rng.Float64()
-	return uint32(sort.SearchFloat64s(z.cdf, u))
+	return uint32(z.rank(z.rng.Float64()))
+}
+
+// rank returns the first rank whose cumulative probability reaches u, as
+// sort.SearchFloat64s(z.cdf, u) does. Should rounding put u outside the
+// span its cut points bracket, the whole CDF is searched.
+func (z *Zipf) rank(u float64) int {
+	n := len(z.cdf)
+	j := min(max(int(u*float64(n)), 0), n-1)
+	lo, hi := int(z.guide[j]), int(z.guide[j+1])
+	if lo > 0 && z.cdf[lo-1] >= u || hi < n && z.cdf[hi] < u {
+		return sort.SearchFloat64s(z.cdf, u)
+	}
+	return lo + sort.SearchFloat64s(z.cdf[lo:hi], u)
 }
 
 // KVZipf generates the KV workload with Zipf-skewed keys instead of
