@@ -73,7 +73,7 @@ func TestRunMetricsOutput(t *testing.T) {
 		t.Fatalf("exit = %d, stderr = %q", code, errw)
 	}
 	if telemetry.Hub() != nil {
-		t.Fatal("ambient telemetry hub not reset after run")
+		t.Fatal("process telemetry hub not reset after run")
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {

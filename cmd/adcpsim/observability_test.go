@@ -107,7 +107,7 @@ func TestStdoutExports(t *testing.T) {
 
 // TestTraceForcesSequentialSweeps pins the fallback: tracing with
 // -parallel N>1 must drop to a single worker (traces are not mergeable
-// across goroutine-local hubs) and say so on stderr.
+// across point-local hubs) and say so on stderr.
 func TestTraceForcesSequentialSweeps(t *testing.T) {
 	seen := -1
 	exps := []experiment{{"probe", "reads the active worker-pool width", func(io.Writer) error {

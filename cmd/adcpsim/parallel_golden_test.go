@@ -10,8 +10,8 @@ import (
 // engine: running the two heaviest sweeps (failover, faults) with
 // -parallel 8 must produce byte-identical stdout, -metrics JSON, and
 // samples CSV to -parallel 1. Sequential execution runs points in order
-// on the caller's goroutine under the ambient hub; the parallel path runs
-// each point under its own hub and merges in point order — identical
+// on the caller's goroutine, the parallel path on workers; both hand each
+// point its own hub and merge in point order — identical
 // bytes prove the merge (instance-label renumbering, sampler run-ordinal
 // offsets, table fragments) reproduces sequential state exactly.
 func TestParallelOutputByteIdentical(t *testing.T) {

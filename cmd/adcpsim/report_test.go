@@ -20,7 +20,7 @@ func TestReportOutput(t *testing.T) {
 		t.Fatalf("exit = %d, stderr = %q", code, errw)
 	}
 	if telemetry.Hub() != nil {
-		t.Fatal("ambient telemetry hub not reset after run")
+		t.Fatal("process telemetry hub not reset after run")
 	}
 	raw, err := os.ReadFile(rp)
 	if err != nil {

@@ -8,12 +8,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// withRegistryHub runs fn under a goroutine-local hub carrying a fresh
-// registry (so networks account critical-path chains) and returns the hub.
+// withRegistryHub runs fn, which drives exported experiments, under a
+// process hub carrying a fresh registry (so networks account critical-path
+// chains) and returns the hub.
 func withRegistryHub(t *testing.T, fn func()) *telemetry.Telemetry {
 	t.Helper()
 	tel := &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}
-	telemetry.WithHub(tel, fn)
+	telemetry.WithDefault(tel, fn)
 	return tel
 }
 

@@ -5,6 +5,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // BufferRow is one point of the TM buffer-sizing sweep.
@@ -27,7 +28,7 @@ func BufferSweep(bufferSizes []int) (*stats.Table, []BufferRow, error) {
 	}
 	const fanout = 4 // ports 0..3 share egress pipeline 0
 	const packets = 16
-	t := newTable("TM buffer sizing under switch-generated incast (4:1 fan-out onto one egress pipeline)",
+	t := newTable(telemetry.Hub().Reg(), "TM buffer sizing under switch-generated incast (4:1 fan-out onto one egress pipeline)",
 		col{head: "TM2 buffer (B)", label: "buffer_bytes"},
 		col{head: "delivered", metric: "exp.buffer.delivered_pkts"}, col{head: "dropped"},
 		col{head: "loss rate", cell: pct("%.1f%%"), metric: "exp.buffer.loss_rate"},

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -35,7 +36,7 @@ func CacheHit(cacheSizes []int, skews []float64) (*stats.Table, []CacheHitRow, e
 	cfg := core.DefaultConfig()
 	cfg.Ports, cfg.DemuxFactor, cfg.CentralPipelines, cfg.EgressPipelines = 8, 1, 4, 2
 	cfg.Pipe.Stages, cfg.Pipe.TableEntriesPerStage = 2, keySpace
-	t := newTable(
+	t := newTable(telemetry.Hub().Reg(),
 		fmt.Sprintf("cache effectiveness: hit rate vs on-switch cache size (keyspace %d, Zipf GETs)", keySpace),
 		col{head: "cache entries", label: "entries"}, col{head: "zipf skew", cell: f("%.1f"), label: "skew"},
 		col{head: "hit rate", cell: pct("%.1f%%"), metric: "exp.cachehit.hit_rate"}, col{head: "hits"},

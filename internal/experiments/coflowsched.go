@@ -7,6 +7,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/tm"
 )
 
@@ -106,7 +107,7 @@ func CoflowSched(cfg CoflowSchedConfig) (*stats.Table, []CoflowSchedResult, erro
 		run("shortest-coflow-first (coflow-unit)", scf.Enqueue, scf.Dequeue),
 	}
 
-	t := newTable("§5 extension: coflow-aware scheduling at a bottleneck port",
+	t := newTable(telemetry.Hub().Reg(), "§5 extension: coflow-aware scheduling at a bottleneck port",
 		col{head: "discipline", label: "discipline"},
 		col{head: "mean CCT", metric: "exp.coflowsched.mean_cct_ps"},
 		col{head: "max CCT (elephant)", metric: "exp.coflowsched.max_cct_ps"})

@@ -6,10 +6,10 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/rmt"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // ConvergenceRow is one point of the Figure 1/2 coflow-convergence
@@ -54,7 +54,8 @@ func Convergence(cfg ConvergenceConfig, workerCounts []int) (*stats.Table, []Con
 	if len(workerCounts) == 0 {
 		workerCounts = []int{2, 4, 8, 15}
 	}
-	t := newTable(
+	tel := telemetry.Hub()
+	t := newTable(tel.Reg(),
 		fmt.Sprintf("Figures 1+2: coflow convergence cost (%d ports, %d RMT pipelines)", cfg.Ports, cfg.Pipelines),
 		col{head: "coflow width", label: "workers"},
 		col{head: "RMT recirc traversals", metric: "exp.convergence.rmt_recirc_traversals"},
@@ -73,7 +74,7 @@ func Convergence(cfg ConvergenceConfig, workerCounts []int) (*stats.Table, []Con
 		if err != nil {
 			return nil, nil, err
 		}
-		rres, err := apps.RunParamServer(rsw, netsim.DefaultConfig(cfg.Ports), ps, 1, 99)
+		rres, err := apps.RunParamServer(rsw, netConfig(tel, cfg.Ports), ps, 1, 99)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -82,7 +83,7 @@ func Convergence(cfg ConvergenceConfig, workerCounts []int) (*stats.Table, []Con
 		if err != nil {
 			return nil, nil, err
 		}
-		ares, err := apps.RunParamServer(asw, netsim.DefaultConfig(cfg.Ports), ps, 1, 99)
+		ares, err := apps.RunParamServer(asw, netConfig(tel, cfg.Ports), ps, 1, 99)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // DemuxRow is one point of the §3.3 demux-factor ablation.
@@ -28,7 +29,7 @@ func DemuxSweep(factors []int) (*stats.Table, []DemuxRow, error) {
 	}
 	const portGbps = 1600
 	const ports = 16
-	t := newTable("§3.3 ablation: demux factor m (1.6 Tbps ports, 84 B min packet, 16-port switch)",
+	t := newTable(telemetry.Hub().Reg(), "§3.3 ablation: demux factor m (1.6 Tbps ports, 84 B min packet, 16-port switch)",
 		col{head: "m", cell: f("1:%d"), label: "m"},
 		col{head: "required clock (GHz)", cell: f("%.2f"), metric: "exp.demux.required_clock_ghz"},
 		col{head: "ingress pipelines", metric: "exp.demux.ingress_pipelines"},

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/ha"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -59,6 +58,7 @@ func Failover(crashFracs []float64, syncIntervals []sim.Time) (*stats.Table, []F
 	}
 	ports := DefaultConvergenceConfig().Ports
 	rec := faults.DefaultRecovery()
+	hub := telemetry.Hub()
 
 	// Stage 1 — the plain runs (no standby, no faults) that anchor the
 	// crash times and inflation baselines. One independent point per
@@ -67,18 +67,18 @@ func Failover(crashFracs []float64, syncIntervals []sim.Time) (*stats.Table, []F
 	bases := make([]sim.Time, len(archs))
 	baseSlot := func(i int) any { return &bases[i] }
 	baseMeta := func(i int) (string, int64) { return archs[i] + " baseline", 0 }
-	if err := runPointsSlot("failover.baseline", len(archs), baseSlot, baseMeta, func(i int) error {
+	if err := runPointsSlot(hub, "failover.baseline", len(archs), baseSlot, baseMeta, func(i int, tel *telemetry.Telemetry) error {
 		arch := archs[i]
 		plainSW, err := faultRoundSwitch(arch)
 		if err != nil {
 			return err
 		}
-		plain, err := runFaultRound(plainSW, netsim.DefaultConfig(ports))
+		plain, err := runFaultRound(plainSW, netConfig(tel, ports))
 		if err != nil {
 			return fmt.Errorf("failover %s baseline: %w", arch, err)
 		}
 		bases[i] = plain.CCT
-		newTable("", col{label: "arch"}, col{metric: "exp.failover.base_cct_ps"}).AddRow(arch, plain.CCT)
+		newTable(tel.Reg(), "", col{label: "arch"}, col{metric: "exp.failover.base_cct_ps"}).AddRow(arch, plain.CCT)
 		return nil
 	}); err != nil {
 		return nil, nil, err
@@ -122,7 +122,7 @@ func Failover(crashFracs []float64, syncIntervals []sim.Time) (*stats.Table, []F
 		c := cells[i]
 		return fmt.Sprintf("%s crash=%g sync=%v", c.arch, c.frac, c.syncIv), int64(c.seed)
 	}
-	if err := runPointsSlot("failover", len(cells), slot, meta, func(i int) error {
+	if err := runPointsSlot(hub, "failover", len(cells), slot, meta, func(i int, tel *telemetry.Telemetry) error {
 		c := cells[i]
 		primary, err := faultRoundSwitch(c.arch)
 		if err != nil {
@@ -132,7 +132,7 @@ func Failover(crashFracs []float64, syncIntervals []sim.Time) (*stats.Table, []F
 		if err != nil {
 			return err
 		}
-		ncfg := netsim.DefaultConfig(ports)
+		ncfg := netConfig(tel, ports)
 		ncfg.Recovery = &rec
 		ncfg.Standby = standby
 		opt := ha.DefaultOptions()
@@ -174,7 +174,7 @@ func Failover(crashFracs []float64, syncIntervals []sim.Time) (*stats.Table, []F
 		if crashAt > 0 {
 			crash = []any{"%.0f%%=%v", c.frac * 100, crashAt}
 		}
-		frag := failoverTable()
+		frag := failoverTable(tel.Reg())
 		frag.AddRow(c.arch, c.frac, crash, int64(c.syncIv), c.syncIv, row.CCT, row.Inflation, row.RecoveryPs,
 			row.ReplayDepth, row.DeltaBytes, row.ReplOverhead, row.Retransmits, st.MaxStalenessPs)
 		results[i].Frag = frag.Table
@@ -184,7 +184,7 @@ func Failover(crashFracs []float64, syncIntervals []sim.Time) (*stats.Table, []F
 	}
 
 	rows := make([]FailoverRow, len(cells))
-	t := failoverTable()
+	t := failoverTable(hub.Reg())
 	for i := range results {
 		rows[i] = results[i].Row
 		t.Merge(results[i].Frag)
@@ -196,8 +196,8 @@ func Failover(crashFracs []float64, syncIntervals []sim.Time) (*stats.Table, []F
 // interval label their point by fraction and picoseconds; the cells spell
 // them out. A recovery of zero means no standby promoted: a promotion
 // waits out the controller's failover delay.
-func failoverTable() *table {
-	return newTable(
+func failoverTable(reg *telemetry.Registry) *table {
+	return newTable(reg,
 		"Failover sweep: parameter-server CCT across a switch crash with warm-standby replication",
 		col{head: "arch", label: "arch"}, col{label: "crash"}, col{head: "crash"}, col{label: "sync_ps"},
 		col{head: "sync", cell: zeroAs("immediate", f("%v"))},

@@ -8,6 +8,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // FaultsRow is one (loss rate, architecture) point of the fault sweep.
@@ -70,13 +71,14 @@ func Faults(lossRates []float64) (*stats.Table, []FaultsRow, error) {
 		lossRates = []float64{0, 0.005, 0.01, 0.02, 0.05}
 	}
 	rec := faults.DefaultRecovery()
+	hub := telemetry.Hub()
 
-	run := func(arch string, rateIdx int, rate float64) (*apps.RunResult, error) {
+	run := func(tel *telemetry.Telemetry, arch string, rateIdx int, rate float64) (*apps.RunResult, error) {
 		sw, err := faultRoundSwitch(arch)
 		if err != nil {
 			return nil, err
 		}
-		ncfg := netsim.DefaultConfig(DefaultConvergenceConfig().Ports)
+		ncfg := netConfig(tel, DefaultConvergenceConfig().Ports)
 		ncfg.Faults = &faults.Plan{
 			Seed: faultsSeed(rateIdx, arch),
 			Link: faults.LinkFaults{LossRate: rate},
@@ -107,9 +109,9 @@ func Faults(lossRates []float64) (*stats.Table, []FaultsRow, error) {
 		c := cells[i]
 		return fmt.Sprintf("%s loss=%g", c.arch, c.rate), int64(faultsSeed(c.rateIdx, c.arch))
 	}
-	if err := runPointsSlot("faults", len(cells), slot, meta, func(i int) error {
+	if err := runPointsSlot(hub, "faults", len(cells), slot, meta, func(i int, tel *telemetry.Telemetry) error {
 		c := cells[i]
-		res, err := run(c.arch, c.rateIdx, c.rate)
+		res, err := run(tel, c.arch, c.rateIdx, c.rate)
 		if err != nil {
 			return fmt.Errorf("faults %s @ %g: %w", c.arch, c.rate, err)
 		}
@@ -130,7 +132,7 @@ func Faults(lossRates []float64) (*stats.Table, []FaultsRow, error) {
 		return nil, nil, err
 	}
 
-	t := newTable("Fault sweep: parameter-server CCT under link loss with end-host recovery (RMT vs ADCP)",
+	t := newTable(hub.Reg(), "Fault sweep: parameter-server CCT under link loss with end-host recovery (RMT vs ADCP)",
 		col{head: "loss rate", cell: pct("%.1f%%"), label: "loss"}, col{head: "arch", label: "arch"},
 		col{head: "CCT", metric: "exp.faults.cct_ps"},
 		col{head: "inflation", cell: f("%.2fx"), metric: "exp.faults.cct_inflation"},

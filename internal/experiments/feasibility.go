@@ -8,6 +8,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/packet"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // MultiClockRow is one point of the §4 multi-clock MAT memory analysis.
@@ -31,7 +32,7 @@ func MultiClock(widths []int) (*stats.Table, []MultiClockRow, error) {
 		widths = []int{1, 2, 4, 8, 16}
 	}
 	const pipelineGHz = 1.0
-	t := newTable("§4: multi-clock MAT memory (pipeline at 1.0 GHz)",
+	t := newTable(telemetry.Hub().Reg(), "§4: multi-clock MAT memory (pipeline at 1.0 GHz)",
 		col{head: "array width", label: "width"}, col{head: "memory clock mult", cell: f("%d×")},
 		col{head: "memory clock (GHz)", cell: f("%.1f"), metric: "exp.multiclock.memory_clock_ghz"},
 		col{head: "pipeline cycles/batch", metric: "exp.multiclock.pipeline_cycles"})
@@ -76,7 +77,7 @@ type PowerRow struct {
 func Power() (*stats.Table, []PowerRow, error) {
 	m := analytic.DefaultPowerModel()
 	const fullHz = 2.38e9
-	t := newTable(
+	t := newTable(telemetry.Hub().Reg(),
 		"§4: iso-throughput power/area for one 1.6 Tbps port (relative to a 1.62 GHz reference pipeline)",
 		col{head: "design", label: "design"}, col{head: "pipeline clock (GHz)", cell: f("%.2f")},
 		col{head: "pipelines"},
@@ -112,7 +113,7 @@ type ParseCostRow struct {
 // the packet carries.
 func ParseCost() (*stats.Table, []ParseCostRow, error) {
 	g := packet.StandardGraph()
-	t := newTable("§3.3: parse cost tracks structure, not payload",
+	t := newTable(telemetry.Hub().Reg(), "§3.3: parse cost tracks structure, not payload",
 		col{head: "protocol", label: "proto"}, col{head: "elements", label: "elems"},
 		col{head: "parse states", metric: "exp.parsecost.states_visited"}, col{head: "header bytes parsed"})
 	var rows []ParseCostRow
@@ -155,7 +156,7 @@ func ParseCost() (*stats.Table, []ParseCostRow, error) {
 // Congestion runs the §4 floorplan comparison.
 func Congestion() (*stats.Table, *floorplan.Report, *floorplan.Report) {
 	mono, inter := floorplan.Monolithic(), floorplan.Interleaved()
-	t := newTable(
+	t := newTable(telemetry.Hub().Reg(),
 		fmt.Sprintf("§4: g-cell routing congestion, %d×%d grid, %d-wire buses", floorplan.GridW, floorplan.GridH, floorplan.WiresPerBus),
 		col{label: "floorplan"}, col{head: "floorplan"},
 		col{head: "peak congestion", cell: f("%.3f"), metric: "exp.congestion.peak"},

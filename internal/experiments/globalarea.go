@@ -5,10 +5,10 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/packet"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // GlobalAreaReport captures the Figure 5 demonstration: state placed by an
@@ -42,11 +42,12 @@ func GlobalArea() (*stats.Table, *GlobalAreaReport, error) {
 	cfg.Pipe.RegisterCellsPerStage = 2048
 
 	ps := apps.PSConfig{Workers: 12, ModelSize: 128, Width: 16}
+	tel := telemetry.Hub()
 	sw, err := apps.NewParamServerADCP(cfg, ps)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := apps.RunParamServer(sw, netsim.DefaultConfig(16), ps, 1, 2024)
+	res, err := apps.RunParamServer(sw, netConfig(tel, 16), ps, 1, 2024)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -81,13 +82,13 @@ func GlobalArea() (*stats.Table, *GlobalAreaReport, error) {
 	rep.MergeOrdered = ordered
 	rep.MergedCount = count
 
-	newTable("",
+	newTable(tel.Reg(), "",
 		col{metric: "exp.globalarea.ports_reached"},
 		col{metric: "exp.globalarea.cross_pipeline_deliveries"},
 		col{metric: "exp.globalarea.merge_ordered"},
 	).AddRow(rep.PortsReached, rep.CrossPipelineDeliveries, rep.MergeOrdered)
 
-	t := newTable("Figure 5: the global partitioned area decouples state placement from output ports",
+	t := newTable(tel.Reg(), "Figure 5: the global partitioned area decouples state placement from output ports",
 		col{head: "property"}, col{head: "value"})
 	t.AddRow("central traversal spread", rep.TraversalsPerCentral)
 	t.AddRow("worker ports receiving results", []any{"%d of %d", rep.PortsReached, ps.Workers})

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/packet"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // KeyRateRow is one point of the Figure 6 / §3.2 key-rate experiment.
@@ -36,7 +37,7 @@ func KeyRate(widths []int) (*stats.Table, []KeyRateRow, error) {
 		widths = []int{1, 2, 4, 8, 16}
 	}
 	pps := analytic.SwitchPPS(12.8, 247)
-	t := newTable("Figure 6 / §3.2: key processing rate vs array width (12.8 Tbps switch)",
+	t := newTable(telemetry.Hub().Reg(), "Figure 6 / §3.2: key processing rate vs array width (12.8 Tbps switch)",
 		col{head: "keys/pkt", label: "width"}, col{head: "RMT passes"},
 		col{head: "RMT keys/s", cell: si, metric: "exp.keyrate.rmt_keys_per_s"},
 		col{head: "ADCP keys/s", cell: si, metric: "exp.keyrate.adcp_keys_per_s"},

@@ -3,6 +3,7 @@ package experiments
 import (
 	"repro/internal/analytic"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // LandscapeRow characterizes one architecture in the §1/§2 design space.
@@ -58,7 +59,7 @@ func Landscape() (*stats.Table, []LandscapeRow, error) {
 		},
 	}
 
-	t := newTable("§1/§2 design space: the four architecture models, executable",
+	t := newTable(telemetry.Hub().Reg(), "§1/§2 design space: the four architecture models, executable",
 		col{head: "architecture", label: "arch"},
 		col{head: "pps @ 8 ops", cell: si, metric: "exp.landscape.pps_at_8ops"},
 		col{head: "max ops/pkt", cell: zeroAs("unbounded", f("%d"))}, col{head: "shared state", cell: yesNo},

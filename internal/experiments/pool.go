@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/netsim"
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
@@ -63,25 +64,26 @@ func RetryPolicy() parallel.RetryPolicy {
 }
 
 // runPointsSlot executes n independent sweep points through the parallel
-// engine: each point runs under its own telemetry hub mirroring the
-// ambient one, and the hubs merge back in point order, so the sweep's
-// exported metrics and samples are byte-identical to a sequential run.
-// point(i) must confine its writes to index i of the sweep's result slots.
-// A hub whose recorder exports runs the points in order (parallel.Run:
-// traces are not mergeable). slot(i), when given, returns a pointer to
-// point i's result cell, JSON-round-tripped through the run journal so a
-// resume restores the row without re-running the point; meta(i), when
-// given, supplies the human-readable spec and RNG seed the journal records
-// for the point. Points quarantined by the retry policy are recorded as
-// exp.quarantined markers (labels: sweep, point, class; value: attempts)
-// before the joined error returns — the rest of the sweep has completed
-// and merged.
-func runPointsSlot(sweep string, n int, slot func(i int) any, meta func(i int) (spec string, seed int64), point func(i int) error) error {
+// engine: point(i, tel) is handed its own hub, a mirror of hub, and the
+// mirrors merge back into hub in point order, so the sweep's exported
+// metrics and samples are byte-identical to a sequential run. point must
+// observe into tel alone and confine its writes to index i of the sweep's
+// result slots. A hub whose recorder exports is handed to the points
+// themselves, run in order (parallel.Run: traces are not mergeable).
+// slot(i), when given, returns a pointer to point i's result cell,
+// JSON-round-tripped through the run journal so a resume restores the row
+// without re-running the point; meta(i), when given, supplies the
+// human-readable spec and RNG seed the journal records for the point.
+// Points quarantined by the retry policy are recorded as exp.quarantined
+// markers (labels: sweep, point, class; value: attempts) before the
+// joined error returns — the rest of the sweep has completed and merged.
+func runPointsSlot(hub *telemetry.Telemetry, sweep string, n int, slot func(i int) any, meta func(i int) (spec string, seed int64),
+	point func(i int, tel *telemetry.Telemetry) error) error {
 	pts := make([]parallel.Point, n)
 	for i := range pts {
 		pts[i] = parallel.Point{
 			Name: fmt.Sprintf("%s[%d]", sweep, i),
-			Run:  func() error { return point(i) },
+			Body: func(tel *telemetry.Telemetry) error { return point(i, tel) },
 		}
 		if slot != nil {
 			pts[i].Slot = slot(i)
@@ -96,7 +98,6 @@ func runPointsSlot(sweep string, n int, slot func(i int) any, meta func(i int) (
 			onDone = func(done, total int, _ string, _ error) { fn(sweep, done, total) }
 		}
 	}
-	hub := telemetry.Hub()
 	jb, _ := poolJournal.Load().(journalBox)
 	err := parallel.Run(pts, parallel.Options{
 		Workers: int(poolWorkers.Load()), Hub: hub, OnDone: onDone,
@@ -109,6 +110,13 @@ func runPointsSlot(sweep string, n int, slot func(i int) any, meta func(i int) (
 		}
 	}
 	return err
+}
+
+// netConfig is netsim.DefaultConfig(hosts) observing into tel.
+func netConfig(tel *telemetry.Telemetry, hosts int) netsim.Config {
+	cfg := netsim.DefaultConfig(hosts)
+	cfg.Telemetry = tel
+	return cfg
 }
 
 // quarantinedIn collects every *parallel.QuarantinedError in err's tree

@@ -11,7 +11,7 @@ import (
 
 // A sweep with a panicking point under a quarantine policy: the point is
 // retried, then quarantined; the other points complete and fill their
-// slots; the ambient hub carries the exp.quarantined marker; the joined
+// slots; the sweep's hub carries the exp.quarantined marker; the joined
 // error names the poison point.
 func TestSweepQuarantinesPanickingPoint(t *testing.T) {
 	prevPol := RetryPolicy()
@@ -25,20 +25,17 @@ func TestSweepQuarantinesPanickingPoint(t *testing.T) {
 
 	hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Recorder: telemetry.NewRecorder(false)}
 	rows := make([]int, 4)
-	var err error
-	telemetry.WithHub(hub, func() {
-		err = runPointsSlot("poisoned", len(rows),
-			func(i int) any { return &rows[i] },
-			nil,
-			func(i int) error {
-				if i == 2 {
-					panic("synthetic point panic")
-				}
-				rows[i] = i + 1
-				newTable("", col{label: "i"}, col{metric: "exp.poisoned.value"}).AddRow(i, i+1)
-				return nil
-			})
-	})
+	err := runPointsSlot(hub, "poisoned", len(rows),
+		func(i int) any { return &rows[i] },
+		nil,
+		func(i int, tel *telemetry.Telemetry) error {
+			if i == 2 {
+				panic("synthetic point panic")
+			}
+			rows[i] = i + 1
+			newTable(tel.Reg(), "", col{label: "i"}, col{metric: "exp.poisoned.value"}).AddRow(i, i+1)
+			return nil
+		})
 
 	var qe *parallel.QuarantinedError
 	if !errors.As(err, &qe) {
@@ -63,7 +60,7 @@ func TestSweepQuarantinesPanickingPoint(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("exp.quarantined marker missing from the ambient hub")
+		t.Fatal("exp.quarantined marker missing from the sweep's hub")
 	}
 }
 
@@ -72,12 +69,9 @@ func TestSweepQuarantinesPanickingPoint(t *testing.T) {
 func TestSweepZeroPolicySingleAttempt(t *testing.T) {
 	hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}
 	tries := 0
-	var err error
-	telemetry.WithHub(hub, func() {
-		err = runPointsSlot("classic", 1, nil, nil, func(i int) error {
-			tries++
-			return errors.New("plain failure")
-		})
+	err := runPointsSlot(hub, "classic", 1, nil, nil, func(int, *telemetry.Telemetry) error {
+		tries++
+		return errors.New("plain failure")
 	})
 	if err == nil || tries != 1 {
 		t.Fatalf("tries=%d err=%v, want one failing attempt", tries, err)

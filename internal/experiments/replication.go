@@ -10,6 +10,7 @@ import (
 	"repro/internal/program"
 	"repro/internal/rmt"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // ReplicationRow is one point of the Figure 3 table-replication experiment.
@@ -36,7 +37,7 @@ func Replication(keysPerPacket []int) (*stats.Table, []ReplicationRow, error) {
 	}
 	const stageEntries = 64 * 1024
 	const liveEntries = 4096 // live switches use smaller stages for speed
-	t := newTable("Figure 3: table replication under scalar processing (64K-entry stage)",
+	t := newTable(telemetry.Hub().Reg(), "Figure 3: table replication under scalar processing (64K-entry stage)",
 		col{head: "keys/pkt", label: "keys_per_pkt"}, col{head: "RMT copies"},
 		col{head: "RMT effective", metric: "exp.replication.rmt_effective_entries"},
 		col{head: "ADCP effective", metric: "exp.replication.adcp_effective_entries"},

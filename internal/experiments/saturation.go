@@ -32,20 +32,21 @@ func Saturation() (*stats.Table, []SaturationRow, error) {
 
 	// The two architecture runs are independent sweep points; each builds
 	// its own network config (Config holds per-run pointers) and switch.
-	bottleneck := func() netsim.Config {
-		netCfg := netsim.DefaultConfig(cc.Ports)
+	bottleneck := func(tel *telemetry.Telemetry) netsim.Config {
+		netCfg := netConfig(tel, cc.Ports)
 		netCfg.ServiceRatePPS = 5e5 // 2 µs per traversal: the switch is the bottleneck
 		return netCfg
 	}
 	rows := make([]SaturationRow, 2)
 	slot := func(i int) any { return &rows[i] }
-	if err := runPointsSlot("saturation", len(rows), slot, nil, func(i int) error {
+	hub := telemetry.Hub()
+	if err := runPointsSlot(hub, "saturation", len(rows), slot, nil, func(i int, tel *telemetry.Telemetry) error {
 		if i == 0 {
 			asw, err := apps.NewParamServerADCP(adcpConfig(cc), ps)
 			if err != nil {
 				return err
 			}
-			ares, err := apps.RunParamServer(asw, bottleneck(), ps, 41, 7)
+			ares, err := apps.RunParamServer(asw, bottleneck(tel), ps, 41, 7)
 			if err != nil {
 				return err
 			}
@@ -57,7 +58,7 @@ func Saturation() (*stats.Table, []SaturationRow, error) {
 		if err != nil {
 			return err
 		}
-		rres, err := apps.RunParamServer(rsw, bottleneck(), ps, 41, 7)
+		rres, err := apps.RunParamServer(rsw, bottleneck(tel), ps, 41, 7)
 		if err != nil {
 			return err
 		}
@@ -67,7 +68,7 @@ func Saturation() (*stats.Table, []SaturationRow, error) {
 	}); err != nil {
 		return nil, nil, err
 	}
-	t := newTable("saturation: parameter aggregation with the switch as the bottleneck (2 µs/traversal)",
+	t := newTable(hub.Reg(), "saturation: parameter aggregation with the switch as the bottleneck (2 µs/traversal)",
 		col{head: "architecture", label: "arch"},
 		col{head: "ingress traversals", metric: "exp.saturation.ingress_traversals"},
 		col{head: "recirculated", metric: "exp.saturation.recirc_traversals"},

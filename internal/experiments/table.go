@@ -23,24 +23,23 @@ type col struct {
 
 // table is a stats.Table whose columns are declared once. AddRow renders a
 // row and Sets its metric columns, labeled by its label columns, into the
-// registry bound when the table was built: the ambient hub's, which is the
-// point's own inside a sweep point and nil (record nothing) in tests and
-// library use. Set, not accumulate, keeps re-running an experiment
-// idempotent.
+// registry the table was built with: the experiment's hub's, or the
+// point's own inside a sweep point; nil records nothing. Set, not
+// accumulate, keeps re-running an experiment idempotent.
 type table struct {
 	*stats.Table
 	cols []col
 	reg  *telemetry.Registry
 }
 
-func newTable(title string, cols ...col) *table {
+func newTable(reg *telemetry.Registry, title string, cols ...col) *table {
 	var heads []string
 	for _, c := range cols {
 		if c.head != "" {
 			heads = append(heads, c.head)
 		}
 	}
-	return &table{Table: stats.NewTable(title, heads...), cols: cols, reg: telemetry.Hub().Reg()}
+	return &table{Table: stats.NewTable(title, heads...), cols: cols, reg: reg}
 }
 
 // AddRow takes one value per declared column, in declaration order.

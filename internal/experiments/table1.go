@@ -8,6 +8,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -37,19 +38,21 @@ func Table1() (*stats.Table, []Table1Row, error) {
 // passed through mod — the hook fault experiments use to overlay a loss
 // plan and recovery knobs onto the exact same workloads and verification.
 func Table1WithNet(mod func(netsim.Config) netsim.Config) (*stats.Table, []Table1Row, error) {
+	tel := telemetry.Hub()
+	withHub := func(c netsim.Config) netsim.Config { c.Telemetry = tel; return mod(c) }
 	var rows []Table1Row
 	for _, app := range []struct {
 		name string
 		run  func(func(netsim.Config) netsim.Config) (Table1Row, error)
 	}{{"ML", table1ML}, {"DB", table1DB}, {"graph", table1Graph}, {"group", table1Group}} {
-		r, err := app.run(mod)
+		r, err := app.run(withHub)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", app.name, err)
 		}
 		rows = append(rows, r)
 	}
 
-	t := newTable("Table 1: coflow applications on RMT vs ADCP (identical workloads, verified results)",
+	t := newTable(tel.Reg(), "Table 1: coflow applications on RMT vs ADCP (identical workloads, verified results)",
 		col{head: "application", label: "app"}, col{head: "RMT CCT", metric: "exp.table1.rmt_cct_ps"},
 		col{head: "ADCP CCT", metric: "exp.table1.adcp_cct_ps"},
 		col{head: "RMT recirc traversals", metric: "exp.table1.rmt_recirc_traversals"}, col{head: "RMT SRAM"},

@@ -4,6 +4,7 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/program"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // TensionRow is one point of the §1 motivation experiment: packet rate vs
@@ -40,7 +41,7 @@ func Tension(opCounts []int) (*stats.Table, []TensionRow, error) {
 	const adcpClock = 1.0e9
 
 	infeasible := zeroAs("infeasible", si)
-	t := newTable("§1 motivation: line rate vs run-to-completion as per-packet work grows",
+	t := newTable(telemetry.Hub().Reg(), "§1 motivation: line rate vs run-to-completion as per-packet work grows",
 		col{head: "ops/pkt", label: "ops"},
 		col{head: "software pps", cell: si, metric: "exp.tension.software_pps"},
 		col{head: "RMT pps", cell: infeasible, metric: "exp.tension.rmt_pps"},

@@ -4,6 +4,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // WalkReport traces one packet through every region of the ADCP
@@ -55,13 +56,14 @@ func Walk() (*stats.Table, *WalkReport, error) {
 		rep.EgressPort = out[0].EgressPort
 	}
 
-	newTable("",
+	reg := telemetry.Hub().Reg()
+	newTable(reg, "",
 		col{metric: "exp.walk.delivered_pkts"},
 		col{metric: "exp.walk.tm1_enqueued_pkts"},
 		col{metric: "exp.walk.tm2_enqueued_pkts"},
 	).AddRow(rep.Delivered, rep.TM1Enqueued, rep.TM2Enqueued)
 
-	t := newTable("Figure 4: one packet through the ADCP regions (port 3 → port 9)",
+	t := newTable(reg, "Figure 4: one packet through the ADCP regions (port 3 → port 9)",
 		col{head: "region"}, col{head: "instance"}, col{head: "note"})
 	t.AddRow("RX demux", []any{"port 3 → ingress pipeline %d", rep.IngressPipeline},
 		[]any{"1:%d demultiplexing", cfg.DemuxFactor})

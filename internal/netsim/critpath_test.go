@@ -10,19 +10,44 @@ import (
 	"repro/internal/telemetry"
 )
 
-// runUnderHub builds and exercises a network under a goroutine-local hub.
+// runUnderHub builds a network observing into tel and exercises it.
 func runUnderHub(t *testing.T, tel *telemetry.Telemetry, cfg Config, sw SwitchModel, drive func(n *Network)) *Network {
 	t.Helper()
-	var n *Network
-	telemetry.WithHub(tel, func() {
-		var err error
-		n, err = New(cfg, sw)
-		if err != nil {
+	cfg.Telemetry = tel
+	n, err := New(cfg, sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(n)
+	return n
+}
+
+// A network observes the hub its Config names and no other: the process
+// hub a harness installed stays empty until the config names it.
+func TestNetworkObservesConfiguredHubOnly(t *testing.T) {
+	hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}
+	telemetry.WithDefault(hub, func() {
+		if _, err := New(DefaultConfig(4), echoSwitch{}); err != nil {
 			t.Fatal(err)
 		}
-		drive(n)
+		if n := hub.Metrics.Len(); n != 0 {
+			t.Fatalf("a network built without Config.Telemetry registered %d series in the process hub, want 0", n)
+		}
+		cfg := DefaultConfig(4)
+		cfg.Telemetry = hub
+		if _, err := New(cfg, echoSwitch{}); err != nil {
+			t.Fatal(err)
+		}
 	})
-	return n
+	names := map[string]bool{}
+	for _, m := range hub.Metrics.Snapshot().Metrics {
+		names[m.Name] = true
+	}
+	for _, want := range []string{"net.injected_pkts", "net.delivered_pkts", "net.e2e_latency_ps"} {
+		if !names[want] {
+			t.Errorf("a network built with Config.Telemetry registered no %s series", want)
+		}
+	}
 }
 
 // spanEvent is one line of a span-category JSONL export.

@@ -82,6 +82,9 @@ type Config struct {
 	// HA tunes the replication channel and the failover controller; nil
 	// uses ha.DefaultOptions(). Only meaningful with Standby set.
 	HA *ha.Options
+	// Telemetry is the hub the network and its switches observe into:
+	// metrics, flight ring, trace and sampler. Nil observes nothing.
+	Telemetry *telemetry.Telemetry
 }
 
 // TraversalCounter is implemented by switch models that can report their
@@ -93,9 +96,7 @@ type TraversalCounter interface {
 
 // Instrumentable is implemented by switch models that can attach themselves
 // to a telemetry sink (both rmt.Switch and core.Switch do). New detects it
-// and wires the switch to the ambient telemetry hub, so harnesses that construct
-// networks deep inside application code (internal/apps) are observed by
-// setting one process-wide hub.
+// and wires the switch, and a standby, to Config.Telemetry.
 type Instrumentable interface {
 	Instrument(tel *telemetry.Telemetry, now func() sim.Time)
 }
@@ -224,7 +225,7 @@ type Network struct {
 	swCrashed bool
 	txSeq     uint64
 
-	// recorder is the ambient hub's (nil without one): every notable event
+	// recorder is Config.Telemetry's (nil without one): every notable event
 	// goes to its flight ring, dumped when a run-level invariant trips. The
 	// network's trace threads stay nil, and detail false, unless it
 	// exports, so the untraced hot path pays one nil check.
@@ -292,8 +293,8 @@ func New(cfg Config, sw SwitchModel) (*Network, error) {
 			}
 		})
 	}
-	if tel := telemetry.Hub(); tel.Enabled() {
-		n.instrument(tel)
+	if cfg.Telemetry.Enabled() {
+		n.instrument(cfg.Telemetry)
 	}
 	// The wall-clock perf plane meters every engine's dispatch loop,
 	// independent of the sim-time telemetry hub: throughput must be
@@ -302,8 +303,8 @@ func New(cfg Config, sw SwitchModel) (*Network, error) {
 	return n, nil
 }
 
-// instrument wires the network (and, via Instrumentable, its switch) to the
-// ambient telemetry hub.
+// instrument wires the network (and, via Instrumentable, its switch) to
+// tel, the configured hub.
 func (n *Network) instrument(tel *telemetry.Telemetry) {
 	reg, rec := tel.Reg(), tel.Rec()
 	n.recorder = rec

@@ -75,76 +75,75 @@ func runSendSchedule(t *testing.T, prog []byte, armEach bool) sendScheduleRun {
 	}
 	var out sendScheduleRun
 	tel := &telemetry.Telemetry{Recorder: telemetry.NewRecorder(false)}
-	telemetry.WithHub(tel, func() {
-		n, err := netsim.New(cfg, &bounceSwitch{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if armEach {
-			n.ArmEachSend()
-		}
-		n.Engine().AddDispatchHook(func(at sim.Time, pending int, fired uint64) {
-			out.Dispatch = append(out.Dispatch, fmt.Sprintf("%d/%d/%d", at, pending, fired))
-		})
-		type send struct {
-			src   int
-			pkt   *packet.Packet
-			delay sim.Time
-		}
-		onDelivery := map[uint64][]send{}
-		n.OnDeliver = func(int, *packet.Packet, sim.Time) {
-			for _, s := range onDelivery[n.Delivered()] {
-				n.SendAt(s.src, s.pkt, n.Now()+s.delay)
-			}
-		}
-		var at sim.Time
-		for id, ops := uint32(0), prog[1:]; len(ops) >= 3; id, ops = id+1, ops[3:] {
-			src := int(ops[0]) % fuzzHosts
-			pkt := idPkt(src, int(ops[0]>>2)%fuzzHosts, id<<4)
-			switch ops[1] % 10 {
-			case 8: // a tie with the send before
-			case 9:
-				at = max(at-2*sim.Microsecond, 0)
-			default:
-				at = sim.Time(ops[1]%10) * 2 * sim.Microsecond
-			}
-			switch {
-			case ops[2] >= 128:
-				k := uint64(ops[2]%16) + 1
-				onDelivery[k] = append(onDelivery[k], send{src, pkt, sim.Time(ops[2]>>4&3) * sim.Microsecond})
-			case ops[2] >= 64:
-				count, gap := int(ops[2]&7)+1, sim.Time(ops[2]>>3&3)*sim.Microsecond
-				if ops[2]&32 != 0 && gap > 0 {
-					gap = -gap
-					count = min(count, int(at/-gap)+1) // no send before time 0
-				}
-				dst, first := int(ops[0]>>2)%fuzzHosts, id<<4
-				build := func(i int) *packet.Packet { return idPkt(src, dst, first|uint32(i)) }
-				if !armEach {
-					n.SendEvery(src, count, at, gap, build)
-					break
-				}
-				for i := range count {
-					n.SendAt(src, build(i), at+sim.Time(i)*gap)
-				}
-			default:
-				n.SendAt(src, pkt, at)
-			}
-		}
-		n.Run()
-		var flight strings.Builder
-		tel.Rec().Dump(&flight, "end of run")
-		out.Flight, out.Ledger, out.Errors = flight.String(), n.Ledger(), fmt.Sprint(n.Errors())
-		var d packet.Decoded
-		for h := range out.Received {
-			for _, p := range n.Host(h).Received {
-				if err := d.DecodePacket(p); err != nil {
-					t.Fatal(err)
-				}
-				out.Received[h] = append(out.Received[h], d.Base.Seq)
-			}
-		}
+	cfg.Telemetry = tel
+	n, err := netsim.New(cfg, &bounceSwitch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if armEach {
+		n.ArmEachSend()
+	}
+	n.Engine().AddDispatchHook(func(at sim.Time, pending int, fired uint64) {
+		out.Dispatch = append(out.Dispatch, fmt.Sprintf("%d/%d/%d", at, pending, fired))
 	})
+	type send struct {
+		src   int
+		pkt   *packet.Packet
+		delay sim.Time
+	}
+	onDelivery := map[uint64][]send{}
+	n.OnDeliver = func(int, *packet.Packet, sim.Time) {
+		for _, s := range onDelivery[n.Delivered()] {
+			n.SendAt(s.src, s.pkt, n.Now()+s.delay)
+		}
+	}
+	var at sim.Time
+	for id, ops := uint32(0), prog[1:]; len(ops) >= 3; id, ops = id+1, ops[3:] {
+		src := int(ops[0]) % fuzzHosts
+		pkt := idPkt(src, int(ops[0]>>2)%fuzzHosts, id<<4)
+		switch ops[1] % 10 {
+		case 8: // a tie with the send before
+		case 9:
+			at = max(at-2*sim.Microsecond, 0)
+		default:
+			at = sim.Time(ops[1]%10) * 2 * sim.Microsecond
+		}
+		switch {
+		case ops[2] >= 128:
+			k := uint64(ops[2]%16) + 1
+			onDelivery[k] = append(onDelivery[k], send{src, pkt, sim.Time(ops[2]>>4&3) * sim.Microsecond})
+		case ops[2] >= 64:
+			count, gap := int(ops[2]&7)+1, sim.Time(ops[2]>>3&3)*sim.Microsecond
+			if ops[2]&32 != 0 && gap > 0 {
+				gap = -gap
+				count = min(count, int(at/-gap)+1) // no send before time 0
+			}
+			dst, first := int(ops[0]>>2)%fuzzHosts, id<<4
+			build := func(i int) *packet.Packet { return idPkt(src, dst, first|uint32(i)) }
+			if !armEach {
+				n.SendEvery(src, count, at, gap, build)
+				break
+			}
+			for i := range count {
+				n.SendAt(src, build(i), at+sim.Time(i)*gap)
+			}
+		default:
+			n.SendAt(src, pkt, at)
+		}
+	}
+	n.Run()
+	var flight strings.Builder
+	tel.Rec().Dump(&flight, "end of run")
+	out.Flight, out.Ledger, out.Errors = flight.String(), n.Ledger(), fmt.Sprint(n.Errors())
+	var d packet.Decoded
+	for h := range out.Received {
+		for _, p := range n.Host(h).Received {
+			if err := d.DecodePacket(p); err != nil {
+				t.Fatal(err)
+			}
+			out.Received[h] = append(out.Received[h], d.Base.Seq)
+		}
+	}
 	return out
 }
 

@@ -14,12 +14,13 @@
 // point order (telemetry.Merge renumbers instance labels and sampler run
 // ordinals so the merged export equals a sequential run's, byte for byte).
 //
-// Points run under point-local hubs at every pool width — Workers == 1
-// merely executes them in order on the caller's goroutine — so one worker
-// and eight produce the same bytes by the same mechanism, which the golden
-// tests pin. The only exception is a destination hub whose recorder
-// exports: traces are not mergeable, so points then run directly under the
-// ambient hub, in order, exactly as a pre-pool harness would.
+// Every point is handed its hub as an argument: a point-local mirror of
+// the destination at every pool width — Workers == 1 merely executes the
+// points in order on the caller's goroutine — so one worker and eight
+// produce the same bytes by the same mechanism, which the golden tests
+// pin. The only exception is a destination hub whose recorder exports:
+// traces are not mergeable, so points are then handed the destination
+// itself and run in order, exactly as a pre-pool harness would.
 package parallel
 
 import (
@@ -40,9 +41,9 @@ import (
 
 // Point is one independent unit of a sweep: a closure that runs a full
 // experiment point and records its results into declared slots (row
-// slices indexed by point) and the ambient telemetry hub. A Point must not
-// share mutable state with other points — each builds its own simulator
-// objects — and must be deterministic given its declared seed.
+// slices indexed by point) and the telemetry hub it is handed. A Point
+// must not share mutable state with other points — each builds its own
+// simulator objects — and must be deterministic given its declared seed.
 type Point struct {
 	// Name identifies the point in errors and progress ("failover[3]").
 	// It is also the point's journal identity, so it must be stable
@@ -57,29 +58,31 @@ type Point struct {
 	// sweep's result slice). When a journal is active, the slot is
 	// JSON-round-tripped with the point's telemetry: persisted on
 	// completion, restored in place on resume. It must marshal/unmarshal
-	// losslessly; Run must confine its result writes to it.
+	// losslessly; Body must confine its result writes to it.
 	Slot any
-	// Run executes the point. Inside Run the ambient hub (telemetry.Hub)
-	// is the point-local hub when the pool is parallel, or the caller's
-	// hub when sequential; code that records through the hub needs no
-	// changes either way.
+	// Body executes the point, observing into the hub it is handed: a
+	// point-local mirror of Options.Hub, Options.Hub itself when its
+	// recorder exports, or nil when Options.Hub is nil.
+	Body func(tel *telemetry.Telemetry) error
+	// Run executes a point that is handed no hub, when Body is nil:
+	// bench only; delete with ROADMAP 1(b)/13(e).
 	Run func() error
 }
 
 // Options configure a Run.
 type Options struct {
 	// Workers bounds the pool; ≤ 0 selects runtime.NumCPU(). With one
-	// worker, points run in order on the caller's goroutine — still under
+	// worker, points run in order on the caller's goroutine — still in
 	// point-local hubs merged back in order, so output bytes are
 	// independent of the width. A destination hub whose recorder exports
-	// runs the points directly under the ambient hub instead: traces are
-	// not mergeable.
+	// is handed to the points themselves instead: traces are not
+	// mergeable.
 	Workers int
-	// Hub is the merge destination: each parallel point runs under a
-	// point-local mirror of it (fresh registry, fresh sampler with the
-	// same interval and capacity) and the mirrors fold back into Hub in
-	// point order after all points finish. Nil runs points with telemetry
-	// masked off entirely.
+	// Hub is the merge destination: each point is handed a point-local
+	// mirror of it (fresh registry, fresh sampler with the same interval
+	// and capacity) and the mirrors fold back into Hub in point order
+	// after all points finish. Nil hands every point a nil hub: telemetry
+	// off.
 	Hub *telemetry.Telemetry
 	// OnDone, when set, is called after each point completes, serialized
 	// across workers: done counts completed points, total is len(points).
@@ -125,10 +128,10 @@ func Run(points []Point, opt Options) error {
 	pp := perf.Active()
 	poolStart := time.Now()
 	if opt.Hub.Rec().Exporting() {
-		// Trace events cannot be merged across hubs, so run the points
-		// directly under the ambient hub, in order.
+		// Trace events cannot be merged across hubs, so hand the points
+		// the destination itself and run them in order.
 		for i := range points {
-			errs[i] = execPoint(pp, poolStart, points[i], 0)
+			errs[i] = execPoint(pp, poolStart, points[i], 0, opt.Hub)
 			if opt.OnDone != nil {
 				opt.OnDone(i+1, n, points[i].Name, errs[i])
 			}
@@ -220,14 +223,14 @@ func Run(points []Point, opt Options) error {
 	return join(points, errs)
 }
 
-// execPoint runs one point under pprof labels naming the sweep point and
-// worker slot — CPU profiles (adcpsim -cpuprofile, /debug/pprof) then
-// attribute samples per point — and, when the perf plane is on, charges
-// the point's queue wait and busy time to the worker.
-func execPoint(pp *perf.Plane, poolStart time.Time, p Point, worker int) (err error) {
+// execPoint runs one point in tel under pprof labels naming the sweep
+// point and worker slot — CPU profiles (adcpsim -cpuprofile, /debug/pprof)
+// then attribute samples per point — and, when the perf plane is on,
+// charges the point's queue wait and busy time to the worker.
+func execPoint(pp *perf.Plane, poolStart time.Time, p Point, worker int, tel *telemetry.Telemetry) (err error) {
 	pickup := time.Now()
 	pprof.Do(context.Background(), pprof.Labels("point", p.Name, "worker", strconv.Itoa(worker)), func(context.Context) {
-		err = runPoint(p)
+		err = runPoint(p, tel)
 	})
 	pp.PoolPoint(worker, pickup.Sub(poolStart), time.Since(pickup))
 	return err
@@ -236,12 +239,15 @@ func execPoint(pp *perf.Plane, poolStart time.Time, p Point, worker int) (err er
 // runPoint executes one point, converting a panic into a *panicError
 // carrying the worker stack, so a crashing sweep point surfaces as a
 // classified experiment failure instead of killing the process.
-func runPoint(p Point) (err error) {
+func runPoint(p Point, tel *telemetry.Telemetry) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &panicError{val: r, stack: debug.Stack()}
 		}
 	}()
+	if p.Body != nil {
+		return p.Body(tel)
+	}
 	return p.Run()
 }
 

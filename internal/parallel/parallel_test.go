@@ -12,11 +12,10 @@ import (
 )
 
 // sweepPoint simulates one experiment point: it registers per-point series
-// through the ambient hub (instance labels, counters, a histogram) the way
-// instrumented simulator components do.
-func sweepPoint(i int) {
-	hub := telemetry.Hub()
-	reg := hub.Reg()
+// through the hub it is handed (instance labels, counters, a histogram) the
+// way instrumented simulator components do.
+func sweepPoint(tel *telemetry.Telemetry, i int) {
+	reg := tel.Reg()
 	if reg == nil {
 		return
 	}
@@ -38,7 +37,7 @@ func sweepJSON(t *testing.T, workers int) []byte {
 	pts := make([]Point, 7)
 	for i := range pts {
 		i := i
-		pts[i] = Point{Name: fmt.Sprintf("p[%d]", i), Run: func() error { sweepPoint(i); return nil }}
+		pts[i] = Point{Name: fmt.Sprintf("p[%d]", i), Body: func(tel *telemetry.Telemetry) error { sweepPoint(tel, i); return nil }}
 	}
 	if err := Run(pts, Options{Workers: workers, Hub: hub}); err != nil {
 		t.Fatal(err)
@@ -60,11 +59,15 @@ func TestRunDeterministicAcrossWidths(t *testing.T) {
 	}
 }
 
+// Every point runs, whether it sets Body or the bench-only Run.
 func TestRunAllPointsExecute(t *testing.T) {
 	var ran atomic.Int64
 	pts := make([]Point, 20)
 	for i := range pts {
-		pts[i] = Point{Run: func() error { ran.Add(1); return nil }}
+		pts[i] = Point{Body: func(*telemetry.Telemetry) error { ran.Add(1); return nil }}
+		if i%2 == 1 {
+			pts[i] = Point{Run: func() error { ran.Add(1); return nil }}
+		}
 	}
 	if err := Run(pts, Options{Workers: 4}); err != nil {
 		t.Fatal(err)
@@ -77,9 +80,9 @@ func TestRunAllPointsExecute(t *testing.T) {
 func TestRunJoinsErrorsInPointOrder(t *testing.T) {
 	boom := errors.New("boom")
 	pts := []Point{
-		{Name: "ok", Run: func() error { return nil }},
-		{Name: "bad-a", Run: func() error { return boom }},
-		{Name: "bad-b", Run: func() error { return errors.New("other") }},
+		{Name: "ok", Body: func(*telemetry.Telemetry) error { return nil }},
+		{Name: "bad-a", Body: func(*telemetry.Telemetry) error { return boom }},
+		{Name: "bad-b", Body: func(*telemetry.Telemetry) error { return errors.New("other") }},
 	}
 	err := Run(pts, Options{Workers: 3})
 	if err == nil {
@@ -99,8 +102,8 @@ func TestRunJoinsErrorsInPointOrder(t *testing.T) {
 
 func TestRunCapturesPanics(t *testing.T) {
 	pts := []Point{
-		{Name: "explode", Run: func() error { panic("kaboom") }},
-		{Name: "fine", Run: func() error { return nil }},
+		{Name: "explode", Body: func(*telemetry.Telemetry) error { panic("kaboom") }},
+		{Name: "fine", Body: func(*telemetry.Telemetry) error { return nil }},
 	}
 	err := Run(pts, Options{Workers: 2})
 	if err == nil {
@@ -118,7 +121,7 @@ func TestRunOnDoneSerializedAndComplete(t *testing.T) {
 	pts := make([]Point, len(seen))
 	for i := range pts {
 		i := i
-		pts[i] = Point{Name: fmt.Sprintf("p%d", i), Run: func() error { return nil }}
+		pts[i] = Point{Name: fmt.Sprintf("p%d", i), Body: func(*telemetry.Telemetry) error { return nil }}
 	}
 	err := Run(pts, Options{Workers: 3, OnDone: func(done, total int, name string, err error) {
 		if mu.Add(1) != 1 {
@@ -146,54 +149,61 @@ func TestRunOnDoneSerializedAndComplete(t *testing.T) {
 	}
 }
 
-// A nil destination hub must mask any process-wide hub from the points:
-// the pool owns its workers' telemetry scope.
+// A nil destination hub hands every point a nil hub: the process hub a
+// harness installed is never where a point observes.
 func TestRunNilHubMasksProcessHub(t *testing.T) {
 	proc := &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}
+	var handed atomic.Int32
 	telemetry.WithDefault(proc, func() {
-		pts := []Point{{Run: func() error {
-			if telemetry.Hub() != nil {
-				return errors.New("point observed the process hub through a nil pool hub")
-			}
-			return nil
-		}}}
-		// Two workers so the point runs on a pool goroutine under WithHub.
-		if err := Run(append(pts, Point{Run: func() error { return nil }}), Options{Workers: 2}); err != nil {
-			t.Error(err)
-		}
-	})
-	if proc.Metrics.Len() != 0 {
-		t.Error("points leaked series into the masked process hub")
-	}
-}
-
-// Only a hub whose recorder exports keeps its points on the caller's hub,
-// in order: traces cannot be merged. A hub whose recorder keeps just its
-// flight ring — every run's — still fans out into point-local mirrors, all
-// writing to the one shared ring.
-func TestRunPointsInPlaceOnlyUnderExportingRecorder(t *testing.T) {
-	for _, export := range []bool{false, true} {
-		hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Recorder: telemetry.NewRecorder(export)}
-		var inPlace, sharedRing atomic.Int32
-		pts := make([]Point, 4)
+		pts := make([]Point, 2)
 		for i := range pts {
-			pts[i] = Point{Name: fmt.Sprintf("p[%d]", i), Run: func() error {
-				if h := telemetry.Hub(); h == hub {
-					inPlace.Add(1)
-				} else if h.Rec() == hub.Recorder {
-					sharedRing.Add(1)
+			pts[i] = Point{Body: func(tel *telemetry.Telemetry) error {
+				if tel != nil {
+					handed.Add(1)
 				}
+				sweepPoint(tel, i)
 				return nil
 			}}
 		}
-		var err error
-		telemetry.WithHub(hub, func() { err = Run(pts, Options{Workers: 4, Hub: hub}) })
-		if err != nil {
+		if err := Run(pts, Options{Workers: 2}); err != nil {
+			t.Error(err)
+		}
+	})
+	if handed.Load() != 0 {
+		t.Errorf("%d points were handed a hub under a nil pool hub, want 0", handed.Load())
+	}
+	if proc.Metrics.Len() != 0 {
+		t.Error("points leaked series into the process hub")
+	}
+}
+
+// Only a hub whose recorder exports is handed to its points itself, in
+// order: traces cannot be merged. A hub whose recorder keeps just its
+// flight ring — every run's — hands each point its own mirror, all writing
+// to the one shared ring.
+func TestRunPointsInPlaceOnlyUnderExportingRecorder(t *testing.T) {
+	for _, export := range []bool{false, true} {
+		hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Recorder: telemetry.NewRecorder(export)}
+		handed := make([]*telemetry.Telemetry, 4)
+		pts := make([]Point, len(handed))
+		for i := range pts {
+			pts[i] = Point{Name: fmt.Sprintf("p[%d]", i), Body: func(tel *telemetry.Telemetry) error {
+				handed[i] = tel
+				return nil
+			}}
+		}
+		if err := Run(pts, Options{Workers: 4, Hub: hub}); err != nil {
 			t.Fatal(err)
 		}
-		if want := map[bool]int32{false: 0, true: 4}[export]; inPlace.Load() != want || inPlace.Load()+sharedRing.Load() != 4 {
-			t.Errorf("exporting %v: %d points on the caller's hub, %d on mirrors sharing its ring; want %d and %d",
-				export, inPlace.Load(), sharedRing.Load(), want, 4-want)
+		seen := map[*telemetry.Telemetry]bool{}
+		for i, tel := range handed {
+			switch {
+			case export && tel != hub:
+				t.Errorf("exporting: point %d was handed %p, want the pool hub %p", i, tel, hub)
+			case !export && (tel == hub || tel.Rec() != hub.Recorder || seen[tel]):
+				t.Errorf("flight ring only: point %d was handed %p, want a mirror of its own sharing the pool hub's ring", i, tel)
+			}
+			seen[tel] = true
 		}
 	}
 }

@@ -227,7 +227,7 @@ func flightDump(hub *telemetry.Telemetry, point string, err error) []byte {
 }
 
 // runSupervised executes one point under the retry policy and journal:
-// every attempt runs in a fresh point-local hub (a failed attempt's
+// every attempt is handed a fresh point-local hub (a failed attempt's
 // partial telemetry is discarded), failures are classified and journaled,
 // retries back off with seeded jitter, and exhaustion either quarantines
 // the point (nil hub — excluded from merge) or returns the final error
@@ -243,10 +243,7 @@ func runSupervised(pp *perf.Plane, poolStart time.Time, opt Options, p Point, wo
 			opt.Journal.Begin(unit, p.Spec, p.Seed, attempt)
 		}
 		local := telemetry.Mirror(opt.Hub)
-		var err error
-		telemetry.WithHub(local, func() {
-			err = execPoint(pp, poolStart, p, worker)
-		})
+		err := execPoint(pp, poolStart, p, worker, local)
 		if err == nil {
 			if opt.Journal != nil {
 				if payload, perr := encodePointPayload(p, local); perr != nil {

@@ -19,16 +19,19 @@ func noSleep(into *[]time.Duration) func(time.Duration) {
 }
 
 // A flaky point succeeds on a later attempt: the sweep completes clean,
-// the failed attempts' partial telemetry is discarded (only the successful
-// attempt's observations merge), and the retries backed off.
+// each attempt is handed a hub of its own, the failed attempts' partial
+// telemetry is discarded (only the successful attempt's observations
+// merge), and the retries backed off.
 func TestRetryFlakyPointSucceeds(t *testing.T) {
 	hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}
 	var tries atomic.Int32
 	var delays []time.Duration
+	attempts := map[*telemetry.Telemetry]bool{}
 	pts := []Point{
-		{Name: "stable", Run: func() error { sweepPoint(0); return nil }},
-		{Name: "flaky", Run: func() error {
-			sweepPoint(1) // observes even on the failing attempts
+		{Name: "stable", Body: func(tel *telemetry.Telemetry) error { sweepPoint(tel, 0); return nil }},
+		{Name: "flaky", Body: func(tel *telemetry.Telemetry) error {
+			attempts[tel] = true
+			sweepPoint(tel, 1) // observes even on the failing attempts
 			if tries.Add(1) < 3 {
 				return errors.New("transient wobble")
 			}
@@ -47,13 +50,16 @@ func TestRetryFlakyPointSucceeds(t *testing.T) {
 	if len(delays) != 2 {
 		t.Fatalf("%d backoff sleeps, want 2", len(delays))
 	}
+	if len(attempts) != 3 || attempts[hub] || attempts[nil] {
+		t.Fatalf("3 attempts were handed %d distinct hubs (the pool hub among them: %v), want 3 mirrors", len(attempts), attempts[hub])
+	}
 
 	// The merged output must equal a run where every point succeeded
 	// first try — failed attempts ran in discarded mirror hubs.
 	ref := &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}
 	refPts := []Point{
-		{Name: "stable", Run: func() error { sweepPoint(0); return nil }},
-		{Name: "flaky", Run: func() error { sweepPoint(1); return nil }},
+		{Name: "stable", Body: func(tel *telemetry.Telemetry) error { sweepPoint(tel, 0); return nil }},
+		{Name: "flaky", Body: func(tel *telemetry.Telemetry) error { sweepPoint(tel, 1); return nil }},
 	}
 	if err := Run(refPts, Options{Workers: 1, Hub: ref}); err != nil {
 		t.Fatal(err)
@@ -77,9 +83,9 @@ func TestQuarantineExcludesPoisonPoint(t *testing.T) {
 	hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Recorder: telemetry.NewRecorder(false)}
 	var delays []time.Duration
 	pts := []Point{
-		{Name: "ok[0]", Run: func() error { sweepPoint(0); return nil }},
-		{Name: "poison", Run: func() error { panic("synthetic panic") }},
-		{Name: "ok[1]", Run: func() error { sweepPoint(1); return nil }},
+		{Name: "ok[0]", Body: func(tel *telemetry.Telemetry) error { sweepPoint(tel, 0); return nil }},
+		{Name: "poison", Body: func(*telemetry.Telemetry) error { panic("synthetic panic") }},
+		{Name: "ok[1]", Body: func(tel *telemetry.Telemetry) error { sweepPoint(tel, 1); return nil }},
 	}
 	err := Run(pts, Options{Workers: 2, Hub: hub, Retry: RetryPolicy{
 		MaxAttempts: 2, Quarantine: true, BaseBackoff: time.Millisecond, Sleep: noSleep(&delays),
@@ -102,8 +108,8 @@ func TestQuarantineExcludesPoisonPoint(t *testing.T) {
 	// existed as an observer.
 	ref := &telemetry.Telemetry{Metrics: telemetry.NewRegistry(), Recorder: telemetry.NewRecorder(false)}
 	refPts := []Point{
-		{Name: "ok[0]", Run: func() error { sweepPoint(0); return nil }},
-		{Name: "ok[1]", Run: func() error { sweepPoint(1); return nil }},
+		{Name: "ok[0]", Body: func(tel *telemetry.Telemetry) error { sweepPoint(tel, 0); return nil }},
+		{Name: "ok[1]", Body: func(tel *telemetry.Telemetry) error { sweepPoint(tel, 1); return nil }},
 	}
 	if err := Run(refPts, Options{Workers: 1, Hub: ref}); err != nil {
 		t.Fatal(err)
@@ -126,7 +132,7 @@ func TestQuarantineExcludesPoisonPoint(t *testing.T) {
 func TestRetryExhaustionWithoutQuarantineFailsClassic(t *testing.T) {
 	hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}
 	var delays []time.Duration
-	pts := []Point{{Name: "doomed", Run: func() error { return errors.New("hard failure") }}}
+	pts := []Point{{Name: "doomed", Body: func(*telemetry.Telemetry) error { return errors.New("hard failure") }}}
 	err := Run(pts, Options{Workers: 1, Hub: hub, Retry: RetryPolicy{
 		MaxAttempts: 2, BaseBackoff: time.Millisecond, Sleep: noSleep(&delays),
 	}})
@@ -199,11 +205,11 @@ func TestJournalRestoreSkipsCompletedPoints(t *testing.T) {
 				Spec: fmt.Sprintf("spec %d", i),
 				Seed: int64(i),
 				Slot: &rows[i],
-				Run: func() error {
+				Body: func(tel *telemetry.Telemetry) error {
 					if reruns != nil {
 						reruns.Add(1)
 					}
-					sweepPoint(i)
+					sweepPoint(tel, i)
 					rows[i] = rowT{V: i * i}
 					return nil
 				},
@@ -263,12 +269,12 @@ func TestResumeAfterQuarantineReRunsPoint(t *testing.T) {
 	fail := true
 	mk := func() []Point {
 		return []Point{
-			{Name: "good", Run: func() error { sweepPoint(0); return nil }},
-			{Name: "sick", Run: func() error {
+			{Name: "good", Body: func(tel *telemetry.Telemetry) error { sweepPoint(tel, 0); return nil }},
+			{Name: "sick", Body: func(tel *telemetry.Telemetry) error {
 				if fail {
 					return errors.New("env broken")
 				}
-				sweepPoint(1)
+				sweepPoint(tel, 1)
 				return nil
 			}},
 		}

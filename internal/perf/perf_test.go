@@ -259,10 +259,10 @@ func TestDocumentAndTotals(t *testing.T) {
 }
 
 // The perf registry must stay disjoint from the deterministic telemetry
-// plane: enabling it must not touch the ambient hub registry.
+// plane: enabling it must not touch the process hub's registry.
 func TestPlaneDoesNotTouchHub(t *testing.T) {
 	hub := &telemetry.Telemetry{Metrics: telemetry.NewRegistry()}
-	telemetry.WithHub(hub, func() {
+	telemetry.WithDefault(hub, func() {
 		p := Enable()
 		defer Disable()
 		eng := sim.NewEngine()
@@ -274,12 +274,12 @@ func TestPlaneDoesNotTouchHub(t *testing.T) {
 		if err := p.phase("sweep", func() error { return nil }); err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range hub.Metrics.Snapshot().Metrics {
-			if strings.HasPrefix(m.Name, "perf.") {
-				t.Errorf("perf series %s leaked into the telemetry hub registry", m.Name)
-			}
-		}
 	})
+	for _, m := range hub.Metrics.Snapshot().Metrics {
+		if strings.HasPrefix(m.Name, "perf.") {
+			t.Errorf("perf series %s leaked into the telemetry hub registry", m.Name)
+		}
+	}
 }
 
 func TestBuildInfo(t *testing.T) {

@@ -17,7 +17,11 @@ import (
 // (the bench module has its own go.mod and is skipped) and asserts that
 // the setters of process-global run state are called only from
 // RunExperiments and experiments.Run: a run's config becomes process
-// state in one place, for exactly the duration of the run.
+// state in one place, for exactly the duration of the run. The process
+// hub is read in one place too: telemetry.Hub only in the straight-line
+// body of an exported experiment (never in a function literal, so never
+// inside a sweep point, which is handed its hub), and no parallel.Point
+// literal sets the bench-only Run.
 func TestRunStateAppliedInOnePlace(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -77,13 +81,45 @@ func TestRunStateAppliedInOnePlace(t *testing.T) {
 		}
 		for _, decl := range f.Decls {
 			owner := pkg + ".<var>"
+			entry := false // an exported experiment may read the process hub
 			if fn, ok := decl.(*ast.FuncDecl); ok {
 				owner = pkg + "." + fn.Name.Name
 				if fn.Recv != nil {
 					owner = pkg + ".<method>." + fn.Name.Name
 				}
+				entry = pkg == "repro/internal/experiments" && fn.Recv == nil && fn.Name.IsExported()
 			}
+			var lits []*ast.FuncLit                // enclosing the node being visited
+			elided := map[*ast.CompositeLit]bool{} // Point literals inside a []Point{…}
 			ast.Inspect(decl, func(n ast.Node) bool {
+				for n != nil && len(lits) > 0 && n.Pos() >= lits[len(lits)-1].End() {
+					lits = lits[:len(lits)-1]
+				}
+				if lit, ok := n.(*ast.FuncLit); ok {
+					lits = append(lits, lit)
+				}
+				if lit, ok := n.(*ast.CompositeLit); ok {
+					if at, ok := lit.Type.(*ast.ArrayType); ok && isPoint(at.Elt, pkg, imports) {
+						for _, el := range lit.Elts {
+							if kv, ok := el.(*ast.KeyValueExpr); ok {
+								el = kv.Value
+							}
+							if el, ok := el.(*ast.CompositeLit); ok && el.Type == nil {
+								elided[el] = true
+							}
+						}
+					}
+					for _, el := range lit.Elts {
+						kv, ok := el.(*ast.KeyValueExpr)
+						if !ok {
+							continue
+						}
+						if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "Run" && (elided[lit] || isPoint(lit.Type, pkg, imports)) {
+							t.Errorf("%s: a parallel.Point in %s sets Run; in-tree points set Body (Run is bench-only)",
+								fset.Position(kv.Pos()), owner)
+						}
+					}
+				}
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
@@ -101,6 +137,10 @@ func TestRunStateAppliedInOnePlace(t *testing.T) {
 					t.Errorf("%s: %s.%s called from %s; only RunExperiments and experiments.Run write process-global run state",
 						fset.Position(call.Pos()), path.Base(callee), name, owner)
 				}
+				if callee == "repro/internal/telemetry" && name == "Hub" && (!entry || len(lits) > 0) {
+					t.Errorf("%s: telemetry.Hub called from %s; only an exported experiment's own body reads the process hub, and hands it on",
+						fset.Position(call.Pos()), owner)
+				}
 				return true
 			})
 		}
@@ -112,4 +152,16 @@ func TestRunStateAppliedInOnePlace(t *testing.T) {
 	if files < 100 {
 		t.Fatalf("walked %d source files under %s; expected the whole module", files, root)
 	}
+}
+
+// isPoint reports whether typ, written in pkg, names parallel.Point.
+func isPoint(typ ast.Expr, pkg string, imports map[string]string) bool {
+	switch x := typ.(type) {
+	case *ast.Ident:
+		return pkg == "repro/internal/parallel" && x.Name == "Point"
+	case *ast.SelectorExpr:
+		id, ok := x.X.(*ast.Ident)
+		return ok && imports[id.Name] == "repro/internal/parallel" && x.Sel.Name == "Point"
+	}
+	return false
 }

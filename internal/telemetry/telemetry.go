@@ -15,24 +15,20 @@
 // serializes to JSONL and to Chrome trace-event format (viewable in
 // Perfetto or chrome://tracing), timestamped in simulated microseconds.
 //
-// Hubs are scoped two ways. WithDefault installs a process-wide hub — the
-// classic single-harness mode. WithHub installs a hub for the *current
-// goroutine only*, masking the process hub; the parallel sweep engine
-// (internal/parallel) gives every worker its own hub this way so
+// A hub is handed to what observes into it: netsim.Config.Telemetry names
+// a network's, and the parallel sweep engine (internal/parallel) hands
+// every sweep point a point-local mirror of its destination hub so
 // registries, samplers, and histograms never contend, then folds the
-// point-local hubs back into the destination with Merge, in sweep-point
-// order, so the merged export is byte-identical to a sequential run.
-// Components always read the ambient hub through Hub().
+// mirrors back into the destination with Merge, in sweep-point order, so
+// the merged export is byte-identical to a sequential run. WithDefault
+// installs the process-wide hub that an experiment entry reads, once,
+// through Hub().
 //
 // See docs/OBSERVABILITY.md for metric naming conventions, the trace
 // schema, and a Perfetto how-to.
 package telemetry
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Telemetry bundles the optional sinks a run may carry. Any field may be
 // nil; a nil *Telemetry disables everything.
@@ -45,8 +41,8 @@ type Telemetry struct {
 	// export — structured trace events. It is shared across parallel
 	// workers (diagnostic state, exempt from merging). Nil records nothing.
 	Recorder *Recorder
-	// Sampler, when non-nil, is attached to every engine built under this
-	// hub (netsim.New) and periodically snapshots the registry's scalar
+	// Sampler, when non-nil, is attached to every network built with this
+	// hub (netsim.Config.Telemetry) and periodically snapshots the registry's scalar
 	// metrics into bounded time series. Requires Metrics.
 	Sampler *Sampler
 	// Detail enables high-volume trace events (per-stage pipeline events
@@ -54,44 +50,12 @@ type Telemetry struct {
 	Detail bool
 }
 
-// procHub is the process-wide hub installed by WithDefault; goHubs maps
-// goroutine id → the hub installed by WithHub on that goroutine. A
-// goroutine-local entry always wins, even when it is nil — that is how the
-// parallel sweep engine masks the process hub from its workers.
-var (
-	procHub atomic.Pointer[Telemetry]
-	goHubs  sync.Map // uint64 (goroutine id) → *Telemetry
-)
+// procHub is the process-wide hub installed by WithDefault.
+var procHub atomic.Pointer[Telemetry]
 
-// goid returns the current goroutine's id, parsed from the runtime stack
-// header ("goroutine 123 [running]:"). It costs roughly a microsecond, so
-// it belongs on construction and headline-record paths, never per-packet —
-// instrumented components capture their sinks once, at construction.
-func goid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id uint64
-	for _, c := range buf[prefix:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
-
-// Hub returns the ambient telemetry hub: the hub WithHub installed on the
-// current goroutine if there is one (even a nil mask), else the
-// process-wide hub installed by WithDefault, else nil. All accessors on
-// the result are nil-safe.
-func Hub() *Telemetry {
-	if v, ok := goHubs.Load(goid()); ok {
-		t, _ := v.(*Telemetry)
-		return t
-	}
-	return procHub.Load()
-}
+// Hub returns the process-wide hub installed by WithDefault, or nil. All
+// accessors on the result are nil-safe.
+func Hub() *Telemetry { return procHub.Load() }
 
 // Enabled reports whether t carries at least one sink. A recorder counts
 // even when it does not export: its flight ring needs the same
@@ -129,32 +93,10 @@ func (t *Telemetry) Samp() *Sampler {
 // restoring the previous value even when fn panics. Harnesses (the CLI,
 // benchmarks, tests) should always use this instead of reaching for
 // package state directly: a panicking experiment must not leak a stale
-// sink into the next run. Goroutines spawned while fn runs observe t via
-// Hub() unless they install their own hub with WithHub.
+// sink into the next run.
 func WithDefault(t *Telemetry, fn func()) {
 	prev := procHub.Swap(t)
 	defer procHub.Store(prev)
-	fn()
-}
-
-// WithHub installs t as the current goroutine's hub for the duration of
-// fn, restoring the previous scope even when fn panics. Unlike
-// WithDefault it affects only this goroutine, and it masks the process
-// hub completely — including with t == nil, which silences telemetry for
-// fn. The parallel sweep engine runs every worker inside WithHub so
-// concurrent sweep points observe into disjoint registries; Merge then
-// folds them back deterministically.
-func WithHub(t *Telemetry, fn func()) {
-	id := goid()
-	prev, had := goHubs.Load(id)
-	goHubs.Store(id, t)
-	defer func() {
-		if had {
-			goHubs.Store(id, prev)
-		} else {
-			goHubs.Delete(id)
-		}
-	}()
 	fn()
 }
 

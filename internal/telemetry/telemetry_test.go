@@ -1,13 +1,10 @@
 package telemetry
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestWithDefault(t *testing.T) {
 	if Hub() != nil {
-		t.Fatal("ambient hub not nil at test start")
+		t.Fatal("process hub not nil at test start")
 	}
 	tel := &Telemetry{Metrics: NewRegistry()}
 	WithDefault(tel, func() {
@@ -47,62 +44,5 @@ func TestWithDefaultRestoresOnPanic(t *testing.T) {
 	}()
 	if Hub() != nil {
 		t.Error("hub leaked after panicking fn")
-	}
-}
-
-func TestWithHubScopedToGoroutine(t *testing.T) {
-	proc := &Telemetry{Metrics: NewRegistry()}
-	local := &Telemetry{Metrics: NewRegistry()}
-	WithDefault(proc, func() {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			WithHub(local, func() {
-				if Hub() != local {
-					t.Error("goroutine-local hub not visible on its goroutine")
-				}
-			})
-			if Hub() != proc {
-				t.Error("process hub not restored on goroutine after WithHub")
-			}
-		}()
-		wg.Wait()
-		// The caller's goroutine never sees another goroutine's hub.
-		if Hub() != proc {
-			t.Error("goroutine-local hub leaked across goroutines")
-		}
-	})
-}
-
-func TestWithHubNilMasksProcessHub(t *testing.T) {
-	proc := &Telemetry{Metrics: NewRegistry()}
-	WithDefault(proc, func() {
-		WithHub(nil, func() {
-			if Hub() != nil {
-				t.Error("nil goroutine hub did not mask the process hub")
-			}
-		})
-		if Hub() != proc {
-			t.Error("process hub not restored after nil mask")
-		}
-	})
-}
-
-func TestWithHubNests(t *testing.T) {
-	outer := &Telemetry{Metrics: NewRegistry()}
-	inner := &Telemetry{Metrics: NewRegistry()}
-	WithHub(outer, func() {
-		WithHub(inner, func() {
-			if Hub() != inner {
-				t.Error("inner goroutine hub not installed")
-			}
-		})
-		if Hub() != outer {
-			t.Error("outer goroutine hub not restored")
-		}
-	})
-	if Hub() != nil {
-		t.Error("goroutine hub leaked after outermost WithHub")
 	}
 }
