@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // TestParallelOutputByteIdentical is the acceptance golden for the sweep
@@ -13,7 +16,9 @@ import (
 // on the caller's goroutine, the parallel path on workers; both hand each
 // point its own hub and merge in point order — identical
 // bytes prove the merge (instance-label renumbering, sampler run-ordinal
-// offsets, table fragments) reproduces sequential state exactly.
+// offsets, table fragments) reproduces sequential state exactly. The
+// failover sweep's networks publish cct.attr.* series, so the comparison
+// covers the critical-path attribution too.
 func TestParallelOutputByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full failover+faults sweeps are slow")
@@ -54,5 +59,8 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	}
 	if string(seqSamples) != string(parSamples) {
 		t.Errorf("samples CSV differs between -parallel 1 and -parallel 8:\n--- sequential ---\n%s\n--- parallel ---\n%s", seqSamples, parSamples)
+	}
+	if !bytes.Contains(seqMetrics, []byte(telemetry.AttrSeriesPrefix)) {
+		t.Errorf("-metrics JSON carries no %s* series", telemetry.AttrSeriesPrefix)
 	}
 }

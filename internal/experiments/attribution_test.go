@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -91,36 +90,6 @@ func TestFailoverAttributionSumsToCCT(t *testing.T) {
 	}
 	if !sawStall {
 		t.Fatal("no cell in the default failover sweep attributed any failover stall")
-	}
-}
-
-// TestAttributionByteIdenticalAcrossParallelWidths runs E18 (the heavier,
-// fault-injected sweep) under -parallel 1 and -parallel 8 hubs and
-// requires the merged registry exports — cct.attr.* series included — to
-// be byte-identical.
-func TestAttributionByteIdenticalAcrossParallelWidths(t *testing.T) {
-	exportAt := func(workers int) []byte {
-		prev := SetParallelism(workers)
-		defer SetParallelism(prev)
-		var buf bytes.Buffer
-		tel := withRegistryHub(t, func() {
-			if _, _, err := Failover(nil, nil); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if err := tel.Metrics.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	seq := exportAt(1)
-	par := exportAt(8)
-	if !bytes.Equal(seq, par) {
-		t.Fatalf("registry export differs between -parallel 1 (%d bytes) and -parallel 8 (%d bytes)",
-			len(seq), len(par))
-	}
-	if !bytes.Contains(seq, []byte(telemetry.AttrSeriesPrefix)) {
-		t.Fatalf("export carries no %s* series", telemetry.AttrSeriesPrefix)
 	}
 }
 

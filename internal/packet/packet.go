@@ -171,17 +171,12 @@ func (m *MLHeader) Decode(data []byte) error {
 // KVOp is a key/value cache operation code.
 type KVOp uint8
 
-// Key/value operations. The lock opcodes reuse the KV wire format with
-// Key = lock id and Value = client id (NetLock-style coordination).
+// Key/value operations.
 const (
-	KVGet    KVOp = 0
-	KVPut    KVOp = 1
-	KVHit    KVOp = 2 // reply: value found on the switch
-	KVMiss   KVOp = 3 // reply: forwarded to the backing store
-	KVLock   KVOp = 4 // request: acquire Key for client Value
-	KVUnlock KVOp = 5 // request: release Key held by client Value
-	KVGrant  KVOp = 6 // reply: acquired / released
-	KVDeny   KVOp = 7 // reply: held by another client (Value = holder)
+	KVGet  KVOp = 0
+	KVPut  KVOp = 1
+	KVHit  KVOp = 2 // reply: value found on the switch
+	KVMiss KVOp = 3 // reply: forwarded to the backing store
 )
 
 // KVPair is one key/value element.

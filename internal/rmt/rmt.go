@@ -341,8 +341,8 @@ func (s *Switch) drainTM() ([]*packet.Packet, error) {
 						return nil, err
 					}
 				}
-				// Egress-side emissions (e.g. egress aggregation results)
-				// are also pinned to this pipeline's ports.
+				// Egress-side emissions are also pinned to this
+				// pipeline's ports.
 				for _, em := range ctx.Emissions {
 					for _, port := range em.Ports {
 						if port < 0 || port >= s.cfg.Ports || s.PipelineOfPort(port) != pl {

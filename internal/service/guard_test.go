@@ -23,10 +23,6 @@ import (
 // inside a sweep point, which is handed its hub), and no parallel.Point
 // literal sets the bench-only Run.
 func TestRunStateAppliedInOnePlace(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
 	setter := func(pkg, name string) bool {
 		switch pkg {
 		case "repro/internal/experiments":
@@ -42,43 +38,7 @@ func TestRunStateAppliedInOnePlace(t *testing.T) {
 		"repro/internal/service.RunExperiments": true,
 		"repro/internal/experiments.Run":        true,
 	}
-	fset := token.NewFileSet()
-	files := 0
-	err = filepath.WalkDir(root, func(p string, de fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if de.IsDir() {
-			if p == root {
-				return nil
-			}
-			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil || de.Name() == "testdata" || strings.HasPrefix(de.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files++
-		rel, err := filepath.Rel(root, filepath.Dir(p))
-		if err != nil {
-			return err
-		}
-		pkg := path.Join("repro", filepath.ToSlash(rel))
-		imports := map[string]string{} // local name → import path
-		for _, imp := range f.Imports {
-			ip, _ := strconv.Unquote(imp.Path.Value)
-			name := path.Base(ip)
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = ip
-		}
+	walkModule(t, func(fset *token.FileSet, pkg string, f *ast.File, imports map[string]string) {
 		for _, decl := range f.Decls {
 			owner := pkg + ".<var>"
 			entry := false // an exported experiment may read the process hub
@@ -144,6 +104,92 @@ func TestRunStateAppliedInOnePlace(t *testing.T) {
 				return true
 			})
 		}
+	})
+}
+
+// TestAppConstructorsReachable asserts that every exported constructor of
+// internal/apps (a func New…) is named by at least one non-test file
+// outside that package, so an application no binary runs cannot stay in
+// the tree with only its own tests as callers.
+func TestAppConstructorsReachable(t *testing.T) {
+	const appsPkg = "repro/internal/apps"
+	declared := map[string]string{} // constructor → position
+	used := map[string]bool{}
+	walkModule(t, func(fset *token.FileSet, pkg string, f *ast.File, imports map[string]string) {
+		if pkg == appsPkg {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "New") {
+					declared[fn.Name.Name] = fset.Position(fn.Pos()).String()
+				}
+			}
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] == appsPkg {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	})
+	if len(declared) == 0 {
+		t.Fatalf("found no exported constructors in %s", appsPkg)
+	}
+	for name, pos := range declared {
+		if !used[name] {
+			t.Errorf("%s: apps.%s has no caller outside internal/apps and its tests; an application no binary runs is deleted", pos, name)
+		}
+	}
+}
+
+// walkModule parses the root module's non-test sources (the bench module
+// has its own go.mod and is skipped, as are testdata and dot directories)
+// and hands fn each file with its import path and its imports by local
+// name.
+func walkModule(t *testing.T, fn func(fset *token.FileSet, pkg string, f *ast.File, imports map[string]string)) {
+	t.Helper()
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	files := 0
+	err = filepath.WalkDir(root, func(p string, de fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if de.IsDir() {
+			if p == root {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil || de.Name() == "testdata" || strings.HasPrefix(de.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files++
+		rel, err := filepath.Rel(root, filepath.Dir(p))
+		if err != nil {
+			return err
+		}
+		imports := map[string]string{} // local name → import path
+		for _, imp := range f.Imports {
+			ip, _ := strconv.Unquote(imp.Path.Value)
+			name := path.Base(ip)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = ip
+		}
+		fn(fset, path.Join("repro", filepath.ToSlash(rel)), f, imports)
 		return nil
 	})
 	if err != nil {

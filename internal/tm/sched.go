@@ -1,10 +1,6 @@
 package tm
 
-import (
-	"fmt"
-
-	"repro/internal/packet"
-)
+import "repro/internal/packet"
 
 // This file implements programmable scheduling disciplines on top of the
 // PIFO primitive — the §5 direction ("intriguing opportunities can be
@@ -176,13 +172,3 @@ func (s *STFQScheduler) Dequeue() (*packet.Packet, bool) {
 
 // Len returns queued packets.
 func (s *STFQScheduler) Len() int { return s.pifo.Len() }
-
-// Validate sanity-checks a weight function for a flow set (test helper).
-func ValidateWeights(weightOf func(uint64) uint64, flows []uint64) error {
-	for _, f := range flows {
-		if weightOf(f) == 0 {
-			return fmt.Errorf("tm: flow %d has zero weight", f)
-		}
-	}
-	return nil
-}

@@ -201,21 +201,6 @@ func TestSTFQWeights(t *testing.T) {
 	}
 }
 
-func TestValidateWeights(t *testing.T) {
-	w := func(f uint64) uint64 {
-		if f == 2 {
-			return 0
-		}
-		return 1
-	}
-	if err := ValidateWeights(w, []uint64{1, 3}); err != nil {
-		t.Error(err)
-	}
-	if err := ValidateWeights(w, []uint64{1, 2}); err == nil {
-		t.Error("zero weight accepted")
-	}
-}
-
 func TestNewSTFQPanicsOnNil(t *testing.T) {
 	defer func() {
 		if recover() == nil {
