@@ -55,7 +55,7 @@ loc:
 # above must not exceed the ceiling. A PR that shrinks the tree lowers the
 # ceiling to its own result; one that has to raise it says why in
 # CHANGES.md.
-LOC_CEILING := 23231
+LOC_CEILING := 23040
 loc-check:
 	@src=$$($(MAKE) -s loc | awk '$$1 == "source" { print $$2 }'); \
 	if [ "$$src" -gt $(LOC_CEILING) ]; then \

@@ -57,7 +57,7 @@ func TestExpEventBudgetBoundsRunaway(t *testing.T) {
 	exps := []experiment{{"spin", "self-rescheduling loop", func(io.Writer) error {
 		e := sim.NewEngine()
 		var step func()
-		step = func() { e.After(sim.Microsecond, step) }
+		step = func() { e.PostAfter(sim.Microsecond, step) }
 		e.Schedule(0, step)
 		e.Run()
 		if e.BudgetExceeded() {

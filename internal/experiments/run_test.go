@@ -42,7 +42,7 @@ func TestRunEventBudgetBoundsSimulation(t *testing.T) {
 	err := Run(context.Background(), "runaway", 50, func() error {
 		e := sim.NewEngine()
 		var step func()
-		step = func() { e.After(sim.Microsecond, step) }
+		step = func() { e.PostAfter(sim.Microsecond, step) }
 		e.Schedule(0, step)
 		e.Run()
 		if e.BudgetExceeded() {
@@ -60,7 +60,7 @@ func TestRunEventBudgetBoundsSimulation(t *testing.T) {
 		var step func()
 		step = func() {
 			if fired++; fired < 100 {
-				e.After(sim.Microsecond, step)
+				e.PostAfter(sim.Microsecond, step)
 			}
 		}
 		e.Schedule(0, step)

@@ -374,7 +374,13 @@ func FuzzPairOps(f *testing.F) {
 			case 3:
 				d := sim.Time(arg) * 100 * sim.Nanosecond
 				op = fmt.Sprintf("advance %v", d)
-				both(func(s *fuzzSide) string { s.eng.RunUntil(s.eng.Now() + d); return "" })
+				both(func(s *fuzzSide) string {
+					// A budget stop at now+d ends the Run there.
+					s.eng.PostAfter(d, func() { s.eng.SetEventBudget(s.eng.Fired()) })
+					s.eng.Run()
+					s.eng.SetEventBudget(0)
+					return ""
+				})
 			case 4:
 				op = "crash"
 				both(func(s *fuzzSide) string { s.pair.Crash(); return "" })

@@ -1041,7 +1041,7 @@ func (n *Network) deliver(dst int, p *packet.Packet, cf uint32, sentAt sim.Time,
 }
 
 // Run drains the event queue, then — if the queue actually emptied (no
-// Stop mid-run) — asserts packet conservation and the tracker invariants,
+// budget stop) — asserts packet conservation and the tracker invariants,
 // appending any violation to the error list every harness already checks.
 // A violation from these run-level checks (budget exhaustion included)
 // dumps the flight-recorder ring to stderr, so the failure arrives with
@@ -1071,9 +1071,6 @@ func (n *Network) Run() {
 	}
 	n.publishAttribution()
 }
-
-// RunUntil drains events up to the deadline.
-func (n *Network) RunUntil(t sim.Time) { n.eng.RunUntil(t) }
 
 // Injected returns packets sent by hosts.
 func (n *Network) Injected() uint64 { return n.injected }

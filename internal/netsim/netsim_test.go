@@ -207,19 +207,6 @@ func TestWithRealADCPSwitch(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	n, _ := New(DefaultConfig(2), echoSwitch{})
-	n.SendAt(0, rawPkt(0, 1, 1), 10*sim.Microsecond)
-	n.RunUntil(sim.Microsecond)
-	if n.Delivered() != 0 {
-		t.Error("delivered before send time")
-	}
-	n.Run()
-	if n.Delivered() != 1 {
-		t.Error("not delivered after full run")
-	}
-}
-
 func TestPerHostLinkSpeeds(t *testing.T) {
 	// Host 1 has a 10× slower NIC than host 0: the same packet takes 10×
 	// longer to arrive.

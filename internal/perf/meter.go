@@ -16,12 +16,11 @@ const MeterWindow = 1024
 // Meter is a low-overhead throughput probe on one engine's dispatch loop.
 // It is engine-local (the engine is single-goroutine by contract) and only
 // touches shared plane state at window boundaries, via atomics. The
-// unfinished tail window is flushed when the engine's Run or RunUntil
-// returns, with the clock sampled then, so an engine that fires fewer
-// events than a window still counts and the flushed total of a run is
-// exactly the events its engines fired — deterministic for a deterministic
-// simulation, independent of worker scheduling. Only an engine driven by
-// bare Step calls keeps an unflushed tail.
+// unfinished tail window is flushed when the engine's Run returns, with the
+// clock sampled then, so an engine that fires fewer events than a window
+// still counts and the flushed total of a run is exactly the events its
+// engines fired — deterministic for a deterministic simulation, independent
+// of worker scheduling.
 type Meter struct {
 	plane *Plane
 

@@ -99,21 +99,27 @@ func TestMeterWindowing(t *testing.T) {
 }
 
 // TestMeterOnEngine pins the end-to-end contract: whatever an engine fires
-// under Run or RunUntil is flushed when that call returns — full windows,
-// the tail window, and engines too short to fill one — so the plane's
-// event and batch totals are exact, regardless of wall-clock behavior.
+// under Run is flushed when that call returns, however it ends — full
+// windows, the tail window, and engines too short to fill one — so the
+// plane's event and batch totals are exact, regardless of wall-clock
+// behavior.
 func TestMeterOnEngine(t *testing.T) {
 	p := New()
 	eng := sim.NewEngine()
 	p.AttachMeter(eng)
 	total := 2*MeterWindow + 100
 	for i := 0; i < total; i++ {
-		eng.Schedule(sim.Time(i), func() {})
+		fn := func() {}
+		if i == MeterWindow/2 {
+			fn = func() { eng.SetEventBudget(eng.Fired()) } // a budget stop
+		}
+		eng.Schedule(sim.Time(i), fn)
 	}
-	eng.RunUntil(sim.Time(MeterWindow / 2))
+	eng.Run()
 	if got, want := p.events.Load(), eng.Fired(); got != want || want != MeterWindow/2+1 {
-		t.Errorf("metered events after RunUntil = %d, engine fired %d", got, want)
+		t.Errorf("metered events after a budget stop = %d, engine fired %d", got, want)
 	}
+	eng.SetEventBudget(0)
 	eng.Run()
 	if eng.Fired() != uint64(total) {
 		t.Fatalf("engine fired %d, want %d", eng.Fired(), total)

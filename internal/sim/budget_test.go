@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // chain schedules a self-rescheduling event: the degenerate runaway model
 // the budget exists to stop.
@@ -8,7 +11,7 @@ func chain(e *Engine, every Time, fired *int) {
 	var step func()
 	step = func() {
 		*fired++
-		e.After(every, step)
+		e.PostAfter(every, step)
 	}
 	e.Schedule(0, step)
 }
@@ -28,9 +31,10 @@ func TestEventBudgetStopsRunawayChain(t *testing.T) {
 	if e.Pending() == 0 {
 		t.Fatal("runaway chain should still have its next event queued")
 	}
-	// The refusal is sticky: further steps do nothing.
-	if e.Step() {
-		t.Fatal("engine dispatched past an exhausted budget")
+	// The refusal is sticky: a further Run dispatches nothing.
+	e.Run()
+	if fired != 10 {
+		t.Fatalf("engine dispatched past an exhausted budget: fired %d", fired)
 	}
 }
 
@@ -57,7 +61,7 @@ func TestZeroBudgetIsUnbounded(t *testing.T) {
 	step = func() {
 		fired++
 		if fired < 1000 {
-			e.After(Nanosecond, step)
+			e.PostAfter(Nanosecond, step)
 		}
 	}
 	e.Schedule(0, step)
@@ -91,22 +95,35 @@ func TestDefaultEventBudgetInherited(t *testing.T) {
 	}
 }
 
-// TestLoweringBudgetBelowFiredStops: a budget set mid-run below the fired
-// count halts the engine on the next step.
+// TestLoweringBudgetBelowFiredStops: a budget a handler lowers below the
+// fired count makes Run return right after that handler, with the run-end
+// hooks called; lifting the budget lets the next Run resume in (time, seq)
+// order — events of the stopping handler's own batch included.
 func TestLoweringBudgetBelowFiredStops(t *testing.T) {
 	e := NewEngine()
-	var fired int
-	var step func()
-	step = func() {
-		fired++
-		if fired == 3 {
-			e.SetEventBudget(2) // already over
-		}
-		e.After(Microsecond, step)
-	}
-	e.Schedule(0, step)
+	var got []string
+	ends := 0
+	e.AddRunEndHook(func() { ends++ })
+	note := func(s string) func() { return func() { got = append(got, fmt.Sprintf("%s@%d", s, e.Now())) } }
+	e.Post(10, note("a"))
+	e.Post(20, func() {
+		note("stop")()
+		e.SetEventBudget(e.Fired() - 1) // already over
+		e.Post(20, note("d"))
+		e.Post(25, note("e"))
+	})
+	e.Post(20, note("b"))
+	e.Post(30, note("c"))
 	e.Run()
-	if fired != 3 || !e.BudgetExceeded() {
-		t.Fatalf("fired %d, exceeded %v", fired, e.BudgetExceeded())
+	if want := "[a@10 stop@20]"; fmt.Sprint(got) != want || ends != 1 || !e.BudgetExceeded() {
+		t.Fatalf("fired %v, %d run ends, exceeded %v; want %s, 1, true", got, ends, e.BudgetExceeded(), want)
+	}
+	if e.Now() != 20 || e.Pending() != 4 {
+		t.Fatalf("stopped at %v with %d pending, want 20ps with 4", e.Now(), e.Pending())
+	}
+	e.SetEventBudget(0)
+	e.Run()
+	if want := "[a@10 stop@20 b@20 d@20 e@25 c@30]"; fmt.Sprint(got) != want || ends != 2 {
+		t.Fatalf("resumed to %v with %d run ends, want %s and 2", got, ends, want)
 	}
 }

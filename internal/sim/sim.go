@@ -45,8 +45,8 @@
 // A model that would otherwise build a closure per event keeps the state
 // the event needs in a record of its own, gives the record a Fire method
 // and posts the record (PostHandler): a pointer converts to an interface
-// without allocating. Post, Schedule and After take a plain func() and wrap
-// it in Func, which is free as well — a func value is pointer-shaped.
+// without allocating. Post, PostAfter and Schedule take a plain func() and
+// wrap it in Func, which is free as well — a func value is pointer-shaped.
 //
 // There are three ways to queue an event, and they differ only in who owns
 // the Event object; all draw from the same sequence counter and the same
@@ -145,9 +145,6 @@ type Event struct {
 	retained bool
 }
 
-// Canceled reports whether the event was canceled before firing.
-func (e *Event) Canceled() bool { return e.dead }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -204,7 +201,6 @@ type Engine struct {
 	minSeq  uint64 // one past the sequence number of the event being dispatched
 	tickets int    // reserved and not armed yet
 	fired   uint64
-	stopped bool
 	hooks   []DispatchHook
 	runEnd  []func()
 
@@ -227,9 +223,9 @@ type Engine struct {
 	freeChunk int
 
 	// budget, when non-zero, bounds how many events the engine will
-	// dispatch; exceeded flips once the bound is hit and the engine
-	// refuses further steps — a runaway model becomes a detectable,
-	// reportable condition instead of an endless loop.
+	// dispatch; exceeded flips once the bound is hit and Run returns — a
+	// runaway model becomes a detectable, reportable condition instead of
+	// an endless loop.
 	budget   uint64
 	exceeded bool
 }
@@ -262,12 +258,13 @@ func NewEngine() *Engine {
 }
 
 // SetEventBudget bounds the total events this engine may dispatch
-// (0 = unbounded). Lowering the budget below the fired count stops the
-// engine on its next step.
+// (0 = unbounded). It is also the one way to end a Run early: a handler that
+// lowers the budget to Fired() makes Run return right after that handler, and
+// raising the budget again lets the next Run resume in (time, seq) order.
 func (e *Engine) SetEventBudget(n uint64) { e.budget = n }
 
-// BudgetExceeded reports whether the engine refused to dispatch because
-// the event budget ran out.
+// BudgetExceeded reports whether a Run has returned because the event budget
+// ran out.
 func (e *Engine) BudgetExceeded() bool { return e.exceeded }
 
 // Now returns the current simulated time.
@@ -292,10 +289,9 @@ func (e *Engine) AddDispatchHook(h DispatchHook) {
 }
 
 // AddRunEndHook appends h to the hooks called, in installation order, each
-// time Run or RunUntil returns — whether the queue drained, Stop was
-// called, the deadline passed or the event budget ran out. Observers that
-// batch per-event work (the perf plane's dispatch meter) settle their
-// partial batch here.
+// time Run returns — whether the queue drained or the event budget ran out.
+// Observers that batch per-event work (the perf plane's dispatch meter)
+// settle their partial batch here.
 func (e *Engine) AddRunEndHook(h func()) {
 	if h != nil {
 		e.runEnd = append(e.runEnd, h)
@@ -334,14 +330,6 @@ func (e *Engine) enqueue(ev *Event, at Time, h Handler) {
 	e.seq++
 	e.place(ev)
 	e.live++
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Time, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.Schedule(e.now+d, fn)
 }
 
 // Post registers fn to run at absolute time at on the handle-free path:
@@ -679,32 +667,16 @@ func (e *Engine) dispatch(ev *Event) {
 	h.Fire()
 }
 
-// Step dispatches the next event. It reports false when the queue is empty
-// or the event budget is exhausted (see BudgetExceeded to tell the two
-// apart).
-func (e *Engine) Step() bool {
-	if e.budget > 0 && e.fired >= e.budget {
-		e.exceeded = true
-		return false
-	}
-	ev := e.popWheel()
-	if ev == nil {
-		return false
-	}
-	e.dispatch(ev)
-	return true
-}
-
-// Run dispatches events until the queue is empty or Stop is called. This
-// is the batched hot loop: consecutive same-timestamp events pop from the
-// cached current slot in O(1) with no queue reshaping between them, and
-// events a callback schedules for the current timestamp join the tail of
-// the same batch. A queue that drains with reserved tickets never armed is
-// a panic: their events were counted as pending and can no longer fire.
+// Run dispatches events until the queue is empty or the event budget runs
+// out (see SetEventBudget). It is the engine's one dispatch loop:
+// consecutive same-timestamp events pop from the cached current slot in O(1)
+// with no queue reshaping between them, and events a callback schedules for
+// the current timestamp join the tail of the same batch. A queue that drains
+// with reserved tickets never armed is a panic: their events were counted as
+// pending and can no longer fire.
 func (e *Engine) Run() {
 	defer e.endRun()
-	e.stopped = false
-	for !e.stopped {
+	for {
 		if e.budget > 0 && e.fired >= e.budget {
 			e.exceeded = true
 			return
@@ -719,156 +691,3 @@ func (e *Engine) Run() {
 		e.dispatch(ev)
 	}
 }
-
-// RunUntil dispatches events with time ≤ deadline, then sets the clock to
-// the deadline (if it is later than the last event).
-func (e *Engine) RunUntil(deadline Time) {
-	defer e.endRun()
-	e.stopped = false
-	for !e.stopped {
-		t, ok := e.peekTime()
-		if !ok || t > deadline {
-			break
-		}
-		if !e.Step() {
-			break
-		}
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// peekTime returns the timestamp of the next live event without moving
-// the cursor past it (cascading a window the cursor has already entered
-// is cursor-neutral and allowed; advancing the cursor is not, because a
-// later Schedule may target a time between now and the peeked event).
-func (e *Engine) peekTime() (Time, bool) {
-	for {
-		// Current batch slot first: it holds events at exactly pos.
-		if s := e.cur; s != nil {
-			for s.head != nil && s.head.dead {
-				ev := s.head
-				s.head = ev.next
-				ev.next = nil
-				if s.head == nil {
-					s.tail = nil
-					e.clearBit(0, int(uint64(ev.at))&wheelMask)
-				}
-				e.release(ev)
-			}
-			if s.head != nil {
-				return s.head.at, true
-			}
-			e.cur = nil
-		}
-		for len(e.far) > 0 && uint64(e.far[0].at)>>wheelSpanBits == uint64(e.pos)>>wheelSpanBits {
-			ev := heap.Pop(&e.far).(*Event)
-			if ev.dead {
-				e.release(ev)
-				continue
-			}
-			e.place(ev)
-		}
-		if e.cascadeCurrent() {
-			continue
-		}
-		if idx, ok := e.scanFrom(0, int(uint64(e.pos))&wheelMask); ok {
-			s := &e.wheel[0][idx]
-			for s.head != nil && s.head.dead {
-				ev := s.head
-				s.head = ev.next
-				ev.next = nil
-				e.release(ev)
-			}
-			if s.head == nil {
-				s.tail = nil
-				e.clearBit(0, idx)
-				continue
-			}
-			return s.head.at, true
-		}
-		// Nothing in the current window: the earliest live event is the
-		// minimum of the nearest occupied later window (lowest level is
-		// nearest; one list walk, pruning dead events in place).
-		for l := 1; l < wheelLevels; l++ {
-			shift := wheelBits * l
-			cur := int(uint64(e.pos)>>shift) & wheelMask
-			if cur+1 >= wheelSlots {
-				continue
-			}
-			idx, ok := e.scanFrom(l, cur+1)
-			if !ok {
-				continue
-			}
-			if t, ok := e.pruneMin(l, idx); ok {
-				return t, true
-			}
-			// Slot held only dead events; rescan from the top.
-			break
-		}
-		if e.wheelLive() {
-			continue
-		}
-		// Far heap only: prune dead tops, then its root is the minimum.
-		for len(e.far) > 0 && e.far[0].dead {
-			e.release(heap.Pop(&e.far).(*Event))
-		}
-		if len(e.far) > 0 {
-			return e.far[0].at, true
-		}
-		return 0, false
-	}
-}
-
-// pruneMin unlinks dead events from one slot list and returns the minimum
-// timestamp among the survivors (false if the slot emptied).
-func (e *Engine) pruneMin(level, idx int) (Time, bool) {
-	s := &e.wheel[level][idx]
-	var prev *Event
-	min := Forever
-	found := false
-	for ev := s.head; ev != nil; {
-		next := ev.next
-		if ev.dead {
-			if prev == nil {
-				s.head = next
-			} else {
-				prev.next = next
-			}
-			if next == nil {
-				s.tail = prev
-			}
-			ev.next = nil
-			e.release(ev)
-		} else {
-			if ev.at < min {
-				min = ev.at
-			}
-			found = true
-			prev = ev
-		}
-		ev = next
-	}
-	if s.head == nil {
-		s.tail = nil
-		e.clearBit(level, idx)
-	}
-	return min, found
-}
-
-// wheelLive reports whether any wheel bitmap bit is set (events may still
-// be dead; callers loop until the state settles).
-func (e *Engine) wheelLive() bool {
-	for l := 0; l < wheelLevels; l++ {
-		for _, w := range e.occ[l] {
-			if w != 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Stop makes the current Run/RunUntil return after the in-flight event.
-func (e *Engine) Stop() { e.stopped = true }

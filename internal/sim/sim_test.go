@@ -46,7 +46,7 @@ func TestEngineAfter(t *testing.T) {
 	e := NewEngine()
 	var at Time
 	e.Schedule(100, func() {
-		e.After(50, func() { at = e.Now() })
+		e.PostAfter(50, func() { at = e.Now() })
 	})
 	e.Run()
 	if at != 150 {
@@ -71,10 +71,10 @@ func TestEngineNegativeAfterPanics(t *testing.T) {
 	e := NewEngine()
 	defer func() {
 		if recover() == nil {
-			t.Error("negative After did not panic")
+			t.Error("negative PostAfter did not panic")
 		}
 	}()
-	e.After(-1, func() {})
+	e.PostAfter(-1, func() {})
 }
 
 func TestEngineCancel(t *testing.T) {
@@ -82,12 +82,12 @@ func TestEngineCancel(t *testing.T) {
 	fired := false
 	ev := e.Schedule(10, func() { fired = true })
 	e.Cancel(ev)
+	if e.Pending() != 0 {
+		t.Errorf("Pending = %d after Cancel, want 0", e.Pending())
+	}
 	e.Run()
 	if fired {
 		t.Error("canceled event fired")
-	}
-	if !ev.Canceled() {
-		t.Error("Canceled() = false after Cancel")
 	}
 	// Double-cancel and nil-cancel are no-ops.
 	e.Cancel(ev)
@@ -112,53 +112,6 @@ func TestEngineCancelOneOfMany(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		e.Schedule(at, func() { fired = append(fired, at) })
-	}
-	e.RunUntil(25)
-	if len(fired) != 2 {
-		t.Fatalf("fired %d events by t=25, want 2", len(fired))
-	}
-	if e.Now() != 25 {
-		t.Errorf("Now = %v, want 25", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", e.Pending())
-	}
-	e.RunUntil(100)
-	if len(fired) != 4 {
-		t.Errorf("fired %d events total, want 4", len(fired))
-	}
-	if e.Now() != 100 {
-		t.Errorf("Now = %v, want 100 (advanced to deadline)", e.Now())
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Errorf("ran %d events after Stop at 3, want 3", count)
-	}
-	e.Run() // resumes
-	if count != 10 {
-		t.Errorf("resume ran to %d, want 10", count)
 	}
 }
 
@@ -301,8 +254,18 @@ func BenchmarkRNGUint64(b *testing.B) {
 	}
 }
 
-// Cancel/Step interleavings: the queue must stay consistent when events are
+// Cancel/step interleavings: the queue must stay consistent when events are
 // canceled between, during, and after dispatches.
+
+// stepOnce runs the engine for at most one event, through a budget stop, and
+// reports whether one fired.
+func stepOnce(e *Engine) bool {
+	fired := e.Fired()
+	e.SetEventBudget(fired + 1)
+	e.Run()
+	e.SetEventBudget(0)
+	return e.Fired() > fired
+}
 
 func TestEngineCancelFromInsideCallback(t *testing.T) {
 	e := NewEngine()
@@ -318,9 +281,6 @@ func TestEngineCancelFromInsideCallback(t *testing.T) {
 	if got := len(fired); got != 2 || fired[0] != "a" || fired[1] != "c" {
 		t.Errorf("fired %v, want [a c]", fired)
 	}
-	if !b.Canceled() {
-		t.Error("canceled event not marked canceled")
-	}
 	if e.Fired() != 2 {
 		t.Errorf("Fired = %d, want 2 (dead events are not dispatches)", e.Fired())
 	}
@@ -332,14 +292,14 @@ func TestEngineCancelHeadThenStep(t *testing.T) {
 	head := e.Schedule(5, func() { t.Error("canceled head fired") })
 	e.Schedule(7, func() { ran = true })
 	e.Cancel(head)
-	if !e.Step() {
-		t.Fatal("Step found no live event")
+	if !stepOnce(e) {
+		t.Fatal("stepOnce found no live event")
 	}
 	if !ran || e.Now() != 7 {
 		t.Errorf("ran=%v now=%v, want true 7ps", ran, e.Now())
 	}
-	if e.Step() {
-		t.Error("Step dispatched from an empty queue")
+	if stepOnce(e) {
+		t.Error("stepOnce dispatched from an empty queue")
 	}
 }
 
@@ -352,8 +312,8 @@ func TestEngineCancelAllThenStep(t *testing.T) {
 	for _, ev := range evs {
 		e.Cancel(ev)
 	}
-	if e.Step() {
-		t.Error("Step reported progress with only dead events queued")
+	if stepOnce(e) {
+		t.Error("stepOnce reported progress with only dead events queued")
 	}
 	if e.Now() != 0 || e.Fired() != 0 {
 		t.Errorf("now=%v fired=%d after draining dead events", e.Now(), e.Fired())
@@ -365,7 +325,7 @@ func TestEngineCancelAfterFireIsNoop(t *testing.T) {
 	a := e.Schedule(1, func() {})
 	later := false
 	e.Schedule(2, func() { later = true })
-	e.Step()
+	stepOnce(e)
 	e.Cancel(a) // already fired
 	e.Cancel(a) // double cancel
 	e.Cancel(nil)
@@ -419,8 +379,8 @@ func TestEngineDispatchHook(t *testing.T) {
 	}
 }
 
-// Run-end hooks fire once per Run/RunUntil return, however the call ends,
-// and see everything that call dispatched; Step alone never fires them.
+// Run-end hooks fire once per Run return, whether the queue drained or a
+// handler's budget stop ended it, and see everything that call dispatched.
 func TestEngineRunEndHook(t *testing.T) {
 	e := NewEngine()
 	var firedAtEnd []uint64
@@ -429,13 +389,16 @@ func TestEngineRunEndHook(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		e.Schedule(Time(i*10), func() {})
 	}
-	e.Schedule(45, e.Stop)
-	e.Step()       // t=10: no hook
-	e.RunUntil(25) // t=20
-	e.Run()        // t=30, 40, then Stop at 45
-	e.Run()        // t=50, 60: drained
-	e.Run()        // nothing to do, still one call
-	want := []uint64{2, 5, 7, 7}
+	stop := func() { e.SetEventBudget(e.Fired()) }
+	e.Post(25, stop)
+	e.Post(45, stop)
+	e.Run()             // t=10, 20, then the stop at 25
+	e.SetEventBudget(0) // resume
+	e.Run()             // t=30, 40, then the stop at 45
+	e.SetEventBudget(0)
+	e.Run() // t=50, 60: drained
+	e.Run() // nothing to do, still one call
+	want := []uint64{3, 6, 8, 8}
 	if len(firedAtEnd) != len(want) {
 		t.Fatalf("hook calls saw %v, want %v", firedAtEnd, want)
 	}
@@ -453,7 +416,7 @@ func TestEngineDispatchHookSeesScheduleFromCallback(t *testing.T) {
 	e := NewEngine()
 	var pendings []int
 	e.AddDispatchHook(func(_ Time, pending int, _ uint64) { pendings = append(pendings, pending) })
-	e.Schedule(1, func() { e.After(1, func() {}) })
+	e.Schedule(1, func() { e.PostAfter(1, func() {}) })
 	e.Run()
 	if len(pendings) != 2 || pendings[0] != 0 || pendings[1] != 0 {
 		t.Errorf("pendings = %v, want [0 0]", pendings)

@@ -20,7 +20,6 @@ type scheduler interface {
 	Reserve() uint64
 	ArmReserved(t *Timer, at Time, seq uint64, h Handler)
 	Run()
-	RunUntil(deadline Time)
 }
 
 // refHeap is the differential oracle for the timing wheel: the scheduler
@@ -91,17 +90,8 @@ func (r *refHeap) Cancel(ev *Event) {
 	ev.dead = true
 }
 
-func (r *refHeap) Run() { r.drain(Forever) }
-
-func (r *refHeap) RunUntil(deadline Time) {
-	r.drain(deadline)
-	if r.now < deadline {
-		r.now = deadline
-	}
-}
-
-func (r *refHeap) drain(deadline Time) {
-	for len(r.queue) > 0 && r.queue[0].at <= deadline {
+func (r *refHeap) Run() {
+	for len(r.queue) > 0 {
 		ev := heap.Pop(&r.queue).(*Event)
 		ev.queued = false
 		r.now, r.minSeq = ev.at, ev.seq+1
@@ -223,7 +213,7 @@ func (ft *fuzzTimer) Fire() {
 }
 
 // FuzzWheelOps lets the fuzzer write the workload: the input is a program
-// of schedule / post / cancel / run-until / schedule-from-a-callback /
+// of schedule / post / cancel / run / schedule-from-a-callback /
 // post-a-handler / arm / disarm / arm-with-re-arm-after-fire / reserve /
 // arm-reserved-later opcodes, each with a delay whose magnitude the input
 // picks anywhere from an exact tie to far beyond the wheel span. The wheel
@@ -243,6 +233,10 @@ func FuzzWheelOps(f *testing.F) {
 	f.Add([]byte{9, 0, 0, 1, 0, 20, 10, 36, 10, 1, 0, 20})
 	f.Add([]byte{10, 0, 5, 9, 0, 0, 1, 0, 5, 9, 0, 0, 0, 0, 5})
 	f.Add([]byte{9, 0, 0, 1, 16, 3, 10, 52, 3, 9, 0, 0, 3, 8, 1, 9, 0, 0, 10, 69, 1, 1, 33, 1})
+	// A run that drains through a canceled far event moves the cursor to its
+	// window; a post made after it lands behind that window and must still
+	// fire (popWheel rewinds the cursor to the clock).
+	f.Add([]byte{0, 20, 200, 2, 0, 0, 3, 0, 0, 1, 8, 5})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		trace := func(e scheduler, prog []byte) []string {
 			var got []string
@@ -281,6 +275,13 @@ func FuzzWheelOps(f *testing.F) {
 					e.ArmReserved(tm, e.Now()+later, seq, rec)
 				}
 			}
+			// Run must not find a ticket nobody will arm. These carriers are
+			// posted behind the tickets they take, so each is refused once.
+			carryTickets := func() {
+				for carriers < len(tickets) {
+					e.Post(e.Now(), carrier(0))
+				}
+			}
 			arm := func(ft *fuzzTimer, d, rearm Time) {
 				if ft.pending {
 					return
@@ -303,8 +304,9 @@ func FuzzWheelOps(f *testing.F) {
 						e.Cancel(evs[int(prog[1])%len(evs)])
 					}
 				case 3:
-					e.RunUntil(e.Now() + d)
-					got = append(got, fmt.Sprintf("until@%d pending=%d", e.Now(), e.Pending()))
+					carryTickets()
+					e.Run()
+					got = append(got, fmt.Sprintf("run@%d pending=%d", e.Now(), e.Pending()))
 				case 4: // fires, then schedules a follower d later (d = 0: same batch)
 					first, then := fire(), fire()
 					evs = append(evs, e.Schedule(e.Now()+d, func() {
@@ -337,11 +339,7 @@ func FuzzWheelOps(f *testing.F) {
 					}
 				}
 			}
-			// Run must not find a ticket nobody will arm. These carriers are
-			// posted behind the tickets they take, so each is refused once.
-			for carriers < len(tickets) {
-				e.Post(e.Now(), carrier(0))
-			}
+			carryTickets()
 			e.Run()
 			return append(got, fmt.Sprintf("end@%d pending=%d", e.Now(), e.Pending()))
 		}
@@ -645,52 +643,6 @@ func TestWheelCancelFarFuture(t *testing.T) {
 	e.Run()
 	if !ok {
 		t.Fatal("live far event did not fire")
-	}
-}
-
-// TestRunUntilDoesNotStrandCursor: peeking past a deadline must not
-// misfile events scheduled afterwards at times between the deadline and
-// the peeked event.
-func TestRunUntilDoesNotStrandCursor(t *testing.T) {
-	e := NewEngine()
-	var got []Time
-	e.Schedule(100000, func() { got = append(got, e.Now()) })
-	e.RunUntil(50) // peeks 100000, dispatches nothing
-	if e.Now() != 50 {
-		t.Fatalf("Now = %v, want 50", e.Now())
-	}
-	e.Schedule(60, func() { got = append(got, e.Now()) })
-	e.Schedule(300, func() { got = append(got, e.Now()) })
-	e.Run()
-	want := []Time{60, 300, 100000}
-	if len(got) != len(want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
-	}
-}
-
-// TestRunUntilAfterCancelAllBeforeDeadline: dead events ahead of the
-// deadline are pruned without dispatching anything beyond it.
-func TestRunUntilAfterCancelAllBeforeDeadline(t *testing.T) {
-	e := NewEngine()
-	a := e.Schedule(10, func() { t.Error("canceled event fired") })
-	fired := false
-	e.Schedule(1000, func() { fired = true })
-	e.Cancel(a)
-	e.RunUntil(100)
-	if fired {
-		t.Fatal("event beyond the deadline fired")
-	}
-	if e.Now() != 100 {
-		t.Fatalf("Now = %v, want 100", e.Now())
-	}
-	e.Run()
-	if !fired {
-		t.Fatal("pending event lost")
 	}
 }
 

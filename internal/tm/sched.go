@@ -48,12 +48,6 @@ func FIFORank() RankFn {
 	return func(p *packet.Packet) uint64 { return 0 }
 }
 
-// PriorityRank ranks by a class extracted from the packet: lower class
-// value = higher priority. classOf typically reads a header field.
-func PriorityRank(classOf func(p *packet.Packet) uint64) RankFn {
-	return func(p *packet.Packet) uint64 { return classOf(p) }
-}
-
 // SCFState tracks per-coflow remaining bytes for shortest-coflow-first.
 type SCFState struct {
 	remaining map[uint32]uint64

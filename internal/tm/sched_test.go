@@ -27,33 +27,6 @@ func TestFIFORankIsArrivalOrder(t *testing.T) {
 	}
 }
 
-func TestPriorityRank(t *testing.T) {
-	classOf := func(p *packet.Packet) uint64 {
-		var d packet.Decoded
-		if err := d.DecodePacket(p); err != nil {
-			return 99
-		}
-		return uint64(d.Base.CoflowID) // coflow id doubles as class here
-	}
-	s := NewScheduler(0, PriorityRank(classOf))
-	s.Enqueue(cfPkt(3, 0))
-	s.Enqueue(cfPkt(1, 0))
-	s.Enqueue(cfPkt(2, 0))
-	var got []uint32
-	for {
-		p, ok := s.Dequeue()
-		if !ok {
-			break
-		}
-		var d packet.Decoded
-		d.DecodePacket(p)
-		got = append(got, d.Base.CoflowID)
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("priority order = %v", got)
-	}
-}
-
 func TestSchedulerCapacity(t *testing.T) {
 	s := NewScheduler(1, FIFORank())
 	if !s.Enqueue(cfPkt(1, 0)) {
